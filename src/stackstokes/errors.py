@@ -12,21 +12,19 @@ class GeometryError(ConfigurationError):
 class NumericalError(RuntimeError):
     """A solver failed to produce a usable result."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
         self.residual = residual
+        self.iterations = iterations
 
 
 class ConvergenceError(NumericalError):
     """An iterative solve stopped without reaching its tolerance."""
 
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message, residual=residual)
-        self.iterations = iterations
-
 
 class BlowupError(NumericalError):
-    """A time integration blew up (norm growth beyond the safety bound)."""
+    """A time integration or sweep blew up (norm growth beyond the safety
+    bound, or a non-finite iterate)."""
 
 
 class CflError(NumericalError):

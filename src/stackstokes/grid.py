@@ -17,6 +17,18 @@ The velocity inner product uses cell-area weights with half weight on the
 normal-boundary faces; with zero boundary faces this is the plain flat
 metric, while integrals of non-vanishing fields (quadrature checks) come out
 exact for constants.
+
+The Leray projection and the implicit diffusion solve are applied in the
+separable eigenbases of the Neumann and no-slip Laplacians, as products with
+cached orthonormal DCT-II / DST-I / DST-II matrices (the fast diagonalization
+method of Lynch, Rice & Thomas, Numer. Math. 6, 1964).  A product costs
+O(n^3) per solve against O(n^2 log n) for an FFT, but at the sizes this
+toolkit steps on, the per-call overhead of the FFT routines dominates.  One
+``P S P`` step with one BLAS thread (numpy 2.4.6, scipy 1.17.1, a 2-core VM)
+took 320 / 400 / 1030 / 3560-4040 us through ``scipy.fft`` at nx = ny = 16 /
+32 / 64 / 128 and takes 58 / 116 / 370 / 3090-3470 us as matrix products:
+the two forms meet at about 128, the largest grid any config, test or
+benchmark steps on.  On larger grids the cubic cost would make FFTs faster.
 """
 
 from __future__ import annotations
@@ -26,9 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dctn, idctn, dst, idst
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 
 __all__ = [
     "GridSpec",
@@ -41,7 +52,6 @@ __all__ = [
     "gradient",
     "laplacian",
     "project_div_free",
-    "poisson_neumann",
     "diffusion_solve",
     "inner",
     "norm",
@@ -510,102 +520,131 @@ def laplacian(vel: VelocityField) -> VelocityField:
 
 
 # ---------------------------------------------------------------------------
-# fast solvers (cosine/sine diagonalization on the uniform rectangle)
+# fast solvers (fast diagonalization with cached transform matrices)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def _neumann_eigs(nx, ny, hx, hy):
-    lamx = (2.0 * np.cos(np.pi * np.arange(nx) / nx) - 2.0) / hx**2
-    lamy = (2.0 * np.cos(np.pi * np.arange(ny) / ny) - 2.0) / hy**2
+def _dst1_matrix(n: int) -> np.ndarray:
+    """Orthonormal DST-I of length n (symmetric, its own inverse)."""
+    k = np.arange(1, n + 1)
+    return math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+
+
+@lru_cache(maxsize=32)
+def _dst2_matrix(n: int) -> np.ndarray:
+    """Orthonormal DST-II of length n: row k samples sin(pi (k+1) (j+1/2) / n)."""
+    k = np.arange(1, n + 1)[:, None]
+    j = np.arange(n)[None, :] + 0.5
+    m = math.sqrt(2.0 / n) * np.sin(np.pi * k * j / n)
+    m[-1] *= math.sqrt(0.5)
+    return m
+
+
+@lru_cache(maxsize=32)
+def _dct2_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II of length n: row k samples cos(pi k (j+1/2) / n)."""
+    k = np.arange(n)[:, None]
+    j = np.arange(n)[None, :] + 0.5
+    m = math.sqrt(2.0 / n) * np.cos(np.pi * k * j / n)
+    m[0] *= math.sqrt(0.5)
+    return m
+
+
+def _diagonalized(f: np.ndarray, bx, bx_t, by, by_t, m: np.ndarray) -> np.ndarray:
+    """B_x^T ((B_x f B_y^T) * m) B_y: a separable operator applied in its eigenbasis.
+
+    The transposes come precomputed and contiguous: ``ndarray.dot`` then
+    skips the dispatch that ``@`` pays per call, half the cost of a product
+    at 16x16.
+    """
+    return bx_t.dot(bx.dot(f).dot(by_t) * m).dot(by)
+
+
+def _and_transpose(b: np.ndarray):
+    return b, np.ascontiguousarray(b.T)
+
+
+@lru_cache(maxsize=32)
+def _neumann_tables(grid: GridSpec):
+    """Cosine matrices, the divergence in cosine space, and the inverse Laplacian.
+
+    ``ax = C_x D_x`` and ``ay = C_y D_y`` map the interior u / v faces to the
+    cosine coefficients of the MAC divergence; ``inv`` holds 1/|lambda| of the
+    cell-centered Neumann Laplacian, with the constant mode (0, 0) set to 0.
+    Returns ``(cx, cx^T, cy, cy^T, ax, ay^T, inv)``.
+    """
+    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    cx, cy = _dct2_matrix(nx), _dct2_matrix(ny)
+    dx = (np.eye(nx, nx - 1) - np.eye(nx, nx - 1, k=-1)) / hx
+    dy = (np.eye(ny, ny - 1) - np.eye(ny, ny - 1, k=-1)) / hy
+    lamx = (2.0 - 2.0 * np.cos(np.pi * np.arange(nx) / nx)) / hx**2
+    lamy = (2.0 - 2.0 * np.cos(np.pi * np.arange(ny) / ny)) / hy**2
     lam = lamx[:, None] + lamy[None, :]
-    lam_safe = lam.copy()
-    lam_safe[0, 0] = 1.0
-    return lam, lam_safe
+    lam[0, 0] = 1.0
+    inv = 1.0 / lam
+    inv[0, 0] = 0.0
+    return (*_and_transpose(cx), *_and_transpose(cy),
+            cx @ dx, np.ascontiguousarray((cy @ dy).T), inv)
 
 
 def _poisson_neumann_direct(grid: GridSpec, rhs: np.ndarray) -> np.ndarray:
     """Exact mean-zero solve of the cell-centered Neumann Laplacian."""
-    _, lam_safe = _neumann_eigs(grid.nx, grid.ny, grid.hx, grid.hy)
-    rhat = dctn(rhs, type=2, norm="ortho")
-    rhat[0, 0] = 0.0
-    return idctn(rhat / lam_safe, type=2, norm="ortho")
-
-
-def _lap_neumann_cells(grid: GridSpec, p: np.ndarray) -> np.ndarray:
-    pe = np.pad(p, 1, mode="edge")
-    return (pe[2:, 1:-1] - 2.0 * p + pe[:-2, 1:-1]) / grid.hx**2 + (
-        pe[1:-1, 2:] - 2.0 * p + pe[1:-1, :-2]
-    ) / grid.hy**2
-
-
-def poisson_neumann(grid: GridSpec, rhs: ScalarField, tol: float = 1e-12,
-                    max_iter: int = 50) -> ScalarField:
-    """Mean-zero Neumann Poisson solve by preconditioned CG.
-
-    The preconditioner is the exact cosine-transform inverse, so the loop
-    normally exits after one iteration; the CG wrapper enforces the mean-zero
-    gauge each iteration and certifies the relative residual <= ``tol``.
-    """
-    b = rhs.values - rhs.values.mean()
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return ScalarField.zeros(grid)
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = _poisson_neumann_direct(grid, r)
-    p = z.copy()
-    rz = float((r * z).sum())
-    for _ in range(max_iter):
-        Ap = _lap_neumann_cells(grid, p)
-        alpha = rz / float((p * Ap).sum())
-        x += alpha * p
-        x -= x.mean()
-        r -= alpha * Ap
-        if float(np.linalg.norm(r)) <= tol * bnorm:
-            return ScalarField(grid, x)
-        z = _poisson_neumann_direct(grid, r)
-        rz_new = float((r * z).sum())
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    res = float(np.linalg.norm(r)) / bnorm
-    raise NumericalError(
-        f"Neumann Poisson CG stalled at relative residual {res:.3e} (tol {tol:.1e})",
-        residual=res,
-    )
+    cx, cx_t, cy, cy_t, _, _, inv = _neumann_tables(grid)
+    return -_diagonalized(rhs, cx, cx_t, cy, cy_t, inv)
 
 
 def project_div_free(vel: VelocityField) -> VelocityField:
     """Leray projection: remove the gradient part of ``vel``.
 
-    Zeroes the normal boundary faces first (no-penetration closure), solves
-    the Neumann Poisson problem for the potential, and subtracts its gradient.
+    The normal boundary faces of ``vel`` are ignored and those of the result
+    are zero (no-penetration closure).
     """
     out, _ = project_div_free_with_potential(vel)
     return out
 
 
 def project_div_free_with_potential(vel: VelocityField):
-    # The direct transform solve (the CG preconditioner by itself) is used
-    # here because the projection must be an exactly linear, self-adjoint
-    # operator for the discrete duality identities; CG step lengths depend on
-    # the data and would break transposition at the 1e-12 level.
-    w = vel.apply_noslip()
-    d = divergence(w)
-    phi = ScalarField(vel.grid, _poisson_neumann_direct(vel.grid, d.values - d.values.mean()))
-    proj = w - gradient(phi)
-    return proj, phi
+    """Leray projection and the potential phi with ``vel = out + grad(phi)``.
+
+    On the interior faces this is  P v = v - A^T M A v,  where
+    A v = A_x u C_y^T + C_x v A_y^T  (A_x = C_x D_x, A_y = C_y D_y) gives the
+    cosine coefficients of the MAC divergence and M inverts -Laplacian on
+    them: an exactly linear, symmetric operator, as the discrete duality
+    identities require.  A^T q is applied as D^T (C_x^T q C_y), the MAC
+    gradient of the potential, which saves four matrix products.
+    """
+    g = vel.grid
+    cx, cx_t, cy, cy_t, ax, ay_t, inv = _neumann_tables(g)
+    u_in = vel.u[1:-1, :]
+    v_in = vel.v[:, 1:-1]
+    q = (ax.dot(u_in).dot(cy_t) + cx.dot(v_in).dot(ay_t)) * inv
+    p = cx_t.dot(q).dot(cy)  # -phi
+    u = np.zeros((g.nx + 1, g.ny))
+    u[1:-1, :] = u_in + (p[1:, :] - p[:-1, :]) / g.hx
+    v = np.zeros((g.nx, g.ny + 1))
+    v[:, 1:-1] = v_in + (p[:, 1:] - p[:, :-1]) / g.hy
+    return VelocityField(g, u, v), ScalarField(g, -p)
 
 
 @lru_cache(maxsize=32)
-def _dirichlet_eigs(nx, ny, hx, hy):
-    # u component: DST-I in x (interior faces), DST-II in y (ghost-odd closure)
-    lamx_u = (2.0 * np.cos(np.pi * np.arange(1, nx) / nx) - 2.0) / hx**2
-    lamy_u = (2.0 * np.cos(np.pi * np.arange(1, ny + 1) / ny) - 2.0) / hy**2
-    lam_u = lamx_u[:, None] + lamy_u[None, :]
-    lamx_v = (2.0 * np.cos(np.pi * np.arange(1, nx + 1) / nx) - 2.0) / hx**2
-    lamy_v = (2.0 * np.cos(np.pi * np.arange(1, ny) / ny) - 2.0) / hy**2
-    lam_v = lamx_v[:, None] + lamy_v[None, :]
-    return lam_u, lam_v
+def _diffusion_tables(grid: GridSpec, dt: float):
+    """Sine matrices and multipliers 1/(1 - dt*lambda) for both components.
+
+    u: DST-I in x (interior faces), DST-II in y (odd ghost closure); v: the
+    same with the axes swapped.  Each entry is the argument tail of
+    :func:`_diagonalized`.
+    """
+    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    lam1x = (2.0 * np.cos(np.pi * np.arange(1, nx) / nx) - 2.0) / hx**2
+    lam2y = (2.0 * np.cos(np.pi * np.arange(1, ny + 1) / ny) - 2.0) / hy**2
+    lam2x = (2.0 * np.cos(np.pi * np.arange(1, nx + 1) / nx) - 2.0) / hx**2
+    lam1y = (2.0 * np.cos(np.pi * np.arange(1, ny) / ny) - 2.0) / hy**2
+    m_u = 1.0 / (1.0 - dt * (lam1x[:, None] + lam2y[None, :]))
+    m_v = 1.0 / (1.0 - dt * (lam2x[:, None] + lam1y[None, :]))
+    return (
+        (*_and_transpose(_dst1_matrix(nx - 1)), *_and_transpose(_dst2_matrix(ny)), m_u),
+        (*_and_transpose(_dst2_matrix(nx)), *_and_transpose(_dst1_matrix(ny - 1)), m_v),
+    )
 
 
 def diffusion_solve(rhs: VelocityField, dt: float) -> VelocityField:
@@ -616,26 +655,11 @@ def diffusion_solve(rhs: VelocityField, dt: float) -> VelocityField:
     closure of :func:`laplacian`.
     """
     g = rhs.grid
-    lam_u, lam_v = _dirichlet_eigs(g.nx, g.ny, g.hx, g.hy)
-
-    fu = rhs.u[1:-1, :]
-    fhat = dst(dst(fu, type=1, axis=0, norm="ortho"), type=2, axis=1, norm="ortho")
-    uin = idst(
-        idst(fhat / (1.0 - dt * lam_u), type=2, axis=1, norm="ortho"),
-        type=1, axis=0, norm="ortho",
-    )
-    u = np.zeros_like(rhs.u)
-    u[1:-1, :] = uin
-
-    fv = rhs.v[:, 1:-1]
-    fhat = dst(dst(fv, type=2, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
-    vin = idst(
-        idst(fhat / (1.0 - dt * lam_v), type=2, axis=0, norm="ortho"),
-        type=1, axis=1, norm="ortho",
-    )
-    v = np.zeros_like(rhs.v)
-    v[:, 1:-1] = vin
-
+    tab_u, tab_v = _diffusion_tables(g, dt)
+    u = np.zeros((g.nx + 1, g.ny))
+    u[1:-1, :] = _diagonalized(rhs.u[1:-1, :], *tab_u)
+    v = np.zeros((g.nx, g.ny + 1))
+    v[:, 1:-1] = _diagonalized(rhs.v[:, 1:-1], *tab_v)
     return VelocityField(g, u, v)
 
 

@@ -383,7 +383,9 @@ def _write_csv(path: Path, header, rows, config_hash: str):
         fh.write(f"# config_hash={config_hash}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+            # float() first: numpy 2 reprs its scalars as "np.float64(...)"
+            fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x)
+                              for x in row) + "\n")
 
 
 # ---------------------------------------------------------------------------

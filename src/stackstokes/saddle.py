@@ -374,8 +374,8 @@ def saddle_ascent_descent(
 class SaddleProbeReport:
     n_probes: int
     violations: int
-    worst_psi_margin: float   # max of J(psi+d, v) - J(psi, v); <= tol at a saddle
-    worst_v_margin: float     # min of J(psi, v+d) - J(psi, v); >= -tol at a saddle
+    worst_psi_margin: float   # max of J(psi+d, v) - J(psi, v) over nonzero d; <= tol at a saddle
+    worst_v_margin: float     # min of J(psi, v+d) - J(psi, v) over nonzero d; >= -tol at a saddle
     tol: float
     rows: list = field(default_factory=list)  # (kind, magnitude, margin, ok)
 
@@ -398,6 +398,9 @@ def verify_saddle(
     For perturbations d the definition of a saddle requires
     J(psi+d, v) <= J(psi, v) + tol and J(psi, v+d) >= J(psi, v) - tol.
     Raises nothing; the report carries the worst margins and any violations.
+    The worst margins skip probes that are zero to working precision (the
+    gradient-aligned probe at a converged saddle), whose margin is exactly 0
+    and would hide those of the random probes; they are 0.0 if no probe moves.
     """
     if rng is None:
         rng = np.random.default_rng(11)
@@ -423,29 +426,38 @@ def verify_saddle(
 
     rows = []
     violations = 0
-    worst_psi = -math.inf
-    worst_v = math.inf
+    psi_margins = []
+    v_margins = []
 
-    def record(kind, amp, d_psi, d_v):
-        nonlocal violations, worst_psi, worst_v
+    def moves(d):
+        return traj_norm(d) > np.finfo(float).eps * reference
+
+    def record(kind, amp, d_psi, d_v, counted=(True, True)):
+        nonlocal violations
         m_psi = robust_cost(prob, h, result.psi_bar + d_psi, result.v_bar) - J0
         m_v = robust_cost(prob, h, result.psi_bar, result.v_bar + d_v) - J0
         ok = (m_psi <= tol) and (m_v >= -tol)
         if not ok:
             violations += 1
-        worst_psi = max(worst_psi, m_psi)
-        worst_v = min(worst_v, m_v)
+        if counted[0]:
+            psi_margins.append(m_psi)
+        if counted[1]:
+            v_margins.append(m_v)
         rows.append((kind, amp, m_psi, m_v, ok))
 
     # two deterministic probes at the concave/convex model optimizers: the
-    # sharpest detectors of a first-order violation
+    # sharpest detectors of a first-order violation, but zero to working
+    # precision once the gradient has converged
     p = prob.params
-    record("newton", 1.0, g_psi * (1.0 / p.gamma**2), g_v * (-1.0 / p.ell**2))
+    d_psi, d_v = g_psi * (1.0 / p.gamma**2), g_v * (-1.0 / p.ell**2)
+    record("newton", 1.0, d_psi, d_v, (moves(d_psi), moves(d_v)))
+    # random probes have amplitude magnitudes[k] * reference, far above round-off
     for k in range(max(n_probes - 1, 0)):
         amp = magnitudes[k % len(magnitudes)] * reference
         d = rand_traj(amp)
         record("random", amp, d, d)
-    return SaddleProbeReport(n_probes, violations, worst_psi, worst_v, tol, rows)
+    return SaddleProbeReport(n_probes, violations, max(psi_margins, default=0.0),
+                             min(v_margins, default=0.0), tol, rows)
 
 
 @dataclass

@@ -309,10 +309,11 @@ def solve_forward(
             rhs = rhs - dt * convection(y)
         ystar = diffusion_solve(project_div_free(rhs), dt)
         y, phi = project_div_free_with_potential(ystar)
-        if y.max_abs() > opts.blowup_norm * scale:
+        if not y.max_abs() <= opts.blowup_norm * scale:  # also catches NaN
             raise BlowupError(
                 f"forward solve blew up at step {n + 1}: |y| = {y.max_abs():.3e}",
                 residual=y.max_abs(),
+                iterations=n + 1,
             )
         fields.append(y)
         if pressures is not None:
@@ -436,21 +437,27 @@ def solve_coupled_linear(
         if relax < 1.0:
             z_new = z + relax * (z_new - z)
         residual = _relative_change(z_new, z)
+        if not math.isfinite(residual):
+            raise BlowupError(
+                f"coupled linear solve produced a non-finite iterate at sweep {it}",
+                residual=residual,
+                iterations=it,
+            )
         z = z_new
         if residual <= opts.picard_tol:
             y = forward_sweep(z)
             return CoupledSolution(y, z, it, residual, True)
         if residual >= prev_res and relax > 0.0625:
             relax *= 0.5
-        if not math.isfinite(residual) or traj_norm(z) > opts.blowup_norm:
+        if traj_norm(z) > opts.blowup_norm:
             break
         prev_res = residual
     raise ConvergenceError(
         "coupled linear solve did not reach tolerance "
-        f"({residual:.3e} > {opts.picard_tol:.1e}); the forward-backward sweep "
-        "contracts only for large enough gamma and ell",
+        f"({residual:.3e} > {opts.picard_tol:.1e}) after {it} sweeps; the "
+        "forward-backward sweep contracts only for large enough gamma and ell",
         residual=residual,
-        iterations=opts.picard_max,
+        iterations=it,
     )
 
 
@@ -602,7 +609,14 @@ def solve_backward_adjoint(
         theta_new = theta_sweep(phi)
         if relax < 1.0:
             theta_new = theta + relax * (theta_new - theta)
-        residual = _relative_change(theta_new, theta) if traj_norm(theta_new) > 0 else 0.0
+        size = traj_norm(theta_new)
+        if not (math.isfinite(size) and math.isfinite(phi[0].max_abs())):
+            raise BlowupError(
+                f"adjoint pair produced a non-finite iterate at sweep {it}",
+                residual=size,
+                iterations=it,
+            )
+        residual = traj_norm(theta_new - theta) / size if size > 0 else 0.0
         theta = theta_new
         if residual <= opts.picard_tol:
             phi = phi_sweep(theta)

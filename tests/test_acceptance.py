@@ -71,10 +71,10 @@ def test_criterion_01_operator_adjointness():
     _report(1, "operator-adjointness", ok, elapsed, "; ".join(detail))
 
 
-def test_criterion_02_forward_solver_order():
+def test_criterion_02_forward_solver_order(tmp_path):
     t0 = time.time()
     raw = default_config_dict("convergence")
-    rec = run_experiment(config_from_dict(raw), out_root="runs-acceptance")
+    rec = run_experiment(config_from_dict(raw), out_root=tmp_path)
     ratios = rec.metrics["ratios"]
     ok = all(3.5 <= r <= 4.5 for r in ratios)
     elapsed = time.time() - t0
@@ -174,11 +174,11 @@ def test_criterion_05_gradient_correctness():
             f"game fd={worst_game:.2e} penalized fd={worst_pen:.2e}")
 
 
-def test_criterion_06_gamma_threshold_phenomenology():
+def test_criterion_06_gamma_threshold_phenomenology(tmp_path):
     t0 = time.time()
     raw = default_config_dict("gamma0-scan")
-    rec1 = run_experiment(config_from_dict(raw), out_root="runs-acceptance")
-    rec2 = run_experiment(config_from_dict(raw), out_root="runs-acceptance")
+    rec1 = run_experiment(config_from_dict(raw), out_root=tmp_path)
+    rec2 = run_experiment(config_from_dict(raw), out_root=tmp_path)
     m1, m2 = rec1.metrics, rec2.metrics
     same = (m1["bracket_lower"], m1["bracket_upper"]) == (
         m2["bracket_lower"], m2["bracket_upper"])
@@ -191,10 +191,10 @@ def test_criterion_06_gamma_threshold_phenomenology():
             f"replay identical={same}")
 
 
-def test_criterion_07_null_control_sweep():
+def test_criterion_07_null_control_sweep(tmp_path):
     t0 = time.time()
     raw = default_config_dict("nullcontrol")
-    rec = run_experiment(config_from_dict(raw), out_root="runs-acceptance")
+    rec = run_experiment(config_from_dict(raw), out_root=tmp_path)
     m = rec.metrics
     red_at_1e4 = m["reduction_per_epsilon"][repr(1e-4)]
     ok = (
@@ -212,10 +212,10 @@ def test_criterion_07_null_control_sweep():
             f"reduction@1e-4={red_at_1e4:.4f}")
 
 
-def test_criterion_08_nonlinear_small_data_pipeline():
+def test_criterion_08_nonlinear_small_data_pipeline(tmp_path):
     t0 = time.time()
     raw = default_config_dict("nullcontrol-nonlinear")
-    rec = run_experiment(config_from_dict(raw), out_root="runs-acceptance")
+    rec = run_experiment(config_from_dict(raw), out_root=tmp_path)
     m = rec.metrics
     ok = m["outer_iterations"] <= 10 and m["nonlinear_over_linear"] <= 2.0
     elapsed = time.time() - t0
@@ -225,10 +225,10 @@ def test_criterion_08_nonlinear_small_data_pipeline():
             f"nonlinear/linear={m['nonlinear_over_linear']:.4f}")
 
 
-def test_criterion_09_carleman_diagnostics():
+def test_criterion_09_carleman_diagnostics(tmp_path):
     t0 = time.time()
     raw = default_config_dict("carleman-check")
-    rec = run_experiment(config_from_dict(raw), out_root="runs-acceptance")
+    rec = run_experiment(config_from_dict(raw), out_root=tmp_path)
     m = rec.metrics
     dom = m["domination_log_ratios"]
     ok = (
@@ -246,15 +246,15 @@ def test_criterion_09_carleman_diagnostics():
             f"observability stab={m['observability_stability']:.3f}")
 
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(tmp_path):
     t0 = time.time()
     identical = True
     for exp, tweak in (("convergence", {}), ("saddle", {"n_probes": 10})):
         raw = default_config_dict(exp)
         raw["options"].update(tweak)
         cfg = config_from_dict(raw)
-        a = run_experiment(cfg, out_root="runs-acceptance")
-        b = run_experiment(cfg, out_root="runs-acceptance")
+        a = run_experiment(cfg, out_root=tmp_path)
+        b = run_experiment(cfg, out_root=tmp_path)
         identical &= a.metrics == b.metrics
         identical &= a.config_hash == b.config_hash
     elapsed = time.time() - t0

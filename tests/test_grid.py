@@ -1,23 +1,29 @@
 import numpy as np
 import pytest
+from scipy.fft import dct, dst
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackstokes.errors import ConfigurationError
 from stackstokes.grid import (
+    _dct2_matrix,
+    _dst1_matrix,
+    _dst2_matrix,
+    _poisson_neumann_direct,
     GridSpec,
     Region,
     ScalarField,
     SmoothCutoff,
     Trajectory,
     VelocityField,
+    diffusion_solve,
     divergence,
     gradient,
     inner,
     inner_cells,
     inner_space_time,
+    laplacian,
     norm,
-    poisson_neumann,
     project_div_free,
     stream_function_velocity,
     traj_norm,
@@ -121,15 +127,39 @@ def test_adjointness_and_projection_properties(seed, nx, ny):
 
 def test_poisson_neumann_residual_contract(rng):
     g = GridSpec(nx=24, ny=16, Lx=1.0, Ly=0.8, nt=8, T=1.0)
-    rhs = ScalarField(g, rng.standard_normal((g.nx, g.ny)))
-    sol = poisson_neumann(g, rhs)
-    pe = np.pad(sol.values, 1, mode="edge")
-    lap = (pe[2:, 1:-1] - 2 * sol.values + pe[:-2, 1:-1]) / g.hx**2 + (
-        pe[1:-1, 2:] - 2 * sol.values + pe[1:-1, :-2]
+    rhs = rng.standard_normal((g.nx, g.ny))
+    sol = _poisson_neumann_direct(g, rhs)
+    pe = np.pad(sol, 1, mode="edge")
+    lap = (pe[2:, 1:-1] - 2 * sol + pe[:-2, 1:-1]) / g.hx**2 + (
+        pe[1:-1, 2:] - 2 * sol + pe[1:-1, :-2]
     ) / g.hy**2
-    b = rhs.values - rhs.values.mean()
+    b = rhs - rhs.mean()
     assert np.linalg.norm(lap - b) <= 1e-11 * np.linalg.norm(b)
-    assert abs(sol.values.mean()) < 1e-13
+    assert abs(sol.mean()) < 1e-13
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 16, 23, 127, 128])
+def test_transform_matrices_orthonormal_and_match_scipy(n):
+    eye = np.eye(n)
+    for mat, ref in (
+        (_dst1_matrix(n), dst(eye, type=1, axis=0, norm="ortho")),
+        (_dst2_matrix(n), dst(eye, type=2, axis=0, norm="ortho")),
+        (_dct2_matrix(n), dct(eye, type=2, axis=0, norm="ortho")),
+    ):
+        assert np.abs(mat @ mat.T - eye).max() <= 1e-13
+        assert np.abs(mat - ref).max() <= 1e-13
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 24), (128, 136)])
+def test_diffusion_solve_inverts_implicit_euler(rng, nx, ny):
+    # (I - dt*laplacian) applied to the solve gives back the interior faces
+    g = GridSpec(nx=nx, ny=ny, Lx=1.0, Ly=1.3, nt=8, T=1.0)
+    dt = 0.01
+    f = closed_noise(g, rng)
+    x = diffusion_solve(f, dt)
+    assert x.boundary_is_closed()
+    back = x - dt * laplacian(x)
+    assert norm(back - f) <= 1e-12 * norm(f)
 
 
 def test_inner_space_time_constant_fields():

@@ -205,3 +205,26 @@ def test_failed_run_flagged_incomplete(tmp_path):
     run_dir = next((tmp_path).glob("nullcontrol-*"))
     man = json.loads((run_dir / "manifest.json").read_text())
     assert man["incomplete"] is True
+
+
+def _numeric_rows(path):
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# config_hash=")
+    return [line.split(",") for line in lines[2:]]
+
+
+def test_csv_cells_are_plain_numbers(tmp_path):
+    raw = default_config_dict("saddle")
+    raw["options"]["n_probes"] = 10
+    rec = run_experiment(config_from_dict(raw), out_root=tmp_path)
+    rows = _numeric_rows(Path(rec.run_dir) / "probe_margins.csv")
+    assert len(rows) == 10
+    assert np.isfinite([[float(cell) for cell in row] for row in rows]).all()
+
+    raw = default_config_dict("carleman-check")
+    raw["options"]["n_observability_samples"] = 2
+    raw["options"]["n_laplacian_samples"] = 2
+    rec = run_experiment(config_from_dict(raw), out_root=tmp_path)
+    rows = _numeric_rows(Path(rec.run_dir) / "observability_samples.csv")
+    assert len(rows) == 2 + 4
+    assert np.isfinite([[float(cell) for cell in row] for row in rows]).all()

@@ -349,3 +349,18 @@ def test_verify_saddle_zero_data_strict_margins():
     for kind, amp, m_psi, m_v, ok in rep.rows:
         if kind == "random":
             assert m_psi < 0.0 and m_v > 0.0
+
+
+def test_verify_saddle_margins_skip_zero_probe():
+    # at a converged saddle the gradient-aligned probe is zero to working
+    # precision; the worst margins must come from the probes that move
+    from stackstokes.harness import config_from_dict, default_config_dict, rng_stream
+
+    cfg = config_from_dict(default_config_dict("saddle"))
+    prob, h = cfg.problem(), cfg.leader_trajectory()
+    res = saddle_from_coupled(prob, h)
+    rep = verify_saddle(prob, res, h, n_probes=10,
+                        rng=rng_stream(cfg.seed, "saddle-probes"))
+    assert rep.rows[0][0] == "newton" and rep.rows[0][2:4] == (0.0, 0.0)
+    assert rep.passed
+    assert rep.worst_psi_margin < 0.0 < rep.worst_v_margin

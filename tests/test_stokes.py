@@ -303,6 +303,25 @@ def test_coupled_linear_needs_large_weights(rng):
                              omega=setup["omega"])
 
 
+def test_non_finite_iterates_fail_fast(rng):
+    # a NaN datum must stop the sweep that first produces it, not report
+    # convergence (adjoint pair) or spin to picard_max (coupled solve)
+    setup = make_setup(nt=16)
+    g = setup["grid"]
+    coup = coupling_for(setup)
+    nan_field = closed_noise(g, rng) * np.nan
+    with pytest.raises(BlowupError) as err:
+        solve_backward_adjoint(nan_field, None, None, None, coup, TIGHT)
+    assert err.value.iterations == 1
+    with pytest.raises(BlowupError) as err:
+        solve_coupled_linear(control_traj(g, rng), nan_field, None, coup, TIGHT,
+                             omega=setup["omega"])
+    assert err.value.iterations == 1
+    with pytest.raises(BlowupError) as err:
+        solve_forward(nan_field, None, TIGHT)
+    assert err.value.iterations == 1
+
+
 def test_coupled_nonlinear_zero_data():
     setup = make_setup(nt=16)
     sol = solve_coupled_nonlinear(
