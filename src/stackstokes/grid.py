@@ -29,6 +29,12 @@ took 320 / 400 / 1030 / 3560-4040 us through ``scipy.fft`` at nx = ny = 16 /
 32 / 64 / 128 and takes 58 / 116 / 370 / 3090-3470 us as matrix products:
 the two forms meet at about 128, the largest grid any config, test or
 benchmark steps on.  On larger grids the cubic cost would make FFTs faster.
+
+The Leray projection also takes leading batch dimensions: ``np.matmul``
+broadcasts the cached matrices over a stack of levels, so a single field and
+a packed stack of levels (:func:`face_views`, :func:`project_levels`) go
+through the same code and give the same bits level by level.  A stack is
+projected a few levels at a time, which keeps the temporaries small.
 """
 
 from __future__ import annotations
@@ -52,11 +58,14 @@ __all__ = [
     "gradient",
     "laplacian",
     "project_div_free",
+    "project_levels",
+    "face_views",
     "diffusion_solve",
     "inner",
     "norm",
     "h1_norm",
     "inner_space_time",
+    "packed_norm",
     "trapezoid_weights",
     "stream_function_velocity",
 ]
@@ -96,6 +105,11 @@ class GridSpec:
     @property
     def cell_area(self) -> float:
         return self.hx * self.hy
+
+    @property
+    def n_faces(self) -> int:
+        """Length of a packed velocity: the u faces, then the v faces."""
+        return (self.nx + 1) * self.ny + self.nx * (self.ny + 1)
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.nt + 1)
@@ -189,6 +203,17 @@ class VelocityField:
         return cls(grid, np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1)))
 
     @classmethod
+    def _of(cls, grid: GridSpec, u: np.ndarray, v: np.ndarray) -> "VelocityField":
+        """Wrap float arrays already of the grid's face shapes, skipping the checks.
+
+        For the per-step solver paths, whose arrays have these shapes by
+        construction.
+        """
+        f = cls.__new__(cls)
+        f.grid, f.u, f.v = grid, u, v
+        return f
+
+    @classmethod
     def from_functions(cls, grid: GridSpec, fu, fv) -> "VelocityField":
         xu, yu = grid.u_face_coords()
         xv, yv = grid.v_face_coords()
@@ -221,6 +246,10 @@ class VelocityField:
     def max_abs(self) -> float:
         return max(float(np.abs(self.u).max()), float(np.abs(self.v).max()))
 
+    def packed(self) -> np.ndarray:
+        """The u faces, then the v faces, in one vector (see :func:`face_views`)."""
+        return np.concatenate([self.u.ravel(), self.v.ravel()])
+
     def __add__(self, other):
         return VelocityField(self.grid, self.u + other.u, self.v + other.v)
 
@@ -245,6 +274,23 @@ class FaceMask:
 
     on_u: np.ndarray
     on_v: np.ndarray
+
+    def packed(self) -> np.ndarray:
+        """The mask as one vector in the packed face layout of :func:`face_views`."""
+        return np.concatenate([self.on_u.ravel(), self.on_v.ravel()])
+
+
+def face_views(packed: np.ndarray, grid: GridSpec):
+    """The u and v arrays viewed inside a packed stack of shape ``(..., n_faces)``.
+
+    A packed velocity is one vector of the (nx+1)*ny u faces followed by the
+    nx*(ny+1) v faces, so masks, sums and norms act on a whole stack of
+    levels at once; the views share its memory.
+    """
+    lead = packed.shape[:-1]
+    n_u = (grid.nx + 1) * grid.ny
+    return (packed[..., :n_u].reshape(*lead, grid.nx + 1, grid.ny),
+            packed[..., n_u:].reshape(*lead, grid.nx, grid.ny + 1))
 
 
 def _check_same_grid(a, b):
@@ -463,6 +509,21 @@ class Trajectory:
     def mul_mask(self, mask: FaceMask) -> "Trajectory":
         return Trajectory(self.grid, [f.mul_mask(mask) for f in self.fields])
 
+    def packed(self) -> np.ndarray:
+        """The snapshots copied into a packed ``(nt+1, n_faces)`` stack."""
+        out = np.empty((len(self), self.grid.n_faces))
+        u, v = face_views(out, self.grid)
+        for m, f in enumerate(self.fields):
+            u[m] = f.u
+            v[m] = f.v
+        return out
+
+    @classmethod
+    def from_packed(cls, grid: GridSpec, packed: np.ndarray) -> "Trajectory":
+        """Snapshots that view the levels of a packed stack (no copy)."""
+        u, v = face_views(packed, grid)
+        return cls(grid, [VelocityField(grid, a, b) for a, b in zip(u, v)])
+
     def max_abs(self) -> float:
         return max(f.max_abs() for f in self.fields)
 
@@ -593,37 +654,81 @@ def _poisson_neumann_direct(grid: GridSpec, rhs: np.ndarray) -> np.ndarray:
     return -_diagonalized(rhs, cx, cx_t, cy, cy_t, inv)
 
 
+def _leray(u_in: np.ndarray, v_in: np.ndarray, grid: GridSpec, out_u, out_v) -> np.ndarray:
+    """Leray projection on the interior faces; returns the potential p = -phi.
+
+    ``u_in`` / ``v_in`` are the interior u / v faces with any leading batch
+    dimensions; ``np.matmul`` broadcasts the cached matrices over them, so a
+    single level and a stack of levels take the same path and give the same
+    bits level by level.  The projected faces go to ``out_u`` / ``out_v``,
+    which may be the inputs themselves.  On the interior faces
+    P v = v - A^T M A v,  where  A v = A_x u C_y^T + C_x v A_y^T
+    (A_x = C_x D_x, A_y = C_y D_y) gives the cosine coefficients of the MAC
+    divergence and M inverts -Laplacian on them: an exactly linear, symmetric
+    operator, as the discrete duality identities require.  -A^T q is applied
+    as the MAC gradient of p = C_x^T q C_y, two products fewer than with the
+    gradient folded into the matrices.  Folded, a projection measured about
+    3 us faster at 16x16 but about 250 us slower at 128x128 (one BLAS
+    thread, 2-core VM), and the pressure of ``solve_forward`` would cost two
+    more products.
+    """
+    cx, cx_t, cy, cy_t, ax, ay_t, inv = _neumann_tables(grid)
+    q = ax @ u_in @ cy_t
+    q += cx @ v_in @ ay_t
+    q *= inv
+    p = cx_t @ q @ cy
+    du = p[..., 1:, :] - p[..., :-1, :]
+    du /= grid.hx
+    np.add(u_in, du, out=out_u)
+    dv = p[..., :, 1:] - p[..., :, :-1]
+    dv /= grid.hy
+    np.add(v_in, dv, out=out_v)
+    return p
+
+
+def _project(vel: VelocityField):
+    g = vel.grid
+    u = np.zeros((g.nx + 1, g.ny))
+    v = np.zeros((g.nx, g.ny + 1))
+    p = _leray(vel.u[1:-1, :], vel.v[:, 1:-1], g, u[1:-1, :], v[:, 1:-1])
+    return VelocityField._of(g, u, v), p
+
+
 def project_div_free(vel: VelocityField) -> VelocityField:
     """Leray projection: remove the gradient part of ``vel``.
 
     The normal boundary faces of ``vel`` are ignored and those of the result
     are zero (no-penetration closure).
     """
-    out, _ = project_div_free_with_potential(vel)
-    return out
+    return _project(vel)[0]
 
 
 def project_div_free_with_potential(vel: VelocityField):
-    """Leray projection and the potential phi with ``vel = out + grad(phi)``.
+    """Leray projection and the potential phi with ``vel = out + grad(phi)``."""
+    out, p = _project(vel)
+    return out, ScalarField(vel.grid, -p)
 
-    On the interior faces this is  P v = v - A^T M A v,  where
-    A v = A_x u C_y^T + C_x v A_y^T  (A_x = C_x D_x, A_y = C_y D_y) gives the
-    cosine coefficients of the MAC divergence and M inverts -Laplacian on
-    them: an exactly linear, symmetric operator, as the discrete duality
-    identities require.  A^T q is applied as D^T (C_x^T q C_y), the MAC
-    gradient of the potential, which saves four matrix products.
+
+# Levels per batched projection: the temporaries of one block stay a few
+# times the size of one level's data instead of the whole stack's.
+_PROJECTION_BLOCK = 8
+
+
+def project_levels(packed: np.ndarray, grid: GridSpec) -> None:
+    """Leray-project every level of a packed stack in place (see :func:`face_views`).
+
+    Level by level this equals :func:`project_div_free`; the levels go
+    through the projection in blocks of a few.
     """
-    g = vel.grid
-    cx, cx_t, cy, cy_t, ax, ay_t, inv = _neumann_tables(g)
-    u_in = vel.u[1:-1, :]
-    v_in = vel.v[:, 1:-1]
-    q = (ax.dot(u_in).dot(cy_t) + cx.dot(v_in).dot(ay_t)) * inv
-    p = cx_t.dot(q).dot(cy)  # -phi
-    u = np.zeros((g.nx + 1, g.ny))
-    u[1:-1, :] = u_in + (p[1:, :] - p[:-1, :]) / g.hx
-    v = np.zeros((g.nx, g.ny + 1))
-    v[:, 1:-1] = v_in + (p[:, 1:] - p[:, :-1]) / g.hy
-    return VelocityField(g, u, v), ScalarField(g, -p)
+    u, v = face_views(packed, grid)
+    for start in range(0, len(packed), _PROJECTION_BLOCK):
+        u_in = u[start:start + _PROJECTION_BLOCK, 1:-1, :]
+        v_in = v[start:start + _PROJECTION_BLOCK, :, 1:-1]
+        _leray(u_in, v_in, grid, u_in, v_in)
+    u[:, 0, :] = 0.0
+    u[:, -1, :] = 0.0
+    v[:, :, 0] = 0.0
+    v[:, :, -1] = 0.0
 
 
 @lru_cache(maxsize=32)
@@ -660,7 +765,7 @@ def diffusion_solve(rhs: VelocityField, dt: float) -> VelocityField:
     u[1:-1, :] = _diagonalized(rhs.u[1:-1, :], *tab_u)
     v = np.zeros((g.nx, g.ny + 1))
     v[:, 1:-1] = _diagonalized(rhs.v[:, 1:-1], *tab_v)
-    return VelocityField(g, u, v)
+    return VelocityField._of(g, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +839,22 @@ def inner_space_time(a: Trajectory, b: Trajectory, mask=None) -> float:
 
 def traj_norm(a: Trajectory, mask=None) -> float:
     return math.sqrt(max(inner_space_time(a, a, mask), 0.0))
+
+
+@lru_cache(maxsize=32)
+def _packed_face_weights(grid: GridSpec) -> np.ndarray:
+    wu, wv = _face_weights(grid.nx, grid.ny)
+    return grid.cell_area * FaceMask(wu, wv).packed()
+
+
+def packed_norm(packed: np.ndarray, grid: GridSpec) -> float:
+    """:func:`traj_norm` of a packed ``(nt+1, n_faces)`` stack, as one weighted reduction.
+
+    ``einsum`` squares and weighs without a stack-sized temporary, which
+    measured 0.3 MiB less peak memory than squaring the stack first.
+    """
+    per_level = np.einsum("ij,ij,j->i", packed, packed, _packed_face_weights(grid))
+    return math.sqrt(max(grid.dt * trapezoid_weights(grid.nt).dot(per_level), 0.0))
 
 
 def stream_function_velocity(grid: GridSpec, psi_nodes: np.ndarray) -> VelocityField:

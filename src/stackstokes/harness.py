@@ -8,6 +8,7 @@ generators keyed by (seed, stream name).
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -500,11 +501,7 @@ def _exp_nullcontrol_nonlinear(cfg: ExperimentConfig, outdir: Path, h: str):
     lin_prob = SaddleProblem(
         cfg.grid, cfg.omega, cfg.cutoff(), cfg.obs_set,
         prob.y0, prob.yd, cfg.robust,
-        SolverOptions(
-            convection_on=False,
-            picard_tol=cfg.solver.picard_tol,
-            picard_max=cfg.solver.picard_max,
-        ),
+        dataclasses.replace(cfg.solver, convection_on=False),
     )
     lin = solve_null_control_cg(lin_prob, cfg.penalty)
     arts = [str(p) for p in fieldio.write_trajectory(outdir / "fields", "h", res.h)]
@@ -756,6 +753,21 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> RunRecord:
             "artifacts": record.artifacts,
             "incomplete": incomplete,
         }
-        with open(outdir / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True, default=repr)
+        _write_json_atomic(outdir / "manifest.json", manifest)
     return record
+
+
+def _write_json_atomic(path: Path, obj) -> None:
+    """Write ``obj`` as JSON through a temporary file in the same directory.
+
+    ``os.replace`` swaps the finished file in, so a failed write leaves the
+    previous file as it was and no temporary file behind.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True, default=repr)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -15,6 +15,7 @@ the extra sources f1, f2 of the linear theory.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -26,14 +27,11 @@ from .grid import (
     inner_space_time,
     norm,
     traj_norm,
-    trapezoid_weights,
 )
 from .saddle import SaddleProblem
 from .stokes import (
-    SolverOptions,
-    adjoint_coupling,
     control_gradient,
-    convection,
+    frozen_sources,
     solve_backward_adjoint,
     solve_coupled_linear,
     solve_coupled_nonlinear,
@@ -104,7 +102,8 @@ def _coupled(prob: SaddleProblem, h, f1, f2):
 
 def control_to_terminal(prob: SaddleProblem, h, f1=None, f2=None) -> VelocityField:
     """Final-time state of the coupled linear system (affine in h)."""
-    return _coupled(prob, h, f1, f2).y[prob.grid.nt]
+    # a copy, so that keeping y(T) does not keep the whole trajectory alive
+    return _coupled(prob, h, f1, f2).y[prob.grid.nt].copy()
 
 
 def penalized_gradient(prob: SaddleProblem, h: Trajectory, cfg: PenaltyConfig,
@@ -237,22 +236,6 @@ def solve_null_control_cg(
     )
 
 
-def _frozen_sources(prob: SaddleProblem, y: Trajectory, z: Trajectory):
-    """Nonlinear terms of the coupled system frozen at (y, z)."""
-    g = prob.grid
-    w = trapezoid_weights(g.nt)
-    f1 = Trajectory(
-        g,
-        [VelocityField.zeros(g)] + [-1.0 * convection(y[n]) for n in range(g.nt)],
-    )
-    f2 = Trajectory(
-        g,
-        [-1.0 * adjoint_coupling(y[m], z[m + 1] * w[m + 1]) for m in range(g.nt)]
-        + [VelocityField.zeros(g)],
-    )
-    return f1, f2
-
-
 def solve_null_control_nonlinear(
     prob: SaddleProblem,
     cfg: PenaltyConfig,
@@ -269,21 +252,8 @@ def solve_null_control_nonlinear(
     is a callable (f1, f2) -> report that records the weighted-norm
     admissibility check of the frozen sources.
     """
-    if prob.opts.small_data_delta is not None:
-        from .grid import h1_norm
-
-        if h1_norm(prob.y0) > prob.opts.small_data_delta:
-            raise ConfigurationError(
-                "initial state exceeds the configured small-data bound "
-                f"{prob.opts.small_data_delta:.3e}"
-            )
-    nl_opts = SolverOptions(
-        convection_on=True,
-        picard_tol=prob.opts.picard_tol,
-        picard_max=prob.opts.picard_max,
-        relax=prob.opts.relax,
-        blowup_norm=prob.opts.blowup_norm,
-    )
+    # solve_coupled_nonlinear refuses an initial state above small_data_delta
+    nl_opts = dataclasses.replace(prob.opts, convection_on=True)
     sol = solve_coupled_nonlinear(
         None, prob.y0, prob.yd, prob.coupling, nl_opts, omega=prob.omega
     )
@@ -291,7 +261,7 @@ def solve_null_control_nonlinear(
     result: LeaderResult | None = None
     admissibility_report = None
     for it in range(1, outer_max + 1):
-        f1, f2 = _frozen_sources(prob, sol.y, sol.z)
+        f1, f2 = frozen_sources(sol.y, sol.z)
         if admissibility is not None:
             admissibility_report = admissibility(f1, f2)
         result = solve_null_control_cg(prob, cfg, f1, f2, h_start=h_prev)

@@ -15,6 +15,7 @@ acceptance criteria.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -284,12 +285,7 @@ def _estimate_tracking_lipschitz(prob: SaddleProblem, n_steps: int = 5,
     lam = 0.0
     base = SaddleProblem(
         prob.grid, prob.omega, prob.follower_cutoff, prob.obs_region,
-        zero, None, prob.params,
-        SolverOptions(
-            convection_on=False,
-            picard_tol=prob.opts.picard_tol,
-            picard_max=prob.opts.picard_max,
-        ),
+        zero, None, prob.params, dataclasses.replace(prob.opts, convection_on=False),
     )
     for _ in range(n_steps):
         nd = traj_norm(d)

@@ -14,10 +14,27 @@ free at every level.  Because the space-time quadrature is trapezoidal, the
 exact transposes carry the trapezoid weights w_m (1/2 at the endpoints):
 backward tracking sources are weighted by w_m and trajectories that represent
 control gradients are the raw dual states divided by w_m.
+
+The Picard sweeps of the coupled and adjoint solvers work on packed stacks
+of all levels (see :func:`grid.face_views`) and use the identity
+
+    P S P (y + dt F) = P S (y + dt P F)    whenever  P y = y,
+
+which holds because P is linear and idempotent.  A sweep therefore forms
+every level's source at once (masks, trapezoid weights, data), projects the
+whole stack in one batched pass, and then takes one diffusion solve and one
+projection per sequential step instead of two projections.  Every iterate
+after the first is an output of P; the recursion starts from P(y0) (P(phi_T),
+or 0), so that the first step, too, equals P S P applied to the unprojected
+sum even when y0 carries the small divergence (up to 1e-10) that is not
+projected away.  The stored level 0 stays y0 itself.  The transposed
+convection of the adjoint's ``link`` term depends on the current iterate, so
+it is projected inside its step.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -39,8 +56,12 @@ from .grid import (
     VelocityField,
     diffusion_solve,
     divergence,
+    face_views,
+    h1_norm,
+    packed_norm,
     project_div_free,
     project_div_free_with_potential,
+    project_levels,
     traj_norm,
     trapezoid_weights,
 )
@@ -56,6 +77,7 @@ __all__ = [
     "solve_backward_adjoint",
     "solve_coupled_linear",
     "solve_coupled_nonlinear",
+    "frozen_sources",
     "AdjointPair",
     "CoupledSolution",
     "control_gradient",
@@ -280,6 +302,14 @@ def _check_cfl(y: VelocityField, dt: float):
         )
 
 
+def _closed_div_free(v: VelocityField) -> VelocityField:
+    """``v`` with zero normal faces, Leray-projected if its divergence exceeds 1e-10."""
+    v = v.apply_noslip()
+    if divergence(v).max_abs() > 1e-10:
+        v = project_div_free(v)
+    return v
+
+
 # ---------------------------------------------------------------------------
 # forward solve
 # ---------------------------------------------------------------------------
@@ -295,9 +325,7 @@ def solve_forward(
         raise ConfigurationError("forcing assembled on a different grid")
     dt = g.dt
 
-    y = y0.apply_noslip()
-    if divergence(y).max_abs() > 1e-10:
-        y = project_div_free(y)
+    y = _closed_div_free(y0)
     scale = max(y.max_abs(), 1.0)
 
     fields = [y]
@@ -352,11 +380,6 @@ class Coupling:
         return cls(grid, k, cm, obs_region.face_mask(grid), mu)
 
 
-def _step(x: VelocityField, dt: float) -> VelocityField:
-    """Symmetric projected diffusion step P S P (self-adjoint)."""
-    return project_div_free(diffusion_solve(project_div_free(x), dt))
-
-
 @dataclass
 class CoupledSolution:
     y: Trajectory
@@ -370,6 +393,67 @@ def _relative_change(new: Trajectory, old: Trajectory) -> float:
     num = traj_norm(new - old)
     den = max(traj_norm(new), 1e-300)
     return num / den
+
+
+def _packed_data(g: GridSpec, *terms) -> np.ndarray | None:
+    """dt * sum of ``traj * factors...`` over ``(traj, *factors)`` terms, packed.
+
+    The data part of a sweep's sources, which stays the same from sweep to
+    sweep.  Factors broadcast against a packed stack and None factors are
+    skipped; so are terms without a trajectory, and None is returned if no
+    term is left.
+    """
+    out = None
+    for traj, *factors in terms:
+        if traj is None:
+            continue
+        p = traj.packed()
+        for f in factors:
+            if f is not None:
+                p *= f
+        if out is None:
+            out = p
+        else:
+            out += p
+    if out is not None:
+        out *= g.dt
+    return out
+
+
+def _march(grid: GridSpec, levels, cur: VelocityField, sources: np.ndarray,
+           out: np.ndarray, link: Trajectory | None = None) -> VelocityField:
+    """The sequential steps  y <- P S (y + G[m])  of one sweep, stored in ``out``.
+
+    ``sources`` holds the dt-scaled sources G[m], already Leray-projected,
+    and ``cur`` is divergence free, so each step equals P S P (y + G[m])
+    with one projection instead of two.  ``out`` may be ``sources``: step m
+    reads G[m] before it stores y[m].  ``link`` adds the transposed
+    convection  -dt C'(link[m])^T y, which depends on the iterate and is
+    projected inside the step.  Returns the last iterate.
+    """
+    dt = grid.dt
+    g_u, g_v = face_views(sources, grid)
+    o_u, o_v = face_views(out, grid)
+    for m in levels:
+        x = VelocityField._of(grid, cur.u + g_u[m], cur.v + g_v[m])
+        if link is not None:
+            x = x - dt * project_div_free(adjoint_coupling(link[m], cur))
+        cur = project_div_free(diffusion_solve(x, dt))
+        o_u[m] = cur.u
+        o_v[m] = cur.v
+    return cur
+
+
+def _relaxed_update(it: np.ndarray, new: np.ndarray, relax: float, g: GridSpec):
+    """it <- it + relax (new - it) in place; returns |it| and the norm of the change.
+
+    ``new`` is overwritten by the change.
+    """
+    np.subtract(new, it, out=new)
+    if relax < 1.0:
+        new *= relax
+    it += new
+    return packed_norm(it, g), packed_norm(new, g)
 
 
 def solve_coupled_linear(
@@ -392,64 +476,60 @@ def solve_coupled_linear(
     minimax cost, which is what the gradient-consistency tests require.
     """
     g = coupling.grid
-    dt = g.dt
-    w = trapezoid_weights(g.nt)
-    omega_mask = omega.face_indicator(g) if omega is not None else None
+    w = trapezoid_weights(g.nt)[:, None]
+    obs = coupling.obs_mask.packed()
+    z_weight = g.dt * coupling.k_mask.packed()
+    y_weight = g.dt * coupling.mu * obs
+    omega_w = omega.face_indicator(g).packed() if omega is not None else None
+    fwd_data = _packed_data(g, (h, omega_w), (f1,))
+    bwd_data = _packed_data(g, (yd, -coupling.mu * obs, w), (f2,))
 
-    y0p = y0.apply_noslip()
-    if divergence(y0p).max_abs() > 1e-10:
-        y0p = project_div_free(y0p)
+    y0p = _closed_div_free(y0)
+    y0_packed = y0p.packed()
+    y0_start = project_div_free(y0p)
+    z = z_init.packed() if z_init is not None else np.zeros((g.nt + 1, g.n_faces))
+    work = np.empty_like(z)   # the sweep's sources, then its output, in place
 
-    def forward_sweep(z: Trajectory) -> Trajectory:
-        y = y0p
-        fields = [y]
-        for n in range(g.nt):
-            F = z[n + 1].mul_mask(coupling.k_mask)
-            if h is not None:
-                hm = h[n + 1]
-                F = F + (hm.mul_mask(omega_mask) if omega_mask else hm)
-            if f1 is not None:
-                F = F + f1[n + 1]
-            y = _step(y + dt * F, dt)
-            fields.append(y)
-        return Trajectory(g, fields)
+    def forward_sweep():
+        # work <- y of the current z; level 0 stays y0p
+        np.multiply(z[1:], z_weight, out=work[1:])
+        if fwd_data is not None:
+            work[1:] += fwd_data[1:]
+        project_levels(work[1:], g)
+        work[0] = y0_packed
+        _march(g, range(1, g.nt + 1), y0_start, work, work)
 
-    def backward_sweep(y: Trajectory) -> Trajectory:
-        U = VelocityField.zeros(g)
-        raw = [None] * (g.nt + 1)
-        for m in range(g.nt, -1, -1):
-            src = y[m] if yd is None else y[m] - yd[m]
-            src = src.mul_mask(coupling.obs_mask) * (coupling.mu * w[m])
-            if f2 is not None:
-                src = src + f2[m]
-            U = _step(U + dt * src, dt)
-            raw[m] = U
-        fields = [raw[0]] + [raw[m] * (1.0 / w[m]) for m in range(1, g.nt + 1)]
-        return Trajectory(g, fields)
+    def backward_sweep():
+        # work (= y) <- the z it drives; the raw backward state is w_m * z_m
+        np.multiply(work, y_weight, out=work)
+        np.multiply(work, w, out=work)
+        if bwd_data is not None:
+            work[:] += bwd_data
+        project_levels(work, g)
+        _march(g, range(g.nt, -1, -1), VelocityField.zeros(g), work, work)
+        work[1:] *= 1.0 / w[1:]
 
-    z = z_init.copy() if z_init is not None else Trajectory.zeros(g)
     relax = opts.relax
     prev_res = math.inf
     residual = math.inf
     for it in range(1, opts.picard_max + 1):
-        y = forward_sweep(z)
-        z_new = backward_sweep(y)
-        if relax < 1.0:
-            z_new = z + relax * (z_new - z)
-        residual = _relative_change(z_new, z)
+        forward_sweep()
+        backward_sweep()
+        size, change = _relaxed_update(z, work, relax, g)
+        residual = change / max(size, 1e-300)
         if not math.isfinite(residual):
             raise BlowupError(
                 f"coupled linear solve produced a non-finite iterate at sweep {it}",
                 residual=residual,
                 iterations=it,
             )
-        z = z_new
         if residual <= opts.picard_tol:
-            y = forward_sweep(z)
-            return CoupledSolution(y, z, it, residual, True)
+            forward_sweep()
+            return CoupledSolution(Trajectory.from_packed(g, work),
+                                   Trajectory.from_packed(g, z), it, residual, True)
         if residual >= prev_res and relax > 0.0625:
             relax *= 0.5
-        if traj_norm(z) > opts.blowup_norm:
+        if size > opts.blowup_norm:
             break
         prev_res = residual
     raise ConvergenceError(
@@ -459,6 +539,27 @@ def solve_coupled_linear(
         residual=residual,
         iterations=it,
     )
+
+
+def frozen_sources(y: Trajectory, z: Trajectory):
+    """The nonlinear terms of the coupled system frozen at (y, z), as sources (f1, f2).
+
+    f1 carries the state convection of the previous iterate: its level n+1
+    drives the step that advances from level n.  f2 carries the backward
+    coupling (z . grad^T) y - (y . grad) z; the raw backward state is
+    w_m * z_m and vanishes above the last level.
+    """
+    g = y.grid
+    w = trapezoid_weights(g.nt)
+    f1 = Trajectory(
+        g, [VelocityField.zeros(g)] + [-1.0 * convection(y[n]) for n in range(g.nt)]
+    )
+    f2 = Trajectory(
+        g,
+        [-1.0 * adjoint_coupling(y[m], z[m + 1] * w[m + 1]) for m in range(g.nt)]
+        + [VelocityField.zeros(g)],
+    )
+    return f1, f2
 
 
 def solve_coupled_nonlinear(
@@ -476,45 +577,18 @@ def solve_coupled_nonlinear(
     :func:`solve_coupled_linear` as extra sources, so the converged pair
     satisfies the semi-implicit discretization of the nonlinear system.
     """
+    if opts.small_data_delta is not None and h1_norm(y0) > opts.small_data_delta:
+        raise ConfigurationError(
+            f"initial state exceeds the configured small-data bound "
+            f"{opts.small_data_delta:.3e} required by the nonlinear solver"
+        )
     g = coupling.grid
-    if opts.small_data_delta is not None:
-        from .grid import h1_norm
-
-        if h1_norm(y0) > opts.small_data_delta:
-            raise ConfigurationError(
-                f"initial state exceeds the small-data bound "
-                f"{opts.small_data_delta:.3e} required by the nonlinear solver"
-            )
-    dt = g.dt
-    inner_opts = SolverOptions(
-        convection_on=False,
-        picard_tol=opts.picard_tol,
-        picard_max=opts.picard_max,
-        relax=opts.relax,
-        blowup_norm=opts.blowup_norm,
-    )
+    inner_opts = dataclasses.replace(opts, convection_on=False)
     sol = solve_coupled_linear(h, y0, yd, coupling, inner_opts, omega)
-    w = trapezoid_weights(g.nt)
     for it in range(1, opts.picard_max + 1):
         worst = max(sol.y, key=lambda f: f.max_abs())
-        _check_cfl(worst, dt)
-        # state convection frozen at the previous iterate; the source at level
-        # n+1 multiplies the step that advances from level n
-        f1 = Trajectory(
-            g,
-            [VelocityField.zeros(g)]
-            + [-1.0 * convection(sol.y[n]) for n in range(g.nt)],
-        )
-        # backward coupling (z . grad^T) y - (y . grad) z frozen likewise;
-        # the raw backward state is w_m * z_m and vanishes above the last level
-        f2 = Trajectory(
-            g,
-            [
-                -1.0 * adjoint_coupling(sol.y[m], sol.z[m + 1] * w[m + 1])
-                for m in range(g.nt)
-            ]
-            + [VelocityField.zeros(g)],
-        )
+        _check_cfl(worst, g.dt)
+        f1, f2 = frozen_sources(sol.y, sol.z)
         new = solve_coupled_linear(h, y0, yd, coupling, inner_opts, omega, f1, f2)
         change = max(
             _relative_change(new.y, sol.y),
@@ -565,62 +639,62 @@ def solve_backward_adjoint(
     state, i.e. the exact dual pairing partner of y(0).
     """
     g = coupling.grid
-    dt = g.dt
-    w = trapezoid_weights(g.nt)
-    phiT = phiT.apply_noslip()
-    if divergence(phiT).max_abs() > 1e-10:
-        phiT = project_div_free(phiT)
+    w = trapezoid_weights(g.nt)[:, None]
+    theta_weight = g.dt * coupling.mu * coupling.obs_mask.packed()
+    phi_weight = g.dt * coupling.k_mask.packed()
+    phi_data = _packed_data(g, (g1,))
+    theta_data = _packed_data(g, (g2,))
+    phi_start = project_div_free(_closed_div_free(phiT))
 
-    def phi_sweep(theta: Trajectory) -> Trajectory:
-        fields = [None] * (g.nt + 1)
-        cur = phiT
-        for m in range(g.nt, 0, -1):
-            src = theta[m].mul_mask(coupling.obs_mask) * (coupling.mu * w[m])
-            if g1 is not None:
-                src = src + g1[m]
-            base = cur
-            if m < g.nt and link is not None:
-                base = base - dt * adjoint_coupling(link[m], cur)
-            cur = _step(base + dt * src, dt)
-            fields[m] = cur
-        final = fields[1]
+    theta = np.zeros((g.nt + 1, g.n_faces))
+    work = np.empty_like(theta)   # the sweep's sources, then its output, in place
+
+    def phi_sweep():
+        # work <- phi of the current theta
+        np.multiply(theta, theta_weight, out=work)
+        np.multiply(work, w, out=work)
+        if phi_data is not None:
+            work[:] += phi_data
+        project_levels(work[1:], g)
+        # the transposed convection acts from the second step on
+        cur = _march(g, (g.nt,), phi_start, work, work)
+        _march(g, range(g.nt - 1, 0, -1), cur, work, work, link)
+        work[0] = work[1]
         if link is not None:
-            final = final - dt * adjoint_coupling(link[0], fields[1])
-        fields[0] = final
-        return Trajectory(g, fields)
+            u, v = face_views(work, g)
+            a = adjoint_coupling(link[0], VelocityField(g, u[1], v[1]))
+            u[0] -= g.dt * a.u
+            v[0] -= g.dt * a.v
 
-    def theta_sweep(phi: Trajectory) -> Trajectory:
-        fields = [VelocityField.zeros(g)]
-        cur = fields[0]
-        for m in range(1, g.nt + 1):
-            src = phi[m].mul_mask(coupling.k_mask) * (1.0 / w[m])
-            if g2 is not None:
-                src = src + g2[m]
-            cur = _step(cur + dt * src, dt)
-            fields.append(cur)
-        return Trajectory(g, fields)
+    def theta_sweep():
+        # work (= phi) <- the theta it drives
+        np.multiply(work[1:], phi_weight, out=work[1:])
+        work[1:] *= 1.0 / w[1:]
+        if theta_data is not None:
+            work[1:] += theta_data[1:]
+        project_levels(work[1:], g)
+        work[0] = 0.0
+        _march(g, range(1, g.nt + 1), VelocityField.zeros(g), work, work)
 
-    theta = Trajectory.zeros(g)
     relax = opts.relax
     prev_res = math.inf
     residual = math.inf
     for it in range(1, opts.picard_max + 1):
-        phi = phi_sweep(theta)
-        theta_new = theta_sweep(phi)
-        if relax < 1.0:
-            theta_new = theta + relax * (theta_new - theta)
-        size = traj_norm(theta_new)
-        if not (math.isfinite(size) and math.isfinite(phi[0].max_abs())):
+        phi_sweep()
+        phi0_finite = bool(np.isfinite(work[0]).all())
+        theta_sweep()
+        size, change = _relaxed_update(theta, work, relax, g)
+        if not (math.isfinite(size) and phi0_finite):
             raise BlowupError(
                 f"adjoint pair produced a non-finite iterate at sweep {it}",
                 residual=size,
                 iterations=it,
             )
-        residual = traj_norm(theta_new - theta) / size if size > 0 else 0.0
-        theta = theta_new
+        residual = change / size if size > 0 else 0.0
         if residual <= opts.picard_tol:
-            phi = phi_sweep(theta)
-            return AdjointPair(phi, theta, it, residual, True)
+            phi_sweep()
+            return AdjointPair(Trajectory.from_packed(g, work),
+                               Trajectory.from_packed(g, theta), it, residual, True)
         if residual >= prev_res and relax > 0.0625:
             relax *= 0.5
         prev_res = residual

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -228,3 +229,66 @@ def test_csv_cells_are_plain_numbers(tmp_path):
     rows = _numeric_rows(Path(rec.run_dir) / "observability_samples.csv")
     assert len(rows) == 2 + 4
     assert np.isfinite([[float(cell) for cell in row] for row in rows]).all()
+
+
+def test_manifest_write_is_atomic(tmp_path, monkeypatch):
+    from stackstokes import harness
+
+    raw = default_config_dict("saddle")
+    raw["data"] = {"y0_kind": "zero", "y0_amplitude": 0.0,
+                   "yd_amplitude": 0.0, "h_amplitude": 0.0}
+    raw["options"]["n_probes"] = 2
+    cfg = config_from_dict(raw)
+    run_dir = Path(run_experiment(cfg, out_root=tmp_path).run_dir)
+    before = (run_dir / "manifest.json").read_text()
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"partial": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness.json, "dump", broken_dump)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(cfg, out_root=tmp_path)
+    assert (run_dir / "manifest.json").read_text() == before
+    assert sorted(p.name for p in run_dir.iterdir() if "manifest" in p.name) == ["manifest.json"]
+
+
+def test_option_copies_keep_relax(monkeypatch):
+    # every place that derives solver options from configured ones keeps
+    # relax and blowup_norm and changes only convection_on
+    from stackstokes import harness, leader, saddle, stokes
+
+    from conftest import eddy, make_problem, make_setup
+
+    class Seen(Exception):
+        pass
+
+    def capture(opts):
+        assert opts.relax == 0.5 and opts.blowup_norm == 1e5
+        raise Seen(opts.convection_on)
+
+    setup = make_setup(nt=8)
+    g = setup["grid"]
+    prob = make_problem(setup, eddy(g, 1e-3), None, relax=0.5, blowup_norm=1e5,
+                        convection_on=True)
+
+    monkeypatch.setattr(stokes, "solve_coupled_linear", lambda *a, **k: capture(a[4]))
+    with pytest.raises(Seen, match="False"):
+        stokes.solve_coupled_nonlinear(None, prob.y0, None, prob.coupling, prob.opts)
+
+    monkeypatch.setattr(leader, "solve_coupled_nonlinear", lambda *a, **k: capture(a[4]))
+    with pytest.raises(Seen, match="True"):
+        leader.solve_null_control_nonlinear(prob, leader.PenaltyConfig())
+
+    monkeypatch.setattr(saddle, "tracking_adjoint", lambda p, y: capture(p.opts))
+    with pytest.raises(Seen, match="False"):
+        saddle._estimate_tracking_lipschitz(prob, n_steps=1)
+
+    raw = default_config_dict("nullcontrol-nonlinear")
+    raw["solver"]["relax"] = 0.5
+    cfg = config_from_dict(raw)
+    monkeypatch.setattr(cfg, "solver", dataclasses.replace(cfg.solver, blowup_norm=1e5))
+    monkeypatch.setattr(harness, "solve_null_control_nonlinear", lambda *a, **k: None)
+    monkeypatch.setattr(harness, "solve_null_control_cg", lambda p, c: capture(p.opts))
+    with pytest.raises(Seen, match="False"):
+        harness._exp_nullcontrol_nonlinear(cfg, None, "")
