@@ -29,7 +29,10 @@ from .grid import (
     ScalarField,
     Trajectory,
     VelocityField,
+    closed_noise,
+    face_views,
     inner,
+    inner_levels,
     laplacian,
     norm,
     h1_norm,
@@ -442,12 +445,12 @@ class ObservabilityReport:
     flagged: int   # samples with vanishing observation but nonzero state
 
 
-def _face_eta(grid: GridSpec):
-    xu, yu = grid.u_face_coords()
-    xv, yv = grid.v_face_coords()
-    eu = np.sin(np.pi * xu[:, None] / grid.Lx) * np.sin(np.pi * yu[None, :] / grid.Ly)
-    ev = np.sin(np.pi * xv[:, None] / grid.Lx) * np.sin(np.pi * yv[None, :] / grid.Ly)
-    return eu, ev
+def _face_eta(grid: GridSpec) -> np.ndarray:
+    """The profile sin(pi x / Lx) sin(pi y / Ly) on the faces, packed (see ``face_views``)."""
+    eta = np.empty(grid.n_faces)
+    for (x, y), e in zip((grid.u_face_coords(), grid.v_face_coords()), face_views(eta, grid)):
+        e[...] = np.sin(np.pi * x[:, None] / grid.Lx) * np.sin(np.pi * y[None, :] / grid.Ly)
+    return eta
 
 
 def observability_ratio(
@@ -495,17 +498,13 @@ def observability_ratio(
         lhs_theta_w[m] = math.exp(e2 + 3.0 * tau_star_log) if e2 + 3.0 * tau_star_log < 709 else math.inf
 
     # spatially varying weight of the observation term
-    eu, ev = _face_eta(g)
-    omask = omega.face_mask(g)
     lam, M = params.lam, params.eta_norm
-    q_u = -4.0 * a0 * (1.0 - math.exp(-2.0 * lam * M)) + 2.0 * (m0 - 2.0) * (
-        1.0 - np.exp(-lam * (2.0 * M - eu))
+    q = -4.0 * a0 * (1.0 - math.exp(-2.0 * lam * M)) + 2.0 * (m0 - 2.0) * (
+        1.0 - np.exp(-lam * (2.0 * M - _face_eta(g)))
     )
-    q_v = -4.0 * a0 * (1.0 - math.exp(-2.0 * lam * M)) + 2.0 * (m0 - 2.0) * (
-        1.0 - np.exp(-lam * (2.0 * M - ev))
-    )
-    rhs_w_u = np.zeros((g.nt + 1,) + eu.shape)
-    rhs_w_v = np.zeros((g.nt + 1,) + ev.shape)
+    # the observation weight of every level and face, times the quadrature
+    # weights (trapezoid in time, cell area in space, the face mask of omega)
+    rhs_w = np.zeros((g.nt + 1, g.n_faces))
     for m, t in enumerate(times):
         if t >= T:
             continue
@@ -515,19 +514,15 @@ def observability_ratio(
         )
         base = math.log(s) + 12.0 * lam * M - tlog
         with np.errstate(divide="ignore"):
-            expo_u = np.sign(q_u) * np.exp(np.minimum(base + np.log(np.abs(q_u)), 709.0))
-            expo_v = np.sign(q_v) * np.exp(np.minimum(base + np.log(np.abs(q_v)), 709.0))
-        rhs_w_u[m] = np.exp(np.minimum(expo_u + 15.0 * tau_hat_log, 709.0))
-        rhs_w_v[m] = np.exp(np.minimum(expo_v + 15.0 * tau_hat_log, 709.0))
+            expo = np.sign(q) * np.exp(np.minimum(base + np.log(np.abs(q)), 709.0))
+        rhs_w[m] = np.exp(np.minimum(expo + 15.0 * tau_hat_log, 709.0))
+    wq = w * g.dt
+    rhs_w *= omega.face_mask(g).packed
+    rhs_w *= (wq * g.cell_area)[:, None]
 
-    wu_q = omask.on_u
-    wv_q = omask.on_v
     if samples is None:
-        samples = []
-        for _ in range(n_samples):
-            u = rng.standard_normal((g.nx + 1, g.ny))
-            v = rng.standard_normal((g.nx, g.ny + 1))
-            samples.append(project_div_free(VelocityField(g, u, v)))
+        u, v = face_views(closed_noise(g, rng, n_samples), g)
+        samples = [project_div_free(VelocityField(g, a, b)) for a, b in zip(u, v)]
     ratios = []
     flagged = 0
     for phiT in samples:
@@ -537,18 +532,10 @@ def observability_ratio(
             continue
         phiT = phiT * (1.0 / nT)
         adj = solve_backward_adjoint(phiT, None, None, None, coupling, opts)
-        lhs = inner(adj.phi[0], adj.phi[0])
-        rhs = 0.0
-        for m in range(g.nt + 1):
-            wq = float(w[m]) * g.dt
-            lhs += wq * (
-                lhs_phi_w[m] * inner(adj.phi[m], adj.phi[m])
-                + lhs_theta_w[m] * inner(adj.theta[m], adj.theta[m])
-            )
-            pu, pv = adj.phi[m].u, adj.phi[m].v
-            rhs += wq * g.cell_area * float(
-                (rhs_w_u[m] * wu_q * pu * pu).sum() + (rhs_w_v[m] * wv_q * pv * pv).sum()
-            )
+        phi_sq = inner_levels(adj.phi, adj.phi)
+        theta_sq = inner_levels(adj.theta, adj.theta)
+        lhs = float(phi_sq[0] + wq.dot(lhs_phi_w * phi_sq + lhs_theta_w * theta_sq))
+        rhs = float(np.einsum("ij,ij,ij->", rhs_w, adj.phi.data, adj.phi.data))
         if rhs == 0.0:
             if lhs > 0.0:
                 flagged += 1
@@ -626,15 +613,11 @@ def weighted_norm_components(
         )
 
     def traj_component(traj, log_weight_fn, mask=None, sq_fn=None):
+        sq = inner_levels(traj, traj, mask) if sq_fn is None else [sq_fn(f) for f in traj]
         logs = np.full(g.nt + 1, -math.inf)
         for m, t in enumerate(times):
-            if w[m] == 0.0:
-                continue
-            f = traj[m]
-            sq = sq_fn(f) if sq_fn is not None else inner(f, f, mask)
-            if sq <= 0.0:
-                continue
-            logs[m] = log_weight_fn(t) + math.log(sq)
+            if w[m] != 0.0 and sq[m] > 0.0:
+                logs[m] = log_weight_fn(t) + math.log(sq[m])
         return _log_quadrature(logs, w, g.dt)
 
     out = {}

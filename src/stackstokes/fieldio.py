@@ -81,20 +81,10 @@ def write_trajectory(directory, name: str, traj: Trajectory) -> list:
 
 def read_trajectory(directory, name: str, grid: GridSpec) -> Trajectory:
     directory = Path(directory)
-    fields = []
+    traj = Trajectory.zeros(grid)
     for m in range(grid.nt + 1):
-        fields.append(read_field(directory / f"{name}_{m:04d}.sgf", grid))
-    return Trajectory(grid, fields)
-
-
-def scalar_to_csv(path, field: ScalarField) -> None:
-    x, y = field.grid.cell_centers()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "value"])
-        for i in range(field.grid.nx):
-            for j in range(field.grid.ny):
-                w.writerow([repr(x[i]), repr(y[j]), repr(field.values[i, j])])
+        traj[m] = read_field(directory / f"{name}_{m:04d}.sgf", grid)
+    return traj
 
 
 def velocity_to_csv(path, field: VelocityField) -> None:

@@ -30,18 +30,25 @@ took 320 / 400 / 1030 / 3560-4040 us through ``scipy.fft`` at nx = ny = 16 /
 the two forms meet at about 128, the largest grid any config, test or
 benchmark steps on.  On larger grids the cubic cost would make FFTs faster.
 
+A trajectory is stored as one packed stack of shape ``(nt+1, n_faces)``:
+row m holds level m, its u faces followed by its v faces (:func:`face_views`).
+Trajectory arithmetic, masks and the space-time inner product are single
+numpy operations on that stack, and ``traj[m]`` is a velocity field whose
+arrays view row m, so a snapshot kept beyond its trajectory is copied first
+(see :class:`Trajectory`).
+
 The Leray projection also takes leading batch dimensions: ``np.matmul``
 broadcasts the cached matrices over a stack of levels, so a single field and
-a packed stack of levels (:func:`face_views`, :func:`project_levels`) go
-through the same code and give the same bits level by level.  A stack is
-projected a few levels at a time, which keeps the temporaries small.
+a packed stack (:func:`project_levels`) go through the same code and give the
+same bits level by level.  A stack is projected a few levels at a time, which
+keeps the temporaries small.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,8 +71,10 @@ __all__ = [
     "inner",
     "norm",
     "h1_norm",
+    "inner_levels",
     "inner_space_time",
-    "packed_norm",
+    "traj_norm",
+    "closed_noise",
     "trapezoid_weights",
     "stream_function_velocity",
 ]
@@ -160,9 +169,6 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
 
-    def demean(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values - self.values.mean())
-
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
 
@@ -229,10 +235,7 @@ class VelocityField:
     def apply_noslip(self) -> "VelocityField":
         """Zero the normal boundary faces (no-penetration closure)."""
         out = self.copy()
-        out.u[0, :] = 0.0
-        out.u[-1, :] = 0.0
-        out.v[:, 0] = 0.0
-        out.v[:, -1] = 0.0
+        _zero_normal_faces(out.u, out.v)
         return out
 
     def boundary_is_closed(self, tol: float = 0.0) -> bool:
@@ -245,10 +248,6 @@ class VelocityField:
 
     def max_abs(self) -> float:
         return max(float(np.abs(self.u).max()), float(np.abs(self.v).max()))
-
-    def packed(self) -> np.ndarray:
-        """The u faces, then the v faces, in one vector (see :func:`face_views`)."""
-        return np.concatenate([self.u.ravel(), self.v.ravel()])
 
     def __add__(self, other):
         return VelocityField(self.grid, self.u + other.u, self.v + other.v)
@@ -275,8 +274,12 @@ class FaceMask:
     on_u: np.ndarray
     on_v: np.ndarray
 
+    @cached_property
     def packed(self) -> np.ndarray:
-        """The mask as one vector in the packed face layout of :func:`face_views`."""
+        """The mask as one vector in the packed face layout of :func:`face_views`.
+
+        Built on first use and kept with the mask; callers must not write to it.
+        """
         return np.concatenate([self.on_u.ravel(), self.on_v.ravel()])
 
 
@@ -291,6 +294,14 @@ def face_views(packed: np.ndarray, grid: GridSpec):
     n_u = (grid.nx + 1) * grid.ny
     return (packed[..., :n_u].reshape(*lead, grid.nx + 1, grid.ny),
             packed[..., n_u:].reshape(*lead, grid.nx, grid.ny + 1))
+
+
+def _zero_normal_faces(u: np.ndarray, v: np.ndarray) -> None:
+    """Zero the normal boundary faces of u / v arrays with any leading dimensions."""
+    u[..., 0, :] = 0.0
+    u[..., -1, :] = 0.0
+    v[..., 0] = 0.0
+    v[..., -1] = 0.0
 
 
 def _check_same_grid(a, b):
@@ -419,10 +430,6 @@ class SmoothCutoff:
             np.asarray(y, dtype=float), r.y0, r.y1, w
         )
 
-    def cell_values(self, grid: GridSpec) -> np.ndarray:
-        x, y = grid.cell_centers()
-        return self.evaluate(x[:, None], y[None, :])
-
     def face_mask(self, grid: GridSpec) -> FaceMask:
         xu, yu = grid.u_face_coords()
         xv, yv = grid.v_face_coords()
@@ -433,99 +440,96 @@ class SmoothCutoff:
 
 
 class Trajectory:
-    """Time-indexed sequence of nt+1 velocity snapshots on one grid."""
+    """Time-indexed sequence of nt+1 velocity snapshots on one grid.
+
+    The snapshots live in one packed stack ``data`` of shape ``(nt+1, n_faces)``
+    whose row m holds level m in the layout of :func:`face_views`; ``+``,
+    ``-``, ``*``, :meth:`mul_mask` and the norms act on the whole stack at
+    once.  ``traj[m]`` is a :class:`VelocityField` whose arrays view row m:
+    writing into them writes into the trajectory, and a later in-place change
+    of the trajectory shows in the snapshot.  A snapshot kept beyond its
+    trajectory, or one that must not change with it, is copied first (as
+    ``leader.control_to_terminal`` does).  ``traj[m] = f`` copies f into row m.
+    """
 
     __array_ufunc__ = None
 
-    def __init__(self, grid: GridSpec, fields, pressures=None):
-        fields = list(fields)
-        if len(fields) != grid.nt + 1:
-            raise ConfigurationError(
-                f"trajectory needs nt+1={grid.nt + 1} snapshots, got {len(fields)}"
-            )
-        for f in fields:
-            if f.grid != grid:
-                raise ConfigurationError("trajectory snapshot on a different grid")
+    def __init__(self, grid: GridSpec, snapshots, pressures=None):
+        """``snapshots`` is a sequence of nt+1 fields, copied into a new stack,
+        or an ``(nt+1, n_faces)`` array, which becomes the stack without a copy."""
+        shape = (grid.nt + 1, grid.n_faces)
+        fields = ()
+        if not isinstance(snapshots, np.ndarray):
+            fields = list(snapshots)
+            if len(fields) != grid.nt + 1:
+                raise ConfigurationError(
+                    f"trajectory needs nt+1={grid.nt + 1} snapshots, got {len(fields)}"
+                )
+            snapshots = np.empty(shape)
         self.grid = grid
-        self.fields = fields
+        self.data = np.asarray(snapshots, dtype=float)
+        if self.data.shape != shape:
+            raise ConfigurationError(
+                f"trajectory stack has shape {self.data.shape}, expected {shape}"
+            )
+        self._u, self._v = face_views(self.data, grid)
+        for m, f in enumerate(fields):
+            self[m] = f
         self.pressures = list(pressures) if pressures is not None else None
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "Trajectory":
-        return cls(grid, [VelocityField.zeros(grid) for _ in range(grid.nt + 1)])
+        return cls(grid, np.zeros((grid.nt + 1, grid.n_faces)))
 
     @classmethod
     def from_function(cls, grid: GridSpec, fu, fv) -> "Trajectory":
         """Sample (fu, fv)(x, y, t) on the face points at every time level."""
-        xu, yu = grid.u_face_coords()
-        xv, yv = grid.v_face_coords()
-        out = []
-        for t in grid.times():
-            u = np.broadcast_to(
-                np.asarray(fu(xu[:, None], yu[None, :], t), dtype=float),
-                (grid.nx + 1, grid.ny),
-            ).copy()
-            v = np.broadcast_to(
-                np.asarray(fv(xv[:, None], yv[None, :], t), dtype=float),
-                (grid.nx, grid.ny + 1),
-            ).copy()
-            out.append(VelocityField(grid, u, v))
-        return cls(grid, out)
+        out = cls(grid, np.empty((grid.nt + 1, grid.n_faces)))
+        for m, t in enumerate(grid.times()):
+            out[m] = VelocityField.from_functions(
+                grid, lambda x, y: fu(x, y, t), lambda x, y: fv(x, y, t))
+        return out
 
     @classmethod
     def constant(cls, snapshot: VelocityField) -> "Trajectory":
-        return cls(snapshot.grid, [snapshot.copy() for _ in range(snapshot.grid.nt + 1)])
+        return cls(snapshot.grid, [snapshot] * (snapshot.grid.nt + 1))
 
     def __len__(self) -> int:
-        return len(self.fields)
+        return len(self.data)
 
     def __getitem__(self, m: int) -> VelocityField:
-        return self.fields[m]
+        return VelocityField._of(self.grid, self._u[m], self._v[m])
 
     def __setitem__(self, m: int, f: VelocityField):
         if f.grid != self.grid:
             raise ConfigurationError("snapshot on a different grid")
-        self.fields[m] = f
+        self._u[m] = f.u
+        self._v[m] = f.v
 
     def __iter__(self):
-        return iter(self.fields)
+        return (VelocityField._of(self.grid, u, v) for u, v in zip(self._u, self._v))
 
     def copy(self) -> "Trajectory":
-        return Trajectory(self.grid, [f.copy() for f in self.fields])
+        return Trajectory(self.grid, self.data.copy())
 
     def __add__(self, other: "Trajectory") -> "Trajectory":
         _check_same_grid(self, other)
-        return Trajectory(self.grid, [a + b for a, b in zip(self.fields, other.fields)])
+        return Trajectory(self.grid, self.data + other.data)
 
     def __sub__(self, other: "Trajectory") -> "Trajectory":
         _check_same_grid(self, other)
-        return Trajectory(self.grid, [a - b for a, b in zip(self.fields, other.fields)])
+        return Trajectory(self.grid, self.data - other.data)
 
     def __mul__(self, a: float) -> "Trajectory":
-        return Trajectory(self.grid, [f * a for f in self.fields])
+        return Trajectory(self.grid, self.data * a)
 
     __rmul__ = __mul__
 
     def mul_mask(self, mask: FaceMask) -> "Trajectory":
-        return Trajectory(self.grid, [f.mul_mask(mask) for f in self.fields])
-
-    def packed(self) -> np.ndarray:
-        """The snapshots copied into a packed ``(nt+1, n_faces)`` stack."""
-        out = np.empty((len(self), self.grid.n_faces))
-        u, v = face_views(out, self.grid)
-        for m, f in enumerate(self.fields):
-            u[m] = f.u
-            v[m] = f.v
-        return out
-
-    @classmethod
-    def from_packed(cls, grid: GridSpec, packed: np.ndarray) -> "Trajectory":
-        """Snapshots that view the levels of a packed stack (no copy)."""
-        u, v = face_views(packed, grid)
-        return cls(grid, [VelocityField(grid, a, b) for a, b in zip(u, v)])
+        return Trajectory(self.grid, self.data * mask.packed)
 
     def max_abs(self) -> float:
-        return max(f.max_abs() for f in self.fields)
+        return float(np.abs(self.data).max())
 
 
 # ---------------------------------------------------------------------------
@@ -725,10 +729,7 @@ def project_levels(packed: np.ndarray, grid: GridSpec) -> None:
         u_in = u[start:start + _PROJECTION_BLOCK, 1:-1, :]
         v_in = v[start:start + _PROJECTION_BLOCK, :, 1:-1]
         _leray(u_in, v_in, grid, u_in, v_in)
-    u[:, 0, :] = 0.0
-    u[:, -1, :] = 0.0
-    v[:, :, 0] = 0.0
-    v[:, :, -1] = 0.0
+    _zero_normal_faces(u, v)
 
 
 @lru_cache(maxsize=32)
@@ -819,42 +820,52 @@ def trapezoid_weights(nt: int) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=32)
+def _packed_face_weights(grid: GridSpec) -> np.ndarray:
+    wu, wv = _face_weights(grid.nx, grid.ny)
+    return grid.cell_area * np.concatenate([wu.ravel(), wv.ravel()])
+
+
+def inner_levels(a: Trajectory, b: Trajectory, mask=None) -> np.ndarray:
+    """:func:`inner` of a[m] and b[m] at every level m, as one weighted reduction.
+
+    ``mask`` is a :class:`FaceMask`, or a region or cutoff whose face mask is
+    used.  ``einsum`` multiplies and weighs without a stack-sized temporary.
+    """
+    _check_same_grid(a, b)
+    weights = _packed_face_weights(a.grid)
+    if mask is not None:
+        fm = mask if isinstance(mask, FaceMask) else mask.face_mask(a.grid)
+        weights = weights * fm.packed
+    return np.einsum("ij,ij,j->i", a.data, b.data, weights)
+
+
 def inner_space_time(a: Trajectory, b: Trajectory, mask=None) -> float:
     """Trapezoid-in-time, cell-area-in-space quadrature of sum_i a_i b_i."""
-    _check_same_grid(a, b)
     g = a.grid
-    fm: FaceMask | None
-    if mask is None:
-        fm = None
-    elif isinstance(mask, FaceMask):
-        fm = mask
-    else:
-        fm = mask.face_mask(g)
-    w = trapezoid_weights(g.nt)
-    total = 0.0
-    for m in range(g.nt + 1):
-        total += float(w[m]) * inner(a[m], b[m], fm)
-    return g.dt * total
+    return float(g.dt * trapezoid_weights(g.nt).dot(inner_levels(a, b, mask)))
 
 
 def traj_norm(a: Trajectory, mask=None) -> float:
     return math.sqrt(max(inner_space_time(a, a, mask), 0.0))
 
 
-@lru_cache(maxsize=32)
-def _packed_face_weights(grid: GridSpec) -> np.ndarray:
-    wu, wv = _face_weights(grid.nx, grid.ny)
-    return grid.cell_area * FaceMask(wu, wv).packed()
+def closed_noise(grid: GridSpec, rng: np.random.Generator, levels: int,
+                 amp: float = 1.0, first: int = 0) -> np.ndarray:
+    """A packed ``(levels, n_faces)`` stack of standard normal velocities times ``amp``.
 
-
-def packed_norm(packed: np.ndarray, grid: GridSpec) -> float:
-    """:func:`traj_norm` of a packed ``(nt+1, n_faces)`` stack, as one weighted reduction.
-
-    ``einsum`` squares and weighs without a stack-sized temporary, which
-    measured 0.3 MiB less peak memory than squaring the stack first.
+    Levels ``first`` and up are drawn in order, each its u faces and then its
+    v faces from ``rng``; the levels below ``first`` are zero, and so are the
+    normal boundary faces of every level (no-penetration closure).
     """
-    per_level = np.einsum("ij,ij,j->i", packed, packed, _packed_face_weights(grid))
-    return math.sqrt(max(grid.dt * trapezoid_weights(grid.nt).dot(per_level), 0.0))
+    out = np.zeros((levels, grid.n_faces))
+    u, v = face_views(out, grid)
+    for m in range(first, levels):
+        u[m] = rng.standard_normal((grid.nx + 1, grid.ny))
+        v[m] = rng.standard_normal((grid.nx, grid.ny + 1))
+    _zero_normal_faces(u, v)
+    out *= amp
+    return out
 
 
 def stream_function_velocity(grid: GridSpec, psi_nodes: np.ndarray) -> VelocityField:

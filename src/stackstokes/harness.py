@@ -13,6 +13,7 @@ import datetime
 import hashlib
 import json
 import math
+import numbers
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -28,6 +29,8 @@ from .grid import (
     SmoothCutoff,
     Trajectory,
     VelocityField,
+    closed_noise,
+    face_views,
     h1_norm,
     norm,
     project_div_free,
@@ -141,12 +144,6 @@ class ExperimentConfig:
 
     # ---------------- deterministic data synthesis ----------------
 
-    def _closed_noise(self, rng, amp: float) -> VelocityField:
-        g = self.grid
-        u = rng.standard_normal((g.nx + 1, g.ny))
-        v = rng.standard_normal((g.nx, g.ny + 1))
-        return VelocityField(g, u, v).apply_noslip() * amp
-
     def initial_state(self) -> VelocityField:
         g = self.grid
         d = self.data
@@ -166,7 +163,8 @@ class ExperimentConfig:
                          * np.sin(np.pi * yn[None, :] / g.Ly) ** 2)
             y0 = stream_function_velocity(g, psi)
         elif kind == "random":
-            y0 = project_div_free(self._closed_noise(rng_stream(self.seed, "y0"), amp))
+            u, v = face_views(closed_noise(g, rng_stream(self.seed, "y0"), 1, amp), g)
+            y0 = project_div_free(VelocityField(g, u[0], v[0]))
         else:
             raise ConfigurationError(f"unknown y0_kind {kind!r}")
         target = d.get("y0_v_norm")
@@ -181,20 +179,16 @@ class ExperimentConfig:
         amp = float(self.data.get("yd_amplitude", 0.0))
         if amp == 0.0:
             return None
-        rng = rng_stream(self.seed, "yd")
         g = self.grid
-        return Trajectory(g, [self._closed_noise(rng, amp) for _ in range(g.nt + 1)])
+        return Trajectory(g, closed_noise(g, rng_stream(self.seed, "yd"), g.nt + 1, amp))
 
     def leader_trajectory(self) -> Trajectory | None:
         amp = float(self.data.get("h_amplitude", 0.0))
         if amp == 0.0:
             return None
-        rng = rng_stream(self.seed, "h")
         g = self.grid
-        zero = VelocityField.zeros(g)
-        return Trajectory(
-            g, [zero.copy()] + [self._closed_noise(rng, amp) for _ in range(g.nt)]
-        )
+        return Trajectory(g, closed_noise(g, rng_stream(self.seed, "h"), g.nt + 1, amp,
+                                          first=1))
 
     def problem(self) -> SaddleProblem:
         return SaddleProblem(
@@ -286,71 +280,100 @@ def default_config_dict(experiment: str = "saddle") -> dict:
     return cfg
 
 
-def _require(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigurationError(f"missing config field '{path}.{key}'" if path else
-                                 f"missing config field '{key}'")
-    return d[key]
+_REQUIRED = object()
+_KINDS = {float: "a number", int: "an integer", bool: "true or false",
+          str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value, where: str, kind=float):
+    """``value`` checked against a JSON type; int fields also take integral floats."""
+    if kind in (int, float):
+        ok = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+        if ok and kind is int and not isinstance(value, numbers.Integral):
+            ok = float(value).is_integer()
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigurationError(f"config field '{where}' must be {_KINDS[kind]}, got {value!r}")
+    return kind(value) if kind in (int, float) else value
+
+
+def _field(d: dict, key: str, path: str, kind=float, default=_REQUIRED):
+    """``d[key]`` checked by :func:`_typed`, or ``default`` when the key is absent."""
+    where = f"{path}.{key}" if path else key
+    if key in d:
+        return _typed(d[key], where, kind)
+    if default is _REQUIRED:
+        raise ConfigurationError(f"missing config field '{where}'")
+    return default
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    gd = _require(raw, "grid", "")
+    """Build the experiment config; a missing field, or one of the wrong JSON
+    type, raises ConfigurationError naming its path."""
+    raw = _typed(raw, "(top level)", dict)
+    gd = _field(raw, "grid", "", dict)
     grid = GridSpec(
-        nx=int(_require(gd, "nx", "grid")),
-        ny=int(_require(gd, "ny", "grid")),
-        Lx=float(gd.get("Lx", 1.0)),
-        Ly=float(gd.get("Ly", 1.0)),
-        nt=int(_require(gd, "nt", "grid")),
-        T=float(_require(gd, "T", "grid")),
+        nx=_field(gd, "nx", "grid", int),
+        ny=_field(gd, "ny", "grid", int),
+        Lx=_field(gd, "Lx", "grid", default=1.0),
+        Ly=_field(gd, "Ly", "grid", default=1.0),
+        nt=_field(gd, "nt", "grid", int),
+        T=_field(gd, "T", "grid"),
     )
-    rd = _require(raw, "regions", "")
+    rd = _field(raw, "regions", "", dict)
 
     def region(key):
-        vals = _require(rd, key, "regions")
+        vals = _field(rd, key, "regions", list)
         if len(vals) != 4:
             raise ConfigurationError(f"regions.{key} must be [x0, x1, y0, y1]")
-        return Region(*[float(v) for v in vals])
+        return Region(*[_typed(v, f"regions.{key}[{i}]") for i, v in enumerate(vals)])
 
-    rb = _require(raw, "robust", "")
-    cl = raw.get("carleman", {"lam": 2.0, "s": 3.0, "a0": 2.0, "m0": 3.5})
-    pen = raw.get("penalty", {})
-    sv = raw.get("solver", {})
+    rb = _field(raw, "robust", "", dict)
+    cl = _field(raw, "carleman", "", dict, {})
+    pen = _field(raw, "penalty", "", dict, {})
+    sv = _field(raw, "solver", "", dict, {})
+    schedule = _field(pen, "epsilon_schedule", "penalty", list, [])
+    small_data_delta = sv.get("small_data_delta")
+    if small_data_delta is not None:
+        small_data_delta = _typed(small_data_delta, "solver.small_data_delta")
     return ExperimentConfig(
-        experiment=str(_require(raw, "experiment", "")),
-        seed=int(_require(raw, "seed", "")),
+        experiment=_field(raw, "experiment", "", str),
+        seed=_field(raw, "seed", "", int),
         grid=grid,
         omega=region("omega"),
         follower_set=region("O"),
         obs_set=region("Od"),
         inner_set=region("omega0"),
-        cutoff_taper_cells=float(raw.get("cutoff_taper_cells", 4.0)),
+        cutoff_taper_cells=_field(raw, "cutoff_taper_cells", "", default=4.0),
         robust=RobustParams(
-            ell=float(_require(rb, "ell", "robust")),
-            gamma=float(_require(rb, "gamma", "robust")),
-            mu=float(rb.get("mu", 1.0)),
+            ell=_field(rb, "ell", "robust"),
+            gamma=_field(rb, "gamma", "robust"),
+            mu=_field(rb, "mu", "robust", default=1.0),
         ),
         carleman=CarlemanParams(
-            lam=float(cl.get("lam", 2.0)),
-            s=float(cl.get("s", 3.0)),
-            a0=float(cl.get("a0", 2.0)),
-            m0=float(cl.get("m0", 3.5)),
-            eta_norm=float(cl.get("eta_norm", 1.0)),
+            lam=_field(cl, "lam", "carleman", default=2.0),
+            s=_field(cl, "s", "carleman", default=3.0),
+            a0=_field(cl, "a0", "carleman", default=2.0),
+            m0=_field(cl, "m0", "carleman", default=3.5),
+            eta_norm=_field(cl, "eta_norm", "carleman", default=1.0),
         ),
         penalty=PenaltyConfig(
-            epsilon=float(pen.get("epsilon", 1e-4)),
-            cg_tol=float(pen.get("cg_tol", 1e-8)),
-            cg_max=int(pen.get("cg_max", 400)),
-            epsilon_schedule=tuple(pen.get("epsilon_schedule", ())),
+            epsilon=_field(pen, "epsilon", "penalty", default=1e-4),
+            cg_tol=_field(pen, "cg_tol", "penalty", default=1e-8),
+            cg_max=_field(pen, "cg_max", "penalty", int, default=400),
+            epsilon_schedule=tuple(_typed(e, f"penalty.epsilon_schedule[{i}]")
+                                   for i, e in enumerate(schedule)),
         ),
         solver=SolverOptions(
-            convection_on=bool(sv.get("convection_on", False)),
-            picard_tol=float(sv.get("picard_tol", 1e-11)),
-            picard_max=int(sv.get("picard_max", 200)),
-            relax=float(sv.get("relax", 1.0)),
-            small_data_delta=sv.get("small_data_delta"),
+            convection_on=_field(sv, "convection_on", "solver", bool, False),
+            picard_tol=_field(sv, "picard_tol", "solver", default=1e-11),
+            picard_max=_field(sv, "picard_max", "solver", int, default=200),
+            relax=_field(sv, "relax", "solver", default=1.0),
+            small_data_delta=small_data_delta,
         ),
-        data=dict(raw.get("data", {})),
-        options=dict(raw.get("options", {})),
+        data=dict(_field(raw, "data", "", dict, {})),
+        options=dict(_field(raw, "options", "", dict, {})),
         raw=raw,
     )
 
@@ -569,15 +592,10 @@ def _exp_carleman(cfg: ExperimentConfig, outdir: Path, h: str):
         all(dom[i + 1][1] <= dom[i][1] for i in range(len(dom) - 1))
     )
     # local/global Laplacian bound stability under t-grid doubling
-    rng = rng_stream(cfg.seed, "laplacian-samples")
-    n_u = int(opts.get("n_laplacian_samples", 20))
-    us = [
-        project_div_free(
-            VelocityField(g, rng.standard_normal((g.nx + 1, g.ny)),
-                          rng.standard_normal((g.nx, g.ny + 1)))
-        )
-        for _ in range(n_u)
-    ]
+    # the projection ignores the normal faces that closed_noise zeroes
+    noise = closed_noise(g, rng_stream(cfg.seed, "laplacian-samples"),
+                         int(opts.get("n_laplacian_samples", 20)))
+    us = [project_div_free(VelocityField(g, u, v)) for u, v in zip(*face_views(noise, g))]
     s5 = CarlemanParams(lam=p.lam, s=float(opts.get("laplacian_s", 5.0)),
                         a0=p.a0, m0=p.m0, eta_norm=p.eta_norm)
     b1 = check_laplacian_weight_bound(s5, T, 0.0, 0.0, us, cfg.omega, n_time=128)
@@ -694,6 +712,8 @@ def _exp_convergence(cfg: ExperimentConfig, outdir: Path, h: str):
             g, lambda x, y: u(x, y, T), lambda x, y: v(x, y, T)
         )
         e = norm(traj[g.nt] - ex)
+        # free this size's state and forcing before the next, larger size is built
+        del traj, forcing
         errs.append(e)
         rows.append((nx, nt, e))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]

@@ -30,6 +30,7 @@ from .grid import (
     SmoothCutoff,
     Trajectory,
     VelocityField,
+    closed_noise,
     inner_space_time,
     traj_norm,
     trapezoid_weights,
@@ -174,13 +175,8 @@ def tracking_adjoint(prob: SaddleProblem, y: Trajectory) -> Trajectory:
     """
     w = trapezoid_weights(prob.grid.nt)
     err = y if prob.yd is None else y - prob.yd
-    g1 = Trajectory(
-        prob.grid,
-        [
-            err[m].mul_mask(prob._obs_mask) * (prob.params.mu * w[m])
-            for m in range(prob.grid.nt + 1)
-        ],
-    )
+    g1 = err.mul_mask(prob._obs_mask)
+    g1.data *= (prob.params.mu * w)[:, None]
     link = y if prob.opts.convection_on else None
     adj = solve_backward_adjoint(
         VelocityField.zeros(prob.grid), g1, None, link, prob._plain_coupling, prob.opts
@@ -190,18 +186,13 @@ def tracking_adjoint(prob: SaddleProblem, y: Trajectory) -> Trajectory:
 
 def _grad_directions(prob: SaddleProblem, h, psi, v):
     """Unweighted first-order directions (-gamma^2 psi + z, ell^2 v + z)."""
-    g = prob.grid
     p = prob.params
     y = prob.state(h, psi, v)
     phi = tracking_adjoint(prob, y)
     z = control_gradient(phi)  # trapezoid-corrected dual state, level 0 zeroed
-    psi_fields = []
-    v_fields = []
-    for m in range(g.nt + 1):
-        zp = z[m]
-        psi_fields.append(zp if psi is None else zp - p.gamma**2 * psi[m])
-        v_fields.append(zp if v is None else zp + p.ell**2 * v[m])
-    return Trajectory(g, psi_fields), Trajectory(g, v_fields)
+    d_psi = z if psi is None else z - p.gamma**2 * psi
+    d_v = z if v is None else z + p.ell**2 * v
+    return d_psi, d_v
 
 
 def robust_cost_grad(prob: SaddleProblem, h, psi, v):
@@ -231,11 +222,11 @@ class SaddleResult:
 
 def _controls_from_dual(prob: SaddleProblem, z: Trajectory):
     """psi = gamma^-2 z and v = -ell^-2 z, with the inert level-0 slot zeroed."""
-    g = prob.grid
     p = prob.params
-    zero = VelocityField.zeros(g)
-    psi = Trajectory(g, [zero.copy()] + [z[m] * p.gamma**-2 for m in range(1, g.nt + 1)])
-    v = Trajectory(g, [zero.copy()] + [z[m] * (-(p.ell**-2)) for m in range(1, g.nt + 1)])
+    psi = z * p.gamma**-2
+    v = z * (-(p.ell**-2))
+    psi.data[0] = 0.0
+    v.data[0] = 0.0
     return psi, v
 
 
@@ -273,19 +264,12 @@ def _estimate_tracking_lipschitz(prob: SaddleProblem, n_steps: int = 5,
     if rng is None:
         rng = np.random.default_rng(2024)
     g = prob.grid
-    zero = VelocityField.zeros(g)
-
-    def rand_field():
-        u = rng.standard_normal((g.nx + 1, g.ny))
-        v = rng.standard_normal((g.nx, g.ny + 1))
-        return VelocityField(g, u, v).apply_noslip()
-
-    d = Trajectory(g, [zero.copy()] + [rand_field() for _ in range(g.nt)])
-    d = d.mul_mask(prob._chi_mask)
+    d = Trajectory(g, closed_noise(g, rng, g.nt + 1, first=1)).mul_mask(prob._chi_mask)
     lam = 0.0
     base = SaddleProblem(
         prob.grid, prob.omega, prob.follower_cutoff, prob.obs_region,
-        zero, None, prob.params, dataclasses.replace(prob.opts, convection_on=False),
+        VelocityField.zeros(g), None, prob.params,
+        dataclasses.replace(prob.opts, convection_on=False),
     )
     for _ in range(n_steps):
         nd = traj_norm(d)
@@ -409,15 +393,6 @@ def verify_saddle(
         traj_norm(result.psi_bar), traj_norm(result.v_bar), prob.data_scale(h)
     )
 
-    def rand_traj(amp):
-        zero = VelocityField.zeros(g)
-        fields = [zero.copy()]
-        for _ in range(g.nt):
-            u = rng.standard_normal((g.nx + 1, g.ny))
-            v_ = rng.standard_normal((g.nx, g.ny + 1))
-            fields.append(VelocityField(g, u, v_).apply_noslip() * amp)
-        return Trajectory(g, fields)
-
     g_psi, g_v = robust_cost_grad(prob, h, result.psi_bar, result.v_bar)
 
     rows = []
@@ -450,7 +425,7 @@ def verify_saddle(
     # random probes have amplitude magnitudes[k] * reference, far above round-off
     for k in range(max(n_probes - 1, 0)):
         amp = magnitudes[k % len(magnitudes)] * reference
-        d = rand_traj(amp)
+        d = Trajectory(g, closed_noise(g, rng, g.nt + 1, amp, first=1))
         record("random", amp, d, d)
     return SaddleProbeReport(n_probes, violations, max(psi_margins, default=0.0),
                              min(v_margins, default=0.0), tol, rows)

@@ -58,7 +58,6 @@ from .grid import (
     divergence,
     face_views,
     h1_norm,
-    packed_norm,
     project_div_free,
     project_div_free_with_potential,
     project_levels,
@@ -328,8 +327,9 @@ def solve_forward(
     y = _closed_div_free(y0)
     scale = max(y.max_abs(), 1.0)
 
-    fields = [y]
-    pressures = [ScalarField.zeros(g)] if opts.store_pressure else None
+    out = Trajectory(g, np.empty((g.nt + 1, g.n_faces)),
+                     [ScalarField.zeros(g)] if opts.store_pressure else None)
+    out[0] = y
     for n in range(g.nt):
         rhs = y if forcing is None else y + dt * forcing.at_level(n + 1)
         if opts.convection_on:
@@ -343,10 +343,10 @@ def solve_forward(
                 residual=y.max_abs(),
                 iterations=n + 1,
             )
-        fields.append(y)
-        if pressures is not None:
-            pressures.append(phi * (1.0 / dt))
-    return Trajectory(g, fields, pressures)
+        out[n + 1] = y
+        if out.pressures is not None:
+            out.pressures.append(phi * (1.0 / dt))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +396,7 @@ def _relative_change(new: Trajectory, old: Trajectory) -> float:
 
 
 def _packed_data(g: GridSpec, *terms) -> np.ndarray | None:
-    """dt * sum of ``traj * factors...`` over ``(traj, *factors)`` terms, packed.
+    """dt * sum of ``traj.data * factors...`` over ``(traj, *factors)`` terms.
 
     The data part of a sweep's sources, which stays the same from sweep to
     sweep.  Factors broadcast against a packed stack and None factors are
@@ -407,7 +407,7 @@ def _packed_data(g: GridSpec, *terms) -> np.ndarray | None:
     for traj, *factors in terms:
         if traj is None:
             continue
-        p = traj.packed()
+        p = traj.data.copy()
         for f in factors:
             if f is not None:
                 p *= f
@@ -444,16 +444,16 @@ def _march(grid: GridSpec, levels, cur: VelocityField, sources: np.ndarray,
     return cur
 
 
-def _relaxed_update(it: np.ndarray, new: np.ndarray, relax: float, g: GridSpec):
+def _relaxed_update(it: Trajectory, new: Trajectory, relax: float):
     """it <- it + relax (new - it) in place; returns |it| and the norm of the change.
 
     ``new`` is overwritten by the change.
     """
-    np.subtract(new, it, out=new)
+    np.subtract(new.data, it.data, out=new.data)
     if relax < 1.0:
-        new *= relax
-    it += new
-    return packed_norm(it, g), packed_norm(new, g)
+        new.data *= relax
+    it.data += new.data
+    return traj_norm(it), traj_norm(new)
 
 
 def solve_coupled_linear(
@@ -477,37 +477,38 @@ def solve_coupled_linear(
     """
     g = coupling.grid
     w = trapezoid_weights(g.nt)[:, None]
-    obs = coupling.obs_mask.packed()
-    z_weight = g.dt * coupling.k_mask.packed()
+    obs = coupling.obs_mask.packed
+    z_weight = g.dt * coupling.k_mask.packed
     y_weight = g.dt * coupling.mu * obs
-    omega_w = omega.face_indicator(g).packed() if omega is not None else None
+    omega_w = omega.face_indicator(g).packed if omega is not None else None
     fwd_data = _packed_data(g, (h, omega_w), (f1,))
     bwd_data = _packed_data(g, (yd, -coupling.mu * obs, w), (f2,))
 
     y0p = _closed_div_free(y0)
-    y0_packed = y0p.packed()
     y0_start = project_div_free(y0p)
-    z = z_init.packed() if z_init is not None else np.zeros((g.nt + 1, g.n_faces))
-    work = np.empty_like(z)   # the sweep's sources, then its output, in place
+    z = z_init.copy() if z_init is not None else Trajectory.zeros(g)
+    # the sweep's sources, then its output, in place
+    work = Trajectory(g, np.empty_like(z.data))
+    zd, wd = z.data, work.data
 
     def forward_sweep():
         # work <- y of the current z; level 0 stays y0p
-        np.multiply(z[1:], z_weight, out=work[1:])
+        np.multiply(zd[1:], z_weight, out=wd[1:])
         if fwd_data is not None:
-            work[1:] += fwd_data[1:]
-        project_levels(work[1:], g)
-        work[0] = y0_packed
-        _march(g, range(1, g.nt + 1), y0_start, work, work)
+            wd[1:] += fwd_data[1:]
+        project_levels(wd[1:], g)
+        work[0] = y0p
+        _march(g, range(1, g.nt + 1), y0_start, wd, wd)
 
     def backward_sweep():
         # work (= y) <- the z it drives; the raw backward state is w_m * z_m
-        np.multiply(work, y_weight, out=work)
-        np.multiply(work, w, out=work)
+        np.multiply(wd, y_weight, out=wd)
+        np.multiply(wd, w, out=wd)
         if bwd_data is not None:
-            work[:] += bwd_data
-        project_levels(work, g)
-        _march(g, range(g.nt, -1, -1), VelocityField.zeros(g), work, work)
-        work[1:] *= 1.0 / w[1:]
+            wd[:] += bwd_data
+        project_levels(wd, g)
+        _march(g, range(g.nt, -1, -1), VelocityField.zeros(g), wd, wd)
+        wd[1:] *= 1.0 / w[1:]
 
     relax = opts.relax
     prev_res = math.inf
@@ -515,7 +516,7 @@ def solve_coupled_linear(
     for it in range(1, opts.picard_max + 1):
         forward_sweep()
         backward_sweep()
-        size, change = _relaxed_update(z, work, relax, g)
+        size, change = _relaxed_update(z, work, relax)
         residual = change / max(size, 1e-300)
         if not math.isfinite(residual):
             raise BlowupError(
@@ -525,8 +526,7 @@ def solve_coupled_linear(
             )
         if residual <= opts.picard_tol:
             forward_sweep()
-            return CoupledSolution(Trajectory.from_packed(g, work),
-                                   Trajectory.from_packed(g, z), it, residual, True)
+            return CoupledSolution(work, z, it, residual, True)
         if residual >= prev_res and relax > 0.0625:
             relax *= 0.5
         if size > opts.blowup_norm:
@@ -551,14 +551,11 @@ def frozen_sources(y: Trajectory, z: Trajectory):
     """
     g = y.grid
     w = trapezoid_weights(g.nt)
-    f1 = Trajectory(
-        g, [VelocityField.zeros(g)] + [-1.0 * convection(y[n]) for n in range(g.nt)]
-    )
-    f2 = Trajectory(
-        g,
-        [-1.0 * adjoint_coupling(y[m], z[m + 1] * w[m + 1]) for m in range(g.nt)]
-        + [VelocityField.zeros(g)],
-    )
+    f1 = Trajectory.zeros(g)
+    f2 = Trajectory.zeros(g)
+    for m in range(g.nt):
+        f1[m + 1] = -1.0 * convection(y[m])
+        f2[m] = -1.0 * adjoint_coupling(y[m], z[m + 1] * w[m + 1])
     return f1, f2
 
 
@@ -640,50 +637,50 @@ def solve_backward_adjoint(
     """
     g = coupling.grid
     w = trapezoid_weights(g.nt)[:, None]
-    theta_weight = g.dt * coupling.mu * coupling.obs_mask.packed()
-    phi_weight = g.dt * coupling.k_mask.packed()
+    theta_weight = g.dt * coupling.mu * coupling.obs_mask.packed
+    phi_weight = g.dt * coupling.k_mask.packed
     phi_data = _packed_data(g, (g1,))
     theta_data = _packed_data(g, (g2,))
     phi_start = project_div_free(_closed_div_free(phiT))
 
-    theta = np.zeros((g.nt + 1, g.n_faces))
-    work = np.empty_like(theta)   # the sweep's sources, then its output, in place
+    theta = Trajectory.zeros(g)
+    # the sweep's sources, then its output, in place
+    work = Trajectory(g, np.empty_like(theta.data))
+    td, wd = theta.data, work.data
 
     def phi_sweep():
         # work <- phi of the current theta
-        np.multiply(theta, theta_weight, out=work)
-        np.multiply(work, w, out=work)
+        np.multiply(td, theta_weight, out=wd)
+        np.multiply(wd, w, out=wd)
         if phi_data is not None:
-            work[:] += phi_data
-        project_levels(work[1:], g)
+            wd[:] += phi_data
+        project_levels(wd[1:], g)
         # the transposed convection acts from the second step on
-        cur = _march(g, (g.nt,), phi_start, work, work)
-        _march(g, range(g.nt - 1, 0, -1), cur, work, work, link)
-        work[0] = work[1]
-        if link is not None:
-            u, v = face_views(work, g)
-            a = adjoint_coupling(link[0], VelocityField(g, u[1], v[1]))
-            u[0] -= g.dt * a.u
-            v[0] -= g.dt * a.v
+        cur = _march(g, (g.nt,), phi_start, wd, wd)
+        _march(g, range(g.nt - 1, 0, -1), cur, wd, wd, link)
+        if link is None:
+            wd[0] = wd[1]
+        else:
+            work[0] = work[1] - g.dt * adjoint_coupling(link[0], work[1])
 
     def theta_sweep():
         # work (= phi) <- the theta it drives
-        np.multiply(work[1:], phi_weight, out=work[1:])
-        work[1:] *= 1.0 / w[1:]
+        np.multiply(wd[1:], phi_weight, out=wd[1:])
+        wd[1:] *= 1.0 / w[1:]
         if theta_data is not None:
-            work[1:] += theta_data[1:]
-        project_levels(work[1:], g)
-        work[0] = 0.0
-        _march(g, range(1, g.nt + 1), VelocityField.zeros(g), work, work)
+            wd[1:] += theta_data[1:]
+        project_levels(wd[1:], g)
+        wd[0] = 0.0
+        _march(g, range(1, g.nt + 1), VelocityField.zeros(g), wd, wd)
 
     relax = opts.relax
     prev_res = math.inf
     residual = math.inf
     for it in range(1, opts.picard_max + 1):
         phi_sweep()
-        phi0_finite = bool(np.isfinite(work[0]).all())
+        phi0_finite = bool(np.isfinite(wd[0]).all())
         theta_sweep()
-        size, change = _relaxed_update(theta, work, relax, g)
+        size, change = _relaxed_update(theta, work, relax)
         if not (math.isfinite(size) and phi0_finite):
             raise BlowupError(
                 f"adjoint pair produced a non-finite iterate at sweep {it}",
@@ -693,8 +690,7 @@ def solve_backward_adjoint(
         residual = change / size if size > 0 else 0.0
         if residual <= opts.picard_tol:
             phi_sweep()
-            return AdjointPair(Trajectory.from_packed(g, work),
-                               Trajectory.from_packed(g, theta), it, residual, True)
+            return AdjointPair(work, theta, it, residual, True)
         if residual >= prev_res and relax > 0.0625:
             relax *= 0.5
         prev_res = residual
@@ -716,11 +712,8 @@ def control_gradient(adj_phi: Trajectory, mask: FaceMask | None = None) -> Traje
     space-time inner product.
     """
     g = adj_phi.grid
-    w = trapezoid_weights(g.nt)
-    fields = [VelocityField.zeros(g)]
-    for m in range(1, g.nt + 1):
-        f = adj_phi[m] * (1.0 / w[m])
-        if mask is not None:
-            f = f.mul_mask(mask)
-        fields.append(f)
-    return Trajectory(g, fields)
+    data = adj_phi.data * (1.0 / trapezoid_weights(g.nt))[:, None]
+    data[0] = 0.0
+    if mask is not None:
+        data *= mask.packed
+    return Trajectory(g, data)

@@ -18,6 +18,7 @@ from stackstokes.grid import (
     VelocityField,
     diffusion_solve,
     divergence,
+    face_views,
     gradient,
     inner,
     inner_cells,
@@ -178,6 +179,20 @@ def test_inner_space_time_region_mask():
     assert abs(inner_space_time(t, t, mask) - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("mask_kind", [None, "face_mask", "region", "cutoff"])
+def test_inner_space_time_matches_per_level_inner(rng, mask_kind):
+    g = GridSpec(nx=16, ny=12, Lx=1.0, Ly=0.8, nt=12, T=0.7)
+    a, b = state_traj(g, rng), state_traj(g, rng)
+    region = Region(0.2, 0.7, 0.1, 0.6)
+    mask = {None: None, "face_mask": region.face_mask(g), "region": region,
+            "cutoff": SmoothCutoff.for_grid(region, g)}[mask_kind]
+    fm = mask if mask is None or hasattr(mask, "on_u") else mask.face_mask(g)
+    w = np.ones(g.nt + 1)
+    w[0] = w[-1] = 0.5
+    ref = sum(w[m] * g.dt * inner(a[m], b[m], fm) for m in range(g.nt + 1))
+    assert abs(inner_space_time(a, b, mask) - ref) <= 1e-14 * abs(ref)
+
+
 def test_inner_space_time_grid_mismatch(rng):
     a = Trajectory.zeros(GridSpec(nx=16, ny=16, nt=8, T=1.0))
     b = Trajectory.zeros(GridSpec(nx=8, ny=8, nt=8, T=1.0))
@@ -231,6 +246,59 @@ def test_trajectory_validation(rng):
     g2 = GridSpec(nx=8, ny=8, nt=8, T=1.0)
     with pytest.raises(ConfigurationError):
         Trajectory(g, [VelocityField.zeros(g)] * 8 + [VelocityField.zeros(g2)])
+    for shape in [(g.nt, g.n_faces), (g.nt + 1, g.n_faces + 1), (g.n_faces,)]:
+        with pytest.raises(ConfigurationError, match="shape"):
+            Trajectory(g, np.zeros(shape))
+    traj = Trajectory.zeros(g)
+    with pytest.raises(ConfigurationError):
+        traj[2] = VelocityField.zeros(g2)
+
+
+def test_trajectory_snapshots_view_the_stack(rng):
+    g = GridSpec(nx=16, ny=12, nt=8, T=1.0)
+    fields = [closed_noise(g, rng) for _ in range(g.nt + 1)]
+    traj = Trajectory(g, fields)
+    # the list form copies its snapshots into the stack
+    fields[3].u[4, 5] = 99.0
+    assert traj[3].u[4, 5] != 99.0
+    u, v = face_views(traj.data, g)
+    for m, f in enumerate(traj):
+        assert np.shares_memory(f.u, traj.data) and np.shares_memory(f.v, traj.data)
+        assert np.array_equal(f.u, u[m]) and np.array_equal(f.v, v[m])
+    # a snapshot writes through to the stack
+    snap = traj[2]
+    snap.v[1, 1] = -7.0
+    assert v[2, 1, 1] == -7.0 and traj[2].v[1, 1] == -7.0
+    # assignment copies
+    new = closed_noise(g, rng)
+    traj[5] = new
+    assert np.array_equal(u[5], new.u) and np.array_equal(v[5], new.v)
+    new.u[3, 3] = 42.0
+    assert u[5, 3, 3] != 42.0
+    # a stack becomes the storage itself, without a copy
+    stack = np.zeros((g.nt + 1, g.n_faces))
+    assert Trajectory(g, stack).data is stack
+
+
+def test_trajectory_arithmetic_matches_per_level_fields(rng):
+    g = GridSpec(nx=16, ny=12, nt=8, T=1.0)
+    a, b = state_traj(g, rng), state_traj(g, rng)
+    mask = SmoothCutoff.for_grid(Region(0.1, 0.6, 0.2, 0.9), g).face_mask(g)
+    cases = [
+        (a + b, lambda m: a[m] + b[m]),
+        (a - b, lambda m: a[m] - b[m]),
+        (a * 0.37, lambda m: a[m] * 0.37),
+        (-1.3 * a, lambda m: -1.3 * a[m]),
+        (a.mul_mask(mask), lambda m: a[m].mul_mask(mask)),
+        (a.copy(), lambda m: a[m]),
+        (Trajectory.constant(b[4]), lambda m: b[4]),
+    ]
+    for traj, ref in cases:
+        for m in range(g.nt + 1):
+            assert np.array_equal(traj[m].u, ref(m).u)
+            assert np.array_equal(traj[m].v, ref(m).v)
+    assert a.max_abs() == max(f.max_abs() for f in a)
+    assert not np.shares_memory(a.copy().data, a.data)
 
 
 def test_stream_function_velocity_div_free(rng):

@@ -8,6 +8,14 @@ import numpy as np
 import pytest
 
 from stackstokes.errors import ConfigurationError, GeometryError
+from stackstokes.grid import (
+    GridSpec,
+    Trajectory,
+    VelocityField,
+    closed_noise,
+    face_views,
+    project_div_free,
+)
 from stackstokes.harness import (
     config_from_dict,
     default_config_dict,
@@ -80,6 +88,51 @@ def test_rng_streams_deterministic_and_disjoint():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def _old_closed_noise(g, rng, amp):
+    # the draws of the per-field generators the packed one replaced
+    u = rng.standard_normal((g.nx + 1, g.ny))
+    v = rng.standard_normal((g.nx, g.ny + 1))
+    return VelocityField(g, u, v).apply_noslip() * amp
+
+
+def _same_bits(traj, fields):
+    return all(np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+               for a, b in zip(traj, fields, strict=True))
+
+
+def test_noise_generator_keeps_the_old_draws():
+    g = GridSpec(nx=16, ny=12, nt=8, T=1.0)
+    r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
+    noise = closed_noise(g, r1, g.nt + 1, 0.3, first=1)
+    ref = [VelocityField.zeros(g)] + [_old_closed_noise(g, r2, 0.3) for _ in range(g.nt)]
+    assert _same_bits(Trajectory(g, noise), ref)
+    assert r1.standard_normal() == r2.standard_normal()
+    # the projection ignores normal faces, so closed noise gives the projected
+    # samples of the unclosed draws
+    r1, r2 = np.random.default_rng(6), np.random.default_rng(6)
+    u, v = face_views(closed_noise(g, r1, 3), g)
+    for a, b in zip(u, v):
+        raw = VelocityField(g, r2.standard_normal((g.nx + 1, g.ny)),
+                            r2.standard_normal((g.nx, g.ny + 1)))
+        got = project_div_free(VelocityField(g, a, b))
+        want = project_div_free(raw)
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+    # the harness data synthesis draws the same bits from its streams
+    raw = default_config_dict("saddle")
+    raw["data"] = {"y0_kind": "random", "y0_amplitude": 0.05,
+                   "yd_amplitude": 0.05, "h_amplitude": 0.1}
+    cfg = config_from_dict(raw)
+    g, seed = cfg.grid, cfg.seed
+    y0 = project_div_free(_old_closed_noise(g, rng_stream(seed, "y0"), 0.05))
+    assert _same_bits([cfg.initial_state()], [y0])
+    r = rng_stream(seed, "yd")
+    assert _same_bits(cfg.target_trajectory(),
+                      [_old_closed_noise(g, r, 0.05) for _ in range(g.nt + 1)])
+    r = rng_stream(seed, "h")
+    assert _same_bits(cfg.leader_trajectory(), [VelocityField.zeros(g)]
+                      + [_old_closed_noise(g, r, 0.1) for _ in range(g.nt)])
 
 
 def test_run_convergence_and_replay(tmp_path):
@@ -292,3 +345,37 @@ def test_option_copies_keep_relax(monkeypatch):
     monkeypatch.setattr(harness, "solve_null_control_cg", lambda p, c: capture(p.opts))
     with pytest.raises(Seen, match="False"):
         harness._exp_nullcontrol_nonlinear(cfg, None, "")
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("grid", "nx", "sixteen", "grid.nx"),
+    (None, "seed", None, "seed"),
+    ("penalty", "epsilon_schedule", ["a"], "penalty.epsilon_schedule[0]"),
+    ("solver", "small_data_delta", "1e-3", "solver.small_data_delta"),
+    ("solver", "convection_on", 1, "solver.convection_on"),
+    ("regions", "omega", [0.35, 0.75, "0.35", 0.75], "regions.omega[2]"),
+    ("robust", "ell", [10.0], "robust.ell"),
+])
+def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
+    from stackstokes.cli import main
+
+    raw = default_config_dict("nullcontrol-nonlinear")
+    (raw if section is None else raw[section])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_config_numbers_are_cast():
+    raw = default_config_dict("nullcontrol-nonlinear")
+    raw["solver"]["small_data_delta"] = 1
+    raw["grid"]["nt"] = 32.0
+    raw["penalty"]["epsilon_schedule"] = [1, 0.5]
+    cfg = config_from_dict(raw)
+    assert type(cfg.solver.small_data_delta) is float and cfg.solver.small_data_delta == 1.0
+    assert type(cfg.grid.nt) is int and cfg.grid.nt == 32
+    assert cfg.penalty.epsilon_schedule == (1.0, 0.5)
+    raw["grid"]["nt"] = 32.5
+    with pytest.raises(ConfigurationError, match="grid.nt"):
+        config_from_dict(raw)

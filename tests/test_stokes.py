@@ -287,7 +287,7 @@ def test_coupled_linear_fixed_point_unique(rng):
                              omega=setup["omega"], z_init=guess)
     denom = max(traj_norm(a.z), 1e-300)
     assert traj_norm(a.z - b.z) / denom < 1e-8
-    for f in a.y.fields + a.z.fields:
+    for f in [*a.y, *a.z]:
         assert divergence(f).max_abs() < 1e-10
 
 
@@ -412,3 +412,21 @@ def test_forward_pressure_storage(rng):
         assert abs(p.values.mean()) < 1e-13  # mean-zero gauge
     bare = solve_forward(closed_noise(g, rng), None, SolverOptions())
     assert bare.pressures is None
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_control_gradient_matches_per_level_fields(rng, masked):
+    setup = make_setup(nt=16)
+    g = setup["grid"]
+    phi = control_traj(g, rng) + control_traj(g, rng)
+    mask = setup["omega"].face_indicator(g) if masked else None
+    got = control_gradient(phi, mask)
+    w = np.ones(g.nt + 1)
+    w[0] = w[-1] = 0.5
+    assert got[0].max_abs() == 0.0
+    for m in range(1, g.nt + 1):
+        ref = phi[m] * (1.0 / w[m])
+        if mask is not None:
+            ref = ref.mul_mask(mask)
+        assert np.array_equal(got[m].u, ref.u) and np.array_equal(got[m].v, ref.v)
+    assert not np.shares_memory(got.data, phi.data)

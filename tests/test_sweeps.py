@@ -91,7 +91,7 @@ def test_march_matches_per_level_chain(rng):
     for m in range(1, g.nt + 1):
         ref.append(_psp(ref[-1] + g.dt * forcing[m], g.dt))
 
-    sources = forcing.packed() * g.dt
+    sources = forcing.data * g.dt
     project_levels(sources[1:], g)
     out = np.zeros_like(sources)
     last = _march(g, range(1, g.nt + 1), project_div_free(y0), sources, out)
