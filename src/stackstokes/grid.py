@@ -454,7 +454,7 @@ class Trajectory:
 
     __array_ufunc__ = None
 
-    def __init__(self, grid: GridSpec, snapshots, pressures=None):
+    def __init__(self, grid: GridSpec, snapshots):
         """``snapshots`` is a sequence of nt+1 fields, copied into a new stack,
         or an ``(nt+1, n_faces)`` array, which becomes the stack without a copy."""
         shape = (grid.nt + 1, grid.n_faces)
@@ -475,7 +475,6 @@ class Trajectory:
         self._u, self._v = face_views(self.data, grid)
         for m, f in enumerate(fields):
             self[m] = f
-        self.pressures = list(pressures) if pressures is not None else None
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "Trajectory":
@@ -673,8 +672,9 @@ def _leray(u_in: np.ndarray, v_in: np.ndarray, grid: GridSpec, out_u, out_v) -> 
     as the MAC gradient of p = C_x^T q C_y, two products fewer than with the
     gradient folded into the matrices.  Folded, a projection measured about
     3 us faster at 16x16 but about 250 us slower at 128x128 (one BLAS
-    thread, 2-core VM), and the pressure of ``solve_forward`` would cost two
-    more products.
+    thread, 2-core VM), and the potential that
+    :func:`project_div_free_with_potential` returns would cost two more
+    products.
     """
     cx, cx_t, cy, cy_t, ax, ay_t, inv = _neumann_tables(grid)
     q = ax @ u_in @ cy_t
@@ -713,9 +713,10 @@ def project_div_free_with_potential(vel: VelocityField):
     return out, ScalarField(vel.grid, -p)
 
 
-# Levels per batched projection: the temporaries of one block stay a few
-# times the size of one level's data instead of the whole stack's.
-_PROJECTION_BLOCK = 8
+# Faces per batched projection, eight levels at 16x16: the temporaries of one
+# block stay a few times this size instead of growing with the stack or the
+# grid (from 64x64 up a block is one level).
+_PROJECTION_BLOCK_FACES = 8 * 544
 
 
 def project_levels(packed: np.ndarray, grid: GridSpec) -> None:
@@ -725,9 +726,10 @@ def project_levels(packed: np.ndarray, grid: GridSpec) -> None:
     through the projection in blocks of a few.
     """
     u, v = face_views(packed, grid)
-    for start in range(0, len(packed), _PROJECTION_BLOCK):
-        u_in = u[start:start + _PROJECTION_BLOCK, 1:-1, :]
-        v_in = v[start:start + _PROJECTION_BLOCK, :, 1:-1]
+    block = max(1, _PROJECTION_BLOCK_FACES // grid.n_faces)
+    for start in range(0, len(packed), block):
+        u_in = u[start:start + block, 1:-1, :]
+        v_in = v[start:start + block, :, 1:-1]
         _leray(u_in, v_in, grid, u_in, v_in)
     _zero_normal_faces(u, v)
 

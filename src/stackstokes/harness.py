@@ -308,6 +308,32 @@ def _field(d: dict, key: str, path: str, kind=float, default=_REQUIRED):
     return default
 
 
+# The data and options entries the pipelines read, with their JSON types; a
+# one-element list is a list whose entries have that type.
+_DATA_KINDS = {"y0_kind": str, "y0_amplitude": float, "y0_v_norm": float,
+               "yd_amplitude": float, "h_amplitude": float}
+_OPTION_KINDS = {"n_probes": int, "outer_tol": float, "outer_max": int,
+                 "domination_epsilon": float, "domination_lams": [float],
+                 "n_laplacian_samples": int, "laplacian_s": float,
+                 "n_observability_samples": int, "gamma_grid": [float],
+                 "max_iter": int, "sizes": [int], "horizon": float, "base_nt": int}
+
+
+def _section(raw: dict, key: str, kinds: dict) -> dict:
+    """A copy of the object ``raw[key]`` with the entries named in ``kinds`` checked
+    by :func:`_typed`; a null entry counts as absent, so its default applies."""
+    d = dict(_field(raw, key, "", dict, {}))
+    for name, kind in kinds.items():
+        if d.get(name) is None:
+            d.pop(name, None)
+        elif isinstance(kind, list):
+            vals = _typed(d[name], f"{key}.{name}", list)
+            d[name] = [_typed(v, f"{key}.{name}[{i}]", kind[0]) for i, v in enumerate(vals)]
+        else:
+            d[name] = _typed(d[name], f"{key}.{name}", kind)
+    return d
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build the experiment config; a missing field, or one of the wrong JSON
     type, raises ConfigurationError naming its path."""
@@ -372,8 +398,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             relax=_field(sv, "relax", "solver", default=1.0),
             small_data_delta=small_data_delta,
         ),
-        data=dict(_field(raw, "data", "", dict, {})),
-        options=dict(_field(raw, "options", "", dict, {})),
+        data=_section(raw, "data", _DATA_KINDS),
+        options=_section(raw, "options", _OPTION_KINDS),
         raw=raw,
     )
 

@@ -15,21 +15,23 @@ exact transposes carry the trapezoid weights w_m (1/2 at the endpoints):
 backward tracking sources are weighted by w_m and trajectories that represent
 control gradients are the raw dual states divided by w_m.
 
-The Picard sweeps of the coupled and adjoint solvers work on packed stacks
-of all levels (see :func:`grid.face_views`) and use the identity
+All three integrators (:func:`solve_forward` and the sweeps of the coupled
+and adjoint solvers) step through one march, :func:`_march`, on packed
+stacks of all levels (see :func:`grid.face_views`), using the identity
 
     P S P (y + dt F) = P S (y + dt P F)    whenever  P y = y,
 
-which holds because P is linear and idempotent.  A sweep therefore forms
-every level's source at once (masks, trapezoid weights, data), projects the
-whole stack in one batched pass, and then takes one diffusion solve and one
-projection per sequential step instead of two projections.  Every iterate
-after the first is an output of P; the recursion starts from P(y0) (P(phi_T),
-or 0), so that the first step, too, equals P S P applied to the unprojected
-sum even when y0 carries the small divergence (up to 1e-10) that is not
-projected away.  The stored level 0 stays y0 itself.  The transposed
-convection of the adjoint's ``link`` term depends on the current iterate, so
-it is projected inside its step.
+which holds because P is linear and idempotent.  A march forms every level's
+source at once (masks, trapezoid weights, data), projects the whole stack in
+one batched pass, and then takes one diffusion solve and one projection per
+sequential step instead of two projections.  Every iterate after the first
+is an output of P; the recursion starts from P(y0) (P(phi_T), or 0), so that
+the first step, too, equals P S P applied to the unprojected sum even when
+y0 carries the small divergence (up to 1e-10) that is not projected away.
+The stored level 0 stays y0 itself.  A term that depends on the current
+iterate (the convection of the forward solve, the transposed convection of
+the adjoint's ``link``) is projected inside its step.  The forward solve
+checks its blow-up bound level by level once the march is done.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .grid import (
     FaceMask,
     GridSpec,
     Region,
-    ScalarField,
     SmoothCutoff,
     Trajectory,
     VelocityField,
@@ -59,7 +60,6 @@ from .grid import (
     face_views,
     h1_norm,
     project_div_free,
-    project_div_free_with_potential,
     project_levels,
     traj_norm,
     trapezoid_weights,
@@ -91,7 +91,6 @@ class SolverOptions:
     picard_tol: float = 1e-11
     picard_max: int = 200
     relax: float = 1.0
-    store_pressure: bool = False
     blowup_norm: float = 1e6
     small_data_delta: float | None = None
 
@@ -131,20 +130,14 @@ class ForcingAssembly:
             raise ConfigurationError("leader forcing requires its support region")
         if self.follower is not None and self.chi is None:
             raise ConfigurationError("follower forcing requires its cutoff")
-        self._omega_mask = self.omega.face_indicator(self.grid) if self.omega else None
-        self._chi_mask = self.chi.face_mask(self.grid) if self.chi else None
+        self._omega_mask = self.omega.face_indicator(self.grid).packed if self.omega else None
+        self._chi_mask = self.chi.face_mask(self.grid).packed if self.chi else None
 
-    def at_level(self, m: int) -> VelocityField:
-        out = VelocityField.zeros(self.grid)
-        if self.leader is not None:
-            out = out + self.leader[m].mul_mask(self._omega_mask)
-        if self.follower is not None:
-            out = out + self.follower[m].mul_mask(self._chi_mask)
-        if self.disturbance is not None:
-            out = out + self.disturbance[m]
-        if self.extra_source is not None:
-            out = out + self.extra_source[m]
-        return out
+    def sources(self) -> np.ndarray | None:
+        """dt times the summed forcing of every level as one packed stack (None if unforced)."""
+        return _packed_data(self.grid, (self.leader, self._omega_mask),
+                            (self.follower, self._chi_mask),
+                            (self.disturbance,), (self.extra_source,))
 
 
 # ---------------------------------------------------------------------------
@@ -309,43 +302,100 @@ def _closed_div_free(v: VelocityField) -> VelocityField:
     return v
 
 
+def _level_peaks(packed: np.ndarray) -> np.ndarray:
+    """max |value| of every level of a packed stack, without a stack-sized temporary."""
+    return np.maximum(packed.max(axis=1), -packed.min(axis=1))
+
+
 # ---------------------------------------------------------------------------
-# forward solve
+# the march and the forward solve
 # ---------------------------------------------------------------------------
+
+def _packed_data(g: GridSpec, *terms) -> np.ndarray | None:
+    """dt * sum of ``traj.data * factors...`` over ``(traj, *factors)`` terms.
+
+    The data part of a march's sources, which stays the same from sweep to
+    sweep.  Factors broadcast against a packed stack and None factors are
+    skipped; so are terms without a trajectory, and None is returned if no
+    term is left.
+    """
+    out = None
+    for traj, *factors in terms:
+        if traj is None:
+            continue
+        p = traj.data.copy()
+        for f in factors:
+            if f is not None:
+                p *= f
+        if out is None:
+            out = p
+        else:
+            out += p
+    if out is not None:
+        out *= g.dt
+    return out
+
+
+def _march(grid: GridSpec, levels, cur: VelocityField, sources: np.ndarray,
+           out: np.ndarray, term=None) -> VelocityField:
+    """The sequential steps  y <- P S (y + G[m])  of one march, stored in ``out``.
+
+    ``sources`` holds the dt-scaled sources G[m], already Leray-projected,
+    and ``cur`` is divergence free, so each step equals P S P (y + G[m])
+    with one projection instead of two.  ``out`` may be ``sources``: step m
+    reads G[m] before it stores y[m].  ``term(m, y)`` adds  -dt P term  to
+    the step into level m, for a term that depends on the iterate y and so
+    is projected inside the step.  Returns the last iterate.
+    """
+    dt = grid.dt
+    g_u, g_v = face_views(sources, grid)
+    o_u, o_v = face_views(out, grid)
+    for m in levels:
+        x = VelocityField._of(grid, cur.u + g_u[m], cur.v + g_v[m])
+        if term is not None:
+            x = x - dt * project_div_free(term(m, cur))
+        cur = project_div_free(diffusion_solve(x, dt))
+        o_u[m] = cur.u
+        o_v[m] = cur.v
+    return cur
+
 
 def solve_forward(
     y0: VelocityField,
     forcing: ForcingAssembly | None,
     opts: SolverOptions = SolverOptions(),
 ) -> Trajectory:
-    """March the (Navier-)Stokes system forward from y0 with assembled forcing."""
+    """March the (Navier-)Stokes system forward from y0 with assembled forcing.
+
+    The dt-scaled forcing stack is projected once and then receives the
+    states.  A level above ``blowup_norm`` * max(|y0|, 1), or not finite,
+    raises BlowupError naming the first such step.
+    """
     g = y0.grid
     if forcing is not None and forcing.grid != g:
         raise ConfigurationError("forcing assembled on a different grid")
     dt = g.dt
+    data = forcing.sources() if forcing is not None else None
+    if data is None:
+        data = np.zeros((g.nt + 1, g.n_faces))
+    else:
+        project_levels(data[1:], g)
+    out = Trajectory(g, data)
+    out[0] = _closed_div_free(y0)
+    limit = opts.blowup_norm * max(out[0].max_abs(), 1.0)
 
-    y = _closed_div_free(y0)
-    scale = max(y.max_abs(), 1.0)
+    def convect(m, cur):
+        _check_cfl(cur, dt)
+        return convection(cur)
 
-    out = Trajectory(g, np.empty((g.nt + 1, g.n_faces)),
-                     [ScalarField.zeros(g)] if opts.store_pressure else None)
-    out[0] = y
-    for n in range(g.nt):
-        rhs = y if forcing is None else y + dt * forcing.at_level(n + 1)
-        if opts.convection_on:
-            _check_cfl(y, dt)
-            rhs = rhs - dt * convection(y)
-        ystar = diffusion_solve(project_div_free(rhs), dt)
-        y, phi = project_div_free_with_potential(ystar)
-        if not y.max_abs() <= opts.blowup_norm * scale:  # also catches NaN
-            raise BlowupError(
-                f"forward solve blew up at step {n + 1}: |y| = {y.max_abs():.3e}",
-                residual=y.max_abs(),
-                iterations=n + 1,
-            )
-        out[n + 1] = y
-        if out.pressures is not None:
-            out.pressures.append(phi * (1.0 / dt))
+    _march(g, range(1, g.nt + 1), project_div_free(out[0]), data, data,
+           convect if opts.convection_on else None)
+    peaks = _level_peaks(data)
+    bad = np.flatnonzero(~(peaks[1:] <= limit)) + 1  # also catches NaN
+    if bad.size:
+        n = int(bad[0])
+        raise BlowupError(f"forward solve blew up at step {n}: |y| = {peaks[n]:.3e}",
+                          residual=float(peaks[n]), iterations=n)
     return out
 
 
@@ -395,65 +445,45 @@ def _relative_change(new: Trajectory, old: Trajectory) -> float:
     return num / den
 
 
-def _packed_data(g: GridSpec, *terms) -> np.ndarray | None:
-    """dt * sum of ``traj.data * factors...`` over ``(traj, *factors)`` terms.
+def _picard(first, second, it: Trajectory, new: Trajectory, opts: SolverOptions,
+            what: str, hint: str, limit: float = math.inf):
+    """Relaxed Picard loop  it <- it + relax (new - it)  with  new = second(first(it)).
 
-    The data part of a sweep's sources, which stays the same from sweep to
-    sweep.  Factors broadcast against a packed stack and None factors are
-    skipped; so are terms without a trajectory, and None is returned if no
-    term is left.
+    ``relax`` halves (down to 1/16) whenever the relative change stops
+    falling.  A non-finite iterate raises BlowupError; an iterate larger than
+    ``limit``, or ``picard_max`` sweeps, end the loop with ConvergenceError.
+    On convergence ``first`` runs once more, so that ``new`` holds its half
+    sweep of the converged ``it``.  Returns the sweep count and the last
+    relative change.
     """
-    out = None
-    for traj, *factors in terms:
-        if traj is None:
-            continue
-        p = traj.data.copy()
-        for f in factors:
-            if f is not None:
-                p *= f
-        if out is None:
-            out = p
-        else:
-            out += p
-    if out is not None:
-        out *= g.dt
-    return out
-
-
-def _march(grid: GridSpec, levels, cur: VelocityField, sources: np.ndarray,
-           out: np.ndarray, link: Trajectory | None = None) -> VelocityField:
-    """The sequential steps  y <- P S (y + G[m])  of one sweep, stored in ``out``.
-
-    ``sources`` holds the dt-scaled sources G[m], already Leray-projected,
-    and ``cur`` is divergence free, so each step equals P S P (y + G[m])
-    with one projection instead of two.  ``out`` may be ``sources``: step m
-    reads G[m] before it stores y[m].  ``link`` adds the transposed
-    convection  -dt C'(link[m])^T y, which depends on the iterate and is
-    projected inside the step.  Returns the last iterate.
-    """
-    dt = grid.dt
-    g_u, g_v = face_views(sources, grid)
-    o_u, o_v = face_views(out, grid)
-    for m in levels:
-        x = VelocityField._of(grid, cur.u + g_u[m], cur.v + g_v[m])
-        if link is not None:
-            x = x - dt * project_div_free(adjoint_coupling(link[m], cur))
-        cur = project_div_free(diffusion_solve(x, dt))
-        o_u[m] = cur.u
-        o_v[m] = cur.v
-    return cur
-
-
-def _relaxed_update(it: Trajectory, new: Trajectory, relax: float):
-    """it <- it + relax (new - it) in place; returns |it| and the norm of the change.
-
-    ``new`` is overwritten by the change.
-    """
-    np.subtract(new.data, it.data, out=new.data)
-    if relax < 1.0:
-        new.data *= relax
-    it.data += new.data
-    return traj_norm(it), traj_norm(new)
+    relax = opts.relax
+    prev_res = math.inf
+    for k in range(1, opts.picard_max + 1):
+        first()
+        second()
+        np.subtract(new.data, it.data, out=new.data)
+        if relax < 1.0:
+            new.data *= relax
+        it.data += new.data
+        size, change = traj_norm(it), traj_norm(new)
+        residual = change / max(size, 1e-300)
+        if not (math.isfinite(size) and math.isfinite(change)):
+            raise BlowupError(f"{what} produced a non-finite iterate at sweep {k}",
+                              residual=residual, iterations=k)
+        if residual <= opts.picard_tol:
+            first()
+            return k, residual
+        if residual >= prev_res and relax > 0.0625:
+            relax *= 0.5
+        if size > limit:
+            break
+        prev_res = residual
+    raise ConvergenceError(
+        f"{what} did not reach tolerance ({residual:.3e} > {opts.picard_tol:.1e}) "
+        f"after {k} sweeps; {hint}",
+        residual=residual,
+        iterations=k,
+    )
 
 
 def solve_coupled_linear(
@@ -510,35 +540,11 @@ def solve_coupled_linear(
         _march(g, range(g.nt, -1, -1), VelocityField.zeros(g), wd, wd)
         wd[1:] *= 1.0 / w[1:]
 
-    relax = opts.relax
-    prev_res = math.inf
-    residual = math.inf
-    for it in range(1, opts.picard_max + 1):
-        forward_sweep()
-        backward_sweep()
-        size, change = _relaxed_update(z, work, relax)
-        residual = change / max(size, 1e-300)
-        if not math.isfinite(residual):
-            raise BlowupError(
-                f"coupled linear solve produced a non-finite iterate at sweep {it}",
-                residual=residual,
-                iterations=it,
-            )
-        if residual <= opts.picard_tol:
-            forward_sweep()
-            return CoupledSolution(work, z, it, residual, True)
-        if residual >= prev_res and relax > 0.0625:
-            relax *= 0.5
-        if size > opts.blowup_norm:
-            break
-        prev_res = residual
-    raise ConvergenceError(
-        "coupled linear solve did not reach tolerance "
-        f"({residual:.3e} > {opts.picard_tol:.1e}) after {it} sweeps; the "
-        "forward-backward sweep contracts only for large enough gamma and ell",
-        residual=residual,
-        iterations=it,
-    )
+    sweeps, residual = _picard(
+        forward_sweep, backward_sweep, z, work, opts, "coupled linear solve",
+        "the forward-backward sweep contracts only for large enough gamma and ell",
+        opts.blowup_norm)
+    return CoupledSolution(work, z, sweeps, residual, True)
 
 
 def frozen_sources(y: Trajectory, z: Trajectory):
@@ -583,8 +589,8 @@ def solve_coupled_nonlinear(
     inner_opts = dataclasses.replace(opts, convection_on=False)
     sol = solve_coupled_linear(h, y0, yd, coupling, inner_opts, omega)
     for it in range(1, opts.picard_max + 1):
-        worst = max(sol.y, key=lambda f: f.max_abs())
-        _check_cfl(worst, g.dt)
+        # the CFL number of the level with the largest velocity
+        _check_cfl(sol.y[int(np.argmax(_level_peaks(sol.y.data)))], g.dt)
         f1, f2 = frozen_sources(sol.y, sol.z)
         new = solve_coupled_linear(h, y0, yd, coupling, inner_opts, omega, f1, f2)
         change = max(
@@ -633,7 +639,8 @@ def solve_backward_adjoint(
     forward terminal functional exactly.  ``link`` adds the transposed
     convection linearization around a frozen trajectory (nonlinear case).
     Level 0 of ``phi`` stores the sensitivity with respect to the initial
-    state, i.e. the exact dual pairing partner of y(0).
+    state, i.e. the exact dual pairing partner of y(0).  The pair is linear
+    in phi(T), so its Picard loop has no blow-up bound.
     """
     g = coupling.grid
     w = trapezoid_weights(g.nt)[:, None]
@@ -642,6 +649,7 @@ def solve_backward_adjoint(
     phi_data = _packed_data(g, (g1,))
     theta_data = _packed_data(g, (g2,))
     phi_start = project_div_free(_closed_div_free(phiT))
+    transposed = None if link is None else (lambda m, y: adjoint_coupling(link[m], y))
 
     theta = Trajectory.zeros(g)
     # the sweep's sources, then its output, in place
@@ -657,7 +665,7 @@ def solve_backward_adjoint(
         project_levels(wd[1:], g)
         # the transposed convection acts from the second step on
         cur = _march(g, (g.nt,), phi_start, wd, wd)
-        _march(g, range(g.nt - 1, 0, -1), cur, wd, wd, link)
+        _march(g, range(g.nt - 1, 0, -1), cur, wd, wd, transposed)
         if link is None:
             wd[0] = wd[1]
         else:
@@ -670,37 +678,14 @@ def solve_backward_adjoint(
         if theta_data is not None:
             wd[1:] += theta_data[1:]
         project_levels(wd[1:], g)
-        wd[0] = 0.0
+        # theta(0) = 0; a non-finite phi(0) is handed on as NaN, so that the
+        # Picard loop's finiteness check sees it
+        wd[0] = 0.0 if np.isfinite(wd[0]).all() else math.nan
         _march(g, range(1, g.nt + 1), VelocityField.zeros(g), wd, wd)
 
-    relax = opts.relax
-    prev_res = math.inf
-    residual = math.inf
-    for it in range(1, opts.picard_max + 1):
-        phi_sweep()
-        phi0_finite = bool(np.isfinite(wd[0]).all())
-        theta_sweep()
-        size, change = _relaxed_update(theta, work, relax)
-        if not (math.isfinite(size) and phi0_finite):
-            raise BlowupError(
-                f"adjoint pair produced a non-finite iterate at sweep {it}",
-                residual=size,
-                iterations=it,
-            )
-        residual = change / size if size > 0 else 0.0
-        if residual <= opts.picard_tol:
-            phi_sweep()
-            return AdjointPair(work, theta, it, residual, True)
-        if residual >= prev_res and relax > 0.0625:
-            relax *= 0.5
-        prev_res = residual
-    raise ConvergenceError(
-        "adjoint pair did not become self-consistent "
-        f"({residual:.3e} > {opts.picard_tol:.1e}); gamma or ell too small "
-        "or mu too large",
-        residual=residual,
-        iterations=opts.picard_max,
-    )
+    sweeps, residual = _picard(phi_sweep, theta_sweep, theta, work, opts, "adjoint pair",
+                               "gamma or ell too small or mu too large")
+    return AdjointPair(work, theta, sweeps, residual, True)
 
 
 def control_gradient(adj_phi: Trajectory, mask: FaceMask | None = None) -> Trajectory:

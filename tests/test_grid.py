@@ -26,6 +26,7 @@ from stackstokes.grid import (
     laplacian,
     norm,
     project_div_free,
+    project_div_free_with_potential,
     stream_function_velocity,
     traj_norm,
 )
@@ -105,6 +106,19 @@ def test_projection_recovers_div_free_part(rng):
     p = project_div_free(w + gradient(phi))
     assert norm(p - w) < 1e-10
 
+
+
+def test_projection_potential_gauge(rng):
+    # vel = out + grad(phi) on the interior faces, with phi in the mean-zero gauge
+    g = GridSpec(nx=16, ny=12, Lx=1.0, Ly=0.8, nt=8, T=1.0)
+    vel = closed_noise(g, rng) + gradient(ScalarField(g, rng.standard_normal((g.nx, g.ny))))
+    out, phi = project_div_free_with_potential(vel)
+    assert divergence(out).max_abs() < 1e-10
+    back = out + gradient(phi)
+    scale = vel.max_abs()
+    assert np.abs(back.u[1:-1, :] - vel.u[1:-1, :]).max() <= 1e-12 * scale
+    assert np.abs(back.v[:, 1:-1] - vel.v[:, 1:-1]).max() <= 1e-12 * scale
+    assert abs(phi.values.mean()) < 1e-13
 
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), nx=st.sampled_from([8, 12, 16]),

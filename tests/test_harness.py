@@ -355,6 +355,11 @@ def test_option_copies_keep_relax(monkeypatch):
     ("solver", "convection_on", 1, "solver.convection_on"),
     ("regions", "omega", [0.35, 0.75, "0.35", 0.75], "regions.omega[2]"),
     ("robust", "ell", [10.0], "robust.ell"),
+    ("options", "n_probes", "ten", "options.n_probes"),
+    ("data", "y0_amplitude", "big", "data.y0_amplitude"),
+    ("options", "sizes", ["x"], "options.sizes[0]"),
+    ("options", "gamma_grid", 0.5, "options.gamma_grid"),
+    ("data", "y0_kind", 3, "data.y0_kind"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
     from stackstokes.cli import main
@@ -372,10 +377,14 @@ def test_config_numbers_are_cast():
     raw["solver"]["small_data_delta"] = 1
     raw["grid"]["nt"] = 32.0
     raw["penalty"]["epsilon_schedule"] = [1, 0.5]
+    raw["options"]["sizes"] = [16.0, 32]
+    raw["data"]["y0_v_norm"] = None
     cfg = config_from_dict(raw)
     assert type(cfg.solver.small_data_delta) is float and cfg.solver.small_data_delta == 1.0
     assert type(cfg.grid.nt) is int and cfg.grid.nt == 32
     assert cfg.penalty.epsilon_schedule == (1.0, 0.5)
+    assert [type(n) for n in cfg.options["sizes"]] == [int, int]
+    assert "y0_v_norm" not in cfg.data  # null means absent: no rescaling
     raw["grid"]["nt"] = 32.5
     with pytest.raises(ConfigurationError, match="grid.nt"):
         config_from_dict(raw)

@@ -1,5 +1,8 @@
-"""Every exported name and every function the benchmark traces resolves."""
+"""Every exported name and every function the benchmark traces resolves, and
+every solver and penalty option is live."""
 
+import ast
+import dataclasses
 import importlib
 import pkgutil
 import runpy
@@ -8,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import stackstokes
+from stackstokes.leader import PenaltyConfig
+from stackstokes.stokes import SolverOptions
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+SRC = Path(stackstokes.__file__).resolve().parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(stackstokes.__path__))
 
 
@@ -30,3 +36,28 @@ def test_traced_functions_resolve():
             assert hasattr(obj, part), f"stackstokes.{module_name}.{attr} does not resolve"
             obj = getattr(obj, part)
         assert callable(obj)
+
+
+def _names_used():
+    """Attribute names read, and keyword names passed, anywhere in stackstokes."""
+    read, passed = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.keyword):
+                passed.add(node.arg)
+    return read, passed
+
+
+@pytest.mark.parametrize("cls", [SolverOptions, PenaltyConfig], ids=lambda c: c.__name__)
+def test_options_are_live(cls):
+    # every option is read by the program, and every on/off option is set by
+    # name somewhere in it (a config or a caller): a switch that only a test
+    # turns on guards code that no run reaches
+    read, passed = _names_used()
+    fields = dataclasses.fields(cls)
+    unread = sorted(f.name for f in fields if f.name not in read)
+    assert not unread, f"{cls.__name__} fields never read in stackstokes: {unread}"
+    never_on = sorted(f.name for f in fields if f.type == "bool" and f.name not in passed)
+    assert not never_on, f"{cls.__name__} switches nothing in stackstokes sets: {never_on}"

@@ -7,6 +7,7 @@ from stackstokes.grid import (
     Trajectory,
     VelocityField,
     divergence,
+    face_views,
     inner,
     inner_space_time,
     norm,
@@ -185,9 +186,9 @@ def test_forcing_assembly_masks(rng):
     g = setup["grid"]
     lead = control_traj(g, rng)
     fa = ForcingAssembly(g, leader=lead, omega=setup["omega"])
-    f = fa.at_level(3)
+    f_u, _ = face_views(fa.sources(), g)
     outside = setup["omega"].face_indicator(g)
-    assert np.abs(f.u[outside.on_u == 0.0]).max() == 0.0
+    assert np.abs(f_u[3][outside.on_u == 0.0]).max() == 0.0
     with pytest.raises(ConfigurationError):
         ForcingAssembly(g, leader=lead)  # support region required
 
@@ -400,18 +401,6 @@ def test_adjoint_f2_source_duality(rng):
     adj = solve_backward_adjoint(w, None, None, None, coup, TIGHT)
     rhs = g.dt * sum(inner(f2[m], adj.theta[m]) for m in range(g.nt + 1))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), norm(w) * 1e-6)
-
-
-def test_forward_pressure_storage(rng):
-    g = GridSpec(nx=16, ny=16, nt=16, T=0.5)
-    forcing = ForcingAssembly(g, disturbance=control_traj(g, rng, amp=0.3))
-    traj = solve_forward(closed_noise(g, rng), forcing,
-                         SolverOptions(store_pressure=True))
-    assert traj.pressures is not None and len(traj.pressures) == g.nt + 1
-    for p in traj.pressures:
-        assert abs(p.values.mean()) < 1e-13  # mean-zero gauge
-    bare = solve_forward(closed_noise(g, rng), None, SolverOptions())
-    assert bare.pressures is None
 
 
 @pytest.mark.parametrize("masked", [False, True])

@@ -1,10 +1,11 @@
-"""The packed Picard sweeps of stokes against per-level references.
+"""The packed marches of stokes against per-level references.
 
-The coupled and adjoint solvers Leray-project each sweep's sources in one
-batched pass and then take one S-then-P step per level.  These tests pin that
-rewrite to the plain per-level chain  y <- P S P (y + dt F)  it replaces,
-and check the transposed-convection (``link``) path against a
-finite-difference linearization of the convective state map.
+The forward solve and the sweeps of the coupled and adjoint solvers
+Leray-project their sources in one batched pass and then take one S-then-P
+step per level.  These tests pin that rewrite to the plain per-level chain
+y <- P S P (y - dt C(y) + dt F)  it replaces, and check the
+transposed-convection (``link``) path against a finite-difference
+linearization of the convective state map.
 """
 
 import math
@@ -34,6 +35,7 @@ from stackstokes.stokes import (
     SolverOptions,
     _march,
     adjoint_coupling,
+    convection,
     solve_backward_adjoint,
     solve_coupled_linear,
     solve_forward,
@@ -100,6 +102,54 @@ def test_march_matches_per_level_chain(rng):
         err = max(np.abs(u[m] - ref[m].u).max(), np.abs(v[m] - ref[m].v).max())
         assert err <= 1e-13 * ref[m].max_abs()
     assert np.array_equal(last.u, u[g.nt]) and np.array_equal(last.v, v[g.nt])
+
+
+# ---------------------------------------------------------------------------
+# the forward solve against the per-level chain it replaces
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("convection_on", [False, True])
+def test_forward_matches_per_level_chain(rng, convection_on):
+    setup = make_setup(nt=32)
+    g = setup["grid"]
+    om = setup["omega"].face_indicator(g)
+    cm = setup["chi"].face_mask(g)
+    lead, fol, dist, extra = (control_traj(g, rng, 0.3) for _ in range(4))
+    forcing = ForcingAssembly(g, leader=lead, follower=fol, disturbance=dist,
+                              extra_source=extra, omega=setup["omega"], chi=setup["chi"])
+    y0 = project_div_free(closed_noise(g, rng, 0.1))
+    got = solve_forward(y0, forcing, SolverOptions(convection_on=convection_on))
+
+    ref = [y0]
+    for m in range(1, g.nt + 1):
+        y = ref[-1]
+        x = y + g.dt * (lead[m].mul_mask(om) + fol[m].mul_mask(cm) + dist[m] + extra[m])
+        if convection_on:
+            x = x - g.dt * convection(y)
+        ref.append(_psp(x, g.dt))
+    assert np.array_equal(got[0].u, y0.u) and np.array_equal(got[0].v, y0.v)
+    for m in range(1, g.nt + 1):
+        assert norm(got[m] - ref[m]) <= 1e-13 * norm(ref[m])
+
+
+def test_forward_blowup_names_its_step(rng):
+    # a burst of forcing at step k stops the solve at k, and so does a NaN
+    # source at step 1, also with convection on (the CFL check lets NaN pass)
+    setup = make_setup(nt=16)
+    g = setup["grid"]
+    y0 = project_div_free(closed_noise(g, rng, 0.1))
+    nan_at_1 = Trajectory.zeros(g)
+    nan_at_1[1] = closed_noise(g, rng) * np.nan
+    cases = [(1, nan_at_1, False), (1, nan_at_1, True)]
+    for k in (1, 5, g.nt):
+        burst = Trajectory.zeros(g)
+        burst[k] = closed_noise(g, rng, 1e9)
+        cases.append((k, burst, False))
+    for k, source, convection_on in cases:
+        with pytest.raises(BlowupError) as err:
+            solve_forward(y0, ForcingAssembly(g, extra_source=source),
+                          SolverOptions(convection_on=convection_on))
+        assert err.value.iterations == k
 
 
 # ---------------------------------------------------------------------------
