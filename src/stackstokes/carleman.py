@@ -30,7 +30,6 @@ from .grid import (
     Trajectory,
     VelocityField,
     closed_noise,
-    face_views,
     inner,
     inner_levels,
     laplacian,
@@ -105,10 +104,6 @@ _ALPHA_KIND = {
     WeightFamily.ALPHA, WeightFamily.XI,
     WeightFamily.ALPHA_STAR, WeightFamily.XI_STAR,
     WeightFamily.ALPHA_HAT, WeightFamily.XI_HAT,
-}
-_SINGULAR = {
-    WeightFamily.ALPHA, WeightFamily.ALPHA_STAR, WeightFamily.ALPHA_HAT,
-    WeightFamily.BETA, WeightFamily.BETA_STAR, WeightFamily.BETA_HAT,
 }
 
 
@@ -445,14 +440,6 @@ class ObservabilityReport:
     flagged: int   # samples with vanishing observation but nonzero state
 
 
-def _face_eta(grid: GridSpec) -> np.ndarray:
-    """The profile sin(pi x / Lx) sin(pi y / Ly) on the faces, packed (see ``face_views``)."""
-    eta = np.empty(grid.n_faces)
-    for (x, y), e in zip((grid.u_face_coords(), grid.v_face_coords()), face_views(eta, grid)):
-        e[...] = np.sin(np.pi * x[:, None] / grid.Lx) * np.sin(np.pi * y[None, :] / grid.Ly)
-    return eta
-
-
 def observability_ratio(
     params: CarlemanParams,
     coupling: Coupling,
@@ -499,8 +486,12 @@ def observability_ratio(
 
     # spatially varying weight of the observation term
     lam, M = params.lam, params.eta_norm
+
+    def eta(x, y):
+        return np.sin(np.pi * x / g.Lx) * np.sin(np.pi * y / g.Ly)
+
     q = -4.0 * a0 * (1.0 - math.exp(-2.0 * lam * M)) + 2.0 * (m0 - 2.0) * (
-        1.0 - np.exp(-lam * (2.0 * M - _face_eta(g)))
+        1.0 - np.exp(-lam * (2.0 * M - VelocityField.from_functions(g, eta, eta).data))
     )
     # the observation weight of every level and face, times the quadrature
     # weights (trapezoid in time, cell area in space, the face mask of omega)
@@ -517,12 +508,12 @@ def observability_ratio(
             expo = np.sign(q) * np.exp(np.minimum(base + np.log(np.abs(q)), 709.0))
         rhs_w[m] = np.exp(np.minimum(expo + 15.0 * tau_hat_log, 709.0))
     wq = w * g.dt
-    rhs_w *= omega.face_mask(g).packed
+    rhs_w *= omega.face_mask(g).data
     rhs_w *= (wq * g.cell_area)[:, None]
 
     if samples is None:
-        u, v = face_views(closed_noise(g, rng, n_samples), g)
-        samples = [project_div_free(VelocityField(g, a, b)) for a, b in zip(u, v)]
+        samples = [project_div_free(VelocityField.from_packed(g, row))
+                   for row in closed_noise(g, rng, n_samples)]
     ratios = []
     flagged = 0
     for phiT in samples:

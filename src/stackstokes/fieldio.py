@@ -3,7 +3,7 @@
 Binary layout (little-endian): magic ``b"SGF1"``, kind byte (``b"S"`` scalar,
 ``b"V"`` velocity), uint32 nx, uint32 ny, then the payload(s) as row-major
 float64: scalar ``nx*ny``; velocity ``(nx+1)*ny`` for u followed by
-``nx*(ny+1)`` for v.
+``nx*(ny+1)`` for v, which is the packed ``data`` of the field.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ def write_field(path, field) -> None:
             fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
         elif isinstance(field, VelocityField):
             fh.write(_HEADER.pack(MAGIC, b"V", field.grid.nx, field.grid.ny))
-            fh.write(np.ascontiguousarray(field.u, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(field.v, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(field.data, dtype="<f8").tobytes())
         else:
             raise ConfigurationError(f"cannot serialize {type(field).__name__}")
 
@@ -61,10 +60,7 @@ def read_field(path, grid: GridSpec):
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     if kind == b"S":
         return ScalarField(grid, body.reshape(nx, ny).copy())
-    nu = (nx + 1) * ny
-    u = body[:nu].reshape(nx + 1, ny).copy()
-    v = body[nu:].reshape(nx, ny + 1).copy()
-    return VelocityField(grid, u, v)
+    return VelocityField.from_packed(grid, body.astype(float))
 
 
 def write_trajectory(directory, name: str, traj: Trajectory) -> list:

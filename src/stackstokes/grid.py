@@ -30,12 +30,16 @@ took 320 / 400 / 1030 / 3560-4040 us through ``scipy.fft`` at nx = ny = 16 /
 the two forms meet at about 128, the largest grid any config, test or
 benchmark steps on.  On larger grids the cubic cost would make FFTs faster.
 
-A trajectory is stored as one packed stack of shape ``(nt+1, n_faces)``:
-row m holds level m, its u faces followed by its v faces (:func:`face_views`).
-Trajectory arithmetic, masks and the space-time inner product are single
-numpy operations on that stack, and ``traj[m]`` is a velocity field whose
-arrays view row m, so a snapshot kept beyond its trajectory is copied first
-(see :class:`Trajectory`).
+Fields, masks and trajectory rows share one packed layout: a vector of
+``n_faces`` values, the u faces followed by the v faces (:func:`face_views`).
+A :class:`VelocityField` is one such vector, whose ``u`` and ``v`` arrays are
+views of it; a face mask is a velocity field of weights; a trajectory is one
+packed stack of shape ``(nt+1, n_faces)`` whose row m holds level m.  Field
+and trajectory arithmetic, masks and the inner products are single numpy
+operations on the packed data, and ``traj[m]`` is a velocity field over row
+m, so a snapshot kept beyond its trajectory is copied first (see
+:class:`Trajectory`).  The SGF1 velocity payload of :mod:`fieldio` is the
+same vector.
 
 The Leray projection also takes leading batch dimensions: ``np.matmul``
 broadcasts the cached matrices over a stack of levels, so a single field and
@@ -115,13 +119,39 @@ class GridSpec:
     def cell_area(self) -> float:
         return self.hx * self.hy
 
-    @property
+    @cached_property
     def n_faces(self) -> int:
         """Length of a packed velocity: the u faces, then the v faces."""
         return (self.nx + 1) * self.ny + self.nx * (self.ny + 1)
 
+    @cached_property
+    def _face_split(self) -> tuple:
+        """The u-face count and the u and v array shapes of the packed layout."""
+        return (self.nx + 1) * self.ny, (self.nx + 1, self.ny), (self.nx, self.ny + 1)
+
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.nt + 1)
+
+    @cached_property
+    def face_weights(self) -> np.ndarray:
+        """Packed quadrature weights: 1, and 1/2 on the normal boundary faces (read-only)."""
+        w = np.ones(self.n_faces)
+        wu, wv = face_views(w, self)
+        wu[0, :] = wu[-1, :] = 0.5
+        wv[:, 0] = wv[:, -1] = 0.5
+        w.flags.writeable = False
+        return w
+
+    # The transform tables are kept on the grid, so that each step reads them
+    # as an attribute instead of hashing the grid for a cache lookup.
+    @cached_property
+    def _neumann(self) -> tuple:
+        return _neumann_tables(self)
+
+    @cached_property
+    def _diffusion(self) -> dict:
+        """Tables of :func:`diffusion_solve` by time step, filled on first use."""
+        return {}
 
     # coordinates of the three samplings
     def cell_centers(self):
@@ -184,58 +214,64 @@ class ScalarField:
     __rmul__ = __mul__
 
 
-@dataclass
 class VelocityField:
-    """Face-staggered velocity pair (u on vertical faces, v on horizontal)."""
+    """Face-staggered velocity: u on vertical faces, v on horizontal faces.
 
-    grid: GridSpec
-    u: np.ndarray
-    v: np.ndarray
+    The field is one packed vector ``data`` of length ``grid.n_faces``, its
+    u faces followed by its v faces (see :func:`face_views`); ``u``, shape
+    ``(nx+1, ny)``, and ``v``, shape ``(nx, ny+1)``, are views of it.
+    Arithmetic and masks act on ``data`` in one operation.  A mask is a
+    velocity field of weights.
+    """
 
     __array_ufunc__ = None
+    __slots__ = ("grid", "data", "u", "v")
 
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        g = self.grid
-        if self.u.shape != (g.nx + 1, g.ny) or self.v.shape != (g.nx, g.ny + 1):
+    def __init__(self, grid: GridSpec, u, v):
+        """A field holding copies of ``u`` (shape (nx+1, ny)) and ``v`` (shape (nx, ny+1))."""
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if u.shape != (grid.nx + 1, grid.ny) or v.shape != (grid.nx, grid.ny + 1):
             raise ConfigurationError(
-                f"velocity shapes {self.u.shape}/{self.v.shape} do not match grid "
-                f"{(g.nx + 1, g.ny)}/{(g.nx, g.ny + 1)}"
+                f"velocity shapes {u.shape}/{v.shape} do not match grid "
+                f"{(grid.nx + 1, grid.ny)}/{(grid.nx, grid.ny + 1)}"
             )
+        self.grid = grid
+        self.data = np.concatenate([u.ravel(), v.ravel()])
+        self.u, self.v = face_views(self.data, grid)
+
+    @classmethod
+    def from_packed(cls, grid: GridSpec, data: np.ndarray) -> "VelocityField":
+        """The field whose packed vector is ``data`` itself, without a copy."""
+        if data.shape != (grid.n_faces,):
+            raise ConfigurationError(
+                f"packed velocity has shape {data.shape}, expected {(grid.n_faces,)}"
+            )
+        f = cls.__new__(cls)
+        f.grid, f.data = grid, data
+        f.u, f.v = face_views(data, grid)
+        return f
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "VelocityField":
-        return cls(grid, np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1)))
-
-    @classmethod
-    def _of(cls, grid: GridSpec, u: np.ndarray, v: np.ndarray) -> "VelocityField":
-        """Wrap float arrays already of the grid's face shapes, skipping the checks.
-
-        For the per-step solver paths, whose arrays have these shapes by
-        construction.
-        """
-        f = cls.__new__(cls)
-        f.grid, f.u, f.v = grid, u, v
-        return f
+        return cls.from_packed(grid, np.zeros(grid.n_faces))
 
     @classmethod
     def from_functions(cls, grid: GridSpec, fu, fv) -> "VelocityField":
         xu, yu = grid.u_face_coords()
         xv, yv = grid.v_face_coords()
-        u = np.asarray(fu(xu[:, None], yu[None, :]), dtype=float)
-        v = np.asarray(fv(xv[:, None], yv[None, :]), dtype=float)
-        u = np.broadcast_to(u, (grid.nx + 1, grid.ny)).copy()
-        v = np.broadcast_to(v, (grid.nx, grid.ny + 1)).copy()
-        return cls(grid, u, v)
+        out = cls.zeros(grid)
+        out.u[...] = fu(xu[:, None], yu[None, :])
+        out.v[...] = fv(xv[:, None], yv[None, :])
+        return out
 
     def copy(self) -> "VelocityField":
-        return VelocityField(self.grid, self.u.copy(), self.v.copy())
+        return VelocityField.from_packed(self.grid, self.data.copy())
 
     def apply_noslip(self) -> "VelocityField":
         """Zero the normal boundary faces (no-penetration closure)."""
         out = self.copy()
-        _zero_normal_faces(out.u, out.v)
+        _zero_normal_faces(out.data, self.grid)
         return out
 
     def boundary_is_closed(self, tol: float = 0.0) -> bool:
@@ -247,66 +283,66 @@ class VelocityField:
         )
 
     def max_abs(self) -> float:
-        return max(float(np.abs(self.u).max()), float(np.abs(self.v).max()))
+        return float(np.abs(self.data).max())
 
     def __add__(self, other):
-        return VelocityField(self.grid, self.u + other.u, self.v + other.v)
+        _check_same_faces(self, other)
+        return VelocityField.from_packed(self.grid, self.data + other.data)
 
     def __sub__(self, other):
-        return VelocityField(self.grid, self.u - other.u, self.v - other.v)
+        _check_same_faces(self, other)
+        return VelocityField.from_packed(self.grid, self.data - other.data)
 
     def __mul__(self, a: float):
-        return VelocityField(self.grid, self.u * a, self.v * a)
+        return VelocityField.from_packed(self.grid, self.data * a)
 
     __rmul__ = __mul__
 
     def __neg__(self):
         return self * (-1.0)
 
-    def mul_mask(self, mask: "FaceMask") -> "VelocityField":
-        return VelocityField(self.grid, self.u * mask.on_u, self.v * mask.on_v)
-
-
-@dataclass(frozen=True)
-class FaceMask:
-    """A multiplier sampled on both face families (weights or indicators)."""
-
-    on_u: np.ndarray
-    on_v: np.ndarray
-
-    @cached_property
-    def packed(self) -> np.ndarray:
-        """The mask as one vector in the packed face layout of :func:`face_views`.
-
-        Built on first use and kept with the mask; callers must not write to it.
-        """
-        return np.concatenate([self.on_u.ravel(), self.on_v.ravel()])
+    def mul_mask(self, mask: "VelocityField") -> "VelocityField":
+        _check_same_faces(self, mask)
+        return VelocityField.from_packed(self.grid, self.data * mask.data)
 
 
 def face_views(packed: np.ndarray, grid: GridSpec):
     """The u and v arrays viewed inside a packed stack of shape ``(..., n_faces)``.
 
     A packed velocity is one vector of the (nx+1)*ny u faces followed by the
-    nx*(ny+1) v faces, so masks, sums and norms act on a whole stack of
-    levels at once; the views share its memory.
+    nx*(ny+1) v faces.  Velocity fields, masks and trajectory rows all store
+    this layout, so masks, sums and norms act on a whole stack of levels at
+    once; the views share its memory.
     """
+    n_u, u_shape, v_shape = grid._face_split
     lead = packed.shape[:-1]
-    n_u = (grid.nx + 1) * grid.ny
-    return (packed[..., :n_u].reshape(*lead, grid.nx + 1, grid.ny),
-            packed[..., n_u:].reshape(*lead, grid.nx, grid.ny + 1))
+    return packed[..., :n_u].reshape(lead + u_shape), packed[..., n_u:].reshape(lead + v_shape)
 
 
-def _zero_normal_faces(u: np.ndarray, v: np.ndarray) -> None:
-    """Zero the normal boundary faces of u / v arrays with any leading dimensions."""
+def _zero_normal_faces(packed: np.ndarray, grid: GridSpec) -> None:
+    """Zero the normal boundary faces of a packed stack with any leading dimensions."""
+    u, v = face_views(packed, grid)
     u[..., 0, :] = 0.0
     u[..., -1, :] = 0.0
     v[..., 0] = 0.0
     v[..., -1] = 0.0
 
 
+def _read_only(grid: GridSpec, data: np.ndarray) -> VelocityField:
+    """A field over ``data`` made read-only, for masks that are built once and shared."""
+    data.flags.writeable = False
+    return VelocityField.from_packed(grid, data)
+
+
 def _check_same_grid(a, b):
     if a.grid != b.grid:
         raise ConfigurationError("fields live on different grids")
+
+
+def _check_same_faces(a, b):
+    # packed vectors of an nx x ny and an ny x nx grid have the same length
+    if a.grid is not b.grid and (a.grid.nx, a.grid.ny) != (b.grid.nx, b.grid.ny):
+        raise ConfigurationError("fields live on grids with different faces")
 
 
 @dataclass(frozen=True)
@@ -363,29 +399,33 @@ class Region:
         in_y = (y >= self.y0) & (y < self.y1)
         return (in_x[:, None] & in_y[None, :]).astype(float)
 
-    def face_mask(self, grid: GridSpec) -> FaceMask:
-        """Face weights by adjacent-cell averaging (exact area for aligned boxes)."""
-        c = self.cell_mask(grid)
-        on_u = np.zeros((grid.nx + 1, grid.ny))
-        on_u[1:-1, :] = 0.5 * (c[1:, :] + c[:-1, :])
-        on_u[0, :] = c[0, :]
-        on_u[-1, :] = c[-1, :]
-        on_v = np.zeros((grid.nx, grid.ny + 1))
-        on_v[:, 1:-1] = 0.5 * (c[:, 1:] + c[:, :-1])
-        on_v[:, 0] = c[:, 0]
-        on_v[:, -1] = c[:, -1]
-        return FaceMask(on_u, on_v)
+    @lru_cache(maxsize=32)
+    def face_mask(self, grid: GridSpec) -> VelocityField:
+        """Face weights by adjacent-cell averaging (exact area for aligned boxes).
 
-    def face_indicator(self, grid: GridSpec) -> FaceMask:
+        Built once per grid; the result is read-only.
+        """
+        c = self.cell_mask(grid)
+        data = np.zeros(grid.n_faces)
+        u, v = face_views(data, grid)
+        u[1:-1, :] = 0.5 * (c[1:, :] + c[:-1, :])
+        u[0, :] = c[0, :]
+        u[-1, :] = c[-1, :]
+        v[:, 1:-1] = 0.5 * (c[:, 1:] + c[:, :-1])
+        v[:, 0] = c[:, 0]
+        v[:, -1] = c[:, -1]
+        return _read_only(grid, data)
+
+    @lru_cache(maxsize=32)
+    def face_indicator(self, grid: GridSpec) -> VelocityField:
         """Sharp 0/1 support indicator on faces (idempotent projection).
 
         A face counts only when both adjacent cells lie in the region, so
         multiplying twice equals multiplying once; this is the mask used to
         restrict control fields, while :meth:`face_mask` provides integral
-        weights.
+        weights.  Built once per grid; the result is read-only.
         """
-        fm = self.face_mask(grid)
-        return FaceMask((fm.on_u >= 1.0).astype(float), (fm.on_v >= 1.0).astype(float))
+        return _read_only(grid, (self.face_mask(grid).data >= 1.0).astype(float))
 
 
 @dataclass(frozen=True)
@@ -430,22 +470,20 @@ class SmoothCutoff:
             np.asarray(y, dtype=float), r.y0, r.y1, w
         )
 
-    def face_mask(self, grid: GridSpec) -> FaceMask:
-        xu, yu = grid.u_face_coords()
-        xv, yv = grid.v_face_coords()
-        return FaceMask(
-            self.evaluate(xu[:, None], yu[None, :]),
-            self.evaluate(xv[:, None], yv[None, :]),
-        )
+    @lru_cache(maxsize=32)
+    def face_mask(self, grid: GridSpec) -> VelocityField:
+        """The cutoff sampled on the faces; built once per grid, read-only."""
+        return _read_only(grid, VelocityField.from_functions(grid, self.evaluate,
+                                                             self.evaluate).data)
 
 
 class Trajectory:
     """Time-indexed sequence of nt+1 velocity snapshots on one grid.
 
     The snapshots live in one packed stack ``data`` of shape ``(nt+1, n_faces)``
-    whose row m holds level m in the layout of :func:`face_views`; ``+``,
-    ``-``, ``*``, :meth:`mul_mask` and the norms act on the whole stack at
-    once.  ``traj[m]`` is a :class:`VelocityField` whose arrays view row m:
+    whose row m is the ``data`` of level m; ``+``, ``-``, ``*``,
+    :meth:`mul_mask` and the norms act on the whole stack at once.
+    ``traj[m]`` is a :class:`VelocityField` whose ``data`` is row m:
     writing into them writes into the trajectory, and a later in-place change
     of the trajectory shows in the snapshot.  A snapshot kept beyond its
     trajectory, or one that must not change with it, is copied first (as
@@ -472,7 +510,6 @@ class Trajectory:
             raise ConfigurationError(
                 f"trajectory stack has shape {self.data.shape}, expected {shape}"
             )
-        self._u, self._v = face_views(self.data, grid)
         for m, f in enumerate(fields):
             self[m] = f
 
@@ -497,16 +534,15 @@ class Trajectory:
         return len(self.data)
 
     def __getitem__(self, m: int) -> VelocityField:
-        return VelocityField._of(self.grid, self._u[m], self._v[m])
+        return VelocityField.from_packed(self.grid, self.data[m])
 
     def __setitem__(self, m: int, f: VelocityField):
         if f.grid != self.grid:
             raise ConfigurationError("snapshot on a different grid")
-        self._u[m] = f.u
-        self._v[m] = f.v
+        self.data[m] = f.data
 
     def __iter__(self):
-        return (VelocityField._of(self.grid, u, v) for u, v in zip(self._u, self._v))
+        return (VelocityField.from_packed(self.grid, row) for row in self.data)
 
     def copy(self) -> "Trajectory":
         return Trajectory(self.grid, self.data.copy())
@@ -524,8 +560,9 @@ class Trajectory:
 
     __rmul__ = __mul__
 
-    def mul_mask(self, mask: FaceMask) -> "Trajectory":
-        return Trajectory(self.grid, self.data * mask.packed)
+    def mul_mask(self, mask: VelocityField) -> "Trajectory":
+        _check_same_faces(self, mask)
+        return Trajectory(self.grid, self.data * mask.data)
 
     def max_abs(self) -> float:
         return float(np.abs(self.data).max())
@@ -545,11 +582,10 @@ def divergence(vel: VelocityField) -> ScalarField:
 def gradient(p: ScalarField) -> VelocityField:
     """Cell-to-face gradient with zero normal-boundary faces (Neumann closure)."""
     g = p.grid
-    u = np.zeros((g.nx + 1, g.ny))
-    v = np.zeros((g.nx, g.ny + 1))
-    u[1:-1, :] = (p.values[1:, :] - p.values[:-1, :]) / g.hx
-    v[:, 1:-1] = (p.values[:, 1:] - p.values[:, :-1]) / g.hy
-    return VelocityField(g, u, v)
+    out = VelocityField.zeros(g)
+    out.u[1:-1, :] = (p.values[1:, :] - p.values[:-1, :]) / g.hx
+    out.v[:, 1:-1] = (p.values[:, 1:] - p.values[:, :-1]) / g.hy
+    return out
 
 
 def laplacian(vel: VelocityField) -> VelocityField:
@@ -561,9 +597,10 @@ def laplacian(vel: VelocityField) -> VelocityField:
     """
     g = vel.grid
     hx2, hy2 = g.hx**2, g.hy**2
+    out = VelocityField.zeros(g)
 
     u = vel.u
-    lu = np.zeros_like(u)
+    lu = out.u
     lu[1:-1, :] = (u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / hx2
     ug = np.empty((g.nx + 1, g.ny + 2))
     ug[:, 1:-1] = u
@@ -572,15 +609,14 @@ def laplacian(vel: VelocityField) -> VelocityField:
     lu[1:-1, :] += (ug[1:-1, 2:] - 2.0 * u[1:-1, :] + ug[1:-1, :-2]) / hy2
 
     v = vel.v
-    lv = np.zeros_like(v)
+    lv = out.v
     lv[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / hy2
     vg = np.empty((g.nx + 2, g.ny + 1))
     vg[1:-1, :] = v
     vg[0, :] = -v[0, :]
     vg[-1, :] = -v[-1, :]
     lv[:, 1:-1] += (vg[2:, 1:-1] - 2.0 * v[:, 1:-1] + vg[:-2, 1:-1]) / hx2
-
-    return VelocityField(g, lu, lv)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +664,6 @@ def _and_transpose(b: np.ndarray):
     return b, np.ascontiguousarray(b.T)
 
 
-@lru_cache(maxsize=32)
 def _neumann_tables(grid: GridSpec):
     """Cosine matrices, the divergence in cosine space, and the inverse Laplacian.
 
@@ -653,7 +688,7 @@ def _neumann_tables(grid: GridSpec):
 
 def _poisson_neumann_direct(grid: GridSpec, rhs: np.ndarray) -> np.ndarray:
     """Exact mean-zero solve of the cell-centered Neumann Laplacian."""
-    cx, cx_t, cy, cy_t, _, _, inv = _neumann_tables(grid)
+    cx, cx_t, cy, cy_t, _, _, inv = grid._neumann
     return -_diagonalized(rhs, cx, cx_t, cy, cy_t, inv)
 
 
@@ -676,7 +711,7 @@ def _leray(u_in: np.ndarray, v_in: np.ndarray, grid: GridSpec, out_u, out_v) -> 
     :func:`project_div_free_with_potential` returns would cost two more
     products.
     """
-    cx, cx_t, cy, cy_t, ax, ay_t, inv = _neumann_tables(grid)
+    cx, cx_t, cy, cy_t, ax, ay_t, inv = grid._neumann
     q = ax @ u_in @ cy_t
     q += cx @ v_in @ ay_t
     q *= inv
@@ -691,11 +726,9 @@ def _leray(u_in: np.ndarray, v_in: np.ndarray, grid: GridSpec, out_u, out_v) -> 
 
 
 def _project(vel: VelocityField):
-    g = vel.grid
-    u = np.zeros((g.nx + 1, g.ny))
-    v = np.zeros((g.nx, g.ny + 1))
-    p = _leray(vel.u[1:-1, :], vel.v[:, 1:-1], g, u[1:-1, :], v[:, 1:-1])
-    return VelocityField._of(g, u, v), p
+    out = VelocityField.zeros(vel.grid)
+    p = _leray(vel.u[1:-1, :], vel.v[:, 1:-1], vel.grid, out.u[1:-1, :], out.v[:, 1:-1])
+    return out, p
 
 
 def project_div_free(vel: VelocityField) -> VelocityField:
@@ -731,10 +764,9 @@ def project_levels(packed: np.ndarray, grid: GridSpec) -> None:
         u_in = u[start:start + block, 1:-1, :]
         v_in = v[start:start + block, :, 1:-1]
         _leray(u_in, v_in, grid, u_in, v_in)
-    _zero_normal_faces(u, v)
+    _zero_normal_faces(packed, grid)
 
 
-@lru_cache(maxsize=32)
 def _diffusion_tables(grid: GridSpec, dt: float):
     """Sine matrices and multipliers 1/(1 - dt*lambda) for both components.
 
@@ -763,43 +795,32 @@ def diffusion_solve(rhs: VelocityField, dt: float) -> VelocityField:
     closure of :func:`laplacian`.
     """
     g = rhs.grid
-    tab_u, tab_v = _diffusion_tables(g, dt)
-    u = np.zeros((g.nx + 1, g.ny))
-    u[1:-1, :] = _diagonalized(rhs.u[1:-1, :], *tab_u)
-    v = np.zeros((g.nx, g.ny + 1))
-    v[:, 1:-1] = _diagonalized(rhs.v[:, 1:-1], *tab_v)
-    return VelocityField._of(g, u, v)
+    tables = g._diffusion.get(dt)
+    if tables is None:
+        tables = g._diffusion[dt] = _diffusion_tables(g, dt)
+    tab_u, tab_v = tables
+    out = VelocityField.zeros(g)
+    out.u[1:-1, :] = _diagonalized(rhs.u[1:-1, :], *tab_u)
+    out.v[:, 1:-1] = _diagonalized(rhs.v[:, 1:-1], *tab_v)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # inner products and norms
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _face_weights(nx, ny):
-    wu = np.ones((nx + 1, ny))
-    wu[0, :] = 0.5
-    wu[-1, :] = 0.5
-    wv = np.ones((nx, ny + 1))
-    wv[:, 0] = 0.5
-    wv[:, -1] = 0.5
-    return wu, wv
-
-
-def inner(a: VelocityField, b: VelocityField, mask: FaceMask | None = None) -> float:
+def inner(a: VelocityField, b: VelocityField, mask: VelocityField | None = None) -> float:
     """Discrete L2 pairing of velocities (optionally weighted by a face mask)."""
     _check_same_grid(a, b)
     g = a.grid
-    wu, wv = _face_weights(g.nx, g.ny)
-    pu = wu * a.u * b.u
-    pv = wv * a.v * b.v
+    p = g.face_weights * a.data * b.data
     if mask is not None:
-        pu = pu * mask.on_u
-        pv = pv * mask.on_v
+        p *= mask.data
+    pu, pv = face_views(p, g)
     return g.cell_area * (float(pu.sum()) + float(pv.sum()))
 
 
-def norm(a: VelocityField, mask: FaceMask | None = None) -> float:
+def norm(a: VelocityField, mask: VelocityField | None = None) -> float:
     return math.sqrt(max(inner(a, a, mask), 0.0))
 
 
@@ -822,23 +843,18 @@ def trapezoid_weights(nt: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=32)
-def _packed_face_weights(grid: GridSpec) -> np.ndarray:
-    wu, wv = _face_weights(grid.nx, grid.ny)
-    return grid.cell_area * np.concatenate([wu.ravel(), wv.ravel()])
-
-
 def inner_levels(a: Trajectory, b: Trajectory, mask=None) -> np.ndarray:
     """:func:`inner` of a[m] and b[m] at every level m, as one weighted reduction.
 
-    ``mask`` is a :class:`FaceMask`, or a region or cutoff whose face mask is
-    used.  ``einsum`` multiplies and weighs without a stack-sized temporary.
+    ``mask`` is a face mask, or a region or cutoff whose face mask is used.
+    ``einsum`` multiplies and weighs without a stack-sized temporary.
     """
     _check_same_grid(a, b)
-    weights = _packed_face_weights(a.grid)
+    g = a.grid
+    weights = g.cell_area * g.face_weights
     if mask is not None:
-        fm = mask if isinstance(mask, FaceMask) else mask.face_mask(a.grid)
-        weights = weights * fm.packed
+        fm = mask if isinstance(mask, VelocityField) else mask.face_mask(g)
+        weights = weights * fm.data
     return np.einsum("ij,ij,j->i", a.data, b.data, weights)
 
 
@@ -861,11 +877,8 @@ def closed_noise(grid: GridSpec, rng: np.random.Generator, levels: int,
     normal boundary faces of every level (no-penetration closure).
     """
     out = np.zeros((levels, grid.n_faces))
-    u, v = face_views(out, grid)
-    for m in range(first, levels):
-        u[m] = rng.standard_normal((grid.nx + 1, grid.ny))
-        v[m] = rng.standard_normal((grid.nx, grid.ny + 1))
-    _zero_normal_faces(u, v)
+    out[first:] = rng.standard_normal((levels - first, grid.n_faces))
+    _zero_normal_faces(out, grid)
     out *= amp
     return out
 

@@ -30,7 +30,6 @@ from .grid import (
     Trajectory,
     VelocityField,
     closed_noise,
-    face_views,
     h1_norm,
     norm,
     project_div_free,
@@ -163,8 +162,8 @@ class ExperimentConfig:
                          * np.sin(np.pi * yn[None, :] / g.Ly) ** 2)
             y0 = stream_function_velocity(g, psi)
         elif kind == "random":
-            u, v = face_views(closed_noise(g, rng_stream(self.seed, "y0"), 1, amp), g)
-            y0 = project_div_free(VelocityField(g, u[0], v[0]))
+            noise = closed_noise(g, rng_stream(self.seed, "y0"), 1, amp)
+            y0 = project_div_free(VelocityField.from_packed(g, noise[0]))
         else:
             raise ConfigurationError(f"unknown y0_kind {kind!r}")
         target = d.get("y0_v_norm")
@@ -363,6 +362,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     small_data_delta = sv.get("small_data_delta")
     if small_data_delta is not None:
         small_data_delta = _typed(small_data_delta, "solver.small_data_delta")
+    options = _section(raw, "options", _OPTION_KINDS)
+    sizes = options.get("sizes")
+    if sizes is not None and not (len(sizes) >= 2 and sizes[0] >= 8
+                                  and all(a < b for a, b in zip(sizes, sizes[1:]))):
+        # the convergence study solves every size and compares neighbours
+        raise ConfigurationError(f"config field 'options.sizes' must list at least two "
+                                 f"grid sizes >= 8 in increasing order, got {sizes}")
     return ExperimentConfig(
         experiment=_field(raw, "experiment", "", str),
         seed=_field(raw, "seed", "", int),
@@ -399,7 +405,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             small_data_delta=small_data_delta,
         ),
         data=_section(raw, "data", _DATA_KINDS),
-        options=_section(raw, "options", _OPTION_KINDS),
+        options=options,
         raw=raw,
     )
 
@@ -621,7 +627,7 @@ def _exp_carleman(cfg: ExperimentConfig, outdir: Path, h: str):
     # the projection ignores the normal faces that closed_noise zeroes
     noise = closed_noise(g, rng_stream(cfg.seed, "laplacian-samples"),
                          int(opts.get("n_laplacian_samples", 20)))
-    us = [project_div_free(VelocityField(g, u, v)) for u, v in zip(*face_views(noise, g))]
+    us = [project_div_free(VelocityField.from_packed(g, row)) for row in noise]
     s5 = CarlemanParams(lam=p.lam, s=float(opts.get("laplacian_s", 5.0)),
                         a0=p.a0, m0=p.m0, eta_norm=p.eta_norm)
     b1 = check_laplacian_weight_bound(s5, T, 0.0, 0.0, us, cfg.omega, n_time=128)

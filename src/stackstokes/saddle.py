@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
 from .grid import (
-    FaceMask,
     GridSpec,
     Region,
     SmoothCutoff,
@@ -120,10 +119,8 @@ class SaddleProblem:
             self.params.mu,
         )
         # feedback-free coupling used by the plain tracking adjoint
-        zero_u = np.zeros_like(self._chi_mask.on_u)
-        zero_v = np.zeros_like(self._chi_mask.on_v)
         self._plain_coupling = Coupling(
-            self.grid, FaceMask(zero_u, zero_v), self._chi_mask, self._obs_mask, 0.0
+            self.grid, VelocityField.zeros(self.grid), self._obs_mask, 0.0
         )
 
     @property

@@ -17,7 +17,7 @@ control gradients are the raw dual states divided by w_m.
 
 All three integrators (:func:`solve_forward` and the sweeps of the coupled
 and adjoint solvers) step through one march, :func:`_march`, on packed
-stacks of all levels (see :func:`grid.face_views`), using the identity
+stacks of all levels, using the identity
 
     P S P (y + dt F) = P S (y + dt P F)    whenever  P y = y,
 
@@ -49,7 +49,6 @@ from .errors import (
     ConvergenceError,
 )
 from .grid import (
-    FaceMask,
     GridSpec,
     Region,
     SmoothCutoff,
@@ -57,7 +56,6 @@ from .grid import (
     VelocityField,
     diffusion_solve,
     divergence,
-    face_views,
     h1_norm,
     project_div_free,
     project_levels,
@@ -130,8 +128,8 @@ class ForcingAssembly:
             raise ConfigurationError("leader forcing requires its support region")
         if self.follower is not None and self.chi is None:
             raise ConfigurationError("follower forcing requires its cutoff")
-        self._omega_mask = self.omega.face_indicator(self.grid).packed if self.omega else None
-        self._chi_mask = self.chi.face_mask(self.grid).packed if self.chi else None
+        self._omega_mask = self.omega.face_indicator(self.grid).data if self.omega else None
+        self._chi_mask = self.chi.face_mask(self.grid).data if self.chi else None
 
     def sources(self) -> np.ndarray | None:
         """dt times the summed forcing of every level as one packed stack (None if unforced)."""
@@ -183,35 +181,33 @@ def _u_at_v(u):
 def convection(y: VelocityField) -> VelocityField:
     """Advective term (y . grad) y with centered stencils and no-slip ghosts."""
     g = y.grid
-    cu = np.zeros_like(y.u)
-    cu[1:-1, :] = y.u[1:-1, :] * _dudx(y.u, g.hx) + _v_at_u(y.v) * _dudy(
+    out = VelocityField.zeros(g)
+    out.u[1:-1, :] = y.u[1:-1, :] * _dudx(y.u, g.hx) + _v_at_u(y.v) * _dudy(
         y.u[1:-1, :], g.hy
     )
-    cv = np.zeros_like(y.v)
-    cv[:, 1:-1] = _u_at_v(y.u) * _dvdx(y.v[:, 1:-1], g.hx) + y.v[:, 1:-1] * _dvdy(
+    out.v[:, 1:-1] = _u_at_v(y.u) * _dvdx(y.v[:, 1:-1], g.hx) + y.v[:, 1:-1] * _dvdy(
         y.v, g.hy
     )
-    return VelocityField(g, cu, cv)
+    return out
 
 
 def linearized_convection(y: VelocityField, dy: VelocityField) -> VelocityField:
     """Directional derivative of :func:`convection` at y in direction dy."""
     g = y.grid
-    cu = np.zeros_like(y.u)
-    cu[1:-1, :] = (
+    out = VelocityField.zeros(g)
+    out.u[1:-1, :] = (
         dy.u[1:-1, :] * _dudx(y.u, g.hx)
         + _v_at_u(dy.v) * _dudy(y.u[1:-1, :], g.hy)
         + y.u[1:-1, :] * _dudx(dy.u, g.hx)
         + _v_at_u(y.v) * _dudy(dy.u[1:-1, :], g.hy)
     )
-    cv = np.zeros_like(y.v)
-    cv[:, 1:-1] = (
+    out.v[:, 1:-1] = (
         _u_at_v(dy.u) * _dvdx(y.v[:, 1:-1], g.hx)
         + dy.v[:, 1:-1] * _dvdy(y.v, g.hy)
         + _u_at_v(y.u) * _dvdx(dy.v[:, 1:-1], g.hx)
         + y.v[:, 1:-1] * _dvdy(dy.v, g.hy)
     )
-    return VelocityField(g, cu, cv)
+    return out
 
 
 def adjoint_coupling(y: VelocityField, z: VelocityField) -> VelocityField:
@@ -234,7 +230,8 @@ def adjoint_coupling(y: VelocityField, z: VelocityField) -> VelocityField:
     ub = _u_at_v(y.u)
     vb = _v_at_u(y.v)
 
-    out_u = np.zeros_like(y.u)
+    out = VelocityField.zeros(g)
+    out_u = out.u
     # delta_u * A paired with a
     out_u[1:-1, :] += A * a
     # y_u * Dxc(delta_u) paired with a
@@ -259,7 +256,7 @@ def adjoint_coupling(y: VelocityField, z: VelocityField) -> VelocityField:
     out_u[0, :] = 0.0
     out_u[-1, :] = 0.0
 
-    out_v = np.zeros_like(y.v)
+    out_v = out.v
     out_v[:, 1:-1] += D * b
     t = b * y.v[:, 1:-1] / (2.0 * hy)
     out_v[:, 2:] += t
@@ -279,8 +276,7 @@ def adjoint_coupling(y: VelocityField, z: VelocityField) -> VelocityField:
     out_v[1:, 1:] += t
     out_v[:, 0] = 0.0
     out_v[:, -1] = 0.0
-
-    return VelocityField(g, out_u, out_v)
+    return out
 
 
 def _check_cfl(y: VelocityField, dt: float):
@@ -348,15 +344,12 @@ def _march(grid: GridSpec, levels, cur: VelocityField, sources: np.ndarray,
     is projected inside the step.  Returns the last iterate.
     """
     dt = grid.dt
-    g_u, g_v = face_views(sources, grid)
-    o_u, o_v = face_views(out, grid)
+    x = VelocityField.zeros(grid)
     for m in levels:
-        x = VelocityField._of(grid, cur.u + g_u[m], cur.v + g_v[m])
-        if term is not None:
-            x = x - dt * project_div_free(term(m, cur))
-        cur = project_div_free(diffusion_solve(x, dt))
-        o_u[m] = cur.u
-        o_v[m] = cur.v
+        np.add(cur.data, sources[m], out=x.data)
+        rhs = x if term is None else x - dt * project_div_free(term(m, cur))
+        cur = project_div_free(diffusion_solve(rhs, dt))
+        out[m] = cur.data
     return cur
 
 
@@ -408,9 +401,8 @@ class Coupling:
     """Geometry-dependent multipliers of the coupled optimality system."""
 
     grid: GridSpec
-    k_mask: FaceMask        # gamma^-2 - ell^-2 * chi_O on faces
-    chi_mask: FaceMask      # the smooth follower cutoff
-    obs_mask: FaceMask      # indicator of the observation set O_d
+    k_mask: VelocityField   # gamma^-2 - ell^-2 * chi_O on faces
+    obs_mask: VelocityField  # face weights of the observation set O_d
     mu: float
 
     @classmethod
@@ -423,11 +415,10 @@ class Coupling:
         gamma: float,
         mu: float,
     ) -> "Coupling":
-        cm = chi.face_mask(grid)
         ginv = 0.0 if math.isinf(gamma) else gamma**-2
         linv = 0.0 if math.isinf(ell) else ell**-2
-        k = FaceMask(ginv - linv * cm.on_u, ginv - linv * cm.on_v)
-        return cls(grid, k, cm, obs_region.face_mask(grid), mu)
+        k = VelocityField.from_packed(grid, ginv - linv * chi.face_mask(grid).data)
+        return cls(grid, k, obs_region.face_mask(grid), mu)
 
 
 @dataclass
@@ -507,10 +498,10 @@ def solve_coupled_linear(
     """
     g = coupling.grid
     w = trapezoid_weights(g.nt)[:, None]
-    obs = coupling.obs_mask.packed
-    z_weight = g.dt * coupling.k_mask.packed
+    obs = coupling.obs_mask.data
+    z_weight = g.dt * coupling.k_mask.data
     y_weight = g.dt * coupling.mu * obs
-    omega_w = omega.face_indicator(g).packed if omega is not None else None
+    omega_w = omega.face_indicator(g).data if omega is not None else None
     fwd_data = _packed_data(g, (h, omega_w), (f1,))
     bwd_data = _packed_data(g, (yd, -coupling.mu * obs, w), (f2,))
 
@@ -644,8 +635,8 @@ def solve_backward_adjoint(
     """
     g = coupling.grid
     w = trapezoid_weights(g.nt)[:, None]
-    theta_weight = g.dt * coupling.mu * coupling.obs_mask.packed
-    phi_weight = g.dt * coupling.k_mask.packed
+    theta_weight = g.dt * coupling.mu * coupling.obs_mask.data
+    phi_weight = g.dt * coupling.k_mask.data
     phi_data = _packed_data(g, (g1,))
     theta_data = _packed_data(g, (g2,))
     phi_start = project_div_free(_closed_div_free(phiT))
@@ -688,7 +679,7 @@ def solve_backward_adjoint(
     return AdjointPair(work, theta, sweeps, residual, True)
 
 
-def control_gradient(adj_phi: Trajectory, mask: FaceMask | None = None) -> Trajectory:
+def control_gradient(adj_phi: Trajectory, mask: VelocityField | None = None) -> Trajectory:
     """Gradient representer of a control from the adjoint state.
 
     Divides interior levels by the trapezoid weights (only the endpoints
@@ -700,5 +691,5 @@ def control_gradient(adj_phi: Trajectory, mask: FaceMask | None = None) -> Traje
     data = adj_phi.data * (1.0 / trapezoid_weights(g.nt))[:, None]
     data[0] = 0.0
     if mask is not None:
-        data *= mask.packed
+        data *= mask.data
     return Trajectory(g, data)

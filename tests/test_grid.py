@@ -200,7 +200,7 @@ def test_inner_space_time_matches_per_level_inner(rng, mask_kind):
     region = Region(0.2, 0.7, 0.1, 0.6)
     mask = {None: None, "face_mask": region.face_mask(g), "region": region,
             "cutoff": SmoothCutoff.for_grid(region, g)}[mask_kind]
-    fm = mask if mask is None or hasattr(mask, "on_u") else mask.face_mask(g)
+    fm = mask if mask is None or hasattr(mask, "data") else mask.face_mask(g)
     w = np.ones(g.nt + 1)
     w[0] = w[-1] = 0.5
     ref = sum(w[m] * g.dt * inner(a[m], b[m], fm) for m in range(g.nt + 1))
@@ -224,7 +224,7 @@ def test_region_validation_and_masks():
     fm = r.face_mask(g)
     # face-averaged mask integrates to the exact area per component
     wu = np.ones((g.nx + 1, g.ny)); wu[0] = wu[-1] = 0.5
-    assert (fm.on_u * wu).sum() * g.cell_area == pytest.approx(r.area(), abs=1e-14)
+    assert (fm.u * wu).sum() * g.cell_area == pytest.approx(r.area(), abs=1e-14)
 
 
 def test_smooth_cutoff_shape():
@@ -362,3 +362,130 @@ def test_binary_corruption_detected(tmp_path, rng):
         fieldio.read_field(tmp_path / "junk.sgf", g)
     with pytest.raises(ConfigurationError, match="expected"):
         fieldio.read_field(tmp_path / "w.sgf", GridSpec(nx=8, ny=8, nt=8, T=1.0))
+
+
+# ---------------------------------------------------------------------------
+# one packed face layout for fields, masks and trajectory rows, checked
+# against inline copies of the former two-array (u, v) forms
+# ---------------------------------------------------------------------------
+
+def _two_array_face_mask(region, g):
+    c = region.cell_mask(g)
+    on_u = np.zeros((g.nx + 1, g.ny))
+    on_u[1:-1, :] = 0.5 * (c[1:, :] + c[:-1, :])
+    on_u[0, :] = c[0, :]
+    on_u[-1, :] = c[-1, :]
+    on_v = np.zeros((g.nx, g.ny + 1))
+    on_v[:, 1:-1] = 0.5 * (c[:, 1:] + c[:, :-1])
+    on_v[:, 0] = c[:, 0]
+    on_v[:, -1] = c[:, -1]
+    return on_u, on_v
+
+
+def _two_sum_inner(a, b, mask_uv=None):
+    g = a.grid
+    wu = np.ones((g.nx + 1, g.ny))
+    wu[0, :] = 0.5
+    wu[-1, :] = 0.5
+    wv = np.ones((g.nx, g.ny + 1))
+    wv[:, 0] = 0.5
+    wv[:, -1] = 0.5
+    pu = wu * a.u * b.u
+    pv = wv * a.v * b.v
+    if mask_uv is not None:
+        pu = pu * mask_uv[0]
+        pv = pv * mask_uv[1]
+    return g.cell_area * (float(pu.sum()) + float(pv.sum()))
+
+
+def test_velocity_field_is_one_packed_vector(rng):
+    g = GridSpec(nx=16, ny=12, nt=8, T=1.0)
+    u = rng.standard_normal((g.nx + 1, g.ny))
+    v = rng.standard_normal((g.nx, g.ny + 1))
+    f = VelocityField(g, u, v)
+    assert f.data.shape == (g.n_faces,)
+    assert np.array_equal(f.data, np.concatenate([u.ravel(), v.ravel()]))
+    # the constructor copies its arrays; u and v view the packed vector
+    assert not np.shares_memory(f.data, u) and not np.shares_memory(f.data, v)
+    assert np.shares_memory(f.u, f.data) and np.shares_memory(f.v, f.data)
+    assert np.array_equal(f.u, u) and np.array_equal(f.v, v)
+    f.v[2, 3] = 5.0
+    assert f.data[(g.nx + 1) * g.ny + 2 * (g.ny + 1) + 3] == 5.0 and v[2, 3] != 5.0
+    # the packed constructor wraps its vector without a copy and checks its shape
+    data = rng.standard_normal(g.n_faces)
+    assert VelocityField.from_packed(g, data).data is data
+    for shape in [(g.n_faces + 1,), (1, g.n_faces)]:
+        with pytest.raises(ConfigurationError, match="shape"):
+            VelocityField.from_packed(g, np.zeros(shape))
+    # packed vectors of a 16x12 and a 12x16 grid have the same length
+    t = GridSpec(nx=12, ny=16, nt=8, T=1.0)
+    assert t.n_faces == g.n_faces
+    other = VelocityField.zeros(t)
+    for op in (lambda: f + other, lambda: f - other, lambda: f.mul_mask(other),
+               lambda: state_traj(g, rng).mul_mask(other)):
+        with pytest.raises(ConfigurationError, match="different faces"):
+            op()
+    # a trajectory snapshot's data is its row
+    traj = state_traj(g, rng)
+    for m in (0, 3, g.nt):
+        row = traj[m].data
+        assert np.shares_memory(row, traj.data) and np.array_equal(row, traj.data[m])
+        row[7] = -1.0
+        assert traj.data[m, 7] == -1.0
+
+
+def test_masks_match_two_array_construction():
+    g = GridSpec(nx=16, ny=12, Lx=1.0, Ly=0.8, nt=8, T=1.0)
+    region = Region(0.2, 0.7, 0.1, 0.6)
+    cutoff = SmoothCutoff.for_grid(region, g)
+    xu, yu = g.u_face_coords()
+    xv, yv = g.v_face_coords()
+    on_u, on_v = _two_array_face_mask(region, g)
+    cases = [
+        (region.face_mask, (on_u, on_v)),
+        (region.face_indicator, ((on_u >= 1.0).astype(float), (on_v >= 1.0).astype(float))),
+        (cutoff.face_mask, (cutoff.evaluate(xu[:, None], yu[None, :]),
+                            cutoff.evaluate(xv[:, None], yv[None, :]))),
+    ]
+    for build, (ref_u, ref_v) in cases:
+        mask = build(g)
+        assert np.array_equal(mask.u, ref_u) and np.array_equal(mask.v, ref_v)
+        assert np.array_equal(mask.data, np.concatenate([ref_u.ravel(), ref_v.ravel()]))
+        # built once per grid and shared, so it cannot be written
+        assert build(g) is mask
+        assert build(GridSpec(nx=16, ny=12, Lx=1.0, Ly=0.8, nt=8, T=1.0)) is mask
+        for target in (mask.data, mask.u, mask.v):
+            with pytest.raises(ValueError, match="read-only"):
+                target[0] = 1.0
+
+
+@pytest.mark.parametrize("nx,ny", [(16, 16), (16, 12), (48, 32)])
+def test_inner_matches_two_sum_form(rng, nx, ny):
+    g = GridSpec(nx=nx, ny=ny, Lx=1.0, Ly=0.8, nt=8, T=1.0)
+    region = Region(0.2, 0.7, 0.1, 0.6)
+    cutoff = SmoothCutoff.for_grid(region, g)
+    weights = VelocityField(g, rng.random((g.nx + 1, g.ny)), rng.random((g.nx, g.ny + 1)))
+    masks = [None, weights, region.face_mask(g), region.face_indicator(g), cutoff.face_mask(g)]
+    for _ in range(5):
+        # unclosed fields, so the boundary weights count
+        a = VelocityField(g, rng.standard_normal((g.nx + 1, g.ny)),
+                          rng.standard_normal((g.nx, g.ny + 1)))
+        b = closed_noise(g, rng) + a * 0.5
+        for mask in masks:
+            ref = _two_sum_inner(a, b, None if mask is None else (mask.u, mask.v))
+            assert inner(a, b, mask) == ref
+
+
+def test_write_field_bytes_match_u_then_v_writer(tmp_path, rng):
+    import struct
+
+    g = GridSpec(nx=16, ny=12, nt=8, T=1.0)
+    w = VelocityField(g, rng.standard_normal((g.nx + 1, g.ny)),
+                      rng.standard_normal((g.nx, g.ny + 1)))
+    fieldio.write_field(tmp_path / "w.sgf", w)
+    ref = (struct.pack("<4scII", b"SGF1", b"V", g.nx, g.ny)
+           + np.ascontiguousarray(w.u, dtype="<f8").tobytes()
+           + np.ascontiguousarray(w.v, dtype="<f8").tobytes())
+    assert (tmp_path / "w.sgf").read_bytes() == ref
+    back = fieldio.read_field(tmp_path / "w.sgf", g)
+    assert back.data.flags.writeable and back.data.tobytes() == w.data.tobytes()

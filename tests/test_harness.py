@@ -358,6 +358,9 @@ def test_option_copies_keep_relax(monkeypatch):
     ("options", "n_probes", "ten", "options.n_probes"),
     ("data", "y0_amplitude", "big", "data.y0_amplitude"),
     ("options", "sizes", ["x"], "options.sizes[0]"),
+    ("options", "sizes", [16], "options.sizes"),
+    ("options", "sizes", [32, 16], "options.sizes"),
+    ("options", "sizes", [4, 8], "options.sizes"),
     ("options", "gamma_grid", 0.5, "options.gamma_grid"),
     ("data", "y0_kind", 3, "data.y0_kind"),
 ])

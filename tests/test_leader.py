@@ -121,8 +121,8 @@ def test_cg_small_run_contracts(rng):
     # control supported on omega bitwise
     omask = setup["omega"].face_indicator(g)
     for f in res.h:
-        assert np.all(f.u[omask.on_u == 0.0] == 0.0)
-        assert np.all(f.v[omask.on_v == 0.0] == 0.0)
+        assert np.all(f.u[omask.u == 0.0] == 0.0)
+        assert np.all(f.v[omask.v == 0.0] == 0.0)
     # objective non-increasing along the CG run
     curve = res.objective_curve
     assert all(curve[i + 1] <= curve[i] + 1e-12 * abs(curve[0]) for i in range(len(curve) - 1))

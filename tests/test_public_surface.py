@@ -1,5 +1,6 @@
-"""Every exported name and every function the benchmark traces resolves, and
-every solver and penalty option is live."""
+"""Every exported name and every function the benchmark traces resolves,
+every solver and penalty option is live, and only grid splits the packed face
+layout."""
 
 import ast
 import dataclasses
@@ -61,3 +62,17 @@ def test_options_are_live(cls):
     assert not unread, f"{cls.__name__} fields never read in stackstokes: {unread}"
     never_on = sorted(f.name for f in fields if f.type == "bool" and f.name not in passed)
     assert not never_on, f"{cls.__name__} switches nothing in stackstokes sets: {never_on}"
+
+
+def test_face_layout_stays_in_grid():
+    # fields, masks and trajectory rows share one packed layout; only grid
+    # splits it into u and v arrays, so no other module may use face_views
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "grid":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and any(a.name == "face_views" for a in node.names)
+                    or isinstance(node, ast.Attribute) and node.attr == "face_views"):
+                importers.append(path.stem)
+    assert not importers, f"face_views used outside grid by {importers}"

@@ -188,7 +188,7 @@ def test_forcing_assembly_masks(rng):
     fa = ForcingAssembly(g, leader=lead, omega=setup["omega"])
     f_u, _ = face_views(fa.sources(), g)
     outside = setup["omega"].face_indicator(g)
-    assert np.abs(f_u[3][outside.on_u == 0.0]).max() == 0.0
+    assert np.abs(f_u[3][outside.u == 0.0]).max() == 0.0
     with pytest.raises(ConfigurationError):
         ForcingAssembly(g, leader=lead)  # support region required
 
