@@ -6,6 +6,11 @@ endpoints) and the ``beta``/``tau`` family whose time factor is frozen to
 T^2/4 on [0, T/2] (finite at t = 0, pole only at t = T).  Starred variants
 are the spatial extremes at eta = 0, hatted variants at eta = |eta|_inf.
 
+The weights are evaluated on arrays: a scalar or an array of times, and
+eta values that broadcast against them (one per face, say), so that every
+weight of a run is one call.  The public evaluators raise PoleError when a
+time, or any time of an array, lies at or beyond a pole.
+
 Everything is evaluated in log form: eta enters through
 log(e^{12 lam M} - e^{lam(10 M + eta)}) computed without cancellation, and
 exponent combinations such as  -4 a0 s beta* + 2 (m0-2) s beta  are reduced
@@ -19,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial, reduce
 
 import numpy as np
 
@@ -109,67 +115,84 @@ _ALPHA_KIND = {
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """One weight factor: a family with an exponent coefficient or power.
-
-    ``coeff`` scales the family value inside an exponent (e.g. -2*a0 for
-    e^{-2 a0 s alpha*}; the factor s is supplied by ``params``); ``power``
-    is used for polynomial factors such as (xi_hat)^15.
-    """
+    """One weight factor: a family with its parameters."""
 
     family: WeightFamily
     params: CarlemanParams
-    coeff: float = 1.0
-    power: float = 0.0
 
 
-def _time_factor_log(family: WeightFamily, T: float, t: float) -> float:
-    """log of the fifth-power time denominator; raises at the poles."""
-    if family in _ALPHA_KIND:
-        if not (0.0 < t < T):
-            raise PoleError(f"t={t} is at a pole of the open-weight family")
+def _libm(f, x) -> np.ndarray:
+    """``f`` from ``math`` applied to every entry of ``x``.
+
+    numpy's vectorized exp and log round a few per cent of their results
+    differently from libm in the last bit; going through ``math`` gives an
+    array of times the bits of the scalar formula, which replayed metrics
+    and CSV files pin.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(f, x.flat), float, x.size).reshape(x.shape)
+
+
+def _exp709(x):
+    """e^x, saturated to +inf from x = 709 on; a float for a scalar x."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(x < 709.0, _libm(math.exp, np.minimum(x, 709.0)), math.inf)
+    return out if out.ndim else float(out)
+
+
+def _time_log(T: float, t, alpha_kind: bool):
+    """5 log of the time denominator at the times ``t``, and where it is finite.
+
+    The open factor t(T-t) has poles at 0 and T, the frozen one (T^2/4 up
+    to T/2) only at T; at and beyond a pole the log is -inf.
+    """
+    t = np.asarray(t, dtype=float)
+    if alpha_kind:
+        live = (0.0 < t) & (t < T)
         tt = t * (T - t)
     else:
-        if not (0.0 <= t < T):
-            raise PoleError(f"t={t} is at a pole of the flat-start family")
-        tt = T * T / 4.0 if t <= T / 2.0 else t * (T - t)
-    return 5.0 * math.log(tt)
+        live = (0.0 <= t) & (t < T)
+        tt = np.where(t <= T / 2.0, T * T / 4.0, t * (T - t))
+    return np.where(live, 5.0 * _libm(math.log, np.where(live, tt, 1.0)), -math.inf), live
 
 
-def _log_num(params: CarlemanParams, family: WeightFamily, eta_value: float) -> float:
+def _log_num(params: CarlemanParams, family: WeightFamily, eta_value):
     """log of the spatial numerator of the requested family at eta_value."""
     lam, M = params.lam, params.eta_norm
-    base = family.value.split("_")
-    kind = base[0]
-    variant = base[1] if len(base) > 1 else None
+    kind, _, variant = family.value.partition("_")
     # the alpha/beta numerators decrease in eta, xi/tau increase; both kinds
     # take their starred extreme at eta = 0 and their hatted one at eta = M
     if variant == "star":
         eta_value = 0.0
     elif variant == "hat":
         eta_value = M
-    if not (0.0 <= eta_value <= M):
-        raise ConfigurationError(f"eta value {eta_value} outside [0, {M}]")
+    eta = np.asarray(eta_value, dtype=float)
+    bad = eta[~((0.0 <= eta) & (eta <= M))]
+    if bad.size:
+        raise ConfigurationError(f"eta value {bad[0]} outside [0, {M}]")
     if kind in ("alpha", "beta"):
         # e^{12 lam M} - e^{lam (10 M + eta)} = e^{12 lam M} (1 - e^{-lam(2M - eta)})
-        return 12.0 * lam * M + math.log1p(-math.exp(-lam * (2.0 * M - eta_value)))
-    return lam * (10.0 * M + eta_value)
+        return 12.0 * lam * M + _libm(math.log1p, -_libm(math.exp, -lam * (2.0 * M - eta)))
+    return lam * (10.0 * M + eta)
 
 
-def log_weight_eval(spec: WeightSpec, T: float, t: float, eta_value: float = 0.0) -> float:
-    """log of the family value at (t, eta); PoleError at singular endpoints."""
-    return _log_num(spec.params, spec.family, eta_value) - _time_factor_log(
-        spec.family, T, t
-    )
+def log_weight_eval(spec: WeightSpec, T: float, t, eta_value=0.0):
+    """log of the family value at the times t and eta (arrays broadcast).
+
+    A float for scalar arguments; PoleError if any time is at or beyond a
+    singular endpoint.
+    """
+    tlog, live = _time_log(T, t, spec.family in _ALPHA_KIND)
+    if not live.all():
+        raise PoleError(f"t={np.asarray(t)[~live][0]} is at a pole of the "
+                        f"{spec.family.value} weight")
+    out = _log_num(spec.params, spec.family, eta_value) - tlog
+    return out if out.ndim else float(out)
 
 
-def weight_eval(spec: WeightSpec, T: float, t: float, eta_value: float = 0.0) -> float:
-    """Family value times spec.coeff (or its spec.power-th power when set)."""
-    lw = log_weight_eval(spec, T, t, eta_value)
-    if spec.power != 0.0:
-        lw = spec.power * lw
-        return math.exp(lw) if lw < 709.0 else math.inf
-    val = math.exp(lw) if lw < 709.0 else math.inf
-    return spec.coeff * val
+def weight_eval(spec: WeightSpec, T: float, t, eta_value=0.0):
+    """The family value at the times t and eta; +inf beyond e^709."""
+    return _exp709(log_weight_eval(spec, T, t, eta_value))
 
 
 def alpha_ratio(lam: float, eta_norm: float = 1.0) -> float:
@@ -184,45 +207,37 @@ def alpha_ratio(lam: float, eta_norm: float = 1.0) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def _signed_exponent(params: CarlemanParams, T: float, t: float,
-                     terms, alpha_kind: bool) -> float:
-    """Stable value of  s * sum_j coeff_j * family_j(t)  for one time family.
+def _signed_exponent(params: CarlemanParams, T: float, t, terms) -> np.ndarray:
+    """Stable value of  s * sum_j coeff_j * family_j  at the times t.
 
-    ``terms`` is a list of (family, eta_value, coeff).  The numerators are
-    combined at a common exponential scale before the (possibly huge) time
-    factor multiplies in, so mixed-sign combinations never hit inf - inf;
-    out-of-range magnitudes saturate to +-inf.
+    ``terms`` is a list of (family, eta_value, coeff) of one time family;
+    the eta values (one per face, say) broadcast against ``t`` (a column of
+    times, then).  The numerators are combined at a common exponential scale
+    before the (possibly huge) time factor multiplies in, so mixed-sign
+    combinations never hit inf - inf.  At a pole, and for magnitudes beyond
+    e^709, the value saturates to +-inf by the sign of the combination; a
+    combination that cancels exactly gives 0.
     """
-    if not terms:
-        return 0.0
-    fam0 = terms[0][0]
-    logs = []
-    coeffs = []
-    for fam, eta_value, coeff in terms:
-        if (fam in _ALPHA_KIND) != alpha_kind:
-            raise ConfigurationError("cannot mix open and flat-start time factors")
-        logs.append(_log_num(params, fam, eta_value))
-        coeffs.append(coeff)
-    L = max(logs)
-    ssum = sum(c * math.exp(l - L) for c, l in zip(coeffs, logs))
-    if ssum == 0.0:
-        return 0.0
-    tfam = WeightFamily.ALPHA if alpha_kind else WeightFamily.BETA
-    try:
-        tlog = _time_factor_log(tfam, T, t)
-    except PoleError:
-        # at a pole the time factor is +inf; the sign of the combination
-        # decides between a vanishing and an exploding weight
-        return math.copysign(math.inf, ssum)
-    mag = math.log(params.s) + L + math.log(abs(ssum)) - tlog
-    if mag > 709.0:
-        return math.copysign(math.inf, ssum)
-    return math.copysign(math.exp(mag), ssum)
+    alpha_kind = terms[0][0] in _ALPHA_KIND
+    if any((fam in _ALPHA_KIND) != alpha_kind for fam, _, _ in terms):
+        raise ConfigurationError("cannot mix open and flat-start time factors")
+    logs = [_log_num(params, fam, eta_value) for fam, eta_value, _ in terms]
+    L = reduce(np.maximum, logs)
+    ssum = sum(coeff * _libm(math.exp, l - L) for (_, _, coeff), l in zip(terms, logs))
+    zero = ssum == 0.0
+    tlog, _ = _time_log(T, t, alpha_kind)
+    mag = math.log(params.s) + L + _libm(math.log, np.where(zero, 1.0, abs(ssum))) - tlog
+    return np.where(zero, 0.0, np.copysign(_exp709(mag), ssum))
 
 
 # ---------------------------------------------------------------------------
 # spatial profile eta
 # ---------------------------------------------------------------------------
+
+def _eta(grid: GridSpec, x, y) -> np.ndarray:
+    """The sine-product profile at the points (x, y): 1 at the center, 0 on the walls."""
+    return np.sin(np.pi * np.asarray(x) / grid.Lx) * np.sin(np.pi * np.asarray(y) / grid.Ly)
+
 
 @dataclass
 class EtaField:
@@ -235,8 +250,7 @@ class EtaField:
     eta_norm: float
 
     def at_points(self, x, y) -> np.ndarray:
-        g = self.grid
-        return np.sin(np.pi * np.asarray(x) / g.Lx) * np.sin(np.pi * np.asarray(y) / g.Ly)
+        return _eta(self.grid, x, y)
 
 
 def eta_field(grid: GridSpec, omega0: Region) -> EtaField:
@@ -255,7 +269,7 @@ def eta_field(grid: GridSpec, omega0: Region) -> EtaField:
         )
     x, y = grid.cell_centers()
     X, Y = x[:, None], y[None, :]
-    vals = np.sin(np.pi * X / grid.Lx) * np.sin(np.pi * Y / grid.Ly)
+    vals = _eta(grid, X, Y)
     gx = (np.pi / grid.Lx) * np.cos(np.pi * X / grid.Lx) * np.sin(np.pi * Y / grid.Ly)
     gy = (np.pi / grid.Ly) * np.sin(np.pi * X / grid.Lx) * np.cos(np.pi * Y / grid.Ly)
     if vals.min() <= 0.0:
@@ -311,34 +325,13 @@ def check_weight_domination(
         guard = T / (2 * nt)
         t_grid = np.linspace(guard, T - guard, nt)
     t_grid = np.asarray(t_grid, dtype=float)
-    logs = np.empty_like(t_grid)
-    for i, t in enumerate(t_grid):
-        expo = _signed_exponent(
-            params, T, float(t),
-            [
-                (WeightFamily.ALPHA_STAR, 0.0, 1.0),
-                (WeightFamily.ALPHA_HAT, 0.0, -(1.0 + epsilon)),
-            ],
-            alpha_kind=True,
-        )
-        xi_hat_log = log_weight_eval(
-            WeightSpec(WeightFamily.XI_HAT, params), T, float(t)
-        )
-        logs[i] = (
-            expo
-            - M1 * math.log(params.s)
-            - M2 * math.log(params.lam)
-            - M1 * xi_hat_log
-        )
+    xi_hat_log = log_weight_eval(WeightSpec(WeightFamily.XI_HAT, params), T, t_grid)
+    expo = _signed_exponent(params, T, t_grid, [(WeightFamily.ALPHA_STAR, 0.0, 1.0),
+                                                (WeightFamily.ALPHA_HAT, 0.0, -(1.0 + epsilon))])
+    logs = expo - M1 * math.log(params.s) - M2 * math.log(params.lam) - M1 * xi_hat_log
     k = int(np.argmax(logs))
     max_log = float(logs[k])
-    return DominationReport(
-        max_log,
-        math.exp(max_log) if max_log < 709.0 else math.inf,
-        float(t_grid[k]),
-        t_grid,
-        logs,
-    )
+    return DominationReport(max_log, _exp709(max_log), float(t_grid[k]), t_grid, logs)
 
 
 @dataclass
@@ -379,32 +372,18 @@ def check_laplacian_weight_bound(
     guard = T / (2 * n_time)
     t_grid = np.linspace(guard, T - guard, n_time)
     dt = float(t_grid[1] - t_grid[0])
+    xi_hat_log = log_weight_eval(WeightSpec(WeightFamily.XI_HAT, params), T, t_grid)
 
     def log_time_integral(terms, power):
-        vals = []
-        for t in t_grid:
-            expo = _signed_exponent(params, T, float(t), terms, alpha_kind=True)
-            xi_hat_log = log_weight_eval(
-                WeightSpec(WeightFamily.XI_HAT, params), T, float(t)
-            )
-            vals.append(expo + power * xi_hat_log)
-        vals = np.asarray(vals)
+        vals = _signed_exponent(params, T, t_grid, terms) + power * xi_hat_log
         vmax = vals.max()
         if vmax == -math.inf:
             return -math.inf
         return vmax + math.log(np.exp(vals - vmax).sum() * dt)
 
     lhs_t = log_time_integral(
-        [
-            (WeightFamily.ALPHA_HAT, 0.0, -4.0),
-            (WeightFamily.ALPHA_STAR, 0.0, -2.0 * a0),
-        ],
-        M1t,
-    )
-    rhs_t = log_time_integral(
-        [(WeightFamily.ALPHA_STAR, 0.0, -2.0 * m0)],
-        -1.0,
-    )
+        [(WeightFamily.ALPHA_HAT, 0.0, -4.0), (WeightFamily.ALPHA_STAR, 0.0, -2.0 * a0)], M1t)
+    rhs_t = log_time_integral([(WeightFamily.ALPHA_STAR, 0.0, -2.0 * m0)], -1.0)
 
     mask = omega.face_mask(u_samples[0].grid)
     ratios = []
@@ -412,10 +391,7 @@ def check_laplacian_weight_bound(
         lap = laplacian(u)
         local = inner(lap, lap, mask)
         total = inner(lap, lap)
-        if total == 0.0:
-            ratios.append(0.0)
-            continue
-        if local == 0.0:
+        if total == 0.0 or local == 0.0:
             ratios.append(0.0)
             continue
         log_ratio = (
@@ -425,7 +401,7 @@ def check_laplacian_weight_bound(
             + math.log(local)
             - (-math.log(params.s) + rhs_t + math.log(total))
         )
-        ratios.append(math.exp(log_ratio) if log_ratio < 709.0 else math.inf)
+        ratios.append(_exp709(log_ratio))
     return LaplacianBoundReport(max(ratios), ratios, lhs_t, rhs_t)
 
 
@@ -438,6 +414,44 @@ class ObservabilityReport:
     max_ratio: float
     ratios: list
     flagged: int   # samples with vanishing observation but nonzero state
+
+
+def _observability_weights(params: CarlemanParams, g: GridSpec, omega: Region):
+    """The weights of the observability quotient on the levels of g.
+
+    Returns the time-only weights e^{-2 s m0 b*} (tau*)^3 of phi and
+    e^{-2 s (a0+1) b*} (tau*)^3 of theta, and the (nt+1, n_faces) weight
+    e^{s(-4 a0 b* + 2 (m0-2) b(eta))} (tau_hat)^15 of the observation of phi,
+    times its quadrature weights (trapezoid in time, cell area, the face mask
+    of omega).  The level at T, where the weights are singular, gets 0.
+    """
+    a0, m0, T = params.a0, params.m0, g.T
+    times = g.times()
+    t = times[times < T]
+    n = t.size
+    tau_star_log = log_weight_eval(WeightSpec(WeightFamily.TAU_STAR, params), T, t)
+
+    def time_weight(coeff):
+        out = np.zeros(g.nt + 1)
+        out[:n] = _exp709(
+            _signed_exponent(params, T, t, [(WeightFamily.BETA_STAR, 0.0, coeff)])
+            + 3.0 * tau_star_log
+        )
+        return out
+
+    # the observation weight is needed on the faces of omega only
+    mask = omega.face_mask(g).data
+    on = np.flatnonzero(mask)
+    eta = VelocityField.from_functions(g, partial(_eta, g), partial(_eta, g)).data[on]
+    expo = _signed_exponent(
+        params, T, t[:, None],
+        [(WeightFamily.BETA_STAR, 0.0, -4.0 * a0), (WeightFamily.BETA, eta, 2.0 * (m0 - 2.0))],
+    )
+    expo += 15.0 * log_weight_eval(WeightSpec(WeightFamily.TAU_HAT, params), T, t)[:, None]
+    rhs_w = np.zeros((g.nt + 1, g.n_faces))
+    rhs_w[:n, on] = np.exp(np.minimum(expo, 709.0, out=expo)) * mask[on]
+    rhs_w *= (trapezoid_weights(g.nt) * g.dt * g.cell_area)[:, None]
+    return time_weight(-2.0 * m0), time_weight(-2.0 * (a0 + 1.0)), rhs_w
 
 
 def observability_ratio(
@@ -459,57 +473,8 @@ def observability_ratio(
     if rng is None:
         rng = np.random.default_rng(101)
     g = coupling.grid
-    a0, m0, s = params.a0, params.m0, params.s
-    T = g.T
-    w = trapezoid_weights(g.nt)
-    times = g.times()
-
-    # time-only weights of the left-hand side
-    lhs_phi_w = np.zeros(g.nt + 1)
-    lhs_theta_w = np.zeros(g.nt + 1)
-    for m, t in enumerate(times):
-        e1 = _signed_exponent(
-            params, T, float(t), [(WeightFamily.BETA_STAR, 0.0, -2.0 * m0)], False
-        )
-        e2 = _signed_exponent(
-            params, T, float(t), [(WeightFamily.BETA_STAR, 0.0, -2.0 * (a0 + 1.0))], False
-        )
-        if t >= T:
-            lhs_phi_w[m] = 0.0
-            lhs_theta_w[m] = 0.0
-            continue
-        tau_star_log = log_weight_eval(
-            WeightSpec(WeightFamily.TAU_STAR, params), T, float(t)
-        )
-        lhs_phi_w[m] = math.exp(e1 + 3.0 * tau_star_log) if e1 + 3.0 * tau_star_log < 709 else math.inf
-        lhs_theta_w[m] = math.exp(e2 + 3.0 * tau_star_log) if e2 + 3.0 * tau_star_log < 709 else math.inf
-
-    # spatially varying weight of the observation term
-    lam, M = params.lam, params.eta_norm
-
-    def eta(x, y):
-        return np.sin(np.pi * x / g.Lx) * np.sin(np.pi * y / g.Ly)
-
-    q = -4.0 * a0 * (1.0 - math.exp(-2.0 * lam * M)) + 2.0 * (m0 - 2.0) * (
-        1.0 - np.exp(-lam * (2.0 * M - VelocityField.from_functions(g, eta, eta).data))
-    )
-    # the observation weight of every level and face, times the quadrature
-    # weights (trapezoid in time, cell area in space, the face mask of omega)
-    rhs_w = np.zeros((g.nt + 1, g.n_faces))
-    for m, t in enumerate(times):
-        if t >= T:
-            continue
-        tlog = _time_factor_log(WeightFamily.BETA, T, float(t))
-        tau_hat_log = log_weight_eval(
-            WeightSpec(WeightFamily.TAU_HAT, params), T, float(t)
-        )
-        base = math.log(s) + 12.0 * lam * M - tlog
-        with np.errstate(divide="ignore"):
-            expo = np.sign(q) * np.exp(np.minimum(base + np.log(np.abs(q)), 709.0))
-        rhs_w[m] = np.exp(np.minimum(expo + 15.0 * tau_hat_log, 709.0))
-    wq = w * g.dt
-    rhs_w *= omega.face_mask(g).data
-    rhs_w *= (wq * g.cell_area)[:, None]
+    wq = trapezoid_weights(g.nt) * g.dt
+    lhs_phi_w, lhs_theta_w, rhs_w = _observability_weights(params, g, omega)
 
     if samples is None:
         samples = [project_div_free(VelocityField.from_packed(g, row))
@@ -585,93 +550,56 @@ def weighted_norm_components(
     g = y.grid
     T = g.T
     a0, m0 = params.a0, params.m0
-    times = g.times()
-    w = trapezoid_weights(g.nt)
-    w = w.copy()
-    w[-1] = 0.0  # singular weight at t = T excluded
+    t = g.times()[:-1]  # singular weight at t = T excluded
+    w = trapezoid_weights(g.nt).copy()
+    w[-1] = 0.0
 
-    def exponent(coeff_beta_star, t):
-        return _signed_exponent(
-            params, T, float(t), [(WeightFamily.BETA_STAR, 0.0, coeff_beta_star)], False
-        )
+    def exponent(coeff_beta_star):
+        return _signed_exponent(params, T, t, [(WeightFamily.BETA_STAR, 0.0, coeff_beta_star)])
 
-    def tau_log(fam, t):
-        return log_weight_eval(WeightSpec(fam, params), T, float(t))
+    s_a0 = exponent(a0)
+    tau_hat = log_weight_eval(WeightSpec(WeightFamily.TAU_HAT, params), T, t)
+    tau_star = log_weight_eval(WeightSpec(WeightFamily.TAU_STAR, params), T, t)
 
-    def beta_hat(t):
-        return _signed_exponent(
-            params, T, float(t), [(WeightFamily.BETA_HAT, 0.0, 1.0)], False
-        )
-
-    def traj_component(traj, log_weight_fn, mask=None, sq_fn=None):
-        sq = inner_levels(traj, traj, mask) if sq_fn is None else [sq_fn(f) for f in traj]
+    def traj_component(sq, log_weight):
+        """Half the log of the trapezoid sum of e^{log_weight} sq before T."""
+        sq = np.asarray(sq)[:-1]
+        pos = sq > 0.0
         logs = np.full(g.nt + 1, -math.inf)
-        for m, t in enumerate(times):
-            if w[m] != 0.0 and sq[m] > 0.0:
-                logs[m] = log_weight_fn(t) + math.log(sq[m])
-        return _log_quadrature(logs, w, g.dt)
+        logs[:-1][pos] = log_weight[pos] + _libm(math.log, sq[pos])
+        return 0.5 * _log_quadrature(logs, w, g.dt)
 
-    out = {}
-    # || e^{a0 s b*} (tau_hat)^{-5/2} y ||_{L2}
-    out["y_l2"] = 0.5 * traj_component(
-        y, lambda t: 2.0 * exponent(a0, t) - 5.0 * tau_log(WeightFamily.TAU_HAT, t)
-    )
-    if z is not None:
-        out["z_l2"] = 0.5 * traj_component(z, lambda t: 2.0 * exponent(a0, t))
-    if h is not None:
-        hmask = omega.face_indicator(g) if omega is not None else None
-        out["h_l2"] = 0.5 * traj_component(
-            h,
-            lambda t: _signed_exponent(
-                params, T, float(t),
-                [
-                    (WeightFamily.BETA_STAR, 0.0, 4.0 * a0),
-                    (WeightFamily.BETA_HAT, 0.0, -2.0 * (m0 - 2.0)),
-                ],
-                False,
-            )
-            - 15.0 * tau_log(WeightFamily.TAU_HAT, t),
-            mask=hmask,
-        )
     # H2 and L-inf(V) style components
     def h2_sq(f):
         lap = laplacian(f)
         return inner(f, f) + inner(lap, lap)
 
-    out["y_h2"] = 0.5 * traj_component(
-        y,
-        lambda t: 2.0 * exponent(a0, t) - 15.0 * tau_log(WeightFamily.TAU_HAT, t),
-        sq_fn=h2_sq,
-    )
-    sup = -math.inf
-    for m, t in enumerate(times):
-        if w[m] == 0.0:
-            continue
-        hv = h1_norm(y[m])
-        if hv <= 0:
-            continue
-        sup = max(
-            sup,
-            exponent(a0, t) - 7.5 * tau_log(WeightFamily.TAU_HAT, t) + math.log(hv),
-        )
-    out["y_sup_v"] = sup
+    out = {}
+    # || e^{a0 s b*} (tau_hat)^{-5/2} y ||_{L2}
+    out["y_l2"] = traj_component(inner_levels(y, y), 2.0 * s_a0 - 5.0 * tau_hat)
     if z is not None:
-        out["z_h2"] = 0.5 * traj_component(
-            z,
-            lambda t: 2.0 * exponent(a0, t) - 2.0 * c0 * tau_log(WeightFamily.TAU_STAR, t),
-            sq_fn=h2_sq,
-        )
+        out["z_l2"] = traj_component(inner_levels(z, z), 2.0 * s_a0)
+    if h is not None:
+        hmask = omega.face_indicator(g) if omega is not None else None
+        h_expo = _signed_exponent(params, T, t, [(WeightFamily.BETA_STAR, 0.0, 4.0 * a0),
+                                                 (WeightFamily.BETA_HAT, 0.0, -2.0 * (m0 - 2.0))])
+        out["h_l2"] = traj_component(inner_levels(h, h, hmask), h_expo - 15.0 * tau_hat)
+    out["y_h2"] = traj_component([h2_sq(f) for f in y], 2.0 * s_a0 - 15.0 * tau_hat)
+    hv = np.array([h1_norm(y[m]) for m in range(g.nt)])
+    pos = hv > 0
+    out["y_sup_v"] = (
+        float(np.max((s_a0 - 7.5 * tau_hat)[pos] + _libm(math.log, hv[pos])))
+        if pos.any() else -math.inf
+    )
+    if z is not None:
+        out["z_h2"] = traj_component([h2_sq(f) for f in z], 2.0 * s_a0 - 2.0 * c0 * tau_star)
     if f1 is not None:
-        out["f1_residual"] = 0.5 * traj_component(
-            f1,
-            lambda t: 2.0 * exponent(m0, t) - 3.0 * tau_log(WeightFamily.TAU_STAR, t),
+        out["f1_residual"] = traj_component(
+            inner_levels(f1, f1), 2.0 * exponent(m0) - 3.0 * tau_star
         )
     if f2 is not None:
-        out["f2_residual"] = 0.5 * traj_component(
-            f2,
-            lambda t: 2.0 * exponent(2.0 * a0, t) - 3.0 * tau_log(WeightFamily.TAU_STAR, t),
+        out["f2_residual"] = traj_component(
+            inner_levels(f2, f2), 2.0 * exponent(2.0 * a0) - 3.0 * tau_star
         )
     log10 = math.log(10.0)
     return {k: (v / log10 if math.isfinite(v) else v) for k, v in out.items()}
-
-

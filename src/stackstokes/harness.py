@@ -8,6 +8,7 @@ generators keyed by (seed, stream name).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import datetime
 import hashlib
@@ -257,25 +258,20 @@ def default_config_dict(experiment: str = "saddle") -> dict:
         cfg["regions"] = _scaled_regions(16.0)
         cfg["data"] = {"y0_kind": "zero", "y0_amplitude": 0.0,
                        "yd_amplitude": 0.0, "h_amplitude": 0.0}
-        cfg["options"] = {
-            "domination_lams": [1.0, 2.0, 4.0],
-            "domination_epsilon": 1.0,
-            "n_laplacian_samples": 20,
-            "laplacian_s": 5.0,
-            "n_observability_samples": 25,
-        }
+        cfg["options"] = _option_defaults("domination_lams", "domination_epsilon",
+                                          "n_laplacian_samples", "laplacian_s",
+                                          "n_observability_samples")
     elif experiment == "gamma0-scan":
         # slower domain so the concavity threshold sits inside the gamma grid
         cfg["grid"] = {"nx": 16, "ny": 16, "Lx": 4.0, "Ly": 4.0, "nt": 32, "T": 2.0}
         cfg["regions"] = _scaled_regions(4.0)
         cfg["data"] = {"y0_kind": "eddy", "y0_amplitude": 0.05,
                        "yd_amplitude": 0.05, "h_amplitude": 0.1}
-        cfg["options"] = {"gamma_grid": list(np.geomspace(0.05, 50.0, 13)),
-                          "max_iter": 400}
+        cfg["options"] = _option_defaults("gamma_grid", "max_iter")
     elif experiment == "convergence":
         cfg["data"] = {"y0_kind": "zero", "y0_amplitude": 0.0,
                        "yd_amplitude": 0.0, "h_amplitude": 0.0}
-        cfg["options"] = {"sizes": [16, 32, 64], "horizon": 0.25, "base_nt": 32}
+        cfg["options"] = _option_defaults("sizes", "horizon", "base_nt")
     return cfg
 
 
@@ -307,15 +303,43 @@ def _field(d: dict, key: str, path: str, kind=float, default=_REQUIRED):
     return default
 
 
-# The data and options entries the pipelines read, with their JSON types; a
-# one-element list is a list whose entries have that type.
+# The data entries the pipelines read, with their JSON types.
 _DATA_KINDS = {"y0_kind": str, "y0_amplitude": float, "y0_v_norm": float,
                "yd_amplitude": float, "h_amplitude": float}
-_OPTION_KINDS = {"n_probes": int, "outer_tol": float, "outer_max": int,
-                 "domination_epsilon": float, "domination_lams": [float],
-                 "n_laplacian_samples": int, "laplacian_s": float,
-                 "n_observability_samples": int, "gamma_grid": [float],
-                 "max_iter": int, "sizes": [int], "horizon": float, "base_nt": int}
+
+
+# The options entries the pipelines read: JSON type (a one-element list is a
+# list whose entries have that type), default, and the range of a value.
+_OPTIONS = {
+    "n_probes": (int, 100, lambda v: v >= 2, "at least 2"),  # a fixed probe, then random ones
+    "outer_tol": (float, 1e-6, lambda v: v > 0, "positive"),
+    "outer_max": (int, 25, lambda v: v >= 1, "at least 1"),
+    "domination_epsilon": (float, 1.0, lambda v: v > 0, "positive"),
+    "domination_lams": ([float], [1.0, 2.0, 4.0], lambda v: len(v) >= 1 and min(v) > 0,
+                        "one or more positive numbers"),
+    "n_laplacian_samples": (int, 20, lambda v: v >= 1, "at least 1"),
+    "laplacian_s": (float, 5.0, lambda v: v > 0, "positive"),
+    "n_observability_samples": (int, 25, lambda v: v >= 1, "at least 1"),
+    # np.geomspace(0.05, 50.0, 13) written out: calling it pages numpy's power
+    # and log10 kernels in, about 0.5 MiB of resident memory in every run
+    "gamma_grid": ([float], [0.05, 0.08891397050194613, 0.15811388300841894,
+                             0.2811706625951745, 0.49999999999999994, 0.8891397050194613,
+                             1.5811388300841895, 2.811706625951745, 4.999999999999999,
+                             8.891397050194612, 15.811388300841895, 28.11706625951745, 50.0],
+                   lambda v: len(v) >= 2 and min(v) > 0, "two or more positive numbers"),
+    "max_iter": (int, 400, lambda v: v >= 1, "at least 1"),
+    # the convergence study solves every size and compares neighbours
+    "sizes": ([int], [16, 32, 64],
+              lambda v: len(v) >= 2 and v[0] >= 8 and all(a < b for a, b in zip(v, v[1:])),
+              "at least two grid sizes >= 8 in increasing order"),
+    "horizon": (float, 0.25, lambda v: v > 0, "positive"),
+    "base_nt": (int, 32, lambda v: v >= 8, "at least 8"),
+}
+
+
+def _option_defaults(*names) -> dict:
+    """The named options at their defaults, as a config's ``options`` object."""
+    return {k: copy.copy(_OPTIONS[k][1]) for k in names}
 
 
 def _section(raw: dict, key: str, kinds: dict) -> dict:
@@ -331,6 +355,19 @@ def _section(raw: dict, key: str, kinds: dict) -> dict:
         else:
             d[name] = _typed(d[name], f"{key}.{name}", kind)
     return d
+
+
+def _options(raw: dict) -> dict:
+    """The checked options, each absent one at its default; a value out of its
+    range raises ConfigurationError naming it."""
+    options = _section(raw, "options", {k: o[0] for k, o in _OPTIONS.items()})
+    for name, (_, default, ok, need) in _OPTIONS.items():
+        if name not in options:
+            options[name] = copy.copy(default)
+        elif not ok(options[name]):
+            raise ConfigurationError(
+                f"config field 'options.{name}' must be {need}, got {options[name]!r}")
+    return options
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -362,13 +399,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     small_data_delta = sv.get("small_data_delta")
     if small_data_delta is not None:
         small_data_delta = _typed(small_data_delta, "solver.small_data_delta")
-    options = _section(raw, "options", _OPTION_KINDS)
-    sizes = options.get("sizes")
-    if sizes is not None and not (len(sizes) >= 2 and sizes[0] >= 8
-                                  and all(a < b for a, b in zip(sizes, sizes[1:]))):
-        # the convergence study solves every size and compares neighbours
-        raise ConfigurationError(f"config field 'options.sizes' must list at least two "
-                                 f"grid sizes >= 8 in increasing order, got {sizes}")
+    options = _options(raw)
     return ExperimentConfig(
         experiment=_field(raw, "experiment", "", str),
         seed=_field(raw, "seed", "", int),
@@ -458,8 +489,7 @@ def _exp_saddle(cfg: ExperimentConfig, outdir: Path, h: str):
         (traj_norm(res.psi_bar - res2.psi_bar) + traj_norm(res.v_bar - res2.v_bar)) / den
         if den > 0 else 0.0
     )
-    n_probes = int(cfg.options.get("n_probes", 100))
-    report = verify_saddle(prob, res, lead, n_probes=n_probes,
+    report = verify_saddle(prob, res, lead, n_probes=cfg.options["n_probes"],
                            rng=rng_stream(cfg.seed, "saddle-probes"))
     _write_csv(
         outdir / "probe_margins.csv",
@@ -549,15 +579,11 @@ def _exp_nullcontrol_nonlinear(cfg: ExperimentConfig, outdir: Path, h: str):
 
     res = solve_null_control_nonlinear(
         prob, cfg.penalty,
-        outer_tol=float(cfg.options.get("outer_tol", 1e-6)),
-        outer_max=int(cfg.options.get("outer_max", 25)),
+        outer_tol=cfg.options["outer_tol"],
+        outer_max=cfg.options["outer_max"],
         admissibility=admissibility,
     )
-    lin_prob = SaddleProblem(
-        cfg.grid, cfg.omega, cfg.cutoff(), cfg.obs_set,
-        prob.y0, prob.yd, cfg.robust,
-        dataclasses.replace(cfg.solver, convection_on=False),
-    )
+    lin_prob = dataclasses.replace(prob, opts=dataclasses.replace(cfg.solver, convection_on=False))
     lin = solve_null_control_cg(lin_prob, cfg.penalty)
     arts = [str(p) for p in fieldio.write_trajectory(outdir / "fields", "h", res.h)]
     metrics = {
@@ -587,17 +613,13 @@ def _exp_carleman(cfg: ExperimentConfig, outdir: Path, h: str):
     nrow = 64
     guard = T / (2 * nrow)
     ts = np.linspace(guard, T - guard, nrow)
-    rows = []
-    for t in ts:
-        rows.append((
-            float(t),
-            log_weight_eval(WeightSpec(WeightFamily.ALPHA_STAR, p), T, float(t)),
-            log_weight_eval(WeightSpec(WeightFamily.ALPHA_HAT, p), T, float(t)),
-            log_weight_eval(WeightSpec(WeightFamily.XI_STAR, p), T, float(t)),
-            log_weight_eval(WeightSpec(WeightFamily.XI_HAT, p), T, float(t)),
-            log_weight_eval(WeightSpec(WeightFamily.BETA_STAR, p), T, float(t)),
-            log_weight_eval(WeightSpec(WeightFamily.TAU_HAT, p), T, float(t)),
-        ))
+
+    def log_w(family):
+        return log_weight_eval(WeightSpec(family, p), T, ts)
+
+    W = WeightFamily
+    rows = np.column_stack((ts, log_w(W.ALPHA_STAR), log_w(W.ALPHA_HAT), log_w(W.XI_STAR),
+                            log_w(W.XI_HAT), log_w(W.BETA_STAR), log_w(W.TAU_HAT))).tolist()
     _write_csv(
         outdir / "weight_table.csv",
         ["t", "log_alpha_star", "log_alpha_hat", "log_xi_star", "log_xi_hat",
@@ -606,12 +628,12 @@ def _exp_carleman(cfg: ExperimentConfig, outdir: Path, h: str):
     )
     # domination inequality across lam, plus the full ratio curve at the
     # configured lam
-    eps = float(opts.get("domination_epsilon", 1.0))
+    eps = opts["domination_epsilon"]
     dom = []
-    for lam in opts.get("domination_lams", (1.0, 2.0, 4.0)):
-        pp = CarlemanParams(lam=float(lam), s=p.s, a0=p.a0, m0=p.m0, eta_norm=p.eta_norm)
+    for lam in opts["domination_lams"]:
+        pp = CarlemanParams(lam=lam, s=p.s, a0=p.a0, m0=p.m0, eta_norm=p.eta_norm)
         rep = check_weight_domination(pp, T, 0.0, 0.0, eps)
-        dom.append((float(lam), rep.max_log_ratio))
+        dom.append((lam, rep.max_log_ratio))
         if lam == p.lam:
             _write_csv(
                 outdir / "domination_curve.csv",
@@ -626,9 +648,9 @@ def _exp_carleman(cfg: ExperimentConfig, outdir: Path, h: str):
     # local/global Laplacian bound stability under t-grid doubling
     # the projection ignores the normal faces that closed_noise zeroes
     noise = closed_noise(g, rng_stream(cfg.seed, "laplacian-samples"),
-                         int(opts.get("n_laplacian_samples", 20)))
+                         opts["n_laplacian_samples"])
     us = [project_div_free(VelocityField.from_packed(g, row)) for row in noise]
-    s5 = CarlemanParams(lam=p.lam, s=float(opts.get("laplacian_s", 5.0)),
+    s5 = CarlemanParams(lam=p.lam, s=opts["laplacian_s"],
                         a0=p.a0, m0=p.m0, eta_norm=p.eta_norm)
     b1 = check_laplacian_weight_bound(s5, T, 0.0, 0.0, us, cfg.omega, n_time=128)
     b2 = check_laplacian_weight_bound(s5, T, 0.0, 0.0, us, cfg.omega, n_time=256)
@@ -640,7 +662,7 @@ def _exp_carleman(cfg: ExperimentConfig, outdir: Path, h: str):
     # observability constant stability under sample doubling
     coup = Coupling.build(g, cfg.cutoff(), cfg.obs_set,
                           cfg.robust.ell, cfg.robust.gamma, cfg.robust.mu)
-    n_obs = int(opts.get("n_observability_samples", 25))
+    n_obs = opts["n_observability_samples"]
     rep1 = observability_ratio(p, coup, cfg.omega, n_obs,
                                rng=rng_stream(cfg.seed, "observability-a"), opts=cfg.solver)
     rep2 = observability_ratio(p, coup, cfg.omega, 2 * n_obs,
@@ -664,12 +686,9 @@ def _exp_carleman(cfg: ExperimentConfig, outdir: Path, h: str):
 def _exp_gamma0(cfg: ExperimentConfig, outdir: Path, h: str):
     prob = cfg.problem()
     lead = cfg.leader_trajectory()
-    grid_opt = cfg.options.get("gamma_grid")
-    if grid_opt is None:
-        grid_opt = np.geomspace(0.05, 50.0, 13).tolist()
     res = estimate_gamma_threshold(
-        prob, lead, grid_opt,
-        max_iter=int(cfg.options.get("max_iter", 400)),
+        prob, lead, cfg.options["gamma_grid"],
+        max_iter=cfg.options["max_iter"],
         rng=rng_stream(cfg.seed, "power-iteration"),
     )
     _write_csv(
@@ -726,9 +745,9 @@ def _mms_fields(amp=0.1, pamp=0.05):
 
 def _exp_convergence(cfg: ExperimentConfig, outdir: Path, h: str):
     """Manufactured-solution order study on the unit square."""
-    sizes = [int(n) for n in cfg.options.get("sizes", (16, 32, 64))]
-    T = float(cfg.options.get("horizon", 0.25))
-    base_nt = int(cfg.options.get("base_nt", 32))
+    sizes = cfg.options["sizes"]
+    T = cfg.options["horizon"]
+    base_nt = cfg.options["base_nt"]
     u, v, fu, fv = _mms_fields()
     rows = []
     errs = []

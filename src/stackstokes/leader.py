@@ -126,10 +126,7 @@ def _terminal_dual_lift(prob: SaddleProblem, w: VelocityField) -> Trajectory:
 
 def _homogeneous_problem(prob: SaddleProblem) -> SaddleProblem:
     """The same geometry with zero data: carrier of the linear part of h -> y(T)."""
-    return SaddleProblem(
-        prob.grid, prob.omega, prob.follower_cutoff, prob.obs_region,
-        VelocityField.zeros(prob.grid), None, prob.params, prob.opts,
-    )
+    return dataclasses.replace(prob, y0=VelocityField.zeros(prob.grid), yd=None)
 
 
 def solve_null_control_cg(

@@ -118,10 +118,6 @@ class SaddleProblem:
             self.params.gamma,
             self.params.mu,
         )
-        # feedback-free coupling used by the plain tracking adjoint
-        self._plain_coupling = Coupling(
-            self.grid, VelocityField.zeros(self.grid), self._obs_mask, 0.0
-        )
 
     @property
     def coupling(self) -> Coupling:
@@ -175,10 +171,9 @@ def tracking_adjoint(prob: SaddleProblem, y: Trajectory) -> Trajectory:
     g1 = err.mul_mask(prob._obs_mask)
     g1.data *= (prob.params.mu * w)[:, None]
     link = y if prob.opts.convection_on else None
-    adj = solve_backward_adjoint(
-        VelocityField.zeros(prob.grid), g1, None, link, prob._plain_coupling, prob.opts
-    )
-    return adj.phi
+    # no coupling: phi is one backward march driven by g1
+    return solve_backward_adjoint(VelocityField.zeros(prob.grid), g1, None, link, None,
+                                  prob.opts).phi
 
 
 def _grad_directions(prob: SaddleProblem, h, psi, v):
@@ -263,11 +258,8 @@ def _estimate_tracking_lipschitz(prob: SaddleProblem, n_steps: int = 5,
     g = prob.grid
     d = Trajectory(g, closed_noise(g, rng, g.nt + 1, first=1)).mul_mask(prob._chi_mask)
     lam = 0.0
-    base = SaddleProblem(
-        prob.grid, prob.omega, prob.follower_cutoff, prob.obs_region,
-        VelocityField.zeros(g), None, prob.params,
-        dataclasses.replace(prob.opts, convection_on=False),
-    )
+    base = dataclasses.replace(prob, y0=VelocityField.zeros(g), yd=None,
+                               opts=dataclasses.replace(prob.opts, convection_on=False))
     for _ in range(n_steps):
         nd = traj_norm(d)
         if nd == 0:
@@ -459,11 +451,8 @@ def estimate_gamma_threshold(
             return outcomes[gamma]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            params = RobustParams(prob.params.ell, gamma, prob.params.mu)
-            sub = SaddleProblem(
-                prob.grid, prob.omega, prob.follower_cutoff, prob.obs_region,
-                prob.y0, prob.yd, params, prob.opts,
-            )
+            sub = dataclasses.replace(
+                prob, params=dataclasses.replace(prob.params, gamma=gamma))
             try:
                 saddle_ascent_descent(sub, h, max_iter=max_iter, rng=rng)
                 ok = True

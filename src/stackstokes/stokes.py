@@ -617,7 +617,7 @@ def solve_backward_adjoint(
     g1: Trajectory | None,
     g2: Trajectory | None,
     link: Trajectory | None,
-    coupling: Coupling,
+    coupling: Coupling | None,
     opts: SolverOptions = SolverOptions(),
 ) -> AdjointPair:
     """Coupled adjoint pair: phi backward from phi(T), theta forward from 0.
@@ -631,18 +631,36 @@ def solve_backward_adjoint(
     convection linearization around a frozen trajectory (nonlinear case).
     Level 0 of ``phi`` stores the sensitivity with respect to the initial
     state, i.e. the exact dual pairing partner of y(0).  The pair is linear
-    in phi(T), so its Picard loop has no blow-up bound.
+    in phi(T), so its Picard loop has no blow-up bound.  Without a
+    ``coupling`` there is no feedback: theta and g2 drop out and phi is one
+    backward march driven by g1, with no Picard sweep.
     """
-    g = coupling.grid
-    w = trapezoid_weights(g.nt)[:, None]
-    theta_weight = g.dt * coupling.mu * coupling.obs_mask.data
-    phi_weight = g.dt * coupling.k_mask.data
+    g = phiT.grid
     phi_data = _packed_data(g, (g1,))
-    theta_data = _packed_data(g, (g2,))
     phi_start = project_div_free(_closed_div_free(phiT))
     transposed = None if link is None else (lambda m, y: adjoint_coupling(link[m], y))
 
+    def phi_march(phi: Trajectory):
+        # phi from the dt-scaled, unprojected sources of levels 1..nt, in place
+        project_levels(phi.data[1:], g)
+        # the transposed convection acts from the second step on
+        cur = _march(g, (g.nt,), phi_start, phi.data, phi.data)
+        _march(g, range(g.nt - 1, 0, -1), cur, phi.data, phi.data, transposed)
+        if link is None:
+            phi[0] = phi[1]
+        else:
+            phi[0] = phi[1] - g.dt * adjoint_coupling(link[0], phi[1])
+
     theta = Trajectory.zeros(g)
+    if coupling is None:
+        phi = Trajectory(g, np.zeros_like(theta.data) if phi_data is None else phi_data)
+        phi_march(phi)
+        return AdjointPair(phi, theta, 0, 0.0, True)
+
+    w = trapezoid_weights(g.nt)[:, None]
+    theta_weight = g.dt * coupling.mu * coupling.obs_mask.data
+    phi_weight = g.dt * coupling.k_mask.data
+    theta_data = _packed_data(g, (g2,))
     # the sweep's sources, then its output, in place
     work = Trajectory(g, np.empty_like(theta.data))
     td, wd = theta.data, work.data
@@ -653,14 +671,7 @@ def solve_backward_adjoint(
         np.multiply(wd, w, out=wd)
         if phi_data is not None:
             wd[:] += phi_data
-        project_levels(wd[1:], g)
-        # the transposed convection acts from the second step on
-        cur = _march(g, (g.nt,), phi_start, wd, wd)
-        _march(g, range(g.nt - 1, 0, -1), cur, wd, wd, transposed)
-        if link is None:
-            wd[0] = wd[1]
-        else:
-            work[0] = work[1] - g.dt * adjoint_coupling(link[0], work[1])
+        phi_march(work)
 
     def theta_sweep():
         # work (= phi) <- the theta it drives

@@ -9,6 +9,9 @@ from stackstokes.carleman import (
     CarlemanParams,
     WeightFamily,
     WeightSpec,
+    _log_num,
+    _observability_weights,
+    _signed_exponent,
     alpha_ratio,
     check_laplacian_weight_bound,
     check_weight_domination,
@@ -25,6 +28,7 @@ from stackstokes.grid import (
     Trajectory,
     VelocityField,
     project_div_free,
+    trapezoid_weights,
 )
 from stackstokes.stokes import Coupling
 
@@ -259,3 +263,123 @@ def test_weighted_norm_c0_guard():
     with pytest.raises(ConfigurationError):
         weighted_norm_components(Trajectory.zeros(g), None, None,
                                  CarlemanParams(lam=2.0, s=3.0), c0=2.0)
+
+
+# ---------------------------------------------------------------------------
+# the array evaluator against the per-time formulas it replaced
+# ---------------------------------------------------------------------------
+
+def test_array_weights_match_scalar_calls():
+    p = CarlemanParams(lam=2.0, s=3.0)
+    T = 24.0
+    ts = np.linspace(T / 512, T - T / 512, 256)
+    for fam in WeightFamily:
+        spec = WeightSpec(fam, p)
+        for eta in (0.0, 0.3):
+            logs = log_weight_eval(spec, T, ts, eta_value=eta)
+            vals = weight_eval(spec, T, ts, eta_value=eta)
+            assert np.array_equal(logs, [log_weight_eval(spec, T, float(t), eta) for t in ts])
+            assert np.array_equal(vals, [weight_eval(spec, T, float(t), eta) for t in ts])
+        assert isinstance(log_weight_eval(spec, T, 0.5), float)
+    # an array of eta values broadcasts against a column of times
+    grid = log_weight_eval(WeightSpec(WeightFamily.BETA, p), T, ts[:, None],
+                           eta_value=np.array([0.0, 0.5, 1.0]))
+    assert grid.shape == (256, 3)
+    assert grid[7, 1] == log_weight_eval(WeightSpec(WeightFamily.BETA, p), T, ts[7], 0.5)
+
+
+def test_array_pole_errors():
+    p = CarlemanParams(lam=1.0, s=1.0)
+    with pytest.raises(PoleError):
+        log_weight_eval(WeightSpec(WeightFamily.ALPHA, p), 1.0, np.array([0.0, 0.5]))
+    with pytest.raises(PoleError):
+        weight_eval(WeightSpec(WeightFamily.TAU, p), 1.0, np.linspace(0.0, 1.0, 5))
+    with pytest.raises(PoleError):
+        weight_eval(WeightSpec(WeightFamily.BETA, p), 1.0, np.array([-0.1, 0.5]))
+    with pytest.raises(PoleError):
+        check_weight_domination(p, 1.0, M1=0.0, M2=0.0, epsilon=10.0,
+                                t_grid=np.array([0.5, 1.0]))
+    # the flat-start family is finite at t = 0 in an array too
+    assert np.isfinite(weight_eval(WeightSpec(WeightFamily.BETA, p), 1.0,
+                                   np.array([0.0, 0.5]))).all()
+
+
+def _signed_exponent_per_time(params, T, t, terms, alpha_kind):
+    """The scalar signed exponent the array helper replaced, for one time."""
+    logs = [_log_num(params, fam, eta) for fam, eta, _ in terms]
+    L = max(logs)
+    ssum = sum(c * math.exp(l - L) for (_, _, c), l in zip(terms, logs))
+    if ssum == 0.0:
+        return 0.0
+    if not (0.0 < t < T if alpha_kind else 0.0 <= t < T):  # a pole
+        return math.copysign(math.inf, ssum)
+    tt = T * T / 4.0 if not alpha_kind and t <= T / 2.0 else t * (T - t)
+    mag = math.log(params.s) + L + math.log(abs(ssum)) - 5.0 * math.log(tt)
+    if mag > 709.0:
+        return math.copysign(math.inf, ssum)
+    return math.copysign(math.exp(mag), ssum)
+
+
+@pytest.mark.parametrize("alpha_kind", [True, False])
+def test_signed_exponent_matches_per_time_formula(alpha_kind):
+    W = WeightFamily
+    star, hat, plain = ((W.ALPHA_STAR, W.ALPHA_HAT, W.ALPHA) if alpha_kind
+                        else (W.BETA_STAR, W.BETA_HAT, W.BETA))
+    T = 1.0
+    ts = np.concatenate(([0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0], np.linspace(0.01, 0.99, 41)))
+    cases = [
+        (CarlemanParams(lam=2.0, s=3.0), [(star, 0.0, 1.0), (hat, 0.0, -2.0)]),
+        (CarlemanParams(lam=2.0, s=3.0), [(star, 0.0, -4.0), (plain, 0.4, 3.0)]),
+        (CarlemanParams(lam=2.0, s=3.0), [(star, 0.0, 1.5), (star, 0.0, -1.5)]),  # cancels
+        (CarlemanParams(lam=50.0, s=100.0), [(star, 0.0, 2.0)]),  # beyond e^709
+        (CarlemanParams(lam=50.0, s=100.0), [(star, 0.0, -2.0), (plain, 0.9, 0.5)]),
+    ]
+    seen = set()
+    for params, terms in cases:
+        got = _signed_exponent(params, T, ts, terms)
+        want = np.array([_signed_exponent_per_time(params, T, float(t), terms, alpha_kind)
+                         for t in ts])
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        assert np.allclose(got[finite], want[finite], rtol=1e-15, atol=0.0)
+        seen |= {"+inf" if w == math.inf else "-inf" if w == -math.inf else
+                 "zero" if w == 0.0 else "finite" for w in want}
+    assert seen == {"+inf", "-inf", "zero", "finite"}
+
+
+def test_observability_weights_match_per_level_loops():
+    # an inline copy of the per-level loops and the hand-written observation
+    # exponent that the array helper replaced
+    setup, _ = _diag_setup()
+    g, omega = setup["grid"], setup["omega"]
+    for params in (CarlemanParams(lam=2.0, s=3.0), CarlemanParams(lam=1.0, s=0.5, a0=2.5, m0=4.0)):
+        a0, m0, s, lam, M, T = params.a0, params.m0, params.s, params.lam, params.eta_norm, g.T
+        times = g.times()
+        wq = trapezoid_weights(g.nt) * g.dt
+        phi_w, theta_w = np.zeros(g.nt + 1), np.zeros(g.nt + 1)
+        rhs_w = np.zeros((g.nt + 1, g.n_faces))
+        eta = VelocityField.from_functions(
+            g, *2 * [lambda x, y: np.sin(np.pi * x / g.Lx) * np.sin(np.pi * y / g.Ly)]).data
+        q = -4.0 * a0 * (1.0 - math.exp(-2.0 * lam * M)) + 2.0 * (m0 - 2.0) * (
+            1.0 - np.exp(-lam * (2.0 * M - eta)))
+        for m, t in enumerate(times[:-1]):
+            e1 = _signed_exponent_per_time(params, T, t, [(WeightFamily.BETA_STAR, 0.0, -2.0 * m0)], False)
+            e2 = _signed_exponent_per_time(params, T, t, [(WeightFamily.BETA_STAR, 0.0, -2.0 * (a0 + 1.0))], False)
+            tau_star = log_weight_eval(WeightSpec(WeightFamily.TAU_STAR, params), T, t)
+            phi_w[m] = math.exp(e1 + 3.0 * tau_star)
+            theta_w[m] = math.exp(e2 + 3.0 * tau_star)
+            tt = T * T / 4.0 if t <= T / 2.0 else t * (T - t)
+            base = math.log(s) + 12.0 * lam * M - 5.0 * math.log(tt)
+            with np.errstate(divide="ignore"):
+                expo = np.sign(q) * np.exp(np.minimum(base + np.log(np.abs(q)), 709.0))
+            tau_hat = log_weight_eval(WeightSpec(WeightFamily.TAU_HAT, params), T, t)
+            rhs_w[m] = np.exp(np.minimum(expo + 15.0 * tau_hat, 709.0))
+        rhs_w *= omega.face_mask(g).data * (wq * g.cell_area)[:, None]
+        got = _observability_weights(params, g, omega)
+        assert np.allclose(got[0], phi_w, rtol=1e-13, atol=0.0)
+        assert np.allclose(got[1], theta_w, rtol=1e-13, atol=0.0)
+        # the observation weight reaches e^-400: its exponent is compared, since
+        # a last-digit change of the exponent moves such a value by 1e-12
+        pos = rhs_w > 0.0
+        assert np.array_equal(got[2] > 0.0, pos) and pos[:-1].any() and not pos[-1].any()
+        assert np.allclose(np.log(got[2][pos]), np.log(rhs_w[pos]), rtol=2e-14, atol=0.0)

@@ -362,6 +362,22 @@ def test_option_copies_keep_relax(monkeypatch):
     ("options", "sizes", [32, 16], "options.sizes"),
     ("options", "sizes", [4, 8], "options.sizes"),
     ("options", "gamma_grid", 0.5, "options.gamma_grid"),
+    ("options", "gamma_grid", [0.5], "options.gamma_grid"),
+    ("options", "gamma_grid", [0.5, -1.0], "options.gamma_grid"),
+    ("options", "n_laplacian_samples", 0, "options.n_laplacian_samples"),
+    ("options", "n_laplacian_samples", -2, "options.n_laplacian_samples"),
+    ("options", "n_observability_samples", 0, "options.n_observability_samples"),
+    ("options", "horizon", -0.25, "options.horizon"),
+    ("options", "base_nt", 2, "options.base_nt"),
+    ("options", "n_probes", 1, "options.n_probes"),
+    ("options", "n_probes", 0, "options.n_probes"),
+    ("options", "outer_tol", 0.0, "options.outer_tol"),
+    ("options", "outer_max", 0, "options.outer_max"),
+    ("options", "max_iter", 0, "options.max_iter"),
+    ("options", "laplacian_s", -5.0, "options.laplacian_s"),
+    ("options", "domination_epsilon", 0.0, "options.domination_epsilon"),
+    ("options", "domination_lams", [], "options.domination_lams"),
+    ("options", "domination_lams", [1.0, 0.0], "options.domination_lams"),
     ("data", "y0_kind", 3, "data.y0_kind"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
@@ -373,6 +389,16 @@ def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field
     path.write_text(json.dumps(raw))
     assert main(["validate", str(path)]) == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_absent_options_take_their_defaults():
+    raw = default_config_dict("saddle")
+    raw["options"] = {"horizon": None}  # null counts as absent
+    cfg = config_from_dict(raw)
+    assert cfg.options["n_probes"] == 100 and cfg.options["horizon"] == 0.25
+    assert cfg.options["gamma_grid"] == np.geomspace(0.05, 50.0, 13).tolist()
+    cfg.options["sizes"].append(128)  # every config gets its own lists
+    assert config_from_dict(raw).options["sizes"] == [16, 32, 64]
 
 
 def test_config_numbers_are_cast():

@@ -76,3 +76,25 @@ def test_face_layout_stays_in_grid():
                     or isinstance(node, ast.Attribute) and node.attr == "face_views"):
                 importers.append(path.stem)
     assert not importers, f"face_views used outside grid by {importers}"
+
+
+WEIGHT_EVALUATORS = {"log_weight_eval", "weight_eval", "_signed_exponent"}
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def test_weights_are_evaluated_on_arrays():
+    # the weight evaluators take arrays of times (and of eta values), so no
+    # loop or comprehension calls them once per time level
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for loop in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(loop, _LOOPS):
+                continue
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name in WEIGHT_EVALUATORS:
+                        offenders.append(f"{path.stem}:{node.lineno}")
+    assert not offenders, f"weight evaluators called inside loops at {sorted(set(offenders))}"
