@@ -69,7 +69,8 @@ class CarlemanParams:
     The constants must satisfy  5/4 <= a0 < a0+1 < m0 < 2*a0  and
     m0 < 2 + a0; violating parameters are rejected at construction.  The
     defaults (a0=2, m0=3.5) also satisfy the appendix regime
-    a0 >= 2, a0 < m0 <= a0 + 2.
+    a0 >= 2, a0 < m0 <= a0 + 2.  ``eta_norm`` bounds the eta profile, whose
+    maximum is 1 on every grid, so it must be at least 1.
     """
 
     lam: float
@@ -81,8 +82,9 @@ class CarlemanParams:
     def __post_init__(self):
         if self.lam <= 0 or self.s <= 0:
             raise ConfigurationError("lam and s must be positive")
-        if self.eta_norm <= 0:
-            raise ConfigurationError("eta_norm must be positive")
+        if not self.eta_norm >= 1.0:
+            raise ConfigurationError(f"config field 'carleman.eta_norm' must be at least 1, "
+                                     f"the maximum of the eta profile, got {self.eta_norm!r}")
         a0, m0 = self.a0, self.m0
         if not (1.25 <= a0 and a0 + 1 < m0 < 2 * a0 and m0 < 2 + a0):
             raise ConfigurationError(

@@ -191,11 +191,13 @@ def solve_null_control_cg(
                 err.curve = curve
                 raise err
             alpha = rz / pAp
-            h = h + alpha * p
+            # h (a masked copy of h_start), r and p own their stacks: update in place
+            h.data += p.data * alpha
             lam_h = lam_h + alpha * lam_p
-            r = r - alpha * Ap
+            r.data -= Ap.data * alpha
             rz_new = inner_space_time(r, r)
-            p = r + (rz_new / rz) * p
+            p.data *= rz_new / rz
+            p.data += r.data
             rz = rz_new
             curve.append(objective(h, lam_h))
         if math.sqrt(rz) > cfg.cg_tol * rhs_norm:

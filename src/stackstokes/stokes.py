@@ -29,14 +29,16 @@ is an output of P; the recursion starts from P(y0) (P(phi_T), or 0), so that
 the first step, too, equals P S P applied to the unprojected sum even when
 y0 carries the small divergence (up to 1e-10) that is not projected away.
 The stored level 0 stays y0 itself.  A term that depends on the current
-iterate (the convection of the forward solve, the transposed convection of
-the adjoint's ``link``) is projected inside its step.  The forward solve
-checks its blow-up bound level by level once the march is done.
+iterate is projected inside its step.  Convection and its transpose are such
+march terms in every solver, the coupled one included: the forward marches
+add the convection of the previous level, and the backward marches add the
+transposed linearization around the y of the same sweep (the coupled solve)
+or around the adjoint's ``link``.  The forward solve checks its blow-up
+bound level by level once the march is done.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -279,15 +281,15 @@ def adjoint_coupling(y: VelocityField, z: VelocityField) -> VelocityField:
     return out
 
 
-def _check_cfl(y: VelocityField, dt: float):
+def _convect(m, y: VelocityField) -> VelocityField:
+    """The ``term`` of a forward march: the convection of the previous level y,
+    after a check that its advective CFL number is at most 1."""
     g = y.grid
-    speed = float(np.abs(y.u).max()) / g.hx + float(np.abs(y.v).max()) / g.hy
-    if speed * dt > 1.0:
-        raise CflError(
-            f"advective CFL number {speed * dt:.3f} > 1; reduce dt "
-            f"(currently {dt:.3e})",
-            residual=speed * dt,
-        )
+    cfl = (float(np.abs(y.u).max()) / g.hx + float(np.abs(y.v).max()) / g.hy) * g.dt
+    if cfl > 1.0:
+        raise CflError(f"advective CFL number {cfl:.3f} > 1; reduce dt "
+                       f"(currently {g.dt:.3e})", residual=cfl)
+    return convection(y)
 
 
 def _closed_div_free(v: VelocityField) -> VelocityField:
@@ -296,11 +298,6 @@ def _closed_div_free(v: VelocityField) -> VelocityField:
     if divergence(v).max_abs() > 1e-10:
         v = project_div_free(v)
     return v
-
-
-def _level_peaks(packed: np.ndarray) -> np.ndarray:
-    """max |value| of every level of a packed stack, without a stack-sized temporary."""
-    return np.maximum(packed.max(axis=1), -packed.min(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +364,6 @@ def solve_forward(
     g = y0.grid
     if forcing is not None and forcing.grid != g:
         raise ConfigurationError("forcing assembled on a different grid")
-    dt = g.dt
     data = forcing.sources() if forcing is not None else None
     if data is None:
         data = np.zeros((g.nt + 1, g.n_faces))
@@ -376,14 +372,10 @@ def solve_forward(
     out = Trajectory(g, data)
     out[0] = _closed_div_free(y0)
     limit = opts.blowup_norm * max(out[0].max_abs(), 1.0)
-
-    def convect(m, cur):
-        _check_cfl(cur, dt)
-        return convection(cur)
-
     _march(g, range(1, g.nt + 1), project_div_free(out[0]), data, data,
-           convect if opts.convection_on else None)
-    peaks = _level_peaks(data)
+           _convect if opts.convection_on else None)
+    # max |y| of every level, without a stack-sized temporary
+    peaks = np.maximum(data.max(axis=1), -data.min(axis=1))
     bad = np.flatnonzero(~(peaks[1:] <= limit)) + 1  # also catches NaN
     if bad.size:
         n = int(bad[0])
@@ -423,17 +415,13 @@ class Coupling:
 
 @dataclass
 class CoupledSolution:
+    """A converged coupled pair; ``iterations`` counts its forward-backward sweeps."""
+
     y: Trajectory
     z: Trajectory
     iterations: int
     residual: float
     converged: bool
-
-
-def _relative_change(new: Trajectory, old: Trajectory) -> float:
-    num = traj_norm(new - old)
-    den = max(traj_norm(new), 1e-300)
-    return num / den
 
 
 def _picard(first, second, it: Trajectory, new: Trajectory, opts: SolverOptions,
@@ -496,6 +484,13 @@ def solve_coupled_linear(
     The converged pair is the exact first-order system of the discrete
     minimax cost, which is what the gradient-consistency tests require.
     """
+    return _solve_coupled(h, y0, yd, coupling, opts, omega, f1, f2, z_init, False)
+
+
+def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1, f2,
+                   z_init, convective: bool) -> CoupledSolution:
+    """The Picard sweeps of both coupled solves; ``convective`` adds convection to
+    the forward march and its transpose around the sweep's y to the backward one."""
     g = coupling.grid
     w = trapezoid_weights(g.nt)[:, None]
     obs = coupling.obs_mask.data
@@ -511,6 +506,9 @@ def solve_coupled_linear(
     # the sweep's sources, then its output, in place
     work = Trajectory(g, np.empty_like(z.data))
     zd, wd = z.data, work.data
+    # the convective backward march reads the y of its sweep from its own stack
+    y = Trajectory.zeros(g) if convective else None
+    transposed = (lambda m, raw: adjoint_coupling(y[m], raw)) if convective else None
 
     def forward_sweep():
         # work <- y of the current z; level 0 stays y0p
@@ -519,21 +517,25 @@ def solve_coupled_linear(
             wd[1:] += fwd_data[1:]
         project_levels(wd[1:], g)
         work[0] = y0p
-        _march(g, range(1, g.nt + 1), y0_start, wd, wd)
+        _march(g, range(1, g.nt + 1), y0_start, wd, wd, _convect if convective else None)
 
     def backward_sweep():
         # work (= y) <- the z it drives; the raw backward state is w_m * z_m
+        if convective:
+            np.copyto(y.data, wd)
         np.multiply(wd, y_weight, out=wd)
         np.multiply(wd, w, out=wd)
         if bwd_data is not None:
             wd[:] += bwd_data
         project_levels(wd, g)
-        _march(g, range(g.nt, -1, -1), VelocityField.zeros(g), wd, wd)
+        _march(g, range(g.nt, -1, -1), VelocityField.zeros(g), wd, wd, transposed)
         wd[1:] *= 1.0 / w[1:]
 
     sweeps, residual = _picard(
-        forward_sweep, backward_sweep, z, work, opts, "coupled linear solve",
-        "the forward-backward sweep contracts only for large enough gamma and ell",
+        forward_sweep, backward_sweep, z, work, opts,
+        "nonlinear coupled solve" if convective else "coupled linear solve",
+        "reduce the data size or the horizon (small-data regime required)" if convective
+        else "the forward-backward sweep contracts only for large enough gamma and ell",
         opts.blowup_norm)
     return CoupledSolution(work, z, sweeps, residual, True)
 
@@ -544,7 +546,8 @@ def frozen_sources(y: Trajectory, z: Trajectory):
     f1 carries the state convection of the previous iterate: its level n+1
     drives the step that advances from level n.  f2 carries the backward
     coupling (z . grad^T) y - (y . grad) z; the raw backward state is
-    w_m * z_m and vanishes above the last level.
+    w_m * z_m and vanishes above the last level.  At a solution of
+    :func:`solve_coupled_nonlinear` they are its march terms, frozen.
     """
     g = y.grid
     w = trapezoid_weights(g.nt)
@@ -564,39 +567,21 @@ def solve_coupled_nonlinear(
     opts: SolverOptions,
     omega: Region | None = None,
 ) -> CoupledSolution:
-    """Outer Picard on convection/coupling terms around the linear coupled solve.
+    """Forward-backward Picard solve of the nonlinear coupled optimality system.
 
-    Convection in the state equation and the linearized coupling in the
-    backward equation are frozen from the previous iterate and fed to
-    :func:`solve_coupled_linear` as extra sources, so the converged pair
-    satisfies the semi-implicit discretization of the nonlinear system.
+    The sweeps of :func:`solve_coupled_linear`, with the convection of the
+    previous level as a term of the forward march and the transposed
+    convection linearization around the sweep's y as a term of the backward
+    march, so the converged pair satisfies the semi-implicit discretization
+    of the nonlinear system.  A non-finite iterate raises BlowupError;
+    ``picard_max`` sweeps without convergence raise ConvergenceError.
     """
     if opts.small_data_delta is not None and h1_norm(y0) > opts.small_data_delta:
         raise ConfigurationError(
             f"initial state exceeds the configured small-data bound "
             f"{opts.small_data_delta:.3e} required by the nonlinear solver"
         )
-    g = coupling.grid
-    inner_opts = dataclasses.replace(opts, convection_on=False)
-    sol = solve_coupled_linear(h, y0, yd, coupling, inner_opts, omega)
-    for it in range(1, opts.picard_max + 1):
-        # the CFL number of the level with the largest velocity
-        _check_cfl(sol.y[int(np.argmax(_level_peaks(sol.y.data)))], g.dt)
-        f1, f2 = frozen_sources(sol.y, sol.z)
-        new = solve_coupled_linear(h, y0, yd, coupling, inner_opts, omega, f1, f2)
-        change = max(
-            _relative_change(new.y, sol.y),
-            _relative_change(new.z, sol.z) if traj_norm(sol.z) > 0 else 0.0,
-        )
-        sol = new
-        if change <= opts.picard_tol:
-            return CoupledSolution(sol.y, sol.z, it, change, True)
-    raise ConvergenceError(
-        "nonlinear coupled solve did not converge; reduce the data size or "
-        "the horizon (small-data regime required)",
-        residual=change,
-        iterations=opts.picard_max,
-    )
+    return _solve_coupled(h, y0, yd, coupling, opts, omega, None, None, None, True)
 
 
 # ---------------------------------------------------------------------------

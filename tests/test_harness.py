@@ -307,8 +307,9 @@ def test_manifest_write_is_atomic(tmp_path, monkeypatch):
 
 
 def test_option_copies_keep_relax(monkeypatch):
-    # every place that derives solver options from configured ones keeps
-    # relax and blowup_norm and changes only convection_on
+    # the nonlinear coupled solve hands the configured options to its sweeps
+    # unchanged, and every place that derives solver options from configured
+    # ones keeps relax and blowup_norm and changes only convection_on
     from stackstokes import harness, leader, saddle, stokes
 
     from conftest import eddy, make_problem, make_setup
@@ -325,8 +326,8 @@ def test_option_copies_keep_relax(monkeypatch):
     prob = make_problem(setup, eddy(g, 1e-3), None, relax=0.5, blowup_norm=1e5,
                         convection_on=True)
 
-    monkeypatch.setattr(stokes, "solve_coupled_linear", lambda *a, **k: capture(a[4]))
-    with pytest.raises(Seen, match="False"):
+    monkeypatch.setattr(stokes, "_picard", lambda *a, **k: capture(a[4]))
+    with pytest.raises(Seen, match="True"):
         stokes.solve_coupled_nonlinear(None, prob.y0, None, prob.coupling, prob.opts)
 
     monkeypatch.setattr(leader, "solve_coupled_nonlinear", lambda *a, **k: capture(a[4]))
@@ -379,6 +380,8 @@ def test_option_copies_keep_relax(monkeypatch):
     ("options", "domination_lams", [], "options.domination_lams"),
     ("options", "domination_lams", [1.0, 0.0], "options.domination_lams"),
     ("data", "y0_kind", 3, "data.y0_kind"),
+    ("carleman", "eta_norm", 0.5, "carleman.eta_norm"),
+    ("carleman", "eta_norm", 0.95, "carleman.eta_norm"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
     from stackstokes.cli import main

@@ -1,6 +1,6 @@
 """Every exported name and every function the benchmark traces resolves,
-every solver and penalty option is live, and only grid splits the packed face
-layout."""
+every solver and penalty option is live, only grid splits the packed face
+layout, and only the Picard driver reads its iteration controls."""
 
 import ast
 import dataclasses
@@ -98,3 +98,28 @@ def test_weights_are_evaluated_on_arrays():
                     if name in WEIGHT_EVALUATORS:
                         offenders.append(f"{path.stem}:{node.lineno}")
     assert not offenders, f"weight evaluators called inside loops at {sorted(set(offenders))}"
+
+
+# the one fixed-point loop on the solver options, and the options' own check
+PICARD_READERS = {"_picard", "SolverOptions.__post_init__"}
+
+
+def _scoped_nodes(node, scope=()):
+    """Every node below ``node``, with the names of the classes and functions around it."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _scoped_nodes(child, scope + (child.name,) if named else scope)
+
+
+def test_one_loop_reads_the_picard_controls():
+    # a function that reads picard_max or picard_tol runs a fixed-point loop
+    # of its own; the solvers share the one in stokes._picard
+    readers = sorted({
+        f"{path.stem}.{'.'.join(scope)}"
+        for path in SRC.glob("*.py")
+        for scope, node in _scoped_nodes(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr in ("picard_max", "picard_tol") and ".".join(scope) not in PICARD_READERS
+    })
+    assert not readers, f"Picard controls read outside the Picard driver by {readers}"

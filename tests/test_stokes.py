@@ -21,6 +21,7 @@ from stackstokes.stokes import (
     adjoint_coupling,
     control_gradient,
     convection,
+    frozen_sources,
     linearized_convection,
     solve_backward_adjoint,
     solve_coupled_linear,
@@ -28,7 +29,7 @@ from stackstokes.stokes import (
     solve_forward,
 )
 
-from conftest import closed_noise, control_traj, eddy, make_setup
+from conftest import closed_noise, control_traj, eddy, make_setup, state_traj
 
 TIGHT = SolverOptions(picard_tol=1e-12, picard_max=400)
 
@@ -367,6 +368,37 @@ def test_coupled_nonlinear_small_data_guard():
             None, y0, None, coupling_for(setup),
             SolverOptions(convection_on=True, small_data_delta=1e-3),
         )
+
+
+def test_coupled_nonlinear_reproduced_by_its_frozen_sources(rng):
+    # the march terms of the nonlinear sweeps, frozen at the solution, are the
+    # sources f1, f2 of a linear solve that reproduces it
+    setup = make_setup(nt=16, T=0.5)
+    g = setup["grid"]
+    coup = coupling_for(setup)
+    h, yd, y0 = control_traj(g, rng, 0.05), state_traj(g, rng, 0.05), eddy(g, amp=0.1)
+    opts = SolverOptions(convection_on=True, picard_tol=1e-13, picard_max=400)
+    sol = solve_coupled_nonlinear(h, y0, yd, coup, opts, omega=setup["omega"])
+    assert sol.converged and sol.residual <= 1e-13
+    f1, f2 = frozen_sources(sol.y, sol.z)
+    lin = solve_coupled_linear(h, y0, yd, coup, opts, setup["omega"], f1, f2)
+    for new, old in ((lin.y, sol.y), (lin.z, sol.z)):
+        assert (new - old).max_abs() <= 1e-12 * old.max_abs()
+
+
+def test_convective_saddle_from_coupled_matches_ascent_descent():
+    from stackstokes.harness import config_from_dict, default_config_dict, rng_stream
+    from stackstokes.saddle import saddle_ascent_descent, saddle_from_coupled
+
+    raw = default_config_dict("saddle")
+    raw["solver"]["convection_on"] = True
+    cfg = config_from_dict(raw)
+    prob, h = cfg.problem(), cfg.leader_trajectory()
+    res = saddle_from_coupled(prob, h)
+    ref = saddle_ascent_descent(prob, h, rng=rng_stream(cfg.seed, "power-iteration"))
+    assert res.converged
+    gap = traj_norm(res.psi_bar - ref.psi_bar) + traj_norm(res.v_bar - ref.v_bar)
+    assert gap <= 1e-9 * (traj_norm(res.psi_bar) + traj_norm(res.v_bar))
 
 
 def test_transposition_duality_random_pairs(rng):
