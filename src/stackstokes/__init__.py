@@ -66,9 +66,7 @@ from .carleman import (
     alpha_ratio,
     check_laplacian_weight_bound,
     check_weight_domination,
-    eta_field,
     observability_ratio,
-    weight_eval,
     weighted_norm_components,
 )
 from .harness import (

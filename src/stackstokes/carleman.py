@@ -28,11 +28,10 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .errors import ConfigurationError, GeometryError, NumericalError, PoleError
+from .errors import ConfigurationError, NumericalError, PoleError
 from .grid import (
     GridSpec,
     Region,
-    ScalarField,
     Trajectory,
     VelocityField,
     closed_noise,
@@ -50,9 +49,6 @@ __all__ = [
     "CarlemanParams",
     "WeightFamily",
     "WeightSpec",
-    "EtaField",
-    "eta_field",
-    "weight_eval",
     "log_weight_eval",
     "alpha_ratio",
     "check_weight_domination",
@@ -192,11 +188,6 @@ def log_weight_eval(spec: WeightSpec, T: float, t, eta_value=0.0):
     return out if out.ndim else float(out)
 
 
-def weight_eval(spec: WeightSpec, T: float, t, eta_value=0.0):
-    """The family value at the times t and eta; +inf beyond e^709."""
-    return _exp709(log_weight_eval(spec, T, t, eta_value))
-
-
 def alpha_ratio(lam: float, eta_norm: float = 1.0) -> float:
     """Spatial min/max ratio of the singular weight: alpha_hat / alpha_star.
 
@@ -237,55 +228,12 @@ def _signed_exponent(params: CarlemanParams, T: float, t, terms) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _eta(grid: GridSpec, x, y) -> np.ndarray:
-    """The sine-product profile at the points (x, y): 1 at the center, 0 on the walls."""
-    return np.sin(np.pi * np.asarray(x) / grid.Lx) * np.sin(np.pi * np.asarray(y) / grid.Ly)
+    """The sine-product profile at the points (x, y): 1 at the center, 0 on the walls.
 
-
-@dataclass
-class EtaField:
-    """The weight-generating profile: positive inside, zero on the walls."""
-
-    grid: GridSpec
-    values: ScalarField
-    grad_x: np.ndarray
-    grad_y: np.ndarray
-    eta_norm: float
-
-    def at_points(self, x, y) -> np.ndarray:
-        return _eta(self.grid, x, y)
-
-
-def eta_field(grid: GridSpec, omega0: Region) -> EtaField:
-    """Normalized sine-product profile with its analytic gradient.
-
-    Validates the three structural requirements on cell centers: positive
-    inside, vanishing at the walls, and critical-point free outside omega0
-    (the single interior critical point is the center of the box, which must
-    lie strictly inside omega0).
+    It is positive inside the box and its gradient vanishes only at the
+    center, which config validation keeps strictly inside omega0.
     """
-    cx, cy = grid.Lx / 2.0, grid.Ly / 2.0
-    if not omega0.contains_point(cx, cy, strict=True):
-        raise GeometryError(
-            f"profile critical point ({cx}, {cy}) must lie strictly inside "
-            f"the inner region {omega0}"
-        )
-    x, y = grid.cell_centers()
-    X, Y = x[:, None], y[None, :]
-    vals = _eta(grid, X, Y)
-    gx = (np.pi / grid.Lx) * np.cos(np.pi * X / grid.Lx) * np.sin(np.pi * Y / grid.Ly)
-    gy = (np.pi / grid.Ly) * np.sin(np.pi * X / grid.Lx) * np.cos(np.pi * Y / grid.Ly)
-    if vals.min() <= 0.0:
-        raise GeometryError("profile must be positive at every interior cell")
-    outside = omega0.cell_mask(grid) == 0.0
-    gnorm = np.hypot(gx, gy)
-    bad = outside & (gnorm <= 0.0)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise GeometryError(
-            f"profile gradient vanishes outside the inner region at cell "
-            f"({int(i)}, {int(j)}) ~ ({x[i]:.4f}, {y[j]:.4f})"
-        )
-    return EtaField(grid, ScalarField(grid, vals), gx, gy, 1.0)
+    return np.sin(np.pi * np.asarray(x) / grid.Lx) * np.sin(np.pi * np.asarray(y) / grid.Ly)
 
 
 # ---------------------------------------------------------------------------

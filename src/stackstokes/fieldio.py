@@ -1,21 +1,19 @@
-"""Flat binary and CSV serialization of grid fields and trajectories.
+"""Flat binary serialization of velocity fields and trajectories.
 
-Binary layout (little-endian): magic ``b"SGF1"``, kind byte (``b"S"`` scalar,
-``b"V"`` velocity), uint32 nx, uint32 ny, then the payload(s) as row-major
-float64: scalar ``nx*ny``; velocity ``(nx+1)*ny`` for u followed by
-``nx*(ny+1)`` for v, which is the packed ``data`` of the field.
+SGF1 layout (little-endian): magic ``b"SGF1"``, kind byte ``b"V"`` (velocity,
+the one kind), uint32 nx, uint32 ny, then ``(nx+1)*ny`` u faces followed by
+``nx*(ny+1)`` v faces as float64, which is the packed ``data`` of the field.
 """
 
 from __future__ import annotations
 
-import csv
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import GridSpec, ScalarField, Trajectory, VelocityField
+from .grid import GridSpec, Trajectory, VelocityField
 
 MAGIC = b"SGF1"
 _HEADER = struct.Struct("<4scII")
@@ -23,15 +21,11 @@ _HEADER = struct.Struct("<4scII")
 
 def write_field(path, field) -> None:
     path = Path(path)
+    if not isinstance(field, VelocityField):
+        raise ConfigurationError(f"cannot serialize {type(field).__name__}")
     with open(path, "wb") as fh:
-        if isinstance(field, ScalarField):
-            fh.write(_HEADER.pack(MAGIC, b"S", field.grid.nx, field.grid.ny))
-            fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
-        elif isinstance(field, VelocityField):
-            fh.write(_HEADER.pack(MAGIC, b"V", field.grid.nx, field.grid.ny))
-            fh.write(np.ascontiguousarray(field.data, dtype="<f8").tobytes())
-        else:
-            raise ConfigurationError(f"cannot serialize {type(field).__name__}")
+        fh.write(_HEADER.pack(MAGIC, b"V", field.grid.nx, field.grid.ny))
+        fh.write(np.ascontiguousarray(field.data, dtype="<f8").tobytes())
 
 
 def read_field(path, grid: GridSpec):
@@ -46,20 +40,15 @@ def read_field(path, grid: GridSpec):
         raise ConfigurationError(
             f"{path} holds a {nx}x{ny} field, expected {grid.nx}x{grid.ny}"
         )
-    if kind == b"S":
-        expected = nx * ny
-    elif kind == b"V":
-        expected = (nx + 1) * ny + nx * (ny + 1)
-    else:
+    if kind != b"V":
         raise ConfigurationError(f"unknown field kind {kind!r} in {path}")
+    expected = grid.n_faces
     if len(raw) - _HEADER.size != 8 * expected:
         raise ConfigurationError(
             f"{path} payload has {len(raw) - _HEADER.size} bytes, "
             f"expected {8 * expected}"
         )
     body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if kind == b"S":
-        return ScalarField(grid, body.reshape(nx, ny).copy())
     return VelocityField.from_packed(grid, body.astype(float))
 
 
@@ -82,17 +71,3 @@ def read_trajectory(directory, name: str, grid: GridSpec) -> Trajectory:
         traj[m] = read_field(directory / f"{name}_{m:04d}.sgf", grid)
     return traj
 
-
-def velocity_to_csv(path, field: VelocityField) -> None:
-    g = field.grid
-    xu, yu = g.u_face_coords()
-    xv, yv = g.v_face_coords()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["component", "x", "y", "value"])
-        for i in range(g.nx + 1):
-            for j in range(g.ny):
-                w.writerow(["u", repr(xu[i]), repr(yu[j]), repr(field.u[i, j])])
-        for i in range(g.nx):
-            for j in range(g.ny + 1):
-                w.writerow(["v", repr(xv[i]), repr(yv[j]), repr(field.v[i, j])])

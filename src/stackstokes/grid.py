@@ -187,31 +187,8 @@ class ScalarField:
                 f"{(self.grid.nx, self.grid.ny)}"
             )
 
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "ScalarField":
-        return cls(grid, np.zeros((grid.nx, grid.ny)))
-
-    @classmethod
-    def from_function(cls, grid: GridSpec, f) -> "ScalarField":
-        x, y = grid.cell_centers()
-        return cls(grid, np.asarray(f(x[:, None], y[None, :]), dtype=float))
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
-
-    def __add__(self, other):
-        return ScalarField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        return ScalarField(self.grid, self.values - other.values)
-
-    def __mul__(self, a: float):
-        return ScalarField(self.grid, self.values * a)
-
-    __rmul__ = __mul__
 
 
 class VelocityField:
@@ -274,14 +251,6 @@ class VelocityField:
         _zero_normal_faces(out.data, self.grid)
         return out
 
-    def boundary_is_closed(self, tol: float = 0.0) -> bool:
-        return (
-            np.abs(self.u[0, :]).max(initial=0.0) <= tol
-            and np.abs(self.u[-1, :]).max(initial=0.0) <= tol
-            and np.abs(self.v[:, 0]).max(initial=0.0) <= tol
-            and np.abs(self.v[:, -1]).max(initial=0.0) <= tol
-        )
-
     def max_abs(self) -> float:
         return float(np.abs(self.data).max())
 
@@ -297,9 +266,6 @@ class VelocityField:
         return VelocityField.from_packed(self.grid, self.data * a)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
 
     def mul_mask(self, mask: "VelocityField") -> "VelocityField":
         _check_same_faces(self, mask)
@@ -358,9 +324,6 @@ class Region:
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ConfigurationError(f"degenerate region {self}")
 
-    def area(self) -> float:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
     def contains(self, other: "Region") -> bool:
         return (
             self.x0 <= other.x0
@@ -387,10 +350,9 @@ class Region:
             min(self.y1, other.y1),
         )
 
-    def contains_point(self, x: float, y: float, strict: bool = False) -> bool:
-        if strict:
-            return self.x0 < x < self.x1 and self.y0 < y < self.y1
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
+    def contains_point(self, x: float, y: float) -> bool:
+        """Whether (x, y) lies strictly inside the rectangle."""
+        return self.x0 < x < self.x1 and self.y0 < y < self.y1
 
     def cell_mask(self, grid: GridSpec) -> np.ndarray:
         """0/1 indicator on cells (center-in-region test)."""
@@ -525,10 +487,6 @@ class Trajectory:
             out[m] = VelocityField.from_functions(
                 grid, lambda x, y: fu(x, y, t), lambda x, y: fv(x, y, t))
         return out
-
-    @classmethod
-    def constant(cls, snapshot: VelocityField) -> "Trajectory":
-        return cls(snapshot.grid, [snapshot] * (snapshot.grid.nt + 1))
 
     def __len__(self) -> int:
         return len(self.data)

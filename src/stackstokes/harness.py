@@ -133,6 +133,13 @@ class ExperimentConfig:
                 "'omega0 inside omega n O_d': "
                 f"omega0={self.inner_set} not inside {cap}"
             )
+        # the weight profile's one critical point is the center of the box
+        cx, cy = self.grid.Lx / 2.0, self.grid.Ly / 2.0
+        if not self.inner_set.contains_point(cx, cy):
+            raise GeometryError(
+                "geometry violates the weight hypothesis 'eta has no critical point "
+                f"outside omega0': omega0={self.inner_set} misses the center ({cx}, {cy})"
+            )
 
     def cutoff(self) -> SmoothCutoff:
         return SmoothCutoff.for_grid(self.follower_set, self.grid, self.cutoff_taper_cells)
@@ -155,12 +162,6 @@ class ExperimentConfig:
             xn = np.arange(g.nx + 1) * g.hx
             yn = np.arange(g.ny + 1) * g.hy
             psi = amp * np.sin(np.pi * xn[:, None] / g.Lx) * np.sin(np.pi * yn[None, :] / g.Ly)
-            y0 = stream_function_velocity(g, psi)
-        elif kind == "eddy2":
-            xn = np.arange(g.nx + 1) * g.hx
-            yn = np.arange(g.ny + 1) * g.hy
-            psi = amp * (np.sin(np.pi * xn[:, None] / g.Lx) ** 2
-                         * np.sin(np.pi * yn[None, :] / g.Ly) ** 2)
             y0 = stream_function_velocity(g, psi)
         elif kind == "random":
             noise = closed_noise(g, rng_stream(self.seed, "y0"), 1, amp)
@@ -293,6 +294,16 @@ def _typed(value, where: str, kind=float):
     return kind(value) if kind in (int, float) else value
 
 
+def _known(d: dict, path: str, keys) -> dict:
+    """``d``, after a check that it holds no key outside ``keys``; a misspelled
+    key would otherwise leave its field at the default without a word."""
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        where = ", ".join(f"'{path}.{k}'" if path else f"'{k}'" for k in unknown)
+        raise ConfigurationError(f"unknown config field {where}")
+    return d
+
+
 def _field(d: dict, key: str, path: str, kind=float, default=_REQUIRED):
     """``d[key]`` checked by :func:`_typed`, or ``default`` when the key is absent."""
     where = f"{path}.{key}" if path else key
@@ -345,7 +356,7 @@ def _option_defaults(*names) -> dict:
 def _section(raw: dict, key: str, kinds: dict) -> dict:
     """A copy of the object ``raw[key]`` with the entries named in ``kinds`` checked
     by :func:`_typed`; a null entry counts as absent, so its default applies."""
-    d = dict(_field(raw, key, "", dict, {}))
+    d = dict(_known(_field(raw, key, "", dict, {}), key, kinds))
     for name, kind in kinds.items():
         if d.get(name) is None:
             d.pop(name, None)
@@ -370,11 +381,16 @@ def _options(raw: dict) -> dict:
     return options
 
 
+# The top-level entries of a config.
+_TOP_LEVEL = ("experiment", "seed", "grid", "regions", "cutoff_taper_cells", "robust",
+             "carleman", "penalty", "solver", "data", "options")
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build the experiment config; a missing field, or one of the wrong JSON
-    type, raises ConfigurationError naming its path."""
-    raw = _typed(raw, "(top level)", dict)
-    gd = _field(raw, "grid", "", dict)
+    """Build the experiment config; a missing field, an unknown one, or one of
+    the wrong JSON type raises ConfigurationError naming its path."""
+    raw = _known(_typed(raw, "(top level)", dict), "", _TOP_LEVEL)
+    gd = _known(_field(raw, "grid", "", dict), "grid", ("nx", "ny", "Lx", "Ly", "nt", "T"))
     grid = GridSpec(
         nx=_field(gd, "nx", "grid", int),
         ny=_field(gd, "ny", "grid", int),
@@ -383,7 +399,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         nt=_field(gd, "nt", "grid", int),
         T=_field(gd, "T", "grid"),
     )
-    rd = _field(raw, "regions", "", dict)
+    rd = _known(_field(raw, "regions", "", dict), "regions", ("omega", "O", "Od", "omega0"))
 
     def region(key):
         vals = _field(rd, key, "regions", list)
@@ -391,10 +407,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigurationError(f"regions.{key} must be [x0, x1, y0, y1]")
         return Region(*[_typed(v, f"regions.{key}[{i}]") for i, v in enumerate(vals)])
 
-    rb = _field(raw, "robust", "", dict)
-    cl = _field(raw, "carleman", "", dict, {})
-    pen = _field(raw, "penalty", "", dict, {})
-    sv = _field(raw, "solver", "", dict, {})
+    rb = _known(_field(raw, "robust", "", dict), "robust", ("ell", "gamma", "mu"))
+    cl = _known(_field(raw, "carleman", "", dict, {}), "carleman",
+                ("lam", "s", "a0", "m0", "eta_norm"))
+    pen = _known(_field(raw, "penalty", "", dict, {}), "penalty",
+                 ("epsilon", "cg_tol", "cg_max", "epsilon_schedule"))
+    sv = _known(_field(raw, "solver", "", dict, {}), "solver",
+                ("convection_on", "picard_tol", "picard_max", "relax", "small_data_delta"))
     schedule = _field(pen, "epsilon_schedule", "penalty", list, [])
     small_data_delta = sv.get("small_data_delta")
     if small_data_delta is not None:

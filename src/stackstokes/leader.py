@@ -77,7 +77,6 @@ class LeaderResult:
     cg_iters: int
     objective: float
     epsilon: float
-    converged: bool
     history: list = field(default_factory=list)   # rows of EpsilonRow
     outer_iterations: int = 0
     objective_curve: list = field(default_factory=list)
@@ -110,12 +109,7 @@ def penalized_gradient(prob: SaddleProblem, h: Trajectory, cfg: PenaltyConfig,
                        f1=None, f2=None) -> Trajectory:
     """Gradient of the penalized objective: h + 1_omega * phi, phi(T) = y(T)/eps."""
     yT = control_to_terminal(prob, h, f1, f2)
-    adj = solve_backward_adjoint(
-        yT * (1.0 / cfg.epsilon), None, None, None, prob.coupling, prob.opts
-    )
-    lifted = control_gradient(adj.phi, prob._omega_mask)
-    masked_h = h.mul_mask(prob._omega_mask)
-    return masked_h + lifted
+    return h.mul_mask(prob._omega_mask) + _terminal_dual_lift(prob, yT * (1.0 / cfg.epsilon))
 
 
 def _terminal_dual_lift(prob: SaddleProblem, w: VelocityField) -> Trajectory:
@@ -181,7 +175,9 @@ def solve_null_control_cg(
         while it < cfg.cg_max and math.sqrt(rz) > cfg.cg_tol * rhs_norm:
             it += 1
             lam_p = control_to_terminal(hom, p)
-            Ap = p + _terminal_dual_lift(hom, lam_p * (1.0 / eps))
+            # A p built in the lift's own stack: one trajectory fewer per iteration
+            Ap = _terminal_dual_lift(hom, lam_p * (1.0 / eps))
+            Ap.data += p.data
             pAp = inner_space_time(p, Ap)
             if not math.isfinite(pAp) or pAp <= 0:
                 err = NumericalError(
@@ -229,7 +225,6 @@ def solve_null_control_cg(
         cg_iters=total_iters,
         objective=0.5 * ctrl**2 + 0.5 / final.epsilon * term**2,
         epsilon=final.epsilon,
-        converged=True,
         history=history,
         objective_curve=curve_all[-1] if curve_all else [],
     )
@@ -252,9 +247,8 @@ def solve_null_control_nonlinear(
     admissibility check of the frozen sources.
     """
     # solve_coupled_nonlinear refuses an initial state above small_data_delta
-    nl_opts = dataclasses.replace(prob.opts, convection_on=True)
     sol = solve_coupled_nonlinear(
-        None, prob.y0, prob.yd, prob.coupling, nl_opts, omega=prob.omega
+        None, prob.y0, prob.yd, prob.coupling, prob.opts, omega=prob.omega
     )
     h_prev: Trajectory | None = None
     result: LeaderResult | None = None
@@ -270,7 +264,7 @@ def solve_null_control_nonlinear(
             result.admissibility = admissibility_report
             return result
         sol = solve_coupled_nonlinear(
-            result.h, prob.y0, prob.yd, prob.coupling, nl_opts, omega=prob.omega
+            result.h, prob.y0, prob.yd, prob.coupling, prob.opts, omega=prob.omega
         )
         if h_prev is not None:
             change = traj_norm(result.h - h_prev) / max(traj_norm(result.h), 1e-300)

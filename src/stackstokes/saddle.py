@@ -245,7 +245,7 @@ def saddle_from_coupled(prob: SaddleProblem, h: Trajectory | None) -> SaddleResu
     tol = FIRST_ORDER_TOL * prob.data_scale(h)
     return SaddleResult(
         psi, v, sol.y, sol.z, res_psi, res_v,
-        sol.converged and res_psi <= tol and res_v <= tol,
+        res_psi <= tol and res_v <= tol,
         sol.iterations, cost, tol,
     )
 
@@ -347,10 +347,6 @@ class SaddleProbeReport:
     worst_v_margin: float     # min of J(psi, v+d) - J(psi, v) over nonzero d; >= -tol at a saddle
     tol: float
     rows: list = field(default_factory=list)  # (kind, magnitude, margin, ok)
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
 
 
 def verify_saddle(

@@ -421,7 +421,6 @@ class CoupledSolution:
     z: Trajectory
     iterations: int
     residual: float
-    converged: bool
 
 
 def _picard(first, second, it: Trajectory, new: Trajectory, opts: SolverOptions,
@@ -474,7 +473,6 @@ def solve_coupled_linear(
     omega: Region | None = None,
     f1: Trajectory | None = None,
     f2: Trajectory | None = None,
-    z_init: Trajectory | None = None,
 ) -> CoupledSolution:
     """Forward-backward Picard solve of the linear coupled optimality system.
 
@@ -484,11 +482,11 @@ def solve_coupled_linear(
     The converged pair is the exact first-order system of the discrete
     minimax cost, which is what the gradient-consistency tests require.
     """
-    return _solve_coupled(h, y0, yd, coupling, opts, omega, f1, f2, z_init, False)
+    return _solve_coupled(h, y0, yd, coupling, opts, omega, f1, f2, False)
 
 
 def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1, f2,
-                   z_init, convective: bool) -> CoupledSolution:
+                   convective: bool) -> CoupledSolution:
     """The Picard sweeps of both coupled solves; ``convective`` adds convection to
     the forward march and its transpose around the sweep's y to the backward one."""
     g = coupling.grid
@@ -502,7 +500,7 @@ def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1
 
     y0p = _closed_div_free(y0)
     y0_start = project_div_free(y0p)
-    z = z_init.copy() if z_init is not None else Trajectory.zeros(g)
+    z = Trajectory.zeros(g)
     # the sweep's sources, then its output, in place
     work = Trajectory(g, np.empty_like(z.data))
     zd, wd = z.data, work.data
@@ -537,7 +535,7 @@ def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1
         "reduce the data size or the horizon (small-data regime required)" if convective
         else "the forward-backward sweep contracts only for large enough gamma and ell",
         opts.blowup_norm)
-    return CoupledSolution(work, z, sweeps, residual, True)
+    return CoupledSolution(work, z, sweeps, residual)
 
 
 def frozen_sources(y: Trajectory, z: Trajectory):
@@ -581,7 +579,7 @@ def solve_coupled_nonlinear(
             f"initial state exceeds the configured small-data bound "
             f"{opts.small_data_delta:.3e} required by the nonlinear solver"
         )
-    return _solve_coupled(h, y0, yd, coupling, opts, omega, None, None, None, True)
+    return _solve_coupled(h, y0, yd, coupling, opts, omega, None, None, True)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +592,6 @@ class AdjointPair:
     theta: Trajectory
     iterations: int
     residual: float
-    converged: bool
 
 
 def solve_backward_adjoint(
@@ -640,7 +637,7 @@ def solve_backward_adjoint(
     if coupling is None:
         phi = Trajectory(g, np.zeros_like(theta.data) if phi_data is None else phi_data)
         phi_march(phi)
-        return AdjointPair(phi, theta, 0, 0.0, True)
+        return AdjointPair(phi, theta, 0, 0.0)
 
     w = trapezoid_weights(g.nt)[:, None]
     theta_weight = g.dt * coupling.mu * coupling.obs_mask.data
@@ -672,7 +669,7 @@ def solve_backward_adjoint(
 
     sweeps, residual = _picard(phi_sweep, theta_sweep, theta, work, opts, "adjoint pair",
                                "gamma or ell too small or mu too large")
-    return AdjointPair(work, theta, sweeps, residual, True)
+    return AdjointPair(work, theta, sweeps, residual)
 
 
 def control_gradient(adj_phi: Trajectory, mask: VelocityField | None = None) -> Trajectory:

@@ -15,13 +15,11 @@ from stackstokes.carleman import (
     alpha_ratio,
     check_laplacian_weight_bound,
     check_weight_domination,
-    eta_field,
     log_weight_eval,
     observability_ratio,
-    weight_eval,
     weighted_norm_components,
 )
-from stackstokes.errors import ConfigurationError, GeometryError, PoleError
+from stackstokes.errors import ConfigurationError, PoleError
 from stackstokes.grid import (
     GridSpec,
     Region,
@@ -47,31 +45,10 @@ def test_params_constraint_chain():
         CarlemanParams(lam=-1.0, s=3.0)
 
 
-def test_eta_field_valid_geometry():
-    g = GridSpec(nx=16, ny=16, nt=8, T=1.0)
-    ef = eta_field(g, Region(0.4, 0.6, 0.4, 0.6))
-    assert ef.at_points(0.5, 0.5) == pytest.approx(1.0)
-    assert ef.values.values.min() > 0.0
-    # boundary cells: value tiny but gradient nonzero
-    boundary_vals = np.concatenate(
-        [ef.values.values[0, :], ef.values.values[-1, :],
-         ef.values.values[:, 0], ef.values.values[:, -1]]
-    )
-    assert boundary_vals.max() <= math.sin(math.pi * 1.5 * g.hx)
-    gn = np.hypot(ef.grad_x, ef.grad_y)
-    assert gn[0, :].min() > 0.0 and gn[:, 0].min() > 0.0
-
-
-def test_eta_field_shifted_inner_region_rejected():
-    g = GridSpec(nx=16, ny=16, nt=8, T=1.0)
-    with pytest.raises(GeometryError):
-        eta_field(g, Region(0.1, 0.3, 0.1, 0.3))
-
-
 def test_weight_closed_form_value():
     # xi at eta = 0, lam = 1, |eta| = 1, T = 1, t = 1/2:  e^10 * 4^5
     p = CarlemanParams(lam=1.0, s=1.0)
-    got = weight_eval(WeightSpec(WeightFamily.XI, p), 1.0, 0.5, eta_value=0.0)
+    got = math.exp(log_weight_eval(WeightSpec(WeightFamily.XI, p), 1.0, 0.5, eta_value=0.0))
     assert got == pytest.approx(math.exp(10.0) * 1024.0, rel=1e-13)
 
 
@@ -79,27 +56,27 @@ def test_weight_pole_errors():
     p = CarlemanParams(lam=1.0, s=1.0)
     for t in (0.0, 1.0):
         with pytest.raises(PoleError):
-            weight_eval(WeightSpec(WeightFamily.ALPHA, p), 1.0, t)
+            log_weight_eval(WeightSpec(WeightFamily.ALPHA, p), 1.0, t)
     with pytest.raises(PoleError):
-        weight_eval(WeightSpec(WeightFamily.BETA, p), 1.0, 1.0)
+        log_weight_eval(WeightSpec(WeightFamily.BETA, p), 1.0, 1.0)
     # the flat-start family is finite at t = 0
-    assert math.isfinite(weight_eval(WeightSpec(WeightFamily.BETA, p), 1.0, 0.0))
+    assert math.isfinite(log_weight_eval(WeightSpec(WeightFamily.BETA, p), 1.0, 0.0))
 
 
 def test_pole_divergence_on_refining_grid():
     p = CarlemanParams(lam=1.0, s=1.0)
     T = 1.0
     for fam in (WeightFamily.ALPHA, WeightFamily.XI):
-        vals = [weight_eval(WeightSpec(fam, p), T, t, eta_value=0.5)
+        vals = [math.exp(log_weight_eval(WeightSpec(fam, p), T, t, eta_value=0.5))
                 for t in (1e-3, 1e-4, 1e-5)]
         assert vals[-1] > 1e12 and vals[0] < vals[1] < vals[2]
     # beta/tau blow up only at t = T
     for fam in (WeightFamily.BETA, WeightFamily.TAU):
-        near_T = [weight_eval(WeightSpec(fam, p), T, T - dt)
+        near_T = [math.exp(log_weight_eval(WeightSpec(fam, p), T, T - dt))
                   for dt in (1e-3, 1e-4, 1e-5)]
         assert near_T[-1] > 1e12
-        assert weight_eval(WeightSpec(fam, p), T, 1e-6) == pytest.approx(
-            weight_eval(WeightSpec(fam, p), T, 0.25), rel=1e-12
+        assert math.exp(log_weight_eval(WeightSpec(fam, p), T, 1e-6)) == pytest.approx(
+            math.exp(log_weight_eval(WeightSpec(fam, p), T, 0.25)), rel=1e-12
         )
 
 
@@ -277,9 +254,7 @@ def test_array_weights_match_scalar_calls():
         spec = WeightSpec(fam, p)
         for eta in (0.0, 0.3):
             logs = log_weight_eval(spec, T, ts, eta_value=eta)
-            vals = weight_eval(spec, T, ts, eta_value=eta)
             assert np.array_equal(logs, [log_weight_eval(spec, T, float(t), eta) for t in ts])
-            assert np.array_equal(vals, [weight_eval(spec, T, float(t), eta) for t in ts])
         assert isinstance(log_weight_eval(spec, T, 0.5), float)
     # an array of eta values broadcasts against a column of times
     grid = log_weight_eval(WeightSpec(WeightFamily.BETA, p), T, ts[:, None],
@@ -293,15 +268,15 @@ def test_array_pole_errors():
     with pytest.raises(PoleError):
         log_weight_eval(WeightSpec(WeightFamily.ALPHA, p), 1.0, np.array([0.0, 0.5]))
     with pytest.raises(PoleError):
-        weight_eval(WeightSpec(WeightFamily.TAU, p), 1.0, np.linspace(0.0, 1.0, 5))
+        log_weight_eval(WeightSpec(WeightFamily.TAU, p), 1.0, np.linspace(0.0, 1.0, 5))
     with pytest.raises(PoleError):
-        weight_eval(WeightSpec(WeightFamily.BETA, p), 1.0, np.array([-0.1, 0.5]))
+        log_weight_eval(WeightSpec(WeightFamily.BETA, p), 1.0, np.array([-0.1, 0.5]))
     with pytest.raises(PoleError):
         check_weight_domination(p, 1.0, M1=0.0, M2=0.0, epsilon=10.0,
                                 t_grid=np.array([0.5, 1.0]))
     # the flat-start family is finite at t = 0 in an array too
-    assert np.isfinite(weight_eval(WeightSpec(WeightFamily.BETA, p), 1.0,
-                                   np.array([0.0, 0.5]))).all()
+    assert np.isfinite(log_weight_eval(WeightSpec(WeightFamily.BETA, p), 1.0,
+                                       np.array([0.0, 0.5]))).all()
 
 
 def _signed_exponent_per_time(params, T, t, terms, alpha_kind):

@@ -35,6 +35,10 @@ from stackstokes import fieldio
 from conftest import closed_noise, eddy, state_traj
 
 
+def _normal_faces_zero(f: VelocityField) -> bool:
+    return not (f.u[0].any() or f.u[-1].any() or f.v[:, 0].any() or f.v[:, -1].any())
+
+
 def test_gridspec_validation():
     with pytest.raises(ConfigurationError):
         GridSpec(nx=4, ny=16, nt=32, T=1.0)
@@ -172,7 +176,7 @@ def test_diffusion_solve_inverts_implicit_euler(rng, nx, ny):
     dt = 0.01
     f = closed_noise(g, rng)
     x = diffusion_solve(f, dt)
-    assert x.boundary_is_closed()
+    assert _normal_faces_zero(x)
     back = x - dt * laplacian(x)
     assert norm(back - f) <= 1e-12 * norm(f)
 
@@ -180,7 +184,7 @@ def test_diffusion_solve_inverts_implicit_euler(rng, nx, ny):
 def test_inner_space_time_constant_fields():
     g = GridSpec(nx=16, ny=16, nt=16, T=1.0)
     ones = VelocityField(g, np.ones((g.nx + 1, g.ny)), np.ones((g.nx, g.ny + 1)))
-    t = Trajectory.constant(ones)
+    t = Trajectory(g, [ones] * (g.nt + 1))
     assert abs(inner_space_time(t, t) - 2.0) < 1e-12
     assert inner_space_time(t, Trajectory.zeros(g)) == 0.0
 
@@ -188,7 +192,7 @@ def test_inner_space_time_constant_fields():
 def test_inner_space_time_region_mask():
     g = GridSpec(nx=16, ny=16, nt=16, T=1.0)
     ones = VelocityField(g, np.ones((g.nx + 1, g.ny)), np.ones((g.nx, g.ny + 1)))
-    t = Trajectory.constant(ones)
+    t = Trajectory(g, [ones] * (g.nt + 1))
     mask = Region(0.5, 1.0, 0.5, 1.0)  # area 1/4, grid aligned
     assert abs(inner_space_time(t, t, mask) - 0.5) < 1e-12
 
@@ -219,12 +223,13 @@ def test_region_validation_and_masks():
         Region(0.5, 0.2, 0.0, 1.0)
     g = GridSpec(nx=16, ny=16, nt=8, T=1.0)
     r = Region(0.25, 0.75, 0.25, 0.5)
+    area = (r.x1 - r.x0) * (r.y1 - r.y0)
     cm = r.cell_mask(g)
-    assert cm.sum() * g.cell_area == pytest.approx(r.area(), abs=1e-14)
+    assert cm.sum() * g.cell_area == pytest.approx(area, abs=1e-14)
     fm = r.face_mask(g)
     # face-averaged mask integrates to the exact area per component
     wu = np.ones((g.nx + 1, g.ny)); wu[0] = wu[-1] = 0.5
-    assert (fm.u * wu).sum() * g.cell_area == pytest.approx(r.area(), abs=1e-14)
+    assert (fm.u * wu).sum() * g.cell_area == pytest.approx(area, abs=1e-14)
 
 
 def test_smooth_cutoff_shape():
@@ -305,7 +310,7 @@ def test_trajectory_arithmetic_matches_per_level_fields(rng):
         (-1.3 * a, lambda m: -1.3 * a[m]),
         (a.mul_mask(mask), lambda m: a[m].mul_mask(mask)),
         (a.copy(), lambda m: a[m]),
-        (Trajectory.constant(b[4]), lambda m: b[4]),
+        (Trajectory(g, [b[4]] * (g.nt + 1)), lambda m: b[4]),
     ]
     for traj, ref in cases:
         for m in range(g.nt + 1):
@@ -321,7 +326,7 @@ def test_stream_function_velocity_div_free(rng):
     psi[0, :] = psi[-1, :] = psi[:, 0] = psi[:, -1] = 0.0
     w = stream_function_velocity(g, psi)
     assert divergence(w).max_abs() < 1e-12
-    assert w.boundary_is_closed()
+    assert _normal_faces_zero(w)
 
 
 def test_binary_roundtrip(tmp_path, rng):
@@ -330,23 +335,19 @@ def test_binary_roundtrip(tmp_path, rng):
     fieldio.write_field(tmp_path / "w.sgf", w)
     back = fieldio.read_field(tmp_path / "w.sgf", g)
     assert np.array_equal(back.u, w.u) and np.array_equal(back.v, w.v)
+    # SGF1 holds velocities only: a scalar is refused both ways
     s = ScalarField(g, rng.standard_normal((g.nx, g.ny)))
-    fieldio.write_field(tmp_path / "s.sgf", s)
-    back = fieldio.read_field(tmp_path / "s.sgf", g)
-    assert np.array_equal(back.values, s.values)
+    with pytest.raises(ConfigurationError, match="cannot serialize"):
+        fieldio.write_field(tmp_path / "s.sgf", s)
+    assert not (tmp_path / "s.sgf").exists()
+    (tmp_path / "s.sgf").write_bytes(fieldio._HEADER.pack(fieldio.MAGIC, b"S", g.nx, g.ny)
+                                     + s.values.tobytes())
+    with pytest.raises(ConfigurationError, match="unknown field kind"):
+        fieldio.read_field(tmp_path / "s.sgf", g)
     traj = state_traj(g, rng, amp=0.5)
     fieldio.write_trajectory(tmp_path / "traj", "y", traj)
     got = fieldio.read_trajectory(tmp_path / "traj", "y", g)
     assert traj_norm(got - traj) == 0.0
-
-
-def test_csv_export(tmp_path, rng):
-    g = GridSpec(nx=8, ny=8, nt=8, T=1.0)
-    w = closed_noise(g, rng)
-    fieldio.velocity_to_csv(tmp_path / "w.csv", w)
-    lines = (tmp_path / "w.csv").read_text().splitlines()
-    assert lines[0] == "component,x,y,value"
-    assert len(lines) == 1 + (g.nx + 1) * g.ny + g.nx * (g.ny + 1)
 
 
 def test_binary_corruption_detected(tmp_path, rng):

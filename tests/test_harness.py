@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,21 @@ def test_geometry_violation_inner_containment():
     raw["regions"]["omega0"] = [0.05, 0.30, 0.05, 0.30]
     with pytest.raises(GeometryError, match="omega0"):
         config_from_dict(raw)
+
+
+def test_geometry_violation_inner_region_off_center(tmp_path, capsys):
+    # the weight profile's only critical point is the center of the box, so
+    # omega0 must hold it; this box sits inside omega n O_d but misses it
+    from stackstokes.cli import main
+
+    raw = default_config_dict("saddle")
+    raw["regions"]["omega0"] = [0.46, 0.49, 0.46, 0.49]
+    with pytest.raises(GeometryError, match="omega0"):
+        config_from_dict(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 2
+    assert "omega0" in capsys.readouterr().err
 
 
 def test_constraint_chain_violation():
@@ -382,6 +398,17 @@ def test_option_copies_keep_relax(monkeypatch):
     ("data", "y0_kind", 3, "data.y0_kind"),
     ("carleman", "eta_norm", 0.5, "carleman.eta_norm"),
     ("carleman", "eta_norm", 0.95, "carleman.eta_norm"),
+    # a key no section reads: a misspelling would leave its field at the default
+    (None, "experimnt", "saddle", "experimnt"),
+    ("grid", "NT", 32, "grid.NT"),
+    ("regions", "omega_0", [2.76, 4.44, 2.76, 4.44], "regions.omega_0"),
+    ("robust", "gama", 10.0, "robust.gama"),
+    ("carleman", "lamda", 2.0, "carleman.lamda"),
+    ("penalty", "eps", 1e-4, "penalty.eps"),
+    ("solver", "picard_tool", 1e-11, "solver.picard_tool"),
+    ("solver", "blowup_norm", 1e5, "solver.blowup_norm"),  # an option, not a config field
+    ("data", "yd_amp", 0.05, "data.yd_amp"),
+    ("options", "n_probe", 10, "options.n_probe"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
     from stackstokes.cli import main
@@ -392,6 +419,22 @@ def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field
     path.write_text(json.dumps(raw))
     assert main(["validate", str(path)]) == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_shipped_inputs_validate(capsys):
+    # the checks on config keys and geometry accept every input the program
+    # and its benchmark ship with
+    from stackstokes.cli import main
+
+    root = Path(__file__).resolve().parent.parent
+    configs = sorted((root / "configs").glob("*.json"))
+    assert configs
+    for path in configs:
+        assert main(["validate", str(path)]) == 0, capsys.readouterr().err
+    builders = runpy.run_path(str(root / "perfbench" / "workloads.py"))["BUILDERS"]
+    assert builders
+    for build in builders.values():
+        config_from_dict(build(20240))
 
 
 def test_absent_options_take_their_defaults():

@@ -1,6 +1,7 @@
 """Every exported name and every function the benchmark traces resolves,
-every solver and penalty option is live, only grid splits the packed face
-layout, and only the Picard driver reads its iteration controls."""
+every function the package defines has a caller in the program, every
+solver and penalty option is live, only grid splits the packed face layout,
+and only the Picard loop reads its iteration controls."""
 
 import ast
 import dataclasses
@@ -16,6 +17,7 @@ from stackstokes.leader import PenaltyConfig
 from stackstokes.stokes import SolverOptions
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = SPANS.parent
 SRC = Path(stackstokes.__file__).resolve().parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(stackstokes.__path__))
 
@@ -37,6 +39,53 @@ def test_traced_functions_resolve():
             assert hasattr(obj, part), f"stackstokes.{module_name}.{attr} does not resolve"
             obj = getattr(obj, part)
         assert callable(obj)
+
+
+# Functions that no run calls, kept because tests compare the program against them
+TEST_REFERENCES = {
+    "gradient": "the adjoint partner of divergence, which criterion 01 checks",
+    "inner_cells": "the cell pairing of criterion 01's adjointness check",
+    "linearized_convection": "the derivative that adjoint_coupling must transpose",
+    "_poisson_neumann_direct": "pins the cosine tables of _leray",
+}
+
+
+def _loaded_names(path, imports=False):
+    """Names and attribute names the file loads, and with ``imports`` the names it imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif imports and isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(a.name.rpartition(".")[2] for a in node.names)
+    return out
+
+
+def test_every_function_has_a_caller():
+    # a function or class that only its tests reach is surface no run
+    # exercises; the program is the package (its re-exports aside), the
+    # benchmark's scripts and the functions the benchmark traces by name
+    defined = {
+        node.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _loaded_names(path)
+    for path in PERFBENCH.glob("*.py"):
+        used |= _loaded_names(path, imports=True)
+    for _, attr, *_ in runpy.run_path(str(SPANS))["TARGETS"]:
+        used.update(attr.split("."))
+    uncalled = sorted(defined - used - TEST_REFERENCES.keys())
+    assert not uncalled, f"defined in stackstokes, called only by tests: {uncalled}"
+    stale = sorted(n for n in TEST_REFERENCES if n not in defined or n in used)
+    assert not stale, f"TEST_REFERENCES entries that are gone or called by the program: {stale}"
 
 
 def _names_used():
@@ -78,7 +127,7 @@ def test_face_layout_stays_in_grid():
     assert not importers, f"face_views used outside grid by {importers}"
 
 
-WEIGHT_EVALUATORS = {"log_weight_eval", "weight_eval", "_signed_exponent"}
+WEIGHT_EVALUATORS = {"log_weight_eval", "_signed_exponent"}
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
           ast.GeneratorExp)
 

@@ -54,7 +54,7 @@ def test_cost_constant_tracking_value():
     setup = dict(setup)
     setup["obs"] = Region(0.5, 1.0, 0.5, 1.0)
     ones = VelocityField(g, np.ones((g.nx + 1, g.ny)), np.ones((g.nx, g.ny + 1)))
-    prob = make_problem(setup, VelocityField.zeros(g), Trajectory.constant(-1.0 * ones))
+    prob = make_problem(setup, VelocityField.zeros(g), Trajectory(g, [-1.0 * ones] * (g.nt + 1)))
     # state is identically zero, so y - yd = +1 everywhere
     assert robust_cost(prob, None, None, None) == pytest.approx(0.25, abs=1e-13)
 
@@ -255,7 +255,7 @@ def test_verify_saddle_probes(rng):
     h = control_traj(g, rng, 0.1)
     res = saddle_from_coupled(prob, h)
     rep = verify_saddle(prob, res, h, n_probes=30, rng=np.random.default_rng(5))
-    assert rep.passed and rep.violations == 0
+    assert rep.violations == 0
     assert rep.worst_psi_margin <= rep.tol
     assert rep.worst_v_margin >= -rep.tol
 
@@ -272,7 +272,7 @@ def test_verify_saddle_negative_control(rng):
     # is of order |g|^2/gamma^2; tighten the tolerance to that scale
     rep = verify_saddle(prob, res, h, n_probes=30, tol_scale=1e-12,
                         rng=np.random.default_rng(5))
-    assert not rep.passed and rep.violations > 0
+    assert rep.violations > 0
 
 
 def test_concavity_convexity_along_probes(rng):
@@ -344,7 +344,7 @@ def test_verify_saddle_zero_data_strict_margins():
     prob = make_problem(setup, VelocityField.zeros(g), None)
     res = saddle_from_coupled(prob, None)
     rep = verify_saddle(prob, res, None, n_probes=20, rng=np.random.default_rng(2))
-    assert rep.passed
+    assert rep.violations == 0
     # every random probe sits strictly inside the inequalities
     for kind, amp, m_psi, m_v, ok in rep.rows:
         if kind == "random":
@@ -362,5 +362,5 @@ def test_verify_saddle_margins_skip_zero_probe():
     rep = verify_saddle(prob, res, h, n_probes=10,
                         rng=rng_stream(cfg.seed, "saddle-probes"))
     assert rep.rows[0][0] == "newton" and rep.rows[0][2:4] == (0.0, 0.0)
-    assert rep.passed
+    assert rep.violations == 0
     assert rep.worst_psi_margin < 0.0 < rep.worst_v_margin

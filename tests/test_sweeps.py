@@ -156,7 +156,7 @@ def test_forward_blowup_names_its_step(rng):
 # the solvers against the per-level Picard loops they replace
 # ---------------------------------------------------------------------------
 
-def _reference_coupled(h, y0, yd, coup, opts, omega=None, f1=None, f2=None, z_init=None):
+def _reference_coupled(h, y0, yd, coup, opts, omega=None, f1=None, f2=None):
     g = coup.grid
     dt = g.dt
     w = trapezoid_weights(g.nt)
@@ -188,7 +188,7 @@ def _reference_coupled(h, y0, yd, coup, opts, omega=None, f1=None, f2=None, z_in
             raw[m] = U
         return Trajectory(g, [raw[0]] + [raw[m] * (1.0 / w[m]) for m in range(1, g.nt + 1)])
 
-    z = z_init.copy() if z_init is not None else Trajectory.zeros(g)
+    z = Trajectory.zeros(g)
     relax, prev = opts.relax, math.inf
     for it in range(1, opts.picard_max + 1):
         z_new = backward(forward(z))
@@ -267,13 +267,14 @@ def test_coupled_linear_matches_per_level_reference(rng, relax):
         omega=setup["omega"],
         f1=control_traj(g, rng, 0.1),
         f2=state_traj(g, rng, 0.1),
-        z_init=state_traj(g, rng, 0.05),
     )
     sol = solve_coupled_linear(**args)
     y_ref, z_ref, it_ref = _reference_coupled(*args.values())
-    assert sol.converged and sol.iterations == it_ref
+    assert sol.iterations == it_ref
     assert _rel(sol.y, y_ref) <= 1e-12
     assert _rel(sol.z, z_ref) <= 1e-12
+    for f in [*sol.y, *sol.z]:
+        assert divergence(f).max_abs() < 1e-10
     # level 0 is the initial state as given, not its projection
     assert np.array_equal(sol.y[0].u, args["y0"].apply_noslip().u)
 
@@ -294,7 +295,7 @@ def test_backward_adjoint_matches_per_level_reference(rng, relax, with_link):
     )
     adj = solve_backward_adjoint(*args)
     phi_ref, theta_ref, it_ref = _reference_adjoint(*args)
-    assert adj.converged and adj.iterations == it_ref
+    assert adj.iterations == it_ref
     assert _rel(adj.phi, phi_ref) <= 1e-12
     assert _rel(adj.theta, theta_ref) <= 1e-12
 
