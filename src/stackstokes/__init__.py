@@ -62,7 +62,6 @@ from .leader import (
 from .carleman import (
     CarlemanParams,
     WeightFamily,
-    WeightSpec,
     alpha_ratio,
     check_laplacian_weight_bound,
     check_weight_domination,

@@ -3,8 +3,9 @@
 Two families of space-time weights drive the observability machinery: the
 ``alpha``/``xi`` family with the open time factor t(T-t) (poles at both
 endpoints) and the ``beta``/``tau`` family whose time factor is frozen to
-T^2/4 on [0, T/2] (finite at t = 0, pole only at t = T).  Starred variants
-are the spatial extremes at eta = 0, hatted variants at eta = |eta|_inf.
+T^2/4 on [0, T/2] (finite at t = 0, pole only at t = T).  A weight is a
+family at an eta value in [0, eta_norm]; the starred and hatted spatial
+extremes of the paper are a family at eta = 0 and at eta = eta_norm.
 
 The weights are evaluated on arrays: a scalar or an array of times, and
 eta values that broadcast against them (one per face, say), so that every
@@ -48,7 +49,6 @@ from .stokes import Coupling, SolverOptions, solve_backward_adjoint
 __all__ = [
     "CarlemanParams",
     "WeightFamily",
-    "WeightSpec",
     "log_weight_eval",
     "alpha_ratio",
     "check_weight_domination",
@@ -92,31 +92,11 @@ class CarlemanParams:
 class WeightFamily(str, Enum):
     ALPHA = "alpha"
     XI = "xi"
-    ALPHA_STAR = "alpha_star"
-    XI_STAR = "xi_star"
-    ALPHA_HAT = "alpha_hat"
-    XI_HAT = "xi_hat"
     BETA = "beta"
     TAU = "tau"
-    BETA_STAR = "beta_star"
-    TAU_STAR = "tau_star"
-    BETA_HAT = "beta_hat"
-    TAU_HAT = "tau_hat"
 
 
-_ALPHA_KIND = {
-    WeightFamily.ALPHA, WeightFamily.XI,
-    WeightFamily.ALPHA_STAR, WeightFamily.XI_STAR,
-    WeightFamily.ALPHA_HAT, WeightFamily.XI_HAT,
-}
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """One weight factor: a family with its parameters."""
-
-    family: WeightFamily
-    params: CarlemanParams
+_ALPHA_KIND = {WeightFamily.ALPHA, WeightFamily.XI}
 
 
 def _libm(f, x) -> np.ndarray:
@@ -155,36 +135,34 @@ def _time_log(T: float, t, alpha_kind: bool):
 
 
 def _log_num(params: CarlemanParams, family: WeightFamily, eta_value):
-    """log of the spatial numerator of the requested family at eta_value."""
+    """log of the spatial numerator of the family at eta_value.
+
+    The alpha/beta numerators decrease in eta and the xi/tau ones increase,
+    so each family takes its extremes at eta = 0 and at eta = eta_norm.
+    """
     lam, M = params.lam, params.eta_norm
-    kind, _, variant = family.value.partition("_")
-    # the alpha/beta numerators decrease in eta, xi/tau increase; both kinds
-    # take their starred extreme at eta = 0 and their hatted one at eta = M
-    if variant == "star":
-        eta_value = 0.0
-    elif variant == "hat":
-        eta_value = M
     eta = np.asarray(eta_value, dtype=float)
     bad = eta[~((0.0 <= eta) & (eta <= M))]
     if bad.size:
         raise ConfigurationError(f"eta value {bad[0]} outside [0, {M}]")
-    if kind in ("alpha", "beta"):
+    if family in (WeightFamily.ALPHA, WeightFamily.BETA):
         # e^{12 lam M} - e^{lam (10 M + eta)} = e^{12 lam M} (1 - e^{-lam(2M - eta)})
         return 12.0 * lam * M + _libm(math.log1p, -_libm(math.exp, -lam * (2.0 * M - eta)))
     return lam * (10.0 * M + eta)
 
 
-def log_weight_eval(spec: WeightSpec, T: float, t, eta_value=0.0):
+def log_weight_eval(params: CarlemanParams, family: WeightFamily, T: float, t,
+                    eta_value=0.0):
     """log of the family value at the times t and eta (arrays broadcast).
 
     A float for scalar arguments; PoleError if any time is at or beyond a
-    singular endpoint.
+    singular endpoint, ConfigurationError if an eta lies outside [0, eta_norm].
     """
-    tlog, live = _time_log(T, t, spec.family in _ALPHA_KIND)
+    tlog, live = _time_log(T, t, family in _ALPHA_KIND)
     if not live.all():
         raise PoleError(f"t={np.asarray(t)[~live][0]} is at a pole of the "
-                        f"{spec.family.value} weight")
-    out = _log_num(spec.params, spec.family, eta_value) - tlog
+                        f"{family.value} weight")
+    out = _log_num(params, family, eta_value) - tlog
     return out if out.ndim else float(out)
 
 
@@ -244,7 +222,6 @@ def _eta(grid: GridSpec, x, y) -> np.ndarray:
 class DominationReport:
     max_log_ratio: float
     max_ratio: float
-    argmax_t: float
     t_values: np.ndarray
     log_ratios: np.ndarray
 
@@ -275,21 +252,19 @@ def check_weight_domination(
         guard = T / (2 * nt)
         t_grid = np.linspace(guard, T - guard, nt)
     t_grid = np.asarray(t_grid, dtype=float)
-    xi_hat_log = log_weight_eval(WeightSpec(WeightFamily.XI_HAT, params), T, t_grid)
-    expo = _signed_exponent(params, T, t_grid, [(WeightFamily.ALPHA_STAR, 0.0, 1.0),
-                                                (WeightFamily.ALPHA_HAT, 0.0, -(1.0 + epsilon))])
+    M = params.eta_norm
+    xi_hat_log = log_weight_eval(params, WeightFamily.XI, T, t_grid, M)
+    expo = _signed_exponent(params, T, t_grid, [(WeightFamily.ALPHA, 0.0, 1.0),
+                                                (WeightFamily.ALPHA, M, -(1.0 + epsilon))])
     logs = expo - M1 * math.log(params.s) - M2 * math.log(params.lam) - M1 * xi_hat_log
-    k = int(np.argmax(logs))
-    max_log = float(logs[k])
-    return DominationReport(max_log, _exp709(max_log), float(t_grid[k]), t_grid, logs)
+    max_log = float(np.max(logs))
+    return DominationReport(max_log, _exp709(max_log), t_grid, logs)
 
 
 @dataclass
 class LaplacianBoundReport:
     max_ratio: float
     ratios: list
-    log_time_lhs: float
-    log_time_rhs: float
 
 
 def check_laplacian_weight_bound(
@@ -322,7 +297,8 @@ def check_laplacian_weight_bound(
     guard = T / (2 * n_time)
     t_grid = np.linspace(guard, T - guard, n_time)
     dt = float(t_grid[1] - t_grid[0])
-    xi_hat_log = log_weight_eval(WeightSpec(WeightFamily.XI_HAT, params), T, t_grid)
+    M = params.eta_norm
+    xi_hat_log = log_weight_eval(params, WeightFamily.XI, T, t_grid, M)
 
     def log_time_integral(terms, power):
         vals = _signed_exponent(params, T, t_grid, terms) + power * xi_hat_log
@@ -332,8 +308,8 @@ def check_laplacian_weight_bound(
         return vmax + math.log(np.exp(vals - vmax).sum() * dt)
 
     lhs_t = log_time_integral(
-        [(WeightFamily.ALPHA_HAT, 0.0, -4.0), (WeightFamily.ALPHA_STAR, 0.0, -2.0 * a0)], M1t)
-    rhs_t = log_time_integral([(WeightFamily.ALPHA_STAR, 0.0, -2.0 * m0)], -1.0)
+        [(WeightFamily.ALPHA, M, -4.0), (WeightFamily.ALPHA, 0.0, -2.0 * a0)], M1t)
+    rhs_t = log_time_integral([(WeightFamily.ALPHA, 0.0, -2.0 * m0)], -1.0)
 
     mask = omega.face_mask(u_samples[0].grid)
     ratios = []
@@ -352,7 +328,7 @@ def check_laplacian_weight_bound(
             - (-math.log(params.s) + rhs_t + math.log(total))
         )
         ratios.append(_exp709(log_ratio))
-    return LaplacianBoundReport(max(ratios), ratios, lhs_t, rhs_t)
+    return LaplacianBoundReport(max(ratios), ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +339,6 @@ def check_laplacian_weight_bound(
 class ObservabilityReport:
     max_ratio: float
     ratios: list
-    flagged: int   # samples with vanishing observation but nonzero state
 
 
 def _observability_weights(params: CarlemanParams, g: GridSpec, omega: Region):
@@ -379,12 +354,12 @@ def _observability_weights(params: CarlemanParams, g: GridSpec, omega: Region):
     times = g.times()
     t = times[times < T]
     n = t.size
-    tau_star_log = log_weight_eval(WeightSpec(WeightFamily.TAU_STAR, params), T, t)
+    tau_star_log = log_weight_eval(params, WeightFamily.TAU, T, t)
 
     def time_weight(coeff):
         out = np.zeros(g.nt + 1)
         out[:n] = _exp709(
-            _signed_exponent(params, T, t, [(WeightFamily.BETA_STAR, 0.0, coeff)])
+            _signed_exponent(params, T, t, [(WeightFamily.BETA, 0.0, coeff)])
             + 3.0 * tau_star_log
         )
         return out
@@ -395,9 +370,9 @@ def _observability_weights(params: CarlemanParams, g: GridSpec, omega: Region):
     eta = VelocityField.from_functions(g, partial(_eta, g), partial(_eta, g)).data[on]
     expo = _signed_exponent(
         params, T, t[:, None],
-        [(WeightFamily.BETA_STAR, 0.0, -4.0 * a0), (WeightFamily.BETA, eta, 2.0 * (m0 - 2.0))],
+        [(WeightFamily.BETA, 0.0, -4.0 * a0), (WeightFamily.BETA, eta, 2.0 * (m0 - 2.0))],
     )
-    expo += 15.0 * log_weight_eval(WeightSpec(WeightFamily.TAU_HAT, params), T, t)[:, None]
+    expo += 15.0 * log_weight_eval(params, WeightFamily.TAU, T, t, params.eta_norm)[:, None]
     rhs_w = np.zeros((g.nt + 1, g.n_faces))
     rhs_w[:n, on] = np.exp(np.minimum(expo, 709.0, out=expo)) * mask[on]
     rhs_w *= (trapezoid_weights(g.nt) * g.dt * g.cell_area)[:, None]
@@ -450,7 +425,7 @@ def observability_ratio(
                 ratios.append(0.0)
             continue
         ratios.append(lhs / rhs)
-    report = ObservabilityReport(max(ratios) if ratios else 0.0, ratios, flagged)
+    report = ObservabilityReport(max(ratios) if ratios else 0.0, ratios)
     if flagged:
         raise NumericalError(
             f"observability red flag: {flagged} samples had vanishing "
@@ -483,33 +458,26 @@ def weighted_norm_components(
     params: CarlemanParams,
     c0: float = 2.5,
     omega: Region | None = None,
-    f1: Trajectory | None = None,
-    f2: Trajectory | None = None,
 ) -> dict:
     """log10 of each weighted component of the solution-space norm.
 
     All weights are time-only and blow up at t = T, so the quadrature runs
     over the levels strictly before T (the final node carries a singular
     weight; its exclusion is the discrete counterpart of the guard band) and
-    the result is reported in log10 to stay finite.  The f1/f2 entries are
-    the weighted admissibility norms of the extra sources of the coupled
-    system.
+    the result is reported in log10 to stay finite.
     """
     if c0 < 2.5:
         raise ConfigurationError("c0 must be at least 5/2")
     g = y.grid
     T = g.T
-    a0, m0 = params.a0, params.m0
+    a0, m0, M = params.a0, params.m0, params.eta_norm
     t = g.times()[:-1]  # singular weight at t = T excluded
     w = trapezoid_weights(g.nt).copy()
     w[-1] = 0.0
 
-    def exponent(coeff_beta_star):
-        return _signed_exponent(params, T, t, [(WeightFamily.BETA_STAR, 0.0, coeff_beta_star)])
-
-    s_a0 = exponent(a0)
-    tau_hat = log_weight_eval(WeightSpec(WeightFamily.TAU_HAT, params), T, t)
-    tau_star = log_weight_eval(WeightSpec(WeightFamily.TAU_STAR, params), T, t)
+    s_a0 = _signed_exponent(params, T, t, [(WeightFamily.BETA, 0.0, a0)])
+    tau_hat = log_weight_eval(params, WeightFamily.TAU, T, t, M)
+    tau_star = log_weight_eval(params, WeightFamily.TAU, T, t)
 
     def traj_component(sq, log_weight):
         """Half the log of the trapezoid sum of e^{log_weight} sq before T."""
@@ -531,8 +499,8 @@ def weighted_norm_components(
         out["z_l2"] = traj_component(inner_levels(z, z), 2.0 * s_a0)
     if h is not None:
         hmask = omega.face_indicator(g) if omega is not None else None
-        h_expo = _signed_exponent(params, T, t, [(WeightFamily.BETA_STAR, 0.0, 4.0 * a0),
-                                                 (WeightFamily.BETA_HAT, 0.0, -2.0 * (m0 - 2.0))])
+        h_expo = _signed_exponent(params, T, t, [(WeightFamily.BETA, 0.0, 4.0 * a0),
+                                                 (WeightFamily.BETA, M, -2.0 * (m0 - 2.0))])
         out["h_l2"] = traj_component(inner_levels(h, h, hmask), h_expo - 15.0 * tau_hat)
     out["y_h2"] = traj_component([h2_sq(f) for f in y], 2.0 * s_a0 - 15.0 * tau_hat)
     hv = np.array([h1_norm(y[m]) for m in range(g.nt)])
@@ -543,13 +511,5 @@ def weighted_norm_components(
     )
     if z is not None:
         out["z_h2"] = traj_component([h2_sq(f) for f in z], 2.0 * s_a0 - 2.0 * c0 * tau_star)
-    if f1 is not None:
-        out["f1_residual"] = traj_component(
-            inner_levels(f1, f1), 2.0 * exponent(m0) - 3.0 * tau_star
-        )
-    if f2 is not None:
-        out["f2_residual"] = traj_component(
-            inner_levels(f2, f2), 2.0 * exponent(2.0 * a0) - 3.0 * tau_star
-        )
     log10 = math.log(10.0)
     return {k: (v / log10 if math.isfinite(v) else v) for k, v in out.items()}

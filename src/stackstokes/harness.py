@@ -54,7 +54,6 @@ from .leader import (
 from .carleman import (
     CarlemanParams,
     WeightFamily,
-    WeightSpec,
     alpha_ratio,
     check_laplacian_weight_bound,
     check_weight_domination,
@@ -163,11 +162,9 @@ class ExperimentConfig:
             yn = np.arange(g.ny + 1) * g.hy
             psi = amp * np.sin(np.pi * xn[:, None] / g.Lx) * np.sin(np.pi * yn[None, :] / g.Ly)
             y0 = stream_function_velocity(g, psi)
-        elif kind == "random":
+        else:  # "random", the last of _Y0_KINDS
             noise = closed_noise(g, rng_stream(self.seed, "y0"), 1, amp)
             y0 = project_div_free(VelocityField.from_packed(g, noise[0]))
-        else:
-            raise ConfigurationError(f"unknown y0_kind {kind!r}")
         target = d.get("y0_v_norm")
         if target is not None:
             cur = h1_norm(y0)
@@ -314,9 +311,10 @@ def _field(d: dict, key: str, path: str, kind=float, default=_REQUIRED):
     return default
 
 
-# The data entries the pipelines read, with their JSON types.
+# The data entries the pipelines read, with their JSON types, and the kinds of initial state.
 _DATA_KINDS = {"y0_kind": str, "y0_amplitude": float, "y0_v_norm": float,
                "yd_amplitude": float, "h_amplitude": float}
+_Y0_KINDS = ("zero", "eddy", "random")
 
 
 # The options entries the pipelines read: JSON type (a one-element list is a
@@ -394,8 +392,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     grid = GridSpec(
         nx=_field(gd, "nx", "grid", int),
         ny=_field(gd, "ny", "grid", int),
-        Lx=_field(gd, "Lx", "grid", default=1.0),
-        Ly=_field(gd, "Ly", "grid", default=1.0),
+        Lx=_field(gd, "Lx", "grid", default=GridSpec.Lx),
+        Ly=_field(gd, "Ly", "grid", default=GridSpec.Ly),
         nt=_field(gd, "nt", "grid", int),
         T=_field(gd, "T", "grid"),
     )
@@ -408,17 +406,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         return Region(*[_typed(v, f"regions.{key}[{i}]") for i, v in enumerate(vals)])
 
     rb = _known(_field(raw, "robust", "", dict), "robust", ("ell", "gamma", "mu"))
-    cl = _known(_field(raw, "carleman", "", dict, {}), "carleman",
-                ("lam", "s", "a0", "m0", "eta_norm"))
-    pen = _known(_field(raw, "penalty", "", dict, {}), "penalty",
-                 ("epsilon", "cg_tol", "cg_max", "epsilon_schedule"))
-    sv = _known(_field(raw, "solver", "", dict, {}), "solver",
-                ("convection_on", "picard_tol", "picard_max", "relax", "small_data_delta"))
-    schedule = _field(pen, "epsilon_schedule", "penalty", list, [])
-    small_data_delta = sv.get("small_data_delta")
-    if small_data_delta is not None:
-        small_data_delta = _typed(small_data_delta, "solver.small_data_delta")
+    # the dataclasses hold the defaults of the carleman, penalty and solver keys
+    cl = _section(raw, "carleman", {"lam": float, "s": float, "a0": float, "m0": float,
+                                    "eta_norm": float})
+    pen = _section(raw, "penalty", {"epsilon": float, "cg_tol": float, "cg_max": int,
+                                    "epsilon_schedule": [float]})
+    sv = _section(raw, "solver", {"convection_on": bool, "picard_tol": float,
+                                  "picard_max": int, "relax": float, "small_data_delta": float})
     options = _options(raw)
+    data = _section(raw, "data", _DATA_KINDS)
+    if data.get("y0_kind", "eddy") not in _Y0_KINDS:
+        raise ConfigurationError(f"config field 'data.y0_kind' must be one of {_Y0_KINDS}, "
+                                 f"got {data['y0_kind']!r}")
     return ExperimentConfig(
         experiment=_field(raw, "experiment", "", str),
         seed=_field(raw, "seed", "", int),
@@ -431,30 +430,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         robust=RobustParams(
             ell=_field(rb, "ell", "robust"),
             gamma=_field(rb, "gamma", "robust"),
-            mu=_field(rb, "mu", "robust", default=1.0),
+            mu=_field(rb, "mu", "robust", default=RobustParams.mu),
         ),
-        carleman=CarlemanParams(
-            lam=_field(cl, "lam", "carleman", default=2.0),
-            s=_field(cl, "s", "carleman", default=3.0),
-            a0=_field(cl, "a0", "carleman", default=2.0),
-            m0=_field(cl, "m0", "carleman", default=3.5),
-            eta_norm=_field(cl, "eta_norm", "carleman", default=1.0),
-        ),
-        penalty=PenaltyConfig(
-            epsilon=_field(pen, "epsilon", "penalty", default=1e-4),
-            cg_tol=_field(pen, "cg_tol", "penalty", default=1e-8),
-            cg_max=_field(pen, "cg_max", "penalty", int, default=400),
-            epsilon_schedule=tuple(_typed(e, f"penalty.epsilon_schedule[{i}]")
-                                   for i, e in enumerate(schedule)),
-        ),
-        solver=SolverOptions(
-            convection_on=_field(sv, "convection_on", "solver", bool, False),
-            picard_tol=_field(sv, "picard_tol", "solver", default=1e-11),
-            picard_max=_field(sv, "picard_max", "solver", int, default=200),
-            relax=_field(sv, "relax", "solver", default=1.0),
-            small_data_delta=small_data_delta,
-        ),
-        data=_section(raw, "data", _DATA_KINDS),
+        carleman=CarlemanParams(**{"lam": 2.0, "s": 3.0, **cl}),
+        penalty=PenaltyConfig(**pen),
+        solver=SolverOptions(**sv),
+        data=data,
         options=options,
         raw=raw,
     )
@@ -476,8 +457,6 @@ def parse_config(path) -> ExperimentConfig:
 class RunRecord:
     config_hash: str
     experiment: str
-    started: str
-    finished: str
     metrics: dict
     artifacts: list
     run_dir: str
@@ -590,17 +569,10 @@ def _exp_nullcontrol(cfg: ExperimentConfig, outdir: Path, h: str):
 
 def _exp_nullcontrol_nonlinear(cfg: ExperimentConfig, outdir: Path, h: str):
     prob = cfg.problem()
-
-    def admissibility(f1, f2):
-        return weighted_norm_components(
-            Trajectory.zeros(cfg.grid), None, None, cfg.carleman, f1=f1, f2=f2
-        )
-
     res = solve_null_control_nonlinear(
         prob, cfg.penalty,
         outer_tol=cfg.options["outer_tol"],
         outer_max=cfg.options["outer_max"],
-        admissibility=admissibility,
     )
     lin_prob = dataclasses.replace(prob, opts=dataclasses.replace(cfg.solver, convection_on=False))
     lin = solve_null_control_cg(lin_prob, cfg.penalty)
@@ -614,7 +586,6 @@ def _exp_nullcontrol_nonlinear(cfg: ExperimentConfig, outdir: Path, h: str):
         ),
         "control_norm": res.control_norm,
         "cg_iters": res.cg_iters,
-        "admissibility_log10": res.admissibility,
     }
     return metrics, arts
 
@@ -633,12 +604,12 @@ def _exp_carleman(cfg: ExperimentConfig, outdir: Path, h: str):
     guard = T / (2 * nrow)
     ts = np.linspace(guard, T - guard, nrow)
 
-    def log_w(family):
-        return log_weight_eval(WeightSpec(family, p), T, ts)
+    def log_w(family, eta=0.0):
+        return log_weight_eval(p, family, T, ts, eta)
 
-    W = WeightFamily
-    rows = np.column_stack((ts, log_w(W.ALPHA_STAR), log_w(W.ALPHA_HAT), log_w(W.XI_STAR),
-                            log_w(W.XI_HAT), log_w(W.BETA_STAR), log_w(W.TAU_HAT))).tolist()
+    W, M = WeightFamily, p.eta_norm
+    rows = np.column_stack((ts, log_w(W.ALPHA), log_w(W.ALPHA, M), log_w(W.XI),
+                            log_w(W.XI, M), log_w(W.BETA), log_w(W.TAU, M))).tolist()
     _write_csv(
         outdir / "weight_table.csv",
         ["t", "log_alpha_star", "log_alpha_hat", "log_xi_star", "log_xi_hat",
@@ -826,8 +797,6 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> RunRecord:
         record = RunRecord(
             config_hash=h,
             experiment=cfg.experiment,
-            started=started,
-            finished=finished,
             metrics=metrics,
             artifacts=sorted(arts),
             run_dir=str(outdir),

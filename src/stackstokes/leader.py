@@ -53,7 +53,7 @@ class PenaltyConfig:
 
     epsilon: float = 1e-4
     cg_tol: float = 1e-8
-    cg_max: int = 300
+    cg_max: int = 400
     epsilon_schedule: tuple = ()
 
     def __post_init__(self):
@@ -80,7 +80,6 @@ class LeaderResult:
     history: list = field(default_factory=list)   # rows of EpsilonRow
     outer_iterations: int = 0
     objective_curve: list = field(default_factory=list)
-    admissibility: object = None
 
 
 @dataclass(frozen=True)
@@ -235,33 +234,25 @@ def solve_null_control_nonlinear(
     cfg: PenaltyConfig,
     outer_tol: float = 1e-6,
     outer_max: int = 25,
-    admissibility=None,
 ) -> LeaderResult:
     """Leader control for the nonlinear coupled system at small data.
 
     Outer fixed-point loop: freeze the convection/coupling terms from the
     previous nonlinear solve (they act as the sources f1, f2 of the linear
     theory), recompute the penalized control, re-solve the nonlinear system,
-    and repeat until the control stabilizes.  ``admissibility``, when given,
-    is a callable (f1, f2) -> report that records the weighted-norm
-    admissibility check of the frozen sources.
+    and repeat until the control stabilizes.
     """
     # solve_coupled_nonlinear refuses an initial state above small_data_delta
     sol = solve_coupled_nonlinear(
         None, prob.y0, prob.yd, prob.coupling, prob.opts, omega=prob.omega
     )
     h_prev: Trajectory | None = None
-    result: LeaderResult | None = None
-    admissibility_report = None
     for it in range(1, outer_max + 1):
         f1, f2 = frozen_sources(sol.y, sol.z)
-        if admissibility is not None:
-            admissibility_report = admissibility(f1, f2)
         result = solve_null_control_cg(prob, cfg, f1, f2, h_start=h_prev)
         if h_prev is None and result.control_norm == 0.0:
             # nothing to steer: the zero control is already stationary
             result.outer_iterations = it
-            result.admissibility = admissibility_report
             return result
         sol = solve_coupled_nonlinear(
             result.h, prob.y0, prob.yd, prob.coupling, prob.opts, omega=prob.omega
@@ -271,12 +262,10 @@ def solve_null_control_nonlinear(
             if change <= outer_tol:
                 result.outer_iterations = it
                 result.terminal_norm = norm(sol.y[prob.grid.nt])
-                result.control_norm = traj_norm(result.h)
                 result.objective = (
                     0.5 * result.control_norm**2
                     + 0.5 / result.epsilon * result.terminal_norm**2
                 )
-                result.admissibility = admissibility_report
                 return result
         h_prev = result.h
     raise ConvergenceError(

@@ -209,7 +209,6 @@ class SaddleResult:
     converged: bool
     iterations: int
     cost: float
-    tolerance: float = FIRST_ORDER_TOL
 
 
 def _controls_from_dual(prob: SaddleProblem, z: Trajectory):
@@ -246,7 +245,7 @@ def saddle_from_coupled(prob: SaddleProblem, h: Trajectory | None) -> SaddleResu
     return SaddleResult(
         psi, v, sol.y, sol.z, res_psi, res_v,
         res_psi <= tol and res_v <= tol,
-        sol.iterations, cost, tol,
+        sol.iterations, cost,
     )
 
 
@@ -322,7 +321,7 @@ def saddle_ascent_descent(
             y = prob.state(h, psi, v)
             cost = robust_cost(prob, h, psi, v)
             return SaddleResult(
-                psi, v, y, None, res_psi, res_v, True, it, cost, tol
+                psi, v, y, None, res_psi, res_v, True, it, cost
             )
         if traj_norm(psi) > 1e4 * scale or not math.isfinite(res_psi):
             raise ConvergenceError(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from stackstokes.carleman import (
     CarlemanParams,
     WeightFamily,
-    WeightSpec,
     _log_num,
     _observability_weights,
     _signed_exponent,
@@ -48,7 +47,7 @@ def test_params_constraint_chain():
 def test_weight_closed_form_value():
     # xi at eta = 0, lam = 1, |eta| = 1, T = 1, t = 1/2:  e^10 * 4^5
     p = CarlemanParams(lam=1.0, s=1.0)
-    got = math.exp(log_weight_eval(WeightSpec(WeightFamily.XI, p), 1.0, 0.5, eta_value=0.0))
+    got = math.exp(log_weight_eval(p, WeightFamily.XI, 1.0, 0.5, eta_value=0.0))
     assert got == pytest.approx(math.exp(10.0) * 1024.0, rel=1e-13)
 
 
@@ -56,27 +55,27 @@ def test_weight_pole_errors():
     p = CarlemanParams(lam=1.0, s=1.0)
     for t in (0.0, 1.0):
         with pytest.raises(PoleError):
-            log_weight_eval(WeightSpec(WeightFamily.ALPHA, p), 1.0, t)
+            log_weight_eval(p, WeightFamily.ALPHA, 1.0, t)
     with pytest.raises(PoleError):
-        log_weight_eval(WeightSpec(WeightFamily.BETA, p), 1.0, 1.0)
+        log_weight_eval(p, WeightFamily.BETA, 1.0, 1.0)
     # the flat-start family is finite at t = 0
-    assert math.isfinite(log_weight_eval(WeightSpec(WeightFamily.BETA, p), 1.0, 0.0))
+    assert math.isfinite(log_weight_eval(p, WeightFamily.BETA, 1.0, 0.0))
 
 
 def test_pole_divergence_on_refining_grid():
     p = CarlemanParams(lam=1.0, s=1.0)
     T = 1.0
     for fam in (WeightFamily.ALPHA, WeightFamily.XI):
-        vals = [math.exp(log_weight_eval(WeightSpec(fam, p), T, t, eta_value=0.5))
+        vals = [math.exp(log_weight_eval(p, fam, T, t, eta_value=0.5))
                 for t in (1e-3, 1e-4, 1e-5)]
         assert vals[-1] > 1e12 and vals[0] < vals[1] < vals[2]
     # beta/tau blow up only at t = T
     for fam in (WeightFamily.BETA, WeightFamily.TAU):
-        near_T = [math.exp(log_weight_eval(WeightSpec(fam, p), T, T - dt))
+        near_T = [math.exp(log_weight_eval(p, fam, T, T - dt))
                   for dt in (1e-3, 1e-4, 1e-5)]
         assert near_T[-1] > 1e12
-        assert math.exp(log_weight_eval(WeightSpec(fam, p), T, 1e-6)) == pytest.approx(
-            math.exp(log_weight_eval(WeightSpec(fam, p), T, 0.25)), rel=1e-12
+        assert math.exp(log_weight_eval(p, fam, T, 1e-6)) == pytest.approx(
+            math.exp(log_weight_eval(p, fam, T, 0.25)), rel=1e-12
         )
 
 
@@ -84,14 +83,31 @@ def test_pole_divergence_on_refining_grid():
 @given(lam=st.floats(0.2, 8.0), t=st.floats(0.01, 0.99), eta=st.floats(0.0, 1.0))
 def test_weight_ordering(lam, t, eta):
     p = CarlemanParams(lam=lam, s=1.0)
-    la = log_weight_eval(WeightSpec(WeightFamily.ALPHA, p), 1.0, t, eta_value=eta)
-    lah = log_weight_eval(WeightSpec(WeightFamily.ALPHA_HAT, p), 1.0, t)
-    las = log_weight_eval(WeightSpec(WeightFamily.ALPHA_STAR, p), 1.0, t)
+    # the starred and hatted extremes are the family at eta = 0 and eta = eta_norm
+    M = p.eta_norm
+    la = log_weight_eval(p, WeightFamily.ALPHA, 1.0, t, eta_value=eta)
+    lah = log_weight_eval(p, WeightFamily.ALPHA, 1.0, t, eta_value=M)
+    las = log_weight_eval(p, WeightFamily.ALPHA, 1.0, t, eta_value=0.0)
     assert lah <= la + 1e-12 and la <= las + 1e-12
-    lx = log_weight_eval(WeightSpec(WeightFamily.XI, p), 1.0, t, eta_value=eta)
-    lxs = log_weight_eval(WeightSpec(WeightFamily.XI_STAR, p), 1.0, t)
-    lxh = log_weight_eval(WeightSpec(WeightFamily.XI_HAT, p), 1.0, t)
+    lx = log_weight_eval(p, WeightFamily.XI, 1.0, t, eta_value=eta)
+    lxs = log_weight_eval(p, WeightFamily.XI, 1.0, t, eta_value=0.0)
+    lxh = log_weight_eval(p, WeightFamily.XI, 1.0, t, eta_value=M)
     assert lxs <= lx + 1e-12 and lx <= lxh + 1e-12
+
+
+def test_every_family_refuses_eta_outside_its_range():
+    # no family reads an eta of its own: one outside [0, eta_norm] is refused
+    # by every family, by the evaluator and by the signed exponent alike
+    p = CarlemanParams(lam=1.0, s=1.0, eta_norm=1.5)
+    for fam in WeightFamily:
+        for eta in (-0.1, 1.6, 5.0, np.array([0.5, 2.0])):
+            with pytest.raises(ConfigurationError, match="outside"):
+                log_weight_eval(p, fam, 1.0, 0.5, eta_value=eta)
+            with pytest.raises(ConfigurationError, match="outside"):
+                _signed_exponent(p, 1.0, 0.5, [(fam, eta, 1.0)])
+        # an eta inside the range is the one evaluated
+        at = [log_weight_eval(p, fam, 1.0, 0.5, eta_value=e) for e in (0.0, 0.3, 1.5)]
+        assert len(set(at)) == 3
 
 
 def test_frozen_families_match_open_ones_late():
@@ -102,8 +118,8 @@ def test_frozen_families_match_open_ones_late():
             (WeightFamily.ALPHA, WeightFamily.BETA),
             (WeightFamily.XI, WeightFamily.TAU),
         ):
-            a = log_weight_eval(WeightSpec(open_fam, p), T, float(t), eta_value=0.3)
-            b = log_weight_eval(WeightSpec(frozen_fam, p), T, float(t), eta_value=0.3)
+            a = log_weight_eval(p, open_fam, T, float(t), eta_value=0.3)
+            b = log_weight_eval(p, frozen_fam, T, float(t), eta_value=0.3)
             assert abs(a - b) <= 1e-14 * max(abs(a), 1.0)
 
 
@@ -111,7 +127,7 @@ def test_overflow_contract_large_s_lam():
     # log-domain evaluations stay finite for s*lam products up to 1e4
     for lam, s in ((100.0, 100.0), (1e4, 1.0), (1.0, 1e4)):
         p = CarlemanParams(lam=lam, s=s)
-        lw = log_weight_eval(WeightSpec(WeightFamily.ALPHA, p), 1.0, 0.3, eta_value=0.4)
+        lw = log_weight_eval(p, WeightFamily.ALPHA, 1.0, 0.3, eta_value=0.4)
         assert math.isfinite(lw)
         rep = check_weight_domination(p, 1.0, M1=1.0, M2=1.0, epsilon=10.0,
                                       t_grid=np.linspace(0.1, 0.9, 17))
@@ -251,31 +267,30 @@ def test_array_weights_match_scalar_calls():
     T = 24.0
     ts = np.linspace(T / 512, T - T / 512, 256)
     for fam in WeightFamily:
-        spec = WeightSpec(fam, p)
-        for eta in (0.0, 0.3):
-            logs = log_weight_eval(spec, T, ts, eta_value=eta)
-            assert np.array_equal(logs, [log_weight_eval(spec, T, float(t), eta) for t in ts])
-        assert isinstance(log_weight_eval(spec, T, 0.5), float)
+        for eta in (0.0, 0.3, p.eta_norm):
+            logs = log_weight_eval(p, fam, T, ts, eta_value=eta)
+            assert np.array_equal(logs, [log_weight_eval(p, fam, T, float(t), eta) for t in ts])
+        assert isinstance(log_weight_eval(p, fam, T, 0.5), float)
     # an array of eta values broadcasts against a column of times
-    grid = log_weight_eval(WeightSpec(WeightFamily.BETA, p), T, ts[:, None],
+    grid = log_weight_eval(p, WeightFamily.BETA, T, ts[:, None],
                            eta_value=np.array([0.0, 0.5, 1.0]))
     assert grid.shape == (256, 3)
-    assert grid[7, 1] == log_weight_eval(WeightSpec(WeightFamily.BETA, p), T, ts[7], 0.5)
+    assert grid[7, 1] == log_weight_eval(p, WeightFamily.BETA, T, ts[7], 0.5)
 
 
 def test_array_pole_errors():
     p = CarlemanParams(lam=1.0, s=1.0)
     with pytest.raises(PoleError):
-        log_weight_eval(WeightSpec(WeightFamily.ALPHA, p), 1.0, np.array([0.0, 0.5]))
+        log_weight_eval(p, WeightFamily.ALPHA, 1.0, np.array([0.0, 0.5]))
     with pytest.raises(PoleError):
-        log_weight_eval(WeightSpec(WeightFamily.TAU, p), 1.0, np.linspace(0.0, 1.0, 5))
+        log_weight_eval(p, WeightFamily.TAU, 1.0, np.linspace(0.0, 1.0, 5))
     with pytest.raises(PoleError):
-        log_weight_eval(WeightSpec(WeightFamily.BETA, p), 1.0, np.array([-0.1, 0.5]))
+        log_weight_eval(p, WeightFamily.BETA, 1.0, np.array([-0.1, 0.5]))
     with pytest.raises(PoleError):
         check_weight_domination(p, 1.0, M1=0.0, M2=0.0, epsilon=10.0,
                                 t_grid=np.array([0.5, 1.0]))
     # the flat-start family is finite at t = 0 in an array too
-    assert np.isfinite(log_weight_eval(WeightSpec(WeightFamily.BETA, p), 1.0,
+    assert np.isfinite(log_weight_eval(p, WeightFamily.BETA, 1.0,
                                        np.array([0.0, 0.5]))).all()
 
 
@@ -297,17 +312,16 @@ def _signed_exponent_per_time(params, T, t, terms, alpha_kind):
 
 @pytest.mark.parametrize("alpha_kind", [True, False])
 def test_signed_exponent_matches_per_time_formula(alpha_kind):
-    W = WeightFamily
-    star, hat, plain = ((W.ALPHA_STAR, W.ALPHA_HAT, W.ALPHA) if alpha_kind
-                        else (W.BETA_STAR, W.BETA_HAT, W.BETA))
+    fam = WeightFamily.ALPHA if alpha_kind else WeightFamily.BETA
+    M = 1.0  # the eta_norm of every case: starred is eta = 0, hatted eta = M
     T = 1.0
     ts = np.concatenate(([0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0], np.linspace(0.01, 0.99, 41)))
     cases = [
-        (CarlemanParams(lam=2.0, s=3.0), [(star, 0.0, 1.0), (hat, 0.0, -2.0)]),
-        (CarlemanParams(lam=2.0, s=3.0), [(star, 0.0, -4.0), (plain, 0.4, 3.0)]),
-        (CarlemanParams(lam=2.0, s=3.0), [(star, 0.0, 1.5), (star, 0.0, -1.5)]),  # cancels
-        (CarlemanParams(lam=50.0, s=100.0), [(star, 0.0, 2.0)]),  # beyond e^709
-        (CarlemanParams(lam=50.0, s=100.0), [(star, 0.0, -2.0), (plain, 0.9, 0.5)]),
+        (CarlemanParams(lam=2.0, s=3.0), [(fam, 0.0, 1.0), (fam, M, -2.0)]),
+        (CarlemanParams(lam=2.0, s=3.0), [(fam, 0.0, -4.0), (fam, 0.4, 3.0)]),
+        (CarlemanParams(lam=2.0, s=3.0), [(fam, 0.0, 1.5), (fam, 0.0, -1.5)]),  # cancels
+        (CarlemanParams(lam=50.0, s=100.0), [(fam, 0.0, 2.0)]),  # beyond e^709
+        (CarlemanParams(lam=50.0, s=100.0), [(fam, 0.0, -2.0), (fam, 0.9, 0.5)]),
     ]
     seen = set()
     for params, terms in cases:
@@ -338,16 +352,16 @@ def test_observability_weights_match_per_level_loops():
         q = -4.0 * a0 * (1.0 - math.exp(-2.0 * lam * M)) + 2.0 * (m0 - 2.0) * (
             1.0 - np.exp(-lam * (2.0 * M - eta)))
         for m, t in enumerate(times[:-1]):
-            e1 = _signed_exponent_per_time(params, T, t, [(WeightFamily.BETA_STAR, 0.0, -2.0 * m0)], False)
-            e2 = _signed_exponent_per_time(params, T, t, [(WeightFamily.BETA_STAR, 0.0, -2.0 * (a0 + 1.0))], False)
-            tau_star = log_weight_eval(WeightSpec(WeightFamily.TAU_STAR, params), T, t)
+            e1 = _signed_exponent_per_time(params, T, t, [(WeightFamily.BETA, 0.0, -2.0 * m0)], False)
+            e2 = _signed_exponent_per_time(params, T, t, [(WeightFamily.BETA, 0.0, -2.0 * (a0 + 1.0))], False)
+            tau_star = log_weight_eval(params, WeightFamily.TAU, T, t)
             phi_w[m] = math.exp(e1 + 3.0 * tau_star)
             theta_w[m] = math.exp(e2 + 3.0 * tau_star)
             tt = T * T / 4.0 if t <= T / 2.0 else t * (T - t)
             base = math.log(s) + 12.0 * lam * M - 5.0 * math.log(tt)
             with np.errstate(divide="ignore"):
                 expo = np.sign(q) * np.exp(np.minimum(base + np.log(np.abs(q)), 709.0))
-            tau_hat = log_weight_eval(WeightSpec(WeightFamily.TAU_HAT, params), T, t)
+            tau_hat = log_weight_eval(params, WeightFamily.TAU, T, t, M)
             rhs_w[m] = np.exp(np.minimum(expo + 15.0 * tau_hat, 709.0))
         rhs_w *= omega.face_mask(g).data * (wq * g.cell_area)[:, None]
         got = _observability_weights(params, g, omega)

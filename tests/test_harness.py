@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stackstokes.carleman import CarlemanParams
 from stackstokes.errors import ConfigurationError, GeometryError
 from stackstokes.grid import (
     GridSpec,
@@ -24,6 +25,8 @@ from stackstokes.harness import (
     rng_stream,
     run_experiment,
 )
+from stackstokes.leader import PenaltyConfig
+from stackstokes.stokes import SolverOptions
 
 
 def test_default_config_roundtrip(tmp_path):
@@ -396,6 +399,7 @@ def test_option_copies_keep_relax(monkeypatch):
     ("options", "domination_lams", [], "options.domination_lams"),
     ("options", "domination_lams", [1.0, 0.0], "options.domination_lams"),
     ("data", "y0_kind", 3, "data.y0_kind"),
+    ("data", "y0_kind", "edy", "data.y0_kind"),
     ("carleman", "eta_norm", 0.5, "carleman.eta_norm"),
     ("carleman", "eta_norm", 0.95, "carleman.eta_norm"),
     # a key no section reads: a misspelling would leave its field at the default
@@ -445,6 +449,18 @@ def test_absent_options_take_their_defaults():
     assert cfg.options["gamma_grid"] == np.geomspace(0.05, 50.0, 13).tolist()
     cfg.options["sizes"].append(128)  # every config gets its own lists
     assert config_from_dict(raw).options["sizes"] == [16, 32, 64]
+
+
+def test_absent_keys_take_the_dataclass_defaults():
+    # a config without the penalty and solver keys, or the optional carleman
+    # ones, builds the same objects as the dataclasses' own defaults
+    raw = default_config_dict("saddle")
+    raw["penalty"], raw["solver"] = {}, {}
+    raw["carleman"] = {"lam": 2.0, "s": 3.0}
+    cfg = config_from_dict(raw)
+    assert cfg.penalty == PenaltyConfig()
+    assert cfg.solver == SolverOptions()
+    assert cfg.carleman == CarlemanParams(lam=2.0, s=3.0)
 
 
 def test_config_numbers_are_cast():

@@ -1,7 +1,8 @@
 """Every exported name and every function the benchmark traces resolves,
 every function the package defines has a caller in the program, every
-solver and penalty option is live, only grid splits the packed face layout,
-and only the Picard loop reads its iteration controls."""
+dataclass field is read, every solver and penalty option is live, only
+grid splits the packed face layout, and only the Picard loop reads its
+iteration controls."""
 
 import ast
 import dataclasses
@@ -18,6 +19,7 @@ from stackstokes.stokes import SolverOptions
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 PERFBENCH = SPANS.parent
+TESTS = Path(__file__).resolve().parent
 SRC = Path(stackstokes.__file__).resolve().parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(stackstokes.__path__))
 
@@ -86,6 +88,39 @@ def test_every_function_has_a_caller():
     assert not uncalled, f"defined in stackstokes, called only by tests: {uncalled}"
     stale = sorted(n for n in TEST_REFERENCES if n not in defined or n in used)
     assert not stale, f"TEST_REFERENCES entries that are gone or called by the program: {stale}"
+
+
+def _attributes_read(path):
+    """Attribute names the file loads."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_result_field_is_read():
+    # a dataclass field that no code reads is a result nobody looks at; the
+    # readers are the package (its re-exports aside), the benchmark's scripts
+    # and the tests
+    fields = {
+        f"{node.name}.{stmt.target.id}": stmt.target.id
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    assert fields
+    read = set()
+    for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py"), *TESTS.glob("*.py")]:
+        if path != SRC / "__init__.py":
+            read |= _attributes_read(path)
+    unread = sorted(q for q, name in fields.items() if name not in read)
+    assert not unread, f"dataclass fields that nothing reads: {unread}"
 
 
 def _names_used():

@@ -168,6 +168,39 @@ def test_forward_manufactured_convergence_first_step():
     assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
+def test_forward_manufactured_convergence_with_convection():
+    # the order study with convection on: the manufactured solution at amplitude
+    # 1, its forcing plus the hand-derived (u . grad) u; with s = sin(pi .),
+    # c = cos(pi .) and k = 3 pi e^-t,  u = k s_x^3 s_y^2 c_y, v = -k s_x^2 c_x s_y^3
+    from stackstokes.harness import _mms_fields
+
+    u, v, fu, fv = _mms_fields(amp=1.0)
+    pi = np.pi
+    s, c = (lambda x: np.sin(pi * x)), (lambda x: np.cos(pi * x))
+    k = lambda t: 3.0 * pi * np.exp(-t)
+    u_x = lambda x, y, t: 3.0 * pi * k(t) * s(x) ** 2 * c(x) * s(y) ** 2 * c(y)
+    u_y = lambda x, y, t: pi * k(t) * s(x) ** 3 * (2.0 * s(y) * c(y) ** 2 - s(y) ** 3)
+    v_x = lambda x, y, t: -pi * k(t) * (2.0 * s(x) * c(x) ** 2 - s(x) ** 3) * s(y) ** 3
+    v_y = lambda x, y, t: -3.0 * pi * k(t) * s(x) ** 2 * c(x) * s(y) ** 2 * c(y)
+    gu = lambda x, y, t: fu(x, y, t) + u(x, y, t) * u_x(x, y, t) + v(x, y, t) * u_y(x, y, t)
+    gv = lambda x, y, t: fv(x, y, t) + u(x, y, t) * v_x(x, y, t) + v(x, y, t) * v_y(x, y, t)
+    T = 0.25
+    errs = []
+    for nx in (16, 32, 64):
+        nt = 32 * (nx // 16) ** 2
+        g = GridSpec(nx=nx, ny=nx, nt=nt, T=T)
+        y0 = VelocityField.from_functions(g, lambda x, y: u(x, y, 0.0),
+                                          lambda x, y: v(x, y, 0.0))
+        forcing = ForcingAssembly(g, extra_source=Trajectory.from_function(g, gu, gv))
+        traj = solve_forward(y0, forcing, SolverOptions(convection_on=True))
+        ex = VelocityField.from_functions(g, lambda x, y: u(x, y, T),
+                                          lambda x, y: v(x, y, T))
+        errs.append(norm(traj[g.nt] - ex))
+    ratios = [errs[0] / errs[1], errs[1] / errs[2]]
+    # criterion 02's window
+    assert all(3.5 <= r <= 4.5 for r in ratios), ratios
+
+
 def test_forward_cfl_guard():
     g = GridSpec(nx=16, ny=16, nt=8, T=1.0)
     y0 = eddy(g, amp=3.0)
