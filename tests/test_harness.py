@@ -399,7 +399,6 @@ def test_option_copies_keep_relax(monkeypatch):
     ("options", "domination_lams", [], "options.domination_lams"),
     ("options", "domination_lams", [1.0, 0.0], "options.domination_lams"),
     ("data", "y0_kind", 3, "data.y0_kind"),
-    ("data", "y0_kind", "edy", "data.y0_kind"),
     ("carleman", "eta_norm", 0.5, "carleman.eta_norm"),
     ("carleman", "eta_norm", 0.95, "carleman.eta_norm"),
     # a key no section reads: a misspelling would leave its field at the default
@@ -413,6 +412,7 @@ def test_option_copies_keep_relax(monkeypatch):
     ("solver", "blowup_norm", 1e5, "solver.blowup_norm"),  # an option, not a config field
     ("data", "yd_amp", 0.05, "data.yd_amp"),
     ("options", "n_probe", 10, "options.n_probe"),
+    ("data", "y0_kind", "edy", "data.y0_kind"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
     from stackstokes.cli import main
