@@ -370,12 +370,11 @@ class Region:
         c = self.cell_mask(grid)
         data = np.zeros(grid.n_faces)
         u, v = face_views(data, grid)
-        u[1:-1, :] = 0.5 * (c[1:, :] + c[:-1, :])
-        u[0, :] = c[0, :]
-        u[-1, :] = c[-1, :]
-        v[:, 1:-1] = 0.5 * (c[:, 1:] + c[:, :-1])
-        v[:, 0] = c[:, 0]
-        v[:, -1] = c[:, -1]
+        # each component along its normal axis: u, and v.T against c.T
+        for faces, cells in ((u, c), (v.T, c.T)):
+            faces[1:-1] = 0.5 * (cells[1:] + cells[:-1])
+            faces[0] = cells[0]
+            faces[-1] = cells[-1]
         return _read_only(grid, data)
 
     @lru_cache(maxsize=32)
@@ -551,29 +550,18 @@ def laplacian(vel: VelocityField) -> VelocityField:
 
     Normal direction uses the zero boundary faces; tangential direction uses
     odd ghost reflection (wall value = 0 at the half cell).  Output is zero on
-    the normal-boundary faces.
+    the normal-boundary faces.  One stencil serves both components, each
+    viewed with its normal axis first (``u``, and ``v.T``).
     """
     g = vel.grid
-    hx2, hy2 = g.hx**2, g.hy**2
     out = VelocityField.zeros(g)
-
-    u = vel.u
-    lu = out.u
-    lu[1:-1, :] = (u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / hx2
-    ug = np.empty((g.nx + 1, g.ny + 2))
-    ug[:, 1:-1] = u
-    ug[:, 0] = -u[:, 0]
-    ug[:, -1] = -u[:, -1]
-    lu[1:-1, :] += (ug[1:-1, 2:] - 2.0 * u[1:-1, :] + ug[1:-1, :-2]) / hy2
-
-    v = vel.v
-    lv = out.v
-    lv[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / hy2
-    vg = np.empty((g.nx + 2, g.ny + 1))
-    vg[1:-1, :] = v
-    vg[0, :] = -v[0, :]
-    vg[-1, :] = -v[-1, :]
-    lv[:, 1:-1] += (vg[2:, 1:-1] - 2.0 * v[:, 1:-1] + vg[:-2, 1:-1]) / hx2
+    for w, lw, hn, ht in ((vel.u, out.u, g.hx, g.hy), (vel.v.T, out.v.T, g.hy, g.hx)):
+        lw[1:-1, :] = (w[2:, :] - 2.0 * w[1:-1, :] + w[:-2, :]) / hn**2
+        wg = np.empty((w.shape[0], w.shape[1] + 2))
+        wg[:, 1:-1] = w
+        wg[:, 0] = -w[:, 0]
+        wg[:, -1] = -w[:, -1]
+        lw[1:-1, :] += (wg[1:-1, 2:] - 2.0 * w[1:-1, :] + wg[1:-1, :-2]) / ht**2
     return out
 
 
@@ -778,8 +766,8 @@ def inner(a: VelocityField, b: VelocityField, mask: VelocityField | None = None)
     return g.cell_area * (float(pu.sum()) + float(pv.sum()))
 
 
-def norm(a: VelocityField, mask: VelocityField | None = None) -> float:
-    return math.sqrt(max(inner(a, a, mask), 0.0))
+def norm(a: VelocityField) -> float:
+    return math.sqrt(max(inner(a, a), 0.0))
 
 
 def inner_cells(a: ScalarField, b: ScalarField) -> float:
@@ -822,8 +810,8 @@ def inner_space_time(a: Trajectory, b: Trajectory, mask=None) -> float:
     return float(g.dt * trapezoid_weights(g.nt).dot(inner_levels(a, b, mask)))
 
 
-def traj_norm(a: Trajectory, mask=None) -> float:
-    return math.sqrt(max(inner_space_time(a, a, mask), 0.0))
+def traj_norm(a: Trajectory) -> float:
+    return math.sqrt(max(inner_space_time(a, a), 0.0))
 
 
 def closed_noise(grid: GridSpec, rng: np.random.Generator, levels: int,

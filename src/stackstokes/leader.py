@@ -104,10 +104,9 @@ def control_to_terminal(prob: SaddleProblem, h, f1=None, f2=None) -> VelocityFie
     return _coupled(prob, h, f1, f2).y[prob.grid.nt].copy()
 
 
-def penalized_gradient(prob: SaddleProblem, h: Trajectory, cfg: PenaltyConfig,
-                       f1=None, f2=None) -> Trajectory:
+def penalized_gradient(prob: SaddleProblem, h: Trajectory, cfg: PenaltyConfig) -> Trajectory:
     """Gradient of the penalized objective: h + 1_omega * phi, phi(T) = y(T)/eps."""
-    yT = control_to_terminal(prob, h, f1, f2)
+    yT = control_to_terminal(prob, h)
     return h.mul_mask(prob._omega_mask) + _terminal_dual_lift(prob, yT * (1.0 / cfg.epsilon))
 
 
@@ -179,12 +178,10 @@ def solve_null_control_cg(
             Ap.data += p.data
             pAp = inner_space_time(p, Ap)
             if not math.isfinite(pAp) or pAp <= 0:
-                err = NumericalError(
+                raise NumericalError(
                     f"CG stagnated: curvature {pAp:.3e} at iteration {it}",
                     residual=math.sqrt(rz),
                 )
-                err.curve = curve
-                raise err
             alpha = rz / pAp
             # h (a masked copy of h_start), r and p own their stacks: update in place
             h.data += p.data * alpha
@@ -196,14 +193,12 @@ def solve_null_control_cg(
             rz = rz_new
             curve.append(objective(h, lam_h))
         if math.sqrt(rz) > cfg.cg_tol * rhs_norm:
-            err = ConvergenceError(
+            raise ConvergenceError(
                 f"CG did not converge within {cfg.cg_max} iterations "
                 f"(residual {math.sqrt(rz):.3e})",
                 residual=math.sqrt(rz),
                 iterations=cfg.cg_max,
             )
-            err.curve = curve
-            raise err
         total_iters += it
         yT = free_T + lam_h
         history.append(

@@ -202,7 +202,6 @@ def robust_cost_grad(prob: SaddleProblem, h, psi, v):
 class SaddleResult:
     psi_bar: Trajectory
     v_bar: Trajectory
-    y: Trajectory
     z: Trajectory | None
     residual_psi: float
     residual_v: float
@@ -243,15 +242,15 @@ def saddle_from_coupled(prob: SaddleProblem, h: Trajectory | None) -> SaddleResu
     cost = robust_cost(prob, h, psi, v)
     tol = FIRST_ORDER_TOL * prob.data_scale(h)
     return SaddleResult(
-        psi, v, sol.y, sol.z, res_psi, res_v,
+        psi, v, sol.z, res_psi, res_v,
         res_psi <= tol and res_v <= tol,
         sol.iterations, cost,
     )
 
 
-def _estimate_tracking_lipschitz(prob: SaddleProblem, n_steps: int = 5,
+def _estimate_tracking_lipschitz(prob: SaddleProblem,
                                  rng: np.random.Generator | None = None) -> float:
-    """Largest eigenvalue of the v-tracking Hessian by a few power iterations."""
+    """Largest eigenvalue of the v-tracking Hessian by five power iterations."""
     if rng is None:
         rng = np.random.default_rng(2024)
     g = prob.grid
@@ -259,7 +258,7 @@ def _estimate_tracking_lipschitz(prob: SaddleProblem, n_steps: int = 5,
     lam = 0.0
     base = dataclasses.replace(prob, y0=VelocityField.zeros(g), yd=None,
                                opts=dataclasses.replace(prob.opts, convection_on=False))
-    for _ in range(n_steps):
+    for _ in range(5):
         nd = traj_norm(d)
         if nd == 0:
             return 0.0
@@ -275,10 +274,7 @@ def _estimate_tracking_lipschitz(prob: SaddleProblem, n_steps: int = 5,
 def saddle_ascent_descent(
     prob: SaddleProblem,
     h: Trajectory | None,
-    step_v: float | None = None,
-    step_psi: float | None = None,
     max_iter: int = 2000,
-    tol: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> SaddleResult:
     """Alternating gradient descent in v and ascent in psi.
@@ -287,21 +283,17 @@ def saddle_ascent_descent(
     1/(ell^2 + L) and 1/gamma^2 (L an estimated tracking Lipschitz
     constant) make the iteration a contraction for large gamma, ell;
     divergence of the psi iterate is reported as evidence that gamma sits
-    below its threshold.
+    below its threshold.  The iteration stops at residuals of 1e-9 times
+    the data scale.
     """
     g = prob.grid
     p = prob.params
     scale = prob.data_scale(h)
-    if tol is None:
-        tol = 1e-9 * scale
-    if step_v is None or step_psi is None:
-        lam = _estimate_tracking_lipschitz(prob, rng=rng)
-        if step_v is None:
-            # factor 2: the masked power iteration can underestimate the
-            # tracking norm seen by the preconditioned direction
-            step_v = 1.0 / (p.ell**2 + 2.0 * lam)
-        if step_psi is None:
-            step_psi = 1.0 / p.gamma**2
+    tol = 1e-9 * scale
+    # factor 2: the masked power iteration can underestimate the tracking
+    # norm seen by the preconditioned direction
+    step_v = 1.0 / (p.ell**2 + 2.0 * _estimate_tracking_lipschitz(prob, rng=rng))
+    step_psi = 1.0 / p.gamma**2
 
     psi = Trajectory.zeros(g)
     v = Trajectory.zeros(g)
@@ -318,11 +310,8 @@ def saddle_ascent_descent(
         res_psi = traj_norm(d_psi)
         psi = psi + step_psi * d_psi
         if max(res_psi, res_v) <= tol:
-            y = prob.state(h, psi, v)
             cost = robust_cost(prob, h, psi, v)
-            return SaddleResult(
-                psi, v, y, None, res_psi, res_v, True, it, cost
-            )
+            return SaddleResult(psi, v, None, res_psi, res_v, True, it, cost)
         if traj_norm(psi) > 1e4 * scale or not math.isfinite(res_psi):
             raise ConvergenceError(
                 "disturbance iterate diverged: gamma is below the concavity "
@@ -353,7 +342,6 @@ def verify_saddle(
     result: SaddleResult,
     h: Trajectory | None,
     n_probes: int = 100,
-    magnitudes=(1e-3, 1e-2, 1e-1),
     tol_scale: float = 1e-8,
     rng: np.random.Generator | None = None,
 ) -> SaddleProbeReport:
@@ -406,9 +394,10 @@ def verify_saddle(
     p = prob.params
     d_psi, d_v = g_psi * (1.0 / p.gamma**2), g_v * (-1.0 / p.ell**2)
     record("newton", 1.0, d_psi, d_v, (moves(d_psi), moves(d_v)))
-    # random probes have amplitude magnitudes[k] * reference, far above round-off
+    # random probes have amplitudes 1e-3, 1e-2, 1e-1 (in turn) times the
+    # reference, far above round-off
     for k in range(max(n_probes - 1, 0)):
-        amp = magnitudes[k % len(magnitudes)] * reference
+        amp = (1e-3, 1e-2, 1e-1)[k % 3] * reference
         d = Trajectory(g, closed_noise(g, rng, g.nt + 1, amp, first=1))
         record("random", amp, d, d)
     return SaddleProbeReport(n_probes, violations, max(psi_margins, default=0.0),

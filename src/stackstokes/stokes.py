@@ -144,72 +144,79 @@ class ForcingAssembly:
 # convection, its linearization, and the exact transpose
 # ---------------------------------------------------------------------------
 
-def _dudx(u, hx):
-    return (u[2:, :] - u[:-2, :]) / (2.0 * hx)
+def _diff(a, h, axis):
+    """Central difference along ``axis`` at the points inside the two ends."""
+    s = a.swapaxes(0, axis)
+    return ((s[2:] - s[:-2]) / (2.0 * h)).swapaxes(0, axis)
 
 
-def _dudy(u_int, hy):
-    # even ghost reflection: one-sided closure at the wall rows, so constant
-    # fields have exactly zero advective derivative
-    p = np.empty((u_int.shape[0], u_int.shape[1] + 2))
-    p[:, 1:-1] = u_int
-    p[:, 0] = u_int[:, 0]
-    p[:, -1] = u_int[:, -1]
-    return (p[:, 2:] - p[:, :-2]) / (2.0 * hy)
+def _diff_T(t, h, axis, out):
+    """Add the transpose of :func:`_diff` applied to ``t`` into ``out``."""
+    s, o = (t / (2.0 * h)).swapaxes(0, axis), out.swapaxes(0, axis)
+    o[2:] += s
+    o[:-2] -= s
 
 
-def _dvdy(v, hy):
-    return (v[:, 2:] - v[:, :-2]) / (2.0 * hy)
+def _diff_closed(a, h, axis):
+    """Central difference along ``axis`` at every point, with even ghost reflection:
+    a one-sided closure at the two ends, so constant fields have exactly zero
+    advective derivative."""
+    s = a.swapaxes(0, axis)
+    p = np.empty((s.shape[0] + 2,) + s.shape[1:])
+    p[1:-1] = s
+    p[0] = s[0]
+    p[-1] = s[-1]
+    return ((p[2:] - p[:-2]) / (2.0 * h)).swapaxes(0, axis)
 
 
-def _dvdx(v_int, hx):
-    p = np.empty((v_int.shape[0] + 2, v_int.shape[1]))
-    p[1:-1, :] = v_int
-    p[0, :] = v_int[0, :]
-    p[-1, :] = v_int[-1, :]
-    return (p[2:, :] - p[:-2, :]) / (2.0 * hx)
+def _diff_closed_T(t, h, axis, out):
+    """Add the transpose of :func:`_diff_closed` applied to ``t`` into ``out``:
+    the ghost rows fold back onto the end rows they reflect."""
+    s = (t / (2.0 * h)).swapaxes(0, axis)
+    pad = np.zeros((s.shape[0] + 2,) + s.shape[1:])
+    pad[2:] += s
+    pad[:-2] -= s
+    back = pad[1:-1].copy()
+    back[0] += pad[0]
+    back[-1] += pad[-1]
+    out += back.swapaxes(0, axis)
 
 
-def _v_at_u(v):
-    # v interpolated to interior u-faces, shape (nx-1, ny)
-    return 0.25 * (v[:-1, :-1] + v[:-1, 1:] + v[1:, :-1] + v[1:, 1:])
+def _corner_avg(a):
+    """The average of the four faces around each interior corner: v at the
+    interior u faces, or u at the interior v faces."""
+    return 0.25 * (a[:-1, :-1] + a[:-1, 1:] + a[1:, :-1] + a[1:, 1:])
 
 
-def _u_at_v(u):
-    # u interpolated to interior v-faces, shape (nx, ny-1)
-    return 0.25 * (u[:-1, :-1] + u[:-1, 1:] + u[1:, :-1] + u[1:, 1:])
+def _corner_avg_T(t, out):
+    """Add the transpose of :func:`_corner_avg` applied to ``t`` into ``out``."""
+    s = 0.25 * t
+    out[:-1, :-1] += s
+    out[:-1, 1:] += s
+    out[1:, :-1] += s
+    out[1:, 1:] += s
+
+
+def _advect(a: VelocityField, b: VelocityField) -> VelocityField:
+    """The bilinear advection (a . grad) b with centered stencils and no-slip
+    ghosts; zero on the normal-boundary faces."""
+    g = a.grid
+    out = VelocityField.zeros(g)
+    out.u[1:-1, :] = (a.u[1:-1, :] * _diff(b.u, g.hx, 0)
+                      + _corner_avg(a.v) * _diff_closed(b.u[1:-1, :], g.hy, 1))
+    out.v[:, 1:-1] = (_corner_avg(a.u) * _diff_closed(b.v[:, 1:-1], g.hx, 0)
+                      + a.v[:, 1:-1] * _diff(b.v, g.hy, 1))
+    return out
 
 
 def convection(y: VelocityField) -> VelocityField:
     """Advective term (y . grad) y with centered stencils and no-slip ghosts."""
-    g = y.grid
-    out = VelocityField.zeros(g)
-    out.u[1:-1, :] = y.u[1:-1, :] * _dudx(y.u, g.hx) + _v_at_u(y.v) * _dudy(
-        y.u[1:-1, :], g.hy
-    )
-    out.v[:, 1:-1] = _u_at_v(y.u) * _dvdx(y.v[:, 1:-1], g.hx) + y.v[:, 1:-1] * _dvdy(
-        y.v, g.hy
-    )
-    return out
+    return _advect(y, y)
 
 
 def linearized_convection(y: VelocityField, dy: VelocityField) -> VelocityField:
     """Directional derivative of :func:`convection` at y in direction dy."""
-    g = y.grid
-    out = VelocityField.zeros(g)
-    out.u[1:-1, :] = (
-        dy.u[1:-1, :] * _dudx(y.u, g.hx)
-        + _v_at_u(dy.v) * _dudy(y.u[1:-1, :], g.hy)
-        + y.u[1:-1, :] * _dudx(dy.u, g.hx)
-        + _v_at_u(y.v) * _dudy(dy.u[1:-1, :], g.hy)
-    )
-    out.v[:, 1:-1] = (
-        _u_at_v(dy.u) * _dvdx(y.v[:, 1:-1], g.hx)
-        + dy.v[:, 1:-1] * _dvdy(y.v, g.hy)
-        + _u_at_v(y.u) * _dvdx(dy.v[:, 1:-1], g.hx)
-        + y.v[:, 1:-1] * _dvdy(dy.v, g.hy)
-    )
-    return out
+    return _advect(dy, y) + _advect(y, dy)
 
 
 def adjoint_coupling(y: VelocityField, z: VelocityField) -> VelocityField:
@@ -218,66 +225,27 @@ def adjoint_coupling(y: VelocityField, z: VelocityField) -> VelocityField:
     This is the discrete counterpart of the transposed-gradient pairing minus
     back-advection, with i-th component  sum_j z_j d_i y_j - (y . grad) z_i,
     and satisfies <C'(y) d, z> = <d, adjoint_coupling(y, z)> exactly for
-    fields with zero normal-boundary faces.
+    fields with zero normal-boundary faces.  Each component of the result adds
+    the transposes of the four terms of C'(y) d = (d . grad) y + (y . grad) d
+    in which that component of d appears.
     """
     g = y.grid
-    hx, hy = g.hx, g.hy
     a = z.u[1:-1, :]          # u-equation weights (interior rows)
     b = z.v[:, 1:-1]          # v-equation weights (interior cols)
-
-    A = _dudx(y.u, hx)
-    B = _dudy(y.u[1:-1, :], hy)
-    C = _dvdx(y.v[:, 1:-1], hx)
-    D = _dvdy(y.v, hy)
-    ub = _u_at_v(y.u)
-    vb = _v_at_u(y.v)
-
     out = VelocityField.zeros(g)
-    out_u = out.u
-    # delta_u * A paired with a
-    out_u[1:-1, :] += A * a
-    # y_u * Dxc(delta_u) paired with a
-    t = a * y.u[1:-1, :] / (2.0 * hx)
-    out_u[2:, :] += t
-    out_u[:-2, :] -= t
-    # v_at_u(y) * Dyg(delta_u) paired with a
-    t = a * vb / (2.0 * hy)
-    pad = np.zeros((g.nx - 1, g.ny + 2))
-    pad[:, 2:] += t
-    pad[:, :-2] -= t
-    gback = pad[:, 1:-1].copy()
-    gback[:, 0] += pad[:, 0]
-    gback[:, -1] += pad[:, -1]
-    out_u[1:-1, :] += gback
-    # u_at_v(delta) * C paired with b  (scatter to u faces)
-    t = 0.25 * b * C
-    out_u[:-1, :-1] += t
-    out_u[:-1, 1:] += t
-    out_u[1:, :-1] += t
-    out_u[1:, 1:] += t
-    out_u[0, :] = 0.0
-    out_u[-1, :] = 0.0
-
-    out_v = out.v
-    out_v[:, 1:-1] += D * b
-    t = b * y.v[:, 1:-1] / (2.0 * hy)
-    out_v[:, 2:] += t
-    out_v[:, :-2] -= t
-    t = b * ub / (2.0 * hx)
-    pad = np.zeros((g.nx + 2, g.ny - 1))
-    pad[2:, :] += t
-    pad[:-2, :] -= t
-    gback = pad[1:-1, :].copy()
-    gback[0, :] += pad[0, :]
-    gback[-1, :] += pad[-1, :]
-    out_v[:, 1:-1] += gback
-    t = 0.25 * a * B
-    out_v[:-1, :-1] += t
-    out_v[:-1, 1:] += t
-    out_v[1:, :-1] += t
-    out_v[1:, 1:] += t
-    out_v[:, 0] = 0.0
-    out_v[:, -1] = 0.0
+    u, v = out.u, out.v
+    u[1:-1, :] += _diff(y.u, g.hx, 0) * a
+    _diff_T(a * y.u[1:-1, :], g.hx, 0, u)
+    _diff_closed_T(a * _corner_avg(y.v), g.hy, 1, u[1:-1, :])
+    _corner_avg_T(b * _diff_closed(y.v[:, 1:-1], g.hx, 0), u)
+    u[0, :] = 0.0
+    u[-1, :] = 0.0
+    v[:, 1:-1] += _diff(y.v, g.hy, 1) * b
+    _diff_T(b * y.v[:, 1:-1], g.hy, 1, v)
+    _diff_closed_T(b * _corner_avg(y.u), g.hx, 0, v[:, 1:-1])
+    _corner_avg_T(a * _diff_closed(y.u[1:-1, :], g.hy, 1), v)
+    v[:, 0] = 0.0
+    v[:, -1] = 0.0
     return out
 
 

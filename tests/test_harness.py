@@ -26,6 +26,7 @@ from stackstokes.harness import (
     run_experiment,
 )
 from stackstokes.leader import PenaltyConfig
+from stackstokes.saddle import RobustParams
 from stackstokes.stokes import SolverOptions
 
 
@@ -355,7 +356,7 @@ def test_option_copies_keep_relax(monkeypatch):
 
     monkeypatch.setattr(saddle, "tracking_adjoint", lambda p, y: capture(p.opts))
     with pytest.raises(Seen, match="False"):
-        saddle._estimate_tracking_lipschitz(prob, n_steps=1)
+        saddle._estimate_tracking_lipschitz(prob)
 
     raw = default_config_dict("nullcontrol-nonlinear")
     raw["solver"]["relax"] = 0.5
@@ -413,6 +414,10 @@ def test_option_copies_keep_relax(monkeypatch):
     ("data", "yd_amp", 0.05, "data.yd_amp"),
     ("options", "n_probe", 10, "options.n_probe"),
     ("data", "y0_kind", "edy", "data.y0_kind"),
+    # a null required entry counts as absent, so it is missing
+    ("grid", "nx", None, "grid.nx"),
+    ("grid", "T", None, "grid.T"),
+    ("robust", "gamma", None, "robust.gamma"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
     from stackstokes.cli import main
@@ -461,6 +466,18 @@ def test_absent_keys_take_the_dataclass_defaults():
     assert cfg.penalty == PenaltyConfig()
     assert cfg.solver == SolverOptions()
     assert cfg.carleman == CarlemanParams(lam=2.0, s=3.0)
+
+
+def test_null_optional_entries_take_their_defaults():
+    # in every section, and at the top level, a null optional entry counts as absent
+    raw = default_config_dict("saddle")
+    raw["grid"]["Lx"] = raw["grid"]["Ly"] = raw["robust"]["mu"] = None
+    raw["cutoff_taper_cells"] = raw["penalty"]["cg_max"] = raw["carleman"]["a0"] = None
+    cfg = config_from_dict(raw)
+    assert (cfg.grid.Lx, cfg.grid.Ly) == (GridSpec.Lx, GridSpec.Ly)
+    assert cfg.robust.mu == RobustParams.mu and cfg.cutoff_taper_cells == 4.0
+    assert cfg.penalty.cg_max == PenaltyConfig.cg_max
+    assert cfg.carleman.a0 == CarlemanParams(lam=2.0, s=3.0).a0
 
 
 def test_config_numbers_are_cast():
