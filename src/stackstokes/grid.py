@@ -46,6 +46,24 @@ broadcasts the cached matrices over a stack of levels, so a single field and
 a packed stack (:func:`project_levels`) go through the same code and give the
 same bits level by level.  A stack is projected a few levels at a time, which
 keeps the temporaries small.
+
+Up to 20 x 20 cells a march runs in coordinates of the divergence-free
+space V, of dimension nv = (nx-1)(ny-1).  V is the range of the MAC curl of
+the interior nodal stream functions (Nicolaides, SIAM J. Numer. Anal. 29,
+1992), and curl^T curl is the Dirichlet Laplacian, diagonal in DST-I modes,
+so Q = curl (S_x (x) S_y) diag(lambda^-1/2) is an orthonormal basis of V and
+Q Q^T is the Leray projection.  Q (:func:`v_velocities`) and Q^T
+(:func:`v_coordinates`) are a curl stencil and two DST-I products, batched
+over levels; a step  y <- P S (y + G)  is  c <- H (c + Q^T G)  with the
+symmetric H = Q^T S Q (:func:`v_step_matrix`), built on a grid's first
+march and cached by grid value.  A 32-step termless march (one BLAS
+thread, same VM, ``scripts/march_cutover.py``, four runs) takes 15-21 /
+30-40 / 78-94 / 209-239 / 376-396 us per step in V coordinates and 41-66 /
+50-78 / 59-103 / 79-129 / 111-134 us per face step at nx = ny = 16 / 20 /
+24 / 28 / 32, hence the cut-over at 20 x 20.  H is not diagonalized: the
+first ``np.linalg.eigh`` of a process (225 x 225) leaves 1.6 MiB resident
+and raises the peak by 2.7 MiB, about 6 % of a 16 x 16 leader run's peak,
+so the package calls no ``np.linalg`` routine.
 """
 
 from __future__ import annotations
@@ -81,6 +99,9 @@ __all__ = [
     "closed_noise",
     "trapezoid_weights",
     "stream_function_velocity",
+    "v_coordinates",
+    "v_velocities",
+    "v_step_matrix",
 ]
 
 
@@ -147,6 +168,10 @@ class GridSpec:
     @cached_property
     def _neumann(self) -> tuple:
         return _neumann_tables(self)
+
+    @cached_property
+    def _v(self) -> tuple:
+        return _v_tables(self)
 
     @cached_property
     def _diffusion(self) -> dict:
@@ -749,6 +774,103 @@ def diffusion_solve(rhs: VelocityField, dt: float) -> VelocityField:
     out.u[1:-1, :] = _diagonalized(rhs.u[1:-1, :], *tab_u)
     out.v[:, 1:-1] = _diagonalized(rhs.v[:, 1:-1], *tab_v)
     return out
+
+
+# ---------------------------------------------------------------------------
+# coordinates in the divergence-free space
+# ---------------------------------------------------------------------------
+
+# Largest dimension (nx-1)*(ny-1) of V whose termless marches run in V
+# coordinates: up to 20x20 cells (see the module docstring).
+_V_MAX_DIM = 19 * 19
+
+# Basis columns per block while H is built: the face temporaries of one block
+# stay about the size of the projection's.
+_V_BLOCK = 16
+
+
+def _v_tables(grid: GridSpec):
+    """DST-I matrices of the interior nodes and the scale lambda^-1/2 of Q, flat.
+
+    lambda_kl are the eigenvalues of the 5-point Dirichlet Laplacian
+    (-curl^T curl) on the interior nodes, whose eigenvectors are the sine
+    modes; so the curl of the scaled modes is an orthonormal basis of V.
+    """
+    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    lamx = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, nx) / nx)) / hx**2
+    lamy = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny) / ny)) / hy**2
+    scale = 1.0 / np.sqrt(lamx[:, None] + lamy)
+    return _dst1_matrix(nx - 1), _dst1_matrix(ny - 1), scale.ravel()
+
+
+def v_coordinates(packed: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Q^T: the V coordinates, shape ``(..., nv)``, of a packed stack.
+
+    Q^T = diag(lambda^-1/2) (S_x (x) S_y) curl^T reads the interior faces
+    only; it annihilates gradients, so Q^T v = Q^T P v for the Leray
+    projection P.
+    """
+    sx, sy, scale = grid._v
+    u, v = face_views(packed, grid)
+    u, v = u[..., 1:-1, :], v[..., :, 1:-1]
+    psi = (u[..., :-1] - u[..., 1:]) / grid.hy
+    psi += (v[..., 1:, :] - v[..., :-1, :]) / grid.hx
+    c = (sx @ psi @ sy).reshape(packed.shape[:-1] + scale.shape)
+    c *= scale
+    return c
+
+
+def v_velocities(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray) -> None:
+    """Q: write the velocities of V coordinates ``(..., nv)`` into the packed ``out``.
+
+    The nodal stream function psi = (S_x (x) S_y) diag(lambda^-1/2) c is zero
+    on the boundary nodes, so its curl u = d(psi)/dy, v = -d(psi)/dx (as in
+    :func:`stream_function_velocity`) has zero normal faces and zero
+    divergence.
+    """
+    sx, sy, scale = grid._v
+    lead = coeffs.shape[:-1]
+    psi = np.zeros(lead + (grid.nx + 1, grid.ny + 1))
+    modes = (coeffs * scale).reshape(lead + (grid.nx - 1, grid.ny - 1))
+    psi[..., 1:-1, 1:-1] = sx @ modes @ sy
+    u, v = face_views(out, grid)
+    np.subtract(psi[..., 1:], psi[..., :-1], out=u)
+    u /= grid.hy
+    np.subtract(psi[..., :-1, :], psi[..., 1:, :], out=v)
+    v /= grid.hx
+
+
+def v_step_matrix(grid: GridSpec) -> np.ndarray | None:
+    """The step matrix H = Q^T S Q of V coordinates, or None above the cut-over.
+
+    S is :func:`diffusion_solve` at ``grid.dt``; one step  y <- P S (y + G)
+    of a march is  c <- H (c + Q^T G)  in the coordinates c = Q^T y.
+    """
+    if (grid.nx - 1) * (grid.ny - 1) > _V_MAX_DIM:
+        return None
+    return _built_v_step(grid)
+
+
+@lru_cache(maxsize=8)
+def _built_v_step(grid: GridSpec) -> np.ndarray:
+    """H built from the diffusion tables, a block of basis columns at a time."""
+    nv = grid._v[2].size
+    h = np.empty((nv, nv))
+    for start in range(0, nv, _V_BLOCK):
+        cols = np.zeros((min(_V_BLOCK, nv - start), nv))
+        cols[:, start:start + _V_BLOCK] = np.eye(len(cols))
+        faces = np.empty((len(cols), grid.n_faces))
+        v_velocities(cols, grid, faces)
+        u, v = face_views(faces, grid)
+        for w, (bx, bx_t, by, by_t, m) in zip(
+                (u[:, 1:-1, :], v[:, :, 1:-1]), _diffusion_tables(grid, grid.dt)):
+            w[...] = bx_t @ ((bx @ w @ by_t) * m) @ by
+        h[start:start + len(cols)] = v_coordinates(faces, grid)
+    # H is symmetric up to rounding; make it exactly so
+    h += h.T
+    h *= 0.5
+    h.flags.writeable = False
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -635,8 +635,7 @@ def _exp_carleman(cfg: ExperimentConfig, outdir: Path, h: str):
     us = [project_div_free(VelocityField.from_packed(g, row)) for row in noise]
     s5 = CarlemanParams(lam=p.lam, s=opts["laplacian_s"],
                         a0=p.a0, m0=p.m0, eta_norm=p.eta_norm)
-    b1 = check_laplacian_weight_bound(s5, T, 0.0, 0.0, us, cfg.omega, n_time=128)
-    b2 = check_laplacian_weight_bound(s5, T, 0.0, 0.0, us, cfg.omega, n_time=256)
+    b1, b2 = check_laplacian_weight_bound(s5, T, 0.0, 0.0, us, cfg.omega, n_times=(128, 256))
     metrics["laplacian_bound_max"] = b1.max_ratio
     metrics["laplacian_bound_max_fine"] = b2.max_ratio
     metrics["laplacian_bound_stability"] = (

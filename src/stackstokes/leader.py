@@ -19,6 +19,8 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigurationError, ConvergenceError, NumericalError
 from .grid import (
     Trajectory,
@@ -168,6 +170,7 @@ def solve_null_control_cg(
             history.append(EpsilonRow(eps, norm(free_T), 0.0, 0, objective(h, lam_h)))
             continue
         p = r.copy()
+        step = np.empty_like(p.data)
         rz = inner_space_time(r, r)
         it = 0
         while it < cfg.cg_max and math.sqrt(rz) > cfg.cg_tol * rhs_norm:
@@ -183,10 +186,13 @@ def solve_null_control_cg(
                     residual=math.sqrt(rz),
                 )
             alpha = rz / pAp
-            # h (a masked copy of h_start), r and p own their stacks: update in place
-            h.data += p.data * alpha
-            lam_h = lam_h + alpha * lam_p
-            r.data -= Ap.data * alpha
+            # h (a masked copy of h_start), lam_h, r and p own their data:
+            # update in place, through one work stack
+            np.multiply(p.data, alpha, out=step)
+            h.data += step
+            lam_h.data += lam_p.data * alpha
+            np.multiply(Ap.data, alpha, out=step)
+            r.data -= step
             rz_new = inner_space_time(r, r)
             p.data *= rz_new / rz
             p.data += r.data

@@ -21,17 +21,23 @@ stacks of all levels, using the identity
 
     P S P (y + dt F) = P S (y + dt P F)    whenever  P y = y,
 
-which holds because P is linear and idempotent.  A march forms every level's
-source at once (masks, trapezoid weights, data), projects the whole stack in
-one batched pass, and then takes one diffusion solve and one projection per
-sequential step instead of two projections.  Every iterate after the first
-is an output of P; the recursion starts from P(y0) (P(phi_T), or 0), so that
-the first step, too, equals P S P applied to the unprojected sum even when
-y0 carries the small divergence (up to 1e-10) that is not projected away.
-The stored level 0 stays y0 itself.  A term that depends on the current
-iterate is projected inside its step.  Convection and its transpose are such
-march terms in every solver, the coupled one included: the forward marches
-add the convection of the previous level, and the backward marches add the
+which holds because P is linear and idempotent.  A solver forms every
+level's source at once (masks, trapezoid weights, data) and hands the
+march the unprojected stack.  Without an iterate-dependent term, on small
+grids, the march runs in the coordinates c = Q^T y of an orthonormal basis
+Q of the divergence-free space (see :mod:`stackstokes.grid`): Q^T maps the
+whole source stack and absorbs its projection, each step is one product
+c <- H (c + Q^T dt F) with H = Q^T S Q, and Q maps all the levels back.
+Otherwise the march projects the stack in one batched pass and takes one
+diffusion solve and one projection per sequential step instead of two
+projections.  Every iterate after the first is an output of P; the
+recursion starts from P(y0) (P(phi_T), or 0), so that the first step, too,
+equals P S P applied to the unprojected sum even when y0 carries the small
+divergence (up to 1e-10) that is not projected away.  The stored level 0
+stays y0 itself.  A term that depends on the current iterate is projected
+inside its step.  Convection and its transpose are such march terms in
+every solver, the coupled one included: the forward marches add the
+convection of the previous level, and the backward marches add the
 transposed linearization around the y of the same sweep (the coupled solve)
 or around the adjoint's ``link``.  The forward solve checks its blow-up
 bound level by level once the march is done.
@@ -63,6 +69,9 @@ from .grid import (
     project_levels,
     traj_norm,
     trapezoid_weights,
+    v_coordinates,
+    v_step_matrix,
+    v_velocities,
 )
 
 __all__ = [
@@ -297,17 +306,37 @@ def _packed_data(g: GridSpec, *terms) -> np.ndarray | None:
     return out
 
 
-def _march(grid: GridSpec, levels, cur: VelocityField, sources: np.ndarray,
+def _march(grid: GridSpec, levels: range, cur: VelocityField, sources: np.ndarray,
            out: np.ndarray, term=None) -> VelocityField:
-    """The sequential steps  y <- P S (y + G[m])  of one march, stored in ``out``.
+    """The sequential steps  y <- P S P (y + G[m])  of one march, stored in ``out``.
 
-    ``sources`` holds the dt-scaled sources G[m], already Leray-projected,
-    and ``cur`` is divergence free, so each step equals P S P (y + G[m])
-    with one projection instead of two.  ``out`` may be ``sources``: step m
-    reads G[m] before it stores y[m].  ``term(m, y)`` adds  -dt P term  to
-    the step into level m, for a term that depends on the iterate y and so
-    is projected inside the step.  Returns the last iterate.
+    ``levels`` is a range of consecutive levels, forward or backward.  Row m
+    of ``sources`` holds the dt-scaled source G[m] of each marched level m,
+    unprojected, and ``cur``, the iterate before the first step, is
+    divergence free.  ``out`` may be ``sources``; if it is not, the marched
+    rows of ``sources`` may still be projected in place.  ``term(m, y)``
+    adds  -dt P term  to the step into level m, for a term that depends on
+    the iterate y.  Returns the last iterate.
+
+    Without a term, on a grid at or below the cut-over of
+    :func:`~stackstokes.grid.v_step_matrix`, the march runs in V
+    coordinates:  c <- H (c + Q^T G[m]),  one matrix-vector product per
+    level, with Q^T taken and Q applied once for all the levels.  Otherwise
+    the sources are projected in one batched pass, and each step is one
+    diffusion solve and one projection,  y <- P S (y + P G[m]),  since P y = y.
     """
+    rows = slice(min(levels), max(levels) + 1)
+    h = v_step_matrix(grid) if term is None else None
+    if h is not None:
+        coeffs = v_coordinates(sources[rows], grid)
+        c = v_coordinates(cur.data, grid)
+        for m in levels:
+            src = coeffs[m - rows.start]
+            np.dot(h, c + src, out=src)
+            c = src
+        v_velocities(coeffs, grid, out[rows])
+        return VelocityField.from_packed(grid, out[levels[-1]].copy())
+    project_levels(sources[rows], grid)
     dt = grid.dt
     x = VelocityField.zeros(grid)
     for m in levels:
@@ -325,9 +354,9 @@ def solve_forward(
 ) -> Trajectory:
     """March the (Navier-)Stokes system forward from y0 with assembled forcing.
 
-    The dt-scaled forcing stack is projected once and then receives the
-    states.  A level above ``blowup_norm`` * max(|y0|, 1), or not finite,
-    raises BlowupError naming the first such step.
+    The dt-scaled forcing stack receives the states.  A level above
+    ``blowup_norm`` * max(|y0|, 1), or not finite, raises BlowupError naming
+    the first such step.
     """
     g = y0.grid
     if forcing is not None and forcing.grid != g:
@@ -335,8 +364,6 @@ def solve_forward(
     data = forcing.sources() if forcing is not None else None
     if data is None:
         data = np.zeros((g.nt + 1, g.n_faces))
-    else:
-        project_levels(data[1:], g)
     out = Trajectory(g, data)
     out[0] = _closed_div_free(y0)
     limit = opts.blowup_norm * max(out[0].max_abs(), 1.0)
@@ -481,7 +508,6 @@ def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1
         np.multiply(zd[1:], z_weight, out=wd[1:])
         if fwd_data is not None:
             wd[1:] += fwd_data[1:]
-        project_levels(wd[1:], g)
         work[0] = y0p
         _march(g, range(1, g.nt + 1), y0_start, wd, wd, _convect if convective else None)
 
@@ -493,7 +519,6 @@ def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1
         np.multiply(wd, w, out=wd)
         if bwd_data is not None:
             wd[:] += bwd_data
-        project_levels(wd, g)
         _march(g, range(g.nt, -1, -1), VelocityField.zeros(g), wd, wd, transposed)
         wd[1:] *= 1.0 / w[1:]
 
@@ -592,14 +617,14 @@ def solve_backward_adjoint(
 
     def phi_march(phi: Trajectory):
         # phi from the dt-scaled, unprojected sources of levels 1..nt, in place
-        project_levels(phi.data[1:], g)
-        # the transposed convection acts from the second step on
-        cur = _march(g, (g.nt,), phi_start, phi.data, phi.data)
-        _march(g, range(g.nt - 1, 0, -1), cur, phi.data, phi.data, transposed)
         if link is None:
+            _march(g, range(g.nt, 0, -1), phi_start, phi.data, phi.data)
             phi[0] = phi[1]
-        else:
-            phi[0] = phi[1] - g.dt * adjoint_coupling(link[0], phi[1])
+            return
+        # the transposed convection acts from the second step on
+        cur = _march(g, range(g.nt, g.nt - 1, -1), phi_start, phi.data, phi.data)
+        _march(g, range(g.nt - 1, 0, -1), cur, phi.data, phi.data, transposed)
+        phi[0] = phi[1] - g.dt * adjoint_coupling(link[0], phi[1])
 
     theta = Trajectory.zeros(g)
     if coupling is None:
@@ -629,7 +654,6 @@ def solve_backward_adjoint(
         wd[1:] *= 1.0 / w[1:]
         if theta_data is not None:
             wd[1:] += theta_data[1:]
-        project_levels(wd[1:], g)
         # theta(0) = 0; a non-finite phi(0) is handed on as NaN, so that the
         # Picard loop's finiteness check sees it
         wd[0] = 0.0 if np.isfinite(wd[0]).all() else math.nan

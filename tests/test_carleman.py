@@ -170,12 +170,12 @@ def test_laplacian_bound_trivial_cases(rng):
     p = CarlemanParams(lam=2.0, s=5.0)
     omega = Region(0.35 * L, 0.75 * L, 0.35 * L, 0.75 * L)
     zero = VelocityField.zeros(g)
-    rep = check_laplacian_weight_bound(p, g.T, 0.0, 0.0, [zero], omega)
+    [rep] = check_laplacian_weight_bound(p, g.T, 0.0, 0.0, [zero], omega)
     assert rep.max_ratio == 0.0
     # field supported away from omega (2-cell margin so its Laplacian is too)
     corner = VelocityField.zeros(g)
     corner.u[1:3, 1:3] = 1.0
-    rep = check_laplacian_weight_bound(p, g.T, 0.0, 0.0, [corner], omega)
+    [rep] = check_laplacian_weight_bound(p, g.T, 0.0, 0.0, [corner], omega)
     assert rep.max_ratio == 0.0
 
 
@@ -194,8 +194,7 @@ def test_laplacian_bound_tgrid_stability(rng):
     p = CarlemanParams(lam=2.0, s=5.0)
     omega = Region(0.35 * L, 0.75 * L, 0.35 * L, 0.75 * L)
     us = [project_div_free(closed_noise(g, rng)) for _ in range(10)]
-    r1 = check_laplacian_weight_bound(p, g.T, 0.0, 0.0, us, omega, n_time=96)
-    r2 = check_laplacian_weight_bound(p, g.T, 0.0, 0.0, us, omega, n_time=192)
+    r1, r2 = check_laplacian_weight_bound(p, g.T, 0.0, 0.0, us, omega, n_times=(96, 192))
     assert 0.8 <= r2.max_ratio / r1.max_ratio <= 1.2
 
 

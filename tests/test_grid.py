@@ -29,6 +29,9 @@ from stackstokes.grid import (
     project_div_free_with_potential,
     stream_function_velocity,
     traj_norm,
+    v_coordinates,
+    v_step_matrix,
+    v_velocities,
 )
 from stackstokes import fieldio
 
@@ -179,6 +182,61 @@ def test_diffusion_solve_inverts_implicit_euler(rng, nx, ny):
     assert _normal_faces_zero(x)
     back = x - dt * laplacian(x)
     assert norm(back - f) <= 1e-12 * norm(f)
+
+
+def _v_basis(g):
+    """Q as rows: the velocities of the nv unit V coordinates."""
+    nv = (g.nx - 1) * (g.ny - 1)
+    q = np.empty((nv, g.n_faces))
+    v_velocities(np.eye(nv), g, q)
+    return q
+
+
+V_GRIDS = [(16, 16, 1.0, 1.0), (16, 12, 1.0, 0.8)]
+
+
+@pytest.mark.parametrize("nx, ny, Lx, Ly", V_GRIDS)
+def test_v_basis_is_orthonormal_div_free_and_closed(nx, ny, Lx, Ly):
+    g = GridSpec(nx=nx, ny=ny, Lx=Lx, Ly=Ly, nt=8, T=1.0)
+    q = _v_basis(g)
+    assert np.abs(q @ q.T - np.eye(len(q))).max() <= 1e-13
+    for row in q:
+        f = VelocityField.from_packed(g, row)
+        assert _normal_faces_zero(f)
+        assert divergence(f).max_abs() <= 1e-13
+
+
+@pytest.mark.parametrize("nx, ny, Lx, Ly", V_GRIDS)
+def test_v_coordinates_are_the_transpose_and_absorb_the_projection(rng, nx, ny, Lx, Ly):
+    g = GridSpec(nx=nx, ny=ny, Lx=Lx, Ly=Ly, nt=8, T=1.0)
+    q = _v_basis(g)
+    x = np.stack([closed_noise(g, rng).data for _ in range(3)])
+    c = v_coordinates(x, g)
+    assert np.abs(c - x @ q.T).max() <= 1e-13 * np.abs(c).max()
+    # Q Q^T is the Leray projection, whose range V the coordinates span
+    back = np.empty_like(x)
+    v_velocities(c, g, back)
+    for row, got in zip(x, back):
+        ref = project_div_free(VelocityField.from_packed(g, row)).data
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("nx, ny, Lx, Ly", V_GRIDS)
+def test_v_step_matrix_is_the_projected_diffusion_solve(nx, ny, Lx, Ly):
+    g = GridSpec(nx=nx, ny=ny, Lx=Lx, Ly=Ly, nt=8, T=0.3)
+    h = v_step_matrix(g)
+    assert h is v_step_matrix(g)  # built once per grid value
+    assert np.array_equal(h, h.T)
+    q = _v_basis(g)
+    for k in (0, 7, len(q) - 1):
+        col = diffusion_solve(VelocityField.from_packed(g, q[k]), g.dt).data @ q.T
+        assert np.abs(h[:, k] - col).max() <= 1e-13 * np.abs(col).max()
+
+
+def test_v_step_matrix_stops_at_the_cut_over():
+    assert v_step_matrix(GridSpec(nx=20, ny=20)) is not None
+    assert v_step_matrix(GridSpec(nx=24, ny=24)) is None
+    assert v_step_matrix(GridSpec(nx=32, ny=16)) is None
 
 
 def test_inner_space_time_constant_fields():

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+from stackstokes import grid as grid_module
+from stackstokes import stokes as stokes_module
 from stackstokes.errors import BlowupError, CflError, ConfigurationError
 from stackstokes.grid import (
     GridSpec,
+    Region,
+    SmoothCutoff,
     Trajectory,
     VelocityField,
+    diffusion_solve,
     divergence,
     face_views,
     inner,
@@ -13,6 +18,7 @@ from stackstokes.grid import (
     norm,
     project_div_free,
     traj_norm,
+    v_step_matrix,
 )
 from stackstokes.stokes import (
     Coupling,
@@ -466,3 +472,76 @@ def test_control_gradient_matches_per_level_fields(rng, masked):
             ref = ref.mul_mask(mask)
         assert np.array_equal(got[m].u, ref.u) and np.array_equal(got[m].v, ref.v)
     assert not np.shares_memory(got.data, phi.data)
+
+
+# ---------------------------------------------------------------------------
+# marches in V coordinates against the face marches
+# ---------------------------------------------------------------------------
+
+def _v_setup(ny, Ly):
+    """A 16 x ny grid on [0,1]x[0,Ly] with the regions of make_setup scaled to it."""
+    g = GridSpec(nx=16, ny=ny, Lx=1.0, Ly=Ly, nt=16, T=1.0)
+
+    def box(x0, x1, y0, y1):
+        return Region(x0, x1, y0 * Ly, y1 * Ly)
+
+    omega = box(0.35, 0.75, 0.35, 0.75)
+    chi = SmoothCutoff.for_grid(box(0.05, 0.25, 0.05, 0.25), g)
+    return g, omega, Coupling.build(g, chi, box(0.45, 0.95, 0.45, 0.95), 10.0, 10.0, 1.0)
+
+
+def _rel_max(a: Trajectory, b: Trajectory) -> float:
+    return np.abs(a.data - b.data).max() / np.abs(b.data).max()
+
+
+@pytest.mark.parametrize("ny, Ly", [(16, 1.0), (12, 0.8)])
+def test_v_marches_match_the_face_marches(rng, monkeypatch, ny, Ly):
+    g, omega, coup = _v_setup(ny, Ly)
+    h = control_traj(g, rng, 0.5)
+    y0 = project_div_free(closed_noise(g, rng, 0.2))
+    yd = state_traj(g, rng, 0.1)
+    forcing = ForcingAssembly(g, leader=h, disturbance=state_traj(g, rng, 0.3), omega=omega)
+    phiT, g1, g2 = closed_noise(g, rng), state_traj(g, rng, 0.2), control_traj(g, rng, 0.2)
+
+    def solves():
+        return (solve_forward(y0, forcing),
+                solve_coupled_linear(h, y0, yd, coup, TIGHT, omega=omega),
+                solve_backward_adjoint(phiT, g1, g2, None, coup, TIGHT))
+
+    y, sol, adj = solves()
+    monkeypatch.setattr(grid_module, "_V_MAX_DIM", 0)
+    assert v_step_matrix(g) is None
+    y_face, sol_face, adj_face = solves()
+    assert _rel_max(y, y_face) <= 1e-13
+    assert sol.iterations == sol_face.iterations
+    assert _rel_max(sol.y, sol_face.y) <= 1e-13 and _rel_max(sol.z, sol_face.z) <= 1e-13
+    assert adj.iterations == adj_face.iterations
+    assert _rel_max(adj.phi, adj_face.phi) <= 1e-13
+    assert _rel_max(adj.theta, adj_face.theta) <= 1e-13
+
+
+def test_v_marches_make_no_diffusion_solve(rng, monkeypatch):
+    # a march that fell back to the face steps would show up as calls
+    calls = []
+
+    def counting(rhs, dt):
+        calls.append(rhs.grid)
+        return diffusion_solve(rhs, dt)
+
+    monkeypatch.setattr(stokes_module, "diffusion_solve", counting)
+    g, omega, coup = _v_setup(16, 1.0)
+    # H is built on first use, not with the problem's masks and coupling
+    fresh = GridSpec(nx=16, ny=16, nt=16, T=0.77)
+    builds = grid_module._built_v_step.cache_info().misses
+    Coupling.build(fresh, SmoothCutoff.for_grid(omega, fresh), omega, 10.0, 10.0, 1.0)
+    assert grid_module._built_v_step.cache_info().misses == builds
+    v_step_matrix(fresh)
+    assert grid_module._built_v_step.cache_info().misses == builds + 1
+    assert v_step_matrix(g) is not None
+    solve_coupled_linear(control_traj(g, rng), closed_noise(g, rng), state_traj(g, rng),
+                         coup, omega=omega)
+    solve_backward_adjoint(closed_noise(g, rng), None, None, None, coup)
+    assert calls == []
+    big = GridSpec(nx=24, ny=24, nt=8, T=1.0)
+    solve_forward(project_div_free(closed_noise(big, rng)), None)
+    assert calls == [big] * big.nt

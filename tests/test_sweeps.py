@@ -1,9 +1,10 @@
 """The packed marches of stokes against per-level references.
 
-The forward solve and the sweeps of the coupled and adjoint solvers
-Leray-project their sources in one batched pass and then take one S-then-P
-step per level.  These tests pin that rewrite to the plain per-level chain
-y <- P S P (y - dt C(y) + dt F)  it replaces, and check the
+The forward solve and the sweeps of the coupled and adjoint solvers march
+packed stacks: in V coordinates on the 16x16 grids used here, and otherwise
+by Leray-projecting their sources in one batched pass and taking one
+S-then-P step per level.  These tests pin the marches to the plain per-level
+chain  y <- P S P (y - dt C(y) + dt F)  they replace, and check the
 transposed-convection (``link``) path against a finite-difference
 linearization of the convective state map.
 """
