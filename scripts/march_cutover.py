@@ -36,7 +36,7 @@ def per_step_us(g: grid.GridSpec) -> float:
     for _ in range(REPEATS):
         stack = base.copy()
         t0 = time.perf_counter()
-        _march(g, range(1, g.nt + 1), zero, stack, stack)
+        _march(g, range(1, g.nt + 1), zero, stack[1:])
         best = min(best, time.perf_counter() - t0)
     return best / g.nt * 1e6
 

@@ -40,6 +40,7 @@ from .stokes import (
     solve_coupled_linear,
     solve_coupled_nonlinear,
     solve_forward,
+    solve_forward_terminal,
 )
 from .saddle import (
     RobustParams,

@@ -83,11 +83,13 @@ __all__ = [
     "Region",
     "SmoothCutoff",
     "Trajectory",
+    "sample_levels",
     "divergence",
     "gradient",
     "laplacian",
     "project_div_free",
     "project_levels",
+    "levels_per_block",
     "face_views",
     "diffusion_solve",
     "inner",
@@ -506,11 +508,9 @@ class Trajectory:
     @classmethod
     def from_function(cls, grid: GridSpec, fu, fv) -> "Trajectory":
         """Sample (fu, fv)(x, y, t) on the face points at every time level."""
-        out = cls(grid, np.empty((grid.nt + 1, grid.n_faces)))
-        for m, t in enumerate(grid.times()):
-            out[m] = VelocityField.from_functions(
-                grid, lambda x, y: fu(x, y, t), lambda x, y: fv(x, y, t))
-        return out
+        out = np.empty((grid.nt + 1, grid.n_faces))
+        sample_levels(grid, fu, fv, range(grid.nt + 1), out)
+        return cls(grid, out)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -548,6 +548,18 @@ class Trajectory:
 
     def max_abs(self) -> float:
         return float(np.abs(self.data).max())
+
+
+def sample_levels(grid: GridSpec, fu, fv, levels: range, out: np.ndarray) -> None:
+    """Write (fu, fv)(x, y, t_m) on the face points into the packed rows of ``out``,
+    row k for the k-th level m of ``levels``."""
+    xu, yu = grid.u_face_coords()
+    xv, yv = grid.v_face_coords()
+    times = grid.times()
+    u, v = face_views(out, grid)
+    for k, m in enumerate(levels):
+        u[k] = fu(xu[:, None], yu[None, :], times[m])
+        v[k] = fv(xv[:, None], yv[None, :], times[m])
 
 
 # ---------------------------------------------------------------------------
@@ -723,14 +735,20 @@ def project_div_free_with_potential(vel: VelocityField):
 _PROJECTION_BLOCK_FACES = 8 * 544
 
 
+def levels_per_block(grid: GridSpec) -> int:
+    """Levels of a packed stack that one block holds: about
+    ``_PROJECTION_BLOCK_FACES`` faces, and at least one level."""
+    return max(1, _PROJECTION_BLOCK_FACES // grid.n_faces)
+
+
 def project_levels(packed: np.ndarray, grid: GridSpec) -> None:
     """Leray-project every level of a packed stack in place (see :func:`face_views`).
 
     Level by level this equals :func:`project_div_free`; the levels go
-    through the projection in blocks of a few.
+    through the projection in blocks of :func:`levels_per_block`.
     """
     u, v = face_views(packed, grid)
-    block = max(1, _PROJECTION_BLOCK_FACES // grid.n_faces)
+    block = levels_per_block(grid)
     for start in range(0, len(packed), block):
         u_in = u[start:start + block, 1:-1, :]
         v_in = v[start:start + block, :, 1:-1]

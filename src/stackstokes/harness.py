@@ -61,7 +61,7 @@ from .carleman import (
     observability_ratio,
     weighted_norm_components,
 )
-from .stokes import Coupling, ForcingAssembly, SolverOptions, solve_coupled_linear, solve_forward
+from .stokes import Coupling, SolverOptions, solve_coupled_linear, solve_forward_terminal
 
 __all__ = [
     "ExperimentConfig",
@@ -338,10 +338,12 @@ _OPTIONS = {
                              8.891397050194612, 15.811388300841895, 28.11706625951745, 50.0],
                    lambda v: len(v) >= 2 and min(v) > 0, "two or more positive numbers"),
     "max_iter": (int, 400, lambda v: v >= 1, "at least 1"),
-    # the convergence study solves every size and compares neighbours
+    # the convergence study solves every size and compares neighbours; its
+    # nt = base_nt (nx / sizes[0])^2 keeps dt ~ h^2 only for multiples of the first
     "sizes": ([int], [16, 32, 64],
-              lambda v: len(v) >= 2 and v[0] >= 8 and all(a < b for a, b in zip(v, v[1:])),
-              "at least two grid sizes >= 8 in increasing order"),
+              lambda v: (len(v) >= 2 and v[0] >= 8 and all(a < b for a, b in zip(v, v[1:]))
+                         and all(n % v[0] == 0 for n in v)),
+              "at least two grid sizes >= 8 in increasing order, each a multiple of the first"),
     "horizon": (float, 0.25, lambda v: v > 0, "positive"),
     "base_nt": (int, 32, lambda v: v >= 8, "at least 8"),
 }
@@ -392,6 +394,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build the experiment config; a missing field, an unknown one, or one of
     the wrong JSON type raises ConfigurationError naming its path."""
     raw = _known(_typed(raw, "(top level)", dict), "", _TOP_LEVEL)
+    experiment = _field(raw, "experiment", "", str)
     # the dataclasses hold the defaults of the optional section entries
     grid = GridSpec(**_section(raw, "grid", {"nx": int, "ny": int, "Lx": float, "Ly": float,
                                              "nt": int, "T": float}, ("nx", "ny", "nt", "T")))
@@ -410,13 +413,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                                     "epsilon_schedule": [float]})
     sv = _section(raw, "solver", {"convection_on": bool, "picard_tol": float,
                                   "picard_max": int, "relax": float, "small_data_delta": float})
+    if experiment == "convergence" and sv.get("convection_on"):
+        raise ConfigurationError("config field 'solver.convection_on' must be false for the "
+                                 "convergence experiment: its manufactured forcing is Stokes-only")
     options = _options(raw)
     data = _section(raw, "data", _DATA_KINDS)
     if data.get("y0_kind", "eddy") not in _Y0_KINDS:
         raise ConfigurationError(f"config field 'data.y0_kind' must be one of {_Y0_KINDS}, "
                                  f"got {data['y0_kind']!r}")
     return ExperimentConfig(
-        experiment=_field(raw, "experiment", "", str),
+        experiment=experiment,
         seed=_field(raw, "seed", "", int),
         grid=grid,
         omega=region("omega"),
@@ -726,7 +732,16 @@ def _mms_fields(amp=0.1):
 
 
 def _exp_convergence(cfg: ExperimentConfig, outdir: Path, h: str):
-    """Manufactured-solution order study on the unit square."""
+    """Manufactured-solution order study of the forward Stokes march on the unit square.
+
+    Each size nx of ``options.sizes`` runs nt = base_nt (nx / sizes[0])^2
+    steps, so dt ~ h^2, and only the error of y(T) against the exact state
+    is read: :func:`~stackstokes.stokes.solve_forward_terminal` samples and
+    marches the manufactured forcing a block of levels at a time, so above
+    20 x 20 cells no size holds its forcing or its states over the whole
+    horizon.  Neighbouring errors give the ratios, about 4 for a
+    second-order scheme.
+    """
     sizes = cfg.options["sizes"]
     T = cfg.options["horizon"]
     base_nt = cfg.options["base_nt"]
@@ -739,14 +754,10 @@ def _exp_convergence(cfg: ExperimentConfig, outdir: Path, h: str):
         y0 = VelocityField.from_functions(
             g, lambda x, y: u(x, y, 0.0), lambda x, y: v(x, y, 0.0)
         )
-        forcing = ForcingAssembly(g, extra_source=Trajectory.from_function(g, fu, fv))
-        traj = solve_forward(y0, forcing, SolverOptions())
         ex = VelocityField.from_functions(
             g, lambda x, y: u(x, y, T), lambda x, y: v(x, y, T)
         )
-        e = norm(traj[g.nt] - ex)
-        # free this size's state and forcing before the next, larger size is built
-        del traj, forcing
+        e = norm(solve_forward_terminal(y0, fu, fv, cfg.solver) - ex)
         errs.append(e)
         rows.append((nx, nt, e))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]

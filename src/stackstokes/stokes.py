@@ -15,9 +15,9 @@ exact transposes carry the trapezoid weights w_m (1/2 at the endpoints):
 backward tracking sources are weighted by w_m and trajectories that represent
 control gradients are the raw dual states divided by w_m.
 
-All three integrators (:func:`solve_forward` and the sweeps of the coupled
-and adjoint solvers) step through one march, :func:`_march`, on packed
-stacks of all levels, using the identity
+All three integrators (the forward solve and the sweeps of the coupled and
+adjoint solvers) step through one march, :func:`_march`, on packed stacks
+of consecutive levels, using the identity
 
     P S P (y + dt F) = P S (y + dt P F)    whenever  P y = y,
 
@@ -39,8 +39,22 @@ inside its step.  Convection and its transpose are such march terms in
 every solver, the coupled one included: the forward marches add the
 convection of the previous level, and the backward marches add the
 transposed linearization around the y of the same sweep (the coupled solve)
-or around the adjoint's ``link``.  The forward solve checks its blow-up
-bound level by level once the march is done.
+or around the adjoint's ``link``.
+
+The forward solve has two entry points on one loop, :func:`_forward`,
+which marches levels 1..nt in blocks and checks the blow-up bound of each
+block once it is marched.  :func:`solve_forward` takes an assembled
+forcing and returns the whole trajectory: its blocks are views of the
+dt-scaled forcing stack, which receives the states.
+:func:`solve_forward_terminal` takes the forcing as functions of (x, y, t)
+and returns only y(T): it samples and dt-scales each block of levels as
+:meth:`~stackstokes.grid.Trajectory.from_function` samples them, so it
+holds one block, not two trajectories.  A block is
+:func:`~stackstokes.grid.levels_per_block` levels (one level from 64 x 64
+up), or the whole horizon when the march runs in V coordinates, whose
+coordinates are not carried from block to block.  Both entry points march
+the same blocks through the same steps, so y(T) is the same to the bit,
+and so are the step and message of a BlowupError.
 """
 
 from __future__ import annotations
@@ -65,8 +79,10 @@ from .grid import (
     diffusion_solve,
     divergence,
     h1_norm,
+    levels_per_block,
     project_div_free,
     project_levels,
+    sample_levels,
     traj_norm,
     trapezoid_weights,
     v_coordinates,
@@ -82,6 +98,7 @@ __all__ = [
     "linearized_convection",
     "adjoint_coupling",
     "solve_forward",
+    "solve_forward_terminal",
     "solve_backward_adjoint",
     "solve_coupled_linear",
     "solve_coupled_nonlinear",
@@ -306,17 +323,17 @@ def _packed_data(g: GridSpec, *terms) -> np.ndarray | None:
     return out
 
 
-def _march(grid: GridSpec, levels: range, cur: VelocityField, sources: np.ndarray,
-           out: np.ndarray, term=None) -> VelocityField:
-    """The sequential steps  y <- P S P (y + G[m])  of one march, stored in ``out``.
+def _march(grid: GridSpec, levels: range, cur: VelocityField, stack: np.ndarray,
+           term=None) -> VelocityField:
+    """The sequential steps  y <- P S P (y + G[m])  of one march, in place.
 
-    ``levels`` is a range of consecutive levels, forward or backward.  Row m
-    of ``sources`` holds the dt-scaled source G[m] of each marched level m,
-    unprojected, and ``cur``, the iterate before the first step, is
-    divergence free.  ``out`` may be ``sources``; if it is not, the marched
-    rows of ``sources`` may still be projected in place.  ``term(m, y)``
-    adds  -dt P term  to the step into level m, for a term that depends on
-    the iterate y.  Returns the last iterate.
+    ``levels`` is a range of consecutive levels, forward or backward.
+    ``stack`` has one row per marched level, from the lowest up: row k holds
+    the dt-scaled, unprojected source G[m] of level m = min(levels) + k and
+    receives the state of level m.  ``cur``, the iterate before the first
+    step, is divergence free.  ``term(m, y)`` adds  -dt P term  to the step
+    into level m, for a term that depends on the iterate y.  Returns the
+    last iterate.
 
     Without a term, on a grid at or below the cut-over of
     :func:`~stackstokes.grid.v_step_matrix`, the march runs in V
@@ -325,26 +342,58 @@ def _march(grid: GridSpec, levels: range, cur: VelocityField, sources: np.ndarra
     the sources are projected in one batched pass, and each step is one
     diffusion solve and one projection,  y <- P S (y + P G[m]),  since P y = y.
     """
-    rows = slice(min(levels), max(levels) + 1)
+    lo = min(levels)
     h = v_step_matrix(grid) if term is None else None
     if h is not None:
-        coeffs = v_coordinates(sources[rows], grid)
+        coeffs = v_coordinates(stack, grid)
         c = v_coordinates(cur.data, grid)
         for m in levels:
-            src = coeffs[m - rows.start]
+            src = coeffs[m - lo]
             np.dot(h, c + src, out=src)
             c = src
-        v_velocities(coeffs, grid, out[rows])
-        return VelocityField.from_packed(grid, out[levels[-1]].copy())
-    project_levels(sources[rows], grid)
+        v_velocities(coeffs, grid, stack)
+        return VelocityField.from_packed(grid, stack[levels[-1] - lo].copy())
+    project_levels(stack, grid)
     dt = grid.dt
     x = VelocityField.zeros(grid)
     for m in levels:
-        np.add(cur.data, sources[m], out=x.data)
+        np.add(cur.data, stack[m - lo], out=x.data)
         rhs = x if term is None else x - dt * project_div_free(term(m, cur))
         cur = project_div_free(diffusion_solve(rhs, dt))
-        out[m] = cur.data
+        stack[m - lo] = cur.data
     return cur
+
+
+def _forward(y0: VelocityField, opts: SolverOptions, block_sources):
+    """The forward march from y0, block by block, with its blow-up check.
+
+    ``block_sources(levels)`` returns the stack of a block of consecutive
+    levels for :func:`_march`: their dt-scaled sources, which then receive
+    their states.  The blocks cover levels 1..nt in order.  A level above
+    ``blowup_norm`` * max(|y0|, 1), or not finite, raises BlowupError
+    naming the first such step once its block is marched.  Returns level 0
+    as stored (y0 with zero normal faces, projected if it is not divergence
+    free) and y(T).
+    """
+    g = y0.grid
+    start = _closed_div_free(y0)
+    limit = opts.blowup_norm * max(start.max_abs(), 1.0)
+    term = _convect if opts.convection_on else None
+    # V coordinates are not carried between blocks: there one block is the horizon
+    block = g.nt if term is None and v_step_matrix(g) is not None else levels_per_block(g)
+    cur = project_div_free(start)
+    for first in range(1, g.nt + 1, block):
+        levels = range(first, min(first + block, g.nt + 1))
+        stack = block_sources(levels)
+        cur = _march(g, levels, cur, stack, term)
+        # max |y| of every level, without a stack-sized temporary
+        peaks = np.maximum(stack.max(axis=1), -stack.min(axis=1))
+        bad = np.flatnonzero(~(peaks <= limit))  # also catches NaN
+        if bad.size:
+            k = int(bad[0])
+            raise BlowupError(f"forward solve blew up at step {first + k}: |y| = {peaks[k]:.3e}",
+                              residual=float(peaks[k]), iterations=first + k)
+    return start, cur
 
 
 def solve_forward(
@@ -365,18 +414,29 @@ def solve_forward(
     if data is None:
         data = np.zeros((g.nt + 1, g.n_faces))
     out = Trajectory(g, data)
-    out[0] = _closed_div_free(y0)
-    limit = opts.blowup_norm * max(out[0].max_abs(), 1.0)
-    _march(g, range(1, g.nt + 1), project_div_free(out[0]), data, data,
-           _convect if opts.convection_on else None)
-    # max |y| of every level, without a stack-sized temporary
-    peaks = np.maximum(data.max(axis=1), -data.min(axis=1))
-    bad = np.flatnonzero(~(peaks[1:] <= limit)) + 1  # also catches NaN
-    if bad.size:
-        n = int(bad[0])
-        raise BlowupError(f"forward solve blew up at step {n}: |y| = {peaks[n]:.3e}",
-                          residual=float(peaks[n]), iterations=n)
+    out[0], _ = _forward(y0, opts, lambda levels: data[levels[0]:levels[-1] + 1])
     return out
+
+
+def solve_forward_terminal(y0: VelocityField, fu, fv,
+                           opts: SolverOptions = SolverOptions()) -> VelocityField:
+    """y(T) of the forward march from y0 driven by the forcing (fu, fv)(x, y, t).
+
+    Equal to the bit to the last level of :func:`solve_forward` with the
+    forcing ``Trajectory.from_function(grid, fu, fv)`` as one channel, and
+    it fails the same way; but it samples and marches one block of levels
+    at a time, so it never holds the forcing or the states of the whole
+    horizon (except in V coordinates, on grids of at most 20 x 20 cells).
+    """
+    g = y0.grid
+
+    def block_sources(levels):
+        stack = np.empty((len(levels), g.n_faces))
+        sample_levels(g, fu, fv, levels, stack)
+        stack *= g.dt
+        return stack
+
+    return _forward(y0, opts, block_sources)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +569,7 @@ def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1
         if fwd_data is not None:
             wd[1:] += fwd_data[1:]
         work[0] = y0p
-        _march(g, range(1, g.nt + 1), y0_start, wd, wd, _convect if convective else None)
+        _march(g, range(1, g.nt + 1), y0_start, wd[1:], _convect if convective else None)
 
     def backward_sweep():
         # work (= y) <- the z it drives; the raw backward state is w_m * z_m
@@ -519,7 +579,7 @@ def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1
         np.multiply(wd, w, out=wd)
         if bwd_data is not None:
             wd[:] += bwd_data
-        _march(g, range(g.nt, -1, -1), VelocityField.zeros(g), wd, wd, transposed)
+        _march(g, range(g.nt, -1, -1), VelocityField.zeros(g), wd, transposed)
         wd[1:] *= 1.0 / w[1:]
 
     sweeps, residual = _picard(
@@ -618,12 +678,12 @@ def solve_backward_adjoint(
     def phi_march(phi: Trajectory):
         # phi from the dt-scaled, unprojected sources of levels 1..nt, in place
         if link is None:
-            _march(g, range(g.nt, 0, -1), phi_start, phi.data, phi.data)
+            _march(g, range(g.nt, 0, -1), phi_start, phi.data[1:])
             phi[0] = phi[1]
             return
         # the transposed convection acts from the second step on
-        cur = _march(g, range(g.nt, g.nt - 1, -1), phi_start, phi.data, phi.data)
-        _march(g, range(g.nt - 1, 0, -1), cur, phi.data, phi.data, transposed)
+        cur = _march(g, range(g.nt, g.nt - 1, -1), phi_start, phi.data[g.nt:])
+        _march(g, range(g.nt - 1, 0, -1), cur, phi.data[1:g.nt], transposed)
         phi[0] = phi[1] - g.dt * adjoint_coupling(link[0], phi[1])
 
     theta = Trajectory.zeros(g)
@@ -657,7 +717,7 @@ def solve_backward_adjoint(
         # theta(0) = 0; a non-finite phi(0) is handed on as NaN, so that the
         # Picard loop's finiteness check sees it
         wd[0] = 0.0 if np.isfinite(wd[0]).all() else math.nan
-        _march(g, range(1, g.nt + 1), VelocityField.zeros(g), wd, wd)
+        _march(g, range(1, g.nt + 1), VelocityField.zeros(g), wd[1:])
 
     sweeps, residual = _picard(phi_sweep, theta_sweep, theta, work, opts, "adjoint pair",
                                "gamma or ell too small or mu too large")

@@ -418,6 +418,8 @@ def test_option_copies_keep_relax(monkeypatch):
     ("grid", "nx", None, "grid.nx"),
     ("grid", "T", None, "grid.T"),
     ("robust", "gamma", None, "robust.gamma"),
+    # nt = base_nt (nx / sizes[0])^2 would truncate for 24 / 16
+    ("options", "sizes", [16, 24], "options.sizes"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
     from stackstokes.cli import main
@@ -428,6 +430,20 @@ def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field
     path.write_text(json.dumps(raw))
     assert main(["validate", str(path)]) == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_convergence_refuses_convection(tmp_path, capsys):
+    # the manufactured forcing of the convergence study is Stokes-only
+    from stackstokes.cli import main
+
+    raw = default_config_dict("convergence")
+    raw["solver"]["convection_on"] = True
+    path = tmp_path / "convective.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 2
+    assert "'solver.convection_on'" in capsys.readouterr().err
+    raw["solver"]["convection_on"] = False
+    assert not config_from_dict(raw).solver.convection_on
 
 
 def test_shipped_inputs_validate(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from stackstokes.stokes import (
     solve_coupled_linear,
     solve_coupled_nonlinear,
     solve_forward,
+    solve_forward_terminal,
 )
 
 from conftest import closed_noise, control_traj, eddy, make_setup, state_traj
@@ -231,6 +234,78 @@ def test_forcing_assembly_masks(rng):
     assert np.abs(f_u[3][outside.u == 0.0]).max() == 0.0
     with pytest.raises(ConfigurationError):
         ForcingAssembly(g, leader=lead)  # support region required
+
+
+def _mms_problem(g):
+    """The manufactured initial state on g and the forcing functions of its study."""
+    from stackstokes.harness import _mms_fields
+
+    u, v, fu, fv = _mms_fields()
+    y0 = VelocityField.from_functions(g, lambda x, y: u(x, y, 0.0), lambda x, y: v(x, y, 0.0))
+    return y0, fu, fv
+
+
+def _trajectory_solve(y0, fu, fv, opts=SolverOptions()):
+    g = y0.grid
+    return solve_forward(y0, ForcingAssembly(g, extra_source=Trajectory.from_function(g, fu, fv)),
+                         opts)
+
+
+@pytest.mark.parametrize("nx, ny, Ly, nt, convection_on, v_path", [
+    (16, 16, 1.0, 32, False, True),
+    (16, 12, 0.8, 20, False, True),
+    # blocks of three levels, the last one short
+    (24, 24, 1.0, 16, False, False),
+    # convection marches on the faces, in blocks of eight levels
+    (16, 16, 1.0, 20, True, False),
+], ids=["v-16x16", "v-16x12", "faces-24x24", "convective-16x16"])
+def test_terminal_solve_is_the_last_level(nx, ny, Ly, nt, convection_on, v_path):
+    g = GridSpec(nx=nx, ny=ny, Ly=Ly, nt=nt, T=0.25)
+    assert (v_step_matrix(g) is not None and not convection_on) == v_path
+    y0, fu, fv = _mms_problem(g)
+    opts = SolverOptions(convection_on=convection_on)
+    last = solve_forward_terminal(y0, fu, fv, opts)
+    assert np.array_equal(last.data, _trajectory_solve(y0, fu, fv, opts)[nt].data)
+
+
+@pytest.mark.parametrize("nx", [16, 24], ids=["v-16x16", "faces-24x24"])
+def test_terminal_solve_blows_up_at_the_same_step(nx):
+    # |y| first passes 0.31 at level 4: in the second block on 24 x 24
+    g = GridSpec(nx=nx, ny=nx, nt=16, T=0.25)
+    _, fu, fv = _mms_problem(g)
+    opts = SolverOptions(blowup_norm=0.31)
+    errors = []
+    for solve in (_trajectory_solve, solve_forward_terminal):
+        with pytest.raises(BlowupError) as info:
+            solve(VelocityField.zeros(g), fu, fv, opts)
+        errors.append((str(info.value), info.value.iterations, info.value.residual))
+    assert errors[0] == errors[1] and errors[0][1] == 4
+
+
+def test_terminal_solve_cfl_guard():
+    g = GridSpec(nx=16, ny=16, nt=8, T=1.0)
+    _, fu, fv = _mms_problem(g)
+    with pytest.raises(CflError):
+        solve_forward_terminal(eddy(g, amp=3.0), fu, fv, SolverOptions(convection_on=True))
+
+
+def test_terminal_solve_holds_no_trajectory():
+    # the peak of traced allocations stays under a quarter of one trajectory,
+    # while the trajectory solve holds the forcing and the states (two)
+    g = GridSpec(nx=64, ny=64, nt=128, T=0.25)
+    y0, fu, fv = _mms_problem(g)
+    bound = (g.nt + 1) * g.n_faces * 8 / 4
+
+    def peak(solve):
+        tracemalloc.start()
+        try:
+            solve(y0, fu, fv)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(solve_forward_terminal) < bound
+    assert peak(_trajectory_solve) > bound
 
 
 # ---------------------------------------------------------------------------
