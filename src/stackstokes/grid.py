@@ -21,14 +21,12 @@ exact for constants.
 The Leray projection and the implicit diffusion solve are applied in the
 separable eigenbases of the Neumann and no-slip Laplacians, as products with
 cached orthonormal DCT-II / DST-I / DST-II matrices (the fast diagonalization
-method of Lynch, Rice & Thomas, Numer. Math. 6, 1964).  A product costs
-O(n^3) per solve against O(n^2 log n) for an FFT, but at the sizes this
-toolkit steps on, the per-call overhead of the FFT routines dominates.  One
-``P S P`` step with one BLAS thread (numpy 2.4.6, scipy 1.17.1, a 2-core VM)
-took 320 / 400 / 1030 / 3560-4040 us through ``scipy.fft`` at nx = ny = 16 /
-32 / 64 / 128 and takes 58 / 116 / 370 / 3090-3470 us as matrix products:
-the two forms meet at about 128, the largest grid any config, test or
-benchmark steps on.  On larger grids the cubic cost would make FFTs faster.
+method of Lynch, Rice & Thomas, Numer. Math. 6, 1964).  All three bases take
+their multipliers from one spectrum, the eigenvalues of the 5-point second
+difference (:func:`_spectrum`).  A product costs O(n^3) per solve against
+O(n^2 log n) for an FFT, but up to about 128 x 128 cells, the largest grid
+any config, test or benchmark steps on, the per-call overhead of the FFT
+routines outweighs that; on larger grids FFTs would be faster.
 
 Fields, masks and trajectory rows share one packed layout: a vector of
 ``n_faces`` values, the u faces followed by the v faces (:func:`face_views`).
@@ -48,22 +46,24 @@ same bits level by level.  A stack is projected a few levels at a time, which
 keeps the temporaries small.
 
 Up to 20 x 20 cells a march runs in coordinates of the divergence-free
-space V, of dimension nv = (nx-1)(ny-1).  V is the range of the MAC curl of
-the interior nodal stream functions (Nicolaides, SIAM J. Numer. Anal. 29,
-1992), and curl^T curl is the Dirichlet Laplacian, diagonal in DST-I modes,
-so Q = curl (S_x (x) S_y) diag(lambda^-1/2) is an orthonormal basis of V and
-Q Q^T is the Leray projection.  Q (:func:`v_velocities`) and Q^T
-(:func:`v_coordinates`) are a curl stencil and two DST-I products, batched
-over levels; a step  y <- P S (y + G)  is  c <- H (c + Q^T G)  with the
-symmetric H = Q^T S Q (:func:`v_step_matrix`), built on a grid's first
-march and cached by grid value.  A 32-step termless march (one BLAS
-thread, same VM, ``scripts/march_cutover.py``, four runs) takes 15-21 /
-30-40 / 78-94 / 209-239 / 376-396 us per step in V coordinates and 41-66 /
-50-78 / 59-103 / 79-129 / 111-134 us per face step at nx = ny = 16 / 20 /
-24 / 28 / 32, hence the cut-over at 20 x 20.  H is not diagonalized: the
-first ``np.linalg.eigh`` of a process (225 x 225) leaves 1.6 MiB resident
-and raises the peak by 2.7 MiB, about 6 % of a 16 x 16 leader run's peak,
-so the package calls no ``np.linalg`` routine.
+space V, of dimension nv = (nx-1)(ny-1), built on the operators above.  V is
+the range of the MAC curl of the interior nodal stream functions
+(Nicolaides, SIAM J. Numer. Anal. 29, 1992), and curl^T curl is the
+Dirichlet Laplacian, diagonal in DST-I modes with the same spectrum, so
+Q = curl (S_x (x) S_y) diag(lambda^-1/2) is an orthonormal basis of V and
+Q Q^T is the Leray projection.  Q (:func:`v_velocities`) is the curl of
+:func:`stream_function_velocity` after two DST-I products, and Q^T
+(:func:`v_coordinates`) its transpose, both batched over levels; a step
+y <- P S (y + G)  is  c <- H (c + Q^T G)  with the symmetric H = Q^T S Q
+(:func:`v_step_matrix`), whose S is the diffusion solve on the grid's cached
+tables.  H is built on a grid's first march and cached by grid value.  The
+cut-over at 20 x 20 is where a V step stops being the cheaper one: a
+32-step termless march (one BLAS thread, ``scripts/march_cutover.py``) took
+30-40 us per V step against 50-78 us per face step at 20 x 20, and 78-94 us
+against 59-103 us at 24 x 24.  H is not diagonalized: the first
+``np.linalg.eigh`` of a process (225 x 225) leaves 1.6 MiB resident and
+raises the peak by 2.7 MiB, about 6 % of a 16 x 16 leader run's peak, so the
+package calls no ``np.linalg`` routine.
 """
 
 from __future__ import annotations
@@ -218,7 +218,52 @@ class ScalarField:
         return float(np.abs(self.values).max())
 
 
-class VelocityField:
+def _check_same_grid(a, b):
+    if a.grid != b.grid:
+        raise ConfigurationError("fields live on different grids")
+
+
+def _check_same_faces(a, b):
+    # packed vectors of an nx x ny and an ny x nx grid have the same length
+    if a.grid is not b.grid and (a.grid.nx, a.grid.ny) != (b.grid.nx, b.grid.ny):
+        raise ConfigurationError("fields live on grids with different faces")
+
+
+class _Packed:
+    """Arithmetic of a field or a trajectory: one numpy operation on ``data``.
+
+    A subclass wraps a result's data with ``_like`` and refuses an operand
+    of another layout with ``_check``; a mask always needs the same faces.
+    """
+
+    __array_ufunc__ = None
+    __slots__ = ()
+
+    def copy(self):
+        return self._like(self.data.copy())
+
+    def max_abs(self) -> float:
+        return float(np.abs(self.data).max())
+
+    def __add__(self, other):
+        self._check(other)
+        return self._like(self.data + other.data)
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._like(self.data - other.data)
+
+    def __mul__(self, a: float):
+        return self._like(self.data * a)
+
+    __rmul__ = __mul__
+
+    def mul_mask(self, mask: "VelocityField"):
+        _check_same_faces(self, mask)
+        return self._like(self.data * mask.data)
+
+
+class VelocityField(_Packed):
     """Face-staggered velocity: u on vertical faces, v on horizontal faces.
 
     The field is one packed vector ``data`` of length ``grid.n_faces``, its
@@ -228,8 +273,8 @@ class VelocityField:
     velocity field of weights.
     """
 
-    __array_ufunc__ = None
     __slots__ = ("grid", "data", "u", "v")
+    _check = _check_same_faces
 
     def __init__(self, grid: GridSpec, u, v):
         """A field holding copies of ``u`` (shape (nx+1, ny)) and ``v`` (shape (nx, ny+1))."""
@@ -269,34 +314,14 @@ class VelocityField:
         out.v[...] = fv(xv[:, None], yv[None, :])
         return out
 
-    def copy(self) -> "VelocityField":
-        return VelocityField.from_packed(self.grid, self.data.copy())
+    def _like(self, data: np.ndarray) -> "VelocityField":
+        return VelocityField.from_packed(self.grid, data)
 
     def apply_noslip(self) -> "VelocityField":
         """Zero the normal boundary faces (no-penetration closure)."""
         out = self.copy()
         _zero_normal_faces(out.data, self.grid)
         return out
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.data).max())
-
-    def __add__(self, other):
-        _check_same_faces(self, other)
-        return VelocityField.from_packed(self.grid, self.data + other.data)
-
-    def __sub__(self, other):
-        _check_same_faces(self, other)
-        return VelocityField.from_packed(self.grid, self.data - other.data)
-
-    def __mul__(self, a: float):
-        return VelocityField.from_packed(self.grid, self.data * a)
-
-    __rmul__ = __mul__
-
-    def mul_mask(self, mask: "VelocityField") -> "VelocityField":
-        _check_same_faces(self, mask)
-        return VelocityField.from_packed(self.grid, self.data * mask.data)
 
 
 def face_views(packed: np.ndarray, grid: GridSpec):
@@ -327,17 +352,6 @@ def _read_only(grid: GridSpec, data: np.ndarray) -> VelocityField:
     return VelocityField.from_packed(grid, data)
 
 
-def _check_same_grid(a, b):
-    if a.grid != b.grid:
-        raise ConfigurationError("fields live on different grids")
-
-
-def _check_same_faces(a, b):
-    # packed vectors of an nx x ny and an ny x nx grid have the same length
-    if a.grid is not b.grid and (a.grid.nx, a.grid.ny) != (b.grid.nx, b.grid.ny):
-        raise ConfigurationError("fields live on grids with different faces")
-
-
 @dataclass(frozen=True)
 class Region:
     """Axis-aligned rectangle inside the domain, used as an indicator set."""
@@ -365,16 +379,6 @@ class Region:
             or other.x1 <= self.x0
             or self.y1 <= other.y0
             or other.y1 <= self.y0
-        )
-
-    def intersection(self, other: "Region") -> "Region | None":
-        if not self.intersects(other):
-            return None
-        return Region(
-            max(self.x0, other.x0),
-            min(self.x1, other.x1),
-            max(self.y0, other.y0),
-            min(self.y1, other.y1),
         )
 
     def contains_point(self, x: float, y: float) -> bool:
@@ -465,7 +469,7 @@ class SmoothCutoff:
                                                              self.evaluate).data)
 
 
-class Trajectory:
+class Trajectory(_Packed):
     """Time-indexed sequence of nt+1 velocity snapshots on one grid.
 
     The snapshots live in one packed stack ``data`` of shape ``(nt+1, n_faces)``
@@ -478,7 +482,7 @@ class Trajectory:
     ``leader.control_to_terminal`` does).  ``traj[m] = f`` copies f into row m.
     """
 
-    __array_ufunc__ = None
+    _check = _check_same_grid
 
     def __init__(self, grid: GridSpec, snapshots):
         """``snapshots`` is a sequence of nt+1 fields, copied into a new stack,
@@ -526,28 +530,8 @@ class Trajectory:
     def __iter__(self):
         return (VelocityField.from_packed(self.grid, row) for row in self.data)
 
-    def copy(self) -> "Trajectory":
-        return Trajectory(self.grid, self.data.copy())
-
-    def __add__(self, other: "Trajectory") -> "Trajectory":
-        _check_same_grid(self, other)
-        return Trajectory(self.grid, self.data + other.data)
-
-    def __sub__(self, other: "Trajectory") -> "Trajectory":
-        _check_same_grid(self, other)
-        return Trajectory(self.grid, self.data - other.data)
-
-    def __mul__(self, a: float) -> "Trajectory":
-        return Trajectory(self.grid, self.data * a)
-
-    __rmul__ = __mul__
-
-    def mul_mask(self, mask: VelocityField) -> "Trajectory":
-        _check_same_faces(self, mask)
-        return Trajectory(self.grid, self.data * mask.data)
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.data).max())
+    def _like(self, data: np.ndarray) -> "Trajectory":
+        return Trajectory(self.grid, data)
 
 
 def sample_levels(grid: GridSpec, fu, fv, levels: range, out: np.ndarray) -> None:
@@ -647,6 +631,16 @@ def _and_transpose(b: np.ndarray):
     return b, np.ascontiguousarray(b.T)
 
 
+def _spectrum(n: int, h: float) -> np.ndarray:
+    """Eigenvalues (2 - 2 cos(pi k / n)) / h^2, k = 0..n, of the 5-point -d^2/dx^2.
+
+    On n cells of width h, the modes k < n are those of the cell-centered
+    Neumann problem (DCT-II), 0 < k < n those of the interior nodes or faces
+    (DST-I), and 0 < k <= n those of the odd ghost closure (DST-II).
+    """
+    return (2.0 - 2.0 * np.cos(np.pi * np.arange(n + 1) / n)) / h**2
+
+
 def _neumann_tables(grid: GridSpec):
     """Cosine matrices, the divergence in cosine space, and the inverse Laplacian.
 
@@ -659,9 +653,7 @@ def _neumann_tables(grid: GridSpec):
     cx, cy = _dct2_matrix(nx), _dct2_matrix(ny)
     dx = (np.eye(nx, nx - 1) - np.eye(nx, nx - 1, k=-1)) / hx
     dy = (np.eye(ny, ny - 1) - np.eye(ny, ny - 1, k=-1)) / hy
-    lamx = (2.0 - 2.0 * np.cos(np.pi * np.arange(nx) / nx)) / hx**2
-    lamy = (2.0 - 2.0 * np.cos(np.pi * np.arange(ny) / ny)) / hy**2
-    lam = lamx[:, None] + lamy[None, :]
+    lam = _spectrum(nx, hx)[:nx, None] + _spectrum(ny, hy)[None, :ny]
     lam[0, 0] = 1.0
     inv = 1.0 / lam
     inv[0, 0] = 0.0
@@ -757,19 +749,16 @@ def project_levels(packed: np.ndarray, grid: GridSpec) -> None:
 
 
 def _diffusion_tables(grid: GridSpec, dt: float):
-    """Sine matrices and multipliers 1/(1 - dt*lambda) for both components.
+    """Sine matrices and multipliers 1/(1 + dt*lambda) for both components.
 
     u: DST-I in x (interior faces), DST-II in y (odd ghost closure); v: the
     same with the axes swapped.  Each entry is the argument tail of
     :func:`_diagonalized`.
     """
-    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    lam1x = (2.0 * np.cos(np.pi * np.arange(1, nx) / nx) - 2.0) / hx**2
-    lam2y = (2.0 * np.cos(np.pi * np.arange(1, ny + 1) / ny) - 2.0) / hy**2
-    lam2x = (2.0 * np.cos(np.pi * np.arange(1, nx + 1) / nx) - 2.0) / hx**2
-    lam1y = (2.0 * np.cos(np.pi * np.arange(1, ny) / ny) - 2.0) / hy**2
-    m_u = 1.0 / (1.0 - dt * (lam1x[:, None] + lam2y[None, :]))
-    m_v = 1.0 / (1.0 - dt * (lam2x[:, None] + lam1y[None, :]))
+    nx, ny = grid.nx, grid.ny
+    lx, ly = _spectrum(nx, grid.hx), _spectrum(ny, grid.hy)
+    m_u = 1.0 / (1.0 + dt * (lx[1:nx, None] + ly[None, 1:]))
+    m_v = 1.0 / (1.0 + dt * (lx[1:, None] + ly[None, 1:ny]))
     return (
         (*_and_transpose(_dst1_matrix(nx - 1)), *_and_transpose(_dst2_matrix(ny)), m_u),
         (*_and_transpose(_dst2_matrix(nx)), *_and_transpose(_dst1_matrix(ny - 1)), m_v),
@@ -783,12 +772,17 @@ def diffusion_solve(rhs: VelocityField, dt: float) -> VelocityField:
     and boundary-face values of ``rhs`` are ignored, matching the no-slip
     closure of :func:`laplacian`.
     """
+    return _diffuse(rhs, dt, VelocityField.zeros(rhs.grid))
+
+
+def _diffuse(rhs: VelocityField, dt: float, out: VelocityField) -> VelocityField:
+    """:func:`diffusion_solve` into the interior faces of ``out``, which may be
+    ``rhs``; the tables of a time step are built once per grid."""
     g = rhs.grid
     tables = g._diffusion.get(dt)
     if tables is None:
         tables = g._diffusion[dt] = _diffusion_tables(g, dt)
     tab_u, tab_v = tables
-    out = VelocityField.zeros(g)
     out.u[1:-1, :] = _diagonalized(rhs.u[1:-1, :], *tab_u)
     out.v[:, 1:-1] = _diagonalized(rhs.v[:, 1:-1], *tab_v)
     return out
@@ -814,10 +808,8 @@ def _v_tables(grid: GridSpec):
     (-curl^T curl) on the interior nodes, whose eigenvectors are the sine
     modes; so the curl of the scaled modes is an orthonormal basis of V.
     """
-    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    lamx = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, nx) / nx)) / hx**2
-    lamy = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny) / ny)) / hy**2
-    scale = 1.0 / np.sqrt(lamx[:, None] + lamy)
+    nx, ny = grid.nx, grid.ny
+    scale = 1.0 / np.sqrt(_spectrum(nx, grid.hx)[1:nx, None] + _spectrum(ny, grid.hy)[1:ny])
     return _dst1_matrix(nx - 1), _dst1_matrix(ny - 1), scale.ravel()
 
 
@@ -842,20 +834,14 @@ def v_velocities(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray) -> None:
     """Q: write the velocities of V coordinates ``(..., nv)`` into the packed ``out``.
 
     The nodal stream function psi = (S_x (x) S_y) diag(lambda^-1/2) c is zero
-    on the boundary nodes, so its curl u = d(psi)/dy, v = -d(psi)/dx (as in
-    :func:`stream_function_velocity`) has zero normal faces and zero
-    divergence.
+    on the boundary nodes, so its :func:`_curl` has zero normal faces.
     """
     sx, sy, scale = grid._v
     lead = coeffs.shape[:-1]
     psi = np.zeros(lead + (grid.nx + 1, grid.ny + 1))
     modes = (coeffs * scale).reshape(lead + (grid.nx - 1, grid.ny - 1))
     psi[..., 1:-1, 1:-1] = sx @ modes @ sy
-    u, v = face_views(out, grid)
-    np.subtract(psi[..., 1:], psi[..., :-1], out=u)
-    u /= grid.hy
-    np.subtract(psi[..., :-1, :], psi[..., 1:, :], out=v)
-    v /= grid.hx
+    _curl(psi, grid, out)
 
 
 def v_step_matrix(grid: GridSpec) -> np.ndarray | None:
@@ -871,7 +857,7 @@ def v_step_matrix(grid: GridSpec) -> np.ndarray | None:
 
 @lru_cache(maxsize=8)
 def _built_v_step(grid: GridSpec) -> np.ndarray:
-    """H built from the diffusion tables, a block of basis columns at a time."""
+    """H built a block of basis columns at a time, S applied by :func:`_diffuse`."""
     nv = grid._v[2].size
     h = np.empty((nv, nv))
     for start in range(0, nv, _V_BLOCK):
@@ -879,10 +865,9 @@ def _built_v_step(grid: GridSpec) -> np.ndarray:
         cols[:, start:start + _V_BLOCK] = np.eye(len(cols))
         faces = np.empty((len(cols), grid.n_faces))
         v_velocities(cols, grid, faces)
-        u, v = face_views(faces, grid)
-        for w, (bx, bx_t, by, by_t, m) in zip(
-                (u[:, 1:-1, :], v[:, :, 1:-1]), _diffusion_tables(grid, grid.dt)):
-            w[...] = bx_t @ ((bx @ w @ by_t) * m) @ by
+        for row in faces:
+            f = VelocityField.from_packed(grid, row)
+            _diffuse(f, grid.dt, f)
         h[start:start + len(cols)] = v_coordinates(faces, grid)
     # H is symmetric up to rounding; make it exactly so
     h += h.T
@@ -969,16 +954,23 @@ def closed_noise(grid: GridSpec, rng: np.random.Generator, levels: int,
     return out
 
 
-def stream_function_velocity(grid: GridSpec, psi_nodes: np.ndarray) -> VelocityField:
-    """Exactly divergence-free velocity from a nodal stream function.
+def _curl(psi: np.ndarray, grid: GridSpec, out: np.ndarray) -> None:
+    """The MAC curl  u = d(psi)/dy, v = -d(psi)/dx  of nodal stream functions, shape
+    ``(..., nx+1, ny+1)``, into the packed ``out``: divergence free by construction,
+    and with zero normal faces where psi is constant on the boundary."""
+    u, v = face_views(out, grid)
+    np.subtract(psi[..., 1:], psi[..., :-1], out=u)
+    u /= grid.hy
+    np.subtract(psi[..., :-1, :], psi[..., 1:, :], out=v)
+    v /= grid.hx
 
-    ``psi_nodes`` has shape (nx+1, ny+1); u = d(psi)/dy, v = -d(psi)/dx by
-    face differencing, so the discrete divergence vanishes identically.  A
-    stream function that is constant on the boundary yields zero normal faces.
-    """
+
+def stream_function_velocity(grid: GridSpec, psi_nodes: np.ndarray) -> VelocityField:
+    """Exactly divergence-free velocity from a nodal stream function of shape
+    (nx+1, ny+1), by :func:`_curl`."""
     psi = np.asarray(psi_nodes, dtype=float)
     if psi.shape != (grid.nx + 1, grid.ny + 1):
         raise ConfigurationError("stream function must be nodal (nx+1, ny+1)")
-    u = (psi[:, 1:] - psi[:, :-1]) / grid.hy
-    v = -(psi[1:, :] - psi[:-1, :]) / grid.hx
-    return VelocityField(grid, u, v)
+    out = VelocityField.zeros(grid)
+    _curl(psi, grid, out.data)
+    return out

@@ -61,7 +61,7 @@ from .carleman import (
     observability_ratio,
     weighted_norm_components,
 )
-from .stokes import Coupling, SolverOptions, solve_coupled_linear, solve_forward_terminal
+from .stokes import SolverOptions, solve_coupled_linear, solve_forward_terminal
 
 __all__ = [
     "ExperimentConfig",
@@ -125,12 +125,11 @@ class ExperimentConfig:
                 "geometry violates the overlap hypothesis 'omega n O_d != empty': "
                 f"omega={self.omega} misses O_d={self.obs_set}"
             )
-        cap = self.omega.intersection(self.obs_set)
-        if cap is None or not cap.contains(self.inner_set):
+        if not (self.omega.contains(self.inner_set) and self.obs_set.contains(self.inner_set)):
             raise GeometryError(
-                "geometry violates the containment hypothesis "
-                "'omega0 inside omega n O_d': "
-                f"omega0={self.inner_set} not inside {cap}"
+                "geometry violates the containment hypothesis 'omega0 inside omega n O_d': "
+                f"omega0={self.inner_set} not inside both omega={self.omega} "
+                f"and O_d={self.obs_set}"
             )
         # the weight profile's one critical point is the center of the box
         cx, cy = self.grid.Lx / 2.0, self.grid.Ly / 2.0
@@ -462,21 +461,34 @@ class RunRecord:
     incomplete: bool = False
 
 
-def _write_csv(path: Path, header, rows, config_hash: str):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            # float() first: numpy 2 reprs its scalars as "np.float64(...)"
-            fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
+class _Artifacts(list):
+    """The paths of the files a run has written, each listed once it is written,
+    so that the manifest of a failed run names what the run left behind."""
+
+    def __init__(self, outdir: Path, config_hash: str):
+        super().__init__()
+        self.outdir, self.config_hash = outdir, config_hash
+
+    def csv(self, name: str, header, rows) -> None:
+        path = self.outdir / name
+        with open(path, "w", newline="") as fh:
+            fh.write(f"# config_hash={self.config_hash}\n")
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                # float() first: numpy 2 reprs its scalars as "np.float64(...)"
+                fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x)
+                                  for x in row) + "\n")
+        self.append(str(path))
+
+    def trajectory(self, name: str, traj: Trajectory) -> None:
+        self.extend(str(p) for p in fieldio.write_trajectory(self.outdir / "fields", name, traj))
 
 
 # ---------------------------------------------------------------------------
 # experiment pipelines
 # ---------------------------------------------------------------------------
 
-def _exp_saddle(cfg: ExperimentConfig, outdir: Path, h: str):
+def _exp_saddle(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     prob = cfg.problem()
     lead = cfg.leader_trajectory()
     res = saddle_from_coupled(prob, lead)
@@ -488,16 +500,11 @@ def _exp_saddle(cfg: ExperimentConfig, outdir: Path, h: str):
     )
     report = verify_saddle(prob, res, lead, n_probes=cfg.options["n_probes"],
                            rng=rng_stream(cfg.seed, "saddle-probes"))
-    _write_csv(
-        outdir / "probe_margins.csv",
-        ["probe", "magnitude", "margin_psi", "margin_v", "ok"],
-        [(i, r[1], r[2], r[3], int(r[4])) for i, r in enumerate(report.rows)],
-        h,
-    )
-    arts = [str(outdir / "probe_margins.csv")]
-    arts += [str(p) for p in fieldio.write_trajectory(outdir / "fields", "psi_bar", res.psi_bar)]
-    arts += [str(p) for p in fieldio.write_trajectory(outdir / "fields", "v_bar", res.v_bar)]
-    metrics = {
+    out.csv("probe_margins.csv", ["probe", "magnitude", "margin_psi", "margin_v", "ok"],
+            [(i, r[1], r[2], r[3], int(r[4])) for i, r in enumerate(report.rows)])
+    out.trajectory("psi_bar", res.psi_bar)
+    out.trajectory("v_bar", res.v_bar)
+    return {
         "residual_psi": res.residual_psi,
         "residual_v": res.residual_v,
         "coupled_iterations": res.iterations,
@@ -510,10 +517,9 @@ def _exp_saddle(cfg: ExperimentConfig, outdir: Path, h: str):
         "probe_worst_v_margin": report.worst_v_margin,
         "probe_tol": report.tol,
     }
-    return metrics, arts
 
 
-def _exp_nullcontrol(cfg: ExperimentConfig, outdir: Path, h: str):
+def _exp_nullcontrol(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     prob = cfg.problem()
     uncontrolled = norm(control_to_terminal(prob, None))
     res = solve_null_control_cg(prob, cfg.penalty)
@@ -521,18 +527,11 @@ def _exp_nullcontrol(cfg: ExperimentConfig, outdir: Path, h: str):
         (r.epsilon, r.terminal_norm, r.control_norm, r.cg_iters, r.objective)
         for r in res.history
     ]
-    _write_csv(
-        outdir / "epsilon_sweep.csv",
-        ["epsilon", "terminal_norm", "control_norm", "cg_iters", "objective"],
-        rows, h,
-    )
-    _write_csv(
-        outdir / "objective_curve.csv",
-        ["iteration", "objective"],
-        list(enumerate(res.objective_curve)), h,
-    )
-    arts = [str(outdir / "epsilon_sweep.csv"), str(outdir / "objective_curve.csv")]
-    arts += [str(p) for p in fieldio.write_trajectory(outdir / "fields", "h", res.h)]
+    out.csv("epsilon_sweep.csv",
+            ["epsilon", "terminal_norm", "control_norm", "cg_iters", "objective"], rows)
+    out.csv("objective_curve.csv", ["iteration", "objective"],
+            list(enumerate(res.objective_curve)))
+    out.trajectory("h", res.h)
     metrics = {
         "epsilon": res.epsilon,
         "terminal_norm": res.terminal_norm,
@@ -563,10 +562,10 @@ def _exp_nullcontrol(cfg: ExperimentConfig, outdir: Path, h: str):
     metrics["weighted_norm_finite"] = bool(
         all(not math.isnan(v) for v in enorm.values())
     )
-    return metrics, arts
+    return metrics
 
 
-def _exp_nullcontrol_nonlinear(cfg: ExperimentConfig, outdir: Path, h: str):
+def _exp_nullcontrol_nonlinear(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     prob = cfg.problem()
     res = solve_null_control_nonlinear(
         prob, cfg.penalty,
@@ -575,8 +574,8 @@ def _exp_nullcontrol_nonlinear(cfg: ExperimentConfig, outdir: Path, h: str):
     )
     lin_prob = dataclasses.replace(prob, opts=dataclasses.replace(cfg.solver, convection_on=False))
     lin = solve_null_control_cg(lin_prob, cfg.penalty)
-    arts = [str(p) for p in fieldio.write_trajectory(outdir / "fields", "h", res.h)]
-    metrics = {
+    out.trajectory("h", res.h)
+    return {
         "outer_iterations": res.outer_iterations,
         "terminal_norm_nonlinear": res.terminal_norm,
         "terminal_norm_linear": lin.terminal_norm,
@@ -586,10 +585,9 @@ def _exp_nullcontrol_nonlinear(cfg: ExperimentConfig, outdir: Path, h: str):
         "control_norm": res.control_norm,
         "cg_iters": res.cg_iters,
     }
-    return metrics, arts
 
 
-def _exp_carleman(cfg: ExperimentConfig, outdir: Path, h: str):
+def _exp_carleman(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     p = cfg.carleman
     g = cfg.grid
     T = g.T
@@ -609,12 +607,8 @@ def _exp_carleman(cfg: ExperimentConfig, outdir: Path, h: str):
     W, M = WeightFamily, p.eta_norm
     rows = np.column_stack((ts, log_w(W.ALPHA), log_w(W.ALPHA, M), log_w(W.XI),
                             log_w(W.XI, M), log_w(W.BETA), log_w(W.TAU, M))).tolist()
-    _write_csv(
-        outdir / "weight_table.csv",
-        ["t", "log_alpha_star", "log_alpha_hat", "log_xi_star", "log_xi_hat",
-         "log_beta_star", "log_tau_hat"],
-        rows, h,
-    )
+    out.csv("weight_table.csv", ["t", "log_alpha_star", "log_alpha_hat", "log_xi_star",
+                                 "log_xi_hat", "log_beta_star", "log_tau_hat"], rows)
     # domination inequality across lam, plus the full ratio curve at the
     # configured lam
     eps = opts["domination_epsilon"]
@@ -624,12 +618,9 @@ def _exp_carleman(cfg: ExperimentConfig, outdir: Path, h: str):
         rep = check_weight_domination(pp, T, 0.0, 0.0, eps)
         dom.append((lam, rep.max_log_ratio))
         if lam == p.lam:
-            _write_csv(
-                outdir / "domination_curve.csv",
-                ["t", "log_ratio"],
-                list(zip(rep.t_values.tolist(), rep.log_ratios.tolist())), h,
-            )
-    _write_csv(outdir / "domination.csv", ["lam", "max_log_ratio"], dom, h)
+            out.csv("domination_curve.csv", ["t", "log_ratio"],
+                    list(zip(rep.t_values.tolist(), rep.log_ratios.tolist())))
+    out.csv("domination.csv", ["lam", "max_log_ratio"], dom)
     metrics["domination_log_ratios"] = {str(l): r for l, r in dom}
     metrics["domination_nonincreasing"] = bool(
         all(dom[i + 1][1] <= dom[i][1] for i in range(len(dom) - 1))
@@ -648,30 +639,23 @@ def _exp_carleman(cfg: ExperimentConfig, outdir: Path, h: str):
         b2.max_ratio / b1.max_ratio if b1.max_ratio > 0 else 1.0
     )
     # observability constant stability under sample doubling
-    coup = Coupling.build(g, cfg.cutoff(), cfg.obs_set,
-                          cfg.robust.ell, cfg.robust.gamma, cfg.robust.mu)
+    coup = cfg.problem().coupling
     n_obs = opts["n_observability_samples"]
     rep1 = observability_ratio(p, coup, cfg.omega, n_obs,
                                rng=rng_stream(cfg.seed, "observability-a"), opts=cfg.solver)
     rep2 = observability_ratio(p, coup, cfg.omega, 2 * n_obs,
                                rng=rng_stream(cfg.seed, "observability-b"), opts=cfg.solver)
-    _write_csv(
-        outdir / "observability_samples.csv",
-        ["sample", "ratio"],
-        list(enumerate(rep1.ratios + rep2.ratios)), h,
-    )
+    out.csv("observability_samples.csv", ["sample", "ratio"],
+            list(enumerate(rep1.ratios + rep2.ratios)))
     metrics["observability_max"] = rep1.max_ratio
     metrics["observability_max_doubled"] = rep2.max_ratio
     metrics["observability_stability"] = (
         rep2.max_ratio / rep1.max_ratio if rep1.max_ratio > 0 else 1.0
     )
-    arts = [str(outdir / "weight_table.csv"), str(outdir / "domination.csv"),
-            str(outdir / "domination_curve.csv"),
-            str(outdir / "observability_samples.csv")]
-    return metrics, arts
+    return metrics
 
 
-def _exp_gamma0(cfg: ExperimentConfig, outdir: Path, h: str):
+def _exp_gamma0(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     prob = cfg.problem()
     lead = cfg.leader_trajectory()
     res = estimate_gamma_threshold(
@@ -679,19 +663,14 @@ def _exp_gamma0(cfg: ExperimentConfig, outdir: Path, h: str):
         max_iter=cfg.options["max_iter"],
         rng=rng_stream(cfg.seed, "power-iteration"),
     )
-    _write_csv(
-        outdir / "gamma_scan.csv",
-        ["gamma", "converged"],
-        [(gv, int(ok)) for gv, ok in res.outcomes],
-        h,
-    )
-    metrics = {
+    out.csv("gamma_scan.csv", ["gamma", "converged"],
+            [(gv, int(ok)) for gv, ok in res.outcomes])
+    return {
         "bracket_lower": res.lower,
         "bracket_upper": res.upper,
         "one_sided": res.one_sided,
         "n_probed": len(res.outcomes),
     }
-    return metrics, [str(outdir / "gamma_scan.csv")]
 
 
 def _mms_fields(amp=0.1):
@@ -731,7 +710,7 @@ def _mms_fields(amp=0.1):
     return u, v, fu, fv
 
 
-def _exp_convergence(cfg: ExperimentConfig, outdir: Path, h: str):
+def _exp_convergence(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     """Manufactured-solution order study of the forward Stokes march on the unit square.
 
     Each size nx of ``options.sizes`` runs nt = base_nt (nx / sizes[0])^2
@@ -761,14 +740,13 @@ def _exp_convergence(cfg: ExperimentConfig, outdir: Path, h: str):
         errs.append(e)
         rows.append((nx, nt, e))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
-    _write_csv(outdir / "convergence.csv", ["nx", "nt", "error"], rows, h)
-    metrics = {
+    out.csv("convergence.csv", ["nx", "nt", "error"], rows)
+    return {
         "errors": errs,
         "ratios": ratios,
         "min_ratio": min(ratios),
         "max_ratio": max(ratios),
     }
-    return metrics, [str(outdir / "convergence.csv")]
 
 
 _PIPELINES = {
@@ -791,9 +769,9 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> RunRecord:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     incomplete = True
     metrics: dict = {}
-    arts: list = []
+    arts = _Artifacts(outdir, h)
     try:
-        metrics, arts = _PIPELINES[cfg.experiment](cfg, outdir, h)
+        metrics = _PIPELINES[cfg.experiment](cfg, arts)
         incomplete = False
     finally:
         finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -801,7 +779,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> RunRecord:
             config_hash=h,
             experiment=cfg.experiment,
             metrics=metrics,
-            artifacts=sorted(arts),
+            artifacts=sorted(set(arts)),
             run_dir=str(outdir),
             incomplete=incomplete,
         )

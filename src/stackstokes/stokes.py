@@ -536,6 +536,7 @@ def solve_coupled_linear(
     small of order dt (the discrete tracking weight at the final level).
     The converged pair is the exact first-order system of the discrete
     minimax cost, which is what the gradient-consistency tests require.
+    The forward data is a :class:`ForcingAssembly`, so ``h`` needs ``omega``.
     """
     return _solve_coupled(h, y0, yd, coupling, opts, omega, f1, f2, False)
 
@@ -549,8 +550,7 @@ def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1
     obs = coupling.obs_mask.data
     z_weight = g.dt * coupling.k_mask.data
     y_weight = g.dt * coupling.mu * obs
-    omega_w = omega.face_indicator(g).data if omega is not None else None
-    fwd_data = _packed_data(g, (h, omega_w), (f1,))
+    fwd_data = ForcingAssembly(g, leader=h, extra_source=f1, omega=omega).sources()
     bwd_data = _packed_data(g, (yd, -coupling.mu * obs, w), (f2,))
 
     y0p = _closed_div_free(y0)

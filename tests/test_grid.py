@@ -4,6 +4,7 @@ from scipy.fft import dct, dst
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stackstokes import grid as grid_module
 from stackstokes.errors import ConfigurationError
 from stackstokes.grid import (
     _dct2_matrix,
@@ -233,6 +234,20 @@ def test_v_step_matrix_is_the_projected_diffusion_solve(nx, ny, Lx, Ly):
         assert np.abs(h[:, k] - col).max() <= 1e-13 * np.abs(col).max()
 
 
+def test_v_step_matrix_reads_the_cached_diffusion_tables(monkeypatch):
+    # S in H is the diffusion solve of the marches: once diffusion_solve has
+    # built the tables of the grid's time step, building H builds no others
+    g = GridSpec(nx=12, ny=10, Lx=1.1, Ly=0.9, nt=8, T=0.45)
+    diffusion_solve(VelocityField.zeros(g), g.dt)
+    built = []
+    tables = grid_module._diffusion_tables
+    monkeypatch.setattr(grid_module, "_diffusion_tables",
+                        lambda *args: built.append(args) or tables(*args))
+    h = grid_module._built_v_step.__wrapped__(g)
+    assert built == []
+    assert np.array_equal(h, h.T) and h.shape == (11 * 9, 11 * 9)
+
+
 def test_v_step_matrix_stops_at_the_cut_over():
     assert v_step_matrix(GridSpec(nx=20, ny=20)) is not None
     assert v_step_matrix(GridSpec(nx=24, ny=24)) is None
@@ -385,6 +400,25 @@ def test_stream_function_velocity_div_free(rng):
     w = stream_function_velocity(g, psi)
     assert divergence(w).max_abs() < 1e-12
     assert _normal_faces_zero(w)
+
+
+def test_stream_function_velocity_is_q_of_the_sine_coordinates(rng):
+    # the V basis is the curl of scaled DST-I modes: an interior psi has the
+    # coordinates c = diag(lambda^1/2) (S_x (x) S_y) psi, with lambda the
+    # Dirichlet eigenvalues written out here, and Q c is its velocity
+    g = GridSpec(nx=12, ny=9, Lx=1.3, Ly=0.7, nt=8, T=1.0)
+    psi = np.zeros((g.nx + 1, g.ny + 1))
+    psi[1:-1, 1:-1] = rng.standard_normal((g.nx - 1, g.ny - 1))
+
+    def lam(n, h):
+        return (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n) / n)) / h**2
+
+    modes = _dst1_matrix(g.nx - 1) @ psi[1:-1, 1:-1] @ _dst1_matrix(g.ny - 1)
+    c = (modes * np.sqrt(lam(g.nx, g.hx)[:, None] + lam(g.ny, g.hy)[None, :])).ravel()
+    out = np.empty(g.n_faces)
+    v_velocities(c, g, out)
+    ref = stream_function_velocity(g, psi).data
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_binary_roundtrip(tmp_path, rng):

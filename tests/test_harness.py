@@ -281,6 +281,24 @@ def test_failed_run_flagged_incomplete(tmp_path):
     assert man["incomplete"] is True
 
 
+def test_failed_run_lists_the_files_it_wrote(tmp_path, monkeypatch):
+    # each file is listed once it is written: a run that fails after writing
+    # its weight table names that table in its manifest, and only that
+    from stackstokes import harness
+
+    def planted(*args, **kwargs):
+        raise RuntimeError("planted failure")
+
+    monkeypatch.setattr(harness, "check_weight_domination", planted)
+    with pytest.raises(RuntimeError, match="planted failure"):
+        run_experiment(config_from_dict(default_config_dict("carleman-check")), tmp_path)
+    run_dir = next(tmp_path.glob("carleman-check-*"))
+    man = json.loads((run_dir / "manifest.json").read_text())
+    assert man["incomplete"] is True
+    assert man["artifacts"] == [str(run_dir / "weight_table.csv")]
+    assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "weight_table.csv"]
+
+
 def _numeric_rows(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
@@ -365,7 +383,7 @@ def test_option_copies_keep_relax(monkeypatch):
     monkeypatch.setattr(harness, "solve_null_control_nonlinear", lambda *a, **k: None)
     monkeypatch.setattr(harness, "solve_null_control_cg", lambda p, c: capture(p.opts))
     with pytest.raises(Seen, match="False"):
-        harness._exp_nullcontrol_nonlinear(cfg, None, "")
+        harness._exp_nullcontrol_nonlinear(cfg, None)
 
 
 @pytest.mark.parametrize("section, key, value, field", [

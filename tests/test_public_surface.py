@@ -1,8 +1,8 @@
 """Every exported name and every function the benchmark traces resolves,
 every function the package defines has a caller in the program, every
 dataclass field is read, every solver and penalty option is live, only
-grid splits the packed face layout, and only the Picard loop reads its
-iteration controls."""
+grid splits the packed face layout, only the Picard loop reads its
+iteration controls, and the package needs neither scipy nor numpy.linalg."""
 
 import ast
 import dataclasses
@@ -276,3 +276,28 @@ def test_one_loop_reads_the_picard_controls():
         and node.attr in ("picard_max", "picard_tol") and ".".join(scope) not in PICARD_READERS
     })
     assert not readers, f"Picard controls read outside the Picard driver by {readers}"
+
+
+def _numpy_only_offenders(path):
+    """``file:line name`` of each scipy import and each numpy.linalg import or read."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            names = ["numpy.linalg"]
+        else:
+            continue
+        out += [f"{path.name}:{node.lineno} {n}" for n in names
+                if n.split(".")[0] == "scipy" or n.startswith("numpy.linalg")]
+    return out
+
+
+def test_package_needs_no_scipy_and_no_numpy_linalg():
+    # the package runs on numpy alone (pyproject.toml) and calls no
+    # np.linalg routine (the grid docstring says why): the transforms are
+    # cached matrices and H is never diagonalized
+    offenders = [o for path in sorted(SRC.glob("*.py")) for o in _numpy_only_offenders(path)]
+    assert not offenders, f"scipy or numpy.linalg used in stackstokes at {offenders}"

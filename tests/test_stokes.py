@@ -236,6 +236,31 @@ def test_forcing_assembly_masks(rng):
         ForcingAssembly(g, leader=lead)  # support region required
 
 
+def test_coupled_solve_places_the_leader_on_omega(rng):
+    # the coupled solves assemble their forward data as a ForcingAssembly: a
+    # leader without its support omega is refused, as solve_forward refuses
+    # it, and so are a leader and an f1 on another grid of the same shape
+    s = make_setup()
+    g, omega = s["grid"], s["omega"]
+    coup = Coupling.build(g, s["chi"], s["obs"], 10.0, 10.0, 1.0)
+    y0 = VelocityField.zeros(g)
+    with pytest.raises(ConfigurationError, match="support region"):
+        solve_coupled_linear(control_traj(g, rng), y0, None, coup)
+    with pytest.raises(ConfigurationError, match="support region"):
+        solve_coupled_nonlinear(control_traj(g, rng), y0, None, coup, SolverOptions())
+    other = GridSpec(nx=g.nx, ny=g.ny, nt=g.nt, T=2.0 * g.T)
+    with pytest.raises(ConfigurationError, match="leader trajectory on a different grid"):
+        solve_coupled_linear(control_traj(other, rng), y0, None, coup, omega=omega)
+    with pytest.raises(ConfigurationError, match="extra_source trajectory on a different grid"):
+        solve_coupled_linear(None, y0, None, coup, omega=omega, f1=control_traj(other, rng))
+    # placed, the leader acts through its indicator on omega only
+    h = control_traj(g, rng)
+    masked = h.mul_mask(omega.face_indicator(g))
+    a = solve_coupled_linear(h, y0, None, coup, omega=omega)
+    b = solve_coupled_linear(masked, y0, None, coup, omega=omega)
+    assert np.array_equal(a.y.data, b.y.data) and np.array_equal(a.z.data, b.z.data)
+
+
 def _mms_problem(g):
     """The manufactured initial state on g and the forcing functions of its study."""
     from stackstokes.harness import _mms_fields
