@@ -4,8 +4,8 @@ Two families of space-time weights drive the observability machinery: the
 ``alpha``/``xi`` family with the open time factor t(T-t) (poles at both
 endpoints) and the ``beta``/``tau`` family whose time factor is frozen to
 T^2/4 on [0, T/2] (finite at t = 0, pole only at t = T).  A weight is a
-family at an eta value in [0, eta_norm]; the starred and hatted spatial
-extremes of the paper are a family at eta = 0 and at eta = eta_norm.
+family at an eta value in [0, M], with M = 1 the maximum of the eta profile;
+the starred and hatted spatial extremes of the paper are eta = 0 and eta = M.
 
 The weights are evaluated on arrays: a scalar or an array of times, and
 eta values that broadcast against them (one per face, say), so that every
@@ -65,22 +65,18 @@ class CarlemanParams:
     The constants must satisfy  5/4 <= a0 < a0+1 < m0 < 2*a0  and
     m0 < 2 + a0; violating parameters are rejected at construction.  The
     defaults (a0=2, m0=3.5) also satisfy the appendix regime
-    a0 >= 2, a0 < m0 <= a0 + 2.  ``eta_norm`` bounds the eta profile, whose
-    maximum is 1 on every grid, so it must be at least 1.
+    a0 >= 2, a0 < m0 <= a0 + 2.  The eta profile enters through its maximum
+    M = 1, which is fixed by the profile, not by the parameters.
     """
 
     lam: float
     s: float
     a0: float = 2.0
     m0: float = 3.5
-    eta_norm: float = 1.0
 
     def __post_init__(self):
         if self.lam <= 0 or self.s <= 0:
             raise ConfigurationError("lam and s must be positive")
-        if not self.eta_norm >= 1.0:
-            raise ConfigurationError(f"config field 'carleman.eta_norm' must be at least 1, "
-                                     f"the maximum of the eta profile, got {self.eta_norm!r}")
         a0, m0 = self.a0, self.m0
         if not (1.25 <= a0 and a0 + 1 < m0 < 2 * a0 and m0 < 2 + a0):
             raise ConfigurationError(
@@ -99,22 +95,10 @@ class WeightFamily(str, Enum):
 _ALPHA_KIND = {WeightFamily.ALPHA, WeightFamily.XI}
 
 
-def _libm(f, x) -> np.ndarray:
-    """``f`` from ``math`` applied to every entry of ``x``.
-
-    numpy's vectorized exp and log round a few per cent of their results
-    differently from libm in the last bit; going through ``math`` gives an
-    array of times the bits of the scalar formula, which replayed metrics
-    and CSV files pin.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(f, x.flat), float, x.size).reshape(x.shape)
-
-
 def _exp709(x):
     """e^x, saturated to +inf from x = 709 on; a float for a scalar x."""
     x = np.asarray(x, dtype=float)
-    out = np.where(x < 709.0, _libm(math.exp, np.minimum(x, 709.0)), math.inf)
+    out = np.where(x < 709.0, np.exp(np.minimum(x, 709.0)), math.inf)
     return out if out.ndim else float(out)
 
 
@@ -131,23 +115,23 @@ def _time_log(T: float, t, alpha_kind: bool):
     else:
         live = (0.0 <= t) & (t < T)
         tt = np.where(t <= T / 2.0, T * T / 4.0, t * (T - t))
-    return np.where(live, 5.0 * _libm(math.log, np.where(live, tt, 1.0)), -math.inf), live
+    return np.where(live, 5.0 * np.log(np.where(live, tt, 1.0)), -math.inf), live
 
 
 def _log_num(params: CarlemanParams, family: WeightFamily, eta_value):
     """log of the spatial numerator of the family at eta_value.
 
     The alpha/beta numerators decrease in eta and the xi/tau ones increase,
-    so each family takes its extremes at eta = 0 and at eta = eta_norm.
+    so each family takes its extremes at eta = 0 and at eta = M.
     """
-    lam, M = params.lam, params.eta_norm
+    lam, M = params.lam, _ETA_MAX
     eta = np.asarray(eta_value, dtype=float)
     bad = eta[~((0.0 <= eta) & (eta <= M))]
     if bad.size:
         raise ConfigurationError(f"eta value {bad[0]} outside [0, {M}]")
     if family in (WeightFamily.ALPHA, WeightFamily.BETA):
         # e^{12 lam M} - e^{lam (10 M + eta)} = e^{12 lam M} (1 - e^{-lam(2M - eta)})
-        return 12.0 * lam * M + _libm(math.log1p, -_libm(math.exp, -lam * (2.0 * M - eta)))
+        return 12.0 * lam * M + np.log1p(-np.exp(-lam * (2.0 * M - eta)))
     return lam * (10.0 * M + eta)
 
 
@@ -156,7 +140,7 @@ def log_weight_eval(params: CarlemanParams, family: WeightFamily, T: float, t,
     """log of the family value at the times t and eta (arrays broadcast).
 
     A float for scalar arguments; PoleError if any time is at or beyond a
-    singular endpoint, ConfigurationError if an eta lies outside [0, eta_norm].
+    singular endpoint, ConfigurationError if an eta lies outside [0, M].
     """
     tlog, live = _time_log(T, t, family in _ALPHA_KIND)
     if not live.all():
@@ -166,16 +150,15 @@ def log_weight_eval(params: CarlemanParams, family: WeightFamily, T: float, t,
     return out if out.ndim else float(out)
 
 
-def alpha_ratio(lam: float, eta_norm: float = 1.0) -> float:
+def alpha_ratio(lam: float) -> float:
     """Spatial min/max ratio of the singular weight: alpha_hat / alpha_star.
 
-    Reduces to the logistic function 1/(1 + e^{-lam*eta_norm}), hence tends
+    Reduces to the logistic function 1/(1 + e^{-lam M}), hence tends
     to 1 as lam -> inf and to 1/2 as lam -> 0+.
     """
-    if lam <= 0 or eta_norm <= 0:
-        raise ConfigurationError("lam and eta_norm must be positive")
-    x = lam * eta_norm
-    return 1.0 / (1.0 + math.exp(-x))
+    if lam <= 0:
+        raise ConfigurationError("lam must be positive")
+    return 1.0 / (1.0 + math.exp(-lam * _ETA_MAX))
 
 
 def _signed_exponent(params: CarlemanParams, T: float, t, terms) -> np.ndarray:
@@ -194,16 +177,19 @@ def _signed_exponent(params: CarlemanParams, T: float, t, terms) -> np.ndarray:
         raise ConfigurationError("cannot mix open and flat-start time factors")
     logs = [_log_num(params, fam, eta_value) for fam, eta_value, _ in terms]
     L = reduce(np.maximum, logs)
-    ssum = sum(coeff * _libm(math.exp, l - L) for (_, _, coeff), l in zip(terms, logs))
+    ssum = sum(coeff * np.exp(l - L) for (_, _, coeff), l in zip(terms, logs))
     zero = ssum == 0.0
     tlog, _ = _time_log(T, t, alpha_kind)
-    mag = math.log(params.s) + L + _libm(math.log, np.where(zero, 1.0, abs(ssum))) - tlog
+    mag = math.log(params.s) + L + np.log(np.where(zero, 1.0, abs(ssum))) - tlog
     return np.where(zero, 0.0, np.copysign(_exp709(mag), ssum))
 
 
 # ---------------------------------------------------------------------------
 # spatial profile eta
 # ---------------------------------------------------------------------------
+
+_ETA_MAX = 1.0  # M, the maximum of _eta, taken at the center of the box
+
 
 def _eta(grid: GridSpec, x, y) -> np.ndarray:
     """The sine-product profile at the points (x, y): 1 at the center, 0 on the walls.
@@ -241,7 +227,7 @@ def check_weight_domination(
     Requires (1+eps) * alpha_ratio(lam) > 1, otherwise the exponent wins on
     the wrong side and the inequality provably fails.
     """
-    F = alpha_ratio(params.lam, params.eta_norm)
+    F = alpha_ratio(params.lam)
     if (1.0 + epsilon) * F <= 1.0:
         raise ConfigurationError(
             f"(1+eps)*F(lam) = {(1.0 + epsilon) * F:.6f} <= 1: the domination "
@@ -252,7 +238,7 @@ def check_weight_domination(
         guard = T / (2 * nt)
         t_grid = np.linspace(guard, T - guard, nt)
     t_grid = np.asarray(t_grid, dtype=float)
-    M = params.eta_norm
+    M = _ETA_MAX
     xi_hat_log = log_weight_eval(params, WeightFamily.XI, T, t_grid, M)
     expo = _signed_exponent(params, T, t_grid, [(WeightFamily.ALPHA, 0.0, 1.0),
                                                 (WeightFamily.ALPHA, M, -(1.0 + epsilon))])
@@ -291,7 +277,7 @@ def check_laplacian_weight_bound(
     time, so the Laplacian pairings are computed once for all the grids.
     Requires the appendix regime a0 >= 2, a0 < m0 <= a0 + 2.
     """
-    a0, m0 = params.a0, params.m0
+    a0, m0, M = params.a0, params.m0, _ETA_MAX
     if not (a0 >= 2.0 and a0 < m0 <= a0 + 2.0):
         raise ConfigurationError(
             f"appendix regime needs a0 >= 2 and a0 < m0 <= a0+2, got a0={a0}, m0={m0}"
@@ -301,7 +287,6 @@ def check_laplacian_weight_bound(
     for u in u_samples:
         lap = laplacian(u)
         pairings.append((inner(lap, lap, mask), inner(lap, lap)))
-    M = params.eta_norm
 
     def report(n_time):
         guard = T / (2 * n_time)
@@ -311,10 +296,7 @@ def check_laplacian_weight_bound(
 
         def log_time_integral(terms, power):
             vals = _signed_exponent(params, T, t_grid, terms) + power * xi_hat_log
-            vmax = vals.max()
-            if vmax == -math.inf:
-                return -math.inf
-            return vmax + math.log(np.exp(vals - vmax).sum() * dt)
+            return _log_quadrature(vals, np.ones(n_time), dt)
 
         lhs_t = log_time_integral(
             [(WeightFamily.ALPHA, M, -4.0), (WeightFamily.ALPHA, 0.0, -2.0 * a0)], M1t)
@@ -378,7 +360,7 @@ def _observability_weights(params: CarlemanParams, g: GridSpec, omega: Region):
         params, T, t[:, None],
         [(WeightFamily.BETA, 0.0, -4.0 * a0), (WeightFamily.BETA, eta, 2.0 * (m0 - 2.0))],
     )
-    expo += 15.0 * log_weight_eval(params, WeightFamily.TAU, T, t, params.eta_norm)[:, None]
+    expo += 15.0 * log_weight_eval(params, WeightFamily.TAU, T, t, _ETA_MAX)[:, None]
     rhs_w = np.zeros((g.nt + 1, g.n_faces))
     rhs_w[:n, on] = np.exp(np.minimum(expo, 709.0, out=expo)) * mask[on]
     rhs_w *= (trapezoid_weights(g.nt) * g.dt * g.cell_area)[:, None]
@@ -462,7 +444,6 @@ def weighted_norm_components(
     z: Trajectory | None,
     h: Trajectory | None,
     params: CarlemanParams,
-    c0: float = 2.5,
     omega: Region | None = None,
 ) -> dict:
     """log10 of each weighted component of the solution-space norm.
@@ -472,11 +453,9 @@ def weighted_norm_components(
     weight; its exclusion is the discrete counterpart of the guard band) and
     the result is reported in log10 to stay finite.
     """
-    if c0 < 2.5:
-        raise ConfigurationError("c0 must be at least 5/2")
     g = y.grid
     T = g.T
-    a0, m0, M = params.a0, params.m0, params.eta_norm
+    a0, m0, M = params.a0, params.m0, _ETA_MAX
     t = g.times()[:-1]  # singular weight at t = T excluded
     w = trapezoid_weights(g.nt).copy()
     w[-1] = 0.0
@@ -490,7 +469,7 @@ def weighted_norm_components(
         sq = np.asarray(sq)[:-1]
         pos = sq > 0.0
         logs = np.full(g.nt + 1, -math.inf)
-        logs[:-1][pos] = log_weight[pos] + _libm(math.log, sq[pos])
+        logs[:-1][pos] = log_weight[pos] + np.log(sq[pos])
         return 0.5 * _log_quadrature(logs, w, g.dt)
 
     # H2 and L-inf(V) style components
@@ -512,10 +491,10 @@ def weighted_norm_components(
     hv = np.array([h1_norm(y[m]) for m in range(g.nt)])
     pos = hv > 0
     out["y_sup_v"] = (
-        float(np.max((s_a0 - 7.5 * tau_hat)[pos] + _libm(math.log, hv[pos])))
+        float(np.max((s_a0 - 7.5 * tau_hat)[pos] + np.log(hv[pos])))
         if pos.any() else -math.inf
     )
     if z is not None:
-        out["z_h2"] = traj_component([h2_sq(f) for f in z], 2.0 * s_a0 - 2.0 * c0 * tau_star)
+        out["z_h2"] = traj_component([h2_sq(f) for f in z], 2.0 * s_a0 - 5.0 * tau_star)
     log10 = math.log(10.0)
     return {k: (v / log10 if math.isfinite(v) else v) for k, v in out.items()}

@@ -914,22 +914,20 @@ def trapezoid_weights(nt: int) -> np.ndarray:
     return w
 
 
-def inner_levels(a: Trajectory, b: Trajectory, mask=None) -> np.ndarray:
+def inner_levels(a: Trajectory, b: Trajectory, mask: VelocityField | None = None) -> np.ndarray:
     """:func:`inner` of a[m] and b[m] at every level m, as one weighted reduction.
 
-    ``mask`` is a face mask, or a region or cutoff whose face mask is used.
     ``einsum`` multiplies and weighs without a stack-sized temporary.
     """
     _check_same_grid(a, b)
     g = a.grid
     weights = g.cell_area * g.face_weights
     if mask is not None:
-        fm = mask if isinstance(mask, VelocityField) else mask.face_mask(g)
-        weights = weights * fm.data
+        weights = weights * mask.data
     return np.einsum("ij,ij,j->i", a.data, b.data, weights)
 
 
-def inner_space_time(a: Trajectory, b: Trajectory, mask=None) -> float:
+def inner_space_time(a: Trajectory, b: Trajectory, mask: VelocityField | None = None) -> float:
     """Trapezoid-in-time, cell-area-in-space quadrature of sum_i a_i b_i."""
     g = a.grid
     return float(g.dt * trapezoid_weights(g.nt).dot(inner_levels(a, b, mask)))

@@ -32,6 +32,7 @@ from .grid import (
 )
 from .saddle import SaddleProblem
 from .stokes import (
+    CoupledSolution,
     control_gradient,
     frozen_sources,
     solve_backward_adjoint,
@@ -79,6 +80,8 @@ class LeaderResult:
     cg_iters: int
     objective: float
     epsilon: float
+    free_terminal_norm: float        # |y(T)| of the coupled linear solve at h = 0
+    final_solution: CoupledSolution  # the coupled linear solve at the final h
     history: list = field(default_factory=list)   # rows of EpsilonRow
     outer_iterations: int = 0
     objective_curve: list = field(default_factory=list)
@@ -215,8 +218,8 @@ def solve_null_control_cg(
     final = history[-1]
     # exact re-solve so the stored invariant objective = |h|^2/2 + |y(T)|^2/(2 eps)
     # holds on the reported fields
-    yT = control_to_terminal(prob, h, f1, f2)
-    term = norm(yT)
+    sol = _coupled(prob, h, f1, f2)
+    term = norm(sol.y[g.nt])
     ctrl = traj_norm(h)
     return LeaderResult(
         h=h,
@@ -225,6 +228,8 @@ def solve_null_control_cg(
         cg_iters=total_iters,
         objective=0.5 * ctrl**2 + 0.5 / final.epsilon * term**2,
         epsilon=final.epsilon,
+        free_terminal_norm=norm(free_T),
+        final_solution=sol,
         history=history,
         objective_curve=curve_all[-1] if curve_all else [],
     )

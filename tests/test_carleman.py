@@ -1,4 +1,6 @@
 import math
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackstokes.carleman import (
+    _ETA_MAX,
     CarlemanParams,
     WeightFamily,
+    _eta,
     _log_num,
     _observability_weights,
     _signed_exponent,
@@ -27,9 +31,12 @@ from stackstokes.grid import (
     project_div_free,
     trapezoid_weights,
 )
+from stackstokes.harness import parse_config
 from stackstokes.stokes import Coupling
 
 from conftest import closed_noise, control_traj, make_setup
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_params_constraint_chain():
@@ -83,8 +90,8 @@ def test_pole_divergence_on_refining_grid():
 @given(lam=st.floats(0.2, 8.0), t=st.floats(0.01, 0.99), eta=st.floats(0.0, 1.0))
 def test_weight_ordering(lam, t, eta):
     p = CarlemanParams(lam=lam, s=1.0)
-    # the starred and hatted extremes are the family at eta = 0 and eta = eta_norm
-    M = p.eta_norm
+    # the starred and hatted extremes are the family at eta = 0 and eta = M
+    M = _ETA_MAX
     la = log_weight_eval(p, WeightFamily.ALPHA, 1.0, t, eta_value=eta)
     lah = log_weight_eval(p, WeightFamily.ALPHA, 1.0, t, eta_value=M)
     las = log_weight_eval(p, WeightFamily.ALPHA, 1.0, t, eta_value=0.0)
@@ -96,18 +103,29 @@ def test_weight_ordering(lam, t, eta):
 
 
 def test_every_family_refuses_eta_outside_its_range():
-    # no family reads an eta of its own: one outside [0, eta_norm] is refused
+    # no family reads an eta of its own: one outside [0, M] is refused
     # by every family, by the evaluator and by the signed exponent alike
-    p = CarlemanParams(lam=1.0, s=1.0, eta_norm=1.5)
+    p = CarlemanParams(lam=1.0, s=1.0)
+    M = _ETA_MAX
     for fam in WeightFamily:
-        for eta in (-0.1, 1.6, 5.0, np.array([0.5, 2.0])):
+        for eta in (-0.1, M + 1e-12, 1.6, 5.0, np.array([0.5, 2.0])):
             with pytest.raises(ConfigurationError, match="outside"):
                 log_weight_eval(p, fam, 1.0, 0.5, eta_value=eta)
             with pytest.raises(ConfigurationError, match="outside"):
                 _signed_exponent(p, 1.0, 0.5, [(fam, eta, 1.0)])
         # an eta inside the range is the one evaluated
-        at = [log_weight_eval(p, fam, 1.0, 0.5, eta_value=e) for e in (0.0, 0.3, 1.5)]
+        at = [log_weight_eval(p, fam, 1.0, 0.5, eta_value=e) for e in (0.0, 0.3, M)]
         assert len(set(at)) == 3
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_eta_max_is_the_maximum_of_the_profile(path):
+    # M is the value of eta at the center of the box and bounds eta on every
+    # face of the shipped grids: the weights take their hatted extreme there
+    g = parse_config(path).grid
+    assert _eta(g, g.Lx / 2, g.Ly / 2) == _ETA_MAX
+    faces = VelocityField.from_functions(g, partial(_eta, g), partial(_eta, g)).data
+    assert faces.max() <= _ETA_MAX and faces.min() >= 0.0
 
 
 def test_frozen_families_match_open_ones_late():
@@ -250,13 +268,6 @@ def test_weighted_norm_mask_idempotence(rng):
     assert a["h_l2"] == pytest.approx(b["h_l2"], abs=1e-12)
 
 
-def test_weighted_norm_c0_guard():
-    g = GridSpec(nx=16, ny=16, nt=16, T=2.0)
-    with pytest.raises(ConfigurationError):
-        weighted_norm_components(Trajectory.zeros(g), None, None,
-                                 CarlemanParams(lam=2.0, s=3.0), c0=2.0)
-
-
 # ---------------------------------------------------------------------------
 # the array evaluator against the per-time formulas it replaced
 # ---------------------------------------------------------------------------
@@ -266,7 +277,7 @@ def test_array_weights_match_scalar_calls():
     T = 24.0
     ts = np.linspace(T / 512, T - T / 512, 256)
     for fam in WeightFamily:
-        for eta in (0.0, 0.3, p.eta_norm):
+        for eta in (0.0, 0.3, _ETA_MAX):
             logs = log_weight_eval(p, fam, T, ts, eta_value=eta)
             assert np.array_equal(logs, [log_weight_eval(p, fam, T, float(t), eta) for t in ts])
         assert isinstance(log_weight_eval(p, fam, T, 0.5), float)
@@ -312,7 +323,7 @@ def _signed_exponent_per_time(params, T, t, terms, alpha_kind):
 @pytest.mark.parametrize("alpha_kind", [True, False])
 def test_signed_exponent_matches_per_time_formula(alpha_kind):
     fam = WeightFamily.ALPHA if alpha_kind else WeightFamily.BETA
-    M = 1.0  # the eta_norm of every case: starred is eta = 0, hatted eta = M
+    M = _ETA_MAX  # starred is eta = 0, hatted eta = M
     T = 1.0
     ts = np.concatenate(([0.0, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0], np.linspace(0.01, 0.99, 41)))
     cases = [
@@ -341,7 +352,7 @@ def test_observability_weights_match_per_level_loops():
     setup, _ = _diag_setup()
     g, omega = setup["grid"], setup["omega"]
     for params in (CarlemanParams(lam=2.0, s=3.0), CarlemanParams(lam=1.0, s=0.5, a0=2.5, m0=4.0)):
-        a0, m0, s, lam, M, T = params.a0, params.m0, params.s, params.lam, params.eta_norm, g.T
+        a0, m0, s, lam, M, T = params.a0, params.m0, params.s, params.lam, _ETA_MAX, g.T
         times = g.times()
         wq = trapezoid_weights(g.nt) * g.dt
         phi_w, theta_w = np.zeros(g.nt + 1), np.zeros(g.nt + 1)

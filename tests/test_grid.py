@@ -266,7 +266,7 @@ def test_inner_space_time_region_mask():
     g = GridSpec(nx=16, ny=16, nt=16, T=1.0)
     ones = VelocityField(g, np.ones((g.nx + 1, g.ny)), np.ones((g.nx, g.ny + 1)))
     t = Trajectory(g, [ones] * (g.nt + 1))
-    mask = Region(0.5, 1.0, 0.5, 1.0)  # area 1/4, grid aligned
+    mask = Region(0.5, 1.0, 0.5, 1.0).face_mask(g)  # area 1/4, grid aligned
     assert abs(inner_space_time(t, t, mask) - 0.5) < 1e-12
 
 
@@ -275,12 +275,13 @@ def test_inner_space_time_matches_per_level_inner(rng, mask_kind):
     g = GridSpec(nx=16, ny=12, Lx=1.0, Ly=0.8, nt=12, T=0.7)
     a, b = state_traj(g, rng), state_traj(g, rng)
     region = Region(0.2, 0.7, 0.1, 0.6)
-    mask = {None: None, "face_mask": region.face_mask(g), "region": region,
-            "cutoff": SmoothCutoff.for_grid(region, g)}[mask_kind]
-    fm = mask if mask is None or hasattr(mask, "data") else mask.face_mask(g)
+    # every mask is a face mask: of the region, of a second region, of a cutoff
+    mask = {None: None, "face_mask": region.face_mask(g),
+            "region": Region(0.3, 0.9, 0.2, 0.7).face_mask(g),
+            "cutoff": SmoothCutoff.for_grid(region, g).face_mask(g)}[mask_kind]
     w = np.ones(g.nt + 1)
     w[0] = w[-1] = 0.5
-    ref = sum(w[m] * g.dt * inner(a[m], b[m], fm) for m in range(g.nt + 1))
+    ref = sum(w[m] * g.dt * inner(a[m], b[m], mask) for m in range(g.nt + 1))
     assert abs(inner_space_time(a, b, mask) - ref) <= 1e-14 * abs(ref)
 
 

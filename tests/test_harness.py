@@ -418,8 +418,9 @@ def test_option_copies_keep_relax(monkeypatch):
     ("options", "domination_lams", [], "options.domination_lams"),
     ("options", "domination_lams", [1.0, 0.0], "options.domination_lams"),
     ("data", "y0_kind", 3, "data.y0_kind"),
+    # not a config field: M is the maximum of the eta profile, at any value
     ("carleman", "eta_norm", 0.5, "carleman.eta_norm"),
-    ("carleman", "eta_norm", 0.95, "carleman.eta_norm"),
+    ("carleman", "eta_norm", 1.0, "carleman.eta_norm"),
     # a key no section reads: a misspelling would leave its field at the default
     (None, "experimnt", "saddle", "experimnt"),
     ("grid", "NT", 32, "grid.NT"),
@@ -530,3 +531,30 @@ def test_config_numbers_are_cast():
     raw["grid"]["nt"] = 32.5
     with pytest.raises(ConfigurationError, match="grid.nt"):
         config_from_dict(raw)
+
+
+def test_nullcontrol_solves_each_coupled_system_once(tmp_path, monkeypatch):
+    # the pipeline reads the CG's free solve and its final exact re-solve:
+    # one coupled solve per CG iteration, one warm start per later epsilon,
+    # the free solve and the final one, and no second copy of either
+    from stackstokes import harness, leader
+    from stackstokes.grid import norm
+    from stackstokes.leader import control_to_terminal
+
+    real = leader.solve_coupled_linear
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(leader, "solve_coupled_linear", counted)
+    monkeypatch.setattr(harness, "solve_coupled_linear", counted, raising=False)
+    raw = default_config_dict("nullcontrol")
+    raw["penalty"]["epsilon_schedule"] = [1.0, 0.3]
+    cfg = config_from_dict(raw)
+    m = run_experiment(cfg, out_root=tmp_path).metrics
+    assert len(calls) == m["cg_iters"] + len(raw["penalty"]["epsilon_schedule"]) + 1
+    monkeypatch.undo()
+    # the free terminal norm is the one a separate uncontrolled solve gives
+    assert m["uncontrolled_terminal_norm"] == norm(control_to_terminal(cfg.problem(), None))

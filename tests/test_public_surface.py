@@ -109,7 +109,6 @@ TEST_PARAMETERS = {
                                       "test_array_pole_errors probe chosen times",
     "observability_ratio.samples": "test_observability_zero_sample_convention",
     "verify_saddle.tol_scale": "test_verify_saddle_negative_control and criterion 04",
-    "weighted_norm_components.c0": "test_weighted_norm_c0_guard",
     "_mms_fields.amp": "the convective manufactured-solution test runs at amplitude 1",
 }
 
@@ -278,26 +277,55 @@ def test_one_loop_reads_the_picard_controls():
     assert not readers, f"Picard controls read outside the Picard driver by {readers}"
 
 
-def _numpy_only_offenders(path):
-    """``file:line name`` of each scipy import and each numpy.linalg import or read."""
+# numpy names that run numpy.linalg inside: least-squares polynomial fits
+# (lstsq), companion-matrix roots (eigvals), the characteristic polynomial of
+# a matrix (eigvals), the matrix class (its inverse) and the numpy.polynomial
+# package (its fits and roots)
+LINALG_CALLERS = {"linalg", "polyfit", "roots", "poly", "matrix", "polynomial"}
+
+
+def _numpy_only_offenders(source, name="<source>"):
+    """``file:line name`` of each scipy import and each import or read of
+    numpy.linalg or of a numpy name that runs it."""
     out = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
-        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
-            names = ["numpy.linalg"]
+        elif isinstance(node, ast.Attribute) and node.attr in LINALG_CALLERS:
+            names = [f"numpy.{node.attr}"]
         else:
             continue
-        out += [f"{path.name}:{node.lineno} {n}" for n in names
-                if n.split(".")[0] == "scipy" or n.startswith("numpy.linalg")]
+        for n in names:
+            root, _, rest = n.partition(".")
+            if root == "scipy" or root == "numpy" and rest.split(".")[0] in LINALG_CALLERS:
+                out.append(f"{name}:{node.lineno} {n}")
     return out
 
 
 def test_package_needs_no_scipy_and_no_numpy_linalg():
     # the package runs on numpy alone (pyproject.toml) and calls no
-    # np.linalg routine (the grid docstring says why): the transforms are
-    # cached matrices and H is never diagonalized
-    offenders = [o for path in sorted(SRC.glob("*.py")) for o in _numpy_only_offenders(path)]
+    # np.linalg routine (the grid docstring says why), directly or through a
+    # numpy function built on one: the transforms are cached matrices, H is
+    # never diagonalized and slopes are fitted in closed form
+    offenders = [o for path in sorted(SRC.glob("*.py"))
+                 for o in _numpy_only_offenders(path.read_text(), path.name)]
     assert not offenders, f"scipy or numpy.linalg used in stackstokes at {offenders}"
+
+
+@pytest.mark.parametrize("line", [
+    "import scipy.fft", "from scipy import fft", "np.linalg.solve(a, b)",
+    "from numpy.linalg import lstsq", "np.polyfit(x, y, 1)", "numpy.roots(c)",
+    "from numpy import polyfit", "np.poly(a)", "np.matrix(a).I",
+    "np.polynomial.polynomial.polyfit(x, y, 1)", "from numpy.polynomial import Polynomial",
+    "import numpy.polynomial.chebyshev as C",
+])
+def test_numpy_only_guard_sees_linalg_callers(line):
+    # each line reaches scipy or LAPACK, directly or through numpy
+    assert _numpy_only_offenders(line)
+
+
+def test_numpy_only_guard_passes_plain_numpy():
+    assert not _numpy_only_offenders("import numpy as np\nlx @ ly / np.dot(lx, lx)\n"
+                                     "np.polyval(c, x)\nnp.fft.rfft(a)\n")
