@@ -45,25 +45,18 @@ a packed stack (:func:`project_levels`) go through the same code and give the
 same bits level by level.  A stack is projected a few levels at a time, which
 keeps the temporaries small.
 
-Up to 20 x 20 cells a march runs in coordinates of the divergence-free
-space V, of dimension nv = (nx-1)(ny-1), built on the operators above.  V is
-the range of the MAC curl of the interior nodal stream functions
-(Nicolaides, SIAM J. Numer. Anal. 29, 1992), and curl^T curl is the
-Dirichlet Laplacian, diagonal in DST-I modes with the same spectrum, so
+A termless march runs in coordinates of the divergence-free space V, of
+dimension nv = (nx-1)(ny-1): V is the range of the MAC curl of the interior
+nodal stream functions (Nicolaides, SIAM J. Numer. Anal. 29, 1992), and
+curl^T curl is the Dirichlet Laplacian, diagonal in DST-I modes, so
 Q = curl (S_x (x) S_y) diag(lambda^-1/2) is an orthonormal basis of V and
-Q Q^T is the Leray projection.  Q (:func:`v_velocities`) is the curl of
-:func:`stream_function_velocity` after two DST-I products, and Q^T
-(:func:`v_coordinates`) its transpose, both batched over levels; a step
-y <- P S (y + G)  is  c <- H (c + Q^T G)  with the symmetric H = Q^T S Q
-(:func:`v_step_matrix`), whose S is the diffusion solve on the grid's cached
-tables.  H is built on a grid's first march and cached by grid value.  The
-cut-over at 20 x 20 is where a V step stops being the cheaper one: a
-32-step termless march (one BLAS thread, ``scripts/march_cutover.py``) took
-30-40 us per V step against 50-78 us per face step at 20 x 20, and 78-94 us
-against 59-103 us at 24 x 24.  H is not diagonalized: the first
-``np.linalg.eigh`` of a process (225 x 225) leaves 1.6 MiB resident and
-raises the peak by 2.7 MiB, about 6 % of a 16 x 16 leader run's peak, so the
-package calls no ``np.linalg`` routine.
+Q Q^T the Leray projection.  Q (:func:`v_velocities`) and Q^T
+(:func:`v_coordinates`) are batched over levels; a step  y <- P S (y + G)
+is  c <- H (c + Q^T G)  with H = Q^T S Q in factored form (:func:`v_step`),
+four products of (n-1) x n matrices where the faces take twenty.  No nv x nv
+matrix is built or diagonalized: the first ``np.linalg.eigh`` of a process
+(225 x 225) raises its peak by 2.7 MiB, so the package calls no
+``np.linalg`` routine.
 """
 
 from __future__ import annotations
@@ -103,7 +96,7 @@ __all__ = [
     "stream_function_velocity",
     "v_coordinates",
     "v_velocities",
-    "v_step_matrix",
+    "v_step",
 ]
 
 
@@ -174,6 +167,10 @@ class GridSpec:
     @cached_property
     def _v(self) -> tuple:
         return _v_tables(self)
+
+    @cached_property
+    def _v_step(self) -> tuple:
+        return _v_step_tables(self)
 
     @cached_property
     def _diffusion(self) -> dict:
@@ -770,21 +767,15 @@ def diffusion_solve(rhs: VelocityField, dt: float) -> VelocityField:
 
     Only interior unknowns are solved; boundary faces of the result are zero
     and boundary-face values of ``rhs`` are ignored, matching the no-slip
-    closure of :func:`laplacian`.
+    closure of :func:`laplacian`.  The tables of a time step are built once per grid.
     """
-    return _diffuse(rhs, dt, VelocityField.zeros(rhs.grid))
-
-
-def _diffuse(rhs: VelocityField, dt: float, out: VelocityField) -> VelocityField:
-    """:func:`diffusion_solve` into the interior faces of ``out``, which may be
-    ``rhs``; the tables of a time step are built once per grid."""
     g = rhs.grid
     tables = g._diffusion.get(dt)
     if tables is None:
         tables = g._diffusion[dt] = _diffusion_tables(g, dt)
-    tab_u, tab_v = tables
-    out.u[1:-1, :] = _diagonalized(rhs.u[1:-1, :], *tab_u)
-    out.v[:, 1:-1] = _diagonalized(rhs.v[:, 1:-1], *tab_v)
+    out = VelocityField.zeros(g)
+    out.u[1:-1, :] = _diagonalized(rhs.u[1:-1, :], *tables[0])
+    out.v[:, 1:-1] = _diagonalized(rhs.v[:, 1:-1], *tables[1])
     return out
 
 
@@ -792,17 +783,8 @@ def _diffuse(rhs: VelocityField, dt: float, out: VelocityField) -> VelocityField
 # coordinates in the divergence-free space
 # ---------------------------------------------------------------------------
 
-# Largest dimension (nx-1)*(ny-1) of V whose termless marches run in V
-# coordinates: up to 20x20 cells (see the module docstring).
-_V_MAX_DIM = 19 * 19
-
-# Basis columns per block while H is built: the face temporaries of one block
-# stay about the size of the projection's.
-_V_BLOCK = 16
-
-
 def _v_tables(grid: GridSpec):
-    """DST-I matrices of the interior nodes and the scale lambda^-1/2 of Q, flat.
+    """DST-I matrices of the interior nodes, the scale s = lambda^-1/2 of Q and s / hx, flat.
 
     lambda_kl are the eigenvalues of the 5-point Dirichlet Laplacian
     (-curl^T curl) on the interior nodes, whose eigenvectors are the sine
@@ -810,7 +792,7 @@ def _v_tables(grid: GridSpec):
     """
     nx, ny = grid.nx, grid.ny
     scale = 1.0 / np.sqrt(_spectrum(nx, grid.hx)[1:nx, None] + _spectrum(ny, grid.hy)[1:ny])
-    return _dst1_matrix(nx - 1), _dst1_matrix(ny - 1), scale.ravel()
+    return _dst1_matrix(nx - 1), _dst1_matrix(ny - 1), scale.ravel(), (scale / grid.hx).ravel()
 
 
 def v_coordinates(packed: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -818,13 +800,15 @@ def v_coordinates(packed: np.ndarray, grid: GridSpec) -> np.ndarray:
 
     Q^T = diag(lambda^-1/2) (S_x (x) S_y) curl^T reads the interior faces
     only; it annihilates gradients, so Q^T v = Q^T P v for the Leray
-    projection P.
+    projection P.  hx curl^T takes one new array and three passes in place.
     """
-    sx, sy, scale = grid._v
+    sx, sy, _, scale = grid._v
     u, v = face_views(packed, grid)
-    u, v = u[..., 1:-1, :], v[..., :, 1:-1]
-    psi = (u[..., :-1] - u[..., 1:]) / grid.hy
-    psi += (v[..., 1:, :] - v[..., :-1, :]) / grid.hx
+    u = u[..., 1:-1, :]
+    psi = np.subtract(u[..., :-1], u[..., 1:])
+    psi *= grid.hx / grid.hy
+    psi += v[..., 1:, 1:-1]
+    psi -= v[..., :-1, 1:-1]
     c = (sx @ psi @ sy).reshape(packed.shape[:-1] + scale.shape)
     c *= scale
     return c
@@ -836,7 +820,7 @@ def v_velocities(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray) -> None:
     The nodal stream function psi = (S_x (x) S_y) diag(lambda^-1/2) c is zero
     on the boundary nodes, so its :func:`_curl` has zero normal faces.
     """
-    sx, sy, scale = grid._v
+    sx, sy, scale, _ = grid._v
     lead = coeffs.shape[:-1]
     psi = np.zeros(lead + (grid.nx + 1, grid.ny + 1))
     modes = (coeffs * scale).reshape(lead + (grid.nx - 1, grid.ny - 1))
@@ -844,36 +828,39 @@ def v_velocities(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray) -> None:
     _curl(psi, grid, out)
 
 
-def v_step_matrix(grid: GridSpec) -> np.ndarray | None:
-    """The step matrix H = Q^T S Q of V coordinates, or None above the cut-over.
+def _v_step_tables(grid: GridSpec):
+    """The factors of H at ``grid.dt``: ``(W_y, W_y^T, W_x, W_x^T, m_u, m_v, s)``.
 
-    S is :func:`diffusion_solve` at ``grid.dt``; one step  y <- P S (y + G)
-    of a march is  c <- H (c + Q^T G)  in the coordinates c = Q^T y.
+    Q c has the interior u faces  S_x (s c) S_y E_y  and v faces
+    F_x S_x (s c) S_y  (E_y, F_x: the differences of :func:`_curl`), which the
+    diffusion solve takes through S_x (x) T_y and T_x (x) S_y (T: DST-II).
+    As S_x S_x = I, H c = s ((((s c) W_y) m_u) W_y^T + W_x^T (m_v (W_x (s c))))
+    with W_y = S_y E_y T_y^T and W_x = T_x F_x S_x; s is an (nx-1) x (ny-1) array.
     """
-    if (grid.nx - 1) * (grid.ny - 1) > _V_MAX_DIM:
-        return None
-    return _built_v_step(grid)
+    nx, ny = grid.nx, grid.ny
+    (sx, _, _, ty_t, m_u), (tx, _, sy, _, m_v) = _diffusion_tables(grid, grid.dt)
+    ey = (np.eye(ny - 1, ny) - np.eye(ny - 1, ny, k=1)) / grid.hy
+    fx = (np.eye(nx, nx - 1, k=-1) - np.eye(nx, nx - 1)) / grid.hx
+    return (*_and_transpose(sy @ ey @ ty_t), *_and_transpose(tx @ fx @ sx), m_u, m_v,
+            grid._v[2].reshape(nx - 1, ny - 1))
 
 
-@lru_cache(maxsize=8)
-def _built_v_step(grid: GridSpec) -> np.ndarray:
-    """H built a block of basis columns at a time, S applied by :func:`_diffuse`."""
-    nv = grid._v[2].size
-    h = np.empty((nv, nv))
-    for start in range(0, nv, _V_BLOCK):
-        cols = np.zeros((min(_V_BLOCK, nv - start), nv))
-        cols[:, start:start + _V_BLOCK] = np.eye(len(cols))
-        faces = np.empty((len(cols), grid.n_faces))
-        v_velocities(cols, grid, faces)
-        for row in faces:
-            f = VelocityField.from_packed(grid, row)
-            _diffuse(f, grid.dt, f)
-        h[start:start + len(cols)] = v_coordinates(faces, grid)
-    # H is symmetric up to rounding; make it exactly so
-    h += h.T
-    h *= 0.5
-    h.flags.writeable = False
-    return h
+def v_step(c: np.ndarray, grid: GridSpec, out: np.ndarray) -> None:
+    """``out`` <- H c: one step of a termless march in V coordinates at ``grid.dt``.
+
+    ``c`` and ``out`` are (nx-1) x (ny-1), ``out`` C-contiguous; they may be one
+    array.  The products of :func:`_v_step_tables` are ``ndarray.dot``, which
+    skips the dispatch of ``@``; as ``np.matmul`` they broadcast over a leading axis.
+    """
+    wy, wy_t, wx, wx_t, m_u, m_v, s = grid._v_step
+    x = c * s
+    a = x.dot(wy)
+    a *= m_u
+    b = wx.dot(x)
+    b *= m_v
+    np.dot(a, wy_t, out=out)
+    out += wx_t.dot(b)
+    out *= s
 
 
 # ---------------------------------------------------------------------------

@@ -714,10 +714,9 @@ def _exp_convergence(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     Each size nx of ``options.sizes`` runs nt = base_nt (nx / sizes[0])^2
     steps, so dt ~ h^2, and only the error of y(T) against the exact state
     is read: :func:`~stackstokes.stokes.solve_forward_terminal` samples and
-    marches the manufactured forcing a block of levels at a time, so above
-    20 x 20 cells no size holds its forcing or its states over the whole
-    horizon.  Neighbouring errors give the ratios, about 4 for a
-    second-order scheme.
+    marches the manufactured forcing a block of levels at a time, so no size
+    holds its forcing or its states over the whole horizon.  Neighbouring
+    errors give the ratios, about 4 for a second-order scheme.
     """
     sizes = cfg.options["sizes"]
     T = cfg.options["horizon"]

@@ -23,14 +23,13 @@ of consecutive levels, using the identity
 
 which holds because P is linear and idempotent.  A solver forms every
 level's source at once (masks, trapezoid weights, data) and hands the
-march the unprojected stack.  Without an iterate-dependent term, on small
-grids, the march runs in the coordinates c = Q^T y of an orthonormal basis
-Q of the divergence-free space (see :mod:`stackstokes.grid`): Q^T maps the
-whole source stack and absorbs its projection, each step is one product
-c <- H (c + Q^T dt F) with H = Q^T S Q, and Q maps all the levels back.
-Otherwise the march projects the stack in one batched pass and takes one
-diffusion solve and one projection per sequential step instead of two
-projections.  Every iterate after the first is an output of P; the
+march the unprojected stack.  Without an iterate-dependent term the march
+runs in the coordinates c = Q^T y of an orthonormal basis Q of the
+divergence-free space (see :mod:`stackstokes.grid`), which absorb the
+projection: each step is  c <- H (c + Q^T dt F)  with H = Q^T S Q.  A march
+with such a term projects its stack in one batched pass and takes one
+diffusion solve and one projection per step instead of two projections.
+Every iterate after the first is an output of P; the
 recursion starts from P(y0) (P(phi_T), or 0), so that the first step, too,
 equals P S P applied to the unprojected sum even when y0 carries the small
 divergence (up to 1e-10) that is not projected away.  The stored level 0
@@ -42,19 +41,18 @@ transposed linearization around the y of the same sweep (the coupled solve)
 or around the adjoint's ``link``.
 
 The forward solve has two entry points on one loop, :func:`_forward`,
-which marches levels 1..nt in blocks and checks the blow-up bound of each
-block once it is marched.  :func:`solve_forward` takes an assembled
-forcing and returns the whole trajectory: its blocks are views of the
-dt-scaled forcing stack, which receives the states.
-:func:`solve_forward_terminal` takes the forcing as functions of (x, y, t)
-and returns only y(T): it samples and dt-scales each block of levels as
-:meth:`~stackstokes.grid.Trajectory.from_function` samples them, so it
-holds one block, not two trajectories.  A block is
-:func:`~stackstokes.grid.levels_per_block` levels (one level from 64 x 64
-up), or the whole horizon when the march runs in V coordinates, whose
-coordinates are not carried from block to block.  Both entry points march
-the same blocks through the same steps, so y(T) is the same to the bit,
-and so are the step and message of a BlowupError.
+which marches levels 1..nt in blocks of
+:func:`~stackstokes.grid.levels_per_block` levels, carrying the V
+coordinates from block to block, and checks the blow-up bound of each block
+once it is marched.  :func:`solve_forward` takes an assembled forcing and
+returns the whole trajectory: its blocks are views of the dt-scaled forcing
+stack, which receives the states.  :func:`solve_forward_terminal` takes
+the forcing as functions of (x, y, t) and returns only y(T): it samples
+and dt-scales one block of levels at a time, as
+:meth:`~stackstokes.grid.Trajectory.from_function` samples them, and maps
+only the last block back to the faces.  Both entry points march the same
+blocks through the same steps, so y(T) is the same to the bit, and so are
+the step and message of a BlowupError.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ from .grid import (
     traj_norm,
     trapezoid_weights,
     v_coordinates,
-    v_step_matrix,
+    v_step,
     v_velocities,
 )
 
@@ -323,6 +321,20 @@ def _packed_data(g: GridSpec, *terms) -> np.ndarray | None:
     return out
 
 
+def _v_march(grid: GridSpec, levels: range, c: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """:func:`_march` without a term in V coordinates, from c: the rows of ``coeffs``
+    hold the sources' coordinates and receive the states'; returns the last."""
+    lo = min(levels)
+    shape = (grid.nx - 1, grid.ny - 1)
+    c = c.reshape(shape)
+    for m in levels:
+        src = coeffs[m - lo].reshape(shape)
+        src += c
+        v_step(src, grid, src)
+        c = src
+    return c
+
+
 def _march(grid: GridSpec, levels: range, cur: VelocityField, stack: np.ndarray,
            term=None) -> VelocityField:
     """The sequential steps  y <- P S P (y + G[m])  of one march, in place.
@@ -335,22 +347,15 @@ def _march(grid: GridSpec, levels: range, cur: VelocityField, stack: np.ndarray,
     into level m, for a term that depends on the iterate y.  Returns the
     last iterate.
 
-    Without a term, on a grid at or below the cut-over of
-    :func:`~stackstokes.grid.v_step_matrix`, the march runs in V
-    coordinates:  c <- H (c + Q^T G[m]),  one matrix-vector product per
-    level, with Q^T taken and Q applied once for all the levels.  Otherwise
-    the sources are projected in one batched pass, and each step is one
-    diffusion solve and one projection,  y <- P S (y + P G[m]),  since P y = y.
+    Without a term the march runs in V coordinates (:func:`_v_march`), with
+    Q^T taken and Q applied once for all the levels.  With one, the sources
+    are projected in one batched pass, and each step is one diffusion solve
+    and one projection,  y <- P S (y + P G[m]),  since P y = y.
     """
     lo = min(levels)
-    h = v_step_matrix(grid) if term is None else None
-    if h is not None:
+    if term is None:
         coeffs = v_coordinates(stack, grid)
-        c = v_coordinates(cur.data, grid)
-        for m in levels:
-            src = coeffs[m - lo]
-            np.dot(h, c + src, out=src)
-            c = src
+        _v_march(grid, levels, v_coordinates(cur.data, grid), coeffs)
         v_velocities(coeffs, grid, stack)
         return VelocityField.from_packed(grid, stack[levels[-1] - lo].copy())
     project_levels(stack, grid)
@@ -358,42 +363,51 @@ def _march(grid: GridSpec, levels: range, cur: VelocityField, stack: np.ndarray,
     x = VelocityField.zeros(grid)
     for m in levels:
         np.add(cur.data, stack[m - lo], out=x.data)
-        rhs = x if term is None else x - dt * project_div_free(term(m, cur))
-        cur = project_div_free(diffusion_solve(rhs, dt))
+        cur = project_div_free(diffusion_solve(x - dt * project_div_free(term(m, cur)), dt))
         stack[m - lo] = cur.data
     return cur
 
 
-def _forward(y0: VelocityField, opts: SolverOptions, block_sources):
+def _forward(y0: VelocityField, opts: SolverOptions, block_sources, states: bool):
     """The forward march from y0, block by block, with its blow-up check.
 
-    ``block_sources(levels)`` returns the stack of a block of consecutive
-    levels for :func:`_march`: their dt-scaled sources, which then receive
-    their states.  The blocks cover levels 1..nt in order.  A level above
-    ``blowup_norm`` * max(|y0|, 1), or not finite, raises BlowupError
-    naming the first such step once its block is marched.  Returns level 0
-    as stored (y0 with zero normal faces, projected if it is not divergence
-    free) and y(T).
+    ``block_sources(levels)`` returns the dt-scaled sources of a block of
+    consecutive levels as :func:`_march` takes them; the blocks cover 1..nt
+    in order, and a block's stack receives its states if ``states`` or if it
+    is the last.  A level above ``blowup_norm`` * max(|y0|, 1), or not
+    finite, raises BlowupError naming the first such step once its block is
+    marched.  Returns level 0 as stored (y0 with zero normal faces, projected
+    if it is not divergence free) and y(T).
     """
     g = y0.grid
     start = _closed_div_free(y0)
     limit = opts.blowup_norm * max(start.max_abs(), 1.0)
-    term = _convect if opts.convection_on else None
-    # V coordinates are not carried between blocks: there one block is the horizon
-    block = g.nt if term is None and v_step_matrix(g) is not None else levels_per_block(g)
-    cur = project_div_free(start)
+    cur = project_div_free(start) if opts.convection_on else v_coordinates(start.data, g)
+    block = levels_per_block(g)
     for first in range(1, g.nt + 1, block):
         levels = range(first, min(first + block, g.nt + 1))
         stack = block_sources(levels)
-        cur = _march(g, levels, cur, stack, term)
-        # max |y| of every level, without a stack-sized temporary
-        peaks = np.maximum(stack.max(axis=1), -stack.min(axis=1))
+        if opts.convection_on:
+            cur = _march(g, levels, cur, stack, _convect)
+            # max |y| of every level, without a stack-sized temporary
+            peaks = np.maximum(stack.max(axis=1), -stack.min(axis=1))
+        else:
+            coeffs = v_coordinates(stack, g)
+            cur = _v_march(g, levels, cur, coeffs)
+            # max |y| <= |y|_2 = |c|_2 (Q is orthonormal), never tight for a
+            # divergence-free y: map back only a level the bound cannot clear
+            peaks = np.sqrt(np.einsum("ij,ij->i", coeffs, coeffs))
+            for k in np.flatnonzero(~(peaks < limit)):
+                v_velocities(coeffs[k], g, stack[k])
+                peaks[k] = np.abs(stack[k]).max()
+            if states or levels[-1] == g.nt:
+                v_velocities(coeffs, g, stack)
         bad = np.flatnonzero(~(peaks <= limit))  # also catches NaN
         if bad.size:
             k = int(bad[0])
             raise BlowupError(f"forward solve blew up at step {first + k}: |y| = {peaks[k]:.3e}",
                               residual=float(peaks[k]), iterations=first + k)
-    return start, cur
+    return start, VelocityField.from_packed(g, stack[-1].copy())
 
 
 def solve_forward(
@@ -414,7 +428,7 @@ def solve_forward(
     if data is None:
         data = np.zeros((g.nt + 1, g.n_faces))
     out = Trajectory(g, data)
-    out[0], _ = _forward(y0, opts, lambda levels: data[levels[0]:levels[-1] + 1])
+    out[0], _ = _forward(y0, opts, lambda levels: data[levels[0]:levels[-1] + 1], True)
     return out
 
 
@@ -426,7 +440,7 @@ def solve_forward_terminal(y0: VelocityField, fu, fv,
     forcing ``Trajectory.from_function(grid, fu, fv)`` as one channel, and
     it fails the same way; but it samples and marches one block of levels
     at a time, so it never holds the forcing or the states of the whole
-    horizon (except in V coordinates, on grids of at most 20 x 20 cells).
+    horizon.
     """
     g = y0.grid
 
@@ -436,7 +450,7 @@ def solve_forward_terminal(y0: VelocityField, fu, fv,
         stack *= g.dt
         return stack
 
-    return _forward(y0, opts, block_sources)[1]
+    return _forward(y0, opts, block_sources, False)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from stackstokes.grid import (
     stream_function_velocity,
     traj_norm,
     v_coordinates,
-    v_step_matrix,
+    v_step,
     v_velocities,
 )
 from stackstokes import fieldio
@@ -222,36 +222,40 @@ def test_v_coordinates_are_the_transpose_and_absorb_the_projection(rng, nx, ny, 
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("nx, ny, Lx, Ly", V_GRIDS)
-def test_v_step_matrix_is_the_projected_diffusion_solve(nx, ny, Lx, Ly):
+# the grids of V_GRIDS, a square and an oblong one with Lx != Ly, and one with
+# a (64-1)^2 = 3969-dimensional V
+STEP_GRIDS = V_GRIDS + [(24, 24, 1.0, 1.0), (40, 24, 1.7, 1.0), (64, 64, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("nx, ny, Lx, Ly", STEP_GRIDS)
+def test_v_step_is_the_projected_diffusion_solve(rng, nx, ny, Lx, Ly):
+    # H c = Q^T S Q c, with Q, S and Q^T each taken on its own code path
     g = GridSpec(nx=nx, ny=ny, Lx=Lx, Ly=Ly, nt=8, T=0.3)
-    h = v_step_matrix(g)
-    assert h is v_step_matrix(g)  # built once per grid value
-    assert np.array_equal(h, h.T)
-    q = _v_basis(g)
-    for k in (0, 7, len(q) - 1):
-        col = diffusion_solve(VelocityField.from_packed(g, q[k]), g.dt).data @ q.T
-        assert np.abs(h[:, k] - col).max() <= 1e-13 * np.abs(col).max()
+    c = rng.standard_normal((nx - 1, ny - 1))
+    faces = np.empty(g.n_faces)
+    v_velocities(c.ravel(), g, faces)
+    ref = v_coordinates(diffusion_solve(VelocityField.from_packed(g, faces), g.dt).data, g)
+    got = np.empty_like(c)
+    v_step(c, g, got)
+    assert np.abs(got.ravel() - ref).max() <= 1e-13 * np.abs(ref).max()
+    # in place, as the marches take it, with the same bits
+    v_step(c, g, c)
+    assert np.array_equal(c, got)
 
 
-def test_v_step_matrix_reads_the_cached_diffusion_tables(monkeypatch):
-    # S in H is the diffusion solve of the marches: once diffusion_solve has
-    # built the tables of the grid's time step, building H builds no others
+def test_v_step_tables_are_built_once_per_grid(monkeypatch):
+    # the step reads its tables as an attribute of the grid, built on the
+    # first step, not per step and not through a cache keyed by grid value
     g = GridSpec(nx=12, ny=10, Lx=1.1, Ly=0.9, nt=8, T=0.45)
-    diffusion_solve(VelocityField.zeros(g), g.dt)
     built = []
-    tables = grid_module._diffusion_tables
-    monkeypatch.setattr(grid_module, "_diffusion_tables",
-                        lambda *args: built.append(args) or tables(*args))
-    h = grid_module._built_v_step.__wrapped__(g)
-    assert built == []
-    assert np.array_equal(h, h.T) and h.shape == (11 * 9, 11 * 9)
-
-
-def test_v_step_matrix_stops_at_the_cut_over():
-    assert v_step_matrix(GridSpec(nx=20, ny=20)) is not None
-    assert v_step_matrix(GridSpec(nx=24, ny=24)) is None
-    assert v_step_matrix(GridSpec(nx=32, ny=16)) is None
+    tables = grid_module._v_step_tables
+    monkeypatch.setattr(grid_module, "_v_step_tables",
+                        lambda grid: built.append(grid) or tables(grid))
+    c = np.ones((g.nx - 1, g.ny - 1))
+    for _ in range(3):
+        v_step(c, g, c)
+    assert built == [g]
+    assert GridSpec(nx=12, ny=10, Lx=1.1, Ly=0.9, nt=8, T=0.45)._v_step is not g._v_step
 
 
 def test_inner_space_time_constant_fields():

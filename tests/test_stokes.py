@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stackstokes import grid as grid_module
 from stackstokes import stokes as stokes_module
 from stackstokes.errors import BlowupError, CflError, ConfigurationError
 from stackstokes.grid import (
@@ -20,7 +19,6 @@ from stackstokes.grid import (
     norm,
     project_div_free,
     traj_norm,
-    v_step_matrix,
 )
 from stackstokes.stokes import (
     Coupling,
@@ -276,35 +274,74 @@ def _trajectory_solve(y0, fu, fv, opts=SolverOptions()):
                          opts)
 
 
-@pytest.mark.parametrize("nx, ny, Ly, nt, convection_on, v_path", [
-    (16, 16, 1.0, 32, False, True),
-    (16, 12, 0.8, 20, False, True),
+@pytest.mark.parametrize("nx, ny, Ly, nt, convection_on", [
+    (16, 16, 1.0, 32, False),
+    (16, 12, 0.8, 20, False),
     # blocks of three levels, the last one short
-    (24, 24, 1.0, 16, False, False),
+    (24, 24, 1.0, 16, False),
+    # one level per block: the V coordinates are carried from block to block
+    (64, 48, 1.0, 12, False),
     # convection marches on the faces, in blocks of eight levels
-    (16, 16, 1.0, 20, True, False),
-], ids=["v-16x16", "v-16x12", "faces-24x24", "convective-16x16"])
-def test_terminal_solve_is_the_last_level(nx, ny, Ly, nt, convection_on, v_path):
+    (16, 16, 1.0, 20, True),
+], ids=["v-16x16", "v-16x12", "v-24x24", "v-64x48", "convective-16x16"])
+def test_terminal_solve_is_the_last_level(nx, ny, Ly, nt, convection_on):
     g = GridSpec(nx=nx, ny=ny, Ly=Ly, nt=nt, T=0.25)
-    assert (v_step_matrix(g) is not None and not convection_on) == v_path
     y0, fu, fv = _mms_problem(g)
     opts = SolverOptions(convection_on=convection_on)
     last = solve_forward_terminal(y0, fu, fv, opts)
     assert np.array_equal(last.data, _trajectory_solve(y0, fu, fv, opts)[nt].data)
 
 
-@pytest.mark.parametrize("nx", [16, 24], ids=["v-16x16", "faces-24x24"])
-def test_terminal_solve_blows_up_at_the_same_step(nx):
-    # |y| first passes 0.31 at level 4: in the second block on 24 x 24
-    g = GridSpec(nx=nx, ny=nx, nt=16, T=0.25)
-    _, fu, fv = _mms_problem(g)
-    opts = SolverOptions(blowup_norm=0.31)
+def _blowup_of_both(g, fu, fv, opts):
+    """The message, step and |y| of the BlowupError of each forward entry point."""
     errors = []
     for solve in (_trajectory_solve, solve_forward_terminal):
         with pytest.raises(BlowupError) as info:
             solve(VelocityField.zeros(g), fu, fv, opts)
         errors.append((str(info.value), info.value.iterations, info.value.residual))
+    return errors
+
+
+@pytest.mark.parametrize("nx", [16, 24, 64], ids=["v-16x16", "v-24x24", "v-64x64"])
+def test_terminal_solve_blows_up_at_the_same_step(nx):
+    # |y| first passes 0.31 at level 4: in the first block of eight levels on
+    # 16 x 16, the second of three on 24 x 24, the fourth of one on 64 x 64
+    g = GridSpec(nx=nx, ny=nx, nt=16, T=0.25)
+    _, fu, fv = _mms_problem(g)
+    errors = _blowup_of_both(g, fu, fv, SolverOptions(blowup_norm=0.31))
     assert errors[0] == errors[1] and errors[0][1] == 4
+
+
+@pytest.mark.parametrize("nx", [16, 64])
+def test_terminal_solve_fails_on_nan_forcing_at_the_same_step(nx):
+    # a NaN source at level 6 makes level 6 NaN: both entry points name it
+    g = GridSpec(nx=nx, ny=nx, nt=16, T=0.25)
+    _, fu, fv = _mms_problem(g)
+
+    def nan_fu(x, y, t):
+        return fu(x, y, t) + (np.nan if t > 5.5 * g.dt else 0.0)
+
+    errors = _blowup_of_both(g, nan_fu, fv, SolverOptions())
+    assert errors[0][:2] == errors[1][:2]
+    assert errors[0][1] == 6 and "|y| = nan" in errors[0][0]
+    assert np.isnan(errors[0][2]) and np.isnan(errors[1][2])
+
+
+def test_blowup_limit_bounds_the_peak_not_the_norm():
+    # the V marches bound max |y| by |y|_2 = |c|_2 and map a level back only
+    # when that bound reaches the limit: a limit between the largest peak and
+    # the largest 2-norm of the levels raises nothing
+    g = GridSpec(nx=64, ny=64, nt=16, T=0.25)
+    _, fu, fv = _mms_problem(g)
+    states = _trajectory_solve(VelocityField.zeros(g), fu, fv).data
+    limit = 1.01 * np.abs(states).max()
+    assert limit < 1.0  # so that the limit is blowup_norm itself (y0 = 0)
+    assert np.sqrt((states**2).sum(axis=1)).max() > 10.0 * limit
+    opts = SolverOptions(blowup_norm=limit)
+    y = _trajectory_solve(VelocityField.zeros(g), fu, fv, opts)
+    assert np.array_equal(y.data, states)
+    last = solve_forward_terminal(VelocityField.zeros(g), fu, fv, opts)
+    assert np.array_equal(last.data, states[-1])
 
 
 def test_terminal_solve_cfl_guard():
@@ -578,12 +615,12 @@ def test_control_gradient_matches_per_level_fields(rng, masked):
 # marches in V coordinates against the face marches
 # ---------------------------------------------------------------------------
 
-def _v_setup(ny, Ly):
-    """A 16 x ny grid on [0,1]x[0,Ly] with the regions of make_setup scaled to it."""
-    g = GridSpec(nx=16, ny=ny, Lx=1.0, Ly=Ly, nt=16, T=1.0)
+def _v_setup(nx, ny, Lx, Ly):
+    """An nx x ny grid on [0,Lx]x[0,Ly] with the regions of make_setup scaled to it."""
+    g = GridSpec(nx=nx, ny=ny, Lx=Lx, Ly=Ly, nt=16, T=1.0)
 
     def box(x0, x1, y0, y1):
-        return Region(x0, x1, y0 * Ly, y1 * Ly)
+        return Region(x0 * Lx, x1 * Lx, y0 * Ly, y1 * Ly)
 
     omega = box(0.35, 0.75, 0.35, 0.75)
     chi = SmoothCutoff.for_grid(box(0.05, 0.25, 0.05, 0.25), g)
@@ -594,25 +631,46 @@ def _rel_max(a: Trajectory, b: Trajectory) -> float:
     return np.abs(a.data - b.data).max() / np.abs(b.data).max()
 
 
-@pytest.mark.parametrize("ny, Ly", [(16, 1.0), (12, 0.8)])
-def test_v_marches_match_the_face_marches(rng, monkeypatch, ny, Ly):
-    g, omega, coup = _v_setup(ny, Ly)
+def _face_march(grid, levels, cur, stack, term=None):
+    """The march of stokes._march by its definition, y <- P S P (y + G[m]), one
+    diffusion solve and two projections per level on the faces."""
+    assert term is None
+    lo = min(levels)
+    for m in levels:
+        x = cur + VelocityField.from_packed(grid, stack[m - lo])
+        cur = project_div_free(diffusion_solve(project_div_free(x), grid.dt))
+        stack[m - lo] = cur.data
+    return cur
+
+
+@pytest.mark.parametrize("nx, ny, Lx, Ly", [
+    pytest.param(16, 16, 1.0, 1.0, id="16-1.0"),
+    pytest.param(16, 12, 1.0, 0.8, id="12-0.8"),
+    pytest.param(24, 24, 1.0, 1.0, id="24x24"),
+    pytest.param(40, 24, 1.7, 1.0, id="40x24"),
+    pytest.param(64, 64, 1.0, 1.0, id="64x64"),
+])
+def test_v_marches_match_the_face_marches(rng, monkeypatch, nx, ny, Lx, Ly):
+    # every termless march runs in V coordinates; the reference marches on
+    # the faces, step by step, through diffusion_solve and project_div_free
+    g, omega, coup = _v_setup(nx, ny, Lx, Ly)
     h = control_traj(g, rng, 0.5)
     y0 = project_div_free(closed_noise(g, rng, 0.2))
     yd = state_traj(g, rng, 0.1)
     forcing = ForcingAssembly(g, leader=h, disturbance=state_traj(g, rng, 0.3), omega=omega)
     phiT, g1, g2 = closed_noise(g, rng), state_traj(g, rng, 0.2), control_traj(g, rng, 0.2)
 
-    def solves():
-        return (solve_forward(y0, forcing),
-                solve_coupled_linear(h, y0, yd, coup, TIGHT, omega=omega),
-                solve_backward_adjoint(phiT, g1, g2, None, coup, TIGHT))
+    y = solve_forward(y0, forcing)
+    sol = solve_coupled_linear(h, y0, yd, coup, TIGHT, omega=omega)
+    adj = solve_backward_adjoint(phiT, g1, g2, None, coup, TIGHT)
 
-    y, sol, adj = solves()
-    monkeypatch.setattr(grid_module, "_V_MAX_DIM", 0)
-    assert v_step_matrix(g) is None
-    y_face, sol_face, adj_face = solves()
+    y_face = Trajectory(g, forcing.sources())
+    y_face[0] = y0
+    _face_march(g, range(1, g.nt + 1), project_div_free(y0), y_face.data[1:])
     assert _rel_max(y, y_face) <= 1e-13
+    monkeypatch.setattr(stokes_module, "_march", _face_march)
+    sol_face = solve_coupled_linear(h, y0, yd, coup, TIGHT, omega=omega)
+    adj_face = solve_backward_adjoint(phiT, g1, g2, None, coup, TIGHT)
     assert sol.iterations == sol_face.iterations
     assert _rel_max(sol.y, sol_face.y) <= 1e-13 and _rel_max(sol.z, sol_face.z) <= 1e-13
     assert adj.iterations == adj_face.iterations
@@ -621,7 +679,8 @@ def test_v_marches_match_the_face_marches(rng, monkeypatch, ny, Ly):
 
 
 def test_v_marches_make_no_diffusion_solve(rng, monkeypatch):
-    # a march that fell back to the face steps would show up as calls
+    # termless marches run in V coordinates on every grid, and only the
+    # convective march steps on the faces; a face step shows up as a call
     calls = []
 
     def counting(rhs, dt):
@@ -629,19 +688,18 @@ def test_v_marches_make_no_diffusion_solve(rng, monkeypatch):
         return diffusion_solve(rhs, dt)
 
     monkeypatch.setattr(stokes_module, "diffusion_solve", counting)
-    g, omega, coup = _v_setup(16, 1.0)
-    # H is built on first use, not with the problem's masks and coupling
+    g, omega, coup = _v_setup(16, 16, 1.0, 1.0)
+    # the step's tables are built on the first step, not with the problem
     fresh = GridSpec(nx=16, ny=16, nt=16, T=0.77)
-    builds = grid_module._built_v_step.cache_info().misses
     Coupling.build(fresh, SmoothCutoff.for_grid(omega, fresh), omega, 10.0, 10.0, 1.0)
-    assert grid_module._built_v_step.cache_info().misses == builds
-    v_step_matrix(fresh)
-    assert grid_module._built_v_step.cache_info().misses == builds + 1
-    assert v_step_matrix(g) is not None
+    assert "_v_step" not in vars(fresh)
     solve_coupled_linear(control_traj(g, rng), closed_noise(g, rng), state_traj(g, rng),
                          coup, omega=omega)
     solve_backward_adjoint(closed_noise(g, rng), None, None, None, coup)
-    assert calls == []
-    big = GridSpec(nx=24, ny=24, nt=8, T=1.0)
+    big = GridSpec(nx=40, ny=24, nt=8, T=1.0)
     solve_forward(project_div_free(closed_noise(big, rng)), None)
-    assert calls == [big] * big.nt
+    y0, fu, fv = _mms_problem(big)
+    solve_forward_terminal(y0, fu, fv)
+    assert calls == []
+    solve_forward(eddy(g, amp=0.01), None, SolverOptions(convection_on=True))
+    assert calls == [g] * g.nt
