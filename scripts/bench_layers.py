@@ -1,21 +1,26 @@
-"""Layer timings and pipeline wall times of one or more checkouts, written to BENCH_1.json.
+"""Layer timings and pipeline wall times of one or more checkouts, written to BENCH_<n>.json.
 
 Usage (from the repository root):
 
     python3 scripts/bench_layers.py [--root DIR ...] [--label NAME ...] [--out FILE]
 
-For each ``--root`` (default: the checkout holding this script) a fresh
+The roots are measured in three rounds, in alternating order, so that a
+slow spell of a shared host does not fall on one root alone.  In each round,
+for each ``--root`` (default: the checkout holding this script) a fresh
 interpreter, with BLAS threads pinned to 1 as in the benchmark, imports
 ``stackstokes`` from ``DIR/src`` and measures:
 
 * the per-call time of ``grid.diffusion_solve``, ``grid.project_div_free``,
   ``grid.v_coordinates`` and ``grid.v_velocities`` on one level, and of a
-  32-step termless ``stokes._march`` (random sources, zero start), on square
-  unit grids with nx = 16/32/64/128.  Each is the median over 7 batches of
-  the per-call time within a batch;
+  32-step termless ``stokes._march`` (random sources, zero start), and of a
+  32-step convective ``stokes.solve_forward`` through the public API (a
+  projected random start and random forcing, small enough that the advective
+  CFL number stays under 1 at 128), on square unit grids with
+  nx = 16/32/64/128.  Each is the median over 7 batches of the per-call time
+  within a batch, and the recorded value the median over the rounds;
 * the wall time of each shipped config in ``DIR/configs``, run through
   ``harness.parse_config`` and ``harness.run_experiment`` into a temporary
-  directory, three passes over the configs: the median and every run.
+  directory, one pass over the configs per round: the median and every run.
 
 The results of all roots go into one JSON file (default ``BENCH_1.json``
 next to this script's checkout), keyed by ``--label`` (default: the name of
@@ -43,8 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 32, 64, 128)
 BATCHES = 7
 MARCH_STEPS = 32
-CONFIG_PASSES = 3
-# calls of a layer per batch, and of the march a tenth as many (at least one)
+ROUNDS = 3
+# calls of a layer per batch, and of the 32-step runs a tenth as many (at least one)
 CALLS = {16: 100, 32: 50, 64: 10, 128: 3}
 
 
@@ -68,7 +73,8 @@ def measure(root: Path) -> dict:
     from stackstokes import grid, harness, stokes
 
     layers = {name: {} for name in ("diffusion_solve", "project_div_free", "v_coordinates",
-                                    "v_velocities", "march_32_steps")}
+                                    "v_velocities", "march_32_steps",
+                                    "convective_forward_32_steps")}
     rng = np.random.default_rng(0)
     for n in SIZES:
         g = grid.GridSpec(nx=n, ny=n, nt=MARCH_STEPS, T=1.0)
@@ -79,6 +85,11 @@ def measure(root: Path) -> dict:
         # the sources of the next call
         stack = grid.closed_noise(g, rng, MARCH_STEPS, 1e-3)
         zero = grid.VelocityField.zeros(g)
+        start = grid.project_div_free(
+            grid.VelocityField.from_packed(g, grid.closed_noise(g, rng, 1, 0.01)[0]))
+        forcing = stokes.ForcingAssembly(g, extra_source=grid.Trajectory(
+            g, grid.closed_noise(g, rng, MARCH_STEPS + 1, 0.01)))
+        convective = stokes.SolverOptions(convection_on=True)
         calls = CALLS[n]
         timed = {
             "diffusion_solve": lambda: grid.diffusion_solve(field, g.dt),
@@ -86,20 +97,34 @@ def measure(root: Path) -> dict:
             "v_coordinates": lambda: grid.v_coordinates(field.data, g),
             "v_velocities": lambda: grid.v_velocities(coeffs, g, out),
             "march_32_steps": lambda: stokes._march(g, range(1, MARCH_STEPS + 1), zero, stack),
+            "convective_forward_32_steps": lambda: stokes.solve_forward(start, forcing,
+                                                                        convective),
         }
         for name, fn in timed.items():
-            layers[name][str(n)] = _per_call_us(fn, max(1, calls // 10) if name.startswith("march")
+            layers[name][str(n)] = _per_call_us(fn, max(1, calls // 10) if "32_steps" in name
                                                 else calls)
-    runs = {path.stem: [] for path in sorted((root / "configs").glob("*.json"))}
+    configs = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for k in range(CONFIG_PASSES):
-            for name, times in runs.items():
-                cfg = harness.parse_config(root / "configs" / f"{name}.json")
-                t0 = time.perf_counter()
-                harness.run_experiment(cfg, Path(tmp) / f"{name}-{k}")
-                times.append(round(time.perf_counter() - t0, 3))
-    configs = {name: {"median": statistics.median(t), "runs": t} for name, t in runs.items()}
+        for path in sorted((root / "configs").glob("*.json")):
+            cfg = harness.parse_config(path)
+            t0 = time.perf_counter()
+            harness.run_experiment(cfg, Path(tmp) / path.stem)
+            configs[path.stem] = round(time.perf_counter() - t0, 3)
     return {"layers_us_per_call": layers, "configs_wall_s": configs}
+
+
+def _combine(rounds: list) -> dict:
+    """One root's record from its rounds: the median layer times, and each config's
+    median and runs, with every round's layer times kept."""
+    layers = {name: {n: statistics.median(r["layers_us_per_call"][name][n] for r in rounds)
+                     for n in sizes}
+              for name, sizes in rounds[0]["layers_us_per_call"].items()}
+    configs = {}
+    for name in rounds[0]["configs_wall_s"]:
+        times = [r["configs_wall_s"][name] for r in rounds]
+        configs[name] = {"median": statistics.median(times), "runs": times}
+    return {"layers_us_per_call": layers, "configs_wall_s": configs,
+            "layers_per_round": [r["layers_us_per_call"] for r in rounds]}
 
 
 def _commit(root: Path):
@@ -129,12 +154,17 @@ def main(argv=None) -> None:
     labels = args.label or [r.name for r in roots]
     if len(labels) != len(roots):
         p.error("give one --label per --root")
-    runs = {}
-    for label, root in zip(labels, roots):
-        child = subprocess.run([sys.executable, __file__, "--measure", str(root)],
-                               capture_output=True, text=True, check=True)
-        runs[label] = {"commit": _commit(root), **json.loads(child.stdout.splitlines()[-1])}
-        print(f"{label}: {json.dumps(runs[label])}")
+    rounds = {label: [] for label in labels}
+    order = list(zip(labels, roots))
+    for _ in range(ROUNDS):
+        for label, root in order:
+            child = subprocess.run([sys.executable, __file__, "--measure", str(root)],
+                                   capture_output=True, text=True, check=True)
+            rounds[label].append(json.loads(child.stdout.splitlines()[-1]))
+            print(f"{label}: {json.dumps(rounds[label][-1])}")
+        order.reverse()
+    runs = {label: {"commit": _commit(root), **_combine(rounds[label])}
+            for label, root in zip(labels, roots)}
     import numpy as np
 
     args.out.write_text(json.dumps({
@@ -142,9 +172,14 @@ def main(argv=None) -> None:
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": np.__version__,
                  "blas_threads": 1},
-        "method": (f"per-call time: median over {BATCHES} batches of the per-call mean; "
+        "method": (f"{ROUNDS} rounds over the roots in alternating order, one fresh "
+                   f"interpreter per root and round; "
+                   f"per-call time: median over {BATCHES} batches of the per-call mean, "
+                   f"then over the rounds; "
                    f"march: {MARCH_STEPS} termless steps of stokes._march per call; "
-                   f"configs: wall seconds, median of {CONFIG_PASSES} passes"),
+                   f"convective forward: stokes.solve_forward with convection_on, "
+                   f"{MARCH_STEPS} steps per call; "
+                   f"configs: wall seconds, median of {ROUNDS} passes, one per round"),
         "counters": "not recorded: work counters wait for the program's own telemetry",
         "runs": runs,
     }, indent=2) + "\n")

@@ -39,21 +39,17 @@ m, so a snapshot kept beyond its trajectory is copied first (see
 :class:`Trajectory`).  The SGF1 velocity payload of :mod:`fieldio` is the
 same vector.
 
-The Leray projection also takes leading batch dimensions: ``np.matmul``
-broadcasts the cached matrices over a stack of levels, so a single field and
-a packed stack (:func:`project_levels`) go through the same code and give the
-same bits level by level.  A stack is projected a few levels at a time, which
-keeps the temporaries small.
-
-A termless march runs in coordinates of the divergence-free space V, of
-dimension nv = (nx-1)(ny-1): V is the range of the MAC curl of the interior
-nodal stream functions (Nicolaides, SIAM J. Numer. Anal. 29, 1992), and
-curl^T curl is the Dirichlet Laplacian, diagonal in DST-I modes, so
-Q = curl (S_x (x) S_y) diag(lambda^-1/2) is an orthonormal basis of V and
-Q Q^T the Leray projection.  Q (:func:`v_velocities`) and Q^T
-(:func:`v_coordinates`) are batched over levels; a step  y <- P S (y + G)
-is  c <- H (c + Q^T G)  with H = Q^T S Q in factored form (:func:`v_step`),
-four products of (n-1) x n matrices where the faces take twenty.  No nv x nv
+Every march of :mod:`stackstokes.stokes` runs in coordinates of the
+divergence-free space V, of dimension nv = (nx-1)(ny-1): V is the range of
+the MAC curl of the interior nodal stream functions (Nicolaides, SIAM J.
+Numer. Anal. 29, 1992), and curl^T curl is the Dirichlet Laplacian, diagonal
+in DST-I modes, so Q = curl (S_x (x) S_y) diag(lambda^-1/2) is an
+orthonormal basis of V and Q Q^T the Leray projection.  Q
+(:func:`v_velocities`) and Q^T (:func:`v_coordinates`) are batched over
+levels.  Q^T annihilates gradients, so it projects whatever it reads: a step
+y <- P S P (y + G - dt T(y))  is  c <- H (c + Q^T G - dt Q^T T(Q c))  with
+H = Q^T S Q in factored form (:func:`v_step`), four products of (n-1) x n
+matrices where the faces take twenty.  No nv x nv
 matrix is built or diagonalized: the first ``np.linalg.eigh`` of a process
 (225 x 225) raises its peak by 2.7 MiB, so the package calls no
 ``np.linalg`` routine.
@@ -81,7 +77,6 @@ __all__ = [
     "gradient",
     "laplacian",
     "project_div_free",
-    "project_levels",
     "levels_per_block",
     "face_views",
     "diffusion_solve",
@@ -667,11 +662,8 @@ def _poisson_neumann_direct(grid: GridSpec, rhs: np.ndarray) -> np.ndarray:
 def _leray(u_in: np.ndarray, v_in: np.ndarray, grid: GridSpec, out_u, out_v) -> np.ndarray:
     """Leray projection on the interior faces; returns the potential p = -phi.
 
-    ``u_in`` / ``v_in`` are the interior u / v faces with any leading batch
-    dimensions; ``np.matmul`` broadcasts the cached matrices over them, so a
-    single level and a stack of levels take the same path and give the same
-    bits level by level.  The projected faces go to ``out_u`` / ``out_v``,
-    which may be the inputs themselves.  On the interior faces
+    ``u_in`` / ``v_in`` are the interior u / v faces; the projected faces go
+    to ``out_u`` / ``out_v``.  On the interior faces
     P v = v - A^T M A v,  where  A v = A_x u C_y^T + C_x v A_y^T
     (A_x = C_x D_x, A_y = C_y D_y) gives the cosine coefficients of the MAC
     divergence and M inverts -Laplacian on them: an exactly linear, symmetric
@@ -718,9 +710,10 @@ def project_div_free_with_potential(vel: VelocityField):
     return out, ScalarField(vel.grid, -p)
 
 
-# Faces per batched projection, eight levels at 16x16: the temporaries of one
-# block stay a few times this size instead of growing with the stack or the
-# grid (from 64x64 up a block is one level).
+# Faces per block of a forward solve, eight levels at 16x16: a block's stack
+# and its V coordinates stay a few times this size instead of growing with
+# the horizon or the grid (from 64x64 up a block is one level), which bounds
+# the memory of the terminal solve.
 _PROJECTION_BLOCK_FACES = 8 * 544
 
 
@@ -728,21 +721,6 @@ def levels_per_block(grid: GridSpec) -> int:
     """Levels of a packed stack that one block holds: about
     ``_PROJECTION_BLOCK_FACES`` faces, and at least one level."""
     return max(1, _PROJECTION_BLOCK_FACES // grid.n_faces)
-
-
-def project_levels(packed: np.ndarray, grid: GridSpec) -> None:
-    """Leray-project every level of a packed stack in place (see :func:`face_views`).
-
-    Level by level this equals :func:`project_div_free`; the levels go
-    through the projection in blocks of :func:`levels_per_block`.
-    """
-    u, v = face_views(packed, grid)
-    block = levels_per_block(grid)
-    for start in range(0, len(packed), block):
-        u_in = u[start:start + block, 1:-1, :]
-        v_in = v[start:start + block, :, 1:-1]
-        _leray(u_in, v_in, grid, u_in, v_in)
-    _zero_normal_faces(packed, grid)
 
 
 def _diffusion_tables(grid: GridSpec, dt: float):
@@ -846,7 +824,7 @@ def _v_step_tables(grid: GridSpec):
 
 
 def v_step(c: np.ndarray, grid: GridSpec, out: np.ndarray) -> None:
-    """``out`` <- H c: one step of a termless march in V coordinates at ``grid.dt``.
+    """``out`` <- H c: the step of every march in V coordinates at ``grid.dt``.
 
     ``c`` and ``out`` are (nx-1) x (ny-1), ``out`` C-contiguous; they may be one
     array.  The products of :func:`_v_step_tables` are ``ndarray.dot``, which

@@ -23,22 +23,20 @@ of consecutive levels, using the identity
 
 which holds because P is linear and idempotent.  A solver forms every
 level's source at once (masks, trapezoid weights, data) and hands the
-march the unprojected stack.  Without an iterate-dependent term the march
-runs in the coordinates c = Q^T y of an orthonormal basis Q of the
-divergence-free space (see :mod:`stackstokes.grid`), which absorb the
-projection: each step is  c <- H (c + Q^T dt F)  with H = Q^T S Q.  A march
-with such a term projects its stack in one batched pass and takes one
-diffusion solve and one projection per step instead of two projections.
-Every iterate after the first is an output of P; the
-recursion starts from P(y0) (P(phi_T), or 0), so that the first step, too,
-equals P S P applied to the unprojected sum even when y0 carries the small
-divergence (up to 1e-10) that is not projected away.  The stored level 0
-stays y0 itself.  A term that depends on the current iterate is projected
-inside its step.  Convection and its transpose are such march terms in
-every solver, the coupled one included: the forward marches add the
-convection of the previous level, and the backward marches add the
-transposed linearization around the y of the same sweep (the coupled solve)
-or around the adjoint's ``link``.
+march the unprojected stack.  The march runs in the coordinates c = Q^T y
+of an orthonormal basis Q of the divergence-free space (see
+:mod:`stackstokes.grid`), which absorb the projection: each step is
+c <- H (c + Q^T dt F)  with H = Q^T S Q.  Every iterate after the first is
+an output of P; the recursion starts from P(y0) (P(phi_T), or 0), so that
+the first step, too, equals P S P applied to the unprojected sum even when
+y0 carries the small divergence (up to 1e-10) that is not projected away.
+The stored level 0 stays y0 itself.  A term that depends on the previous
+iterate is evaluated on the faces, at Q c mapped back one level at a time,
+and enters the step as  -dt Q^T term.  Convection and its transpose are
+such march terms in every solver, the coupled one included: the forward
+marches add the convection of the previous level, and the backward marches
+add the transposed linearization around the y of the same sweep (the
+coupled solve) or around the adjoint's ``link``.
 
 The forward solve has two entry points on one loop, :func:`_forward`,
 which marches levels 1..nt in blocks of
@@ -74,12 +72,10 @@ from .grid import (
     SmoothCutoff,
     Trajectory,
     VelocityField,
-    diffusion_solve,
     divergence,
     h1_norm,
     levels_per_block,
     project_div_free,
-    project_levels,
     sample_levels,
     traj_norm,
     trapezoid_weights,
@@ -321,14 +317,22 @@ def _packed_data(g: GridSpec, *terms) -> np.ndarray | None:
     return out
 
 
-def _v_march(grid: GridSpec, levels: range, c: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """:func:`_march` without a term in V coordinates, from c: the rows of ``coeffs``
-    hold the sources' coordinates and receive the states'; returns the last."""
+def _v_march(grid: GridSpec, levels: range, c: np.ndarray, coeffs: np.ndarray,
+             term=None) -> np.ndarray:
+    """The steps  c <- H (c + Q^T G[m] - dt Q^T term(m, Q c))  of :func:`_march` in V
+    coordinates, from c: the rows of ``coeffs`` hold the sources' coordinates and
+    receive the states'; returns the last.  The term reads the previous level,
+    mapped to the faces one level at a time."""
     lo = min(levels)
     shape = (grid.nx - 1, grid.ny - 1)
     c = c.reshape(shape)
+    y = None if term is None else VelocityField.zeros(grid)
     for m in levels:
-        src = coeffs[m - lo].reshape(shape)
+        src = coeffs[m - lo]
+        if term is not None:
+            v_velocities(c.reshape(-1), grid, y.data)
+            src -= grid.dt * v_coordinates(term(m, y).data, grid)
+        src = src.reshape(shape)
         src += c
         v_step(src, grid, src)
         c = src
@@ -344,28 +348,17 @@ def _march(grid: GridSpec, levels: range, cur: VelocityField, stack: np.ndarray,
     the dt-scaled, unprojected source G[m] of level m = min(levels) + k and
     receives the state of level m.  ``cur``, the iterate before the first
     step, is divergence free.  ``term(m, y)`` adds  -dt P term  to the step
-    into level m, for a term that depends on the iterate y.  Returns the
-    last iterate.
+    into level m, for a term that depends on the previous iterate y.
+    Returns the last iterate.
 
-    Without a term the march runs in V coordinates (:func:`_v_march`), with
-    Q^T taken and Q applied once for all the levels.  With one, the sources
-    are projected in one batched pass, and each step is one diffusion solve
-    and one projection,  y <- P S (y + P G[m]),  since P y = y.
+    The march runs in V coordinates (:func:`_v_march`), with Q^T taken and
+    Q applied once for all the levels.
     """
     lo = min(levels)
-    if term is None:
-        coeffs = v_coordinates(stack, grid)
-        _v_march(grid, levels, v_coordinates(cur.data, grid), coeffs)
-        v_velocities(coeffs, grid, stack)
-        return VelocityField.from_packed(grid, stack[levels[-1] - lo].copy())
-    project_levels(stack, grid)
-    dt = grid.dt
-    x = VelocityField.zeros(grid)
-    for m in levels:
-        np.add(cur.data, stack[m - lo], out=x.data)
-        cur = project_div_free(diffusion_solve(x - dt * project_div_free(term(m, cur)), dt))
-        stack[m - lo] = cur.data
-    return cur
+    coeffs = v_coordinates(stack, grid)
+    _v_march(grid, levels, v_coordinates(cur.data, grid), coeffs, term)
+    v_velocities(coeffs, grid, stack)
+    return VelocityField.from_packed(grid, stack[levels[-1] - lo].copy())
 
 
 def _forward(y0: VelocityField, opts: SolverOptions, block_sources, states: bool):
@@ -374,34 +367,31 @@ def _forward(y0: VelocityField, opts: SolverOptions, block_sources, states: bool
     ``block_sources(levels)`` returns the dt-scaled sources of a block of
     consecutive levels as :func:`_march` takes them; the blocks cover 1..nt
     in order, and a block's stack receives its states if ``states`` or if it
-    is the last.  A level above ``blowup_norm`` * max(|y0|, 1), or not
-    finite, raises BlowupError naming the first such step once its block is
-    marched.  Returns level 0 as stored (y0 with zero normal faces, projected
-    if it is not divergence free) and y(T).
+    is the last.  The V coordinates are carried from block to block, and
+    convection, if on, is the march's term.  A level above ``blowup_norm`` *
+    max(|y0|, 1), or not finite, raises BlowupError naming the first such
+    step once its block is marched.  Returns level 0 as stored (y0 with zero
+    normal faces, projected if it is not divergence free) and y(T).
     """
     g = y0.grid
     start = _closed_div_free(y0)
     limit = opts.blowup_norm * max(start.max_abs(), 1.0)
-    cur = project_div_free(start) if opts.convection_on else v_coordinates(start.data, g)
+    cur = v_coordinates(start.data, g)
+    term = _convect if opts.convection_on else None
     block = levels_per_block(g)
     for first in range(1, g.nt + 1, block):
         levels = range(first, min(first + block, g.nt + 1))
         stack = block_sources(levels)
-        if opts.convection_on:
-            cur = _march(g, levels, cur, stack, _convect)
-            # max |y| of every level, without a stack-sized temporary
-            peaks = np.maximum(stack.max(axis=1), -stack.min(axis=1))
-        else:
-            coeffs = v_coordinates(stack, g)
-            cur = _v_march(g, levels, cur, coeffs)
-            # max |y| <= |y|_2 = |c|_2 (Q is orthonormal), never tight for a
-            # divergence-free y: map back only a level the bound cannot clear
-            peaks = np.sqrt(np.einsum("ij,ij->i", coeffs, coeffs))
-            for k in np.flatnonzero(~(peaks < limit)):
-                v_velocities(coeffs[k], g, stack[k])
-                peaks[k] = np.abs(stack[k]).max()
-            if states or levels[-1] == g.nt:
-                v_velocities(coeffs, g, stack)
+        coeffs = v_coordinates(stack, g)
+        cur = _v_march(g, levels, cur, coeffs, term)
+        # max |y| <= |y|_2 = |c|_2 (Q is orthonormal), never tight for a
+        # divergence-free y: map back only a level the bound cannot clear
+        peaks = np.sqrt(np.einsum("ij,ij->i", coeffs, coeffs))
+        for k in np.flatnonzero(~(peaks < limit)):
+            v_velocities(coeffs[k], g, stack[k])
+            peaks[k] = np.abs(stack[k]).max()
+        if states or levels[-1] == g.nt:
+            v_velocities(coeffs, g, stack)
         bad = np.flatnonzero(~(peaks <= limit))  # also catches NaN
         if bad.size:
             k = int(bad[0])

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stackstokes import grid as grid_module
 from stackstokes import stokes as stokes_module
 from stackstokes.errors import BlowupError, CflError, ConfigurationError
 from stackstokes.grid import (
@@ -281,7 +282,7 @@ def _trajectory_solve(y0, fu, fv, opts=SolverOptions()):
     (24, 24, 1.0, 16, False),
     # one level per block: the V coordinates are carried from block to block
     (64, 48, 1.0, 12, False),
-    # convection marches on the faces, in blocks of eight levels
+    # convection as the march's term, in blocks of eight levels
     (16, 16, 1.0, 20, True),
 ], ids=["v-16x16", "v-16x12", "v-24x24", "v-64x48", "convective-16x16"])
 def test_terminal_solve_is_the_last_level(nx, ny, Ly, nt, convection_on):
@@ -632,12 +633,14 @@ def _rel_max(a: Trajectory, b: Trajectory) -> float:
 
 
 def _face_march(grid, levels, cur, stack, term=None):
-    """The march of stokes._march by its definition, y <- P S P (y + G[m]), one
+    """The march of stokes._march by its definition,
+    y <- P S P (y + G[m] - dt term(m, y)),  with y the previous level: one
     diffusion solve and two projections per level on the faces."""
-    assert term is None
     lo = min(levels)
     for m in levels:
         x = cur + VelocityField.from_packed(grid, stack[m - lo])
+        if term is not None:
+            x = x - grid.dt * term(m, cur)
         cur = project_div_free(diffusion_solve(project_div_free(x), grid.dt))
         stack[m - lo] = cur.data
     return cur
@@ -651,43 +654,59 @@ def _face_march(grid, levels, cur, stack, term=None):
     pytest.param(64, 64, 1.0, 1.0, id="64x64"),
 ])
 def test_v_marches_match_the_face_marches(rng, monkeypatch, nx, ny, Lx, Ly):
-    # every termless march runs in V coordinates; the reference marches on
-    # the faces, step by step, through diffusion_solve and project_div_free
+    # every march runs in V coordinates, convective ones included; the
+    # reference marches on the faces, step by step, through diffusion_solve
+    # and project_div_free
     g, omega, coup = _v_setup(nx, ny, Lx, Ly)
     h = control_traj(g, rng, 0.5)
     y0 = project_div_free(closed_noise(g, rng, 0.2))
     yd = state_traj(g, rng, 0.1)
     forcing = ForcingAssembly(g, leader=h, disturbance=state_traj(g, rng, 0.3), omega=omega)
     phiT, g1, g2 = closed_noise(g, rng), state_traj(g, rng, 0.2), control_traj(g, rng, 0.2)
+    # a twentieth of the data keeps the advective CFL number of the
+    # convective solves under 1 on every grid (the V solves check it)
+    small_h, small_y0 = h * 0.05, y0 * 0.05
+    small_forcing = ForcingAssembly(g, leader=small_h, disturbance=state_traj(g, rng, 0.015),
+                                    omega=omega)
+    convective = SolverOptions(convection_on=True)
+
+    def coupled_solves(link):
+        return (solve_coupled_linear(h, y0, yd, coup, TIGHT, omega=omega),
+                solve_backward_adjoint(phiT, g1, g2, None, coup, TIGHT),
+                solve_coupled_nonlinear(small_h, small_y0, yd, coup, TIGHT, omega=omega),
+                solve_backward_adjoint(phiT, g1, g2, link, coup, TIGHT))
 
     y = solve_forward(y0, forcing)
-    sol = solve_coupled_linear(h, y0, yd, coup, TIGHT, omega=omega)
-    adj = solve_backward_adjoint(phiT, g1, g2, None, coup, TIGHT)
+    y_conv = solve_forward(small_y0, small_forcing, convective)
+    got = coupled_solves(y_conv)
 
-    y_face = Trajectory(g, forcing.sources())
-    y_face[0] = y0
-    _face_march(g, range(1, g.nt + 1), project_div_free(y0), y_face.data[1:])
-    assert _rel_max(y, y_face) <= 1e-13
+    for data, start, opts, traj in ((forcing, y0, SolverOptions(), y),
+                                    (small_forcing, small_y0, convective, y_conv)):
+        y_face = Trajectory(g, data.sources())
+        y_face[0] = start
+        term = (lambda m, prev: convection(prev)) if opts.convection_on else None
+        _face_march(g, range(1, g.nt + 1), project_div_free(start), y_face.data[1:], term)
+        assert _rel_max(traj, y_face) <= 1e-13
     monkeypatch.setattr(stokes_module, "_march", _face_march)
-    sol_face = solve_coupled_linear(h, y0, yd, coup, TIGHT, omega=omega)
-    adj_face = solve_backward_adjoint(phiT, g1, g2, None, coup, TIGHT)
-    assert sol.iterations == sol_face.iterations
-    assert _rel_max(sol.y, sol_face.y) <= 1e-13 and _rel_max(sol.z, sol_face.z) <= 1e-13
-    assert adj.iterations == adj_face.iterations
-    assert _rel_max(adj.phi, adj_face.phi) <= 1e-13
-    assert _rel_max(adj.theta, adj_face.theta) <= 1e-13
+    for a, b in zip(got, coupled_solves(y_conv)):
+        assert a.iterations == b.iterations
+        for name, traj in vars(a).items():
+            if isinstance(traj, Trajectory):  # y and z, or phi and theta
+                assert _rel_max(traj, getattr(b, name)) <= 1e-13
 
 
 def test_v_marches_make_no_diffusion_solve(rng, monkeypatch):
-    # termless marches run in V coordinates on every grid, and only the
-    # convective march steps on the faces; a face step shows up as a call
+    # every march runs in V coordinates on every grid, convective ones
+    # included; a face step shows up as a call (stokes imports no
+    # diffusion_solve, but would be counted if it did)
     calls = []
 
     def counting(rhs, dt):
         calls.append(rhs.grid)
         return diffusion_solve(rhs, dt)
 
-    monkeypatch.setattr(stokes_module, "diffusion_solve", counting)
+    monkeypatch.setattr(grid_module, "diffusion_solve", counting)
+    monkeypatch.setattr(stokes_module, "diffusion_solve", counting, raising=False)
     g, omega, coup = _v_setup(16, 16, 1.0, 1.0)
     # the step's tables are built on the first step, not with the problem
     fresh = GridSpec(nx=16, ny=16, nt=16, T=0.77)
@@ -700,6 +719,17 @@ def test_v_marches_make_no_diffusion_solve(rng, monkeypatch):
     solve_forward(project_div_free(closed_noise(big, rng)), None)
     y0, fu, fv = _mms_problem(big)
     solve_forward_terminal(y0, fu, fv)
+    # convective: forward solves on 40 x 24 in blocks of two levels, and the
+    # nonlinear coupled solve and the link adjoint on 16 x 16
+    convective = SolverOptions(convection_on=True)
+    conv = GridSpec(nx=40, ny=24, nt=16, T=0.25)
+    y0, fu, fv = _mms_problem(conv)
+    solve_forward_terminal(y0, fu, fv, convective)
+    solve_forward(y0, ForcingAssembly(conv, extra_source=Trajectory.from_function(conv, fu, fv)),
+                  convective)
+    small = eddy(g, amp=0.01)
+    link = solve_forward(small, None, convective)
+    solve_coupled_nonlinear(control_traj(g, rng, 0.05), small, state_traj(g, rng), coup,
+                            convective, omega=omega)
+    solve_backward_adjoint(closed_noise(g, rng), None, None, link, coup)
     assert calls == []
-    solve_forward(eddy(g, amp=0.01), None, SolverOptions(convection_on=True))
-    assert calls == [g] * g.nt

@@ -1,12 +1,10 @@
 """The packed marches of stokes against per-level references.
 
 The forward solve and the sweeps of the coupled and adjoint solvers march
-packed stacks: in V coordinates on the 16x16 grids used here, and otherwise
-by Leray-projecting their sources in one batched pass and taking one
-S-then-P step per level.  These tests pin the marches to the plain per-level
-chain  y <- P S P (y - dt C(y) + dt F)  they replace, and check the
-transposed-convection (``link``) path against a finite-difference
-linearization of the convective state map.
+packed stacks in V coordinates, with or without convection.  These tests
+pin the marches to the plain per-level chain  y <- P S P (y - dt C(y) + dt F)
+they replace, and check the transposed-convection (``link``) path against a
+finite-difference linearization of the convective state map.
 """
 
 import math
@@ -25,7 +23,6 @@ from stackstokes.grid import (
     inner,
     norm,
     project_div_free,
-    project_levels,
     ScalarField,
     traj_norm,
     trapezoid_weights,
@@ -66,22 +63,8 @@ def _nearly_div_free(g, rng, size=1e-11):
 
 
 # ---------------------------------------------------------------------------
-# the kernel: batched projection and the array march
+# the kernel: the array march
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("nx,ny,levels", [(16, 16, 33), (12, 20, 5)])
-def test_project_levels_matches_project_div_free(rng, nx, ny, levels):
-    setup = make_setup(nx=nx, ny=ny, nt=32)
-    g = setup["grid"]
-    packed = rng.standard_normal((levels, g.n_faces))
-    u, v = face_views(packed, g)
-    ref = [project_div_free(VelocityField(g, u[m].copy(), v[m].copy())) for m in range(levels)]
-    project_levels(packed, g)
-    for m in range(levels):
-        scale = ref[m].max_abs()
-        assert np.abs(u[m] - ref[m].u).max() <= 1e-14 * scale
-        assert np.abs(v[m] - ref[m].v).max() <= 1e-14 * scale
-
 
 def test_march_matches_per_level_chain(rng):
     setup = make_setup(nt=16)
@@ -96,7 +79,8 @@ def test_march_matches_per_level_chain(rng):
 
     # projecting the sources first changes nothing: the march projects them itself
     out = forcing.data * g.dt
-    project_levels(out[1:], g)
+    for m in range(1, g.nt + 1):
+        out[m] = project_div_free(VelocityField.from_packed(g, out[m])).data
     last = _march(g, range(1, g.nt + 1), project_div_free(y0), out[1:])
     u, v = face_views(out, g)
     for m in range(1, g.nt + 1):
