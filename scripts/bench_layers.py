@@ -4,7 +4,7 @@ Usage (from the repository root):
 
     python3 scripts/bench_layers.py [--root DIR ...] [--label NAME ...] [--out FILE]
 
-The roots are measured in three rounds, in alternating order, so that a
+The roots are measured in ``ROUNDS`` rounds, in alternating order, so that a
 slow spell of a shared host does not fall on one root alone.  In each round,
 for each ``--root`` (default: the checkout holding this script) a fresh
 interpreter, with BLAS threads pinned to 1 as in the benchmark, imports
@@ -24,7 +24,10 @@ interpreter, with BLAS threads pinned to 1 as in the benchmark, imports
 
 The results of all roots go into one JSON file (default ``BENCH_1.json``
 next to this script's checkout), keyed by ``--label`` (default: the name of
-the root directory), with the host's CPU count and the numpy version.
+the root directory), with the host's CPU count and the numpy version.  Each
+root after the first also records, for every layer, size and config, in how
+many rounds it was faster than the first root: a per-round pairing that
+the medians alone do not show.
 Work counters (steps, products, Picard sweeps, CG iterations) are not
 recorded: they wait for the program's own telemetry.
 """
@@ -48,7 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 32, 64, 128)
 BATCHES = 7
 MARCH_STEPS = 32
-ROUNDS = 3
+ROUNDS = 5
 # calls of a layer per batch, and of the 32-step runs a tenth as many (at least one)
 CALLS = {16: 100, 32: 50, 64: 10, 128: 3}
 
@@ -127,6 +130,19 @@ def _combine(rounds: list) -> dict:
             "layers_per_round": [r["layers_us_per_call"] for r in rounds]}
 
 
+def _wins(rounds: list, base: list) -> dict:
+    """For each layer and size, and each config, the number of rounds in which
+    ``rounds`` measured less time than ``base`` did in the same round."""
+    layers = {name: {n: sum(r["layers_us_per_call"][name][n] < b["layers_us_per_call"][name][n]
+                            for r, b in zip(rounds, base))
+                     for n in sizes}
+              for name, sizes in base[0]["layers_us_per_call"].items()}
+    configs = {name: sum(r["configs_wall_s"][name] < b["configs_wall_s"][name]
+                         for r, b in zip(rounds, base))
+               for name in base[0]["configs_wall_s"]}
+    return {"layers_us_per_call": layers, "configs_wall_s": configs}
+
+
 def _commit(root: Path):
     """The short HEAD commit of a git checkout at ``root``, marked ``+changes`` if
     its tracked files differ from it, or None outside git."""
@@ -165,6 +181,8 @@ def main(argv=None) -> None:
         order.reverse()
     runs = {label: {"commit": _commit(root), **_combine(rounds[label])}
             for label, root in zip(labels, roots)}
+    for label in labels[1:]:
+        runs[label]["rounds_faster_than_" + labels[0]] = _wins(rounds[label], rounds[labels[0]])
     import numpy as np
 
     args.out.write_text(json.dumps({
@@ -179,7 +197,10 @@ def main(argv=None) -> None:
                    f"march: {MARCH_STEPS} termless steps of stokes._march per call; "
                    f"convective forward: stokes.solve_forward with convection_on, "
                    f"{MARCH_STEPS} steps per call; "
-                   f"configs: wall seconds, median of {ROUNDS} passes, one per round"),
+                   f"configs: wall seconds, median of {ROUNDS} passes, one per round; "
+                   f"rounds_faster_than_<first label>: per layer, size and config, the "
+                   f"rounds (of {ROUNDS}) in which a later root took less time than the "
+                   f"first one"),
         "counters": "not recorded: work counters wait for the program's own telemetry",
         "runs": runs,
     }, indent=2) + "\n")

@@ -18,11 +18,11 @@ normal-boundary faces; with zero boundary faces this is the plain flat
 metric, while integrals of non-vanishing fields (quadrature checks) come out
 exact for constants.
 
-The Leray projection and the implicit diffusion solve are applied in the
-separable eigenbases of the Neumann and no-slip Laplacians, as products with
-cached orthonormal DCT-II / DST-I / DST-II matrices (the fast diagonalization
-method of Lynch, Rice & Thomas, Numer. Math. 6, 1964).  All three bases take
-their multipliers from one spectrum, the eigenvalues of the 5-point second
+The implicit diffusion solve is applied in the separable eigenbasis of the
+no-slip Laplacian, as products with cached orthonormal DST-I / DST-II
+matrices (the fast diagonalization method of Lynch, Rice & Thomas, Numer.
+Math. 6, 1964).  Both bases, and the basis of V below, take their
+multipliers from one spectrum, the eigenvalues of the 5-point second
 difference (:func:`_spectrum`).  A product costs O(n^3) per solve against
 O(n^2 log n) for an FFT, but up to about 128 x 128 cells, the largest grid
 any config, test or benchmark steps on, the per-call overhead of the FFT
@@ -44,13 +44,14 @@ divergence-free space V, of dimension nv = (nx-1)(ny-1): V is the range of
 the MAC curl of the interior nodal stream functions (Nicolaides, SIAM J.
 Numer. Anal. 29, 1992), and curl^T curl is the Dirichlet Laplacian, diagonal
 in DST-I modes, so Q = curl (S_x (x) S_y) diag(lambda^-1/2) is an
-orthonormal basis of V and Q Q^T the Leray projection.  Q
-(:func:`v_velocities`) and Q^T (:func:`v_coordinates`) are batched over
-levels.  Q^T annihilates gradients, so it projects whatever it reads: a step
+orthonormal basis of V.  Q (:func:`v_velocities`) and Q^T
+(:func:`v_coordinates`) are batched over levels, and the Leray projection
+:func:`project_div_free` is Q Q^T; there is no pressure Poisson solve.
+Q^T annihilates gradients, so it projects whatever it reads: a step
 y <- P S P (y + G - dt T(y))  is  c <- H (c + Q^T G - dt Q^T T(Q c))  with
 H = Q^T S Q in factored form (:func:`v_step`), four products of (n-1) x n
-matrices where the faces take twenty.  No nv x nv
-matrix is built or diagonalized: the first ``np.linalg.eigh`` of a process
+matrices where the faces take twenty.  No nv x nv matrix is built or
+diagonalized: the first ``np.linalg.eigh`` of a process
 (225 x 225) raises its peak by 2.7 MiB, so the package calls no
 ``np.linalg`` routine.
 """
@@ -77,7 +78,6 @@ __all__ = [
     "gradient",
     "laplacian",
     "project_div_free",
-    "levels_per_block",
     "face_views",
     "diffusion_solve",
     "inner",
@@ -155,10 +155,6 @@ class GridSpec:
 
     # The transform tables are kept on the grid, so that each step reads them
     # as an attribute instead of hashing the grid for a cache lookup.
-    @cached_property
-    def _neumann(self) -> tuple:
-        return _neumann_tables(self)
-
     @cached_property
     def _v(self) -> tuple:
         return _v_tables(self)
@@ -579,7 +575,7 @@ def laplacian(vel: VelocityField) -> VelocityField:
 
 
 # ---------------------------------------------------------------------------
-# fast solvers (fast diagonalization with cached transform matrices)
+# the diffusion solve (fast diagonalization with cached transform matrices)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
@@ -599,16 +595,6 @@ def _dst2_matrix(n: int) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=32)
-def _dct2_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II of length n: row k samples cos(pi k (j+1/2) / n)."""
-    k = np.arange(n)[:, None]
-    j = np.arange(n)[None, :] + 0.5
-    m = math.sqrt(2.0 / n) * np.cos(np.pi * k * j / n)
-    m[0] *= math.sqrt(0.5)
-    return m
-
-
 def _diagonalized(f: np.ndarray, bx, bx_t, by, by_t, m: np.ndarray) -> np.ndarray:
     """B_x^T ((B_x f B_y^T) * m) B_y: a separable operator applied in its eigenbasis.
 
@@ -624,103 +610,12 @@ def _and_transpose(b: np.ndarray):
 
 
 def _spectrum(n: int, h: float) -> np.ndarray:
-    """Eigenvalues (2 - 2 cos(pi k / n)) / h^2, k = 0..n, of the 5-point -d^2/dx^2.
+    """Eigenvalues (2 - 2 cos(pi k / n)) / h^2, k = 1..n, of the 5-point -d^2/dx^2.
 
-    On n cells of width h, the modes k < n are those of the cell-centered
-    Neumann problem (DCT-II), 0 < k < n those of the interior nodes or faces
-    (DST-I), and 0 < k <= n those of the odd ghost closure (DST-II).
+    On n cells of width h, the modes k < n are those of the interior nodes
+    or faces (DST-I), and all n those of the odd ghost closure (DST-II).
     """
-    return (2.0 - 2.0 * np.cos(np.pi * np.arange(n + 1) / n)) / h**2
-
-
-def _neumann_tables(grid: GridSpec):
-    """Cosine matrices, the divergence in cosine space, and the inverse Laplacian.
-
-    ``ax = C_x D_x`` and ``ay = C_y D_y`` map the interior u / v faces to the
-    cosine coefficients of the MAC divergence; ``inv`` holds 1/|lambda| of the
-    cell-centered Neumann Laplacian, with the constant mode (0, 0) set to 0.
-    Returns ``(cx, cx^T, cy, cy^T, ax, ay^T, inv)``.
-    """
-    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    cx, cy = _dct2_matrix(nx), _dct2_matrix(ny)
-    dx = (np.eye(nx, nx - 1) - np.eye(nx, nx - 1, k=-1)) / hx
-    dy = (np.eye(ny, ny - 1) - np.eye(ny, ny - 1, k=-1)) / hy
-    lam = _spectrum(nx, hx)[:nx, None] + _spectrum(ny, hy)[None, :ny]
-    lam[0, 0] = 1.0
-    inv = 1.0 / lam
-    inv[0, 0] = 0.0
-    return (*_and_transpose(cx), *_and_transpose(cy),
-            cx @ dx, np.ascontiguousarray((cy @ dy).T), inv)
-
-
-def _poisson_neumann_direct(grid: GridSpec, rhs: np.ndarray) -> np.ndarray:
-    """Exact mean-zero solve of the cell-centered Neumann Laplacian."""
-    cx, cx_t, cy, cy_t, _, _, inv = grid._neumann
-    return -_diagonalized(rhs, cx, cx_t, cy, cy_t, inv)
-
-
-def _leray(u_in: np.ndarray, v_in: np.ndarray, grid: GridSpec, out_u, out_v) -> np.ndarray:
-    """Leray projection on the interior faces; returns the potential p = -phi.
-
-    ``u_in`` / ``v_in`` are the interior u / v faces; the projected faces go
-    to ``out_u`` / ``out_v``.  On the interior faces
-    P v = v - A^T M A v,  where  A v = A_x u C_y^T + C_x v A_y^T
-    (A_x = C_x D_x, A_y = C_y D_y) gives the cosine coefficients of the MAC
-    divergence and M inverts -Laplacian on them: an exactly linear, symmetric
-    operator, as the discrete duality identities require.  -A^T q is applied
-    as the MAC gradient of p = C_x^T q C_y, two products fewer than with the
-    gradient folded into the matrices.  Folded, a projection measured about
-    3 us faster at 16x16 but about 250 us slower at 128x128 (one BLAS
-    thread, 2-core VM), and the potential that
-    :func:`project_div_free_with_potential` returns would cost two more
-    products.
-    """
-    cx, cx_t, cy, cy_t, ax, ay_t, inv = grid._neumann
-    q = ax @ u_in @ cy_t
-    q += cx @ v_in @ ay_t
-    q *= inv
-    p = cx_t @ q @ cy
-    du = p[..., 1:, :] - p[..., :-1, :]
-    du /= grid.hx
-    np.add(u_in, du, out=out_u)
-    dv = p[..., :, 1:] - p[..., :, :-1]
-    dv /= grid.hy
-    np.add(v_in, dv, out=out_v)
-    return p
-
-
-def _project(vel: VelocityField):
-    out = VelocityField.zeros(vel.grid)
-    p = _leray(vel.u[1:-1, :], vel.v[:, 1:-1], vel.grid, out.u[1:-1, :], out.v[:, 1:-1])
-    return out, p
-
-
-def project_div_free(vel: VelocityField) -> VelocityField:
-    """Leray projection: remove the gradient part of ``vel``.
-
-    The normal boundary faces of ``vel`` are ignored and those of the result
-    are zero (no-penetration closure).
-    """
-    return _project(vel)[0]
-
-
-def project_div_free_with_potential(vel: VelocityField):
-    """Leray projection and the potential phi with ``vel = out + grad(phi)``."""
-    out, p = _project(vel)
-    return out, ScalarField(vel.grid, -p)
-
-
-# Faces per block of a forward solve, eight levels at 16x16: a block's stack
-# and its V coordinates stay a few times this size instead of growing with
-# the horizon or the grid (from 64x64 up a block is one level), which bounds
-# the memory of the terminal solve.
-_PROJECTION_BLOCK_FACES = 8 * 544
-
-
-def levels_per_block(grid: GridSpec) -> int:
-    """Levels of a packed stack that one block holds: about
-    ``_PROJECTION_BLOCK_FACES`` faces, and at least one level."""
-    return max(1, _PROJECTION_BLOCK_FACES // grid.n_faces)
+    return (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / n)) / h**2
 
 
 def _diffusion_tables(grid: GridSpec, dt: float):
@@ -732,8 +627,8 @@ def _diffusion_tables(grid: GridSpec, dt: float):
     """
     nx, ny = grid.nx, grid.ny
     lx, ly = _spectrum(nx, grid.hx), _spectrum(ny, grid.hy)
-    m_u = 1.0 / (1.0 + dt * (lx[1:nx, None] + ly[None, 1:]))
-    m_v = 1.0 / (1.0 + dt * (lx[1:, None] + ly[None, 1:ny]))
+    m_u = 1.0 / (1.0 + dt * (lx[:-1, None] + ly[None, :]))
+    m_v = 1.0 / (1.0 + dt * (lx[:, None] + ly[None, :-1]))
     return (
         (*_and_transpose(_dst1_matrix(nx - 1)), *_and_transpose(_dst2_matrix(ny)), m_u),
         (*_and_transpose(_dst2_matrix(nx)), *_and_transpose(_dst1_matrix(ny - 1)), m_v),
@@ -769,7 +664,7 @@ def _v_tables(grid: GridSpec):
     modes; so the curl of the scaled modes is an orthonormal basis of V.
     """
     nx, ny = grid.nx, grid.ny
-    scale = 1.0 / np.sqrt(_spectrum(nx, grid.hx)[1:nx, None] + _spectrum(ny, grid.hy)[1:ny])
+    scale = 1.0 / np.sqrt(_spectrum(nx, grid.hx)[:-1, None] + _spectrum(ny, grid.hy)[:-1])
     return _dst1_matrix(nx - 1), _dst1_matrix(ny - 1), scale.ravel(), (scale / grid.hx).ravel()
 
 
@@ -804,6 +699,33 @@ def v_velocities(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray) -> None:
     modes = (coeffs * scale).reshape(lead + (grid.nx - 1, grid.ny - 1))
     psi[..., 1:-1, 1:-1] = sx @ modes @ sy
     _curl(psi, grid, out)
+
+
+def project_div_free(vel: VelocityField) -> VelocityField:
+    """Leray projection Q Q^T: remove the gradient part of ``vel``.
+
+    The normal boundary faces of ``vel`` are ignored and those of the result
+    are zero (no-penetration closure).
+    """
+    out = VelocityField.zeros(vel.grid)
+    v_velocities(v_coordinates(vel.data, vel.grid), vel.grid, out.data)
+    return out
+
+
+def project_div_free_with_potential(vel: VelocityField):
+    """Leray projection and the mean-zero potential phi with ``vel = out + grad(phi)``.
+
+    phi is summed from the gradient part ``vel - out``: along y in the first
+    column, then along x in every row.
+    """
+    g = vel.grid
+    out = project_div_free(vel)
+    grad = vel - out
+    phi = np.zeros((g.nx, g.ny))
+    phi[0, 1:] = np.cumsum(grad.v[0, 1:-1]) * g.hy
+    phi[1:] = phi[0] + np.cumsum(grad.u[1:-1], axis=0) * g.hx
+    phi -= phi.mean()
+    return out, ScalarField(g, phi)
 
 
 def _v_step_tables(grid: GridSpec):

@@ -414,6 +414,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if experiment == "convergence" and sv.get("convection_on"):
         raise ConfigurationError("config field 'solver.convection_on' must be false for the "
                                  "convergence experiment: its manufactured forcing is Stokes-only")
+    taper = _field(raw, "cutoff_taper_cells", "", default=4.0)
+    if not taper > 0:  # also refuses NaN
+        raise ConfigurationError(
+            f"config field 'cutoff_taper_cells' must be positive, got {taper!r}")
     options = _options(raw)
     data = _section(raw, "data", _DATA_KINDS)
     if data.get("y0_kind", "eddy") not in _Y0_KINDS:
@@ -427,7 +431,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         follower_set=region("O"),
         obs_set=region("Od"),
         inner_set=region("omega0"),
-        cutoff_taper_cells=_field(raw, "cutoff_taper_cells", "", default=4.0),
+        cutoff_taper_cells=taper,
         robust=RobustParams(**rb),
         carleman=CarlemanParams(**{"lam": 2.0, "s": 3.0, **cl}),
         penalty=PenaltyConfig(**pen),

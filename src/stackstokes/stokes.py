@@ -26,11 +26,11 @@ level's source at once (masks, trapezoid weights, data) and hands the
 march the unprojected stack.  The march runs in the coordinates c = Q^T y
 of an orthonormal basis Q of the divergence-free space (see
 :mod:`stackstokes.grid`), which absorb the projection: each step is
-c <- H (c + Q^T dt F)  with H = Q^T S Q.  Every iterate after the first is
-an output of P; the recursion starts from P(y0) (P(phi_T), or 0), so that
-the first step, too, equals P S P applied to the unprojected sum even when
-y0 carries the small divergence (up to 1e-10) that is not projected away.
-The stored level 0 stays y0 itself.  A term that depends on the previous
+c <- H (c + Q^T dt F)  with H = Q^T S Q.  The recursion starts from
+Q^T y0 (Q^T phi_T, or 0), the coordinates of P(y0), so that the first step,
+too, equals P S P applied to the unprojected sum even when y0 carries the
+small divergence (up to 1e-10) that is not projected away.  The stored
+level 0 stays y0 itself.  A term that depends on the previous
 iterate is evaluated on the faces, at Q c mapped back one level at a time,
 and enters the step as  -dt Q^T term.  Convection and its transpose are
 such march terms in every solver, the coupled one included: the forward
@@ -39,18 +39,17 @@ add the transposed linearization around the y of the same sweep (the
 coupled solve) or around the adjoint's ``link``.
 
 The forward solve has two entry points on one loop, :func:`_forward`,
-which marches levels 1..nt in blocks of
-:func:`~stackstokes.grid.levels_per_block` levels, carrying the V
-coordinates from block to block, and checks the blow-up bound of each block
-once it is marched.  :func:`solve_forward` takes an assembled forcing and
-returns the whole trajectory: its blocks are views of the dt-scaled forcing
+which marches levels 1..nt in blocks, carrying the V coordinates from block
+to block, and checks the blow-up bound of each block once it is marched.
+:func:`solve_forward` takes an assembled forcing and returns the whole
+trajectory: it marches the horizon as one block, the dt-scaled forcing
 stack, which receives the states.  :func:`solve_forward_terminal` takes
-the forcing as functions of (x, y, t) and returns only y(T): it samples
-and dt-scales one block of levels at a time, as
+the forcing as functions of (x, y, t) and returns only y(T): it samples,
+dt-scales and marches one level at a time, as
 :meth:`~stackstokes.grid.Trajectory.from_function` samples them, and maps
-only the last block back to the faces.  Both entry points march the same
-blocks through the same steps, so y(T) is the same to the bit, and so are
-the step and message of a BlowupError.
+only the last level back to the faces.  Both entry points take the same
+steps, so y(T) is the same to the bit, and so are the step and message of
+a BlowupError.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ from .grid import (
     VelocityField,
     divergence,
     h1_norm,
-    levels_per_block,
     project_div_free,
     sample_levels,
     traj_norm,
@@ -346,8 +344,9 @@ def _march(grid: GridSpec, levels: range, cur: VelocityField, stack: np.ndarray,
     ``levels`` is a range of consecutive levels, forward or backward.
     ``stack`` has one row per marched level, from the lowest up: row k holds
     the dt-scaled, unprojected source G[m] of level m = min(levels) + k and
-    receives the state of level m.  ``cur``, the iterate before the first
-    step, is divergence free.  ``term(m, y)`` adds  -dt P term  to the step
+    receives the state of level m.  ``cur`` is the iterate before the first
+    step; Q^T reads only its interior faces and keeps only its divergence-free
+    part.  ``term(m, y)`` adds  -dt P term  to the step
     into level m, for a term that depends on the previous iterate y.
     Returns the last iterate.
 
@@ -365,22 +364,23 @@ def _forward(y0: VelocityField, opts: SolverOptions, block_sources, states: bool
     """The forward march from y0, block by block, with its blow-up check.
 
     ``block_sources(levels)`` returns the dt-scaled sources of a block of
-    consecutive levels as :func:`_march` takes them; the blocks cover 1..nt
-    in order, and a block's stack receives its states if ``states`` or if it
-    is the last.  The V coordinates are carried from block to block, and
-    convection, if on, is the march's term.  A level above ``blowup_norm`` *
-    max(|y0|, 1), or not finite, raises BlowupError naming the first such
-    step once its block is marched.  Returns level 0 as stored (y0 with zero
-    normal faces, projected if it is not divergence free) and y(T).
+    consecutive levels as :func:`_march` takes them.  With ``states`` the
+    one block 1..nt receives the states; without, each level is a block,
+    and only the last is mapped back to the faces.  The V coordinates are
+    carried from block to block, and convection, if on, is the march's
+    term.  A level above ``blowup_norm`` * max(|y0|, 1), or not finite,
+    raises BlowupError naming the first such step once its block is
+    marched.  Returns level 0 as stored (y0 with zero normal faces,
+    projected if it is not divergence free) and y(T).
     """
     g = y0.grid
     start = _closed_div_free(y0)
     limit = opts.blowup_norm * max(start.max_abs(), 1.0)
     cur = v_coordinates(start.data, g)
     term = _convect if opts.convection_on else None
-    block = levels_per_block(g)
+    block = g.nt if states else 1
     for first in range(1, g.nt + 1, block):
-        levels = range(first, min(first + block, g.nt + 1))
+        levels = range(first, first + block)
         stack = block_sources(levels)
         coeffs = v_coordinates(stack, g)
         cur = _v_march(g, levels, cur, coeffs, term)
@@ -390,7 +390,7 @@ def _forward(y0: VelocityField, opts: SolverOptions, block_sources, states: bool
         for k in np.flatnonzero(~(peaks < limit)):
             v_velocities(coeffs[k], g, stack[k])
             peaks[k] = np.abs(stack[k]).max()
-        if states or levels[-1] == g.nt:
+        if levels[-1] == g.nt:
             v_velocities(coeffs, g, stack)
         bad = np.flatnonzero(~(peaks <= limit))  # also catches NaN
         if bad.size:
@@ -558,7 +558,6 @@ def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1
     bwd_data = _packed_data(g, (yd, -coupling.mu * obs, w), (f2,))
 
     y0p = _closed_div_free(y0)
-    y0_start = project_div_free(y0p)
     z = Trajectory.zeros(g)
     # the sweep's sources, then its output, in place
     work = Trajectory(g, np.empty_like(z.data))
@@ -573,7 +572,7 @@ def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1
         if fwd_data is not None:
             wd[1:] += fwd_data[1:]
         work[0] = y0p
-        _march(g, range(1, g.nt + 1), y0_start, wd[1:], _convect if convective else None)
+        _march(g, range(1, g.nt + 1), y0p, wd[1:], _convect if convective else None)
 
     def backward_sweep():
         # work (= y) <- the z it drives; the raw backward state is w_m * z_m
@@ -676,17 +675,16 @@ def solve_backward_adjoint(
     """
     g = phiT.grid
     phi_data = _packed_data(g, (g1,))
-    phi_start = project_div_free(_closed_div_free(phiT))
     transposed = None if link is None else (lambda m, y: adjoint_coupling(link[m], y))
 
     def phi_march(phi: Trajectory):
         # phi from the dt-scaled, unprojected sources of levels 1..nt, in place
         if link is None:
-            _march(g, range(g.nt, 0, -1), phi_start, phi.data[1:])
+            _march(g, range(g.nt, 0, -1), phiT, phi.data[1:])
             phi[0] = phi[1]
             return
         # the transposed convection acts from the second step on
-        cur = _march(g, range(g.nt, g.nt - 1, -1), phi_start, phi.data[g.nt:])
+        cur = _march(g, range(g.nt, g.nt - 1, -1), phiT, phi.data[g.nt:])
         _march(g, range(g.nt - 1, 0, -1), cur, phi.data[1:g.nt], transposed)
         phi[0] = phi[1] - g.dt * adjoint_coupling(link[0], phi[1])
 

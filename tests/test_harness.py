@@ -439,6 +439,9 @@ def test_option_copies_keep_relax(monkeypatch):
     ("robust", "gamma", None, "robust.gamma"),
     # nt = base_nt (nx / sizes[0])^2 would truncate for 24 / 16
     ("options", "sizes", [16, 24], "options.sizes"),
+    # SmoothCutoff.for_grid refuses a taper that is not positive
+    (None, "cutoff_taper_cells", 0.0, "cutoff_taper_cells"),
+    (None, "cutoff_taper_cells", -1.0, "cutoff_taper_cells"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
     from stackstokes.cli import main

@@ -60,7 +60,6 @@ TEST_REFERENCES = {
     "gradient": "the adjoint partner of divergence, which criterion 01 checks",
     "inner_cells": "the cell pairing of criterion 01's adjointness check",
     "linearized_convection": "the derivative that adjoint_coupling must transpose",
-    "_poisson_neumann_direct": "pins the cosine tables of _leray",
 }
 
 

@@ -275,14 +275,14 @@ def _trajectory_solve(y0, fu, fv, opts=SolverOptions()):
                          opts)
 
 
+# solve_forward marches the horizon as one block and the terminal solve one
+# level per block, carrying the V coordinates from block to block
 @pytest.mark.parametrize("nx, ny, Ly, nt, convection_on", [
     (16, 16, 1.0, 32, False),
     (16, 12, 0.8, 20, False),
-    # blocks of three levels, the last one short
     (24, 24, 1.0, 16, False),
-    # one level per block: the V coordinates are carried from block to block
     (64, 48, 1.0, 12, False),
-    # convection as the march's term, in blocks of eight levels
+    # convection as the march's term
     (16, 16, 1.0, 20, True),
 ], ids=["v-16x16", "v-16x12", "v-24x24", "v-64x48", "convective-16x16"])
 def test_terminal_solve_is_the_last_level(nx, ny, Ly, nt, convection_on):
@@ -305,8 +305,8 @@ def _blowup_of_both(g, fu, fv, opts):
 
 @pytest.mark.parametrize("nx", [16, 24, 64], ids=["v-16x16", "v-24x24", "v-64x64"])
 def test_terminal_solve_blows_up_at_the_same_step(nx):
-    # |y| first passes 0.31 at level 4: in the first block of eight levels on
-    # 16 x 16, the second of three on 24 x 24, the fourth of one on 64 x 64
+    # |y| first passes 0.31 at level 4: inside solve_forward's one block, and
+    # in the fourth one-level block of the terminal solve
     g = GridSpec(nx=nx, ny=nx, nt=16, T=0.25)
     _, fu, fv = _mms_problem(g)
     errors = _blowup_of_both(g, fu, fv, SolverOptions(blowup_norm=0.31))
@@ -719,8 +719,8 @@ def test_v_marches_make_no_diffusion_solve(rng, monkeypatch):
     solve_forward(project_div_free(closed_noise(big, rng)), None)
     y0, fu, fv = _mms_problem(big)
     solve_forward_terminal(y0, fu, fv)
-    # convective: forward solves on 40 x 24 in blocks of two levels, and the
-    # nonlinear coupled solve and the link adjoint on 16 x 16
+    # convective: forward solves on 40 x 24, and the nonlinear coupled solve
+    # and the link adjoint on 16 x 16
     convective = SolverOptions(convection_on=True)
     conv = GridSpec(nx=40, ny=24, nt=16, T=0.25)
     y0, fu, fv = _mms_problem(conv)
