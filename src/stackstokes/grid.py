@@ -73,7 +73,6 @@ __all__ = [
     "Region",
     "SmoothCutoff",
     "Trajectory",
-    "sample_levels",
     "divergence",
     "gradient",
     "laplacian",
@@ -500,8 +499,13 @@ class Trajectory(_Packed):
     @classmethod
     def from_function(cls, grid: GridSpec, fu, fv) -> "Trajectory":
         """Sample (fu, fv)(x, y, t) on the face points at every time level."""
+        xu, yu = grid.u_face_coords()
+        xv, yv = grid.v_face_coords()
         out = np.empty((grid.nt + 1, grid.n_faces))
-        sample_levels(grid, fu, fv, range(grid.nt + 1), out)
+        u, v = face_views(out, grid)
+        for m, t in enumerate(grid.times()):
+            u[m] = fu(xu[:, None], yu[None, :], t)
+            v[m] = fv(xv[:, None], yv[None, :], t)
         return cls(grid, out)
 
     def __len__(self) -> int:
@@ -520,18 +524,6 @@ class Trajectory(_Packed):
 
     def _like(self, data: np.ndarray) -> "Trajectory":
         return Trajectory(self.grid, data)
-
-
-def sample_levels(grid: GridSpec, fu, fv, levels: range, out: np.ndarray) -> None:
-    """Write (fu, fv)(x, y, t_m) on the face points into the packed rows of ``out``,
-    row k for the k-th level m of ``levels``."""
-    xu, yu = grid.u_face_coords()
-    xv, yv = grid.v_face_coords()
-    times = grid.times()
-    u, v = face_views(out, grid)
-    for k, m in enumerate(levels):
-        u[k] = fu(xu[:, None], yu[None, :], times[m])
-        v[k] = fv(xv[:, None], yv[None, :], times[m])
 
 
 # ---------------------------------------------------------------------------

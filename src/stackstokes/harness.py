@@ -321,13 +321,13 @@ _Y0_KINDS = ("zero", "eddy", "random")
 # list whose entries have that type), default, and the range of a value.
 _OPTIONS = {
     "n_probes": (int, 100, lambda v: v >= 2, "at least 2"),  # a fixed probe, then random ones
-    "outer_tol": (float, 1e-6, lambda v: v > 0, "positive"),
+    "outer_tol": (float, 1e-6, lambda v: 0 < v < math.inf, "positive and finite"),
     "outer_max": (int, 25, lambda v: v >= 1, "at least 1"),
-    "domination_epsilon": (float, 1.0, lambda v: v > 0, "positive"),
+    "domination_epsilon": (float, 1.0, lambda v: 0 < v < math.inf, "positive and finite"),
     "domination_lams": ([float], [1.0, 2.0, 4.0], lambda v: len(v) >= 1 and min(v) > 0,
                         "one or more positive numbers"),
     "n_laplacian_samples": (int, 20, lambda v: v >= 1, "at least 1"),
-    "laplacian_s": (float, 5.0, lambda v: v > 0, "positive"),
+    "laplacian_s": (float, 5.0, lambda v: 0 < v < math.inf, "positive and finite"),
     "n_observability_samples": (int, 25, lambda v: v >= 1, "at least 1"),
     # np.geomspace(0.05, 50.0, 13) written out: calling it pages numpy's power
     # and log10 kernels in, about 0.5 MiB of resident memory in every run
@@ -343,7 +343,7 @@ _OPTIONS = {
               lambda v: (len(v) >= 2 and v[0] >= 8 and all(a < b for a, b in zip(v, v[1:]))
                          and all(n % v[0] == 0 for n in v)),
               "at least two grid sizes >= 8 in increasing order, each a multiple of the first"),
-    "horizon": (float, 0.25, lambda v: v > 0, "positive"),
+    "horizon": (float, 0.25, lambda v: 0 < v < math.inf, "positive and finite"),
     "base_nt": (int, 32, lambda v: v >= 8, "at least 8"),
 }
 
@@ -717,10 +717,12 @@ def _exp_convergence(cfg: ExperimentConfig, out: _Artifacts) -> dict:
 
     Each size nx of ``options.sizes`` runs nt = base_nt (nx / sizes[0])^2
     steps, so dt ~ h^2, and only the error of y(T) against the exact state
-    is read: :func:`~stackstokes.stokes.solve_forward_terminal` samples and
-    marches the manufactured forcing a block of levels at a time, so no size
-    holds its forcing or its states over the whole horizon.  Neighbouring
-    errors give the ratios, about 4 for a second-order scheme.
+    is read.  Every term of the manufactured forcing carries e^-t, so it is
+    e^-t F(x, y) with F the forcing at t = 0:
+    :func:`~stackstokes.stokes.solve_forward_terminal` maps F to V
+    coordinates once per size and marches its e^-t multiples one level at a
+    time, so no size holds its forcing or its states over the whole horizon.
+    Neighbouring errors give the ratios, about 4 for a second-order scheme.
     """
     sizes = cfg.options["sizes"]
     T = cfg.options["horizon"]
@@ -737,7 +739,10 @@ def _exp_convergence(cfg: ExperimentConfig, out: _Artifacts) -> dict:
         ex = VelocityField.from_functions(
             g, lambda x, y: u(x, y, T), lambda x, y: v(x, y, T)
         )
-        e = norm(solve_forward_terminal(y0, fu, fv, cfg.solver) - ex)
+        force = VelocityField.from_functions(
+            g, lambda x, y: fu(x, y, 0.0), lambda x, y: fv(x, y, 0.0)
+        )
+        e = norm(solve_forward_terminal(y0, force, lambda t: np.exp(-t), cfg.solver) - ex)
         errs.append(e)
         rows.append((nx, nt, e))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]

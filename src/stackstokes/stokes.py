@@ -39,17 +39,17 @@ add the transposed linearization around the y of the same sweep (the
 coupled solve) or around the adjoint's ``link``.
 
 The forward solve has two entry points on one loop, :func:`_forward`,
-which marches levels 1..nt in blocks, carrying the V coordinates from block
-to block, and checks the blow-up bound of each block once it is marched.
-:func:`solve_forward` takes an assembled forcing and returns the whole
-trajectory: it marches the horizon as one block, the dt-scaled forcing
-stack, which receives the states.  :func:`solve_forward_terminal` takes
-the forcing as functions of (x, y, t) and returns only y(T): it samples,
-dt-scales and marches one level at a time, as
-:meth:`~stackstokes.grid.Trajectory.from_function` samples them, and maps
-only the last level back to the faces.  Both entry points take the same
-steps, so y(T) is the same to the bit, and so are the step and message of
-a BlowupError.
+which marches levels 1..nt in blocks given in V coordinates, carrying the
+coordinates from block to block, and checks the blow-up bound of each block
+once it is marched.  :func:`solve_forward` takes an assembled forcing and
+returns the whole trajectory: it maps the dt-scaled forcing stack with one
+Q^T and marches the horizon as one block, and the stack receives the states.
+:func:`solve_forward_terminal` takes a separable forcing profile(t) * F and
+returns only y(T): it maps F once, b = Q^T F, and marches one level at a
+time from the coordinates (dt profile(t_m)) b, mapping only the last level
+back to the faces.  On the forcing profile(t_m) F of every level, the two
+agree to rounding (the terminal solve scales after Q^T, not before) and
+raise a BlowupError at the same step.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from .grid import (
     divergence,
     h1_norm,
     project_div_free,
-    sample_levels,
     traj_norm,
     trapezoid_weights,
     v_coordinates,
@@ -360,16 +359,17 @@ def _march(grid: GridSpec, levels: range, cur: VelocityField, stack: np.ndarray,
     return VelocityField.from_packed(grid, stack[levels[-1] - lo].copy())
 
 
-def _forward(y0: VelocityField, opts: SolverOptions, block_sources, states: bool):
+def _forward(y0: VelocityField, opts: SolverOptions, blocks):
     """The forward march from y0, block by block, with its blow-up check.
 
-    ``block_sources(levels)`` returns the dt-scaled sources of a block of
-    consecutive levels as :func:`_march` takes them.  With ``states`` the
-    one block 1..nt receives the states; without, each level is a block,
-    and only the last is mapped back to the faces.  The V coordinates are
-    carried from block to block, and convection, if on, is the march's
-    term.  A level above ``blowup_norm`` * max(|y0|, 1), or not finite,
-    raises BlowupError naming the first such step once its block is
+    ``blocks`` yields a pair ``(coeffs, faces)`` for each block of consecutive
+    levels, from level 1 up to nt: the V coordinates of the block's dt-scaled
+    sources, one row per level, which receive the states' coordinates, and a
+    packed face stack of as many rows, which receives the levels mapped back
+    (a level the blow-up bound cannot clear, and the last block).  The V
+    coordinates are carried from block to block, and convection, if on, is
+    the march's term.  A level above ``blowup_norm`` * max(|y0|, 1), or not
+    finite, raises BlowupError naming the first such step once its block is
     marched.  Returns level 0 as stored (y0 with zero normal faces,
     projected if it is not divergence free) and y(T).
     """
@@ -378,26 +378,25 @@ def _forward(y0: VelocityField, opts: SolverOptions, block_sources, states: bool
     limit = opts.blowup_norm * max(start.max_abs(), 1.0)
     cur = v_coordinates(start.data, g)
     term = _convect if opts.convection_on else None
-    block = g.nt if states else 1
-    for first in range(1, g.nt + 1, block):
-        levels = range(first, first + block)
-        stack = block_sources(levels)
-        coeffs = v_coordinates(stack, g)
+    first = 1
+    for coeffs, faces in blocks:
+        levels = range(first, first + len(coeffs))
         cur = _v_march(g, levels, cur, coeffs, term)
         # max |y| <= |y|_2 = |c|_2 (Q is orthonormal), never tight for a
         # divergence-free y: map back only a level the bound cannot clear
         peaks = np.sqrt(np.einsum("ij,ij->i", coeffs, coeffs))
         for k in np.flatnonzero(~(peaks < limit)):
-            v_velocities(coeffs[k], g, stack[k])
-            peaks[k] = np.abs(stack[k]).max()
+            v_velocities(coeffs[k], g, faces[k])
+            peaks[k] = np.abs(faces[k]).max()
         if levels[-1] == g.nt:
-            v_velocities(coeffs, g, stack)
+            v_velocities(coeffs, g, faces)
         bad = np.flatnonzero(~(peaks <= limit))  # also catches NaN
         if bad.size:
             k = int(bad[0])
             raise BlowupError(f"forward solve blew up at step {first + k}: |y| = {peaks[k]:.3e}",
                               residual=float(peaks[k]), iterations=first + k)
-    return start, VelocityField.from_packed(g, stack[-1].copy())
+        first += len(coeffs)
+    return start, VelocityField.from_packed(g, faces[-1].copy())
 
 
 def solve_forward(
@@ -418,29 +417,33 @@ def solve_forward(
     if data is None:
         data = np.zeros((g.nt + 1, g.n_faces))
     out = Trajectory(g, data)
-    out[0], _ = _forward(y0, opts, lambda levels: data[levels[0]:levels[-1] + 1], True)
+    out[0], _ = _forward(y0, opts, [(v_coordinates(data[1:], g), data[1:])])
     return out
 
 
-def solve_forward_terminal(y0: VelocityField, fu, fv,
+def solve_forward_terminal(y0: VelocityField, force: VelocityField, profile,
                            opts: SolverOptions = SolverOptions()) -> VelocityField:
-    """y(T) of the forward march from y0 driven by the forcing (fu, fv)(x, y, t).
+    """y(T) of the forward march from y0 driven by the forcing profile(t) * force.
 
-    Equal to the bit to the last level of :func:`solve_forward` with the
-    forcing ``Trajectory.from_function(grid, fu, fv)`` as one channel, and
-    it fails the same way; but it samples and marches one block of levels
-    at a time, so it never holds the forcing or the states of the whole
-    horizon.
+    ``profile`` is evaluated once, on ``grid.times()``.  The solve maps the
+    forcing to V coordinates once, b = Q^T force, and marches one level at a
+    time from the coordinates (dt profile(t_m)) b, mapping back to the faces
+    only the last level and a level the blow-up bound cannot clear, into one
+    reused row; so it never holds the forcing or the states of the whole
+    horizon.  It agrees to rounding with the last level of
+    :func:`solve_forward` on the forcing ``profile(t_m) * force`` of every
+    level, and raises a BlowupError at the same step.
     """
     g = y0.grid
-
-    def block_sources(levels):
-        stack = np.empty((len(levels), g.n_faces))
-        sample_levels(g, fu, fv, levels, stack)
-        stack *= g.dt
-        return stack
-
-    return _forward(y0, opts, block_sources, False)[1]
+    if force.grid != g:
+        raise ConfigurationError("forcing on a different grid")
+    scale = g.dt * np.asarray(profile(g.times()), dtype=float)
+    if scale.shape != (g.nt + 1,):
+        raise ConfigurationError(f"forcing profile has shape {scale.shape} on the "
+                                 f"{g.nt + 1} time levels")
+    b = v_coordinates(force.data[None], g)
+    row = np.empty((1, g.n_faces))
+    return _forward(y0, opts, ((scale[m] * b, row) for m in range(1, g.nt + 1)))[1]
 
 
 # ---------------------------------------------------------------------------

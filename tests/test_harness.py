@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import runpy
 import subprocess
 import sys
@@ -442,6 +443,11 @@ def test_option_copies_keep_relax(monkeypatch):
     # SmoothCutoff.for_grid refuses a taper that is not positive
     (None, "cutoff_taper_cells", 0.0, "cutoff_taper_cells"),
     (None, "cutoff_taper_cells", -1.0, "cutoff_taper_cells"),
+    # JSON reads Infinity, and an infinite horizon makes the first step NaN
+    ("options", "horizon", math.inf, "options.horizon"),
+    ("options", "outer_tol", math.inf, "options.outer_tol"),
+    ("options", "domination_epsilon", math.inf, "options.domination_epsilon"),
+    ("options", "laplacian_s", math.inf, "options.laplacian_s"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
     from stackstokes.cli import main

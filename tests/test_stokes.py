@@ -261,22 +261,49 @@ def test_coupled_solve_places_the_leader_on_omega(rng):
 
 
 def _mms_problem(g):
-    """The manufactured initial state on g and the forcing functions of its study."""
+    """The manufactured initial state on g, and the forcing of its study as
+    profile(t) * force: its forcing at t = 0 on the faces, and e^-t."""
     from stackstokes.harness import _mms_fields
 
     u, v, fu, fv = _mms_fields()
     y0 = VelocityField.from_functions(g, lambda x, y: u(x, y, 0.0), lambda x, y: v(x, y, 0.0))
-    return y0, fu, fv
+    force = VelocityField.from_functions(g, lambda x, y: fu(x, y, 0.0),
+                                         lambda x, y: fv(x, y, 0.0))
+    return y0, force, lambda t: np.exp(-t)
 
 
-def _trajectory_solve(y0, fu, fv, opts=SolverOptions()):
+def _trajectory_solve(y0, force, profile, opts=SolverOptions()):
     g = y0.grid
-    return solve_forward(y0, ForcingAssembly(g, extra_source=Trajectory.from_function(g, fu, fv)),
-                         opts)
+    forcing = Trajectory(g, profile(g.times())[:, None] * force.data)
+    return solve_forward(y0, ForcingAssembly(g, extra_source=forcing), opts)
+
+
+def _separable_deviation(f, x, y, t):
+    """max |f(x, y, t) - e^-t f(x, y, 0)| over max |f(x, y, t)| at the points."""
+    got = f(x, y, t)
+    return np.abs(got - np.exp(-t) * f(x, y, 0.0)).max() / np.abs(got).max()
+
+
+def test_mms_forcing_is_separable(rng):
+    # the convergence study passes its forcing as e^-t F(x, y)
+    from stackstokes.harness import _mms_fields
+
+    _, _, fu, fv = _mms_fields()
+    x, y, t = rng.random(1000), rng.random(1000), 2.0 * rng.random(1000)
+    assert _separable_deviation(fu, x, y, t) <= 1e-14
+    assert _separable_deviation(fv, x, y, t) <= 1e-14
+
+    # the check sees a pressure term that decays as e^-2t
+    def planted(x, y, t):
+        px = -0.05 * np.pi * np.sin(np.pi * x) * np.cos(np.pi * y)
+        return fu(x, y, t) + (np.exp(-2.0 * t) - np.exp(-t)) * px
+
+    assert _separable_deviation(planted, x, y, t) > 1e-14
 
 
 # solve_forward marches the horizon as one block and the terminal solve one
-# level per block, carrying the V coordinates from block to block
+# level per block, carrying the V coordinates from block to block; the
+# terminal solve scales Q^T force, not force, so the two agree to rounding
 @pytest.mark.parametrize("nx, ny, Ly, nt, convection_on", [
     (16, 16, 1.0, 32, False),
     (16, 12, 0.8, 20, False),
@@ -287,18 +314,19 @@ def _trajectory_solve(y0, fu, fv, opts=SolverOptions()):
 ], ids=["v-16x16", "v-16x12", "v-24x24", "v-64x48", "convective-16x16"])
 def test_terminal_solve_is_the_last_level(nx, ny, Ly, nt, convection_on):
     g = GridSpec(nx=nx, ny=ny, Ly=Ly, nt=nt, T=0.25)
-    y0, fu, fv = _mms_problem(g)
+    y0, force, profile = _mms_problem(g)
     opts = SolverOptions(convection_on=convection_on)
-    last = solve_forward_terminal(y0, fu, fv, opts)
-    assert np.array_equal(last.data, _trajectory_solve(y0, fu, fv, opts)[nt].data)
+    last = solve_forward_terminal(y0, force, profile, opts)
+    ref = _trajectory_solve(y0, force, profile, opts)[nt]
+    assert _rel_max(last, ref) <= 1e-13
 
 
-def _blowup_of_both(g, fu, fv, opts):
+def _blowup_of_both(g, force, profile, opts):
     """The message, step and |y| of the BlowupError of each forward entry point."""
     errors = []
     for solve in (_trajectory_solve, solve_forward_terminal):
         with pytest.raises(BlowupError) as info:
-            solve(VelocityField.zeros(g), fu, fv, opts)
+            solve(VelocityField.zeros(g), force, profile, opts)
         errors.append((str(info.value), info.value.iterations, info.value.residual))
     return errors
 
@@ -308,21 +336,22 @@ def test_terminal_solve_blows_up_at_the_same_step(nx):
     # |y| first passes 0.31 at level 4: inside solve_forward's one block, and
     # in the fourth one-level block of the terminal solve
     g = GridSpec(nx=nx, ny=nx, nt=16, T=0.25)
-    _, fu, fv = _mms_problem(g)
-    errors = _blowup_of_both(g, fu, fv, SolverOptions(blowup_norm=0.31))
-    assert errors[0] == errors[1] and errors[0][1] == 4
+    _, force, profile = _mms_problem(g)
+    errors = _blowup_of_both(g, force, profile, SolverOptions(blowup_norm=0.31))
+    assert errors[0][:2] == errors[1][:2] and errors[0][1] == 4
+    assert errors[1][2] == pytest.approx(errors[0][2], rel=1e-13)
 
 
 @pytest.mark.parametrize("nx", [16, 64])
 def test_terminal_solve_fails_on_nan_forcing_at_the_same_step(nx):
     # a NaN source at level 6 makes level 6 NaN: both entry points name it
     g = GridSpec(nx=nx, ny=nx, nt=16, T=0.25)
-    _, fu, fv = _mms_problem(g)
+    _, force, profile = _mms_problem(g)
 
-    def nan_fu(x, y, t):
-        return fu(x, y, t) + (np.nan if t > 5.5 * g.dt else 0.0)
+    def nan_profile(t):
+        return np.where(t > 5.5 * g.dt, np.nan, profile(t))
 
-    errors = _blowup_of_both(g, nan_fu, fv, SolverOptions())
+    errors = _blowup_of_both(g, force, nan_profile, SolverOptions())
     assert errors[0][:2] == errors[1][:2]
     assert errors[0][1] == 6 and "|y| = nan" in errors[0][0]
     assert np.isnan(errors[0][2]) and np.isnan(errors[1][2])
@@ -333,42 +362,76 @@ def test_blowup_limit_bounds_the_peak_not_the_norm():
     # when that bound reaches the limit: a limit between the largest peak and
     # the largest 2-norm of the levels raises nothing
     g = GridSpec(nx=64, ny=64, nt=16, T=0.25)
-    _, fu, fv = _mms_problem(g)
-    states = _trajectory_solve(VelocityField.zeros(g), fu, fv).data
+    _, force, profile = _mms_problem(g)
+    zero = VelocityField.zeros(g)
+    states = _trajectory_solve(zero, force, profile).data
     limit = 1.01 * np.abs(states).max()
     assert limit < 1.0  # so that the limit is blowup_norm itself (y0 = 0)
     assert np.sqrt((states**2).sum(axis=1)).max() > 10.0 * limit
     opts = SolverOptions(blowup_norm=limit)
-    y = _trajectory_solve(VelocityField.zeros(g), fu, fv, opts)
+    y = _trajectory_solve(zero, force, profile, opts)
     assert np.array_equal(y.data, states)
-    last = solve_forward_terminal(VelocityField.zeros(g), fu, fv, opts)
-    assert np.array_equal(last.data, states[-1])
+    last = solve_forward_terminal(zero, force, profile, opts)
+    assert _rel_max(last, y[g.nt]) <= 1e-13
 
 
 def test_terminal_solve_cfl_guard():
     g = GridSpec(nx=16, ny=16, nt=8, T=1.0)
-    _, fu, fv = _mms_problem(g)
+    _, force, profile = _mms_problem(g)
     with pytest.raises(CflError):
-        solve_forward_terminal(eddy(g, amp=3.0), fu, fv, SolverOptions(convection_on=True))
+        solve_forward_terminal(eddy(g, amp=3.0), force, profile,
+                               SolverOptions(convection_on=True))
 
 
 def test_terminal_solve_holds_no_trajectory():
     # the peak of traced allocations stays under a quarter of one trajectory,
     # while the trajectory solve holds the forcing and the states (two)
     g = GridSpec(nx=64, ny=64, nt=128, T=0.25)
-    y0, fu, fv = _mms_problem(g)
+    y0, force, profile = _mms_problem(g)
     bound = (g.nt + 1) * g.n_faces * 8 / 4
 
     def peak(solve):
         tracemalloc.start()
         try:
-            solve(y0, fu, fv)
+            solve(y0, force, profile)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     assert peak(solve_forward_terminal) < bound
     assert peak(_trajectory_solve) > bound
+
+
+def test_terminal_solve_maps_the_forcing_once(monkeypatch):
+    # Q^T is taken of the forcing and of y0 once per solve, not once per level
+    v_coordinates = grid_module.v_coordinates
+    calls = []
+
+    def counting(packed, g):
+        calls.append(packed.shape)
+        return v_coordinates(packed, g)
+
+    monkeypatch.setattr(grid_module, "v_coordinates", counting)
+    monkeypatch.setattr(stokes_module, "v_coordinates", counting)
+    counts = []
+    for nt in (16, 64):
+        g = GridSpec(nx=16, ny=16, nt=nt, T=0.25)
+        y0, force, profile = _mms_problem(g)
+        calls.clear()
+        solve_forward_terminal(y0, force, profile)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_terminal_solve_refuses_a_foreign_force_or_profile():
+    g = GridSpec(nx=16, ny=16, nt=16, T=0.25)
+    y0, force, profile = _mms_problem(g)
+    other = GridSpec(nx=16, ny=12, nt=16, T=0.25)
+    with pytest.raises(ConfigurationError, match="different grid"):
+        solve_forward_terminal(y0, VelocityField.zeros(other), profile)
+    for short in (lambda t: profile(t)[:-1], lambda t: 1.0):
+        with pytest.raises(ConfigurationError, match="profile"):
+            solve_forward_terminal(y0, force, short)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +691,7 @@ def _v_setup(nx, ny, Lx, Ly):
     return g, omega, Coupling.build(g, chi, box(0.45, 0.95, 0.45, 0.95), 10.0, 10.0, 1.0)
 
 
-def _rel_max(a: Trajectory, b: Trajectory) -> float:
+def _rel_max(a: Trajectory | VelocityField, b: Trajectory | VelocityField) -> float:
     return np.abs(a.data - b.data).max() / np.abs(b.data).max()
 
 
@@ -717,16 +780,15 @@ def test_v_marches_make_no_diffusion_solve(rng, monkeypatch):
     solve_backward_adjoint(closed_noise(g, rng), None, None, None, coup)
     big = GridSpec(nx=40, ny=24, nt=8, T=1.0)
     solve_forward(project_div_free(closed_noise(big, rng)), None)
-    y0, fu, fv = _mms_problem(big)
-    solve_forward_terminal(y0, fu, fv)
+    y0, force, profile = _mms_problem(big)
+    solve_forward_terminal(y0, force, profile)
     # convective: forward solves on 40 x 24, and the nonlinear coupled solve
     # and the link adjoint on 16 x 16
     convective = SolverOptions(convection_on=True)
     conv = GridSpec(nx=40, ny=24, nt=16, T=0.25)
-    y0, fu, fv = _mms_problem(conv)
-    solve_forward_terminal(y0, fu, fv, convective)
-    solve_forward(y0, ForcingAssembly(conv, extra_source=Trajectory.from_function(conv, fu, fv)),
-                  convective)
+    y0, force, profile = _mms_problem(conv)
+    solve_forward_terminal(y0, force, profile, convective)
+    _trajectory_solve(y0, force, profile, convective)
     small = eddy(g, amp=0.01)
     link = solve_forward(small, None, convective)
     solve_coupled_nonlinear(control_traj(g, rng, 0.05), small, state_traj(g, rng), coup,
