@@ -12,12 +12,17 @@ interpreter, with BLAS threads pinned to 1 as in the benchmark, imports
 
 * the per-call time of ``grid.diffusion_solve``, ``grid.project_div_free``,
   ``grid.v_coordinates`` and ``grid.v_velocities`` on one level, and of a
-  32-step termless ``stokes._march`` (random sources, zero start), and of a
-  32-step convective ``stokes.solve_forward`` through the public API (a
-  projected random start and random forcing, small enough that the advective
-  CFL number stays under 1 at 128), on square unit grids with
-  nx = 16/32/64/128.  Each is the median over 7 batches of the per-call time
-  within a batch, and the recorded value the median over the rounds;
+  32-step convective ``stokes.solve_forward`` (a projected random start and
+  random forcing, small enough that the advective CFL number stays under 1
+  at 128), on square unit grids with nx = 16/32/64/128; and at
+  nx = 16/32/64, of one ``stokes.adjoint_coupling`` on one level and, with
+  nt = 32 and the regions of the shipped ``saddle`` config at ell = gamma =
+  10, of one ``stokes.solve_coupled_linear`` (a random leader control and a
+  projected random start) and one coupled ``stokes.solve_backward_adjoint``
+  (a projected random phi(T)).  Every layer goes through the public API, so
+  the same code measures every root.  Each is the median over 7 batches of
+  the per-call time within a batch, and the recorded value the median over
+  the rounds;
 * the wall time of each shipped config in ``DIR/configs``, run through
   ``harness.parse_config`` and ``harness.run_experiment`` into a temporary
   directory, one pass over the configs per round: the median and every run.
@@ -49,11 +54,14 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 32, 64, 128)
+# the sizes of the coupled layers
+COUPLED_SIZES = (16, 32, 64)
 BATCHES = 7
 MARCH_STEPS = 32
 ROUNDS = 5
-# calls of a layer per batch, and of the 32-step runs a tenth as many (at least one)
+# calls of a layer per batch, and of the solves a tenth as many (at least one)
 CALLS = {16: 100, 32: 50, 64: 10, 128: 3}
+SOLVES = ("convective_forward_32_steps", "coupled_linear_solve", "adjoint_pair")
 
 
 def _per_call_us(fn, calls: int) -> float:
@@ -76,35 +84,44 @@ def measure(root: Path) -> dict:
     from stackstokes import grid, harness, stokes
 
     layers = {name: {} for name in ("diffusion_solve", "project_div_free", "v_coordinates",
-                                    "v_velocities", "march_32_steps",
-                                    "convective_forward_32_steps")}
+                                    "v_velocities", "convective_forward_32_steps",
+                                    "adjoint_coupling", "coupled_linear_solve",
+                                    "adjoint_pair")}
     rng = np.random.default_rng(0)
     for n in SIZES:
         g = grid.GridSpec(nx=n, ny=n, nt=MARCH_STEPS, T=1.0)
         field = grid.VelocityField.from_packed(g, grid.closed_noise(g, rng, 1)[0])
         coeffs = rng.standard_normal((n - 1) ** 2)
         out = np.empty(g.n_faces)
-        # the march receives its states in place; they stay bounded, and are
-        # the sources of the next call
-        stack = grid.closed_noise(g, rng, MARCH_STEPS, 1e-3)
-        zero = grid.VelocityField.zeros(g)
         start = grid.project_div_free(
             grid.VelocityField.from_packed(g, grid.closed_noise(g, rng, 1, 0.01)[0]))
         forcing = stokes.ForcingAssembly(g, extra_source=grid.Trajectory(
             g, grid.closed_noise(g, rng, MARCH_STEPS + 1, 0.01)))
         convective = stokes.SolverOptions(convection_on=True)
+        omega = grid.Region(0.35, 0.75, 0.35, 0.75)
+        chi = grid.SmoothCutoff.for_grid(grid.Region(0.05, 0.25, 0.05, 0.25), g)
+        coupling = stokes.Coupling.build(g, chi, grid.Region(0.45, 0.95, 0.45, 0.95),
+                                         10.0, 10.0, 1.0)
+        h = grid.Trajectory(g, grid.closed_noise(g, rng, MARCH_STEPS + 1, 0.1, first=1))
         calls = CALLS[n]
         timed = {
             "diffusion_solve": lambda: grid.diffusion_solve(field, g.dt),
             "project_div_free": lambda: grid.project_div_free(field),
             "v_coordinates": lambda: grid.v_coordinates(field.data, g),
             "v_velocities": lambda: grid.v_velocities(coeffs, g, out),
-            "march_32_steps": lambda: stokes._march(g, range(1, MARCH_STEPS + 1), zero, stack),
             "convective_forward_32_steps": lambda: stokes.solve_forward(start, forcing,
                                                                         convective),
         }
+        if n in COUPLED_SIZES:
+            timed.update({
+                "adjoint_coupling": lambda: stokes.adjoint_coupling(start, field),
+                "coupled_linear_solve": lambda: stokes.solve_coupled_linear(
+                    h, start, None, coupling, omega=omega),
+                "adjoint_pair": lambda: stokes.solve_backward_adjoint(start, None, None, None,
+                                                                      coupling),
+            })
         for name, fn in timed.items():
-            layers[name][str(n)] = _per_call_us(fn, max(1, calls // 10) if "32_steps" in name
+            layers[name][str(n)] = _per_call_us(fn, max(1, calls // 10) if name in SOLVES
                                                 else calls)
     configs = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -194,9 +211,11 @@ def main(argv=None) -> None:
                    f"interpreter per root and round; "
                    f"per-call time: median over {BATCHES} batches of the per-call mean, "
                    f"then over the rounds; "
-                   f"march: {MARCH_STEPS} termless steps of stokes._march per call; "
                    f"convective forward: stokes.solve_forward with convection_on, "
                    f"{MARCH_STEPS} steps per call; "
+                   f"coupled layers at nx = {'/'.join(map(str, COUPLED_SIZES))}: one "
+                   f"adjoint_coupling on one level, and one solve_coupled_linear and one "
+                   f"coupled solve_backward_adjoint, nt = {MARCH_STEPS}, per call; "
                    f"configs: wall seconds, median of {ROUNDS} passes, one per round; "
                    f"rounds_faster_than_<first label>: per layer, size and config, the "
                    f"rounds (of {ROUNDS}) in which a later root took less time than the "

@@ -1,0 +1,137 @@
+"""The largest relative move of every metric of the shipped configs between two checkouts.
+
+Usage (from the repository root):
+
+    python3 scripts/metric_moves.py --root A --root B [--out FILE]
+
+For each root, a fresh interpreter, with BLAS threads pinned to 1 as in the
+benchmark, imports ``stackstokes`` from ``ROOT/src`` and runs every config in
+``ROOT/configs`` through ``harness.parse_config`` and
+``harness.run_experiment`` into a temporary directory.  The metrics of each
+config are flattened to leaves (``weighted_norm_log10.z_l2``,
+``history[2].cg_iters``) and compared leaf by leaf, B against A:
+
+* ``moves``: the relative change |b - a| / |a| of every numeric leaf (0 where
+  both are equal, NaN and infinities included; inf where a is 0 and b is not);
+* ``max``: the leaf with the largest relative change, and that change;
+* ``integer_moves``: every integer or boolean leaf whose value differs, such
+  as an iteration count;
+* ``only_in_a``, ``only_in_b``: leaves that one root reports and the other
+  does not, and ``configs_only_in_a``/``_b`` likewise for whole configs.
+
+The table goes to ``--out`` as JSON (default: standard output), and a summary
+line per config to standard error.  A root that is not a git checkout of this
+repository can be made with ``git archive <commit> | tar -x -C DIR``.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+
+def measure(root: Path) -> dict:
+    """{config name: metrics} of every shipped config of the checkout at ``root``."""
+    sys.path.insert(0, str(root / "src"))
+    from stackstokes import harness
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in sorted((root / "configs").glob("*.json")):
+            cfg = harness.parse_config(path)
+            out[path.stem] = harness.run_experiment(cfg, Path(tmp) / path.stem).metrics
+    return out
+
+
+def flatten(obj, prefix: str = "") -> dict:
+    """The leaves of nested dicts and lists, keyed by their dotted path."""
+    if isinstance(obj, dict):
+        items = ((f"{prefix}.{k}" if prefix else str(k), v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{prefix}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return {prefix: obj}
+    leaves = {}
+    for key, value in items:
+        leaves.update(flatten(value, key))
+    return leaves
+
+
+def relative(a, b) -> float:
+    """|b - a| / |a|, 0 for equal values (NaN and infinities included)."""
+    if a == b or (isinstance(a, float) and isinstance(b, float)
+                  and math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(b - a) / abs(a) if a != 0 else math.inf
+
+
+def compare(a: dict, b: dict) -> dict:
+    """The per-leaf moves of the metrics ``b`` against ``a``."""
+    fa, fb = flatten(a), flatten(b)
+    moves, integer_moves = {}, []
+    for key in sorted(fa.keys() & fb.keys()):
+        x, y = fa[key], fb[key]
+        if isinstance(x, bool) or isinstance(y, bool) or (isinstance(x, int)
+                                                           and isinstance(y, int)):
+            if x != y:
+                integer_moves.append({"metric": key, "a": x, "b": y})
+        elif isinstance(x, (int, float)) and isinstance(y, (int, float)):
+            moves[key] = relative(float(x), float(y))
+        elif x != y:
+            integer_moves.append({"metric": key, "a": x, "b": y})
+    worst = max(moves.items(), key=lambda kv: kv[1], default=(None, 0.0))
+    return {"max": {"metric": worst[0], "relative": worst[1]},
+            "integer_moves": integer_moves,
+            "only_in_a": sorted(fa.keys() - fb.keys()),
+            "only_in_b": sorted(fb.keys() - fa.keys()),
+            "moves": moves}
+
+
+def _run(root: Path) -> dict:
+    child = subprocess.run([sys.executable, __file__, "--measure", str(root)],
+                           capture_output=True, text=True)
+    if child.returncode != 0:
+        sys.exit(f"{root}: the configs failed to run\n{child.stderr}")
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def main(argv=None) -> None:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--root", type=Path, action="append")
+    p.add_argument("--out", type=Path)
+    p.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.measure is not None:
+        print(json.dumps(measure(args.measure.resolve()), default=repr))
+        return
+    if not args.root or len(args.root) != 2:
+        p.error("give exactly two --root")
+    a, b = (_run(r.resolve()) for r in args.root)
+    table = {"script": "scripts/metric_moves.py", "a": str(args.root[0]),
+             "b": str(args.root[1]),
+             "configs_only_in_a": sorted(a.keys() - b.keys()),
+             "configs_only_in_b": sorted(b.keys() - a.keys()),
+             "configs": {name: compare(a[name], b[name]) for name in sorted(a.keys() & b.keys())}}
+    for name, row in table["configs"].items():
+        flags = f", integer moves: {row['integer_moves']}" if row["integer_moves"] else ""
+        print(f"{name}: max {row['max']['relative']:.3g} ({row['max']['metric']}){flags}",
+              file=sys.stderr)
+    text = json.dumps(table, indent=2, sort_keys=True) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        args.out.write_text(text)
+
+
+if __name__ == "__main__":
+    main()

@@ -290,6 +290,14 @@ def _typed(value, where: str, kind=float):
     return kind(value) if kind in (int, float) else value
 
 
+def _in_range(value, where: str):
+    """``value``, after a check against the range of the field ``where`` in ``_RANGES``."""
+    if where in _RANGES and not _RANGES[where][0](value):
+        raise ConfigurationError(f"config field '{where}' must be {_RANGES[where][1]}, "
+                                 f"got {value!r}")
+    return value
+
+
 def _known(d: dict, path: str, keys) -> dict:
     """``d``, after a check that it holds no key outside ``keys``; a misspelled
     key would otherwise leave its field at the default without a word."""
@@ -305,7 +313,7 @@ def _field(d: dict, key: str, path: str, kind=float, default=_REQUIRED):
     or null."""
     where = f"{path}.{key}" if path else key
     if d.get(key) is not None:
-        return _typed(d[key], where, kind)
+        return _in_range(_typed(d[key], where, kind), where)
     if default is _REQUIRED:
         raise ConfigurationError(f"missing config field '{where}'")
     return default
@@ -317,6 +325,14 @@ _DATA_KINDS = {"y0_kind": str, "y0_amplitude": float, "y0_v_norm": float,
 _Y0_KINDS = ("zero", "eddy", "random")
 
 
+def _weight_ok(v: float) -> bool:
+    """A cost weight enters squared and inverse squared: both must be finite and nonzero."""
+    return 0 < v < math.inf and 0 < v * v < math.inf and 1 / (v * v) < math.inf
+
+
+_WEIGHT = "positive, with a finite nonzero square and inverse square"
+_RELATIVE = "in (0, 1): a relative tolerance of 1 or more accepts the starting iterate"
+
 # The options entries the pipelines read: JSON type (a one-element list is a
 # list whose entries have that type), default, and the range of a value.
 _OPTIONS = {
@@ -324,8 +340,9 @@ _OPTIONS = {
     "outer_tol": (float, 1e-6, lambda v: 0 < v < math.inf, "positive and finite"),
     "outer_max": (int, 25, lambda v: v >= 1, "at least 1"),
     "domination_epsilon": (float, 1.0, lambda v: 0 < v < math.inf, "positive and finite"),
-    "domination_lams": ([float], [1.0, 2.0, 4.0], lambda v: len(v) >= 1 and min(v) > 0,
-                        "one or more positive numbers"),
+    "domination_lams": ([float], [1.0, 2.0, 4.0],
+                        lambda v: len(v) >= 1 and 0 < min(v) and max(v) < math.inf,
+                        "one or more positive finite numbers"),
     "n_laplacian_samples": (int, 20, lambda v: v >= 1, "at least 1"),
     "laplacian_s": (float, 5.0, lambda v: 0 < v < math.inf, "positive and finite"),
     "n_observability_samples": (int, 25, lambda v: v >= 1, "at least 1"),
@@ -335,7 +352,8 @@ _OPTIONS = {
                              0.2811706625951745, 0.49999999999999994, 0.8891397050194613,
                              1.5811388300841895, 2.811706625951745, 4.999999999999999,
                              8.891397050194612, 15.811388300841895, 28.11706625951745, 50.0],
-                   lambda v: len(v) >= 2 and min(v) > 0, "two or more positive numbers"),
+                   lambda v: len(v) >= 2 and all(map(_weight_ok, v)),
+                   f"two or more numbers, each {_WEIGHT}"),
     "max_iter": (int, 400, lambda v: v >= 1, "at least 1"),
     # the convergence study solves every size and compares neighbours; its
     # nt = base_nt (nx / sizes[0])^2 keeps dt ~ h^2 only for multiples of the first
@@ -347,6 +365,20 @@ _OPTIONS = {
     "base_nt": (int, 32, lambda v: v >= 8, "at least 8"),
 }
 
+# The ranges of fields, checked with their paths: the options entries, and the
+# fields outside ``options`` that no dataclass checks by their path.
+_RANGES = {
+    "seed": (lambda v: v >= 0, "non-negative"),
+    "cutoff_taper_cells": (lambda v: v > 0, "positive"),  # also refuses NaN
+    "robust.ell": (_weight_ok, _WEIGHT),
+    "robust.gamma": (_weight_ok, _WEIGHT),
+    "carleman.lam": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "penalty.cg_tol": (lambda v: 0 < v < 1, _RELATIVE),
+    "solver.picard_tol": (lambda v: 0 < v < 1, _RELATIVE),
+    "data.y0_kind": (lambda v: v in _Y0_KINDS, f"one of {_Y0_KINDS}"),
+    **{f"options.{k}": o[2:] for k, o in _OPTIONS.items()},
+}
+
 
 def _option_defaults(*names) -> dict:
     """The named options at their defaults, as a config's ``options`` object."""
@@ -355,8 +387,8 @@ def _option_defaults(*names) -> dict:
 
 def _section(raw: dict, key: str, kinds: dict, required=()) -> dict:
     """A copy of the object ``raw[key]`` with the entries named in ``kinds`` checked
-    by :func:`_typed`; a null entry counts as absent, so its default applies,
-    and an absent entry named in ``required`` raises ConfigurationError."""
+    by :func:`_typed` and :func:`_in_range`; a null entry counts as absent, so its
+    default applies, and an absent entry named in ``required`` raises ConfigurationError."""
     d = dict(_known(_field(raw, key, "", dict, {}), key, kinds))
     for name in required:
         _field(d, name, key, kinds[name])
@@ -365,23 +397,17 @@ def _section(raw: dict, key: str, kinds: dict, required=()) -> dict:
             d.pop(name, None)
         elif isinstance(kind, list):
             vals = _typed(d[name], f"{key}.{name}", list)
-            d[name] = [_typed(v, f"{key}.{name}[{i}]", kind[0]) for i, v in enumerate(vals)]
+            d[name] = _in_range([_typed(v, f"{key}.{name}[{i}]", kind[0])
+                                 for i, v in enumerate(vals)], f"{key}.{name}")
         else:
-            d[name] = _typed(d[name], f"{key}.{name}", kind)
+            d[name] = _in_range(_typed(d[name], f"{key}.{name}", kind), f"{key}.{name}")
     return d
 
 
 def _options(raw: dict) -> dict:
-    """The checked options, each absent one at its default; a value out of its
-    range raises ConfigurationError naming it."""
+    """The checked options, each absent one at its default."""
     options = _section(raw, "options", {k: o[0] for k, o in _OPTIONS.items()})
-    for name, (_, default, ok, need) in _OPTIONS.items():
-        if name not in options:
-            options[name] = copy.copy(default)
-        elif not ok(options[name]):
-            raise ConfigurationError(
-                f"config field 'options.{name}' must be {need}, got {options[name]!r}")
-    return options
+    return {k: options[k] if k in options else copy.copy(o[1]) for k, o in _OPTIONS.items()}
 
 
 # The top-level entries of a config.
@@ -415,14 +441,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigurationError("config field 'solver.convection_on' must be false for the "
                                  "convergence experiment: its manufactured forcing is Stokes-only")
     taper = _field(raw, "cutoff_taper_cells", "", default=4.0)
-    if not taper > 0:  # also refuses NaN
-        raise ConfigurationError(
-            f"config field 'cutoff_taper_cells' must be positive, got {taper!r}")
     options = _options(raw)
     data = _section(raw, "data", _DATA_KINDS)
-    if data.get("y0_kind", "eddy") not in _Y0_KINDS:
-        raise ConfigurationError(f"config field 'data.y0_kind' must be one of {_Y0_KINDS}, "
-                                 f"got {data['y0_kind']!r}")
     return ExperimentConfig(
         experiment=experiment,
         seed=_field(raw, "seed", "", int),

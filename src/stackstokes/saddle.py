@@ -32,17 +32,15 @@ from .grid import (
     closed_noise,
     inner_space_time,
     traj_norm,
-    trapezoid_weights,
 )
 from .stokes import (
     Coupling,
     ForcingAssembly,
     SolverOptions,
-    control_gradient,
-    solve_backward_adjoint,
     solve_coupled_linear,
     solve_coupled_nonlinear,
     solve_forward,
+    state_adjoint,
 )
 
 __all__ = [
@@ -160,28 +158,23 @@ def robust_cost(prob: SaddleProblem, h, psi, v) -> float:
 
 
 def tracking_adjoint(prob: SaddleProblem, y: Trajectory) -> Trajectory:
-    """Backward dual state driven by mu*(y - yd) on the observation set.
+    """Gradient representer of the tracking term mu/2 |y - yd|^2_{Od x (0,T)} in the controls.
 
-    Exact transpose of the forward chain (with the convection linearization
-    around y when convection is on), so gradients built from it match central
-    differences of :func:`robust_cost` to quadrature round-off.
+    ``state_adjoint`` of mu*(y - yd) on the observation set: the transpose of
+    the forward chain (with the convection linearization around y when
+    convection is on), so gradients built from it match central differences
+    of :func:`robust_cost` to quadrature round-off.
     """
-    w = trapezoid_weights(prob.grid.nt)
     err = y if prob.yd is None else y - prob.yd
-    g1 = err.mul_mask(prob._obs_mask)
-    g1.data *= (prob.params.mu * w)[:, None]
     link = y if prob.opts.convection_on else None
-    # no coupling: phi is one backward march driven by g1
-    return solve_backward_adjoint(VelocityField.zeros(prob.grid), g1, None, link, None,
-                                  prob.opts).phi
+    return state_adjoint(err.mul_mask(prob._obs_mask) * prob.params.mu, link)
 
 
 def _grad_directions(prob: SaddleProblem, h, psi, v):
     """Unweighted first-order directions (-gamma^2 psi + z, ell^2 v + z)."""
     p = prob.params
     y = prob.state(h, psi, v)
-    phi = tracking_adjoint(prob, y)
-    z = control_gradient(phi)  # trapezoid-corrected dual state, level 0 zeroed
+    z = tracking_adjoint(prob, y)
     d_psi = z if psi is None else z - p.gamma**2 * psi
     d_v = z if v is None else z + p.ell**2 * v
     return d_psi, d_v
@@ -227,14 +220,8 @@ def saddle_from_coupled(prob: SaddleProblem, h: Trajectory | None) -> SaddleResu
     state, and certifies them with first-order residuals measured through the
     independent adjoint-gradient path.
     """
-    if prob.opts.convection_on:
-        sol = solve_coupled_nonlinear(
-            h, prob.y0, prob.yd, prob.coupling, prob.opts, omega=prob.omega
-        )
-    else:
-        sol = solve_coupled_linear(
-            h, prob.y0, prob.yd, prob.coupling, prob.opts, omega=prob.omega
-        )
+    solve = solve_coupled_nonlinear if prob.opts.convection_on else solve_coupled_linear
+    sol = solve(h, prob.y0, prob.yd, prob.coupling, prob.opts, omega=prob.omega)
     psi, v = _controls_from_dual(prob, sol.z)
     g_psi, g_v = robust_cost_grad(prob, h, psi, v)
     res_psi = traj_norm(g_psi)
@@ -264,8 +251,7 @@ def _estimate_tracking_lipschitz(prob: SaddleProblem,
             return 0.0
         d = d * (1.0 / nd)
         y = base.state(None, None, d)
-        phi = tracking_adjoint(base, y)
-        d_new = control_gradient(phi, prob._chi_mask)
+        d_new = tracking_adjoint(base, y).mul_mask(prob._chi_mask)
         lam = inner_space_time(d, d_new)
         d = d_new
     return max(lam, 0.0)

@@ -5,51 +5,35 @@ projection applied symmetrically:
 
     y^{n+1} = P S P (y^n - dt*C(y^n) + dt*F^{n+1}),    S = (I - dt*Lap)^{-1}
 
-with P and S self-adjoint in the face inner product, so the one-step operator
-P S P is its own transpose.  Every backward/adjoint integrator below is the
-exact algebraic transpose of the corresponding forward chain; the discrete
-duality identities therefore hold to solver tolerance rather than to
-discretization order, and both primal and dual trajectories are divergence
-free at every level.  Because the space-time quadrature is trapezoidal, the
-exact transposes carry the trapezoid weights w_m (1/2 at the endpoints):
-backward tracking sources are weighted by w_m and trajectories that represent
-control gradients are the raw dual states divided by w_m.
+Every march runs in the coordinates c = Q^T y of an orthonormal basis Q of
+the divergence-free space (see :mod:`stackstokes.grid`), which absorb the
+projection: P S P (y + dt F) = Q H (c + Q^T dt F) with H = Q^T S Q, so a
+solver hands :func:`_march` every level's unprojected source at once.  The
+steps start from Q^T of the start, so a start with the small divergence (up
+to 1e-10) that is not projected away is stored as given and stepped from its
+projection.  A term
+that depends on the previous iterate (convection, or its transpose) is
+evaluated on the faces, at Q c mapped back one level at a time, and enters the
+step as  -dt Q^T term.  :func:`solve_forward` marches an assembled forcing
+stack as one block, and :func:`solve_forward_terminal` a separable forcing
+profile(t) * F one level at a time, mapping F once; both check the blow-up
+bound of every level.
 
-All three integrators (the forward solve and the sweeps of the coupled and
-adjoint solvers) step through one march, :func:`_march`, on packed stacks
-of consecutive levels, using the identity
-
-    P S P (y + dt F) = P S (y + dt P F)    whenever  P y = y,
-
-which holds because P is linear and idempotent.  A solver forms every
-level's source at once (masks, trapezoid weights, data) and hands the
-march the unprojected stack.  The march runs in the coordinates c = Q^T y
-of an orthonormal basis Q of the divergence-free space (see
-:mod:`stackstokes.grid`), which absorb the projection: each step is
-c <- H (c + Q^T dt F)  with H = Q^T S Q.  The recursion starts from
-Q^T y0 (Q^T phi_T, or 0), the coordinates of P(y0), so that the first step,
-too, equals P S P applied to the unprojected sum even when y0 carries the
-small divergence (up to 1e-10) that is not projected away.  The stored
-level 0 stays y0 itself.  A term that depends on the previous
-iterate is evaluated on the faces, at Q c mapped back one level at a time,
-and enters the step as  -dt Q^T term.  Convection and its transpose are
-such march terms in every solver, the coupled one included: the forward
-marches add the convection of the previous level, and the backward marches
-add the transposed linearization around the y of the same sweep (the
-coupled solve) or around the adjoint's ``link``.
-
-The forward solve has two entry points on one loop, :func:`_forward`,
-which marches levels 1..nt in blocks given in V coordinates, carrying the
-coordinates from block to block, and checks the blow-up bound of each block
-once it is marched.  :func:`solve_forward` takes an assembled forcing and
-returns the whole trajectory: it maps the dt-scaled forcing stack with one
-Q^T and marches the horizon as one block, and the stack receives the states.
-:func:`solve_forward_terminal` takes a separable forcing profile(t) * F and
-returns only y(T): it maps F once, b = Q^T F, and marches one level at a
-time from the coordinates (dt profile(t_m)) b, mapping only the last level
-back to the faces.  On the forcing profile(t_m) F of every level, the two
-agree to rounding (the terminal solve scales after Q^T, not before) and
-raise a BlowupError at the same step.
+Every linear space-time map of the solvers is a tuple of factors, each a
+pair (apply, transpose) acting in place on packed (nt + 1, n_faces) stacks:
+a march forward or backward (:func:`_marched`: Q^T, the steps in V
+coordinates, then Q; Q^T is the transpose of Q and the step H is symmetric,
+so the backward march is the transpose of the forward one), a diagonal weight
+(a face mask, per-level trapezoid weights, dt, or their product), and the
+convection linearized around a trajectory as a march term, whose transpose
+is :func:`adjoint_coupling` around it.  The transpose of a composed map is
+the reversed composition of the transposes (:func:`_T`), so transposes are
+derived, not written: the coupled solve is a Picard loop over the two sweeps
+of a cycle of factors, the adjoint pair runs the same loop over that cycle
+transposed (:func:`_transposed`), and the control gradients are the
+transposes of the state maps in the trapezoid space-time product.  The
+discrete duality identities therefore hold to solver tolerance, not to
+discretization order.
 """
 
 from __future__ import annotations
@@ -97,6 +81,7 @@ __all__ = [
     "AdjointPair",
     "CoupledSolution",
     "control_gradient",
+    "state_adjoint",
 ]
 
 
@@ -290,25 +275,16 @@ def _closed_div_free(v: VelocityField) -> VelocityField:
 # ---------------------------------------------------------------------------
 
 def _packed_data(g: GridSpec, *terms) -> np.ndarray | None:
-    """dt * sum of ``traj.data * factors...`` over ``(traj, *factors)`` terms.
-
-    The data part of a march's sources, which stays the same from sweep to
-    sweep.  Factors broadcast against a packed stack and None factors are
-    skipped; so are terms without a trajectory, and None is returned if no
-    term is left.
-    """
+    """dt * sum of ``traj.data * factors...`` over the ``(traj, *factors)`` terms with a
+    trajectory (None factors skipped): the data part of a march's sources; None if no term."""
     out = None
     for traj, *factors in terms:
-        if traj is None:
-            continue
-        p = traj.data.copy()
-        for f in factors:
-            if f is not None:
-                p *= f
-        if out is None:
-            out = p
-        else:
-            out += p
+        if traj is not None:
+            p = _apply((_weight(*factors),), traj.data.copy())
+            if out is None:
+                out = p
+            else:
+                out += p
     if out is not None:
         out *= g.dt
     return out
@@ -338,19 +314,12 @@ def _v_march(grid: GridSpec, levels: range, c: np.ndarray, coeffs: np.ndarray,
 
 def _march(grid: GridSpec, levels: range, cur: VelocityField, stack: np.ndarray,
            term=None) -> VelocityField:
-    """The sequential steps  y <- P S P (y + G[m])  of one march, in place.
+    """The steps  y <- P S P (y + G[m] - dt term(m, y))  through ``levels``, in place.
 
-    ``levels`` is a range of consecutive levels, forward or backward.
-    ``stack`` has one row per marched level, from the lowest up: row k holds
-    the dt-scaled, unprojected source G[m] of level m = min(levels) + k and
-    receives the state of level m.  ``cur`` is the iterate before the first
-    step; Q^T reads only its interior faces and keeps only its divergence-free
-    part.  ``term(m, y)`` adds  -dt P term  to the step
-    into level m, for a term that depends on the previous iterate y.
-    Returns the last iterate.
-
-    The march runs in V coordinates (:func:`_v_march`), with Q^T taken and
-    Q applied once for all the levels.
+    ``levels`` run forward or backward; row k of ``stack`` holds the
+    dt-scaled, unprojected source of level min(levels) + k and receives its
+    state.  ``cur`` is the iterate before the first step; the steps run in V
+    coordinates (:func:`_v_march`).  Returns the last iterate.
     """
     lo = min(levels)
     coeffs = v_coordinates(stack, grid)
@@ -359,44 +328,13 @@ def _march(grid: GridSpec, levels: range, cur: VelocityField, stack: np.ndarray,
     return VelocityField.from_packed(grid, stack[levels[-1] - lo].copy())
 
 
-def _forward(y0: VelocityField, opts: SolverOptions, blocks):
-    """The forward march from y0, block by block, with its blow-up check.
-
-    ``blocks`` yields a pair ``(coeffs, faces)`` for each block of consecutive
-    levels, from level 1 up to nt: the V coordinates of the block's dt-scaled
-    sources, one row per level, which receive the states' coordinates, and a
-    packed face stack of as many rows, which receives the levels mapped back
-    (a level the blow-up bound cannot clear, and the last block).  The V
-    coordinates are carried from block to block, and convection, if on, is
-    the march's term.  A level above ``blowup_norm`` * max(|y0|, 1), or not
-    finite, raises BlowupError naming the first such step once its block is
-    marched.  Returns level 0 as stored (y0 with zero normal faces,
-    projected if it is not divergence free) and y(T).
-    """
-    g = y0.grid
-    start = _closed_div_free(y0)
-    limit = opts.blowup_norm * max(start.max_abs(), 1.0)
-    cur = v_coordinates(start.data, g)
-    term = _convect if opts.convection_on else None
-    first = 1
-    for coeffs, faces in blocks:
-        levels = range(first, first + len(coeffs))
-        cur = _v_march(g, levels, cur, coeffs, term)
-        # max |y| <= |y|_2 = |c|_2 (Q is orthonormal), never tight for a
-        # divergence-free y: map back only a level the bound cannot clear
-        peaks = np.sqrt(np.einsum("ij,ij->i", coeffs, coeffs))
-        for k in np.flatnonzero(~(peaks < limit)):
-            v_velocities(coeffs[k], g, faces[k])
-            peaks[k] = np.abs(faces[k]).max()
-        if levels[-1] == g.nt:
-            v_velocities(coeffs, g, faces)
-        bad = np.flatnonzero(~(peaks <= limit))  # also catches NaN
-        if bad.size:
-            k = int(bad[0])
-            raise BlowupError(f"forward solve blew up at step {first + k}: |y| = {peaks[k]:.3e}",
-                              residual=float(peaks[k]), iterations=first + k)
-        first += len(coeffs)
-    return start, VelocityField.from_packed(g, faces[-1].copy())
+def _blowup(peaks: np.ndarray, limit: float, first: int) -> None:
+    """BlowupError at the first level from ``first`` on whose peak |y| is not <= ``limit``."""
+    bad = np.flatnonzero(~(peaks <= limit))  # also catches NaN
+    if bad.size:
+        k = int(bad[0])
+        raise BlowupError(f"forward solve blew up at step {first + k}: |y| = {peaks[k]:.3e}",
+                          residual=float(peaks[k]), iterations=first + k)
 
 
 def solve_forward(
@@ -406,9 +344,10 @@ def solve_forward(
 ) -> Trajectory:
     """March the (Navier-)Stokes system forward from y0 with assembled forcing.
 
-    The dt-scaled forcing stack receives the states.  A level above
+    The dt-scaled forcing stack receives the states; level 0 stores y0 with
+    zero normal faces, projected if it is not divergence free.  A level above
     ``blowup_norm`` * max(|y0|, 1), or not finite, raises BlowupError naming
-    the first such step.
+    the first such step once the horizon is marched.
     """
     g = y0.grid
     if forcing is not None and forcing.grid != g:
@@ -416,23 +355,23 @@ def solve_forward(
     data = forcing.sources() if forcing is not None else None
     if data is None:
         data = np.zeros((g.nt + 1, g.n_faces))
-    out = Trajectory(g, data)
-    out[0], _ = _forward(y0, opts, [(v_coordinates(data[1:], g), data[1:])])
-    return out
+    start = _closed_div_free(y0)
+    data[0] = start.data
+    _apply((_marched(g, 1, _convect if opts.convection_on else None),), data)
+    _blowup(np.abs(data[1:]).max(axis=1), opts.blowup_norm * max(start.max_abs(), 1.0), 1)
+    return Trajectory(g, data)
 
 
 def solve_forward_terminal(y0: VelocityField, force: VelocityField, profile,
                            opts: SolverOptions = SolverOptions()) -> VelocityField:
     """y(T) of the forward march from y0 driven by the forcing profile(t) * force.
 
-    ``profile`` is evaluated once, on ``grid.times()``.  The solve maps the
-    forcing to V coordinates once, b = Q^T force, and marches one level at a
-    time from the coordinates (dt profile(t_m)) b, mapping back to the faces
-    only the last level and a level the blow-up bound cannot clear, into one
-    reused row; so it never holds the forcing or the states of the whole
-    horizon.  It agrees to rounding with the last level of
-    :func:`solve_forward` on the forcing ``profile(t_m) * force`` of every
-    level, and raises a BlowupError at the same step.
+    ``profile`` is evaluated once, on ``grid.times()``.  The forcing is mapped
+    to V coordinates once, b = Q^T force, and each level marched from
+    (dt profile(t_m)) b; only the last level and a level the blow-up bound
+    cannot clear are mapped back, into one reused row.  It agrees to rounding
+    with the last level of :func:`solve_forward` on the forcing
+    ``profile(t_m) * force`` of every level, and blows up at the same step.
     """
     g = y0.grid
     if force.grid != g:
@@ -441,9 +380,138 @@ def solve_forward_terminal(y0: VelocityField, force: VelocityField, profile,
     if scale.shape != (g.nt + 1,):
         raise ConfigurationError(f"forcing profile has shape {scale.shape} on the "
                                  f"{g.nt + 1} time levels")
+    start = _closed_div_free(y0)
+    limit = opts.blowup_norm * max(start.max_abs(), 1.0)
+    c = v_coordinates(start.data, g)
     b = v_coordinates(force.data[None], g)
     row = np.empty((1, g.n_faces))
-    return _forward(y0, opts, ((scale[m] * b, row) for m in range(1, g.nt + 1)))[1]
+    term = _convect if opts.convection_on else None
+    for m in range(1, g.nt + 1):
+        coeffs = scale[m] * b
+        c = _v_march(g, range(m, m + 1), c, coeffs, term)
+        # max |y| <= |y|_2 = |c|_2 (Q is orthonormal), never tight for a
+        # divergence-free y: map back only a level the bound cannot clear
+        peak = math.sqrt(coeffs[0] @ coeffs[0])
+        if not peak < limit or m == g.nt:
+            v_velocities(coeffs, g, row)
+            if not peak < limit:
+                _blowup(np.abs(row).max(axis=1), limit, m)
+    return VelocityField.from_packed(g, row[0].copy())
+
+
+# ---------------------------------------------------------------------------
+# space-time factors and their exact transposes
+# ---------------------------------------------------------------------------
+
+def _T(factors: tuple) -> tuple:
+    """The transpose of a composed map: its factors' transposes in reverse order."""
+    return tuple((t, a) for a, t in reversed(factors))
+
+
+def _apply(factors: tuple, x: np.ndarray) -> np.ndarray:
+    """A composed map applied to the packed stack ``x`` in place, first factor first."""
+    for apply, _ in factors:
+        x = apply(x)
+    return x
+
+
+def _weight(*ds) -> tuple:
+    """The diagonal factor x <- x d for each d not None in turn, its own transpose."""
+    ds = [d for d in ds if d is not None]
+
+    def scale(x):
+        for d in ds:
+            x *= d
+        return x
+    return scale, scale
+
+
+def _slots(g: GridSpec) -> np.ndarray:
+    """The column 0 at level 0, whose source slot holds the start of a march, and 1 above."""
+    return (np.arange(g.nt + 1) > 0)[:, None] * 1.0
+
+
+def _product(g: GridSpec, power: int = 1) -> tuple:
+    """The trapezoid space-time product of controls, dt w_m, in units of dt, to ``power``."""
+    return _weight(trapezoid_weights(g.nt)[:, None] ** power)
+
+
+def _entry(g: GridSpec, mask: VelocityField | None = None) -> tuple:
+    """The entry of a control into the sources of a march, in units of dt."""
+    return (_weight(_slots(g), None if mask is None else mask.data),)
+
+
+def _linked(link: Trajectory | None):
+    """The march terms of the convection linearized around ``link``, forward and backward.
+
+    A forward step into level m reads C'(link[m-1]) of the level below; its
+    transpose, the backward step into level m, reads adjoint_coupling(link[m])
+    of the level above, except into level nt, which no forward step leaves.
+    """
+    if link is None:
+        return None, None
+    zero = VelocityField.zeros(link.grid)
+    return (lambda m, y: linearized_convection(link[m - 1], y),
+            lambda m, y: adjoint_coupling(link[m], y) if m < link.grid.nt else zero)
+
+
+def _marched(g: GridSpec, lo: int, fwd_term=None, bwd_term=None, end=None) -> tuple:
+    """The march through levels lo..nt (lo is 0 or 1), forward and backward, as a factor.
+
+    Forward, dt-scaled sources x become  y[m] = P S P (y[m-1] + x[m] -
+    dt fwd_term(m, y[m-1])), from zero (lo = 0) or from y[0] = x[0], which
+    stays as given (lo = 1).  Backward, a becomes  U[m] = P S P (U[m+1] + a[m]
+    - dt bwd_term(m, U[m+1])), from U[nt+1] = ``end`` or zero, and with lo = 1
+    level 0 becomes the transposed start a[0] + U[1] - dt bwd_term(0, U[1]).
+    With the terms of :func:`_linked` and no ``end`` the two are exact
+    transposes on stacks with a divergence-free start (the forward term reads
+    it through Q Q^T); ``end``, phi(T) of an adjoint pair, adds the transpose
+    of reading y(T), and a march with convection itself as its term is never
+    transposed.
+    """
+    zero = VelocityField.zeros(g)
+
+    def forward(x):
+        start = VelocityField.from_packed(g, x[0]) if lo else zero
+        _march(g, range(lo, g.nt + 1), start, x[lo:], fwd_term)
+        return x
+
+    def backward(x):
+        last = _march(g, range(g.nt, lo - 1, -1), zero if end is None else end, x[lo:],
+                      bwd_term)
+        if lo:
+            x[0] += last.data
+            if bwd_term is not None:
+                x[0] -= g.dt * bwd_term(0, last).data
+        return x
+    return forward, backward
+
+
+def control_gradient(adj_phi: Trajectory, mask: VelocityField | None = None) -> Trajectory:
+    """Gradient representer of a control from the adjoint state.
+
+    The transpose of the control's entry into the sources (``mask`` above
+    level 0, times dt), then the inverse of the trapezoid product dt w_m, so
+    the result pairs exactly with perturbations under the trapezoidal
+    space-time inner product.  The two dt cancel; level 0 is zero.
+    """
+    g = adj_phi.grid
+    rep = _T(_entry(g, mask)) + (_product(g, -1),)
+    return Trajectory(g, _apply(rep, adj_phi.data.copy()))
+
+
+def state_adjoint(e: Trajectory, link: Trajectory | None = None) -> Trajectory:
+    """X* e, for the map X = M dt E of a control to the state of the march from zero.
+
+    E is the control's entry into the sources and M the march from level 1,
+    linearized around ``link`` if one is given.  In the trapezoid product
+    dt W at both ends, <X psi, e> = <psi, X* e> with
+    X* = (dt W)^-1 E^T dt M^T dt W = W^-1 E^T M^T dt W.
+    """
+    g = e.grid
+    march = _T((_marched(g, 1, *_linked(link)),))
+    rep = (_product(g), _weight(g.dt)) + march + _T(_entry(g)) + (_product(g, -1),)
+    return Trajectory(g, _apply(rep, e.data.copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -485,22 +553,63 @@ class CoupledSolution:
     residual: float
 
 
-def _picard(first, second, it: Trajectory, new: Trajectory, opts: SolverOptions,
-            what: str, hint: str, limit: float = math.inf):
-    """Relaxed Picard loop  it <- it + relax (new - it)  with  new = second(first(it)).
+def _coupled_cycle(coupling: Coupling, up: tuple, down: tuple, keep: tuple = ()):
+    """The sweeps z -> y -> z of the coupled fixed point, each a (pre, march, post) of factors.
 
-    ``relax`` halves (down to 1/16) whenever the relative change stops
-    falling.  A non-finite iterate raises BlowupError; an iterate larger than
-    ``limit``, or ``picard_max`` sweeps, end the loop with ConvergenceError.
-    On convergence ``first`` runs once more, so that ``new`` holds its half
-    sweep of the converged ``it``.  Returns the sweep count and the last
-    relative change.
+    y = up(dt k z + sources), the start in the level-0 source, and
+    z = W^-1 down^T(dt mu chi_Od W y + sources), the raw backward state w_m z_m
+    above level 0: ``up`` marches from level 1, ``down`` through level 0.
+    ``keep`` are factors applied to y first.
     """
+    g = coupling.grid
+    w = trapezoid_weights(g.nt)[:, None]
+    raw = 1.0 / w
+    raw[0] = 1.0
+    return (((_weight(_slots(g), g.dt * coupling.k_mask.data),), up, ()),
+            (keep + (_weight(g.dt * coupling.mu * coupling.obs_mask.data, w),),
+             _T((down,))[0], (_weight(raw),)))
+
+
+def _transposed(cycle):
+    """The sweeps theta -> phi -> theta of the transposed fixed point of ``cycle``.
+
+    The cycle applies a1, m1, b1, a2, m2, b2 in turn, so its transpose applies
+    b2', m2', a2', b1', m1', a1'.  Cut after m2', whose output theta is the
+    iterate: phi = m1'(a2' b1' theta + sources), theta = m2'(b2' a1' phi + sources).
+    """
+    (a1, m1, b1), (a2, m2, b2) = cycle
+    return (_T(b1 + a2), _T((m1,))[0], ()), (_T(b2 + a1), _T((m2,))[0], ())
+
+
+def _sweep(sweep, src, x: np.ndarray, out: np.ndarray) -> None:
+    """out <- post(march(pre(x) + src)) for a sweep (pre, march, post); ``out`` may be ``x``."""
+    pre, march, post = sweep
+    if out is not x:
+        np.copyto(out, x)
+    _apply(pre, out)
+    if src is not None:
+        out += src
+    _apply((march,) + post, out)
+
+
+def _picard(g: GridSpec, cycle, sources, limit: float, opts: SolverOptions,
+            what: str, hint: str):
+    """Relaxed Picard loop  it <- it + relax (new - it)  over a cycle, from it = 0.
+
+    ``new`` is the second sweep of the first sweep of ``it``, ``sources[k]``
+    added before the march of sweep k.  ``relax`` halves (down to 1/16)
+    whenever the relative change stops falling.  A non-finite iterate raises
+    BlowupError; an iterate larger than ``limit``, or ``picard_max`` sweeps,
+    end the loop with ConvergenceError.  Returns new (the first sweep of the
+    converged it), it, the sweep count and the last relative change.
+    """
+    it = Trajectory.zeros(g)
+    new = Trajectory(g, np.empty_like(it.data))
     relax = opts.relax
     prev_res = math.inf
     for k in range(1, opts.picard_max + 1):
-        first()
-        second()
+        _sweep(cycle[0], sources[0], it.data, new.data)
+        _sweep(cycle[1], sources[1], new.data, new.data)
         np.subtract(new.data, it.data, out=new.data)
         if relax < 1.0:
             new.data *= relax
@@ -511,8 +620,8 @@ def _picard(first, second, it: Trajectory, new: Trajectory, opts: SolverOptions,
             raise BlowupError(f"{what} produced a non-finite iterate at sweep {k}",
                               residual=residual, iterations=k)
         if residual <= opts.picard_tol:
-            first()
-            return k, residual
+            _sweep(cycle[0], sources[0], it.data, new.data)
+            return new, it, k, residual
         if residual >= prev_res and relax > 0.0625:
             relax *= 0.5
         if size > limit:
@@ -553,48 +662,26 @@ def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1
     """The Picard sweeps of both coupled solves; ``convective`` adds convection to
     the forward march and its transpose around the sweep's y to the backward one."""
     g = coupling.grid
+    fwd = ForcingAssembly(g, leader=h, extra_source=f1, omega=omega).sources()
+    if fwd is None:
+        fwd = np.zeros((g.nt + 1, g.n_faces))
+    fwd[0] = _closed_div_free(y0).data
     w = trapezoid_weights(g.nt)[:, None]
-    obs = coupling.obs_mask.data
-    z_weight = g.dt * coupling.k_mask.data
-    y_weight = g.dt * coupling.mu * obs
-    fwd_data = ForcingAssembly(g, leader=h, extra_source=f1, omega=omega).sources()
-    bwd_data = _packed_data(g, (yd, -coupling.mu * obs, w), (f2,))
-
-    y0p = _closed_div_free(y0)
-    z = Trajectory.zeros(g)
-    # the sweep's sources, then its output, in place
-    work = Trajectory(g, np.empty_like(z.data))
-    zd, wd = z.data, work.data
-    # the convective backward march reads the y of its sweep from its own stack
-    y = Trajectory.zeros(g) if convective else None
-    transposed = (lambda m, raw: adjoint_coupling(y[m], raw)) if convective else None
-
-    def forward_sweep():
-        # work <- y of the current z; level 0 stays y0p
-        np.multiply(zd[1:], z_weight, out=wd[1:])
-        if fwd_data is not None:
-            wd[1:] += fwd_data[1:]
-        work[0] = y0p
-        _march(g, range(1, g.nt + 1), y0p, wd[1:], _convect if convective else None)
-
-    def backward_sweep():
-        # work (= y) <- the z it drives; the raw backward state is w_m * z_m
-        if convective:
-            np.copyto(y.data, wd)
-        np.multiply(wd, y_weight, out=wd)
-        np.multiply(wd, w, out=wd)
-        if bwd_data is not None:
-            wd[:] += bwd_data
-        _march(g, range(g.nt, -1, -1), VelocityField.zeros(g), wd, transposed)
-        wd[1:] *= 1.0 / w[1:]
-
-    sweeps, residual = _picard(
-        forward_sweep, backward_sweep, z, work, opts,
+    bwd = _packed_data(g, (yd, -coupling.mu * coupling.obs_mask.data, w), (f2,))
+    if convective:
+        # the backward march reads the y of its sweep, kept before it is weighted
+        y = Trajectory.zeros(g)
+        keep = (lambda x: np.copyto(y.data, x) or x,) * 2
+        cycle = _coupled_cycle(coupling, _marched(g, 1, _convect),
+                               _marched(g, 0, *_linked(y)), (keep,))
+    else:
+        cycle = _coupled_cycle(coupling, _marched(g, 1), _marched(g, 0))
+    y, z, sweeps, residual = _picard(
+        g, cycle, (fwd, bwd), opts.blowup_norm, opts,
         "nonlinear coupled solve" if convective else "coupled linear solve",
         "reduce the data size or the horizon (small-data regime required)" if convective
-        else "the forward-backward sweep contracts only for large enough gamma and ell",
-        opts.blowup_norm)
-    return CoupledSolution(work, z, sweeps, residual)
+        else "the forward-backward sweep contracts only for large enough gamma and ell")
+    return CoupledSolution(y, z, sweeps, residual)
 
 
 def frozen_sources(y: Trajectory, z: Trajectory):
@@ -663,83 +750,24 @@ def solve_backward_adjoint(
 ) -> AdjointPair:
     """Coupled adjoint pair: phi backward from phi(T), theta forward from 0.
 
-    phi is driven by g1 + mu*theta*chi_Od and theta by g2 + (gamma^-2 -
-    ell^-2 chi_O) phi; the pair is iterated in alternating Picard sweeps
-    until self-consistent.  The recursions are the exact transpose of
-    :func:`solve_coupled_linear`, including the trapezoid weights, so
-    pairing a control with ``control_gradient`` of the result reproduces the
-    forward terminal functional exactly.  ``link`` adds the transposed
-    convection linearization around a frozen trajectory (nonlinear case).
-    Level 0 of ``phi`` stores the sensitivity with respect to the initial
-    state, i.e. the exact dual pairing partner of y(0).  The pair is linear
-    in phi(T), so its Picard loop has no blow-up bound.  Without a
-    ``coupling`` there is no feedback: theta and g2 drop out and phi is one
-    backward march driven by g1, with no Picard sweep.
+    The fixed point of the transposed cycle of the linear coupled solve,
+    whose forward march is linearized around ``link`` if one is given: phi is
+    driven by g1 + mu*theta*chi_Od and theta by g2 + (gamma^-2 - ell^-2 chi_O)
+    phi, so pairing a control with ``control_gradient`` of the result
+    reproduces the forward terminal functional exactly.  The level-0 slots of
+    g1 and g2 are not read: theta(0) = 0, and phi(0) is the sensitivity to
+    y(0), phi(1) minus dt times the transposed linearization around link(0).
+    The pair is linear in phi(T), so its Picard loop has no blow-up bound.
+    Without a ``coupling`` theta and g2 drop out and phi is one backward march.
     """
     g = phiT.grid
-    phi_data = _packed_data(g, (g1,))
-    transposed = None if link is None else (lambda m, y: adjoint_coupling(link[m], y))
-
-    def phi_march(phi: Trajectory):
-        # phi from the dt-scaled, unprojected sources of levels 1..nt, in place
-        if link is None:
-            _march(g, range(g.nt, 0, -1), phiT, phi.data[1:])
-            phi[0] = phi[1]
-            return
-        # the transposed convection acts from the second step on
-        cur = _march(g, range(g.nt, g.nt - 1, -1), phiT, phi.data[g.nt:])
-        _march(g, range(g.nt - 1, 0, -1), cur, phi.data[1:g.nt], transposed)
-        phi[0] = phi[1] - g.dt * adjoint_coupling(link[0], phi[1])
-
-    theta = Trajectory.zeros(g)
+    phi_src = _packed_data(g, (g1, _slots(g)))
+    up = _marched(g, 1, *_linked(link), end=phiT)
     if coupling is None:
-        phi = Trajectory(g, np.zeros_like(theta.data) if phi_data is None else phi_data)
-        phi_march(phi)
-        return AdjointPair(phi, theta, 0, 0.0)
-
-    w = trapezoid_weights(g.nt)[:, None]
-    theta_weight = g.dt * coupling.mu * coupling.obs_mask.data
-    phi_weight = g.dt * coupling.k_mask.data
-    theta_data = _packed_data(g, (g2,))
-    # the sweep's sources, then its output, in place
-    work = Trajectory(g, np.empty_like(theta.data))
-    td, wd = theta.data, work.data
-
-    def phi_sweep():
-        # work <- phi of the current theta
-        np.multiply(td, theta_weight, out=wd)
-        np.multiply(wd, w, out=wd)
-        if phi_data is not None:
-            wd[:] += phi_data
-        phi_march(work)
-
-    def theta_sweep():
-        # work (= phi) <- the theta it drives
-        np.multiply(wd[1:], phi_weight, out=wd[1:])
-        wd[1:] *= 1.0 / w[1:]
-        if theta_data is not None:
-            wd[1:] += theta_data[1:]
-        # theta(0) = 0; a non-finite phi(0) is handed on as NaN, so that the
-        # Picard loop's finiteness check sees it
-        wd[0] = 0.0 if np.isfinite(wd[0]).all() else math.nan
-        _march(g, range(1, g.nt + 1), VelocityField.zeros(g), wd[1:])
-
-    sweeps, residual = _picard(phi_sweep, theta_sweep, theta, work, opts, "adjoint pair",
-                               "gamma or ell too small or mu too large")
-    return AdjointPair(work, theta, sweeps, residual)
-
-
-def control_gradient(adj_phi: Trajectory, mask: VelocityField | None = None) -> Trajectory:
-    """Gradient representer of a control from the adjoint state.
-
-    Divides interior levels by the trapezoid weights (only the endpoints
-    differ from 1) and zeroes level 0, whose control slot never acts on the
-    state; the result pairs exactly with perturbations under the trapezoidal
-    space-time inner product.
-    """
-    g = adj_phi.grid
-    data = adj_phi.data * (1.0 / trapezoid_weights(g.nt))[:, None]
-    data[0] = 0.0
-    if mask is not None:
-        data *= mask.data
-    return Trajectory(g, data)
+        phi = np.zeros((g.nt + 1, g.n_faces)) if phi_src is None else phi_src
+        return AdjointPair(Trajectory(g, _apply(_T((up,)), phi)), Trajectory.zeros(g), 0, 0.0)
+    phi, theta, sweeps, residual = _picard(
+        g, _transposed(_coupled_cycle(coupling, up, _marched(g, 0))),
+        (phi_src, _packed_data(g, (g2, _slots(g)))), math.inf, opts, "adjoint pair",
+        "gamma or ell too small or mu too large")
+    return AdjointPair(phi, theta, sweeps, residual)

@@ -448,6 +448,22 @@ def test_option_copies_keep_relax(monkeypatch):
     ("options", "outer_tol", math.inf, "options.outer_tol"),
     ("options", "domination_epsilon", math.inf, "options.domination_epsilon"),
     ("options", "laplacian_s", math.inf, "options.laplacian_s"),
+    # a negative seed fails numpy's seeding
+    (None, "seed", -1, "seed"),
+    # a weight whose square or inverse square overflows or underflows to 0
+    ("robust", "gamma", 1e-300, "robust.gamma"),
+    ("robust", "ell", 1e300, "robust.ell"),
+    ("robust", "ell", math.inf, "robust.ell"),
+    ("options", "gamma_grid", [0.5, 1e300], "options.gamma_grid"),
+    ("options", "gamma_grid", [1e-300, 0.5], "options.gamma_grid"),
+    # a relative tolerance of 1 or more accepts the starting iterate
+    ("penalty", "cg_tol", math.inf, "penalty.cg_tol"),
+    ("penalty", "cg_tol", 1.0, "penalty.cg_tol"),
+    ("solver", "picard_tol", 1e300, "solver.picard_tol"),
+    ("solver", "picard_tol", 1.0, "solver.picard_tol"),
+    # an infinite weight parameter makes the weights and their norms inf or NaN
+    ("carleman", "lam", math.inf, "carleman.lam"),
+    ("options", "domination_lams", [1.0, math.inf], "options.domination_lams"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
     from stackstokes.cli import main

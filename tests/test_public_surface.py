@@ -59,7 +59,6 @@ def test_traced_functions_resolve():
 TEST_REFERENCES = {
     "gradient": "the adjoint partner of divergence, which criterion 01 checks",
     "inner_cells": "the cell pairing of criterion 01's adjointness check",
-    "linearized_convection": "the derivative that adjoint_coupling must transpose",
 }
 
 
