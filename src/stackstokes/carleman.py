@@ -428,14 +428,14 @@ def observability_ratio(
 # ---------------------------------------------------------------------------
 
 def _log_quadrature(values_log: np.ndarray, weights: np.ndarray, dt: float) -> float:
-    """log of sum_m weights[m]*dt*exp(values_log[m]) (entries may be -inf)."""
+    """log of sum_m weights[m]*dt*exp(values_log[m]) (entries may be -inf or +inf)."""
     mask = weights > 0
     if not mask.any():
         return -math.inf
     vals = values_log[mask] + np.log(weights[mask] * dt)
     vmax = vals.max()
-    if vmax == -math.inf:
-        return -math.inf
+    if math.isinf(vmax):  # vals - vmax would be inf - inf
+        return float(vmax)
     return float(vmax + math.log(np.exp(vals - vmax).sum()))
 
 

@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fieldio
-from .errors import ConfigurationError, GeometryError
+from .errors import ConfigurationError, GeometryError, NumericalError
 from .grid import (
     GridSpec,
     Region,
@@ -152,8 +153,7 @@ class ExperimentConfig:
     def initial_state(self) -> VelocityField:
         g = self.grid
         d = self.data
-        kind = d.get("y0_kind", "eddy")
-        amp = float(d.get("y0_amplitude", 0.0))
+        kind, amp = d["y0_kind"], d["y0_amplitude"]
         if kind == "zero" or amp == 0.0:
             y0 = VelocityField.zeros(g)
         elif kind == "eddy":
@@ -161,26 +161,25 @@ class ExperimentConfig:
             yn = np.arange(g.ny + 1) * g.hy
             psi = amp * np.sin(np.pi * xn[:, None] / g.Lx) * np.sin(np.pi * yn[None, :] / g.Ly)
             y0 = stream_function_velocity(g, psi)
-        else:  # "random", the last of _Y0_KINDS
+        else:  # "random", the last kind data.y0_kind takes
             noise = closed_noise(g, rng_stream(self.seed, "y0"), 1, amp)
             y0 = project_div_free(VelocityField.from_packed(g, noise[0]))
-        target = d.get("y0_v_norm")
-        if target is not None:
+        if "y0_v_norm" in d:
             cur = h1_norm(y0)
             if cur == 0.0:
                 raise ConfigurationError("cannot rescale a zero initial state")
-            y0 = y0 * (float(target) / cur)
+            y0 = y0 * (d["y0_v_norm"] / cur)
         return y0
 
     def target_trajectory(self) -> Trajectory | None:
-        amp = float(self.data.get("yd_amplitude", 0.0))
+        amp = self.data["yd_amplitude"]
         if amp == 0.0:
             return None
         g = self.grid
         return Trajectory(g, closed_noise(g, rng_stream(self.seed, "yd"), g.nt + 1, amp))
 
     def leader_trajectory(self) -> Trajectory | None:
-        amp = float(self.data.get("h_amplitude", 0.0))
+        amp = self.data["h_amplitude"]
         if amp == 0.0:
             return None
         g = self.grid
@@ -272,15 +271,24 @@ def default_config_dict(experiment: str = "saddle") -> dict:
     return cfg
 
 
-_REQUIRED = object()
+_REQUIRED, _OWN = object(), object()
 _KINDS = {float: "a number", int: "an integer", bool: "true or false",
           str: "a string", list: "a list", dict: "an object"}
 
 
 def _typed(value, where: str, kind=float):
-    """``value`` checked against a JSON type; int fields also take integral floats."""
+    """``value`` checked against a JSON kind and cast: int fields also take integral
+    floats, the kind ``[k]`` is a list of k, and no number may be infinite or NaN,
+    as JSON has neither (a non-finite list entry names the list's field)."""
+    if isinstance(kind, list):
+        vals = _typed(value, where, list)
+        return [_typed(v, f"{where}[{i}]", kind[0]) for i, v in enumerate(vals)]
     if kind in (int, float):
         ok = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+        if ok and not (abs(value) <= sys.float_info.max if isinstance(value, numbers.Integral)
+                       else math.isfinite(value)):
+            raise ConfigurationError(f"config field '{where.partition('[')[0]}' must be a finite "
+                                     f"double (JSON has no Infinity or NaN), got {value!r}")
         if ok and kind is int and not isinstance(value, numbers.Integral):
             ok = float(value).is_integer()
     else:
@@ -290,176 +298,139 @@ def _typed(value, where: str, kind=float):
     return kind(value) if kind in (int, float) else value
 
 
-def _in_range(value, where: str):
-    """``value``, after a check against the range of the field ``where`` in ``_RANGES``."""
-    if where in _RANGES and not _RANGES[where][0](value):
-        raise ConfigurationError(f"config field '{where}' must be {_RANGES[where][1]}, "
-                                 f"got {value!r}")
-    return value
+# The ranges that several fields share.  A cost weight enters squared and
+# inverse squared, so both must be finite and nonzero.
+_WEIGHT = (lambda v: 0 < v and 0 < v * v < math.inf and 1 / (v * v) < math.inf,
+           "positive, with a finite nonzero square and inverse square")
+_RELATIVE = (lambda v: v < 1, "below 1: a relative tolerance of 1 or more accepts the "
+             "starting iterate")
+# The upper bounds of sizes and counts: each is at least 8 times the largest
+# value that a shipped config, a test or the benchmark uses, and keeps 1e300
+# from failing numpy's allocation or looping almost forever.
+_CELLS = "at most 2048: a velocity field of a 2048 x 2048 grid takes 67 MB"
+_STEPS = "at most 65536: a trajectory holds nt + 1 velocity fields"
+_CAP = "at most 100000: a cap is a budget, and no shipped config needs more than 800"
 
-
-def _known(d: dict, path: str, keys) -> dict:
-    """``d``, after a check that it holds no key outside ``keys``; a misspelled
-    key would otherwise leave its field at the default without a word."""
-    unknown = sorted(set(d) - set(keys))
-    if unknown:
-        where = ", ".join(f"'{path}.{k}'" if path else f"'{k}'" for k in unknown)
-        raise ConfigurationError(f"unknown config field {where}")
-    return d
-
-
-def _field(d: dict, key: str, path: str, kind=float, default=_REQUIRED):
-    """``d[key]`` checked by :func:`_typed`, or ``default`` when the key is absent
-    or null."""
-    where = f"{path}.{key}" if path else key
-    if d.get(key) is not None:
-        return _in_range(_typed(d[key], where, kind), where)
-    if default is _REQUIRED:
-        raise ConfigurationError(f"missing config field '{where}'")
-    return default
-
-
-# The data entries the pipelines read, with their JSON types, and the kinds of initial state.
-_DATA_KINDS = {"y0_kind": str, "y0_amplitude": float, "y0_v_norm": float,
-               "yd_amplitude": float, "h_amplitude": float}
-_Y0_KINDS = ("zero", "eddy", "random")
-
-
-def _weight_ok(v: float) -> bool:
-    """A cost weight enters squared and inverse squared: both must be finite and nonzero."""
-    return 0 < v < math.inf and 0 < v * v < math.inf and 1 / (v * v) < math.inf
-
-
-_WEIGHT = "positive, with a finite nonzero square and inverse square"
-_RELATIVE = "in (0, 1): a relative tolerance of 1 or more accepts the starting iterate"
-
-# The options entries the pipelines read: JSON type (a one-element list is a
-# list whose entries have that type), default, and the range of a value.
-_OPTIONS = {
-    "n_probes": (int, 100, lambda v: v >= 2, "at least 2"),  # a fixed probe, then random ones
-    "outer_tol": (float, 1e-6, lambda v: 0 < v < math.inf, "positive and finite"),
-    "outer_max": (int, 25, lambda v: v >= 1, "at least 1"),
-    "domination_epsilon": (float, 1.0, lambda v: 0 < v < math.inf, "positive and finite"),
-    "domination_lams": ([float], [1.0, 2.0, 4.0],
-                        lambda v: len(v) >= 1 and 0 < min(v) and max(v) < math.inf,
-                        "one or more positive finite numbers"),
-    "n_laplacian_samples": (int, 20, lambda v: v >= 1, "at least 1"),
-    "laplacian_s": (float, 5.0, lambda v: 0 < v < math.inf, "positive and finite"),
-    "n_observability_samples": (int, 25, lambda v: v >= 1, "at least 1"),
+# Every config field, keyed by its path ("s.k" is the entry k of the section s):
+# its JSON kind, its default, and the range of a value with its text.  The
+# kind [k] is a list of k.  The default is a value, _REQUIRED, or _OWN, which
+# leaves the field out: its section's dataclass then applies its own default,
+# and an absent data.y0_v_norm rescales nothing.  A field has no range where
+# its dataclass checks the value.
+_FIELDS = {
+    "experiment": (str, _REQUIRED),  # ExperimentConfig checks the name
+    "seed": (int, _REQUIRED, lambda v: 0 <= v <= 2**53, "between 0 and 2**53: a larger "
+             "integer does not survive a JSON reader that holds numbers as doubles"),
+    # SmoothCutoff.for_grid checks it only when a run builds the cutoff
+    "cutoff_taper_cells": (float, 4.0, lambda v: v > 0, "positive"),
+    "grid.nx": (int, _REQUIRED, lambda v: v <= 2048, _CELLS),
+    "grid.ny": (int, _REQUIRED, lambda v: v <= 2048, _CELLS),
+    "grid.Lx": (float, _OWN),
+    "grid.Ly": (float, _OWN),
+    "grid.nt": (int, _REQUIRED, lambda v: v <= 65536, _STEPS),
+    "grid.T": (float, _REQUIRED),
+    **{f"regions.{k}": ([float], _REQUIRED, lambda v: len(v) == 4, "[x0, x1, y0, y1]")
+       for k in ("omega", "O", "Od", "omega0")},
+    "robust.ell": (float, _REQUIRED, *_WEIGHT),
+    "robust.gamma": (float, _REQUIRED, *_WEIGHT),
+    "robust.mu": (float, _OWN),
+    "carleman.lam": (float, 2.0),
+    "carleman.s": (float, 3.0),
+    "carleman.a0": (float, _OWN),
+    "carleman.m0": (float, _OWN),
+    "penalty.epsilon": (float, _OWN),
+    "penalty.cg_tol": (float, _OWN, *_RELATIVE),
+    "penalty.cg_max": (int, _OWN, lambda v: v <= 10**5, _CAP),
+    "penalty.epsilon_schedule": ([float], _OWN),
+    "solver.convection_on": (bool, _OWN),
+    "solver.picard_tol": (float, _OWN, *_RELATIVE),
+    "solver.picard_max": (int, _OWN, lambda v: v <= 10**5, _CAP),
+    "solver.relax": (float, _OWN),
+    "solver.small_data_delta": (float, _OWN),
+    "data.y0_kind": (str, "eddy", lambda v: v in ("zero", "eddy", "random"),
+                     "one of 'zero', 'eddy', 'random'"),
+    "data.y0_amplitude": (float, 0.0),
+    "data.y0_v_norm": (float, _OWN),
+    "data.yd_amplitude": (float, 0.0),
+    "data.h_amplitude": (float, 0.0),
+    # the options entries the pipelines read
+    "options.n_probes": (int, 100, lambda v: 2 <= v <= 10**4, "between 2 and 10000: a fixed "
+                         "probe, then random ones, each a forward solve"),
+    "options.outer_tol": (float, 1e-6, lambda v: v > 0, "positive"),
+    "options.outer_max": (int, 25, lambda v: 1 <= v <= 10**5, f"at least 1 and {_CAP}"),
+    "options.domination_epsilon": (float, 1.0, lambda v: v > 0, "positive"),
+    "options.domination_lams": ([float], [1.0, 2.0, 4.0], lambda v: len(v) >= 1 and 0 < min(v),
+                                "one or more positive numbers"),
+    "options.n_laplacian_samples": (int, 20, lambda v: 1 <= v <= 10**4, "between 1 and "
+                                    "10000: each sample is a stored velocity field"),
+    "options.laplacian_s": (float, 5.0, lambda v: v > 0, "positive"),
+    "options.n_observability_samples": (int, 25, lambda v: 1 <= v <= 10**4, "between 1 and "
+                                        "10000: each sample costs three adjoint pairs"),
     # np.geomspace(0.05, 50.0, 13) written out: calling it pages numpy's power
     # and log10 kernels in, about 0.5 MiB of resident memory in every run
-    "gamma_grid": ([float], [0.05, 0.08891397050194613, 0.15811388300841894,
-                             0.2811706625951745, 0.49999999999999994, 0.8891397050194613,
-                             1.5811388300841895, 2.811706625951745, 4.999999999999999,
-                             8.891397050194612, 15.811388300841895, 28.11706625951745, 50.0],
-                   lambda v: len(v) >= 2 and all(map(_weight_ok, v)),
-                   f"two or more numbers, each {_WEIGHT}"),
-    "max_iter": (int, 400, lambda v: v >= 1, "at least 1"),
+    "options.gamma_grid": ([float], [0.05, 0.08891397050194613, 0.15811388300841894,
+                                     0.2811706625951745, 0.49999999999999994,
+                                     0.8891397050194613, 1.5811388300841895, 2.811706625951745,
+                                     4.999999999999999, 8.891397050194612, 15.811388300841895,
+                                     28.11706625951745, 50.0],
+                           lambda v: len(v) >= 2 and all(map(_WEIGHT[0], v)),
+                           f"two or more numbers, each {_WEIGHT[1]}"),
+    "options.max_iter": (int, 400, lambda v: 1 <= v <= 10**5, f"at least 1 and {_CAP}"),
     # the convergence study solves every size and compares neighbours; its
     # nt = base_nt (nx / sizes[0])^2 keeps dt ~ h^2 only for multiples of the first
-    "sizes": ([int], [16, 32, 64],
-              lambda v: (len(v) >= 2 and v[0] >= 8 and all(a < b for a, b in zip(v, v[1:]))
-                         and all(n % v[0] == 0 for n in v)),
-              "at least two grid sizes >= 8 in increasing order, each a multiple of the first"),
-    "horizon": (float, 0.25, lambda v: 0 < v < math.inf, "positive and finite"),
-    "base_nt": (int, 32, lambda v: v >= 8, "at least 8"),
+    "options.sizes": ([int], [16, 32, 64],
+                      lambda v: (len(v) >= 2 and 8 <= v[0] and v[-1] <= 2048
+                                 and all(a < b for a, b in zip(v, v[1:]))
+                                 and all(n % v[0] == 0 for n in v)),
+                      "at least two grid sizes in increasing order, each a multiple of the "
+                      f"first, the first at least 8 and the last {_CELLS}"),
+    "options.horizon": (float, 0.25, lambda v: v > 0, "positive"),
+    "options.base_nt": (int, 32, lambda v: 8 <= v <= 65536, f"at least 8 and {_STEPS}"),
 }
 
-# The ranges of fields, checked with their paths: the options entries, and the
-# fields outside ``options`` that no dataclass checks by their path.
-_RANGES = {
-    "seed": (lambda v: v >= 0, "non-negative"),
-    "cutoff_taper_cells": (lambda v: v > 0, "positive"),  # also refuses NaN
-    "robust.ell": (_weight_ok, _WEIGHT),
-    "robust.gamma": (_weight_ok, _WEIGHT),
-    "carleman.lam": (lambda v: 0 < v < math.inf, "positive and finite"),
-    "penalty.cg_tol": (lambda v: 0 < v < 1, _RELATIVE),
-    "solver.picard_tol": (lambda v: 0 < v < 1, _RELATIVE),
-    "data.y0_kind": (lambda v: v in _Y0_KINDS, f"one of {_Y0_KINDS}"),
-    **{f"options.{k}": o[2:] for k, o in _OPTIONS.items()},
-}
+_SECTIONS = dict.fromkeys(path.rpartition(".")[0] for path in _FIELDS)  # "" the top level
+
+# What each section builds; the fields of the top level are ExperimentConfig's
+# own, and each box of regions is a Region.
+_BUILDS = {"grid": GridSpec, "robust": RobustParams, "carleman": CarlemanParams,
+           "penalty": PenaltyConfig, "solver": SolverOptions, "data": dict, "options": dict}
 
 
 def _option_defaults(*names) -> dict:
     """The named options at their defaults, as a config's ``options`` object."""
-    return {k: copy.copy(_OPTIONS[k][1]) for k in names}
-
-
-def _section(raw: dict, key: str, kinds: dict, required=()) -> dict:
-    """A copy of the object ``raw[key]`` with the entries named in ``kinds`` checked
-    by :func:`_typed` and :func:`_in_range`; a null entry counts as absent, so its
-    default applies, and an absent entry named in ``required`` raises ConfigurationError."""
-    d = dict(_known(_field(raw, key, "", dict, {}), key, kinds))
-    for name in required:
-        _field(d, name, key, kinds[name])
-    for name, kind in kinds.items():
-        if d.get(name) is None:
-            d.pop(name, None)
-        elif isinstance(kind, list):
-            vals = _typed(d[name], f"{key}.{name}", list)
-            d[name] = _in_range([_typed(v, f"{key}.{name}[{i}]", kind[0])
-                                 for i, v in enumerate(vals)], f"{key}.{name}")
-        else:
-            d[name] = _in_range(_typed(d[name], f"{key}.{name}", kind), f"{key}.{name}")
-    return d
-
-
-def _options(raw: dict) -> dict:
-    """The checked options, each absent one at its default."""
-    options = _section(raw, "options", {k: o[0] for k, o in _OPTIONS.items()})
-    return {k: options[k] if k in options else copy.copy(o[1]) for k, o in _OPTIONS.items()}
-
-
-# The top-level entries of a config.
-_TOP_LEVEL = ("experiment", "seed", "grid", "regions", "cutoff_taper_cells", "robust",
-             "carleman", "penalty", "solver", "data", "options")
+    return {k: copy.copy(_FIELDS[f"options.{k}"][1]) for k in names}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build the experiment config; a missing field, an unknown one, or one of
-    the wrong JSON type raises ConfigurationError naming its path."""
-    raw = _known(_typed(raw, "(top level)", dict), "", _TOP_LEVEL)
-    experiment = _field(raw, "experiment", "", str)
-    # the dataclasses hold the defaults of the optional section entries
-    grid = GridSpec(**_section(raw, "grid", {"nx": int, "ny": int, "Lx": float, "Ly": float,
-                                             "nt": int, "T": float}, ("nx", "ny", "nt", "T")))
-    rd = _known(_field(raw, "regions", "", dict), "regions", ("omega", "O", "Od", "omega0"))
-
-    def region(key):
-        vals = _field(rd, key, "regions", list)
-        if len(vals) != 4:
-            raise ConfigurationError(f"regions.{key} must be [x0, x1, y0, y1]")
-        return Region(*[_typed(v, f"regions.{key}[{i}]") for i, v in enumerate(vals)])
-
-    rb = _section(raw, "robust", {"ell": float, "gamma": float, "mu": float}, ("ell", "gamma"))
-    cl = _section(raw, "carleman", {"lam": float, "s": float, "a0": float, "m0": float})
-    pen = _section(raw, "penalty", {"epsilon": float, "cg_tol": float, "cg_max": int,
-                                    "epsilon_schedule": [float]})
-    sv = _section(raw, "solver", {"convection_on": bool, "picard_tol": float,
-                                  "picard_max": int, "relax": float, "small_data_delta": float})
-    if experiment == "convergence" and sv.get("convection_on"):
+    """Build the experiment config from the fields of ``_FIELDS``; a missing field,
+    an unknown one (a misspelling would leave its field at the default), or one of
+    the wrong JSON type or outside its range raises ConfigurationError naming its
+    path.  A null entry counts as absent, so its default applies."""
+    raw = _typed(raw, "(top level)", dict)
+    given = {s: {} if raw.get(s) is None else _typed(raw[s], s, dict) for s in _SECTIONS if s}
+    given[""] = raw
+    unknown = {f"{s}.{k}" if s else k for s in given for k in given[s]} - {*_FIELDS, *_SECTIONS}
+    if unknown:
+        raise ConfigurationError("unknown config field " + ", ".join(map(repr, sorted(unknown))))
+    fields = {s: {} for s in _SECTIONS}  # the checked fields of each section
+    for path, (kind, default, *rng) in _FIELDS.items():
+        section, _, key = path.rpartition(".")
+        value = given[section].get(key)
+        if value is not None:
+            fields[section][key] = _typed(value, path, kind)
+            if rng and not rng[0](fields[section][key]):
+                raise ConfigurationError(f"config field '{path}' must be {rng[1]}, got {value!r}")
+        elif default is _REQUIRED:
+            raise ConfigurationError(f"missing config field '{path}'")
+        elif default is not _OWN:
+            fields[section][key] = copy.copy(default)
+    if fields[""]["experiment"] == "convergence" and fields["solver"].get("convection_on"):
         raise ConfigurationError("config field 'solver.convection_on' must be false for the "
                                  "convergence experiment: its manufactured forcing is Stokes-only")
-    taper = _field(raw, "cutoff_taper_cells", "", default=4.0)
-    options = _options(raw)
-    data = _section(raw, "data", _DATA_KINDS)
-    return ExperimentConfig(
-        experiment=experiment,
-        seed=_field(raw, "seed", "", int),
-        grid=grid,
-        omega=region("omega"),
-        follower_set=region("O"),
-        obs_set=region("Od"),
-        inner_set=region("omega0"),
-        cutoff_taper_cells=taper,
-        robust=RobustParams(**rb),
-        carleman=CarlemanParams(**{"lam": 2.0, "s": 3.0, **cl}),
-        penalty=PenaltyConfig(**pen),
-        solver=SolverOptions(**sv),
-        data=data,
-        options=options,
-        raw=raw,
-    )
+    built = {s: build(**fields[s]) for s, build in _BUILDS.items()}
+    r = {k: Region(*box) for k, box in fields["regions"].items()}
+    return ExperimentConfig(**fields[""], **built, omega=r["omega"], follower_set=r["O"],
+                            obs_set=r["Od"], inner_set=r["omega0"], raw=raw)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -765,6 +736,9 @@ def _exp_convergence(cfg: ExperimentConfig, out: _Artifacts) -> dict:
         e = norm(solve_forward_terminal(y0, force, lambda t: np.exp(-t), cfg.solver) - ex)
         errs.append(e)
         rows.append((nx, nt, e))
+    if 0.0 in errs:
+        raise NumericalError(f"the error on nx = {sizes[errs.index(0.0)]} underflows to 0, "
+                             "so no convergence ratio exists; shorten options.horizon")
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     out.csv("convergence.csv", ["nx", "nt", "error"], rows)
     return {

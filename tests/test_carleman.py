@@ -13,6 +13,7 @@ from stackstokes.carleman import (
     WeightFamily,
     _eta,
     _log_num,
+    _log_quadrature,
     _observability_weights,
     _signed_exponent,
     alpha_ratio,
@@ -254,6 +255,18 @@ def test_weighted_norm_zero_tuple():
     rep = weighted_norm_components(Trajectory.zeros(g), Trajectory.zeros(g),
                                    Trajectory.zeros(g), p, omega=Region(0.3, 0.7, 0.3, 0.7))
     assert all(v == -math.inf for v in rep.values())
+
+
+def test_weighted_norm_of_an_overflowing_weight_is_infinite_not_nan(rng):
+    # a weight whose exponent overflows makes its quadrature +inf; the log-sum-exp
+    # must not subtract that maximum from itself, which gives inf - inf = NaN
+    assert _log_quadrature(np.array([1.0, math.inf, 2.0]), np.ones(3), 0.1) == math.inf
+    assert _log_quadrature(np.array([-math.inf, math.inf]), np.ones(2), 0.1) == math.inf
+    g = GridSpec(nx=8, ny=8, nt=8, T=2.0)
+    y = control_traj(g, rng)
+    rep = weighted_norm_components(y, y, y, CarlemanParams(lam=2.0, s=1e300),
+                                   omega=Region(0.3, 0.7, 0.3, 0.7))
+    assert not any(math.isnan(v) for v in rep.values()), rep
 
 
 def test_weighted_norm_mask_idempotence(rng):

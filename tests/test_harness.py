@@ -20,6 +20,7 @@ from stackstokes.grid import (
     project_div_free,
 )
 from stackstokes.harness import (
+    EXPERIMENTS,
     config_from_dict,
     default_config_dict,
     parse_config,
@@ -464,6 +465,8 @@ def test_option_copies_keep_relax(monkeypatch):
     # an infinite weight parameter makes the weights and their norms inf or NaN
     ("carleman", "lam", math.inf, "carleman.lam"),
     ("options", "domination_lams", [1.0, math.inf], "options.domination_lams"),
+    # a JSON integer beyond the range of a double: casting it raised OverflowError
+    pytest.param("grid", "T", 10**400, "grid.T", id="grid-T-10**400-grid.T"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
     from stackstokes.cli import main
@@ -474,6 +477,65 @@ def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field
     path.write_text(json.dumps(raw))
     assert main(["validate", str(path)]) == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+def _number_slots(obj, field=""):
+    """(container, key, field) of every number in a config object; the field of
+    a list entry, such as a region corner, is the list's."""
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        path = field if isinstance(obj, list) else f"{field}.{key}" if field else key
+        if isinstance(value, (dict, list)):
+            yield from _number_slots(value, path)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield obj, key, path
+
+
+def test_validate_refuses_non_finite_numbers_and_huge_integers(tmp_path, capsys):
+    # JSON has no Infinity or NaN, so validate refuses them in every numeric
+    # field of every template, naming the field; every integer field is
+    # bounded above, so 1e300 there is refused too.  The saddle template also
+    # carries the fields that no template sets.
+    from stackstokes.cli import main
+    from stackstokes.harness import _FIELDS
+
+    path = tmp_path / "walk.json"
+    walked = set()
+    for experiment in EXPERIMENTS:
+        raw = default_config_dict(experiment)
+        if experiment == "saddle":
+            raw["options"] = {"n_probes": 100, "outer_tol": 1e-6, "outer_max": 25}
+            raw["solver"]["small_data_delta"] = 1e-3
+        for obj, key, field in list(_number_slots(raw)):
+            good = obj[key]
+            for value in [math.inf, -math.inf, math.nan] + [1e300] * isinstance(good, int):
+                obj[key] = value
+                path.write_text(json.dumps(raw))
+                assert main(["validate", str(path)]) == 2, (experiment, field, value)
+                assert f"'{field}'" in capsys.readouterr().err, (experiment, field, value)
+            obj[key] = good
+            walked.add(field)
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 0, capsys.readouterr().err
+    numeric = {p for p, (kind, *_) in _FIELDS.items() if kind in (int, float, [int], [float])}
+    assert walked == numeric
+
+
+def test_refused_runs_exit_2_or_3(tmp_path, capsys):
+    from stackstokes.cli import main
+
+    path, out = tmp_path / "cfg.json", str(tmp_path / "runs")
+    # an infinite horizon made the carleman weights' first time NaN (an untyped PoleError)
+    raw = default_config_dict("carleman-check")
+    raw["grid"]["T"] = math.inf
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", out]) == 2
+    assert "'grid.T'" in capsys.readouterr().err
+    # every error of the study underflows to 0 on this horizon: no ratio exists
+    raw = default_config_dict("convergence")
+    raw["options"].update(sizes=[8, 16], horizon=1e300)
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", out]) == 3
+    assert "underflows to 0" in capsys.readouterr().err
 
 
 def test_convergence_refuses_convection(tmp_path, capsys):
