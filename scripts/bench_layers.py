@@ -19,8 +19,11 @@ interpreter, with BLAS threads pinned to 1 as in the benchmark, imports
   nt = 32 and the regions of the shipped ``saddle`` config at ell = gamma =
   10, of one ``stokes.solve_coupled_linear`` (a random leader control and a
   projected random start) and one coupled ``stokes.solve_backward_adjoint``
-  (a projected random phi(T)).  Every layer goes through the public API, so
-  the same code measures every root.  Each is the median over 7 batches of
+  (a projected random phi(T)), and, where the root has ``grid.v_mask``, one
+  application of the observation mask's V operator Q^T diag(d) Q to a
+  random (nt + 1)-level stack, copied into place before each call (the copy
+  included; the operator acts in place).  Every layer goes through the
+  public API, so the same code measures every root.  Each is the median over 7 batches of
   the per-call time within a batch, and the recorded value the median over
   the rounds;
 * the wall time of each shipped config in ``DIR/configs``, run through
@@ -86,7 +89,7 @@ def measure(root: Path) -> dict:
     layers = {name: {} for name in ("diffusion_solve", "project_div_free", "v_coordinates",
                                     "v_velocities", "convective_forward_32_steps",
                                     "adjoint_coupling", "coupled_linear_solve",
-                                    "adjoint_pair")}
+                                    "adjoint_pair", "mask_operator")}
     rng = np.random.default_rng(0)
     for n in SIZES:
         g = grid.GridSpec(nx=n, ny=n, nt=MARCH_STEPS, T=1.0)
@@ -113,6 +116,11 @@ def measure(root: Path) -> dict:
                                                                         convective),
         }
         if n in COUPLED_SIZES:
+            if hasattr(grid, "v_mask"):
+                mask_op = grid.v_mask(coupling.obs_mask.data, g)
+                stack = rng.standard_normal((MARCH_STEPS + 1, (n - 1) ** 2))
+                work = np.empty_like(stack)
+                timed["mask_operator"] = lambda: mask_op(np.copyto(work, stack) or work)
             timed.update({
                 "adjoint_coupling": lambda: stokes.adjoint_coupling(start, field),
                 "coupled_linear_solve": lambda: stokes.solve_coupled_linear(
@@ -216,6 +224,8 @@ def main(argv=None) -> None:
                    f"coupled layers at nx = {'/'.join(map(str, COUPLED_SIZES))}: one "
                    f"adjoint_coupling on one level, and one solve_coupled_linear and one "
                    f"coupled solve_backward_adjoint, nt = {MARCH_STEPS}, per call; "
+                   f"mask_operator (roots with grid.v_mask): the observation mask's V "
+                   f"operator on a {MARCH_STEPS + 1}-level stack, its copy included; "
                    f"configs: wall seconds, median of {ROUNDS} passes, one per round; "
                    f"rounds_faster_than_<first label>: per layer, size and config, the "
                    f"rounds (of {ROUNDS}) in which a later root took less time than the "

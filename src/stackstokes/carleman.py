@@ -150,6 +150,12 @@ def log_weight_eval(params: CarlemanParams, family: WeightFamily, T: float, t,
     return out if out.ndim else float(out)
 
 
+def _log_power(power: float, log_base):
+    """power * log_base, the log of base^power; a zero power is the factor 1, also
+    where the base is 0 or infinite (its log infinite), where 0 * inf would be NaN."""
+    return 0.0 if power == 0 else power * log_base
+
+
 def alpha_ratio(lam: float) -> float:
     """Spatial min/max ratio of the singular weight: alpha_hat / alpha_star.
 
@@ -242,7 +248,8 @@ def check_weight_domination(
     xi_hat_log = log_weight_eval(params, WeightFamily.XI, T, t_grid, M)
     expo = _signed_exponent(params, T, t_grid, [(WeightFamily.ALPHA, 0.0, 1.0),
                                                 (WeightFamily.ALPHA, M, -(1.0 + epsilon))])
-    logs = expo - M1 * math.log(params.s) - M2 * math.log(params.lam) - M1 * xi_hat_log
+    logs = (expo - M1 * math.log(params.s) - M2 * math.log(params.lam)
+            - _log_power(M1, xi_hat_log))
     max_log = float(np.max(logs))
     return DominationReport(max_log, _exp709(max_log), t_grid, logs)
 
@@ -295,7 +302,7 @@ def check_laplacian_weight_bound(
         xi_hat_log = log_weight_eval(params, WeightFamily.XI, T, t_grid, M)
 
         def log_time_integral(terms, power):
-            vals = _signed_exponent(params, T, t_grid, terms) + power * xi_hat_log
+            vals = _signed_exponent(params, T, t_grid, terms) + _log_power(power, xi_hat_log)
             return _log_quadrature(vals, np.ones(n_time), dt)
 
         lhs_t = log_time_integral(

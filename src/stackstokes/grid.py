@@ -49,9 +49,13 @@ orthonormal basis of V.  Q (:func:`v_velocities`) and Q^T
 :func:`project_div_free` is Q Q^T; there is no pressure Poisson solve.
 Q^T annihilates gradients, so it projects whatever it reads: a step
 y <- P S P (y + G - dt T(y))  is  c <- H (c + Q^T G - dt Q^T T(Q c))  with
-H = Q^T S Q in factored form (:func:`v_step`), four products of (n-1) x n
-matrices where the faces take twenty.  No nv x nv matrix is built or
-diagonalized: the first ``np.linalg.eigh`` of a process
+H = Q^T S Q in factored form (:func:`v_step`, in the coordinates scaled by
+lambda^-1/2), four products of (n-1) x n matrices where the faces take
+twenty.  A face mask d becomes the V operator
+Q^T diag(d) Q (:func:`v_mask`) in the same factored form, restricted to the
+box of faces where d differs from its most common value, so that the
+coupled sweeps apply their masks without leaving V.  No nv x nv matrix is
+built or diagonalized: the first ``np.linalg.eigh`` of a process
 (225 x 225) raises its peak by 2.7 MiB, so the package calls no
 ``np.linalg`` routine.
 """
@@ -91,6 +95,8 @@ __all__ = [
     "v_coordinates",
     "v_velocities",
     "v_step",
+    "v_work",
+    "v_mask",
 ]
 
 
@@ -720,39 +726,123 @@ def project_div_free_with_potential(vel: VelocityField):
     return out, ScalarField(g, phi)
 
 
+def _differences(grid: GridSpec):
+    """E_y, (ny-1) x ny, and F_x, nx x (nx-1): the differences of :func:`_curl`, so that
+    an interior stream function Psi has the interior u faces Psi E_y and v faces F_x Psi."""
+    nx, ny = grid.nx, grid.ny
+    ey = (np.eye(ny - 1, ny) - np.eye(ny - 1, ny, k=1)) / grid.hy
+    fx = (np.eye(nx, nx - 1, k=-1) - np.eye(nx, nx - 1)) / grid.hx
+    return ey, fx
+
+
 def _v_step_tables(grid: GridSpec):
-    """The factors of H at ``grid.dt``: ``(W_y, W_y^T, W_x, W_x^T, m_u, m_v, s)``.
+    """The factors of a step at ``grid.dt``: ``(W_y, W_y^T, W_x, W_x^T, m, s^2)``.
 
     Q c has the interior u faces  S_x (s c) S_y E_y  and v faces
-    F_x S_x (s c) S_y  (E_y, F_x: the differences of :func:`_curl`), which the
-    diffusion solve takes through S_x (x) T_y and T_x (x) S_y (T: DST-II).
-    As S_x S_x = I, H c = s ((((s c) W_y) m_u) W_y^T + W_x^T (m_v (W_x (s c))))
-    with W_y = S_y E_y T_y^T and W_x = T_x F_x S_x; s is an (nx-1) x (ny-1) array.
+    F_x S_x (s c) S_y  (:func:`_differences`), which the diffusion solve
+    takes through S_x (x) T_y and T_x (x) S_y (T: DST-II).  As S_x S_x = I,
+    H c = s ((((s c) W_y) m_u) W_y^T + W_x^T (m_v (W_x (s c)))) with
+    W_y = S_y E_y T_y^T and W_x = T_x F_x S_x; s is an (nx-1) x (ny-1) array,
+    and m holds m_u and then m_v, flat.
     """
     nx, ny = grid.nx, grid.ny
     (sx, _, _, ty_t, m_u), (tx, _, sy, _, m_v) = _diffusion_tables(grid, grid.dt)
-    ey = (np.eye(ny - 1, ny) - np.eye(ny - 1, ny, k=1)) / grid.hy
-    fx = (np.eye(nx, nx - 1, k=-1) - np.eye(nx, nx - 1)) / grid.hx
-    return (*_and_transpose(sy @ ey @ ty_t), *_and_transpose(tx @ fx @ sx), m_u, m_v,
-            grid._v[2].reshape(nx - 1, ny - 1))
+    ey, fx = _differences(grid)
+    s = grid._v[2].reshape(nx - 1, ny - 1)
+    return (*_and_transpose(sy @ ey @ ty_t), *_and_transpose(tx @ fx @ sx),
+            np.concatenate([m_u.ravel(), m_v.ravel()]), s * s)
 
 
-def v_step(c: np.ndarray, grid: GridSpec, out: np.ndarray) -> None:
-    """``out`` <- H c: the step of every march in V coordinates at ``grid.dt``.
+def v_work(grid: GridSpec) -> tuple:
+    """Work arrays of :func:`v_step`, to reuse over the levels of a march: the
+    products with W_y and with W_x as views of one buffer, so that one
+    multiplication applies m_u and m_v, the buffer, and the product with W_x^T."""
+    nx, ny = grid.nx, grid.ny
+    ab = np.empty((nx - 1) * ny + nx * (ny - 1))
+    return (ab[:(nx - 1) * ny].reshape(nx - 1, ny), ab[(nx - 1) * ny:].reshape(nx, ny - 1), ab,
+            np.empty((nx - 1, ny - 1)))
 
-    ``c`` and ``out`` are (nx-1) x (ny-1), ``out`` C-contiguous; they may be one
-    array.  The products of :func:`_v_step_tables` are ``ndarray.dot``, which
-    skips the dispatch of ``@``; as ``np.matmul`` they broadcast over a leading axis.
+
+def v_step(e: np.ndarray, grid: GridSpec, out: np.ndarray, work: tuple) -> None:
+    """``out`` <- s H (e / s): a step of every march at ``grid.dt``, in the scaled
+    V coordinates e = s c (s = lambda^-1/2, :func:`_v_step_tables`).
+
+    In them a step is  e <- s^2 (((e W_y) m_u) W_y^T + W_x^T (m_v (W_x e))),
+    seven ``ndarray.dot`` products and in-place multiplications (``dot``
+    skips the dispatch of ``@`` and of ``np.dot``) through ``work``, from
+    :func:`v_work`, so a step allocates nothing.  ``e`` and ``out`` are
+    (nx-1) x (ny-1), ``out`` C-contiguous; they may be one array.
     """
-    wy, wy_t, wx, wx_t, m_u, m_v, s = grid._v_step
-    x = c * s
-    a = x.dot(wy)
-    a *= m_u
-    b = wx.dot(x)
-    b *= m_v
-    np.dot(a, wy_t, out=out)
-    out += wx_t.dot(b)
-    out *= s
+    wy, wy_t, wx, wx_t, m, s2 = grid._v_step
+    a, b, ab, t = work
+    e.dot(wy, out=a)
+    wx.dot(e, out=b)
+    ab *= m
+    a.dot(wy_t, out=out)
+    wx_t.dot(b, out=t)
+    out += t
+    out *= s2
+
+
+def v_mask(mask: np.ndarray, grid: GridSpec):
+    """Q^T diag(mask) Q: the packed face mask as a map of V-coordinate stacks ``(..., nv)``.
+
+    The value k0 that most interior faces share is split off: Q^T Q = I, so
+    it is k0 times the identity.  The rest, d = mask - k0, reads Q c on the
+    bounding box of its support on the interior u faces (rows I, columns J)
+    and on the interior v faces, in the factored form of :func:`v_step`: with
+    X = s c, the u faces there are  S_x[I] X A_y[:, J]  (A_y = S_y E_y), and
+    Q^T takes their weighted values back by the transposed factors, so that
+    part is  s (S_x[I]^T (d_u[I, J] (S_x[I] X A_y[:, J])) A_y[:, J]^T);  the
+    v faces likewise, with B_x = F_x S_x on the left and S_y on the right.
+    The right factors of the two parts stand side by side, so that the
+    first and the last product are one matrix product each for the whole
+    stack; the left ones act on their part's box columns of all levels laid
+    side by side.  No nv x nv matrix is built.  Returns the map, which acts
+    in place on a C-contiguous stack and returns it.
+    """
+    sx, sy, scale, _ = grid._v
+    n1, n2 = grid.nx - 1, grid.ny - 1
+    s = scale.reshape(n1, n2)
+    ey, fx = _differences(grid)
+    u, v = face_views(np.asarray(mask, dtype=float), grid)
+    interior = (u[1:-1, :], v[:, 1:-1])
+    values, counts = np.unique(np.concatenate([f.ravel() for f in interior]),
+                               return_counts=True)
+    k0 = float(values[counts.argmax()])
+    parts, rights, width = [], [], 0
+    for d, left, right in zip(interior, (sx, fx @ sx), (sy @ ey, sy)):
+        rows, cols = np.nonzero(d != k0)
+        if rows.size:
+            i = slice(rows.min(), rows.max() + 1)
+            j = slice(cols.min(), cols.max() + 1)
+            box = d[i, j] - k0
+            parts.append((*_and_transpose(left[i]), box[:, None, :],
+                          slice(width, width + box.shape[1])))
+            rights.append(right[:, j])
+            width += box.shape[1]
+    if not parts:
+        def identity(c: np.ndarray) -> np.ndarray:
+            c *= k0
+            return c
+        return identity
+    rb, rb_t = _and_transpose(np.hstack(rights))
+
+    def masked(c: np.ndarray) -> np.ndarray:
+        levels = c.size // (n1 * n2)
+        stack = c.reshape(levels, n1, n2)
+        boxed = (stack * s).reshape(levels * n1, n2).dot(rb).reshape(levels, n1, width)
+        for lb, lb_t, d, cols in parts:
+            t = lb.dot(boxed[:, :, cols].transpose(1, 0, 2).reshape(n1, -1))
+            box = t.reshape(len(lb), levels, -1)
+            box *= d
+            boxed[:, :, cols] = lb_t.dot(t).reshape(n1, levels, -1).transpose(1, 0, 2)
+        t = boxed.reshape(levels * n1, width).dot(rb_t).reshape(levels, n1, n2)
+        t *= s
+        stack *= k0
+        stack += t
+        return c
+    return masked
 
 
 # ---------------------------------------------------------------------------

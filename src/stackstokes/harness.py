@@ -645,6 +645,12 @@ def _exp_carleman(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     metrics["observability_stability"] = (
         rep2.max_ratio / rep1.max_ratio if rep1.max_ratio > 0 else 1.0
     )
+    # on a horizon far from the time unit the weights saturate at e^{+-709}
+    saturated = [k for k, v in metrics.items() if isinstance(v, float) and not math.isfinite(v)]
+    saturated += [f"domination_log_ratios[{l}]" for l, r in dom if not math.isfinite(r)]
+    if saturated:
+        raise NumericalError(f"the Carleman weights leave the double range on the horizon "
+                             f"T = {T:g}: {', '.join(saturated)} not finite")
     return metrics
 
 

@@ -8,38 +8,44 @@ projection applied symmetrically:
 Every march runs in the coordinates c = Q^T y of an orthonormal basis Q of
 the divergence-free space (see :mod:`stackstokes.grid`), which absorb the
 projection: P S P (y + dt F) = Q H (c + Q^T dt F) with H = Q^T S Q, so a
-solver hands :func:`_march` every level's unprojected source at once.  The
-steps start from Q^T of the start, so a start with the small divergence (up
-to 1e-10) that is not projected away is stored as given and stepped from its
-projection.  A term
-that depends on the previous iterate (convection, or its transpose) is
-evaluated on the faces, at Q c mapped back one level at a time, and enters the
-step as  -dt Q^T term.  :func:`solve_forward` marches an assembled forcing
-stack as one block, and :func:`solve_forward_terminal` a separable forcing
-profile(t) * F one level at a time, mapping F once; both check the blow-up
-bound of every level.
+march (:func:`_v_march`) steps the V coordinates of every level's source in
+place, in coordinates scaled by the basis' lambda^-1/2 (:func:`_v_steps`).
+A term that depends on the previous iterate (convection, or its
+transpose) is evaluated on the faces, at Q c mapped back one level at a
+time, and enters the step as  -dt Q^T term.  :func:`solve_forward` maps an
+assembled forcing stack to V and back once, and :func:`solve_forward_terminal`
+marches a separable forcing profile(t) * F one level at a time, mapping F
+once; both check the blow-up bound of every level.  A start is stored as
+given: one with the small divergence (up to 1e-10) that is not projected
+away is stepped from its projection.
 
 Every linear space-time map of the solvers is a tuple of factors, each a
-pair (apply, transpose) acting in place on packed (nt + 1, n_faces) stacks:
-a march forward or backward (:func:`_marched`: Q^T, the steps in V
-coordinates, then Q; Q^T is the transpose of Q and the step H is symmetric,
-so the backward march is the transpose of the forward one), a diagonal weight
-(a face mask, per-level trapezoid weights, dt, or their product), and the
-convection linearized around a trajectory as a march term, whose transpose
-is :func:`adjoint_coupling` around it.  The transpose of a composed map is
-the reversed composition of the transposes (:func:`_T`), so transposes are
-derived, not written: the coupled solve is a Picard loop over the two sweeps
-of a cycle of factors, the adjoint pair runs the same loop over that cycle
-transposed (:func:`_transposed`), and the control gradients are the
-transposes of the state maps in the trapezoid space-time product.  The
-discrete duality identities therefore hold to solver tolerance, not to
-discretization order.
+pair (apply, transpose) acting on packed stacks, in place where the shape
+stays: a march forward or backward through V-coordinate stacks
+(:func:`_marched`; H is symmetric, so the backward march is the transpose
+of the forward one), Q and Q^T between V coordinates and faces
+(:func:`_faces`), a diagonal weight (a face mask, per-level trapezoid
+weights, dt, or their product), a face mask as the V operator Q^T diag(d) Q
+(:func:`_masked`), and the convection linearized around a trajectory as a
+march term, whose transpose is :func:`adjoint_coupling` around it.  The
+transpose of a composed map is the reversed composition of the transposes
+(:func:`_T`), so transposes are derived, not written.  The face maps of
+:func:`solve_forward` and :func:`state_adjoint` compose Q^T, the march and
+Q; the control gradients are the transposes of the state maps in the
+trapezoid space-time product.  The coupled solves and adjoint pairs run one
+Picard loop on V-coordinate stacks, over the two sweeps of a cycle of
+factors and over that cycle transposed (:func:`_transposed`): they map
+their sources to V once and their results back once, and assemble on the
+faces only the two levels that lie outside V, the stored start y(0) and
+the transposed start phi(0).  The discrete duality identities therefore
+hold to solver tolerance, not to discretization order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,11 +64,12 @@ from .grid import (
     divergence,
     h1_norm,
     project_div_free,
-    traj_norm,
     trapezoid_weights,
     v_coordinates,
+    v_mask,
     v_step,
     v_velocities,
+    v_work,
 )
 
 __all__ = [
@@ -292,40 +299,44 @@ def _packed_data(g: GridSpec, *terms) -> np.ndarray | None:
 
 def _v_march(grid: GridSpec, levels: range, c: np.ndarray, coeffs: np.ndarray,
              term=None) -> np.ndarray:
-    """The steps  c <- H (c + Q^T G[m] - dt Q^T term(m, Q c))  of :func:`_march` in V
-    coordinates, from c: the rows of ``coeffs`` hold the sources' coordinates and
-    receive the states'; returns the last.  The term reads the previous level,
-    mapped to the faces one level at a time."""
-    lo = min(levels)
-    shape = (grid.nx - 1, grid.ny - 1)
-    c = c.reshape(shape)
-    y = None if term is None else VelocityField.zeros(grid)
-    for m in levels:
-        src = coeffs[m - lo]
-        if term is not None:
-            v_velocities(c.reshape(-1), grid, y.data)
-            src -= grid.dt * v_coordinates(term(m, y).data, grid)
-        src = src.reshape(shape)
-        src += c
-        v_step(src, grid, src)
-        c = src
-    return c
+    """The steps  c <- H (c + x[m] - dt Q^T term(m, Q c))  through ``levels``, in place.
 
-
-def _march(grid: GridSpec, levels: range, cur: VelocityField, stack: np.ndarray,
-           term=None) -> VelocityField:
-    """The steps  y <- P S P (y + G[m] - dt term(m, y))  through ``levels``, in place.
-
-    ``levels`` run forward or backward; row k of ``stack`` holds the
-    dt-scaled, unprojected source of level min(levels) + k and receives its
-    state.  ``cur`` is the iterate before the first step; the steps run in V
-    coordinates (:func:`_v_march`).  Returns the last iterate.
+    ``levels`` run forward or backward; row k of ``coeffs`` holds the V
+    coordinates x of the dt-scaled source of level min(levels) + k and
+    receives its state, and ``c`` is the state before the first step.  The
+    rows are scaled once before the steps (:func:`_v_steps`) and back once
+    after them.  Returns the last state, a row of ``coeffs``.
     """
-    lo = min(levels)
-    coeffs = v_coordinates(stack, grid)
-    _v_march(grid, levels, v_coordinates(cur.data, grid), coeffs, term)
-    v_velocities(coeffs, grid, stack)
-    return VelocityField.from_packed(grid, stack[levels[-1] - lo].copy())
+    s = grid._v[2]
+    coeffs *= s
+    last = _v_steps(grid, levels, c * s, coeffs, v_work(grid), term)
+    coeffs /= s
+    return last
+
+
+def _v_steps(grid: GridSpec, levels: range, e: np.ndarray, rows: np.ndarray, work: tuple,
+             term=None) -> np.ndarray:
+    """The steps of :func:`_v_march` in the scaled coordinates e = s c of :func:`v_step`.
+
+    ``rows`` hold the scaled sources s x and receive the scaled states, and
+    ``e`` is the scaled state before the first step.  The rows are walked as
+    views of the one stack, each step writing through the ``work`` arrays
+    (:func:`v_work`), so a march without a term allocates nothing per level.
+    A term reads the previous level, mapped to the faces one level at a time.
+    Returns the last scaled state, a row of ``rows``.
+    """
+    s = grid._v[2]
+    shape = (grid.nx - 1, grid.ny - 1)
+    prev = e.reshape(shape)
+    y = None if term is None else VelocityField.zeros(grid)
+    for m, src in zip(levels, rows.reshape((len(rows),) + shape)[::levels.step]):
+        if term is not None:
+            v_velocities(prev.reshape(-1) / s, grid, y.data)
+            src -= (grid.dt * s * v_coordinates(term(m, y).data, grid)).reshape(shape)
+        src += prev
+        v_step(src, grid, src, work)
+        prev = src
+    return prev.reshape(-1)
 
 
 def _blowup(peaks: np.ndarray, limit: float, first: int) -> None:
@@ -357,7 +368,9 @@ def solve_forward(
         data = np.zeros((g.nt + 1, g.n_faces))
     start = _closed_div_free(y0)
     data[0] = start.data
-    _apply((_marched(g, 1, _convect if opts.convection_on else None),), data)
+    march = _marched(g, 1, _convect if opts.convection_on else None)
+    _apply(_on_faces(g, march, data), data)
+    data[0] = start.data
     _blowup(np.abs(data[1:]).max(axis=1), opts.blowup_norm * max(start.max_abs(), 1.0), 1)
     return Trajectory(g, data)
 
@@ -382,18 +395,20 @@ def solve_forward_terminal(y0: VelocityField, force: VelocityField, profile,
                                  f"{g.nt + 1} time levels")
     start = _closed_div_free(y0)
     limit = opts.blowup_norm * max(start.max_abs(), 1.0)
-    c = v_coordinates(start.data, g)
-    b = v_coordinates(force.data[None], g)
-    row = np.empty((1, g.n_faces))
+    # the march carries the scaled coordinates of _v_steps from level to level
+    s = g._v[2]
+    e = v_coordinates(start.data, g) * s
+    b = v_coordinates(force.data[None], g) * s
+    row, work = np.empty((1, g.n_faces)), v_work(g)
     term = _convect if opts.convection_on else None
     for m in range(1, g.nt + 1):
-        coeffs = scale[m] * b
-        c = _v_march(g, range(m, m + 1), c, coeffs, term)
+        e = _v_steps(g, range(m, m + 1), e, scale[m] * b, work, term)
+        c = e / s
         # max |y| <= |y|_2 = |c|_2 (Q is orthonormal), never tight for a
         # divergence-free y: map back only a level the bound cannot clear
-        peak = math.sqrt(coeffs[0] @ coeffs[0])
+        peak = math.sqrt(c @ c)
         if not peak < limit or m == g.nt:
-            v_velocities(coeffs, g, row)
+            v_velocities(c[None], g, row)
             if not peak < limit:
                 _blowup(np.abs(row).max(axis=1), limit, m)
     return VelocityField.from_packed(g, row[0].copy())
@@ -455,36 +470,70 @@ def _linked(link: Trajectory | None):
             lambda m, y: adjoint_coupling(link[m], y) if m < link.grid.nt else zero)
 
 
-def _marched(g: GridSpec, lo: int, fwd_term=None, bwd_term=None, end=None) -> tuple:
-    """The march through levels lo..nt (lo is 0 or 1), forward and backward, as a factor.
+def _faces(g: GridSpec, out: np.ndarray | None = None) -> tuple:
+    """Q as a factor: V-coordinate stacks to packed faces, written into ``out`` if given
+    (a face stack that Q^T has already read) or else into a new stack; its
+    transpose Q^T back."""
+    def to_faces(c):
+        x = np.empty(c.shape[:-1] + (g.n_faces,)) if out is None else out
+        v_velocities(c, g, x)
+        return x
+    return to_faces, lambda x: v_coordinates(x, g)
 
-    Forward, dt-scaled sources x become  y[m] = P S P (y[m-1] + x[m] -
-    dt fwd_term(m, y[m-1])), from zero (lo = 0) or from y[0] = x[0], which
-    stays as given (lo = 1).  Backward, a becomes  U[m] = P S P (U[m+1] + a[m]
-    - dt bwd_term(m, U[m+1])), from U[nt+1] = ``end`` or zero, and with lo = 1
-    level 0 becomes the transposed start a[0] + U[1] - dt bwd_term(0, U[1]).
-    With the terms of :func:`_linked` and no ``end`` the two are exact
-    transposes on stacks with a divergence-free start (the forward term reads
-    it through Q Q^T); ``end``, phi(T) of an adjoint pair, adds the transpose
-    of reading y(T), and a march with convection itself as its term is never
-    transposed.
+
+def _on_faces(g: GridSpec, factor, out: np.ndarray | None = None) -> tuple:
+    """A factor of V-coordinate stacks composed as a map of packed face stacks: Q^T, it,
+    then Q into ``out`` (see :func:`_faces`)."""
+    q = _faces(g, out)
+    return _T((q,)) + (factor, q)
+
+
+def _field(g: GridSpec, c: np.ndarray) -> VelocityField:
+    """The velocity Q c of one level's V coordinates."""
+    f = VelocityField.zeros(g)
+    v_velocities(c, g, f.data)
+    return f
+
+
+def _marched(g: GridSpec, lo: int, fwd_term=None, bwd_term=None, end=None) -> tuple:
+    """The march through levels lo..nt (lo is 0 or 1), forward and backward, as a
+    factor of V-coordinate stacks.
+
+    Forward, dt-scaled sources x become  c[m] = H (c[m-1] + x[m] -
+    dt Q^T fwd_term(m, Q c[m-1])), from zero (lo = 0) or from c[0] = x[0],
+    which stays as given (lo = 1).  Backward, a becomes  U[m] = H (U[m+1] +
+    a[m] - dt Q^T bwd_term(m, Q U[m+1])), from U[nt+1] = ``end`` (V
+    coordinates) or zero, and with lo = 1 level 0 becomes the transposed
+    start a[0] + U[1] - dt Q^T bwd_term(0, Q U[1]).  H is symmetric, so with
+    the terms of :func:`_linked` and no ``end`` the two are exact transposes;
+    ``end``, phi(T) of an adjoint pair, adds the transpose of reading c[nt],
+    and a march with convection itself as its term is never transposed.
     """
-    zero = VelocityField.zeros(g)
+    zero = np.zeros((g.nx - 1) * (g.ny - 1))
 
     def forward(x):
-        start = VelocityField.from_packed(g, x[0]) if lo else zero
-        _march(g, range(lo, g.nt + 1), start, x[lo:], fwd_term)
+        _v_march(g, range(lo, g.nt + 1), x[0] if lo else zero, x[lo:], fwd_term)
         return x
 
     def backward(x):
-        last = _march(g, range(g.nt, lo - 1, -1), zero if end is None else end, x[lo:],
-                      bwd_term)
+        last = _v_march(g, range(g.nt, lo - 1, -1), zero if end is None else end, x[lo:],
+                        bwd_term)
         if lo:
-            x[0] += last.data
+            x[0] += last
             if bwd_term is not None:
-                x[0] -= g.dt * bwd_term(0, last).data
+                x[0] -= g.dt * v_coordinates(bwd_term(0, _field(g, last)).data, g)
         return x
     return forward, backward
+
+
+def _masked(op, d) -> tuple:
+    """The factor x <- op(x) d of a V mask operator (:func:`v_mask`, symmetric, in
+    place) and per-level weights d, which commute with it; its own transpose."""
+    def apply(x):
+        x = op(x)
+        x *= d
+        return x
+    return apply, apply
 
 
 def control_gradient(adj_phi: Trajectory, mask: VelocityField | None = None) -> Trajectory:
@@ -509,9 +558,10 @@ def state_adjoint(e: Trajectory, link: Trajectory | None = None) -> Trajectory:
     X* = (dt W)^-1 E^T dt M^T dt W = W^-1 E^T M^T dt W.
     """
     g = e.grid
-    march = _T((_marched(g, 1, *_linked(link)),))
+    x = e.data.copy()
+    march = _T(_on_faces(g, _marched(g, 1, *_linked(link)), x))
     rep = (_product(g), _weight(g.dt)) + march + _T(_entry(g)) + (_product(g, -1),)
-    return Trajectory(g, _apply(rep, e.data.copy()))
+    return Trajectory(g, _apply(rep, x))
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +592,15 @@ class Coupling:
         k = VelocityField.from_packed(grid, ginv - linv * chi.face_mask(grid).data)
         return cls(grid, k, obs_region.face_mask(grid), mu)
 
+    # the masks as V operators, built on first use
+    @cached_property
+    def _k_v(self):
+        return v_mask(self.k_mask.data, self.grid)
+
+    @cached_property
+    def _obs_v(self):
+        return v_mask(self.obs_mask.data, self.grid)
+
 
 @dataclass
 class CoupledSolution:
@@ -553,20 +612,23 @@ class CoupledSolution:
     residual: float
 
 
-def _coupled_cycle(coupling: Coupling, up: tuple, down: tuple, keep: tuple = ()):
-    """The sweeps z -> y -> z of the coupled fixed point, each a (pre, march, post) of factors.
+def _coupled_cycle(coupling: Coupling, up: tuple, down: tuple):
+    """The sweeps z -> y -> z of the coupled fixed point on V-coordinate stacks, each a
+    (pre, march, post) of factors.
 
-    y = up(dt k z + sources), the start in the level-0 source, and
-    z = W^-1 down^T(dt mu chi_Od W y + sources), the raw backward state w_m z_m
-    above level 0: ``up`` marches from level 1, ``down`` through level 0.
-    ``keep`` are factors applied to y first.
+    y = up(dt K z + sources), the start in the level-0 source, and
+    z = W^-1 down^T(dt mu O W y + sources), the raw backward state w_m z_m
+    above level 0: ``up`` marches from level 1, ``down`` through level 0, and
+    K and O are the V operators of the masks k and chi_Od.  Level 0 of y is
+    the start, which need not lie in V: the backward sources carry its
+    tracking term, and the sweep reads y from level 1 on.
     """
     g = coupling.grid
     w = trapezoid_weights(g.nt)[:, None]
     raw = 1.0 / w
     raw[0] = 1.0
-    return (((_weight(_slots(g), g.dt * coupling.k_mask.data),), up, ()),
-            (keep + (_weight(g.dt * coupling.mu * coupling.obs_mask.data, w),),
+    return (((_masked(coupling._k_v, g.dt * _slots(g)),), up, ()),
+            ((_masked(coupling._obs_v, (g.dt * coupling.mu) * _slots(g) * w),),
              _T((down,))[0], (_weight(raw),)))
 
 
@@ -592,9 +654,16 @@ def _sweep(sweep, src, x: np.ndarray, out: np.ndarray) -> None:
     _apply((march,) + post, out)
 
 
+def _v_norm(g: GridSpec, c: np.ndarray) -> float:
+    """:func:`traj_norm` of Q c, from the V coordinates: Q is orthonormal."""
+    sq = trapezoid_weights(g.nt).dot(np.einsum("ij,ij->i", c, c))
+    return math.sqrt(max(float(g.cell_area * g.dt * sq), 0.0))
+
+
 def _picard(g: GridSpec, cycle, sources, limit: float, opts: SolverOptions,
             what: str, hint: str):
-    """Relaxed Picard loop  it <- it + relax (new - it)  over a cycle, from it = 0.
+    """Relaxed Picard loop  it <- it + relax (new - it)  over a cycle of V-coordinate
+    stacks, from it = 0, with the space-time norms taken in V.
 
     ``new`` is the second sweep of the first sweep of ``it``, ``sources[k]``
     added before the march of sweep k.  ``relax`` halves (down to 1/16)
@@ -603,24 +672,24 @@ def _picard(g: GridSpec, cycle, sources, limit: float, opts: SolverOptions,
     end the loop with ConvergenceError.  Returns new (the first sweep of the
     converged it), it, the sweep count and the last relative change.
     """
-    it = Trajectory.zeros(g)
-    new = Trajectory(g, np.empty_like(it.data))
+    it = np.zeros((g.nt + 1, (g.nx - 1) * (g.ny - 1)))
+    new = np.empty_like(it)
     relax = opts.relax
     prev_res = math.inf
     for k in range(1, opts.picard_max + 1):
-        _sweep(cycle[0], sources[0], it.data, new.data)
-        _sweep(cycle[1], sources[1], new.data, new.data)
-        np.subtract(new.data, it.data, out=new.data)
+        _sweep(cycle[0], sources[0], it, new)
+        _sweep(cycle[1], sources[1], new, new)
+        np.subtract(new, it, out=new)
         if relax < 1.0:
-            new.data *= relax
-        it.data += new.data
-        size, change = traj_norm(it), traj_norm(new)
+            new *= relax
+        it += new
+        size, change = _v_norm(g, it), _v_norm(g, new)
         residual = change / max(size, 1e-300)
         if not (math.isfinite(size) and math.isfinite(change)):
             raise BlowupError(f"{what} produced a non-finite iterate at sweep {k}",
                               residual=residual, iterations=k)
         if residual <= opts.picard_tol:
-            _sweep(cycle[0], sources[0], it.data, new.data)
+            _sweep(cycle[0], sources[0], it, new)
             return new, it, k, residual
         if residual >= prev_res and relax > 0.0625:
             relax *= 0.5
@@ -657,23 +726,42 @@ def solve_coupled_linear(
     return _solve_coupled(h, y0, yd, coupling, opts, omega, f1, f2, False)
 
 
+def _coords(g: GridSpec, x: np.ndarray | None) -> np.ndarray | None:
+    """Q^T of a packed stack of sources, or None."""
+    return None if x is None else v_coordinates(x, g)
+
+
 def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1, f2,
                    convective: bool) -> CoupledSolution:
     """The Picard sweeps of both coupled solves; ``convective`` adds convection to
-    the forward march and its transpose around the sweep's y to the backward one."""
+    the forward march and its transpose around the sweep's y to the backward one.
+
+    The sources are mapped to V coordinates once and the results back once.
+    y(0) stays the start as given, whose tracking term the backward sources carry.
+    """
     g = coupling.grid
+    start = _closed_div_free(y0).data
     fwd = ForcingAssembly(g, leader=h, extra_source=f1, omega=omega).sources()
     if fwd is None:
         fwd = np.zeros((g.nt + 1, g.n_faces))
-    fwd[0] = _closed_div_free(y0).data
+    fwd[0] = start
+    fwd = v_coordinates(fwd, g)
     w = trapezoid_weights(g.nt)[:, None]
-    bwd = _packed_data(g, (yd, -coupling.mu * coupling.obs_mask.data, w), (f2,))
+    bwd = _coords(g, _packed_data(g, (yd, -coupling.mu * coupling.obs_mask.data, w), (f2,)))
+    if bwd is None:
+        bwd = np.zeros_like(fwd)
+    bwd[0] += (g.dt * coupling.mu * w[0, 0]) * v_coordinates(coupling.obs_mask.data * start, g)
     if convective:
-        # the backward march reads the y of its sweep, kept before it is weighted
-        y = Trajectory.zeros(g)
-        keep = (lambda x: np.copyto(y.data, x) or x,) * 2
-        cycle = _coupled_cycle(coupling, _marched(g, 1, _convect),
-                               _marched(g, 0, *_linked(y)), (keep,))
+        # the backward march reads the y of its sweep: the start, and each
+        # level below nt as the forward march maps it to the faces
+        link = Trajectory.zeros(g)
+        link.data[0] = start
+
+        def convect(m, y):
+            if m > 1:
+                link.data[m - 1] = y.data
+            return _convect(m, y)
+        cycle = _coupled_cycle(coupling, _marched(g, 1, convect), _marched(g, 0, *_linked(link)))
     else:
         cycle = _coupled_cycle(coupling, _marched(g, 1), _marched(g, 0))
     y, z, sweeps, residual = _picard(
@@ -681,7 +769,10 @@ def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1
         "nonlinear coupled solve" if convective else "coupled linear solve",
         "reduce the data size or the horizon (small-data regime required)" if convective
         else "the forward-backward sweep contracts only for large enough gamma and ell")
-    return CoupledSolution(y, z, sweeps, residual)
+    to_faces = _faces(g)[0]
+    y = to_faces(y)
+    y[0] = start
+    return CoupledSolution(Trajectory(g, y), Trajectory(g, to_faces(z)), sweeps, residual)
 
 
 def frozen_sources(y: Trajectory, z: Trajectory):
@@ -759,15 +850,26 @@ def solve_backward_adjoint(
     y(0), phi(1) minus dt times the transposed linearization around link(0).
     The pair is linear in phi(T), so its Picard loop has no blow-up bound.
     Without a ``coupling`` theta and g2 drop out and phi is one backward march.
+    phi(T) and the sources are mapped to V coordinates once, and phi and
+    theta back once; phi(0), which need not lie in V, is assembled on the faces.
     """
     g = phiT.grid
-    phi_src = _packed_data(g, (g1, _slots(g)))
-    up = _marched(g, 1, *_linked(link), end=phiT)
+    terms = _linked(link)
+    up = _marched(g, 1, *terms, end=v_coordinates(phiT.data, g))
+    phi_src = _coords(g, _packed_data(g, (g1, _slots(g))))
     if coupling is None:
-        phi = np.zeros((g.nt + 1, g.n_faces)) if phi_src is None else phi_src
-        return AdjointPair(Trajectory(g, _apply(_T((up,)), phi)), Trajectory.zeros(g), 0, 0.0)
-    phi, theta, sweeps, residual = _picard(
-        g, _transposed(_coupled_cycle(coupling, up, _marched(g, 0))),
-        (phi_src, _packed_data(g, (g2, _slots(g)))), math.inf, opts, "adjoint pair",
-        "gamma or ell too small or mu too large")
+        phi = np.zeros((g.nt + 1, (g.nx - 1) * (g.ny - 1))) if phi_src is None else phi_src
+        phi, theta, sweeps, residual = _apply(_T((up,)), phi), None, 0, 0.0
+    else:
+        phi, theta, sweeps, residual = _picard(
+            g, _transposed(_coupled_cycle(coupling, up, _marched(g, 0))),
+            (phi_src, _coords(g, _packed_data(g, (g2, _slots(g))))), math.inf, opts,
+            "adjoint pair", "gamma or ell too small or mu too large")
+    to_faces = _faces(g)[0]
+    phi = Trajectory(g, to_faces(phi))
+    theta = Trajectory.zeros(g) if theta is None else Trajectory(g, to_faces(theta))
+    # the transposed start, which need not lie in V, assembled on the faces
+    phi[0] = phi[1]
+    if link is not None:
+        phi.data[0] -= g.dt * terms[1](0, phi[1]).data
     return AdjointPair(phi, theta, sweeps, residual)

@@ -31,6 +31,7 @@ from stackstokes.grid import (
     v_coordinates,
     v_step,
     v_velocities,
+    v_work,
 )
 from stackstokes import fieldio
 
@@ -231,18 +232,26 @@ STEP_GRIDS = V_GRIDS + [(24, 24, 1.0, 1.0), (40, 24, 1.7, 1.0), (64, 64, 1.0, 1.
 
 @pytest.mark.parametrize("nx, ny, Lx, Ly", STEP_GRIDS)
 def test_v_step_is_the_projected_diffusion_solve(rng, nx, ny, Lx, Ly):
-    # H c = Q^T S Q c, with Q, S and Q^T each taken on its own code path
+    # H c = Q^T S Q c, with Q, S and Q^T each taken on its own code path; the
+    # step takes and gives the coordinates scaled by s = lambda^-1/2, with
+    # lambda the eigenvalues of the 5-point Dirichlet Laplacian of the
+    # interior nodes
     g = GridSpec(nx=nx, ny=ny, Lx=Lx, Ly=Ly, nt=8, T=0.3)
+    lx = (2 - 2 * np.cos(np.pi * np.arange(1, nx) / nx)) / g.hx**2
+    ly = (2 - 2 * np.cos(np.pi * np.arange(1, ny) / ny)) / g.hy**2
+    s = 1 / np.sqrt(lx[:, None] + ly[None, :])
     c = rng.standard_normal((nx - 1, ny - 1))
     faces = np.empty(g.n_faces)
     v_velocities(c.ravel(), g, faces)
-    ref = v_coordinates(diffusion_solve(VelocityField.from_packed(g, faces), g.dt).data, g)
+    ref = s * v_coordinates(diffusion_solve(VelocityField.from_packed(g, faces), g.dt).data,
+                            g).reshape(c.shape)
+    e = s * c
     got = np.empty_like(c)
-    v_step(c, g, got)
-    assert np.abs(got.ravel() - ref).max() <= 1e-13 * np.abs(ref).max()
+    v_step(e, g, got, v_work(g))
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     # in place, as the marches take it, with the same bits
-    v_step(c, g, c)
-    assert np.array_equal(c, got)
+    v_step(e, g, e, v_work(g))
+    assert np.array_equal(e, got)
 
 
 def test_v_step_tables_are_built_once_per_grid(monkeypatch):
@@ -253,9 +262,9 @@ def test_v_step_tables_are_built_once_per_grid(monkeypatch):
     tables = grid_module._v_step_tables
     monkeypatch.setattr(grid_module, "_v_step_tables",
                         lambda grid: built.append(grid) or tables(grid))
-    c = np.ones((g.nx - 1, g.ny - 1))
+    c, work = np.ones((g.nx - 1, g.ny - 1)), v_work(g)
     for _ in range(3):
-        v_step(c, g, c)
+        v_step(c, g, c, work)
     assert built == [g]
     assert GridSpec(nx=12, ny=10, Lx=1.1, Ly=0.9, nt=8, T=0.45)._v_step is not g._v_step
 

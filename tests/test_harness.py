@@ -538,6 +538,32 @@ def test_refused_runs_exit_2_or_3(tmp_path, capsys):
     assert "underflows to 0" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_carleman_check_on_extreme_horizons_ends_finite_or_typed(tmp_path, capsys):
+    # a horizon of 1e300 or 1e-300 is a finite double, so validate accepts
+    # it; the run then reports finite metrics, or fails with a typed exit.
+    # A zero power of an infinite log weight was 0 * inf = NaN, and the run
+    # exited 0 with NaN domination ratios.
+    from stackstokes.cli import main
+
+    path, out = tmp_path / "cfg.json", tmp_path / "runs"
+    raw = default_config_dict("carleman-check")
+    raw["grid"].update(nx=8, ny=8, nt=8)
+    raw["options"].update(n_laplacian_samples=2, n_observability_samples=2)
+    for T in (1e300, 1e-300):
+        raw["grid"]["T"] = T
+        path.write_text(json.dumps(raw))
+        code = main(["run", str(path), "--out", str(out / str(T))])
+        capsys.readouterr()
+        assert code in (0, 2, 3), (T, code)
+        if code == 0:
+            (manifest,) = (out / str(T)).rglob("manifest.json")
+            metrics = json.loads(manifest.read_text())["metrics"]
+            numbers = [v for v in metrics.values() if isinstance(v, float)]
+            numbers += list(metrics["domination_log_ratios"].values())
+            assert all(math.isfinite(v) for v in numbers), (T, metrics)
+
+
 def test_convergence_refuses_convection(tmp_path, capsys):
     # the manufactured forcing of the convergence study is Stokes-only
     from stackstokes.cli import main

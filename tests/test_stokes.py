@@ -37,7 +37,15 @@ from stackstokes.stokes import (
     solve_forward_terminal,
 )
 
-from conftest import closed_noise, control_traj, eddy, make_setup, state_traj
+from conftest import (
+    closed_noise,
+    control_traj,
+    eddy,
+    make_setup,
+    reference_adjoint,
+    reference_coupled,
+    state_traj,
+)
 
 TIGHT = SolverOptions(picard_tol=1e-12, picard_max=400)
 
@@ -696,7 +704,7 @@ def _rel_max(a: Trajectory | VelocityField, b: Trajectory | VelocityField) -> fl
 
 
 def _face_march(grid, levels, cur, stack, term=None):
-    """The march of stokes._march by its definition,
+    """The march of stokes by its definition,
     y <- P S P (y + G[m] - dt term(m, y)),  with y the previous level: one
     diffusion solve and two projections per level on the faces."""
     lo = min(levels)
@@ -716,10 +724,12 @@ def _face_march(grid, levels, cur, stack, term=None):
     pytest.param(40, 24, 1.7, 1.0, id="40x24"),
     pytest.param(64, 64, 1.0, 1.0, id="64x64"),
 ])
-def test_v_marches_match_the_face_marches(rng, monkeypatch, nx, ny, Lx, Ly):
+def test_v_marches_match_the_face_marches(rng, nx, ny, Lx, Ly):
     # every march runs in V coordinates, convective ones included; the
-    # reference marches on the faces, step by step, through diffusion_solve
-    # and project_div_free
+    # references march on the faces, step by step, through diffusion_solve
+    # and project_div_free: the forward solves by the definition of the
+    # march, the coupled solves and adjoint pairs by their per-level Picard
+    # loops, with masks and sources on the faces
     g, omega, coup = _v_setup(nx, ny, Lx, Ly)
     h = control_traj(g, rng, 0.5)
     y0 = project_div_free(closed_noise(g, rng, 0.2))
@@ -733,16 +743,8 @@ def test_v_marches_match_the_face_marches(rng, monkeypatch, nx, ny, Lx, Ly):
                                     omega=omega)
     convective = SolverOptions(convection_on=True)
 
-    def coupled_solves(link):
-        return (solve_coupled_linear(h, y0, yd, coup, TIGHT, omega=omega),
-                solve_backward_adjoint(phiT, g1, g2, None, coup, TIGHT),
-                solve_coupled_nonlinear(small_h, small_y0, yd, coup, TIGHT, omega=omega),
-                solve_backward_adjoint(phiT, g1, g2, link, coup, TIGHT))
-
     y = solve_forward(y0, forcing)
     y_conv = solve_forward(small_y0, small_forcing, convective)
-    got = coupled_solves(y_conv)
-
     for data, start, opts, traj in ((forcing, y0, SolverOptions(), y),
                                     (small_forcing, small_y0, convective, y_conv)):
         y_face = Trajectory(g, data.sources())
@@ -750,12 +752,20 @@ def test_v_marches_match_the_face_marches(rng, monkeypatch, nx, ny, Lx, Ly):
         term = (lambda m, prev: convection(prev)) if opts.convection_on else None
         _face_march(g, range(1, g.nt + 1), project_div_free(start), y_face.data[1:], term)
         assert _rel_max(traj, y_face) <= 1e-13
-    monkeypatch.setattr(stokes_module, "_march", _face_march)
-    for a, b in zip(got, coupled_solves(y_conv)):
-        assert a.iterations == b.iterations
-        for name, traj in vars(a).items():
-            if isinstance(traj, Trajectory):  # y and z, or phi and theta
-                assert _rel_max(traj, getattr(b, name)) <= 1e-13
+
+    got = (solve_coupled_linear(h, y0, yd, coup, TIGHT, omega=omega),
+           solve_backward_adjoint(phiT, g1, g2, None, coup, TIGHT),
+           solve_coupled_nonlinear(small_h, small_y0, yd, coup, TIGHT, omega=omega),
+           solve_backward_adjoint(phiT, g1, g2, y_conv, coup, TIGHT))
+    refs = (reference_coupled(h, y0, yd, coup, TIGHT, omega),
+            reference_adjoint(phiT, g1, g2, None, coup, TIGHT),
+            reference_coupled(small_h, small_y0, yd, coup, TIGHT, omega, convective=True),
+            reference_adjoint(phiT, g1, g2, y_conv, coup, TIGHT))
+    for a, (*trajs, iterations) in zip(got, refs):
+        assert a.iterations == iterations
+        pair = [t for t in vars(a).values() if isinstance(t, Trajectory)]  # y, z or phi, theta
+        for traj, ref in zip(pair, trajs, strict=True):
+            assert _rel_max(traj, ref) <= 1e-13
 
 
 def test_v_marches_make_no_diffusion_solve(rng, monkeypatch):
@@ -795,3 +805,33 @@ def test_v_marches_make_no_diffusion_solve(rng, monkeypatch):
                             convective, omega=omega)
     solve_backward_adjoint(closed_noise(g, rng), None, None, link, coup)
     assert calls == []
+
+
+def test_coupled_solves_map_the_stacks_once_per_solve(rng, monkeypatch):
+    # the sweeps stay in V coordinates: Q^T of the sources and Q of the
+    # results are taken once per solve, so the stack-wide maps of a solve do
+    # not grow with its sweep count (one-level maps of the convective terms
+    # aside, which no linear solve makes)
+    calls = []
+
+    def counting(fn):
+        def wrapper(x, *args):
+            calls.append(x.ndim)
+            return fn(x, *args)
+        return wrapper
+
+    for name in ("v_coordinates", "v_velocities"):
+        monkeypatch.setattr(stokes_module, name, counting(getattr(grid_module, name)))
+    g, omega, coup = _v_setup(16, 16, 1.0, 1.0)
+    h, y0, yd = control_traj(g, rng), closed_noise(g, rng), state_traj(g, rng)
+    phiT, link = closed_noise(g, rng), state_traj(g, rng, 0.1)
+    solves = (lambda opts: solve_coupled_linear(h, y0, yd, coup, opts, omega=omega),
+              lambda opts: solve_backward_adjoint(phiT, None, None, None, coup, opts),
+              lambda opts: solve_backward_adjoint(phiT, yd, h, link, coup, opts))
+    for solve in solves:
+        counts = {}
+        for tol in (1e-4, 1e-12):
+            calls.clear()
+            sweeps = solve(SolverOptions(picard_tol=tol)).iterations
+            counts[sweeps] = sum(ndim > 1 for ndim in calls)
+        assert len(counts) == 2 and len(set(counts.values())) == 1, counts

@@ -25,13 +25,14 @@ from stackstokes.grid import (
     project_div_free,
     ScalarField,
     traj_norm,
-    trapezoid_weights,
+    v_coordinates,
+    v_velocities,
 )
 from stackstokes.stokes import (
     Coupling,
     ForcingAssembly,
     SolverOptions,
-    _march,
+    _v_march,
     adjoint_coupling,
     convection,
     solve_backward_adjoint,
@@ -39,11 +40,15 @@ from stackstokes.stokes import (
     solve_forward,
 )
 
-from conftest import closed_noise, control_traj, make_setup, state_traj
-
-
-def _psp(x, dt):
-    return project_div_free(diffusion_solve(project_div_free(x), dt))
+from conftest import (
+    closed_noise,
+    control_traj,
+    make_setup,
+    psp,
+    reference_adjoint,
+    reference_coupled,
+    state_traj,
+)
 
 
 def _coupling(setup, ell=10.0, gamma=10.0, mu=1.0):
@@ -75,18 +80,21 @@ def test_march_matches_per_level_chain(rng):
 
     ref = [y0]
     for m in range(1, g.nt + 1):
-        ref.append(_psp(ref[-1] + g.dt * forcing[m], g.dt))
+        ref.append(psp(ref[-1] + g.dt * forcing[m], g.dt))
 
     # projecting the sources first changes nothing: the march projects them itself
     out = forcing.data * g.dt
     for m in range(1, g.nt + 1):
         out[m] = project_div_free(VelocityField.from_packed(g, out[m])).data
-    last = _march(g, range(1, g.nt + 1), project_div_free(y0), out[1:])
+    coeffs = v_coordinates(out[1:], g)
+    last = _v_march(g, range(1, g.nt + 1), v_coordinates(y0.data, g), coeffs)
+    v_velocities(coeffs, g, out[1:])
     u, v = face_views(out, g)
     for m in range(1, g.nt + 1):
         err = max(np.abs(u[m] - ref[m].u).max(), np.abs(v[m] - ref[m].v).max())
         assert err <= 1e-13 * ref[m].max_abs()
-    assert np.array_equal(last.u, u[g.nt]) and np.array_equal(last.v, v[g.nt])
+    # the march steps the rows of the stack in place and returns the last one
+    assert np.shares_memory(last, coeffs) and np.array_equal(last, coeffs[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +119,7 @@ def test_forward_matches_per_level_chain(rng, convection_on):
         x = y + g.dt * (lead[m].mul_mask(om) + fol[m].mul_mask(cm) + dist[m] + extra[m])
         if convection_on:
             x = x - g.dt * convection(y)
-        ref.append(_psp(x, g.dt))
+        ref.append(psp(x, g.dt))
     assert np.array_equal(got[0].u, y0.u) and np.array_equal(got[0].v, y0.v)
     for m in range(1, g.nt + 1):
         assert norm(got[m] - ref[m]) <= 1e-13 * norm(ref[m])
@@ -141,102 +149,6 @@ def test_forward_blowup_names_its_step(rng):
 # the solvers against the per-level Picard loops they replace
 # ---------------------------------------------------------------------------
 
-def _reference_coupled(h, y0, yd, coup, opts, omega=None, f1=None, f2=None):
-    g = coup.grid
-    dt = g.dt
-    w = trapezoid_weights(g.nt)
-    om = omega.face_indicator(g) if omega is not None else None
-    y0p = y0.apply_noslip()
-    if divergence(y0p).max_abs() > 1e-10:
-        y0p = project_div_free(y0p)
-
-    def forward(z):
-        fields = [y0p]
-        for n in range(g.nt):
-            F = z[n + 1].mul_mask(coup.k_mask)
-            if h is not None:
-                F = F + (h[n + 1].mul_mask(om) if om is not None else h[n + 1])
-            if f1 is not None:
-                F = F + f1[n + 1]
-            fields.append(_psp(fields[-1] + dt * F, dt))
-        return Trajectory(g, fields)
-
-    def backward(y):
-        U = VelocityField.zeros(g)
-        raw = [None] * (g.nt + 1)
-        for m in range(g.nt, -1, -1):
-            src = y[m] if yd is None else y[m] - yd[m]
-            src = src.mul_mask(coup.obs_mask) * (coup.mu * w[m])
-            if f2 is not None:
-                src = src + f2[m]
-            U = _psp(U + dt * src, dt)
-            raw[m] = U
-        return Trajectory(g, [raw[0]] + [raw[m] * (1.0 / w[m]) for m in range(1, g.nt + 1)])
-
-    z = Trajectory.zeros(g)
-    relax, prev = opts.relax, math.inf
-    for it in range(1, opts.picard_max + 1):
-        z_new = backward(forward(z))
-        if relax < 1.0:
-            z_new = z + relax * (z_new - z)
-        res = traj_norm(z_new - z) / traj_norm(z_new)
-        z = z_new
-        if res <= opts.picard_tol:
-            return forward(z), z, it
-        if res >= prev and relax > 0.0625:
-            relax *= 0.5
-        prev = res
-    raise AssertionError("reference coupled solve did not converge")
-
-
-def _reference_adjoint(phiT, g1, g2, link, coup, opts):
-    g = coup.grid
-    dt = g.dt
-    w = trapezoid_weights(g.nt)
-    phiT = phiT.apply_noslip()
-
-    def phi_sweep(theta):
-        fields = [None] * (g.nt + 1)
-        cur = phiT
-        for m in range(g.nt, 0, -1):
-            src = theta[m].mul_mask(coup.obs_mask) * (coup.mu * w[m])
-            if g1 is not None:
-                src = src + g1[m]
-            base = cur
-            if m < g.nt and link is not None:
-                base = base - dt * adjoint_coupling(link[m], cur)
-            cur = _psp(base + dt * src, dt)
-            fields[m] = cur
-        fields[0] = fields[1]
-        if link is not None:
-            fields[0] = fields[1] - dt * adjoint_coupling(link[0], fields[1])
-        return Trajectory(g, fields)
-
-    def theta_sweep(phi):
-        fields = [VelocityField.zeros(g)]
-        for m in range(1, g.nt + 1):
-            src = phi[m].mul_mask(coup.k_mask) * (1.0 / w[m])
-            if g2 is not None:
-                src = src + g2[m]
-            fields.append(_psp(fields[-1] + dt * src, dt))
-        return Trajectory(g, fields)
-
-    theta = Trajectory.zeros(g)
-    relax, prev = opts.relax, math.inf
-    for it in range(1, opts.picard_max + 1):
-        theta_new = theta_sweep(phi_sweep(theta))
-        if relax < 1.0:
-            theta_new = theta + relax * (theta_new - theta)
-        res = traj_norm(theta_new - theta) / traj_norm(theta_new)
-        theta = theta_new
-        if res <= opts.picard_tol:
-            return phi_sweep(theta), theta, it
-        if res >= prev and relax > 0.0625:
-            relax *= 0.5
-        prev = res
-    raise AssertionError("reference adjoint pair did not converge")
-
-
 @pytest.mark.parametrize("relax", [1.0, 0.6])
 def test_coupled_linear_matches_per_level_reference(rng, relax):
     setup = make_setup(nt=16)
@@ -254,7 +166,7 @@ def test_coupled_linear_matches_per_level_reference(rng, relax):
         f2=state_traj(g, rng, 0.1),
     )
     sol = solve_coupled_linear(**args)
-    y_ref, z_ref, it_ref = _reference_coupled(*args.values())
+    y_ref, z_ref, it_ref = reference_coupled(*args.values())
     assert sol.iterations == it_ref
     assert _rel(sol.y, y_ref) <= 1e-12
     assert _rel(sol.z, z_ref) <= 1e-12
@@ -279,7 +191,7 @@ def test_backward_adjoint_matches_per_level_reference(rng, relax, with_link):
         opts,
     )
     adj = solve_backward_adjoint(*args)
-    phi_ref, theta_ref, it_ref = _reference_adjoint(*args)
+    phi_ref, theta_ref, it_ref = reference_adjoint(*args)
     assert adj.iterations == it_ref
     assert _rel(adj.phi, phi_ref) <= 1e-12
     assert _rel(adj.theta, theta_ref) <= 1e-12
@@ -305,7 +217,7 @@ def test_decoupled_adjoint_is_one_backward_march(rng, with_link):
     cur = phiT.apply_noslip()
     for m in range(g.nt, 0, -1):
         base = cur if m == g.nt or link is None else cur - dt * adjoint_coupling(link[m], cur)
-        cur = fields[m] = _psp(base + dt * g1[m], dt)
+        cur = fields[m] = psp(base + dt * g1[m], dt)
     fields[0] = fields[1] if link is None else fields[1] - dt * adjoint_coupling(link[0], fields[1])
     assert _rel(adj.phi, Trajectory(g, fields)) <= 1e-12
 

@@ -2,7 +2,7 @@
 
 <A x, y> = <x, A^T y> with random x and y, to 1e-12 relative, on the five
 grids of the V/face march test.  Stacks pair in the Euclidean product of
-their packed faces; controls pair in the trapezoid space-time product, whose
+their packed faces or of their V coordinates; controls pair in the trapezoid space-time product, whose
 weights the test writes out itself, so a transpose that weighs an end level
 wrongly cannot agree with a forward map that weighs it the same way.
 """
@@ -20,6 +20,7 @@ from stackstokes.grid import (
     VelocityField,
     project_div_free,
     v_coordinates,
+    v_mask,
     v_velocities,
 )
 from stackstokes.saddle import RobustParams, SaddleProblem
@@ -62,6 +63,11 @@ def _stack(g, rng):
     return x
 
 
+def _v_stack(g, rng):
+    """Random V coordinates on every level."""
+    return rng.standard_normal((g.nt + 1, (g.nx - 1) * (g.ny - 1)))
+
+
 def _close(lhs: float, rhs: float, scale: float) -> bool:
     return abs(lhs - rhs) <= 1e-12 * scale
 
@@ -85,11 +91,15 @@ def test_every_factor_is_transposed_exactly(rng, nx, ny, Lx, Ly):
            _stack(g, rng), _stack(g, rng))
     _check(st._entry(g, prob._omega_mask) + (st._product(g, -1),), _stack(g, rng),
            _stack(g, rng))
-    # the marches from level 0 and 1, plain and with the linearized convection
+    # the marches from level 0 and 1, plain and with the linearized convection,
+    # in V coordinates and composed with Q^T and Q as maps of face stacks
     for lo in (0, 1):
         for terms in ((None, None), st._linked(link)):
-            _check((st._marched(g, lo, *terms),), _stack(g, rng), _stack(g, rng))
-    # Q and Q^T
+            march = st._marched(g, lo, *terms)
+            _check((march,), _v_stack(g, rng), _v_stack(g, rng))
+            _check(st._on_faces(g, march), _stack(g, rng), _stack(g, rng))
+    # Q and Q^T, as a factor and one level at a time
+    _check((st._faces(g),), _v_stack(g, rng), _stack(g, rng))
     c = rng.standard_normal((3, (g.nx - 1) * (g.ny - 1)))
     x = closed_noise(g, rng).data
     qc = np.empty((3, g.n_faces))
@@ -98,6 +108,10 @@ def test_every_factor_is_transposed_exactly(rng, nx, ny, Lx, Ly):
     for k in range(3):
         assert _close(float(qc[k] @ x), float(c[k] @ qx[0]),
                       np.linalg.norm(qc[k]) * np.linalg.norm(x))
+    # the masks of the coupling as V operators, with per-level weights
+    for op in (prob.coupling._k_v, prob.coupling._obs_v):
+        _check((st._masked(op, rng.random((g.nt + 1, 1))),), _v_stack(g, rng),
+               _v_stack(g, rng))
     # the linearization term and its transpose around one level of the link
     d, z = closed_noise(g, rng), closed_noise(g, rng)
     lin, adj = st.linearized_convection(link[3], d), st.adjoint_coupling(link[3], z)
@@ -115,12 +129,12 @@ def test_composed_maps_are_transposed_exactly(rng, nx, ny, Lx, Ly):
     for terms in ((None, None), st._linked(link)):
         cycle = st._coupled_cycle(prob.coupling, st._marched(g, 1, *terms), st._marched(g, 0))
         for pre, march, post in cycle + st._transposed(cycle):
-            _check(pre + (march,) + post, _stack(g, rng), _stack(g, rng))
+            _check(pre + (march,) + post, _v_stack(g, rng), _v_stack(g, rng))
         # the phi and theta sweeps of the transposed cycle, one after the other,
         # transpose the cycle a1 m1 b1 a2 m2 b2 started at its second march
         (a1, m1, b1), (a2, m2, b2) = cycle
         (pre_phi, m_phi, _), (pre_theta, m_theta, _) = st._transposed(cycle)
-        theta, y = _stack(g, rng), _stack(g, rng)
+        theta, y = _v_stack(g, rng), _v_stack(g, rng)
         swept = st._apply(pre_phi + (m_phi,) + pre_theta + (m_theta,), theta.copy())
         rotated = st._apply((m2,) + b2 + a1 + (m1,) + b1 + a2, y.copy())
         lhs, rhs = float(np.vdot(swept, y)), float(np.vdot(theta, rotated))
@@ -138,7 +152,8 @@ def test_tracking_adjoint_transposes_the_state_map(rng, nx, ny, Lx, Ly):
     for with_link in (False, True):
         psi, e = control_traj(g, rng), state_traj(g, rng)
         terms = st._linked(link) if with_link else (None, None)
-        x_psi = st._apply((st._weight(g.dt), st._marched(g, 1, *terms)), psi.data.copy())
+        x_psi = st._apply((st._weight(g.dt),) + st._on_faces(g, st._marched(g, 1, *terms)),
+                          psi.data.copy())
         x_psi[0] = 0.0  # the start of the march from zero
         if not with_link:
             ref = st.solve_forward(VelocityField.zeros(g),
@@ -147,6 +162,32 @@ def test_tracking_adjoint_transposes_the_state_map(rng, nx, ny, Lx, Ly):
         xt_e = st.state_adjoint(e, link if with_link else None)
         lhs, rhs = _trapezoid(g, Trajectory(g, x_psi), e), _trapezoid(g, psi, xt_e)
         assert _close(lhs, rhs, abs(lhs) + abs(rhs))
+
+
+@pytest.mark.parametrize("nx, ny, Lx, Ly", GRIDS)
+def test_mask_operators_are_the_face_masks_in_v(rng, nx, ny, Lx, Ly):
+    # Q^T diag(d) Q, restricted to the box of d's support, against Q^T of the
+    # masked faces of Q c, and self-adjoint: for the two masks of the
+    # coupling, a mask whose support reaches the walls on all four sides
+    # (a box on the interior faces as large as they are) and an all-zero
+    # mask (an empty box)
+    prob = _problem(nx, ny, Lx, Ly)
+    g = prob.grid
+    walls = np.zeros(g.n_faces)
+    walls[::7] = rng.random(walls[::7].shape) + 1.0
+    masks = (prob.coupling.k_mask.data, prob.coupling.obs_mask.data,
+             Region(0.0, Lx, 0.0, 0.3 * Ly).face_mask(g).data, walls, np.zeros(g.n_faces))
+    for d in masks:
+        op = v_mask(d, g)
+        c, y = _v_stack(g, rng), _v_stack(g, rng)
+        faces = np.empty((g.nt + 1, g.n_faces))
+        v_velocities(c, g, faces)
+        ref = v_coordinates(d * faces, g)
+        got, op_y = op(c.copy()), op(y.copy())
+        assert np.abs(got - ref).max() <= 1e-13 * max(np.abs(ref).max(), np.abs(c).max())
+        lhs, rhs = float(np.vdot(got, y)), float(np.vdot(c, op_y))
+        assert _close(lhs, rhs, np.linalg.norm(got) * np.linalg.norm(y)
+                      + np.linalg.norm(c) * np.linalg.norm(op_y))
 
 
 @pytest.mark.parametrize("nx, ny, Lx, Ly", GRIDS)
