@@ -4,38 +4,45 @@ Usage (from the repository root):
 
     python3 scripts/bench_layers.py [--root DIR ...] [--label NAME ...] [--out FILE]
 
-The roots are measured in ``ROUNDS`` rounds, in alternating order, so that a
-slow spell of a shared host does not fall on one root alone.  In each round,
-for each ``--root`` (default: the checkout holding this script) a fresh
-interpreter, with BLAS threads pinned to 1 as in the benchmark, imports
-``stackstokes`` from ``DIR/src`` and measures:
+One interpreter, with BLAS threads pinned to 1 as in the benchmark, loads the
+``stackstokes`` package of every ``--root`` (default: the checkout holding
+this script) from ``DIR/src`` under a name of its own (``checkouts.load``).
+A root given twice is loaded twice: that pair runs identical code, and its
+readings show the spread of the host (an A/A pair; give each a ``--label``).
+Every layer goes through the public API, so the same code measures every
+root, on inputs drawn from the same seed for each root:
 
-* the per-call time of ``grid.diffusion_solve``, ``grid.project_div_free``,
-  ``grid.v_coordinates`` and ``grid.v_velocities`` on one level, and of a
-  32-step convective ``stokes.solve_forward`` (a projected random start and
-  random forcing, small enough that the advective CFL number stays under 1
-  at 128), on square unit grids with nx = 16/32/64/128; and at
-  nx = 16/32/64, of one ``stokes.adjoint_coupling`` on one level and, with
-  nt = 32 and the regions of the shipped ``saddle`` config at ell = gamma =
-  10, of one ``stokes.solve_coupled_linear`` (a random leader control and a
-  projected random start) and one coupled ``stokes.solve_backward_adjoint``
-  (a projected random phi(T)), and, where the root has ``grid.v_mask``, one
-  application of the observation mask's V operator Q^T diag(d) Q to a
+* on square unit grids with nx = 16/32/64/128, the per-call time of
+  ``grid.diffusion_solve``, ``grid.project_div_free``, ``grid.v_coordinates``
+  and ``grid.v_velocities`` on one level, and of a 32-step convective
+  ``stokes.solve_forward`` (a projected random start and random forcing,
+  small enough that the advective CFL number stays under 1 at 128);
+* at nx = 16/32/64, of one ``stokes.adjoint_coupling`` on one level and,
+  with nt = 32 and the regions of the shipped ``saddle`` config at ell =
+  gamma = 10, of one ``stokes.solve_coupled_linear`` (a random leader
+  control and a projected random start), one coupled
+  ``stokes.solve_backward_adjoint`` (a projected random phi(T)), and one
+  application of the observation mask's V operator ``grid.v_mask`` to a
   random (nt + 1)-level stack, copied into place before each call (the copy
-  included; the operator acts in place).  Every layer goes through the
-  public API, so the same code measures every root.  Each is the median over 7 batches of
-  the per-call time within a batch, and the recorded value the median over
-  the rounds;
-* the wall time of each shipped config in ``DIR/configs``, run through
-  ``harness.parse_config`` and ``harness.run_experiment`` into a temporary
-  directory, one pass over the configs per round: the median and every run.
+  included; the operator acts in place);
+* at nx = 16/32/64, of one ``leader.penalized_gradient`` (a random control)
+  on the geometry of the root's ``configs/nullcontrol.json``: one coupled
+  solve and one adjoint pair, the work of one iteration of
+  ``leader.solve_null_control_cg``.
+
+A layer that some root lacks is not timed.  Each layer and size is timed in
+``PAIRS`` paired batches: a batch calls the layer of every root in turn, in
+an order reversed from batch to batch.  The shipped configs of each root's
+``DIR/configs`` run the same way, through ``harness.parse_config`` and
+``harness.run_experiment`` into a temporary directory, one run per root in
+each of ``ROUNDS`` paired rounds.
 
 The results of all roots go into one JSON file (default ``BENCH_1.json``
 next to this script's checkout), keyed by ``--label`` (default: the name of
-the root directory), with the host's CPU count and the numpy version.  Each
-root after the first also records, for every layer, size and config, in how
-many rounds it was faster than the first root: a per-round pairing that
-the medians alone do not show.
+the root directory), with the host's CPU count and the numpy version: each
+root's median per-call time of every layer and size and median wall time of
+every config, and, for each root after the first, the paired batches
+and rounds it won against the first root, out of how many.
 Work counters (steps, products, Picard sweeps, CG iterations) are not
 recorded: they wait for the program's own telemetry.
 """
@@ -49,136 +56,114 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+from functools import partial  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from checkouts import commit, load  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 32, 64, 128)
 # the sizes of the coupled layers
 COUPLED_SIZES = (16, 32, 64)
-BATCHES = 7
 MARCH_STEPS = 32
+PAIRS = 30
 ROUNDS = 5
 # calls of a layer per batch, and of the solves a tenth as many (at least one)
 CALLS = {16: 100, 32: 50, 64: 10, 128: 3}
-SOLVES = ("convective_forward_32_steps", "coupled_linear_solve", "adjoint_pair")
+SOLVES = ("convective_forward_32_steps", "coupled_linear_solve", "adjoint_pair",
+          "cg_iteration")
 
 
-def _per_call_us(fn, calls: int) -> float:
-    """Median over the batches of the per-call time of ``fn()``, in microseconds."""
-    fn()
-    times = []
-    for _ in range(BATCHES):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        times.append((time.perf_counter() - t0) / calls * 1e6)
-    return round(statistics.median(times), 2)
+def layers(pkg, root: Path, n: int) -> dict:
+    """{layer name: a call of it} at size ``n`` for the package ``pkg`` of ``root``."""
+    grid, stokes, leader, harness = pkg.grid, pkg.stokes, pkg.leader, pkg.harness
+    rng = np.random.default_rng(n)
+    g = grid.GridSpec(nx=n, ny=n, nt=MARCH_STEPS, T=1.0)
+    field = grid.VelocityField.from_packed(g, grid.closed_noise(g, rng, 1)[0])
+    coeffs = rng.standard_normal((n - 1) ** 2)
+    out = np.empty(g.n_faces)
+    start = grid.project_div_free(
+        grid.VelocityField.from_packed(g, grid.closed_noise(g, rng, 1, 0.01)[0]))
+    forcing = stokes.ForcingAssembly(g, extra_source=grid.Trajectory(
+        g, grid.closed_noise(g, rng, MARCH_STEPS + 1, 0.01)))
+    convective = stokes.SolverOptions(convection_on=True)
+    timed = {
+        "diffusion_solve": lambda: grid.diffusion_solve(field, g.dt),
+        "project_div_free": lambda: grid.project_div_free(field),
+        "v_coordinates": lambda: grid.v_coordinates(field.data, g),
+        "v_velocities": lambda: grid.v_velocities(coeffs, g, out),
+        "convective_forward_32_steps": lambda: stokes.solve_forward(start, forcing, convective),
+    }
+    if n not in COUPLED_SIZES:
+        return timed
+    omega = grid.Region(0.35, 0.75, 0.35, 0.75)
+    chi = grid.SmoothCutoff.for_grid(grid.Region(0.05, 0.25, 0.05, 0.25), g)
+    coupling = stokes.Coupling.build(g, chi, grid.Region(0.45, 0.95, 0.45, 0.95),
+                                     10.0, 10.0, 1.0)
+    h = grid.Trajectory(g, grid.closed_noise(g, rng, MARCH_STEPS + 1, 0.1, first=1))
+    raw = json.loads((root / "configs" / "nullcontrol.json").read_text())
+    raw["grid"].update(nx=n, ny=n)
+    cfg = harness.config_from_dict(raw)
+    prob = cfg.problem()
+    h_cg = grid.Trajectory(prob.grid, grid.closed_noise(prob.grid, rng, raw["grid"]["nt"] + 1,
+                                                        0.1, first=1))
+    timed.update({
+        "adjoint_coupling": lambda: stokes.adjoint_coupling(start, field),
+        "coupled_linear_solve": lambda: stokes.solve_coupled_linear(h, start, None, coupling,
+                                                                    omega=omega),
+        "adjoint_pair": lambda: stokes.solve_backward_adjoint(start, None, None, None, coupling),
+        "cg_iteration": lambda: leader.penalized_gradient(prob, h_cg, cfg.penalty),
+    })
+    if hasattr(grid, "v_mask"):
+        mask_op = grid.v_mask(coupling.obs_mask.data, g)
+        stack = rng.standard_normal((MARCH_STEPS + 1, (n - 1) ** 2))
+        work = np.empty_like(stack)
+        timed["mask_operator"] = lambda: mask_op(np.copyto(work, stack) or work)
+    return timed
 
 
-def measure(root: Path) -> dict:
-    """The layer timings and config wall times of the checkout at ``root``."""
-    sys.path.insert(0, str(root / "src"))
-    import numpy as np
-
-    from stackstokes import grid, harness, stokes
-
-    layers = {name: {} for name in ("diffusion_solve", "project_div_free", "v_coordinates",
-                                    "v_velocities", "convective_forward_32_steps",
-                                    "adjoint_coupling", "coupled_linear_solve",
-                                    "adjoint_pair", "mask_operator")}
-    rng = np.random.default_rng(0)
-    for n in SIZES:
-        g = grid.GridSpec(nx=n, ny=n, nt=MARCH_STEPS, T=1.0)
-        field = grid.VelocityField.from_packed(g, grid.closed_noise(g, rng, 1)[0])
-        coeffs = rng.standard_normal((n - 1) ** 2)
-        out = np.empty(g.n_faces)
-        start = grid.project_div_free(
-            grid.VelocityField.from_packed(g, grid.closed_noise(g, rng, 1, 0.01)[0]))
-        forcing = stokes.ForcingAssembly(g, extra_source=grid.Trajectory(
-            g, grid.closed_noise(g, rng, MARCH_STEPS + 1, 0.01)))
-        convective = stokes.SolverOptions(convection_on=True)
-        omega = grid.Region(0.35, 0.75, 0.35, 0.75)
-        chi = grid.SmoothCutoff.for_grid(grid.Region(0.05, 0.25, 0.05, 0.25), g)
-        coupling = stokes.Coupling.build(g, chi, grid.Region(0.45, 0.95, 0.45, 0.95),
-                                         10.0, 10.0, 1.0)
-        h = grid.Trajectory(g, grid.closed_noise(g, rng, MARCH_STEPS + 1, 0.1, first=1))
-        calls = CALLS[n]
-        timed = {
-            "diffusion_solve": lambda: grid.diffusion_solve(field, g.dt),
-            "project_div_free": lambda: grid.project_div_free(field),
-            "v_coordinates": lambda: grid.v_coordinates(field.data, g),
-            "v_velocities": lambda: grid.v_velocities(coeffs, g, out),
-            "convective_forward_32_steps": lambda: stokes.solve_forward(start, forcing,
-                                                                        convective),
-        }
-        if n in COUPLED_SIZES:
-            if hasattr(grid, "v_mask"):
-                mask_op = grid.v_mask(coupling.obs_mask.data, g)
-                stack = rng.standard_normal((MARCH_STEPS + 1, (n - 1) ** 2))
-                work = np.empty_like(stack)
-                timed["mask_operator"] = lambda: mask_op(np.copyto(work, stack) or work)
-            timed.update({
-                "adjoint_coupling": lambda: stokes.adjoint_coupling(start, field),
-                "coupled_linear_solve": lambda: stokes.solve_coupled_linear(
-                    h, start, None, coupling, omega=omega),
-                "adjoint_pair": lambda: stokes.solve_backward_adjoint(start, None, None, None,
-                                                                      coupling),
-            })
-        for name, fn in timed.items():
-            layers[name][str(n)] = _per_call_us(fn, max(1, calls // 10) if name in SOLVES
-                                                else calls)
-    configs = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for path in sorted((root / "configs").glob("*.json")):
-            cfg = harness.parse_config(path)
+def paired(fns: list, batches: int, calls: int) -> list:
+    """For each of ``fns``, its per-call seconds in each of ``batches`` paired
+    batches of ``calls`` calls; the order of ``fns`` is reversed every batch."""
+    times = [[] for _ in fns]
+    order = list(range(len(fns)))
+    for _ in range(batches):
+        for i in order:
             t0 = time.perf_counter()
-            harness.run_experiment(cfg, Path(tmp) / path.stem)
-            configs[path.stem] = round(time.perf_counter() - t0, 3)
-    return {"layers_us_per_call": layers, "configs_wall_s": configs}
+            for _ in range(calls):
+                fns[i]()
+            times[i].append((time.perf_counter() - t0) / calls)
+        order.reverse()
+    return times
 
 
-def _combine(rounds: list) -> dict:
-    """One root's record from its rounds: the median layer times, and each config's
-    median and runs, with every round's layer times kept."""
-    layers = {name: {n: statistics.median(r["layers_us_per_call"][name][n] for r in rounds)
-                     for n in sizes}
-              for name, sizes in rounds[0]["layers_us_per_call"].items()}
-    configs = {}
-    for name in rounds[0]["configs_wall_s"]:
-        times = [r["configs_wall_s"][name] for r in rounds]
-        configs[name] = {"median": statistics.median(times), "runs": times}
-    return {"layers_us_per_call": layers, "configs_wall_s": configs,
-            "layers_per_round": [r["layers_us_per_call"] for r in rounds]}
+def measure(pkgs: list, roots: list, tmp: Path):
+    """(where its entry goes, unit in s, per-root times) of every layer and size,
+    then of every config."""
+    for n in SIZES:
+        timed = [layers(pkg, root, n) for pkg, root in zip(pkgs, roots)]
+        for name in [k for k in timed[0] if all(k in t for t in timed)]:
+            fns = [t[name] for t in timed]
+            for fn in fns:
+                fn()
+            calls = max(1, CALLS[n] // 10) if name in SOLVES else CALLS[n]
+            yield ("layers_us_per_call", name, str(n)), 1e-6, paired(fns, PAIRS, calls)
+    for path in sorted((roots[0] / "configs").glob("*.json")):
+        fns = [partial(pkg.harness.run_experiment,
+                       pkg.harness.parse_config(root / "configs" / path.name), tmp / str(i))
+               for i, (pkg, root) in enumerate(zip(pkgs, roots))]
+        yield ("configs_wall_s", path.stem), 1.0, paired(fns, ROUNDS, 1)
 
 
-def _wins(rounds: list, base: list) -> dict:
-    """For each layer and size, and each config, the number of rounds in which
-    ``rounds`` measured less time than ``base`` did in the same round."""
-    layers = {name: {n: sum(r["layers_us_per_call"][name][n] < b["layers_us_per_call"][name][n]
-                            for r, b in zip(rounds, base))
-                     for n in sizes}
-              for name, sizes in base[0]["layers_us_per_call"].items()}
-    configs = {name: sum(r["configs_wall_s"][name] < b["configs_wall_s"][name]
-                         for r, b in zip(rounds, base))
-               for name in base[0]["configs_wall_s"]}
-    return {"layers_us_per_call": layers, "configs_wall_s": configs}
-
-
-def _commit(root: Path):
-    """The short HEAD commit of a git checkout at ``root``, marked ``+changes`` if
-    its tracked files differ from it, or None outside git."""
-    def git(*cmd):
-        return subprocess.run(["git", "-C", str(root), *cmd], capture_output=True, text=True)
-
-    head = git("rev-parse", "--short", "HEAD")
-    if head.returncode != 0:
-        return None
-    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
-    return head.stdout.strip() + ("+changes" if dirty else "")
+def put(tree: dict, keys: tuple, value) -> None:
+    """Set ``tree[k0][k1]...[kn] = value``, making the dicts on the way."""
+    for key in keys[:-1]:
+        tree = tree.setdefault(key, {})
+    tree[keys[-1]] = value
 
 
 def main(argv=None) -> None:
@@ -186,50 +171,44 @@ def main(argv=None) -> None:
     p.add_argument("--root", type=Path, action="append")
     p.add_argument("--label", action="append")
     p.add_argument("--out", type=Path, default=ROOT / "BENCH_1.json")
-    p.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    if args.measure is not None:
-        print(json.dumps(measure(args.measure.resolve())))
-        return
     roots = [r.resolve() for r in args.root or [ROOT]]
     labels = args.label or [r.name for r in roots]
-    if len(labels) != len(roots):
-        p.error("give one --label per --root")
-    rounds = {label: [] for label in labels}
-    order = list(zip(labels, roots))
-    for _ in range(ROUNDS):
-        for label, root in order:
-            child = subprocess.run([sys.executable, __file__, "--measure", str(root)],
-                                   capture_output=True, text=True, check=True)
-            rounds[label].append(json.loads(child.stdout.splitlines()[-1]))
-            print(f"{label}: {json.dumps(rounds[label][-1])}")
-        order.reverse()
-    runs = {label: {"commit": _commit(root), **_combine(rounds[label])}
-            for label, root in zip(labels, roots)}
-    for label in labels[1:]:
-        runs[label]["rounds_faster_than_" + labels[0]] = _wins(rounds[label], rounds[labels[0]])
-    import numpy as np
-
+    if len(labels) != len(roots) or len(set(labels)) != len(labels):
+        p.error("give one distinct --label per --root")
+    pkgs = [load(root, f"stackstokes_{i}") for i, root in enumerate(roots)]
+    won = "won_against_" + labels[0]
+    runs = {label: {"commit": commit(root)} for label, root in zip(labels, roots)}
+    with tempfile.TemporaryDirectory() as tmp:
+        for keys, unit, times in measure(pkgs, roots, Path(tmp)):
+            medians = [float(f"{statistics.median(ts) / unit:.4g}") for ts in times]
+            wins = [[sum(t < t0 for t, t0 in zip(ts, times[0])), len(ts)] for ts in times[1:]]
+            for label, value in zip(labels, medians):
+                put(runs[label], keys, value)
+            for label, value in zip(labels[1:], wins):
+                put(runs[label], (won, *keys), value)
+            print(f"{' '.join(keys[1:])}: {medians}, won {wins}", flush=True)
     args.out.write_text(json.dumps({
         "script": "scripts/bench_layers.py",
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": np.__version__,
                  "blas_threads": 1},
-        "method": (f"{ROUNDS} rounds over the roots in alternating order, one fresh "
-                   f"interpreter per root and round; "
-                   f"per-call time: median over {BATCHES} batches of the per-call mean, "
-                   f"then over the rounds; "
+        "method": (f"one interpreter, each root's package loaded under its own name; "
+                   f"per layer and size, {PAIRS} paired batches, each calling every root's "
+                   f"layer in turn, in an order reversed every batch; per-call time: median "
+                   f"over the batches of the batch's per-call mean; "
                    f"convective forward: stokes.solve_forward with convection_on, "
                    f"{MARCH_STEPS} steps per call; "
                    f"coupled layers at nx = {'/'.join(map(str, COUPLED_SIZES))}: one "
                    f"adjoint_coupling on one level, and one solve_coupled_linear and one "
                    f"coupled solve_backward_adjoint, nt = {MARCH_STEPS}, per call; "
-                   f"mask_operator (roots with grid.v_mask): the observation mask's V "
-                   f"operator on a {MARCH_STEPS + 1}-level stack, its copy included; "
-                   f"configs: wall seconds, median of {ROUNDS} passes, one per round; "
-                   f"rounds_faster_than_<first label>: per layer, size and config, the "
-                   f"rounds (of {ROUNDS}) in which a later root took less time than the "
-                   f"first one"),
+                   f"mask_operator: the observation mask's V operator on a "
+                   f"{MARCH_STEPS + 1}-level stack, its copy included; cg_iteration: one "
+                   f"leader.penalized_gradient on the nullcontrol geometry; a layer some "
+                   f"root lacks is not timed; "
+                   f"configs: median wall seconds of {ROUNDS} paired rounds; "
+                   f"{won}: per layer and size, and per config, [batches or rounds in "
+                   f"which the root took less time than the first root, batches or rounds]"),
         "counters": "not recorded: work counters wait for the program's own telemetry",
         "runs": runs,
     }, indent=2) + "\n")

@@ -4,11 +4,12 @@ Usage (from the repository root):
 
     python3 scripts/metric_moves.py --root A --root B [--out FILE]
 
-For each root, a fresh interpreter, with BLAS threads pinned to 1 as in the
-benchmark, imports ``stackstokes`` from ``ROOT/src`` and runs every config in
-``ROOT/configs`` through ``harness.parse_config`` and
-``harness.run_experiment`` into a temporary directory.  The metrics of each
-config are flattened to leaves (``weighted_norm_log10.z_l2``,
+One interpreter, with BLAS threads pinned to 1 as in the benchmark, loads the
+``stackstokes`` package of each root from ``ROOT/src`` under a name of its own
+(``checkouts.load``) and runs every config in ``ROOT/configs`` through that
+copy's ``harness.parse_config`` and ``harness.run_experiment`` into a temporary
+directory.  The metrics of each config are read as the manifest records them
+(through JSON), flattened to leaves (``weighted_norm_log10.z_l2``,
 ``history[2].cg_iters``) and compared leaf by leaf, B against A:
 
 * ``moves``: the relative change |b - a| / |a| of every numeric leaf (0 where
@@ -32,22 +33,23 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
-import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+from checkouts import load  # noqa: E402
 
-def measure(root: Path) -> dict:
-    """{config name: metrics} of every shipped config of the checkout at ``root``."""
-    sys.path.insert(0, str(root / "src"))
-    from stackstokes import harness
 
+def measure(root: Path, name: str) -> dict:
+    """{config name: metrics} of every shipped config of the checkout at ``root``,
+    run by its package loaded as ``name``."""
+    harness = load(root, name).harness
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for path in sorted((root / "configs").glob("*.json")):
-            cfg = harness.parse_config(path)
-            out[path.stem] = harness.run_experiment(cfg, Path(tmp) / path.stem).metrics
+            metrics = harness.run_experiment(harness.parse_config(path),
+                                             Path(tmp) / path.stem).metrics
+            out[path.stem] = json.loads(json.dumps(metrics, default=repr))
     return out
 
 
@@ -97,26 +99,14 @@ def compare(a: dict, b: dict) -> dict:
             "moves": moves}
 
 
-def _run(root: Path) -> dict:
-    child = subprocess.run([sys.executable, __file__, "--measure", str(root)],
-                           capture_output=True, text=True)
-    if child.returncode != 0:
-        sys.exit(f"{root}: the configs failed to run\n{child.stderr}")
-    return json.loads(child.stdout.splitlines()[-1])
-
-
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--root", type=Path, action="append")
     p.add_argument("--out", type=Path)
-    p.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    if args.measure is not None:
-        print(json.dumps(measure(args.measure.resolve()), default=repr))
-        return
     if not args.root or len(args.root) != 2:
         p.error("give exactly two --root")
-    a, b = (_run(r.resolve()) for r in args.root)
+    a, b = (measure(r.resolve(), f"stackstokes_{i}") for i, r in enumerate(args.root))
     table = {"script": "scripts/metric_moves.py", "a": str(args.root[0]),
              "b": str(args.root[1]),
              "configs_only_in_a": sorted(a.keys() - b.keys()),

@@ -633,17 +633,23 @@ def _diffusion_tables(grid: GridSpec, dt: float):
     )
 
 
+def _diffusion_tables_at(grid: GridSpec, dt: float):
+    """The :func:`_diffusion_tables` of ``dt``, built once per grid and time step."""
+    tables = grid._diffusion.get(dt)
+    if tables is None:
+        tables = grid._diffusion[dt] = _diffusion_tables(grid, dt)
+    return tables
+
+
 def diffusion_solve(rhs: VelocityField, dt: float) -> VelocityField:
     """Solve (I - dt*Laplacian) out = rhs componentwise (exact transform solve).
 
     Only interior unknowns are solved; boundary faces of the result are zero
     and boundary-face values of ``rhs`` are ignored, matching the no-slip
-    closure of :func:`laplacian`.  The tables of a time step are built once per grid.
+    closure of :func:`laplacian`.
     """
     g = rhs.grid
-    tables = g._diffusion.get(dt)
-    if tables is None:
-        tables = g._diffusion[dt] = _diffusion_tables(g, dt)
+    tables = _diffusion_tables_at(g, dt)
     out = VelocityField.zeros(g)
     out.u[1:-1, :] = _diagonalized(rhs.u[1:-1, :], *tables[0])
     out.v[:, 1:-1] = _diagonalized(rhs.v[:, 1:-1], *tables[1])
@@ -746,7 +752,7 @@ def _v_step_tables(grid: GridSpec):
     and m holds m_u and then m_v, flat.
     """
     nx, ny = grid.nx, grid.ny
-    (sx, _, _, ty_t, m_u), (tx, _, sy, _, m_v) = _diffusion_tables(grid, grid.dt)
+    (sx, _, _, ty_t, m_u), (tx, _, sy, _, m_v) = _diffusion_tables_at(grid, grid.dt)
     ey, fx = _differences(grid)
     s = grid._v[2].reshape(nx - 1, ny - 1)
     return (*_and_transpose(sy @ ey @ ty_t), *_and_transpose(tx @ fx @ sx),

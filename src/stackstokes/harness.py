@@ -645,12 +645,6 @@ def _exp_carleman(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     metrics["observability_stability"] = (
         rep2.max_ratio / rep1.max_ratio if rep1.max_ratio > 0 else 1.0
     )
-    # on a horizon far from the time unit the weights saturate at e^{+-709}
-    saturated = [k for k, v in metrics.items() if isinstance(v, float) and not math.isfinite(v)]
-    saturated += [f"domination_log_ratios[{l}]" for l, r in dom if not math.isfinite(r)]
-    if saturated:
-        raise NumericalError(f"the Carleman weights leave the double range on the horizon "
-                             f"T = {T:g}: {', '.join(saturated)} not finite")
     return metrics
 
 
@@ -765,8 +759,33 @@ _PIPELINES = {
 }
 
 
+def _non_finite(value, path: str = "") -> list:
+    """(dotted path, value) of every NaN or infinite number in nested metrics."""
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return [(path, value)] if isinstance(value, float) and not math.isfinite(value) else []
+    return [leaf for key, v in items for leaf in _non_finite(v, key)]
+
+
+def _finite(metrics: dict) -> dict:
+    """``metrics``, if every number in them is finite; an entry of
+    ``weighted_norm_log10`` may be -inf, the log10 of a zero norm."""
+    bad = [path for path, v in _non_finite(metrics)
+           if not (path.startswith("weighted_norm_log10.") and v == -math.inf)]
+    if bad:
+        raise NumericalError(f"non-finite metrics: {', '.join(bad)}")
+    return metrics
+
+
 def run_experiment(cfg: ExperimentConfig, out_root=None) -> RunRecord:
-    """Dispatch the configured experiment and persist manifest + artifacts."""
+    """Dispatch the configured experiment and persist manifest + artifacts.
+
+    A NaN or infinite metric (:func:`_finite`) raises :class:`NumericalError`,
+    and the manifest is written incomplete, without metrics.
+    """
     if out_root is None:
         out_root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
     h = cfg.config_hash()
@@ -777,7 +796,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> RunRecord:
     metrics: dict = {}
     arts = _Artifacts(outdir, h)
     try:
-        metrics = _PIPELINES[cfg.experiment](cfg, arts)
+        metrics = _finite(_PIPELINES[cfg.experiment](cfg, arts))
         incomplete = False
     finally:
         finished = datetime.datetime.now(datetime.timezone.utc).isoformat()

@@ -256,16 +256,22 @@ def test_v_step_is_the_projected_diffusion_solve(rng, nx, ny, Lx, Ly):
 
 def test_v_step_tables_are_built_once_per_grid(monkeypatch):
     # the step reads its tables as an attribute of the grid, built on the
-    # first step, not per step and not through a cache keyed by grid value
+    # first step, not per step and not through a cache keyed by grid value;
+    # it shares the diffusion tables of its time step with diffusion_solve
     g = GridSpec(nx=12, ny=10, Lx=1.1, Ly=0.9, nt=8, T=0.45)
-    built = []
+    built, diffusion = [], []
     tables = grid_module._v_step_tables
     monkeypatch.setattr(grid_module, "_v_step_tables",
                         lambda grid: built.append(grid) or tables(grid))
+    diffusion_tables = grid_module._diffusion_tables
+    monkeypatch.setattr(grid_module, "_diffusion_tables",
+                        lambda grid, dt: diffusion.append(dt) or diffusion_tables(grid, dt))
+    diffusion_solve(VelocityField.zeros(g), g.dt)
     c, work = np.ones((g.nx - 1, g.ny - 1)), v_work(g)
     for _ in range(3):
         v_step(c, g, c, work)
     assert built == [g]
+    assert diffusion == [g.dt]
     assert GridSpec(nx=12, ny=10, Lx=1.1, Ly=0.9, nt=8, T=0.45)._v_step is not g._v_step
 
 

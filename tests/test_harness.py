@@ -564,6 +564,35 @@ def test_carleman_check_on_extreme_horizons_ends_finite_or_typed(tmp_path, capsy
             assert all(math.isfinite(v) for v in numbers), (T, metrics)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_metrics_are_refused(tmp_path, capsys):
+    # zero data make every terminal and control norm of the epsilon sweep 0,
+    # so its log-log slope and control growth ratio are NaN; the run wrote
+    # them with exit 0
+    from stackstokes.cli import main
+
+    path, out = tmp_path / "cfg.json", tmp_path / "runs"
+    raw = default_config_dict("nullcontrol")
+    raw["grid"].update(nx=8, ny=8, nt=8)
+    raw["data"]["y0_kind"] = "zero"
+    raw["penalty"]["epsilon_schedule"] = [1e-2, 1e-3]
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(out / "two")]) == 3
+    err = capsys.readouterr().err
+    assert "loglog_slope" in err and "max_control_growth_ratio" in err
+    (manifest,) = (out / "two").rglob("manifest.json")
+    manifest = json.loads(manifest.read_text())
+    assert manifest["incomplete"] is True and manifest["metrics"] == {}
+    # one epsilon fits no slope; the weighted norms of the zero solution are
+    # log10(0) = -inf, the one non-finite value a metric may hold
+    raw["penalty"]["epsilon_schedule"] = []
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(out / "one")]) == 0, capsys.readouterr().err
+    (manifest,) = (out / "one").rglob("manifest.json")
+    norms = json.loads(manifest.read_text())["metrics"]["weighted_norm_log10"]
+    assert norms and all(v == -math.inf for v in norms.values()), norms
+
+
 def test_convergence_refuses_convection(tmp_path, capsys):
     # the manufactured forcing of the convergence study is Stokes-only
     from stackstokes.cli import main

@@ -2,7 +2,8 @@
 every function the package defines has a caller in the program, every
 dataclass field is read, every solver and penalty option is live, only
 grid splits the packed face layout, only the Picard loop reads its
-iteration controls, and the package needs neither scipy nor numpy.linalg."""
+iteration controls, the package needs neither scipy nor numpy.linalg, and it
+imports itself only relatively, so that a checkout loads under another name."""
 
 import ast
 import dataclasses
@@ -10,8 +11,10 @@ import importlib
 import pkgutil
 import re
 import runpy
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stackstokes
@@ -53,6 +56,46 @@ def test_traced_functions_resolve():
             assert hasattr(obj, part), f"stackstokes.{module_name}.{attr} does not resolve"
             obj = getattr(obj, part)
         assert callable(obj)
+
+
+def test_checkouts_load_independent_copies():
+    # the yardstick scripts load each checkout as a package of its own name;
+    # an absolute self-import would make that copy run another checkout's code
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert all(n.split(".")[0] != "stackstokes" for n in names), (path.name, names)
+    load = runpy.run_path(str(TESTS.parent / "scripts" / "checkouts.py"))["load"]
+    aliases = ("stackstokes_copy_a", "stackstokes_copy_b")
+    try:
+        a, b = (load(TESTS.parent, name) for name in aliases)
+        assert sys.modules["stackstokes_copy_a.grid"] is a.grid
+        for module in ("grid", "stokes", "harness"):
+            assert len({id(getattr(m, module)) for m in (a, b, stackstokes)}) == 3, module
+        assert a.grid._dst1_matrix(7) is not b.grid._dst1_matrix(7)
+        solutions = []
+        for m in (a, b):
+            g = m.grid.GridSpec(nx=8, ny=8, nt=8, T=0.5)
+            rng = np.random.default_rng(3)
+            start = m.grid.project_div_free(
+                m.grid.VelocityField.from_packed(g, m.grid.closed_noise(g, rng, 1)[0]))
+            h = m.grid.Trajectory(g, m.grid.closed_noise(g, rng, g.nt + 1, first=1))
+            chi = m.grid.SmoothCutoff.for_grid(m.grid.Region(0.05, 0.25, 0.05, 0.25), g)
+            coupling = m.stokes.Coupling.build(g, chi, m.grid.Region(0.45, 0.95, 0.45, 0.95),
+                                               10.0, 10.0, 1.0)
+            solutions.append(m.stokes.solve_coupled_linear(
+                h, start, None, coupling, omega=m.grid.Region(0.35, 0.75, 0.35, 0.75)))
+        sa, sb = solutions
+        assert type(sa) is not type(sb) and sa.iterations == sb.iterations
+        assert np.array_equal(sa.y.data, sb.y.data) and np.array_equal(sa.z.data, sb.z.data)
+    finally:
+        for name in [k for k in sys.modules if k.split(".")[0] in aliases]:
+            del sys.modules[name]
 
 
 # Functions that no run calls, kept because tests compare the program against them
