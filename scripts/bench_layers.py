@@ -32,10 +32,10 @@ root, on inputs drawn from the same seed for each root:
 
 A layer that some root lacks is not timed.  Each layer and size is timed in
 ``PAIRS`` paired batches: a batch calls the layer of every root in turn, in
-an order reversed from batch to batch.  The shipped configs of each root's
-``DIR/configs`` run the same way, through ``harness.parse_config`` and
-``harness.run_experiment`` into a temporary directory, one run per root in
-each of ``ROUNDS`` paired rounds.
+an order rotated by one root from batch to batch.  The shipped configs of
+each root's ``DIR/configs`` run the same way, through
+``harness.parse_config`` and ``harness.run_experiment`` into a temporary
+directory, one run per root in each of ``ROUNDS`` paired rounds.
 
 The results of all roots go into one JSON file (default ``BENCH_1.json``
 next to this script's checkout), keyed by ``--label`` (default: the name of
@@ -128,16 +128,17 @@ def layers(pkg, root: Path, n: int) -> dict:
 
 def paired(fns: list, batches: int, calls: int) -> list:
     """For each of ``fns``, its per-call seconds in each of ``batches`` paired
-    batches of ``calls`` calls; the order of ``fns`` is reversed every batch."""
+    batches of ``calls`` calls.  Batch b starts at ``fns[b % len(fns)]`` and
+    runs the rest in turn, so every fn takes every position equally often,
+    and with three or more fns none runs twice in a row."""
     times = [[] for _ in fns]
-    order = list(range(len(fns)))
-    for _ in range(batches):
-        for i in order:
+    for b in range(batches):
+        for k in range(len(fns)):
+            i = (b + k) % len(fns)
             t0 = time.perf_counter()
             for _ in range(calls):
                 fns[i]()
             times[i].append((time.perf_counter() - t0) / calls)
-        order.reverse()
     return times
 
 
@@ -195,8 +196,8 @@ def main(argv=None) -> None:
                  "blas_threads": 1},
         "method": (f"one interpreter, each root's package loaded under its own name; "
                    f"per layer and size, {PAIRS} paired batches, each calling every root's "
-                   f"layer in turn, in an order reversed every batch; per-call time: median "
-                   f"over the batches of the batch's per-call mean; "
+                   f"layer in turn, in an order rotated by one root every batch; per-call "
+                   f"time: median over the batches of the batch's per-call mean; "
                    f"convective forward: stokes.solve_forward with convection_on, "
                    f"{MARCH_STEPS} steps per call; "
                    f"coupled layers at nx = {'/'.join(map(str, COUPLED_SIZES))}: one "

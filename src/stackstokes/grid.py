@@ -36,8 +36,8 @@ packed stack of shape ``(nt+1, n_faces)`` whose row m holds level m.  Field
 and trajectory arithmetic, masks and the inner products are single numpy
 operations on the packed data, and ``traj[m]`` is a velocity field over row
 m, so a snapshot kept beyond its trajectory is copied first (see
-:class:`Trajectory`).  The SGF1 velocity payload of :mod:`fieldio` is the
-same vector.
+:class:`Trajectory`).  A trajectory file of :mod:`fieldio` holds the
+stack as it is.
 
 Every march of :mod:`stackstokes.stokes` runs in coordinates of the
 divergence-free space V, of dimension nv = (nx-1)(ny-1): V is the range of

@@ -424,9 +424,26 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigurationError(f"missing config field '{path}'")
         elif default is not _OWN:
             fields[section][key] = copy.copy(default)
-    if fields[""]["experiment"] == "convergence" and fields["solver"].get("convection_on"):
+    experiment, data, opts = fields[""]["experiment"], fields["data"], fields["options"]
+    if experiment == "convergence" and fields["solver"].get("convection_on"):
         raise ConfigurationError("config field 'solver.convection_on' must be false for the "
                                  "convergence experiment: its manufactured forcing is Stokes-only")
+    zero = ("y0_kind" if data["y0_kind"] == "zero"
+            else "y0_amplitude" if data["y0_amplitude"] == 0.0 else None)
+    if "y0_v_norm" in data and zero:
+        raise ConfigurationError(f"config field 'data.y0_v_norm' cannot rescale the zero initial "
+                                 f"state of 'data.{zero}' = {data[zero]!r}")
+    # measured ratios: 3.99-4.19 up to a coarse step of 0.625, up to 10.9 beyond it
+    if opts["horizon"] / opts["base_nt"] > 0.625:
+        raise ConfigurationError("config field 'options.horizon' must be at most 0.625 * "
+                                 "options.base_nt: a longer coarse step moves the convergence "
+                                 f"ratios away from 4, got {opts['horizon']!r}")
+    eps = opts["domination_epsilon"]
+    low = [lam for lam in opts["domination_lams"] if (1.0 + eps) * alpha_ratio(lam) <= 1.0]
+    if low and experiment == "carleman-check":  # check_weight_domination's precondition
+        raise ConfigurationError("config field 'options.domination_epsilon' must exceed e^-lam for "
+                                 f"every lam of 'options.domination_lams', got {eps!r} at lam = "
+                                 f"{low[0]!r}, where the domination inequality fails")
     built = {s: build(**fields[s]) for s, build in _BUILDS.items()}
     r = {k: Region(*box) for k, box in fields["regions"].items()}
     return ExperimentConfig(**fields[""], **built, omega=r["omega"], follower_set=r["O"],
@@ -475,7 +492,7 @@ class _Artifacts(list):
         self.append(str(path))
 
     def trajectory(self, name: str, traj: Trajectory) -> None:
-        self.extend(str(p) for p in fieldio.write_trajectory(self.outdir / "fields", name, traj))
+        self.append(str(fieldio.write_trajectory(self.outdir / "fields", name, traj)))
 
 
 # ---------------------------------------------------------------------------

@@ -444,39 +444,40 @@ def test_stream_function_velocity_is_q_of_the_sine_coordinates(rng):
 
 
 def test_binary_roundtrip(tmp_path, rng):
+    # one file per trajectory, read back bit-exact into a writable stack of its own
     g = GridSpec(nx=16, ny=12, nt=8, T=1.0)
-    w = closed_noise(g, rng)
-    fieldio.write_field(tmp_path / "w.sgf", w)
-    back = fieldio.read_field(tmp_path / "w.sgf", g)
-    assert np.array_equal(back.u, w.u) and np.array_equal(back.v, w.v)
-    # SGF1 holds velocities only: a scalar is refused both ways
-    s = ScalarField(g, rng.standard_normal((g.nx, g.ny)))
-    with pytest.raises(ConfigurationError, match="cannot serialize"):
-        fieldio.write_field(tmp_path / "s.sgf", s)
-    assert not (tmp_path / "s.sgf").exists()
-    (tmp_path / "s.sgf").write_bytes(fieldio._HEADER.pack(fieldio.MAGIC, b"S", g.nx, g.ny)
-                                     + s.values.tobytes())
-    with pytest.raises(ConfigurationError, match="unknown field kind"):
-        fieldio.read_field(tmp_path / "s.sgf", g)
     traj = state_traj(g, rng, amp=0.5)
-    fieldio.write_trajectory(tmp_path / "traj", "y", traj)
+    path = fieldio.write_trajectory(tmp_path / "traj", "y", traj)
+    assert path == tmp_path / "traj" / "y.sgf"
+    assert [p.name for p in (tmp_path / "traj").iterdir()] == ["y.sgf"]
     got = fieldio.read_trajectory(tmp_path / "traj", "y", g)
-    assert traj_norm(got - traj) == 0.0
+    assert got.data.tobytes() == traj.data.tobytes()
+    assert got.data.flags.writeable and got.data.flags.owndata
+    got.data[1] += 1.0
+    assert traj_norm(got - traj) > 0.0
 
 
 def test_binary_corruption_detected(tmp_path, rng):
+    import struct
+
     g = GridSpec(nx=16, ny=12, nt=8, T=1.0)
+    blob = fieldio.write_trajectory(tmp_path, "y", state_traj(g, rng)).read_bytes()
     w = closed_noise(g, rng)
-    fieldio.write_field(tmp_path / "w.sgf", w)
-    blob = (tmp_path / "w.sgf").read_bytes()
-    (tmp_path / "trunc.sgf").write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(ConfigurationError, match="payload"):
-        fieldio.read_field(tmp_path / "trunc.sgf", g)
-    (tmp_path / "junk.sgf").write_bytes(b"JUNK" + blob[4:])
-    with pytest.raises(ConfigurationError, match="not a grid-field"):
-        fieldio.read_field(tmp_path / "junk.sgf", g)
-    with pytest.raises(ConfigurationError, match="expected"):
-        fieldio.read_field(tmp_path / "w.sgf", GridSpec(nx=8, ny=8, nt=8, T=1.0))
+    sgf1 = struct.pack("<4scII", b"SGF1", b"V", g.nx, g.ny) + w.data.tobytes()
+    cases = [
+        (blob[:15], g, "too short"),
+        (b"JUNK" + blob[4:], g, "not an SGF2"),
+        (sgf1, g, "not an SGF2"),  # a snapshot file of the old layout
+        (blob, GridSpec(nx=8, ny=8, nt=8, T=1.0), "holds a 16x12 grid"),
+        (blob, GridSpec(nx=16, ny=12, nt=16, T=1.0), "holds 9 levels, expected 17"),
+        (blob[: len(blob) // 2], g, "payload"),
+        (blob + bytes(8), g, "payload"),
+    ]
+    for i, (data, grid, what) in enumerate(cases):
+        (tmp_path / f"bad{i}.sgf").write_bytes(data)
+        with pytest.raises(ConfigurationError, match=what) as err:
+            fieldio.read_trajectory(tmp_path, f"bad{i}", grid)
+        assert str(tmp_path / f"bad{i}.sgf") in str(err.value), i
 
 
 # ---------------------------------------------------------------------------
@@ -591,16 +592,18 @@ def test_inner_matches_two_sum_form(rng, nx, ny):
             assert inner(a, b, mask) == ref
 
 
-def test_write_field_bytes_match_u_then_v_writer(tmp_path, rng):
+def test_write_trajectory_bytes_match_u_then_v_writer(tmp_path, rng):
     import struct
 
     g = GridSpec(nx=16, ny=12, nt=8, T=1.0)
-    w = VelocityField(g, rng.standard_normal((g.nx + 1, g.ny)),
-                      rng.standard_normal((g.nx, g.ny + 1)))
-    fieldio.write_field(tmp_path / "w.sgf", w)
-    ref = (struct.pack("<4scII", b"SGF1", b"V", g.nx, g.ny)
-           + np.ascontiguousarray(w.u, dtype="<f8").tobytes()
-           + np.ascontiguousarray(w.v, dtype="<f8").tobytes())
-    assert (tmp_path / "w.sgf").read_bytes() == ref
-    back = fieldio.read_field(tmp_path / "w.sgf", g)
-    assert back.data.flags.writeable and back.data.tobytes() == w.data.tobytes()
+    levels = [VelocityField(g, rng.standard_normal((g.nx + 1, g.ny)),
+                            rng.standard_normal((g.nx, g.ny + 1))) for _ in range(g.nt + 1)]
+    traj = Trajectory(g, levels)
+    path = fieldio.write_trajectory(tmp_path, "w", traj)
+    ref = struct.pack("<4sIII", b"SGF2", g.nx, g.ny, g.nt + 1)
+    for w in levels:
+        ref += (np.ascontiguousarray(w.u, dtype="<f8").tobytes()
+                + np.ascontiguousarray(w.v, dtype="<f8").tobytes())
+    assert path.read_bytes() == ref
+    back = fieldio.read_trajectory(tmp_path, "w", g)
+    assert back.data.flags.writeable and back.data.tobytes() == traj.data.tobytes()

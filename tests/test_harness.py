@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from stackstokes.carleman import CarlemanParams
-from stackstokes.errors import ConfigurationError, GeometryError
+from stackstokes.errors import ConfigurationError, GeometryError, NumericalError
 from stackstokes.grid import (
     GridSpec,
     Trajectory,
@@ -467,6 +467,13 @@ def test_option_copies_keep_relax(monkeypatch):
     ("options", "domination_lams", [1.0, math.inf], "options.domination_lams"),
     # a JSON integer beyond the range of a double: casting it raised OverflowError
     pytest.param("grid", "T", 10**400, "grid.T", id="grid-T-10**400-grid.T"),
+    # data.y0_v_norm cannot rescale a zero initial state; run refused it
+    ("data", "y0_amplitude", 0.0, "data.y0_amplitude"),
+    ("data", "y0_kind", "zero", "data.y0_kind"),
+    # a coarse step horizon / base_nt above 0.625 moves the convergence ratios
+    # away from 4 (base_nt is 32 here); 300 gave a ratio of 2.9e46
+    ("options", "horizon", 300.0, "options.horizon"),
+    ("options", "horizon", 40.0, "options.horizon"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
     from stackstokes.cli import main
@@ -530,12 +537,103 @@ def test_refused_runs_exit_2_or_3(tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert main(["run", str(path), "--out", out]) == 2
     assert "'grid.T'" in capsys.readouterr().err
-    # every error of the study underflows to 0 on this horizon: no ratio exists
+    # the coarse step of this horizon is far above 0.625, so validate refuses it
     raw = default_config_dict("convergence")
     raw["options"].update(sizes=[8, 16], horizon=1e300)
     path.write_text(json.dumps(raw))
-    assert main(["run", str(path), "--out", out]) == 3
-    assert "underflows to 0" in capsys.readouterr().err
+    assert main(["run", str(path), "--out", out]) == 2
+    assert "'options.horizon'" in capsys.readouterr().err
+    # past validation, every error of the study underflows to 0: no ratio exists
+    raw["options"]["horizon"] = 0.25
+    cfg = config_from_dict(raw)
+    cfg.options["horizon"] = 1e300
+    with pytest.raises(NumericalError, match="underflows to 0"):
+        run_experiment(cfg, out_root=out)
+
+
+def test_validate_refuses_a_domination_epsilon_the_run_refuses(tmp_path, capsys):
+    # check_weight_domination needs (1 + eps) * alpha_ratio(lam) > 1, that is
+    # eps > e^-lam, for every lam; the run refused the config after validate
+    # accepted it
+    from stackstokes.cli import main
+
+    path = tmp_path / "cfg.json"
+    for eps, lams in ((0.1, [1.0, 2.0, 4.0]), (1.0, [1.0, 1e-300])):
+        raw = default_config_dict("carleman-check")
+        raw["options"].update(domination_epsilon=eps, domination_lams=lams)
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'options.domination_epsilon'" in err and "'options.domination_lams'" in err
+        raw["experiment"] = "saddle"  # no other experiment reads the options
+        assert config_from_dict(raw).options["domination_epsilon"] == eps
+    # a coarse step of exactly 0.625 is the longest the convergence study takes
+    raw = default_config_dict("convergence")
+    raw["options"].update(horizon=20.0, base_nt=32)
+    assert config_from_dict(raw).options["horizon"] == 20.0
+    raw["options"]["horizon"] = 20.000001
+    with pytest.raises(ConfigurationError, match="'options.horizon'"):
+        config_from_dict(raw)
+
+
+# The one accepted case of the float walk that its run refuses: the H1 norm of
+# a start of amplitude 1e-300 underflows to 0, so data.y0_v_norm cannot rescale it
+_RUN_REFUSES = {("nullcontrol-nonlinear", "data.y0_amplitude", 1e-300)}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_float_walk_ends_refused_finite_or_typed(tmp_path, capsys):
+    # every float field of every template, list entries and region corners
+    # included, at 0, -1, 1e300 and 1e-300 through validate, on the 8x8,
+    # nt = 8 copy that the accepted cases run on.  One accepted case per field
+    # runs, its experiment and value taken in turn, so that every experiment
+    # runs; each run ends in exit 0 with finite metrics or in exit 3.
+    from stackstokes.cli import main
+    from stackstokes.harness import _FIELDS, _finite
+
+    values = (0.0, -1.0, 1e300, 1e-300)
+    floats = {p for p, (kind, *_) in _FIELDS.items() if kind in (float, [float])}
+    path, walked, accepted = tmp_path / "walk.json", set(), {}
+    for experiment in EXPERIMENTS:
+        raw = default_config_dict(experiment)
+        raw["grid"].update(nx=8, ny=8, nt=8)
+        if experiment == "convergence":
+            raw["options"].update(sizes=[8, 16], base_nt=8)
+        if experiment == "saddle":  # the fields that no template sets
+            raw["options"] = {"n_probes": 100, "outer_tol": 1e-6, "outer_max": 25}
+            raw["solver"]["small_data_delta"] = 1e-3
+        for obj, key, field in list(_number_slots(raw)):
+            if field not in floats:
+                continue
+            good = obj[key]
+            for value in values:
+                obj[key] = value
+                text = json.dumps(raw)
+                path.write_text(text)
+                code = main(["validate", str(path)])
+                capsys.readouterr()
+                assert code in (0, 2), (experiment, field, value)
+                if code == 0:
+                    accepted.setdefault(field, {}).setdefault((experiment, value), text)
+            obj[key] = good
+            walked.add(field)
+    assert walked == floats
+    picks = set(_RUN_REFUSES)
+    for j, (field, cases) in enumerate(accepted.items()):
+        # the j-th field runs in the j-th experiment and with the j-th value, in
+        # turn, or in the next that validate accepts
+        picks.add(min((((EXPERIMENTS.index(e) - j) % len(EXPERIMENTS),
+                        (values.index(v) - j) % len(values)), (e, field, v))
+                      for e, v in cases)[1])
+    assert {e for e, _, _ in picks} == set(EXPERIMENTS)
+    for i, (experiment, field, value) in enumerate(sorted(picks)):
+        path.write_text(accepted[field][experiment, value])
+        code = main(["run", str(path), "--out", str(tmp_path / "runs" / str(i))])
+        case = (experiment, field, value, capsys.readouterr().err)
+        assert code == 2 if case[:3] in _RUN_REFUSES else code in (0, 3), case
+        if code == 0:
+            (manifest,) = (tmp_path / "runs" / str(i)).rglob("manifest.json")
+            assert _finite(json.loads(manifest.read_text())["metrics"]), case
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

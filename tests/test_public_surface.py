@@ -3,7 +3,8 @@ every function the package defines has a caller in the program, every
 dataclass field is read, every solver and penalty option is live, only
 grid splits the packed face layout, only the Picard loop reads its
 iteration controls, the package needs neither scipy nor numpy.linalg, and it
-imports itself only relatively, so that a checkout loads under another name."""
+imports itself only relatively, so that a checkout loads under another name,
+and the layer yardstick rotates the order of the checkouts it compares."""
 
 import ast
 import dataclasses
@@ -12,6 +13,8 @@ import pkgutil
 import re
 import runpy
 import sys
+from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +99,28 @@ def test_checkouts_load_independent_copies():
     finally:
         for name in [k for k in sys.modules if k.split(".")[0] in aliases]:
             del sys.modules[name]
+
+
+def test_bench_layers_rotates_the_root_order(monkeypatch):
+    # batch b of the paired batches starts at root b and runs the rest in
+    # turn: every root takes every position equally often, and with three or
+    # more roots none runs two batches back to back
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # set by the script; restored afterwards
+    monkeypatch.syspath_prepend(str(TESTS.parent / "scripts"))
+    paired = runpy.run_path(str(TESTS.parent / "scripts" / "bench_layers.py"))["paired"]
+    for n in (2, 3, 4):
+        log = []
+        times = paired([partial(log.append, i) for i in range(n)], 2 * n, 3)
+        assert [len(t) for t in times] == [2 * n] * n
+        assert all(log[k:k + 3] == [log[k]] * 3 for k in range(0, len(log), 3))
+        runs = log[::3]  # one entry per batch of calls
+        batches = [runs[b:b + n] for b in range(0, len(runs), n)]
+        assert all(sorted(b) == list(range(n)) for b in batches)
+        assert all(Counter(b[p] for b in batches) == Counter(dict.fromkeys(range(n), 2))
+                   for p in range(n))
+        if n >= 3:
+            assert all(a != b for a, b in zip(runs, runs[1:]))
 
 
 # Functions that no run calls, kept because tests compare the program against them
