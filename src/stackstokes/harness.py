@@ -350,7 +350,7 @@ _FIELDS = {
     "data.y0_kind": (str, "eddy", lambda v: v in ("zero", "eddy", "random"),
                      "one of 'zero', 'eddy', 'random'"),
     "data.y0_amplitude": (float, 0.0),
-    "data.y0_v_norm": (float, _OWN),
+    "data.y0_v_norm": (float, _OWN, lambda v: v > 0, "positive"),
     "data.yd_amplitude": (float, 0.0),
     "data.h_amplitude": (float, 0.0),
     # the options entries the pipelines read
@@ -428,6 +428,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if experiment == "convergence" and fields["solver"].get("convection_on"):
         raise ConfigurationError("config field 'solver.convection_on' must be false for the "
                                  "convergence experiment: its manufactured forcing is Stokes-only")
+    schedule = fields["penalty"].get("epsilon_schedule", [])
+    if experiment == "nullcontrol-nonlinear" and len(schedule) >= 2:
+        raise ConfigurationError("config field 'penalty.epsilon_schedule' must hold at most one "
+                                 "epsilon for the nullcontrol-nonlinear experiment: its outer "
+                                 f"loop warm-starts the CG at a single epsilon, got {schedule!r}")
     zero = ("y0_kind" if data["y0_kind"] == "zero"
             else "y0_amplitude" if data["y0_amplitude"] == 0.0 else None)
     if "y0_v_norm" in data and zero:

@@ -6,11 +6,12 @@ by the strictly convex quadratic
     min_h  1/2 |h|^2_{omega x (0,T)}  +  1/(2 eps) |y(T; h)|^2,
 
 where y is the first component of the coupled optimality system.  The map
-h -> y(T) is affine, so the minimizer is found by conjugate gradients on the
-normal equations; an epsilon schedule documents the vanishing-penalty limit
-instead of claiming exact null control.  The nonlinear (small-data) variant
-freezes the quadratic terms from the previous iterate, playing the role of
-the extra sources f1, f2 of the linear theory.
+h -> y(T) is affine, so the minimizer solves the normal equations; one shifted
+conjugate-gradient run solves them at every epsilon of a schedule, which
+documents the vanishing-penalty limit instead of claiming exact null control.
+The nonlinear (small-data) variant freezes the quadratic terms from the
+previous iterate, playing the role of the extra sources f1, f2 of the linear
+theory.
 """
 
 from __future__ import annotations
@@ -133,106 +134,96 @@ def solve_null_control_cg(
     f2: Trajectory | None = None,
     h_start: Trajectory | None = None,
 ) -> LeaderResult:
-    """Conjugate-gradient minimization of the penalized terminal objective.
+    """Shifted conjugate gradients: the minimizer at every epsilon of the schedule
+    (or at cfg.epsilon alone) from one Krylov space.
 
-    Runs once per entry of the epsilon schedule (warm started), or once with
-    cfg.epsilon when no schedule is given.  Iterates stay supported on omega
-    by construction; the per-iteration objective is recorded and is
-    non-increasing up to round-off.
+    Scaled by eps, each minimizer solves (L^T L + eps) h = b = -L^T y_free(T),
+    L the linear part of h -> y(T).  Plain CG runs on the seed, the smallest
+    eps; the residual of the shift s = eps - seed stays collinear, zeta r, and
+    each eps follows through zeta's recurrence (Jegerlehner, hep-lat/9612014;
+    Frommer, Computing 70, 2003).  An eps stops once |zeta| |r| <= cg_tol |b|,
+    the run with the seed.  h_start warm-starts a single eps.  Iterates stay
+    supported on omega; the seed's objective is recorded per iteration.
     """
     g = prob.grid
     epsilons = cfg.epsilon_schedule or (cfg.epsilon,)
-    hom = _homogeneous_problem(prob)
-    omask = prob._omega_mask
-
+    if h_start is not None and len(epsilons) > 1:
+        raise ConfigurationError("a warm start takes one epsilon, not a schedule: the "
+                                 "shifted residuals are collinear only from h = 0")
+    seed, hom = epsilons[-1], _homogeneous_problem(prob)
     free_T = control_to_terminal(prob, None, f1, f2)
-    h = (h_start.mul_mask(omask) if h_start is not None else Trajectory.zeros(g))
-    history = []
-    curve_all = []
-    total_iters = 0
-
-    for eps in epsilons:
-        warm = traj_norm(h) > 0
-        lam_h = control_to_terminal(hom, h) if warm else VelocityField.zeros(g)
-
-        def objective(hh, lam):
-            yT = free_T + lam
-            return 0.5 * inner_space_time(hh, hh) + 0.5 / eps * inner(yT, yT)
-
-        rhs = _terminal_dual_lift(hom, free_T * (-1.0 / eps))
-        # residual r = rhs - A h with A = I + (1/eps) * Lambda^T Lambda
-        if warm:
-            r = rhs - h - _terminal_dual_lift(hom, lam_h * (1.0 / eps))
-        else:
-            r = rhs.copy()
-        rhs_norm = traj_norm(rhs)
-        curve = [objective(h, lam_h)]
-        if rhs_norm == 0.0:
-            h = Trajectory.zeros(g)
-            lam_h = VelocityField.zeros(g)
-            history.append(EpsilonRow(eps, norm(free_T), 0.0, 0, objective(h, lam_h)))
-            continue
-        p = r.copy()
-        step = np.empty_like(p.data)
-        rz = inner_space_time(r, r)
-        it = 0
-        while it < cfg.cg_max and math.sqrt(rz) > cfg.cg_tol * rhs_norm:
-            it += 1
-            lam_p = control_to_terminal(hom, p)
-            # A p built in the lift's own stack: one trajectory fewer per iteration
-            Ap = _terminal_dual_lift(hom, lam_p * (1.0 / eps))
-            Ap.data += p.data
-            pAp = inner_space_time(p, Ap)
-            if not math.isfinite(pAp) or pAp <= 0:
-                raise NumericalError(
-                    f"CG stagnated: curvature {pAp:.3e} at iteration {it}",
-                    residual=math.sqrt(rz),
-                )
-            alpha = rz / pAp
-            # h (a masked copy of h_start), lam_h, r and p own their data:
-            # update in place, through one work stack
-            np.multiply(p.data, alpha, out=step)
-            h.data += step
-            lam_h.data += lam_p.data * alpha
-            np.multiply(Ap.data, alpha, out=step)
-            r.data -= step
-            rz_new = inner_space_time(r, r)
-            p.data *= rz_new / rz
-            p.data += r.data
-            rz = rz_new
-            curve.append(objective(h, lam_h))
-        if math.sqrt(rz) > cfg.cg_tol * rhs_norm:
-            raise ConvergenceError(
-                f"CG did not converge within {cfg.cg_max} iterations "
-                f"(residual {math.sqrt(rz):.3e})",
-                residual=math.sqrt(rz),
-                iterations=cfg.cg_max,
-            )
-        total_iters += it
+    r = _terminal_dual_lift(hom, free_T * -1.0)  # b, then the seed's residual in place
+    tol = cfg.cg_tol * traj_norm(r)
+    H = np.zeros((len(epsilons), *r.data.shape))  # one h per epsilon, the seed last
+    h, lam_h = Trajectory(g, H[-1]), VelocityField.zeros(g)  # lam_h = L h of the seed
+    if h_start is not None:
+        h.data[...] = h_start.mul_mask(prob._omega_mask).data
+        lam_h = control_to_terminal(hom, h)
+        r.data -= _terminal_dual_lift(hom, lam_h).data + seed * h.data
+    P = np.repeat(r.data[None], len(epsilons), axis=0)  # the search directions
+    p = Trajectory(g, P[-1])
+    zeta, zeta_old, iters = [1.0] * len(H), [1.0] * len(H), [None] * len(H)
+    alpha_old, beta_old, it = 1.0, 0.0, 0
+    step = np.empty_like(r.data)
+    rz = inner_space_time(r, r)
+    curve = []
+    while True:
         yT = free_T + lam_h
-        history.append(
-            EpsilonRow(eps, norm(yT), traj_norm(h), it, curve[-1])
-        )
-        curve_all.append(curve)
-
-    final = history[-1]
-    # exact re-solve so the stored invariant objective = |h|^2/2 + |y(T)|^2/(2 eps)
-    # holds on the reported fields
+        curve.append(0.5 * inner_space_time(h, h) + 0.5 / seed * inner(yT, yT))
+        for i, z in enumerate(zeta):
+            if iters[i] is None and abs(z) * math.sqrt(rz) <= tol:
+                iters[i] = it  # a converged row stops: its zeta keeps shrinking
+        if iters[-1] is not None or it == cfg.cg_max:
+            break
+        it += 1
+        lam_p = control_to_terminal(hom, p)
+        # A p built in the lift's own stack: one trajectory fewer per iteration
+        Ap = _terminal_dual_lift(hom, lam_p)
+        np.multiply(p.data, seed, out=step)
+        Ap.data += step
+        pAp = inner_space_time(p, Ap)
+        if not math.isfinite(pAp) or pAp <= 0:
+            raise NumericalError(f"CG stagnated: curvature {pAp:.3e} at iteration {it}",
+                                 residual=math.sqrt(rz))
+        alpha = rz / pAp
+        lam_h.data += lam_p.data * alpha
+        np.multiply(Ap.data, alpha, out=step)
+        r.data -= step
+        rz, rz_old = inner_space_time(r, r), rz
+        beta = rz / rz_old
+        # every live row in place through one work stack; at s = 0 the factors
+        # are exactly 1, so the seed's row makes plain CG's own updates
+        for i, eps in enumerate(epsilons):
+            if iters[i] is not None:
+                continue
+            z, zo = zeta[i], zeta_old[i]
+            zeta_old[i] = z
+            zeta[i] = z * zo * alpha_old / (alpha * beta_old * (zo - z)
+                                            + zo * alpha_old * (1.0 + alpha * (eps - seed)))
+            ratio = zeta[i] / z
+            np.multiply(P[i], alpha * ratio, out=step)
+            H[i] += step
+            P[i] *= beta * ratio * ratio
+            np.multiply(r.data, zeta[i], out=step)
+            P[i] += step
+        alpha_old, beta_old = alpha, beta
+    if iters[-1] is None:
+        raise ConvergenceError(f"CG did not converge within {cfg.cg_max} iterations "
+                               f"(residual {math.sqrt(rz):.3e})",
+                               residual=math.sqrt(rz), iterations=cfg.cg_max)
+    # exact re-solves, so that each stored objective = |h|^2/2 + |y(T)|^2/(2 eps)
+    # holds on the reported fields; the seed's solution is kept
+    terminals = [control_to_terminal(prob, Trajectory(g, row), f1, f2) for row in H[:-1]]
     sol = _coupled(prob, h, f1, f2)
-    term = norm(sol.y[g.nt])
-    ctrl = traj_norm(h)
-    return LeaderResult(
-        h=h,
-        terminal_norm=term,
-        control_norm=ctrl,
-        cg_iters=total_iters,
-        objective=0.5 * ctrl**2 + 0.5 / final.epsilon * term**2,
-        epsilon=final.epsilon,
-        free_terminal_norm=norm(free_T),
-        final_solution=sol,
-        history=history,
-        objective_curve=curve_all[-1] if curve_all else [],
-    )
+    history = []
+    for eps, row, yT, k in zip(epsilons, H, [*terminals, sol.y[g.nt]], iters):
+        term, ctrl = norm(yT), traj_norm(Trajectory(g, row))
+        history.append(EpsilonRow(eps, term, ctrl, k, 0.5 * ctrl**2 + 0.5 / eps * term**2))
+    last = history[-1]
+    return LeaderResult(h=h, terminal_norm=last.terminal_norm, control_norm=last.control_norm,
+                        cg_iters=it, objective=last.objective, epsilon=seed,
+                        free_terminal_norm=norm(free_T), final_solution=sol, history=history,
+                        objective_curve=curve)
 
 
 def solve_null_control_nonlinear(

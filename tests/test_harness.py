@@ -474,6 +474,11 @@ def test_option_copies_keep_relax(monkeypatch):
     # away from 4 (base_nt is 32 here); 300 gave a ratio of 2.9e46
     ("options", "horizon", 300.0, "options.horizon"),
     ("options", "horizon", 40.0, "options.horizon"),
+    # a norm target below 0 flipped the sign of the start, and 0 zeroed it
+    ("data", "y0_v_norm", -1.0, "data.y0_v_norm"),
+    ("data", "y0_v_norm", 0.0, "data.y0_v_norm"),
+    # the outer loop warm-starts the CG, which takes a single epsilon then
+    ("penalty", "epsilon_schedule", [1e-3, 1e-4], "penalty.epsilon_schedule"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
     from stackstokes.cli import main
@@ -759,13 +764,13 @@ def test_config_numbers_are_cast():
     raw = default_config_dict("nullcontrol-nonlinear")
     raw["solver"]["small_data_delta"] = 1
     raw["grid"]["nt"] = 32.0
-    raw["penalty"]["epsilon_schedule"] = [1, 0.5]
+    raw["penalty"]["epsilon_schedule"] = [1]
     raw["options"]["sizes"] = [16.0, 32]
     raw["data"]["y0_v_norm"] = None
     cfg = config_from_dict(raw)
     assert type(cfg.solver.small_data_delta) is float and cfg.solver.small_data_delta == 1.0
     assert type(cfg.grid.nt) is int and cfg.grid.nt == 32
-    assert cfg.penalty.epsilon_schedule == (1.0, 0.5)
+    assert cfg.penalty.epsilon_schedule == (1.0,)
     assert [type(n) for n in cfg.options["sizes"]] == [int, int]
     assert "y0_v_norm" not in cfg.data  # null means absent: no rescaling
     raw["grid"]["nt"] = 32.5
@@ -774,9 +779,9 @@ def test_config_numbers_are_cast():
 
 
 def test_nullcontrol_solves_each_coupled_system_once(tmp_path, monkeypatch):
-    # the pipeline reads the CG's free solve and its final exact re-solve:
-    # one coupled solve per CG iteration, one warm start per later epsilon,
-    # the free solve and the final one, and no second copy of either
+    # the pipeline reads the CG's free solve and its exact re-solve of the
+    # last epsilon: one coupled solve per CG iteration of the whole schedule,
+    # the free solve and one exact re-solve per epsilon, and no second copy
     from stackstokes import harness, leader
     from stackstokes.grid import norm
     from stackstokes.leader import control_to_terminal

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stackstokes import leader
 from stackstokes.errors import ConfigurationError, NumericalError
 from stackstokes.grid import (
     Trajectory,
@@ -17,6 +18,7 @@ from stackstokes.leader import (
     solve_null_control_cg,
     solve_null_control_nonlinear,
 )
+from stackstokes.harness import config_from_dict, default_config_dict
 from conftest import control_traj, eddy, make_problem, make_setup
 
 
@@ -134,6 +136,102 @@ def test_cg_small_run_contracts(rng):
     assert traj_norm(grad) <= cfg.cg_tol * traj_norm(grad0) * 1.05
     # steering beats the uncontrolled run
     assert res.terminal_norm < norm(control_to_terminal(prob, None))
+
+
+def _slow_problem():
+    setup = make_setup(L=6.0, T=2.0, nt=16, wide_omega=True)
+    return make_problem(setup, eddy(setup["grid"], 0.05), None, picard_tol=1e-11)
+
+
+def _relative_residual(prob, h, eps):
+    """|gradient at h| / |gradient at 0| of the penalized objective at eps."""
+    pen = PenaltyConfig(epsilon=eps)
+    grad0 = penalized_gradient(prob, Trajectory.zeros(prob.grid), pen)
+    return traj_norm(penalized_gradient(prob, h, pen)) / traj_norm(grad0)
+
+
+@pytest.mark.parametrize("schedule", [None, [1.0, 0.3]], ids=["shipped", "1.0-0.3"])
+def test_shifted_cg_true_residual_of_every_epsilon(monkeypatch, schedule):
+    # the h of every epsilon, read from its exact re-solve (the last coupled
+    # solves, in schedule order), solves its own penalized problem: a wrong
+    # zeta recurrence or row update leaves the shifted rows off their systems
+    raw = default_config_dict("nullcontrol")
+    if schedule is not None:
+        raw["penalty"]["epsilon_schedule"] = schedule
+    cfg = config_from_dict(raw)
+    prob = cfg.problem()
+    real, controls = leader.solve_coupled_linear, []
+
+    def spy(h, *args, **kwargs):
+        controls.append(h)
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(leader, "solve_coupled_linear", spy)
+    res = solve_null_control_cg(prob, cfg.penalty)
+    monkeypatch.undo()
+    rows = res.history
+    assert [r.epsilon for r in rows] == list(cfg.penalty.epsilon_schedule)
+    assert res.cg_iters == rows[-1].cg_iters == max(r.cg_iters for r in rows)
+    for row, h in zip(rows, controls[-len(rows):]):
+        assert traj_norm(h) == pytest.approx(row.control_norm, rel=1e-14)
+        assert _relative_residual(prob, h, row.epsilon) <= 10 * cfg.penalty.cg_tol, row
+
+
+def test_shifted_cg_seed_row_is_the_one_epsilon_solve():
+    # at the smallest epsilon the shift is 0, every factor is exactly 1, and
+    # the schedule's last h is the one-epsilon solve bit for bit
+    prob = _slow_problem()
+    one = solve_null_control_cg(prob, PenaltyConfig(epsilon=1e-3))
+    sched = solve_null_control_cg(prob, PenaltyConfig(epsilon_schedule=(1.0, 0.1, 1e-3)))
+    assert np.array_equal(sched.h.data, one.h.data)
+    assert sched.cg_iters == one.cg_iters == sched.history[-1].cg_iters
+    assert sched.objective_curve == one.objective_curve
+    assert [r.cg_iters for r in sched.history] == sorted(r.cg_iters for r in sched.history)
+
+
+def test_shifted_cg_huge_shift_stays_finite():
+    # the 1e300 row converges at the first step, where its zeta is about
+    # 1e-300; it stops there, before zeta underflows and its ratio is 0/0
+    prob = _slow_problem()
+    res = solve_null_control_cg(prob, PenaltyConfig(epsilon_schedule=(1e300, 1e-2)))
+    huge, seed = res.history
+    for row in res.history:
+        assert all(np.isfinite([row.terminal_norm, row.control_norm, row.objective])), row
+    assert huge.cg_iters == 1 and huge.control_norm <= 1e-290
+    assert huge.terminal_norm == pytest.approx(res.free_terminal_norm, rel=1e-12)
+    one = solve_null_control_cg(prob, PenaltyConfig(epsilon=1e-2))
+    assert np.array_equal(res.h.data, one.h.data)
+
+
+def test_cg_warm_start_from_the_solution():
+    # the outer nonlinear loop restarts the CG from its last control: from a
+    # converged h there is at most one step to take
+    prob = _slow_problem()
+    cfg = PenaltyConfig(epsilon=1e-2)
+    cold = solve_null_control_cg(prob, cfg)
+    warm = solve_null_control_cg(prob, cfg, h_start=cold.h)
+    assert warm.cg_iters <= 1
+    assert traj_norm(warm.h - cold.h) <= cfg.cg_tol * traj_norm(cold.h)
+
+
+def test_cg_warm_start_from_a_perturbed_control(rng):
+    prob = _slow_problem()
+    g = prob.grid
+    cfg = PenaltyConfig(epsilon=1e-2)
+    cold = solve_null_control_cg(prob, cfg)
+    start = cold.h + control_traj(g, rng, traj_norm(cold.h))
+    assert traj_norm(start - cold.h) >= traj_norm(cold.h)
+    warm = solve_null_control_cg(prob, cfg, h_start=start)
+    assert _relative_residual(prob, warm.h, cfg.epsilon) <= 10 * cfg.cg_tol
+    assert traj_norm(warm.h - cold.h) <= 100 * cfg.cg_tol * traj_norm(cold.h)
+
+
+def test_cg_warm_start_refuses_a_schedule():
+    # the shifted residuals are collinear only from h = 0
+    prob = _slow_problem()
+    with pytest.raises(ConfigurationError, match="warm start"):
+        solve_null_control_cg(prob, PenaltyConfig(epsilon_schedule=(1e-1, 1e-2)),
+                              h_start=Trajectory.zeros(prob.grid))
 
 
 def test_cg_stagnation_error(rng):
