@@ -17,6 +17,11 @@ root, on inputs drawn from the same seed for each root:
   and ``grid.v_velocities`` on one level, and of a 32-step convective
   ``stokes.solve_forward`` (a projected random start and random forcing,
   small enough that the advective CFL number stays under 1 at 128);
+* at nx = 16/32/64/96/128, of one in-place ``grid.v_step`` (nt = 32) on
+  random coordinates, copied into place before each call (the copy
+  included, so that repeated steps do not decay into subnormal numbers),
+  with its work arrays from ``grid.v_work``: the sizes around the cut at
+  which the step switches to the parity classes of its modes;
 * at nx = 16/32/64, of one ``stokes.adjoint_coupling`` on one level and,
   with nt = 32 and the regions of the shipped ``saddle`` config at ell =
   gamma = 10, of one ``stokes.solve_coupled_linear`` (a random leader
@@ -67,13 +72,16 @@ from checkouts import commit, load  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (16, 32, 64, 128)
+# the sizes of the step layer
+STEP_SIZES = (16, 32, 64, 96, 128)
 # the sizes of the coupled layers
 COUPLED_SIZES = (16, 32, 64)
 MARCH_STEPS = 32
 PAIRS = 30
 ROUNDS = 5
-# calls of a layer per batch, and of the solves a tenth as many (at least one)
-CALLS = {16: 100, 32: 50, 64: 10, 128: 3}
+# calls of a layer per batch, of the solves a tenth as many (at least one),
+# and of the step ten times as many
+CALLS = {16: 100, 32: 50, 64: 10, 96: 5, 128: 3}
 SOLVES = ("convective_forward_32_steps", "coupled_linear_solve", "adjoint_pair",
           "cg_iteration")
 
@@ -81,8 +89,14 @@ SOLVES = ("convective_forward_32_steps", "coupled_linear_solve", "adjoint_pair",
 def layers(pkg, root: Path, n: int) -> dict:
     """{layer name: a call of it} at size ``n`` for the package ``pkg`` of ``root``."""
     grid, stokes, leader, harness = pkg.grid, pkg.stokes, pkg.leader, pkg.harness
-    rng = np.random.default_rng(n)
     g = grid.GridSpec(nx=n, ny=n, nt=MARCH_STEPS, T=1.0)
+    step_start = np.random.default_rng(n).standard_normal((n - 1, n - 1))
+    step_e, step_work = np.empty_like(step_start), grid.v_work(g)
+    step = {"v_step": lambda: grid.v_step(np.copyto(step_e, step_start) or step_e, g, step_e,
+                                          step_work)}
+    if n not in SIZES:
+        return step
+    rng = np.random.default_rng(n)
     field = grid.VelocityField.from_packed(g, grid.closed_noise(g, rng, 1)[0])
     coeffs = rng.standard_normal((n - 1) ** 2)
     out = np.empty(g.n_faces)
@@ -92,6 +106,7 @@ def layers(pkg, root: Path, n: int) -> dict:
         g, grid.closed_noise(g, rng, MARCH_STEPS + 1, 0.01)))
     convective = stokes.SolverOptions(convection_on=True)
     timed = {
+        **step,
         "diffusion_solve": lambda: grid.diffusion_solve(field, g.dt),
         "project_div_free": lambda: grid.project_div_free(field),
         "v_coordinates": lambda: grid.v_coordinates(field.data, g),
@@ -145,13 +160,14 @@ def paired(fns: list, batches: int, calls: int) -> list:
 def measure(pkgs: list, roots: list, tmp: Path):
     """(where its entry goes, unit in s, per-root times) of every layer and size,
     then of every config."""
-    for n in SIZES:
+    for n in sorted({*SIZES, *STEP_SIZES}):
         timed = [layers(pkg, root, n) for pkg, root in zip(pkgs, roots)]
         for name in [k for k in timed[0] if all(k in t for t in timed)]:
             fns = [t[name] for t in timed]
             for fn in fns:
                 fn()
-            calls = max(1, CALLS[n] // 10) if name in SOLVES else CALLS[n]
+            calls = (max(1, CALLS[n] // 10) if name in SOLVES
+                     else 10 * CALLS[n] if name == "v_step" else CALLS[n])
             yield ("layers_us_per_call", name, str(n)), 1e-6, paired(fns, PAIRS, calls)
     for path in sorted((roots[0] / "configs").glob("*.json")):
         fns = [partial(pkg.harness.run_experiment,
@@ -198,6 +214,8 @@ def main(argv=None) -> None:
                    f"per layer and size, {PAIRS} paired batches, each calling every root's "
                    f"layer in turn, in an order rotated by one root every batch; per-call "
                    f"time: median over the batches of the batch's per-call mean; "
+                   f"v_step: one in-place step at nx = {'/'.join(map(str, STEP_SIZES))}, "
+                   f"nt = {MARCH_STEPS}, its copy into place included; "
                    f"convective forward: stokes.solve_forward with convection_on, "
                    f"{MARCH_STEPS} steps per call; "
                    f"coupled layers at nx = {'/'.join(map(str, COUPLED_SIZES))}: one "

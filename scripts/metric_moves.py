@@ -1,4 +1,5 @@
-"""The largest relative move of every metric of the shipped configs between two checkouts.
+"""The largest relative move of every metric of the shipped configs and the benchmark
+pipelines between two checkouts.
 
 Usage (from the repository root):
 
@@ -8,8 +9,13 @@ One interpreter, with BLAS threads pinned to 1 as in the benchmark, loads the
 ``stackstokes`` package of each root from ``ROOT/src`` under a name of its own
 (``checkouts.load``) and runs every config in ``ROOT/configs`` through that
 copy's ``harness.parse_config`` and ``harness.run_experiment`` into a temporary
-directory.  The metrics of each config are read as the manifest records them
-(through JSON), flattened to leaves (``weighted_norm_log10.z_l2``,
+directory.  It runs the four pipelines of the benchmark the same way, each at
+the seeds ``SEEDS``, under the name ``<pipeline>-<seed>``: their config dicts
+come from ``perfbench/workloads.py`` of the checkout holding this script,
+through each root's ``harness.config_from_dict``, so both roots run the same
+configs, among them the 128 x 128 grid of ``mms-forward`` that no shipped
+config reaches.  The metrics of each config are read as the manifest records
+them (through JSON), flattened to leaves (``weighted_norm_log10.z_l2``,
 ``history[2].cg_iters``) and compared leaf by leaf, B against A:
 
 * ``moves``: the relative change |b - a| / |a| of every numeric leaf (0 where
@@ -39,17 +45,28 @@ from pathlib import Path  # noqa: E402
 
 from checkouts import load  # noqa: E402
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+# the benchmark's seed and its hold-out seed
+SEEDS = (20240, 7919)
+
 
 def measure(root: Path, name: str) -> dict:
-    """{config name: metrics} of every shipped config of the checkout at ``root``,
-    run by its package loaded as ``name``."""
+    """{config name: metrics} of every shipped config of the checkout at ``root``
+    and of every benchmark pipeline at ``SEEDS``, run by its package loaded as
+    ``name``."""
     harness = load(root, name).harness
+    configs = {path.stem: harness.parse_config(path)
+               for path in sorted((root / "configs").glob("*.json"))}
+    for pipeline, build in workloads.BUILDERS.items():
+        for seed in SEEDS:
+            configs[f"{pipeline}-{seed}"] = harness.config_from_dict(build(seed))
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for path in sorted((root / "configs").glob("*.json")):
-            metrics = harness.run_experiment(harness.parse_config(path),
-                                             Path(tmp) / path.stem).metrics
-            out[path.stem] = json.loads(json.dumps(metrics, default=repr))
+        for stem, cfg in configs.items():
+            metrics = harness.run_experiment(cfg, Path(tmp) / stem).metrics
+            out[stem] = json.loads(json.dumps(metrics, default=repr))
     return out
 
 

@@ -51,11 +51,15 @@ Q^T annihilates gradients, so it projects whatever it reads: a step
 y <- P S P (y + G - dt T(y))  is  c <- H (c + Q^T G - dt Q^T T(Q c))  with
 H = Q^T S Q in factored form (:func:`v_step`, in the coordinates scaled by
 lambda^-1/2), four products of (n-1) x n matrices where the faces take
-twenty.  A face mask d becomes the V operator
-Q^T diag(d) Q (:func:`v_mask`) in the same factored form, restricted to the
-box of faces where d differs from its most common value, so that the
-coupled sweeps apply their masks without leaving V.  No nv x nv matrix is
-built or diagonalized: the first ``np.linalg.eigh`` of a process
+twenty.  H commutes with the reflection of each axis, so its factors are
+checkerboard matrices, zero where the two mode indices sum to an even number
+(the symmetry reduction of Bossavit, Comput. Methods Appl. Mech. Eng. 56,
+1986); on large grids each product runs as two half-size products on the
+parity classes of the modes, at about half the flops.  A face mask d becomes
+the V operator Q^T diag(d) Q (:func:`v_mask`) in the same factored form,
+restricted to the box of faces where d differs from its most common value,
+so that the coupled sweeps apply their masks without leaving V.  No nv x nv
+matrix is built or diagonalized: the first ``np.linalg.eigh`` of a process
 (225 x 225) raises its peak by 2.7 MiB, so the package calls no
 ``np.linalg`` routine.
 """
@@ -165,8 +169,10 @@ class GridSpec:
         return _v_tables(self)
 
     @cached_property
-    def _v_step(self) -> tuple:
-        return _v_step_tables(self)
+    def _v_step(self):
+        """The step of :func:`v_step` on this grid, its tables bound."""
+        form, *tables = _v_step_tables(self)
+        return form(*tables)
 
     @cached_property
     def _diffusion(self) -> dict:
@@ -741,53 +747,141 @@ def _differences(grid: GridSpec):
     return ey, fx
 
 
-def _v_step_tables(grid: GridSpec):
-    """The factors of a step at ``grid.dt``: ``(W_y, W_y^T, W_x, W_x^T, m, s^2)``.
+def _v_factors(grid: GridSpec):
+    """The factors of a step at ``grid.dt``: ``(W_y, W_x, m_u, m_v, s^2)``.
 
     Q c has the interior u faces  S_x (s c) S_y E_y  and v faces
     F_x S_x (s c) S_y  (:func:`_differences`), which the diffusion solve
     takes through S_x (x) T_y and T_x (x) S_y (T: DST-II).  As S_x S_x = I,
     H c = s ((((s c) W_y) m_u) W_y^T + W_x^T (m_v (W_x (s c)))) with
-    W_y = S_y E_y T_y^T and W_x = T_x F_x S_x; s is an (nx-1) x (ny-1) array,
-    and m holds m_u and then m_v, flat.
+    W_y = S_y E_y T_y^T and W_x = T_x F_x S_x; s is an (nx-1) x (ny-1) array.
+
+    Each sine mode is even or odd under the reflection of its axis, and a
+    difference flips that parity, so W_y[k, l] and W_x[r, i] vanish, up to
+    rounding, where the 0-based mode indices k + l or r + i are even: every
+    factor is a checkerboard matrix.
     """
     nx, ny = grid.nx, grid.ny
     (sx, _, _, ty_t, m_u), (tx, _, sy, _, m_v) = _diffusion_tables_at(grid, grid.dt)
     ey, fx = _differences(grid)
     s = grid._v[2].reshape(nx - 1, ny - 1)
-    return (*_and_transpose(sy @ ey @ ty_t), *_and_transpose(tx @ fx @ sx),
-            np.concatenate([m_u.ravel(), m_v.ravel()]), s * s)
+    return sy @ ey @ ty_t, tx @ fx @ sx, m_u, m_v, s * s
+
+
+# A grid of at least this many cells steps on the parity classes of its modes
+# (:func:`_split_step`), a smaller one on whole factors (:func:`_full_step`).
+# 96 x 96 is the smallest of the square grids 16/32/64/96/128 on which the
+# split step won 27 or more of 30 paired batches in each of two runs of the
+# ``v_step`` layer of scripts/bench_layers.py (BENCH_9.json is the second;
+# one BLAS thread): it halves the flops but doubles the numpy calls, and at
+# 64 x 64 the two cancel.  There it won 24 and 27 of 30, no more than copies
+# of the whole-factor step won against the same parent (28 and 24 of 30).
+_SPLIT_STEP_CELLS = 96 * 96
+
+
+def _splits(grid: GridSpec) -> bool:
+    return grid.nx * grid.ny >= _SPLIT_STEP_CELLS
+
+
+def _v_step_tables(grid: GridSpec):
+    """The form of the grid's step, which binds the tables that follow it into
+    a step ``(e, out, work)``.  Below the cut, :func:`_full_step` with
+    ``(W_y, W_y^T, W_x, W_x^T, m, s^2)``, m holding m_u and then m_v, flat;
+    above it, :func:`_split_step` with only the nonzero blocks of the
+    checkerboards (:func:`_v_factors`), W_y at (even k, odd l) and (odd k,
+    even l) and W_x at (odd r, even i) and (even r, odd i), each with its
+    transpose, then m_u and m_v on the matching columns or rows in the
+    layout of :func:`v_work`, and s^2.
+    """
+    wy, wx, m_u, m_v, s2 = _v_factors(grid)
+    if not _splits(grid):
+        return (_full_step, *_and_transpose(wy), *_and_transpose(wx),
+                np.concatenate([m_u.ravel(), m_v.ravel()]), s2)
+    blocks = (wy[0::2, 1::2], wy[1::2, 0::2], wx[1::2, 0::2], wx[0::2, 1::2])
+    m = np.concatenate([m_u[:, 1::2].ravel(), m_u[:, 0::2].ravel(),
+                        m_v[1::2].ravel(), m_v[0::2].ravel()])
+    return (_split_step, *(f for b in blocks for f in _and_transpose(np.ascontiguousarray(b))),
+            m, s2)
+
+
+def _full_step(wy, wy_t, wx, wx_t, m, s2):
+    # a closure reads its tables faster than a partial passes them
+    def step(e, out, work):
+        a, b, ab, t = work
+        e.dot(wy, out=a)
+        wx.dot(e, out=b)
+        ab *= m
+        a.dot(wy_t, out=out)
+        wx_t.dot(b, out=t)
+        out += t
+        out *= s2
+    return step
+
+
+def _split_step(wy0, wy0_t, wy1, wy1_t, wx0, wx0_t, wx1, wx1_t, m, s2):
+    # the factors of index 0 read the even modes of e, those of index 1 the
+    # odd ones: its columns for W_y, copied into e0 and e1, and its rows for
+    # W_x, strided views that np.matmul (unlike ndarray.dot) takes as they are
+    def step(e, out, work):
+        e0, e1, a0, a1, b0, b1, ab, t = work
+        np.copyto(e0, e[:, 0::2])
+        np.copyto(e1, e[:, 1::2])
+        e0.dot(wy0, out=a0)
+        e1.dot(wy1, out=a1)
+        np.matmul(wx0, e[0::2], out=b0)
+        np.matmul(wx1, e[1::2], out=b1)
+        ab *= m
+        np.matmul(wx0_t, b0, out=t[0::2])
+        np.matmul(wx1_t, b1, out=t[1::2])
+        a0.dot(wy0_t, out=e0)
+        a1.dot(wy1_t, out=e1)
+        # copies into strided views; a ufunc on them would allocate buffers
+        np.copyto(out[:, 0::2], e0)
+        np.copyto(out[:, 1::2], e1)
+        out += t
+        out *= s2
+    return step
 
 
 def v_work(grid: GridSpec) -> tuple:
-    """Work arrays of :func:`v_step`, to reuse over the levels of a march: the
-    products with W_y and with W_x as views of one buffer, so that one
-    multiplication applies m_u and m_v, the buffer, and the product with W_x^T."""
+    """Work arrays of :func:`v_step` on ``grid``, to reuse over the levels of a march.
+
+    The products with W_y and with W_x as views of one buffer, so that one
+    multiplication applies m_u and m_v, the buffer, and the product with
+    W_x^T.  On the parity classes the two products are four halves (of the
+    even and the odd columns of e with W_y, of its even and odd rows with
+    W_x) in the same buffer, after two arrays for the even and the odd
+    columns of e.
+    """
     nx, ny = grid.nx, grid.ny
-    ab = np.empty((nx - 1) * ny + nx * (ny - 1))
-    return (ab[:(nx - 1) * ny].reshape(nx - 1, ny), ab[(nx - 1) * ny:].reshape(nx, ny - 1), ab,
-            np.empty((nx - 1, ny - 1)))
+    na = (nx - 1) * ny
+    ab, t = np.empty(na + nx * (ny - 1)), np.empty((nx - 1, ny - 1))
+    if not _splits(grid):
+        return ab[:na].reshape(nx - 1, ny), ab[na:].reshape(nx, ny - 1), ab, t
+    na0, nb0 = (nx - 1) * (ny // 2), na + (nx // 2) * (ny - 1)
+    return (np.empty((nx - 1, ny // 2)), np.empty((nx - 1, (ny - 1) // 2)),
+            ab[:na0].reshape(nx - 1, ny // 2), ab[na0:na].reshape(nx - 1, (ny + 1) // 2),
+            ab[na:nb0].reshape(nx // 2, ny - 1), ab[nb0:].reshape((nx + 1) // 2, ny - 1), ab, t)
 
 
 def v_step(e: np.ndarray, grid: GridSpec, out: np.ndarray, work: tuple) -> None:
     """``out`` <- s H (e / s): a step of every march at ``grid.dt``, in the scaled
-    V coordinates e = s c (s = lambda^-1/2, :func:`_v_step_tables`).
+    V coordinates e = s c (s = lambda^-1/2, :func:`_v_factors`).
 
-    In them a step is  e <- s^2 (((e W_y) m_u) W_y^T + W_x^T (m_v (W_x e))),
-    seven ``ndarray.dot`` products and in-place multiplications (``dot``
-    skips the dispatch of ``@`` and of ``np.dot``) through ``work``, from
-    :func:`v_work`, so a step allocates nothing.  ``e`` and ``out`` are
-    (nx-1) x (ny-1), ``out`` C-contiguous; they may be one array.
+    In them a step is  e <- s^2 (((e W_y) m_u) W_y^T + W_x^T (m_v (W_x e))).
+    Below ``_SPLIT_STEP_CELLS`` cells that is seven ``ndarray.dot`` products
+    and in-place multiplications (``dot`` skips the dispatch of ``@`` and of
+    ``np.dot``).  Above it the factors are checkerboards, so e W_y at the
+    even T_y modes reads only the odd S_y modes of e and at the odd ones only
+    the even ones, and likewise along x: each product is two products on the
+    parity classes of e, at about half the flops, and the structural zeros
+    are skipped.  The grid's form is chosen when its tables are built, on its
+    first step.  Both forms run through ``work``, from :func:`v_work`, so a
+    step allocates no array data (the split form makes a few strided views
+    of its arrays).  ``e`` and ``out`` are (nx-1) x (ny-1), ``out``
+    C-contiguous; they may be one array.
     """
-    wy, wy_t, wx, wx_t, m, s2 = grid._v_step
-    a, b, ab, t = work
-    e.dot(wy, out=a)
-    wx.dot(e, out=b)
-    ab *= m
-    a.dot(wy_t, out=out)
-    wx_t.dot(b, out=t)
-    out += t
-    out *= s2
+    grid._v_step(e, out, work)
 
 
 def v_mask(mask: np.ndarray, grid: GridSpec):

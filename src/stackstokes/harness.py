@@ -443,6 +443,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigurationError("config field 'options.horizon' must be at most 0.625 * "
                                  "options.base_nt: a longer coarse step moves the convergence "
                                  f"ratios away from 4, got {opts['horizon']!r}")
+    finest = opts["base_nt"] * (opts["sizes"][-1] // opts["sizes"][0]) ** 2
+    if finest > 65536:
+        raise ConfigurationError("config field 'options.sizes' must keep the finest level's nt = "
+                                 "options.base_nt * (sizes[-1] / sizes[0])^2 " + _STEPS
+                                 + f", got {opts['sizes']!r}, nt = {finest}")
     eps = opts["domination_epsilon"]
     low = [lam for lam in opts["domination_lams"] if (1.0 + eps) * alpha_ratio(lam) <= 1.0]
     if low and experiment == "carleman-check":  # check_weight_domination's precondition

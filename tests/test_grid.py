@@ -226,8 +226,11 @@ def test_v_coordinates_are_the_transpose_and_absorb_the_projection(rng, nx, ny, 
 
 
 # the grids of V_GRIDS, a square and an oblong one with Lx != Ly, and one with
-# a (64-1)^2 = 3969-dimensional V
-STEP_GRIDS = V_GRIDS + [(24, 24, 1.0, 1.0), (40, 24, 1.7, 1.0), (64, 64, 1.0, 1.0)]
+# a (64-1)^2 = 3969-dimensional V; then grids whose step runs on the parity
+# classes: a square one, an odd-sized one (unequal classes of the DST-II
+# modes) and an oblong one with Lx != Ly (unequal classes of the DST-I modes)
+STEP_GRIDS = V_GRIDS + [(24, 24, 1.0, 1.0), (40, 24, 1.7, 1.0), (64, 64, 1.0, 1.0),
+                        (128, 128, 1.0, 1.0), (97, 105, 1.0, 1.0), (130, 96, 1.7, 1.0)]
 
 
 @pytest.mark.parametrize("nx, ny, Lx, Ly", STEP_GRIDS)
@@ -252,27 +255,55 @@ def test_v_step_is_the_projected_diffusion_solve(rng, nx, ny, Lx, Ly):
     # in place, as the marches take it, with the same bits
     v_step(e, g, e, v_work(g))
     assert np.array_equal(e, got)
+    if nx * ny <= 64 * 64:
+        # grids up to 64 x 64 lie below the cut: the products of the whole
+        # factors, bit for bit
+        wy, wx, m_u, m_v, s2 = grid_module._v_factors(g)
+        e = s * c
+        whole = s2 * ((e.dot(wy) * m_u).dot(wy.T.copy()) + wx.T.copy().dot(m_v * wx.dot(e)))
+        assert np.array_equal(got, whole)
+
+
+@pytest.mark.parametrize("nx, ny, Lx, Ly", STEP_GRIDS)
+def test_v_step_factors_are_checkerboards(nx, ny, Lx, Ly):
+    # the step on the parity classes drops the entries of W_y and W_x whose
+    # 0-based mode indices sum to an even number: they must be rounding noise
+    g = GridSpec(nx=nx, ny=ny, Lx=Lx, Ly=Ly, nt=8, T=0.3)
+    wy, wx, *_ = grid_module._v_factors(g)
+    for w in (wy, wx):
+        k, l = np.indices(w.shape)
+        assert np.abs(w[(k + l) % 2 == 0]).max() <= 1e-13 * np.abs(w).max()
 
 
 def test_v_step_tables_are_built_once_per_grid(monkeypatch):
     # the step reads its tables as an attribute of the grid, built on the
     # first step, not per step and not through a cache keyed by grid value;
-    # it shares the diffusion tables of its time step with diffusion_solve
-    g = GridSpec(nx=12, ny=10, Lx=1.1, Ly=0.9, nt=8, T=0.45)
+    # it shares the diffusion tables of its time step with diffusion_solve;
+    # the second grid lies above the cut and keeps only the parity blocks of
+    # the factors, not the whole W_y and W_x
     built, diffusion = [], []
     tables = grid_module._v_step_tables
     monkeypatch.setattr(grid_module, "_v_step_tables",
-                        lambda grid: built.append(grid) or tables(grid))
+                        lambda grid: built.append((grid, tables(grid))) or built[-1][1])
     diffusion_tables = grid_module._diffusion_tables
     monkeypatch.setattr(grid_module, "_diffusion_tables",
                         lambda grid, dt: diffusion.append(dt) or diffusion_tables(grid, dt))
-    diffusion_solve(VelocityField.zeros(g), g.dt)
-    c, work = np.ones((g.nx - 1, g.ny - 1)), v_work(g)
-    for _ in range(3):
-        v_step(c, g, c, work)
-    assert built == [g]
-    assert diffusion == [g.dt]
-    assert GridSpec(nx=12, ny=10, Lx=1.1, Ly=0.9, nt=8, T=0.45)._v_step is not g._v_step
+    for nx, ny, step in ((12, 10, grid_module._full_step), (100, 96, grid_module._split_step)):
+        built.clear()
+        diffusion.clear()
+        g = GridSpec(nx=nx, ny=ny, Lx=1.1, Ly=0.9, nt=8, T=0.45)
+        diffusion_solve(VelocityField.zeros(g), g.dt)
+        c, work = np.ones((g.nx - 1, g.ny - 1)), v_work(g)
+        for _ in range(3):
+            v_step(c, g, c, work)
+        assert [grid for grid, _ in built] == [g]
+        assert diffusion == [g.dt]
+        assert GridSpec(nx=nx, ny=ny, Lx=1.1, Ly=0.9, nt=8, T=0.45)._v_step is not g._v_step
+        form, *kept = built[0][1]
+        assert form is step
+    # the tables of the last grid, above the cut
+    whole = {(ny - 1, ny), (ny, ny - 1), (nx, nx - 1), (nx - 1, nx)}
+    assert not whole & {a.shape for a in kept}
 
 
 def test_inner_space_time_constant_fields():

@@ -479,6 +479,10 @@ def test_option_copies_keep_relax(monkeypatch):
     ("data", "y0_v_norm", 0.0, "data.y0_v_norm"),
     # the outer loop warm-starts the CG, which takes a single epsilon then
     ("penalty", "epsilon_schedule", [1e-3, 1e-4], "penalty.epsilon_schedule"),
+    # the finest level's nt = base_nt (sizes[-1] / sizes[0])^2 above 65536:
+    # 32 * 128^2 = 524288, and 65536 * 2^2 = 262144
+    ("options", "sizes", [16, 2048], "options.sizes"),
+    (None, "options", {"sizes": [8, 16], "base_nt": 65536}, "options.sizes"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
     from stackstokes.cli import main

@@ -319,7 +319,9 @@ def test_mms_forcing_is_separable(rng):
     (64, 48, 1.0, 12, False),
     # convection as the march's term
     (16, 16, 1.0, 20, True),
-], ids=["v-16x16", "v-16x12", "v-24x24", "v-64x48", "convective-16x16"])
+    # above the cut, a step on the parity classes
+    (128, 96, 0.75, 8, False),
+], ids=["v-16x16", "v-16x12", "v-24x24", "v-64x48", "convective-16x16", "v-128x96"])
 def test_terminal_solve_is_the_last_level(nx, ny, Ly, nt, convection_on):
     g = GridSpec(nx=nx, ny=ny, Ly=Ly, nt=nt, T=0.25)
     y0, force, profile = _mms_problem(g)
