@@ -45,9 +45,11 @@ directory, one run per root in each of ``ROUNDS`` paired rounds.
 The results of all roots go into one JSON file (default ``BENCH_1.json``
 next to this script's checkout), keyed by ``--label`` (default: the name of
 the root directory), with the host's CPU count and the numpy version: each
-root's median per-call time of every layer and size and median wall time of
-every config, and, for each root after the first, the paired batches
-and rounds it won against the first root, out of how many.
+root's commit (``checkouts.commit``; make the root of an earlier commit as
+``checkouts.py`` says, so that its hash is read), its median per-call time of
+every layer and size and median wall time of every config, and, for each
+root after the first, the paired batches and rounds it won against the
+first root, out of how many.
 Work counters (steps, products, Picard sweeps, CG iterations) are not
 recorded: they wait for the program's own telemetry.
 """

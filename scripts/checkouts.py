@@ -6,8 +6,13 @@
 
 The package imports itself only relatively, so each loaded copy runs its own
 code, and one interpreter can run several checkouts side by side, or the same
-checkout twice.  A root is any tree holding ``src/stackstokes``: a git
-checkout, or one made with ``git archive <commit> | tar -x -C DIR``.
+checkout twice.  A root is any tree holding ``src/stackstokes``.  Make the
+root of an earlier commit a git checkout of it, from the repository root:
+
+    git clone --quiet . DIR && git -C DIR checkout --quiet --detach <commit>
+
+so that :func:`commit` reads its hash (for a tree unpacked from
+``git archive`` it can only return None).
 """
 
 import importlib.util

@@ -27,8 +27,8 @@ them (through JSON), flattened to leaves (``weighted_norm_log10.z_l2``,
   does not, and ``configs_only_in_a``/``_b`` likewise for whole configs.
 
 The table goes to ``--out`` as JSON (default: standard output), and a summary
-line per config to standard error.  A root that is not a git checkout of this
-repository can be made with ``git archive <commit> | tar -x -C DIR``.
+line per config to standard error.  The root of an earlier commit is made as
+a git checkout of it (``checkouts.py`` gives the commands).
 """
 
 import os

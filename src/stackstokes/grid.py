@@ -55,10 +55,14 @@ twenty.  H commutes with the reflection of each axis, so its factors are
 checkerboard matrices, zero where the two mode indices sum to an even number
 (the symmetry reduction of Bossavit, Comput. Methods Appl. Mech. Eng. 56,
 1986); on large grids each product runs as two half-size products on the
-parity classes of the modes, at about half the flops.  A face mask d becomes
-the V operator Q^T diag(d) Q (:func:`v_mask`) in the same factored form,
-restricted to the box of faces where d differs from its most common value,
-so that the coupled sweeps apply their masks without leaving V.  No nv x nv
+parity classes of the modes, at about half the flops.  A grid keeps only
+the tables its step reads, built from slices of the cached sine matrices
+(:func:`_v_step_tables`); the tables of :func:`diffusion_solve`, the
+reference the step is tested against, are built only when it is called.
+A face mask d becomes the V operator Q^T diag(d) Q (:func:`v_mask`) in the
+same factored form, restricted to the box of faces where d differs from its
+most common value, so that the coupled sweeps apply their masks without
+leaving V.  No nv x nv
 matrix is built or diagonalized: the first ``np.linalg.eigh`` of a process
 (225 x 225) raises its peak by 2.7 MiB, so the package calls no
 ``np.linalg`` routine.
@@ -176,7 +180,8 @@ class GridSpec:
 
     @cached_property
     def _diffusion(self) -> dict:
-        """Tables of :func:`diffusion_solve` by time step, filled on first use."""
+        """Tables of :func:`diffusion_solve` by time step, filled on its first call
+        at each; the step builds its own tables and leaves this empty."""
         return {}
 
     # coordinates of the three samplings
@@ -622,6 +627,15 @@ def _spectrum(n: int, h: float) -> np.ndarray:
     return (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / n)) / h**2
 
 
+def _multipliers(grid: GridSpec, dt: float, modes=slice(None)):
+    """The multipliers 1/(1 + dt*lambda) of the diffusion solve: m_u, on the
+    DST-I x DST-II modes of the u faces, at the columns ``modes``, and m_v,
+    on the DST-II x DST-I modes of the v faces, at the rows ``modes``."""
+    lx, ly = _spectrum(grid.nx, grid.hx), _spectrum(grid.ny, grid.hy)
+    return (1.0 / (1.0 + dt * (lx[:-1, None] + ly[None, modes])),
+            1.0 / (1.0 + dt * (lx[modes, None] + ly[None, :-1])))
+
+
 def _diffusion_tables(grid: GridSpec, dt: float):
     """Sine matrices and multipliers 1/(1 + dt*lambda) for both components.
 
@@ -630,21 +644,11 @@ def _diffusion_tables(grid: GridSpec, dt: float):
     :func:`_diagonalized`.
     """
     nx, ny = grid.nx, grid.ny
-    lx, ly = _spectrum(nx, grid.hx), _spectrum(ny, grid.hy)
-    m_u = 1.0 / (1.0 + dt * (lx[:-1, None] + ly[None, :]))
-    m_v = 1.0 / (1.0 + dt * (lx[:, None] + ly[None, :-1]))
+    m_u, m_v = _multipliers(grid, dt)
     return (
         (*_and_transpose(_dst1_matrix(nx - 1)), *_and_transpose(_dst2_matrix(ny)), m_u),
         (*_and_transpose(_dst2_matrix(nx)), *_and_transpose(_dst1_matrix(ny - 1)), m_v),
     )
-
-
-def _diffusion_tables_at(grid: GridSpec, dt: float):
-    """The :func:`_diffusion_tables` of ``dt``, built once per grid and time step."""
-    tables = grid._diffusion.get(dt)
-    if tables is None:
-        tables = grid._diffusion[dt] = _diffusion_tables(grid, dt)
-    return tables
 
 
 def diffusion_solve(rhs: VelocityField, dt: float) -> VelocityField:
@@ -652,10 +656,13 @@ def diffusion_solve(rhs: VelocityField, dt: float) -> VelocityField:
 
     Only interior unknowns are solved; boundary faces of the result are zero
     and boundary-face values of ``rhs`` are ignored, matching the no-slip
-    closure of :func:`laplacian`.
+    closure of :func:`laplacian`.  Its tables are built once per grid and
+    time step.
     """
     g = rhs.grid
-    tables = _diffusion_tables_at(g, dt)
+    tables = g._diffusion.get(dt)
+    if tables is None:
+        tables = g._diffusion[dt] = _diffusion_tables(g, dt)
     out = VelocityField.zeros(g)
     out.u[1:-1, :] = _diagonalized(rhs.u[1:-1, :], *tables[0])
     out.v[:, 1:-1] = _diagonalized(rhs.v[:, 1:-1], *tables[1])
@@ -747,25 +754,42 @@ def _differences(grid: GridSpec):
     return ey, fx
 
 
-def _v_factors(grid: GridSpec):
-    """The factors of a step at ``grid.dt``: ``(W_y, W_x, m_u, m_v, s^2)``.
+def _v_factors(grid: GridSpec, split: bool = False):
+    """The factors of a step at ``grid.dt``, ``(W_y, W_x, m_u, m_v, s^2)``;
+    with ``split``, each of the first four is a pair of its nonzero blocks,
+    by parity p = 0, 1: ``W_y[p::2, 1-p::2]``, ``W_x[1-p::2, p::2]``,
+    ``m_u[:, 1-p::2]`` and ``m_v[1-p::2]``.
 
     Q c has the interior u faces  S_x (s c) S_y E_y  and v faces
     F_x S_x (s c) S_y  (:func:`_differences`), which the diffusion solve
     takes through S_x (x) T_y and T_x (x) S_y (T: DST-II).  As S_x S_x = I,
     H c = s ((((s c) W_y) m_u) W_y^T + W_x^T (m_v (W_x (s c)))) with
     W_y = S_y E_y T_y^T and W_x = T_x F_x S_x; s is an (nx-1) x (ny-1) array.
+    A block is a product of slices, W_y[k, l] = (S_y[k] E_y) T_y[l]^T and
+    W_x[l, k] = (T_x[l] F_x) S_x[:, k], read from the cached sine matrices:
+    the whole factors are never built for the blocks, and the grid keeps no
+    table of the diffusion solve.
 
     Each sine mode is even or odd under the reflection of its axis, and a
-    difference flips that parity, so W_y[k, l] and W_x[r, i] vanish, up to
-    rounding, where the 0-based mode indices k + l or r + i are even: every
-    factor is a checkerboard matrix.
+    difference flips that parity, so W_y[k, l] and W_x[l, k] vanish, up to
+    rounding, where the 0-based mode indices k + l are even: every factor is
+    a checkerboard matrix.
     """
     nx, ny = grid.nx, grid.ny
-    (sx, _, _, ty_t, m_u), (tx, _, sy, _, m_v) = _diffusion_tables_at(grid, grid.dt)
     ey, fx = _differences(grid)
+
+    def factors(k, l):
+        # T_y^T as a contiguous copy: below the cut the tables' bits rest on it
+        wy = (_dst1_matrix(ny - 1)[k] @ ey) @ np.ascontiguousarray(_dst2_matrix(ny)[l].T)
+        wx = (_dst2_matrix(nx)[l] @ fx) @ _dst1_matrix(nx - 1)[:, k]
+        return (wy, wx, *_multipliers(grid, grid.dt, l))
+
+    if split:
+        parts = zip(*(factors(slice(p, None, 2), slice(1 - p, None, 2)) for p in (0, 1)))
+    else:
+        parts = factors(slice(None), slice(None))
     s = grid._v[2].reshape(nx - 1, ny - 1)
-    return sy @ ey @ ty_t, tx @ fx @ sx, m_u, m_v, s * s
+    return (*parts, s * s)
 
 
 # A grid of at least this many cells steps on the parity classes of its modes
@@ -785,7 +809,8 @@ def _splits(grid: GridSpec) -> bool:
 
 def _v_step_tables(grid: GridSpec):
     """The form of the grid's step, which binds the tables that follow it into
-    a step ``(e, out, work)``.  Below the cut, :func:`_full_step` with
+    a step ``(e, out, work)``, and those tables, the only ones a grid keeps for
+    its step.  Below the cut, :func:`_full_step` with
     ``(W_y, W_y^T, W_x, W_x^T, m, s^2)``, m holding m_u and then m_v, flat;
     above it, :func:`_split_step` with only the nonzero blocks of the
     checkerboards (:func:`_v_factors`), W_y at (even k, odd l) and (odd k,
@@ -793,15 +818,13 @@ def _v_step_tables(grid: GridSpec):
     transpose, then m_u and m_v on the matching columns or rows in the
     layout of :func:`v_work`, and s^2.
     """
-    wy, wx, m_u, m_v, s2 = _v_factors(grid)
-    if not _splits(grid):
+    split = _splits(grid)
+    wy, wx, m_u, m_v, s2 = _v_factors(grid, split)
+    if not split:
         return (_full_step, *_and_transpose(wy), *_and_transpose(wx),
                 np.concatenate([m_u.ravel(), m_v.ravel()]), s2)
-    blocks = (wy[0::2, 1::2], wy[1::2, 0::2], wx[1::2, 0::2], wx[0::2, 1::2])
-    m = np.concatenate([m_u[:, 1::2].ravel(), m_u[:, 0::2].ravel(),
-                        m_v[1::2].ravel(), m_v[0::2].ravel()])
-    return (_split_step, *(f for b in blocks for f in _and_transpose(np.ascontiguousarray(b))),
-            m, s2)
+    m = np.concatenate([a.ravel() for a in (*m_u, *m_v)])
+    return (_split_step, *(f for b in (*wy, *wx) for f in _and_transpose(b)), m, s2)
 
 
 def _full_step(wy, wy_t, wx, wx_t, m, s2):
@@ -851,8 +874,11 @@ def v_work(grid: GridSpec) -> tuple:
     W_x^T.  On the parity classes the two products are four halves (of the
     even and the odd columns of e with W_y, of its even and odd rows with
     W_x) in the same buffer, after two arrays for the even and the odd
-    columns of e.
+    columns of e.  The grid's step tables are built first, if they are not
+    yet, so that the transients of their construction do not add to the
+    arrays of a march.
     """
+    grid._v_step  # builds the step's tables if they are not yet
     nx, ny = grid.nx, grid.ny
     na = (nx - 1) * ny
     ab, t = np.empty(na + nx * (ny - 1)), np.empty((nx - 1, ny - 1))
@@ -875,11 +901,11 @@ def v_step(e: np.ndarray, grid: GridSpec, out: np.ndarray, work: tuple) -> None:
     even T_y modes reads only the odd S_y modes of e and at the odd ones only
     the even ones, and likewise along x: each product is two products on the
     parity classes of e, at about half the flops, and the structural zeros
-    are skipped.  The grid's form is chosen when its tables are built, on its
-    first step.  Both forms run through ``work``, from :func:`v_work`, so a
-    step allocates no array data (the split form makes a few strided views
-    of its arrays).  ``e`` and ``out`` are (nx-1) x (ny-1), ``out``
-    C-contiguous; they may be one array.
+    are skipped.  The grid's form is chosen when its tables are built, by its
+    first :func:`v_work` or step.  Both forms run through ``work``, from
+    :func:`v_work`, so a step allocates no array data (the split form makes a
+    few strided views of its arrays).  ``e`` and ``out`` are (nx-1) x (ny-1),
+    ``out`` C-contiguous; they may be one array.
     """
     grid._v_step(e, out, work)
 

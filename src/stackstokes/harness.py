@@ -754,13 +754,13 @@ def _exp_convergence(cfg: ExperimentConfig, out: _Artifacts) -> dict:
         y0 = VelocityField.from_functions(
             g, lambda x, y: u(x, y, 0.0), lambda x, y: v(x, y, 0.0)
         )
-        ex = VelocityField.from_functions(
-            g, lambda x, y: u(x, y, T), lambda x, y: v(x, y, T)
-        )
         force = VelocityField.from_functions(
             g, lambda x, y: fu(x, y, 0.0), lambda x, y: fv(x, y, 0.0)
         )
-        e = norm(solve_forward_terminal(y0, force, lambda t: np.exp(-t), cfg.solver) - ex)
+        # the exact state is built once the march has returned
+        e = norm(solve_forward_terminal(y0, force, lambda t: np.exp(-t), cfg.solver)
+                 - VelocityField.from_functions(g, lambda x, y: u(x, y, T),
+                                                lambda x, y: v(x, y, T)))
         errs.append(e)
         rows.append((nx, nt, e))
     if 0.0 in errs:

@@ -381,10 +381,15 @@ def solve_forward_terminal(y0: VelocityField, force: VelocityField, profile,
 
     ``profile`` is evaluated once, on ``grid.times()``.  The forcing is mapped
     to V coordinates once, b = Q^T force, and each level marched from
-    (dt profile(t_m)) b; only the last level and a level the blow-up bound
-    cannot clear are mapped back, into one reused row.  It agrees to rounding
-    with the last level of :func:`solve_forward` on the forcing
-    ``profile(t_m) * force`` of every level, and blows up at the same step.
+    (dt profile(t_m)) b in two rows of V coordinates that swap roles, the
+    state and the source that the step turns into the next state.  The
+    blow-up bound of a level is taken on its coordinates c = e / s, divided
+    into the row that held the previous state, so a level allocates nothing
+    but a convection term.  A level is mapped back only if its 2-norm
+    reaches the blow-up limit, and the last one once the march has released
+    its other arrays.  It agrees to rounding with the last level of
+    :func:`solve_forward` on the forcing ``profile(t_m) * force`` of every
+    level, and blows up at the same step.
     """
     g = y0.grid
     if force.grid != g:
@@ -398,20 +403,28 @@ def solve_forward_terminal(y0: VelocityField, force: VelocityField, profile,
     # the march carries the scaled coordinates of _v_steps from level to level
     s = g._v[2]
     e = v_coordinates(start.data, g) * s
-    b = v_coordinates(force.data[None], g) * s
-    row, work = np.empty((1, g.n_faces)), v_work(g)
+    del start
+    b = v_coordinates(force.data, g) * s
+    work = v_work(g)
+    rows = (e[None], np.empty((1, e.size)))
     term = _convect if opts.convection_on else None
     for m in range(1, g.nt + 1):
-        e = _v_steps(g, range(m, m + 1), e, scale[m] * b, work, term)
-        c = e / s
+        # the source goes into the row that does not hold the state
+        src = rows[m % 2]
+        np.multiply(b, scale[m], out=src)
+        e = _v_steps(g, range(m, m + 1), e, src, work, term)
+        # the other row held the previous state, which nothing reads again;
         # max |y| <= |y|_2 = |c|_2 (Q is orthonormal), never tight for a
         # divergence-free y: map back only a level the bound cannot clear
-        peak = math.sqrt(c @ c)
-        if not peak < limit or m == g.nt:
-            v_velocities(c[None], g, row)
-            if not peak < limit:
-                _blowup(np.abs(row).max(axis=1), limit, m)
-    return VelocityField.from_packed(g, row[0].copy())
+        c = np.divide(e, s, out=rows[(m + 1) % 2][0])
+        if not math.sqrt(c @ c) < limit:
+            y = np.empty(g.n_faces)
+            v_velocities(c, g, y)
+            _blowup(np.abs(y).max(keepdims=True), limit, m)
+    del b, work, rows, src, e  # all but the last coordinates, before Q allocates
+    y = np.empty(g.n_faces)
+    v_velocities(c, g, y)
+    return VelocityField.from_packed(g, y)
 
 
 # ---------------------------------------------------------------------------

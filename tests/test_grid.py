@@ -276,11 +276,13 @@ def test_v_step_factors_are_checkerboards(nx, ny, Lx, Ly):
 
 
 def test_v_step_tables_are_built_once_per_grid(monkeypatch):
-    # the step reads its tables as an attribute of the grid, built on the
-    # first step, not per step and not through a cache keyed by grid value;
-    # it shares the diffusion tables of its time step with diffusion_solve;
-    # the second grid lies above the cut and keeps only the parity blocks of
-    # the factors, not the whole W_y and W_x
+    # the step reads its tables as an attribute of the grid, built by its
+    # first v_work or step, not per step and not through a cache keyed by
+    # grid value;
+    # it builds them from the sine matrices, so stepping a fresh grid leaves
+    # the diffusion tables unbuilt, and diffusion_solve then builds them
+    # once; the second grid lies above the cut and keeps only the parity
+    # blocks of the factors, not the whole W_y and W_x
     built, diffusion = [], []
     tables = grid_module._v_step_tables
     monkeypatch.setattr(grid_module, "_v_step_tables",
@@ -292,18 +294,55 @@ def test_v_step_tables_are_built_once_per_grid(monkeypatch):
         built.clear()
         diffusion.clear()
         g = GridSpec(nx=nx, ny=ny, Lx=1.1, Ly=0.9, nt=8, T=0.45)
-        diffusion_solve(VelocityField.zeros(g), g.dt)
         c, work = np.ones((g.nx - 1, g.ny - 1)), v_work(g)
         for _ in range(3):
             v_step(c, g, c, work)
         assert [grid for grid, _ in built] == [g]
-        assert diffusion == [g.dt]
+        assert diffusion == [] and not g._diffusion
+        for _ in range(2):
+            diffusion_solve(VelocityField.zeros(g), g.dt)
+        assert diffusion == [g.dt] and list(g._diffusion) == [g.dt]
         assert GridSpec(nx=nx, ny=ny, Lx=1.1, Ly=0.9, nt=8, T=0.45)._v_step is not g._v_step
         form, *kept = built[0][1]
         assert form is step
     # the tables of the last grid, above the cut
     whole = {(ny - 1, ny), (ny, ny - 1), (nx, nx - 1), (nx - 1, nx)}
     assert not whole & {a.shape for a in kept}
+
+
+def _step_tables_through_the_diffusion_tables(g):
+    """The step's tables as they were built from the whole factors, through the
+    cached tables of diffusion_solve, and then sliced: the reference of the
+    tables that the step builds from slices of the sine matrices."""
+    (sx, _, _, ty_t, m_u), (tx, _, sy, _, m_v) = grid_module._diffusion_tables(g, g.dt)
+    ey, fx = grid_module._differences(g)
+    wy, wx = sy @ ey @ ty_t, tx @ fx @ sx
+    s = g._v[2].reshape(g.nx - 1, g.ny - 1)
+    if not grid_module._splits(g):
+        return [wy, wy.T.copy(), wx, wx.T.copy(), np.concatenate([m_u.ravel(), m_v.ravel()]),
+                s * s]
+    blocks = (wy[0::2, 1::2], wy[1::2, 0::2], wx[1::2, 0::2], wx[0::2, 1::2])
+    m = np.concatenate([m_u[:, 1::2].ravel(), m_u[:, 0::2].ravel(),
+                        m_v[1::2].ravel(), m_v[0::2].ravel()])
+    return [f for b in blocks for f in (b.copy(), b.T.copy())] + [m, s * s]
+
+
+@pytest.mark.parametrize("nx, ny, Lx, Ly", STEP_GRIDS + [(16, 20, 1.7, 1.0), (64, 68, 1.7, 1.0)])
+def test_v_step_tables_match_the_diffusion_tables(nx, ny, Lx, Ly):
+    # below the cut the step's tables keep the bits of the whole factors
+    # built through diffusion_solve's tables; above it each parity block is a
+    # product of slices, which moves it by rounding only
+    g = GridSpec(nx=nx, ny=ny, Lx=Lx, Ly=Ly, nt=8, T=0.3)
+    form, *got = grid_module._v_step_tables(g)
+    ref = _step_tables_through_the_diffusion_tables(g)
+    assert form is (grid_module._split_step if nx * ny >= 96 * 96 else grid_module._full_step)
+    assert [a.shape for a in got] == [a.shape for a in ref]
+    assert all(a.flags.c_contiguous for a in got)
+    for a, b in zip(got, ref):
+        if form is grid_module._full_step:
+            assert np.array_equal(a, b)
+        else:
+            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
 
 
 def test_inner_space_time_constant_fields():

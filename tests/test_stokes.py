@@ -412,10 +412,34 @@ def test_terminal_solve_holds_no_trajectory():
     assert peak(_trajectory_solve) > bound
 
 
+def test_convergence_level_holds_only_its_march():
+    # one level of the convergence study on a grid that steps on the parity
+    # classes: its fields y0 and force, the grid's step tables, two rows of V
+    # coordinates, b and the step's work arrays: 8.9 fields at the peak,
+    # against 15.8 when the grid also kept the diffusion tables and their
+    # whole factors, and the march allocated per level.  The first grid of
+    # the size fills the cached sine matrices, which the measured grid shares.
+    def level(T):
+        g = GridSpec(nx=128, ny=128, nt=8, T=T)
+        y0, force, profile = _mms_problem(g)
+        return solve_forward_terminal(y0, force, profile)
+
+    level(0.3)
+    field = 2 * 128 * 129 * 8
+    tracemalloc.start()
+    try:
+        level(0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * field, peak / field
+
+
 def test_terminal_solve_maps_the_forcing_once(monkeypatch):
-    # Q^T is taken of the forcing and of y0 once per solve, not once per level
-    v_coordinates = grid_module.v_coordinates
-    calls = []
+    # Q^T is taken of the forcing and of y0 once per solve, not once per
+    # level, and Q only of the last level when no level nears the limit
+    v_coordinates, v_velocities = grid_module.v_coordinates, grid_module.v_velocities
+    calls, back = [], []
 
     def counting(packed, g):
         calls.append(packed.shape)
@@ -423,13 +447,17 @@ def test_terminal_solve_maps_the_forcing_once(monkeypatch):
 
     monkeypatch.setattr(grid_module, "v_coordinates", counting)
     monkeypatch.setattr(stokes_module, "v_coordinates", counting)
+    monkeypatch.setattr(stokes_module, "v_velocities",
+                        lambda c, g, out: back.append(c.shape) or v_velocities(c, g, out))
     counts = []
     for nt in (16, 64):
         g = GridSpec(nx=16, ny=16, nt=nt, T=0.25)
         y0, force, profile = _mms_problem(g)
         calls.clear()
+        back.clear()
         solve_forward_terminal(y0, force, profile)
         counts.append(len(calls))
+        assert len(back) == 1
     assert counts[0] == counts[1]
 
 
