@@ -16,6 +16,7 @@ from .harness import (
     OUTPUT_ROOT_ENV,
     default_config_dict,
     parse_config,
+    read_json,
     run_experiment,
 )
 
@@ -68,11 +69,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    manifest = Path(args.run_dir) / "manifest.json"
-    if not manifest.exists():
-        raise ConfigurationError(f"{args.run_dir} has no manifest.json")
-    with open(manifest) as fh:
-        data = json.load(fh)
+    path = Path(args.run_dir) / "manifest.json"
+    data = read_json(path, "manifest")
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"manifest {path} must hold a JSON object")
+    for key in ("experiment", "config_hash", "started", "finished", "incomplete"):
+        if key not in data:
+            raise ConfigurationError(f"manifest {path} lacks the key {key!r}")
     print(f"experiment : {data['experiment']}")
     print(f"config hash: {data['config_hash']}")
     print(f"started    : {data['started']}")

@@ -72,19 +72,11 @@ __all__ = [
     "run_experiment",
     "rng_stream",
     "default_config_dict",
+    "read_json",
     "EXPERIMENTS",
 ]
 
 OUTPUT_ROOT_ENV = "STACKSTOKES_OUT"
-
-EXPERIMENTS = (
-    "saddle",
-    "nullcontrol",
-    "nullcontrol-nonlinear",
-    "carleman-check",
-    "gamma0-scan",
-    "convergence",
-)
 
 
 def rng_stream(seed: int, stream: str) -> np.random.Generator:
@@ -197,78 +189,6 @@ class ExperimentConfig:
             self.robust,
             self.solver,
         )
-
-
-def _scaled_regions(scale: float, wide_omega: bool = False) -> dict:
-    om = [0.30, 0.95] if wide_omega else [0.35, 0.75]
-    def box(a, b):
-        return [a * scale, b * scale, a * scale, b * scale]
-    return {
-        "omega": box(*om),
-        "O": box(0.05, 0.25),
-        "Od": box(0.45, 0.95),
-        "omega0": box(0.46, 0.74),
-    }
-
-
-def default_config_dict(experiment: str = "saddle") -> dict:
-    """Template config per experiment; the defaults match the shipped ones."""
-    cfg = {
-        "experiment": experiment,
-        "seed": 20240,
-        "grid": {"nx": 16, "ny": 16, "Lx": 1.0, "Ly": 1.0, "nt": 32, "T": 1.0},
-        "regions": _scaled_regions(1.0),
-        "cutoff_taper_cells": 4.0,
-        "robust": {"ell": 10.0, "gamma": 10.0, "mu": 1.0},
-        "carleman": {"lam": 2.0, "s": 3.0, "a0": 2.0, "m0": 3.5},
-        "penalty": {"epsilon": 1e-4, "cg_tol": 1e-8, "cg_max": 400,
-                    "epsilon_schedule": []},
-        "solver": {"convection_on": False, "picard_tol": 1e-11,
-                   "picard_max": 200, "relax": 1.0},
-        "data": {"y0_kind": "eddy", "y0_amplitude": 0.1,
-                 "yd_amplitude": 0.05, "h_amplitude": 0.1},
-        "options": {},
-    }
-    if experiment == "nullcontrol":
-        # larger slow domain so the pinned epsilon decade hits the saturated
-        # penalized-steering regime (bounded control norms, sqrt-ish slope)
-        cfg["grid"] = {"nx": 16, "ny": 16, "Lx": 6.0, "Ly": 6.0, "nt": 32, "T": 2.0}
-        cfg["regions"] = _scaled_regions(6.0, wide_omega=True)
-        cfg["penalty"]["epsilon_schedule"] = [1e-2, 1e-3, 1e-4, 1e-5]
-        cfg["penalty"]["epsilon"] = 1e-5
-        cfg["penalty"]["cg_max"] = 800
-        cfg["data"] = {"y0_kind": "eddy", "y0_amplitude": 0.05,
-                       "yd_amplitude": 0.0, "h_amplitude": 0.0}
-    elif experiment == "nullcontrol-nonlinear":
-        cfg["grid"] = {"nx": 16, "ny": 16, "Lx": 6.0, "Ly": 6.0, "nt": 32, "T": 2.0}
-        cfg["regions"] = _scaled_regions(6.0, wide_omega=True)
-        cfg["penalty"]["epsilon"] = 1e-4
-        cfg["penalty"]["cg_max"] = 800
-        cfg["solver"]["convection_on"] = True
-        cfg["data"] = {"y0_kind": "eddy", "y0_amplitude": 0.05,
-                       "y0_v_norm": 1e-3, "yd_amplitude": 0.0, "h_amplitude": 0.0}
-    elif experiment == "carleman-check":
-        # long slow horizon keeps the singular weights inside float range at
-        # the configured (s, lam)
-        cfg["grid"] = {"nx": 16, "ny": 16, "Lx": 16.0, "Ly": 16.0, "nt": 64, "T": 24.0}
-        cfg["regions"] = _scaled_regions(16.0)
-        cfg["data"] = {"y0_kind": "zero", "y0_amplitude": 0.0,
-                       "yd_amplitude": 0.0, "h_amplitude": 0.0}
-        cfg["options"] = _option_defaults("domination_lams", "domination_epsilon",
-                                          "n_laplacian_samples", "laplacian_s",
-                                          "n_observability_samples")
-    elif experiment == "gamma0-scan":
-        # slower domain so the concavity threshold sits inside the gamma grid
-        cfg["grid"] = {"nx": 16, "ny": 16, "Lx": 4.0, "Ly": 4.0, "nt": 32, "T": 2.0}
-        cfg["regions"] = _scaled_regions(4.0)
-        cfg["data"] = {"y0_kind": "eddy", "y0_amplitude": 0.05,
-                       "yd_amplitude": 0.05, "h_amplitude": 0.1}
-        cfg["options"] = _option_defaults("gamma_grid", "max_iter")
-    elif experiment == "convergence":
-        cfg["data"] = {"y0_kind": "zero", "y0_amplitude": 0.0,
-                       "yd_amplitude": 0.0, "h_amplitude": 0.0}
-        cfg["options"] = _option_defaults("sizes", "horizon", "base_nt")
-    return cfg
 
 
 _REQUIRED, _OWN = object(), object()
@@ -396,11 +316,6 @@ _BUILDS = {"grid": GridSpec, "robust": RobustParams, "carleman": CarlemanParams,
            "penalty": PenaltyConfig, "solver": SolverOptions, "data": dict, "options": dict}
 
 
-def _option_defaults(*names) -> dict:
-    """The named options at their defaults, as a config's ``options`` object."""
-    return {k: copy.copy(_FIELDS[f"options.{k}"][1]) for k in names}
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build the experiment config from the fields of ``_FIELDS``; a missing field,
     an unknown one (a misspelling would leave its field at the default), or one of
@@ -460,16 +375,28 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                             obs_set=r["Od"], inner_set=r["omega0"], raw=raw)
 
 
+def read_json(path, kind: str):
+    """The JSON value held by the file at ``path``; a file that cannot be read
+    or is not UTF-8 JSON raises ConfigurationError naming it as ``kind``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ConfigurationError(f"{kind} {path} cannot be read: {e.strerror}") from e
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigurationError(f"{kind} {path} is not valid JSON: {e}") from e
+
+
 def parse_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"config file {path} does not exist")
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigurationError(f"config file {path} is not valid JSON: {e}") from e
-    return config_from_dict(raw)
+    return config_from_dict(read_json(path, "config file"))
+
+
+def default_config_dict(experiment: str = "saddle") -> dict:
+    """A new dict of the experiment's template, the shipped ``configs/<experiment>.json``."""
+    if experiment not in EXPERIMENTS:
+        raise ConfigurationError(
+            f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
+    return read_json(Path(__file__).with_name("configs") / f"{experiment}.json", "template")
 
 
 @dataclass
@@ -784,6 +711,8 @@ _PIPELINES = {
     "gamma0-scan": _exp_gamma0,
     "convergence": _exp_convergence,
 }
+
+EXPERIMENTS = tuple(_PIPELINES)
 
 
 def _non_finite(value, path: str = "") -> list:

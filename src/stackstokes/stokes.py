@@ -849,7 +849,7 @@ def solve_backward_adjoint(
     g1: Trajectory | None,
     g2: Trajectory | None,
     link: Trajectory | None,
-    coupling: Coupling | None,
+    coupling: Coupling,
     opts: SolverOptions = SolverOptions(),
 ) -> AdjointPair:
     """Coupled adjoint pair: phi backward from phi(T), theta forward from 0.
@@ -862,7 +862,6 @@ def solve_backward_adjoint(
     g1 and g2 are not read: theta(0) = 0, and phi(0) is the sensitivity to
     y(0), phi(1) minus dt times the transposed linearization around link(0).
     The pair is linear in phi(T), so its Picard loop has no blow-up bound.
-    Without a ``coupling`` theta and g2 drop out and phi is one backward march.
     phi(T) and the sources are mapped to V coordinates once, and phi and
     theta back once; phi(0), which need not lie in V, is assembled on the faces.
     """
@@ -870,17 +869,12 @@ def solve_backward_adjoint(
     terms = _linked(link)
     up = _marched(g, 1, *terms, end=v_coordinates(phiT.data, g))
     phi_src = _coords(g, _packed_data(g, (g1, _slots(g))))
-    if coupling is None:
-        phi = np.zeros((g.nt + 1, (g.nx - 1) * (g.ny - 1))) if phi_src is None else phi_src
-        phi, theta, sweeps, residual = _apply(_T((up,)), phi), None, 0, 0.0
-    else:
-        phi, theta, sweeps, residual = _picard(
-            g, _transposed(_coupled_cycle(coupling, up, _marched(g, 0))),
-            (phi_src, _coords(g, _packed_data(g, (g2, _slots(g))))), math.inf, opts,
-            "adjoint pair", "gamma or ell too small or mu too large")
+    phi, theta, sweeps, residual = _picard(
+        g, _transposed(_coupled_cycle(coupling, up, _marched(g, 0))),
+        (phi_src, _coords(g, _packed_data(g, (g2, _slots(g))))), math.inf, opts,
+        "adjoint pair", "gamma or ell too small or mu too large")
     to_faces = _faces(g)[0]
-    phi = Trajectory(g, to_faces(phi))
-    theta = Trajectory.zeros(g) if theta is None else Trajectory(g, to_faces(theta))
+    phi, theta = Trajectory(g, to_faces(phi)), Trajectory(g, to_faces(theta))
     # the transposed start, which need not lie in V, assembled on the faces
     phi[0] = phi[1]
     if link is not None:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stackstokes
 from stackstokes.carleman import CarlemanParams
 from stackstokes.errors import ConfigurationError, GeometryError, NumericalError
 from stackstokes.grid import (
@@ -30,6 +31,8 @@ from stackstokes.harness import (
 from stackstokes.leader import PenaltyConfig
 from stackstokes.saddle import RobustParams
 from stackstokes.stokes import SolverOptions
+
+TEMPLATES = Path(stackstokes.__file__).with_name("configs")
 
 
 def test_default_config_roundtrip(tmp_path):
@@ -204,6 +207,28 @@ def test_cli_missing_config_file():
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("command, content, expect", [
+    ("validate", None, "cannot be read"),  # a directory named like a config
+    ("validate", b"\xff\xfe{}", "is not valid JSON"),  # not UTF-8
+    ("report", b"{", "is not valid JSON"),
+    ("report", b'{"experiment": "x"}', "lacks the key 'config_hash'"),
+    ("report", b"[]", "must hold a JSON object"),
+], ids=["directory", "not-utf8", "broken-manifest", "manifest-key", "manifest-list"])
+def test_cli_malformed_file_is_a_configuration_error(tmp_path, capsys, command, content, expect):
+    # a file from outside the program ends in exit 2 and names the file, not
+    # in a traceback
+    from stackstokes.cli import main
+
+    path = tmp_path / ("cfg.json" if command == "validate" else "manifest.json")
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main([command, str(path if command == "validate" else tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and str(path) in err and expect in err, err
+
+
 def test_cli_run_report_and_solver_failure(tmp_path):
     raw = default_config_dict("convergence")
     raw["options"]["sizes"] = [16, 32]
@@ -245,16 +270,43 @@ def test_output_root_env(tmp_path, monkeypatch):
     assert str(tmp_path / "envroot") in rec.run_dir
 
 
-def test_shipped_configs_match_templates():
-    configs_dir = Path(__file__).resolve().parent.parent / "configs"
-    assert configs_dir.is_dir()
-    for exp in ("saddle", "nullcontrol", "nullcontrol-nonlinear",
-                "carleman-check", "gamma0-scan", "convergence"):
-        path = configs_dir / f"{exp}.json"
-        cfg = parse_config(path)
-        assert cfg.experiment == exp
-        want = config_from_dict(default_config_dict(exp))
-        assert cfg.config_hash() == want.config_hash()
+def test_templates_are_the_shipped_experiments():
+    # configs/ of the package holds one template per experiment and nothing
+    # else, and each parses to its own experiment
+    paths = sorted(TEMPLATES.glob("*.json"))
+    assert {p.stem for p in paths} == set(EXPERIMENTS)
+    for path in paths:
+        assert parse_config(path).experiment == path.stem
+
+
+def test_cli_init_writes_the_shipped_bytes(tmp_path, capsys):
+    from stackstokes.cli import main
+
+    for exp in EXPERIMENTS:
+        path = tmp_path / f"{exp}.json"
+        assert main(["init", exp, str(path)]) == 0, capsys.readouterr().err
+        assert path.read_bytes() == (TEMPLATES / f"{exp}.json").read_bytes(), exp
+
+
+def test_default_config_dict_is_a_new_dict():
+    # tests edit nested entries of the template, which must not leak into the
+    # next call
+    raw = default_config_dict("convergence")
+    raw["options"]["sizes"].append(128)
+    raw["grid"]["nx"] = 8
+    fresh = default_config_dict("convergence")
+    assert fresh["options"]["sizes"] == [16, 32, 64] and fresh["grid"]["nx"] == 16
+
+
+def test_default_config_dict_refuses_an_unknown_experiment():
+    with pytest.raises(ConfigurationError, match="unknown experiment 'saddles'"):
+        default_config_dict("saddles")
+
+
+def test_root_configs_is_the_package_templates():
+    # the README's commands and the yardstick scripts read ROOT/configs
+    root = Path(__file__).resolve().parent.parent
+    assert (root / "configs").resolve() == (root / "src" / "stackstokes" / "configs").resolve()
 
 
 def test_saddle_experiment_zero_data_record(tmp_path):

@@ -199,19 +199,17 @@ def test_backward_adjoint_matches_per_level_reference(rng, relax, with_link):
 
 @pytest.mark.parametrize("with_link", [False, True])
 def test_decoupled_adjoint_is_one_backward_march(rng, with_link):
-    # without a coupling phi is the backward march of g1 alone: the bits of
-    # the Picard loop on an explicit zero coupling (which stops after one
-    # sweep), and the per-level chain up to round-off
+    # on an explicit zero coupling the Picard loop stops after one sweep, theta
+    # stays 0, and phi is the backward march of g1 alone: the per-level chain
+    # up to round-off
     setup = make_setup(nt=16)
     g = setup["grid"]
     dt = g.dt
     phiT, g1 = _nearly_div_free(g, rng), state_traj(g, rng, 0.2)
     link = state_traj(g, rng, 0.3) if with_link else None
     zero = Coupling(g, VelocityField.zeros(g), setup["obs"].face_mask(g), 0.0)
-    adj = solve_backward_adjoint(phiT, g1, None, link, None)
-    ref = solve_backward_adjoint(phiT, g1, None, link, zero)
-    assert adj.iterations == 0 and ref.iterations == 1
-    assert np.array_equal(adj.phi.data, ref.phi.data)
+    adj = solve_backward_adjoint(phiT, g1, None, link, zero)
+    assert adj.iterations == 1
     assert not adj.theta.data.any()
     fields = [None] * (g.nt + 1)
     cur = phiT.apply_noslip()
