@@ -40,7 +40,6 @@ from .grid import (
     inner_levels,
     laplacian,
     norm,
-    h1_norm,
     project_div_free,
     trapezoid_weights,
 )
@@ -479,10 +478,9 @@ def weighted_norm_components(
         logs[:-1][pos] = log_weight[pos] + np.log(sq[pos])
         return 0.5 * _log_quadrature(logs, w, g.dt)
 
-    # H2 and L-inf(V) style components
-    def h2_sq(f):
-        lap = laplacian(f)
-        return inner(f, f) + inner(lap, lap)
+    # H2 and L-inf(V) style components, from the Laplacian of every level at once
+    def h2_sq(f, lap):
+        return inner_levels(f, f) + inner_levels(lap, lap)
 
     out = {}
     # || e^{a0 s b*} (tau_hat)^{-5/2} y ||_{L2}
@@ -494,14 +492,17 @@ def weighted_norm_components(
         h_expo = _signed_exponent(params, T, t, [(WeightFamily.BETA, 0.0, 4.0 * a0),
                                                  (WeightFamily.BETA, M, -2.0 * (m0 - 2.0))])
         out["h_l2"] = traj_component(inner_levels(h, h, hmask), h_expo - 15.0 * tau_hat)
-    out["y_h2"] = traj_component([h2_sq(f) for f in y], 2.0 * s_a0 - 15.0 * tau_hat)
-    hv = np.array([h1_norm(y[m]) for m in range(g.nt)])
+    lap = laplacian(y)
+    out["y_h2"] = traj_component(h2_sq(y, lap), 2.0 * s_a0 - 15.0 * tau_hat)
+    # the H1 norm of each level before T; -<y, lap y> = |grad y|^2 by parts
+    hv = np.sqrt(np.maximum(inner_levels(y, y) - inner_levels(y, lap), 0.0))[:-1]
+    del lap
     pos = hv > 0
     out["y_sup_v"] = (
         float(np.max((s_a0 - 7.5 * tau_hat)[pos] + np.log(hv[pos])))
         if pos.any() else -math.inf
     )
     if z is not None:
-        out["z_h2"] = traj_component([h2_sq(f) for f in z], 2.0 * s_a0 - 5.0 * tau_star)
+        out["z_h2"] = traj_component(h2_sq(z, laplacian(z)), 2.0 * s_a0 - 5.0 * tau_star)
     log10 = math.log(10.0)
     return {k: (v / log10 if math.isfinite(v) else v) for k, v in out.items()}

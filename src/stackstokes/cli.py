@@ -76,6 +76,9 @@ def _cmd_report(args) -> int:
     for key in ("experiment", "config_hash", "started", "finished", "incomplete"):
         if key not in data:
             raise ConfigurationError(f"manifest {path} lacks the key {key!r}")
+    for key, kind, what in (("metrics", dict, "an object"), ("artifacts", list, "a list")):
+        if not isinstance(data.get(key, kind()), kind):
+            raise ConfigurationError(f"manifest {path} must hold {key!r} as {what}")
     print(f"experiment : {data['experiment']}")
     print(f"config hash: {data['config_hash']}")
     print(f"started    : {data['started']}")

@@ -563,23 +563,28 @@ def gradient(p: ScalarField) -> VelocityField:
     return out
 
 
-def laplacian(vel: VelocityField) -> VelocityField:
-    """Componentwise 5-point Laplacian with no-slip ghost closure.
+def laplacian(vel: VelocityField | Trajectory) -> VelocityField | Trajectory:
+    """Componentwise 5-point Laplacian with no-slip ghost closure, of a velocity
+    field or of every level of a trajectory at once.
 
     Normal direction uses the zero boundary faces; tangential direction uses
     odd ghost reflection (wall value = 0 at the half cell).  Output is zero on
     the normal-boundary faces.  One stencil serves both components, each
-    viewed with its normal axis first (``u``, and ``v.T``).
+    viewed with its normal axis first (``u``, and ``v`` transposed), under
+    the leading dimension of a stack.
     """
     g = vel.grid
-    out = VelocityField.zeros(g)
-    for w, lw, hn, ht in ((vel.u, out.u, g.hx, g.hy), (vel.v.T, out.v.T, g.hy, g.hx)):
-        lw[1:-1, :] = (w[2:, :] - 2.0 * w[1:-1, :] + w[:-2, :]) / hn**2
-        wg = np.empty((w.shape[0], w.shape[1] + 2))
-        wg[:, 1:-1] = w
-        wg[:, 0] = -w[:, 0]
-        wg[:, -1] = -w[:, -1]
-        lw[1:-1, :] += (wg[1:-1, 2:] - 2.0 * w[1:-1, :] + wg[1:-1, :-2]) / ht**2
+    out = vel._like(np.zeros(vel.data.shape))
+    (u, v), (lu, lv) = face_views(vel.data, g), face_views(out.data, g)
+    for w, lw, hn, ht in ((u, lu, g.hx, g.hy),
+                          (v.swapaxes(-1, -2), lv.swapaxes(-1, -2), g.hy, g.hx)):
+        lw[..., 1:-1, :] = (w[..., 2:, :] - 2.0 * w[..., 1:-1, :] + w[..., :-2, :]) / hn**2
+        wg = np.empty(w.shape[:-1] + (w.shape[-1] + 2,))
+        wg[..., 1:-1] = w
+        wg[..., 0] = -w[..., 0]
+        wg[..., -1] = -w[..., -1]
+        lw[..., 1:-1, :] += (wg[..., 1:-1, 2:] - 2.0 * w[..., 1:-1, :]
+                             + wg[..., 1:-1, :-2]) / ht**2
     return out
 
 

@@ -516,13 +516,16 @@ def _exp_nullcontrol(cfg: ExperimentConfig, out: _Artifacts) -> dict:
 
 def _exp_nullcontrol_nonlinear(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     prob = cfg.problem()
+    lin_prob = dataclasses.replace(prob, opts=dataclasses.replace(cfg.solver, convection_on=False))
+    lin = solve_null_control_cg(lin_prob, cfg.penalty)
+    # the linear run inverts the operator of every outer iteration: its
+    # control starts the first one's CG
     res = solve_null_control_nonlinear(
         prob, cfg.penalty,
         outer_tol=cfg.options["outer_tol"],
         outer_max=cfg.options["outer_max"],
+        h_start=lin.h,
     )
-    lin_prob = dataclasses.replace(prob, opts=dataclasses.replace(cfg.solver, convection_on=False))
-    lin = solve_null_control_cg(lin_prob, cfg.penalty)
     out.trajectory("h", res.h)
     return {
         "outer_iterations": res.outer_iterations,

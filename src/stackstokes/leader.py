@@ -12,6 +12,14 @@ documents the vanishing-penalty limit instead of claiming exact null control.
 The nonlinear (small-data) variant freezes the quadratic terms from the
 previous iterate, playing the role of the extra sources f1, f2 of the linear
 theory.
+
+The two solves of CG iteration k are inexact: their Picard loops stop at
+eta_k = min(cg_tol |b| / |r_k|, 1e-5), or picard_tol if looser, as the error
+a product may carry grows while the residual falls (van den Eshof & Sleijpen,
+SIAM J. Matrix Anal. Appl. 26, 2004; Simoncini & Szyld, SIAM J. Sci. Comput.
+25, 2003).  Every other solve runs to picard_tol.  The nonlinear variant's
+outer iterations invert the linear system's L^T L + eps, so the linear
+control can start the first.
 """
 
 from __future__ import annotations
@@ -49,6 +57,9 @@ __all__ = [
     "solve_null_control_cg",
     "solve_null_control_nonlinear",
 ]
+
+# the loosest relative Picard tolerance of a solve inside a CG iteration
+_INNER_TOL_CAP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -97,17 +108,19 @@ class EpsilonRow:
     objective: float
 
 
-def _coupled(prob: SaddleProblem, h, f1, f2):
+def _coupled(prob: SaddleProblem, h, f1, f2, tol=0.0):
     return solve_coupled_linear(
         h, prob.y0, prob.yd, prob.coupling, prob.opts, omega=prob.omega,
-        f1=f1, f2=f2,
+        f1=f1, f2=f2, tol=tol,
     )
 
 
-def control_to_terminal(prob: SaddleProblem, h, f1=None, f2=None) -> VelocityField:
-    """Final-time state of the coupled linear system (affine in h)."""
+def control_to_terminal(prob: SaddleProblem, h, f1=None, f2=None,
+                        tol: float = 0.0) -> VelocityField:
+    """Final-time state of the coupled linear system (affine in h); ``tol`` is the
+    inexact stop of :func:`~stackstokes.stokes.solve_coupled_linear`."""
     # a copy, so that keeping y(T) does not keep the whole trajectory alive
-    return _coupled(prob, h, f1, f2).y[prob.grid.nt].copy()
+    return _coupled(prob, h, f1, f2, tol).y[prob.grid.nt].copy()
 
 
 def penalized_gradient(prob: SaddleProblem, h: Trajectory, cfg: PenaltyConfig) -> Trajectory:
@@ -116,9 +129,9 @@ def penalized_gradient(prob: SaddleProblem, h: Trajectory, cfg: PenaltyConfig) -
     return h.mul_mask(prob._omega_mask) + _terminal_dual_lift(prob, yT * (1.0 / cfg.epsilon))
 
 
-def _terminal_dual_lift(prob: SaddleProblem, w: VelocityField) -> Trajectory:
+def _terminal_dual_lift(prob: SaddleProblem, w: VelocityField, tol=0.0) -> Trajectory:
     """Transposition lift: the omega-restricted dual of the terminal map."""
-    adj = solve_backward_adjoint(w, None, None, None, prob.coupling, prob.opts)
+    adj = solve_backward_adjoint(w, None, None, None, prob.coupling, prob.opts, tol=tol)
     return control_gradient(adj.phi, prob._omega_mask)
 
 
@@ -176,9 +189,11 @@ def solve_null_control_cg(
         if iters[-1] is not None or it == cfg.cg_max:
             break
         it += 1
-        lam_p = control_to_terminal(hom, p)
+        # inexact inner solves: tol / |r| = cg_tol |b| / |r_k|, at most _INNER_TOL_CAP
+        eta = min(tol / math.sqrt(rz), _INNER_TOL_CAP)
+        lam_p = control_to_terminal(hom, p, tol=eta)
         # A p built in the lift's own stack: one trajectory fewer per iteration
-        Ap = _terminal_dual_lift(hom, lam_p)
+        Ap = _terminal_dual_lift(hom, lam_p, eta)
         np.multiply(p.data, seed, out=step)
         Ap.data += step
         pAp = inner_space_time(p, Ap)
@@ -231,13 +246,16 @@ def solve_null_control_nonlinear(
     cfg: PenaltyConfig,
     outer_tol: float = 1e-6,
     outer_max: int = 25,
+    h_start: Trajectory | None = None,
 ) -> LeaderResult:
     """Leader control for the nonlinear coupled system at small data.
 
     Outer fixed-point loop: freeze the convection/coupling terms from the
     previous nonlinear solve (they act as the sources f1, f2 of the linear
     theory), recompute the penalized control, re-solve the nonlinear system,
-    and repeat until the control stabilizes.
+    and repeat until the control stabilizes.  Each CG starts from the
+    previous control, the first from ``h_start`` (such as the linear
+    system's control); the change test compares outer iterates only.
     """
     # solve_coupled_nonlinear refuses an initial state above small_data_delta
     sol = solve_coupled_nonlinear(
@@ -246,7 +264,8 @@ def solve_null_control_nonlinear(
     h_prev: Trajectory | None = None
     for it in range(1, outer_max + 1):
         f1, f2 = frozen_sources(sol.y, sol.z)
-        result = solve_null_control_cg(prob, cfg, f1, f2, h_start=h_prev)
+        result = solve_null_control_cg(prob, cfg, f1, f2,
+                                       h_start=h_start if h_prev is None else h_prev)
         if h_prev is None and result.control_norm == 0.0:
             # nothing to steer: the zero control is already stationary
             result.outer_iterations = it

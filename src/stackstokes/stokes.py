@@ -283,15 +283,20 @@ def _closed_div_free(v: VelocityField) -> VelocityField:
 
 def _packed_data(g: GridSpec, *terms) -> np.ndarray | None:
     """dt * sum of ``traj.data * factors...`` over the ``(traj, *factors)`` terms with a
-    trajectory (None factors skipped): the data part of a march's sources; None if no term."""
+    trajectory (None factors skipped): the data part of a march's sources; None if no term.
+    Only a term with factors, or a first one, takes a stack of its own."""
     out = None
     for traj, *factors in terms:
-        if traj is not None:
-            p = _apply((_weight(*factors),), traj.data.copy())
-            if out is None:
-                out = p
-            else:
-                out += p
+        if traj is None:
+            continue
+        ds = [d for d in factors if d is not None]
+        if out is not None and not ds:
+            out += traj.data
+            continue
+        p = np.multiply(traj.data, ds[0]) if ds else traj.data.copy()
+        for d in ds[1:]:
+            p *= d
+        out = p if out is None else np.add(out, p, out=out)
     if out is not None:
         out *= g.dt
     return out
@@ -674,17 +679,20 @@ def _v_norm(g: GridSpec, c: np.ndarray) -> float:
 
 
 def _picard(g: GridSpec, cycle, sources, limit: float, opts: SolverOptions,
-            what: str, hint: str):
+            what: str, hint: str, tol: float = 0.0):
     """Relaxed Picard loop  it <- it + relax (new - it)  over a cycle of V-coordinate
     stacks, from it = 0, with the space-time norms taken in V.
 
     ``new`` is the second sweep of the first sweep of ``it``, ``sources[k]``
     added before the march of sweep k.  ``relax`` halves (down to 1/16)
-    whenever the relative change stops falling.  A non-finite iterate raises
-    BlowupError; an iterate larger than ``limit``, or ``picard_max`` sweeps,
-    end the loop with ConvergenceError.  Returns new (the first sweep of the
-    converged it), it, the sweep count and the last relative change.
+    whenever the relative change stops falling.  The loop stops once that
+    change is at most ``picard_tol``, or the looser ``tol`` of an inexact
+    solve.  A non-finite iterate raises BlowupError; an iterate larger than
+    ``limit``, or ``picard_max`` sweeps, end the loop with ConvergenceError.
+    Returns new (the first sweep of the converged it), it, the sweep count
+    and the last relative change.
     """
+    tol = max(opts.picard_tol, tol)
     it = np.zeros((g.nt + 1, (g.nx - 1) * (g.ny - 1)))
     new = np.empty_like(it)
     relax = opts.relax
@@ -701,7 +709,7 @@ def _picard(g: GridSpec, cycle, sources, limit: float, opts: SolverOptions,
         if not (math.isfinite(size) and math.isfinite(change)):
             raise BlowupError(f"{what} produced a non-finite iterate at sweep {k}",
                               residual=residual, iterations=k)
-        if residual <= opts.picard_tol:
+        if residual <= tol:
             _sweep(cycle[0], sources[0], it, new)
             return new, it, k, residual
         if residual >= prev_res and relax > 0.0625:
@@ -710,7 +718,7 @@ def _picard(g: GridSpec, cycle, sources, limit: float, opts: SolverOptions,
             break
         prev_res = residual
     raise ConvergenceError(
-        f"{what} did not reach tolerance ({residual:.3e} > {opts.picard_tol:.1e}) "
+        f"{what} did not reach tolerance ({residual:.3e} > {tol:.1e}) "
         f"after {k} sweeps; {hint}",
         residual=residual,
         iterations=k,
@@ -726,6 +734,7 @@ def solve_coupled_linear(
     omega: Region | None = None,
     f1: Trajectory | None = None,
     f2: Trajectory | None = None,
+    tol: float = 0.0,
 ) -> CoupledSolution:
     """Forward-backward Picard solve of the linear coupled optimality system.
 
@@ -735,8 +744,9 @@ def solve_coupled_linear(
     The converged pair is the exact first-order system of the discrete
     minimax cost, which is what the gradient-consistency tests require.
     The forward data is a :class:`ForcingAssembly`, so ``h`` needs ``omega``.
+    A ``tol`` above ``opts.picard_tol`` stops the sweeps there: an inexact solve.
     """
-    return _solve_coupled(h, y0, yd, coupling, opts, omega, f1, f2, False)
+    return _solve_coupled(h, y0, yd, coupling, opts, omega, f1, f2, False, tol)
 
 
 def _coords(g: GridSpec, x: np.ndarray | None) -> np.ndarray | None:
@@ -745,7 +755,7 @@ def _coords(g: GridSpec, x: np.ndarray | None) -> np.ndarray | None:
 
 
 def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1, f2,
-                   convective: bool) -> CoupledSolution:
+                   convective: bool, tol: float = 0.0) -> CoupledSolution:
     """The Picard sweeps of both coupled solves; ``convective`` adds convection to
     the forward march and its transpose around the sweep's y to the backward one.
 
@@ -781,7 +791,7 @@ def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1
         g, cycle, (fwd, bwd), opts.blowup_norm, opts,
         "nonlinear coupled solve" if convective else "coupled linear solve",
         "reduce the data size or the horizon (small-data regime required)" if convective
-        else "the forward-backward sweep contracts only for large enough gamma and ell")
+        else "the forward-backward sweep contracts only for large enough gamma and ell", tol)
     to_faces = _faces(g)[0]
     y = to_faces(y)
     y[0] = start
@@ -838,10 +848,18 @@ def solve_coupled_nonlinear(
 
 @dataclass
 class AdjointPair:
+    """A converged adjoint pair.  theta is kept in V coordinates, ``theta_v``, and
+    mapped to the faces on first read: the terminal lift reads phi alone."""
+
     phi: Trajectory
-    theta: Trajectory
+    theta_v: np.ndarray
     iterations: int
     residual: float
+
+    @cached_property
+    def theta(self) -> Trajectory:
+        g = self.phi.grid
+        return Trajectory(g, _faces(g)[0](self.theta_v))
 
 
 def solve_backward_adjoint(
@@ -851,6 +869,7 @@ def solve_backward_adjoint(
     link: Trajectory | None,
     coupling: Coupling,
     opts: SolverOptions = SolverOptions(),
+    tol: float = 0.0,
 ) -> AdjointPair:
     """Coupled adjoint pair: phi backward from phi(T), theta forward from 0.
 
@@ -863,7 +882,9 @@ def solve_backward_adjoint(
     y(0), phi(1) minus dt times the transposed linearization around link(0).
     The pair is linear in phi(T), so its Picard loop has no blow-up bound.
     phi(T) and the sources are mapped to V coordinates once, and phi and
-    theta back once; phi(0), which need not lie in V, is assembled on the faces.
+    theta back once, theta on first read; phi(0), which need not lie in V, is
+    assembled on the faces.  ``tol`` is the inexact stop of
+    :func:`solve_coupled_linear`.
     """
     g = phiT.grid
     terms = _linked(link)
@@ -872,9 +893,8 @@ def solve_backward_adjoint(
     phi, theta, sweeps, residual = _picard(
         g, _transposed(_coupled_cycle(coupling, up, _marched(g, 0))),
         (phi_src, _coords(g, _packed_data(g, (g2, _slots(g))))), math.inf, opts,
-        "adjoint pair", "gamma or ell too small or mu too large")
-    to_faces = _faces(g)[0]
-    phi, theta = Trajectory(g, to_faces(phi)), Trajectory(g, to_faces(theta))
+        "adjoint pair", "gamma or ell too small or mu too large", tol)
+    phi = Trajectory(g, _faces(g)[0](phi))
     # the transposed start, which need not lie in V, assembled on the faces
     phi[0] = phi[1]
     if link is not None:

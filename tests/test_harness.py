@@ -207,13 +207,21 @@ def test_cli_missing_config_file():
     assert out.returncode == 2
 
 
+# the keys that every manifest holds, before its metrics and artifacts
+_MANIFEST_HEAD = (b'{"experiment": "x", "config_hash": "0", "started": "0", '
+                  b'"finished": "0", "incomplete": false')
+
+
 @pytest.mark.parametrize("command, content, expect", [
     ("validate", None, "cannot be read"),  # a directory named like a config
     ("validate", b"\xff\xfe{}", "is not valid JSON"),  # not UTF-8
     ("report", b"{", "is not valid JSON"),
     ("report", b'{"experiment": "x"}', "lacks the key 'config_hash'"),
     ("report", b"[]", "must hold a JSON object"),
-], ids=["directory", "not-utf8", "broken-manifest", "manifest-key", "manifest-list"])
+    ("report", _MANIFEST_HEAD + b', "metrics": []}', "'metrics' as an object"),
+    ("report", _MANIFEST_HEAD + b', "artifacts": 3}', "'artifacts' as a list"),
+], ids=["directory", "not-utf8", "broken-manifest", "manifest-key", "manifest-list",
+        "manifest-metrics-list", "manifest-artifacts-number"])
 def test_cli_malformed_file_is_a_configuration_error(tmp_path, capsys, command, content, expect):
     # a file from outside the program ends in exit 2 and names the file, not
     # in a traceback

@@ -177,6 +177,38 @@ def test_shifted_cg_true_residual_of_every_epsilon(monkeypatch, schedule):
         assert _relative_residual(prob, h, row.epsilon) <= 10 * cfg.penalty.cg_tol, row
 
 
+def test_cg_inner_solves_stop_at_the_inexact_tolerance(monkeypatch):
+    # the coupled solve and adjoint pair of CG iteration k stop at eta_k =
+    # min(cg_tol |b| / |r_k|, 1e-5) above picard_tol; the free response, b
+    # and the exact re-solves of every epsilon stop at picard_tol
+    prob = _slow_problem()
+    cfg = PenaltyConfig(epsilon_schedule=(1e-1, 1e-2), cg_tol=1e-8)
+    solves = []
+    for name in ("solve_coupled_linear", "solve_backward_adjoint"):
+        def spy(*args, tol=0.0, _real=getattr(leader, name), **kwargs):
+            sol = _real(*args, tol=tol, **kwargs)
+            solves.append((tol, sol.residual))
+            return sol
+        monkeypatch.setattr(leader, name, spy)
+    res = solve_null_control_cg(prob, cfg)
+    monkeypatch.undo()
+    picard_tol = prob.opts.picard_tol
+    n = 2 * res.cg_iters
+    exact, inner = solves[:2] + solves[2 + n:], solves[2:2 + n]
+    assert len(exact) == 2 + len(cfg.epsilon_schedule) and res.cg_iters > 5
+    for tol, residual in exact:
+        assert tol == 0.0 and residual <= picard_tol
+    # the first iteration's r is b, so its eta is cg_tol; r falls to below
+    # 1e-3 |b|, where eta reaches its cap
+    assert all(r <= cfg.cg_tol for _, r in inner[:2])
+    assert all(picard_tol < r <= 1e-5 for _, r in inner)
+    etas = [tol for tol, _ in inner]
+    assert etas[::2] == etas[1::2]  # one eta for both solves of an iteration
+    assert etas[0] == pytest.approx(cfg.cg_tol, rel=1e-12) and etas[-1] == 1e-5
+    for tol, residual in inner:
+        assert cfg.cg_tol * (1 - 1e-12) <= tol <= 1e-5 and residual <= tol
+
+
 def test_shifted_cg_seed_row_is_the_one_epsilon_solve():
     # at the smallest epsilon the shift is 0, every factor is exactly 1, and
     # the schedule's last h is the one-epsilon solve bit for bit
@@ -249,6 +281,33 @@ def test_nonlinear_zero_data_one_outer():
     res = solve_null_control_nonlinear(prob, PenaltyConfig(epsilon=1e-4))
     assert traj_norm(res.h) == 0.0
     assert res.outer_iterations == 1
+
+
+def test_nonlinear_warm_start_from_the_linear_control(monkeypatch):
+    # the linear run inverts the operator of every outer iteration, so its
+    # control starts the first CG, which then takes a fraction of a cold
+    # start's iterations; both runs stop on the change of their own outer
+    # iterates, and their controls agree within ten outer tolerances
+    # (7.6e-7 relative measured on the shipped config, outer_tol 1e-6)
+    cfg = config_from_dict(default_config_dict("nullcontrol-nonlinear"))
+    prob = cfg.problem()
+    outer = {"outer_tol": cfg.options["outer_tol"], "outer_max": cfg.options["outer_max"]}
+    lin = solve_null_control_cg(prob, cfg.penalty)
+    real, iters = leader.solve_null_control_cg, []
+
+    def spy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        iters.append(res.cg_iters)
+        return res
+
+    monkeypatch.setattr(leader, "solve_null_control_cg", spy)
+    cold = solve_null_control_nonlinear(prob, cfg.penalty, **outer)
+    cold_first = iters[0]
+    iters.clear()
+    warm = solve_null_control_nonlinear(prob, cfg.penalty, **outer, h_start=lin.h)
+    assert len(iters) == warm.outer_iterations >= 2
+    assert 4 * iters[0] < cold_first
+    assert traj_norm(warm.h - cold.h) <= 10 * outer["outer_tol"] * traj_norm(cold.h)
 
 
 def test_nonlinear_small_data_guard():
