@@ -46,11 +46,7 @@ from .saddle import (
     saddle_from_coupled,
     verify_saddle,
 )
-from .leader import (
-    PenaltyConfig,
-    solve_null_control_cg,
-    solve_null_control_nonlinear,
-)
+from .leader import PenaltyConfig, solve_null_control_cg, solve_null_control_nonlinear
 from .carleman import (
     _ETA_MAX,
     CarlemanParams,
@@ -344,6 +340,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigurationError("config field 'solver.convection_on' must be false for the "
                                  "convergence experiment: its manufactured forcing is Stokes-only")
     schedule = fields["penalty"].get("epsilon_schedule", [])
+    last = fields["penalty"].get("epsilon", PenaltyConfig.epsilon)
+    if schedule and schedule[-1] != last:  # the run solves at the schedule's last epsilon
+        raise ConfigurationError(f"config field 'penalty.epsilon' must be the last entry of "
+                                 f"'penalty.epsilon_schedule', got {last!r} and {schedule!r}")
     if experiment == "nullcontrol-nonlinear" and len(schedule) >= 2:
         raise ConfigurationError("config field 'penalty.epsilon_schedule' must hold at most one "
                                  "epsilon for the nullcontrol-nonlinear experiment: its outer "
@@ -516,10 +516,9 @@ def _exp_nullcontrol(cfg: ExperimentConfig, out: _Artifacts) -> dict:
 
 def _exp_nullcontrol_nonlinear(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     prob = cfg.problem()
-    lin_prob = dataclasses.replace(prob, opts=dataclasses.replace(cfg.solver, convection_on=False))
-    lin = solve_null_control_cg(lin_prob, cfg.penalty)
-    # the linear run inverts the operator of every outer iteration: its
-    # control starts the first one's CG
+    # convection_on does not switch the linear path that the CG reads; the
+    # linear control starts the outer loop, which inverts the same operator
+    lin = solve_null_control_cg(prob, cfg.penalty)
     res = solve_null_control_nonlinear(
         prob, cfg.penalty,
         outer_tol=cfg.options["outer_tol"],

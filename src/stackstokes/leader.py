@@ -9,9 +9,9 @@ where y is the first component of the coupled optimality system.  The map
 h -> y(T) is affine, so the minimizer solves the normal equations; one shifted
 conjugate-gradient run solves them at every epsilon of a schedule, which
 documents the vanishing-penalty limit instead of claiming exact null control.
-The nonlinear (small-data) variant freezes the quadratic terms from the
-previous iterate, playing the role of the extra sources f1, f2 of the linear
-theory.
+The nonlinear (small-data) variant is a fixed-point loop from a warm start:
+it freezes the quadratic terms at the current control, playing the role of
+the extra sources f1, f2 of the linear theory, and tests every iterate.
 
 The two solves of CG iteration k are inexact: their Picard loops stop at
 eta_k = min(cg_tol |b| / |r_k|, 1e-5), or picard_tol if looser, as the error
@@ -250,40 +250,32 @@ def solve_null_control_nonlinear(
 ) -> LeaderResult:
     """Leader control for the nonlinear coupled system at small data.
 
-    Outer fixed-point loop: freeze the convection/coupling terms from the
-    previous nonlinear solve (they act as the sources f1, f2 of the linear
-    theory), recompute the penalized control, re-solve the nonlinear system,
-    and repeat until the control stabilizes.  Each CG starts from the
-    previous control, the first from ``h_start`` (such as the linear
-    system's control); the change test compares outer iterates only.
+    Outer fixed-point loop from ``h_start`` (such as the linear system's
+    control; None is h = 0): freeze the convection/coupling terms of the
+    nonlinear solve at the current control (the sources f1, f2 of the linear
+    theory), recompute the penalized control by a CG started there, and stop
+    once it moves less than ``outer_tol`` from the control it started from.
     """
+    h = h_start
     # solve_coupled_nonlinear refuses an initial state above small_data_delta
-    sol = solve_coupled_nonlinear(
-        None, prob.y0, prob.yd, prob.coupling, prob.opts, omega=prob.omega
-    )
-    h_prev: Trajectory | None = None
+    sol = solve_coupled_nonlinear(h, prob.y0, prob.yd, prob.coupling, prob.opts,
+                                  omega=prob.omega)
     for it in range(1, outer_max + 1):
         f1, f2 = frozen_sources(sol.y, sol.z)
-        result = solve_null_control_cg(prob, cfg, f1, f2,
-                                       h_start=h_start if h_prev is None else h_prev)
-        if h_prev is None and result.control_norm == 0.0:
-            # nothing to steer: the zero control is already stationary
-            result.outer_iterations = it
-            return result
+        result = solve_null_control_cg(prob, cfg, f1, f2, h_start=h)
         sol = solve_coupled_nonlinear(
             result.h, prob.y0, prob.yd, prob.coupling, prob.opts, omega=prob.omega
         )
-        if h_prev is not None:
-            change = traj_norm(result.h - h_prev) / max(traj_norm(result.h), 1e-300)
-            if change <= outer_tol:
-                result.outer_iterations = it
-                result.terminal_norm = norm(sol.y[prob.grid.nt])
-                result.objective = (
-                    0.5 * result.control_norm**2
-                    + 0.5 / result.epsilon * result.terminal_norm**2
-                )
-                return result
-        h_prev = result.h
+        step = result.h if h is None else result.h - h
+        h = result.h
+        if traj_norm(step) / max(traj_norm(h), 1e-300) <= outer_tol:
+            result.outer_iterations = it
+            result.terminal_norm = norm(sol.y[prob.grid.nt])
+            result.objective = (
+                0.5 * result.control_norm**2
+                + 0.5 / result.epsilon * result.terminal_norm**2
+            )
+            return result
     raise ConvergenceError(
         "outer null-control loop did not stabilize; reduce the initial-state "
         "size (the construction is local: small data required)",

@@ -407,9 +407,10 @@ def test_manifest_write_is_atomic(tmp_path, monkeypatch):
 
 
 def test_option_copies_keep_relax(monkeypatch):
-    # the nonlinear coupled solve hands the configured options to its sweeps
-    # unchanged, and every place that derives solver options from configured
-    # ones keeps relax and blowup_norm and changes only convection_on
+    # the nonlinear coupled solve and the nonlinear pipeline's linear run
+    # hand the configured options on unchanged, and every place that derives
+    # solver options from configured ones keeps relax and blowup_norm and
+    # changes only convection_on
     from stackstokes import harness, leader, saddle, stokes
 
     from conftest import eddy, make_problem, make_setup
@@ -444,7 +445,7 @@ def test_option_copies_keep_relax(monkeypatch):
     monkeypatch.setattr(cfg, "solver", dataclasses.replace(cfg.solver, blowup_norm=1e5))
     monkeypatch.setattr(harness, "solve_null_control_nonlinear", lambda *a, **k: None)
     monkeypatch.setattr(harness, "solve_null_control_cg", lambda p, c: capture(p.opts))
-    with pytest.raises(Seen, match="False"):
+    with pytest.raises(Seen, match="True"):
         harness._exp_nullcontrol_nonlinear(cfg, None)
 
 
@@ -539,6 +540,9 @@ def test_option_copies_keep_relax(monkeypatch):
     ("data", "y0_v_norm", 0.0, "data.y0_v_norm"),
     # the outer loop warm-starts the CG, which takes a single epsilon then
     ("penalty", "epsilon_schedule", [1e-3, 1e-4], "penalty.epsilon_schedule"),
+    # a run solves at and reports the schedule's last epsilon: a schedule
+    # that ends away from penalty.epsilon (1e-4 here) left that field unread
+    ("penalty", "epsilon_schedule", [1e-3], "penalty.epsilon"),
     # the finest level's nt = base_nt (sizes[-1] / sizes[0])^2 above 65536:
     # 32 * 128^2 = 524288, and 65536 * 2^2 = 262144
     ("options", "sizes", [16, 2048], "options.sizes"),
@@ -742,7 +746,7 @@ def test_non_finite_metrics_are_refused(tmp_path, capsys):
     raw = default_config_dict("nullcontrol")
     raw["grid"].update(nx=8, ny=8, nt=8)
     raw["data"]["y0_kind"] = "zero"
-    raw["penalty"]["epsilon_schedule"] = [1e-2, 1e-3]
+    raw["penalty"].update(epsilon=1e-3, epsilon_schedule=[1e-2, 1e-3])
     path.write_text(json.dumps(raw))
     assert main(["run", str(path), "--out", str(out / "two")]) == 3
     err = capsys.readouterr().err
@@ -828,7 +832,7 @@ def test_config_numbers_are_cast():
     raw = default_config_dict("nullcontrol-nonlinear")
     raw["solver"]["small_data_delta"] = 1
     raw["grid"]["nt"] = 32.0
-    raw["penalty"]["epsilon_schedule"] = [1]
+    raw["penalty"].update(epsilon=1, epsilon_schedule=[1])
     raw["options"]["sizes"] = [16.0, 32]
     raw["data"]["y0_v_norm"] = None
     cfg = config_from_dict(raw)
@@ -860,7 +864,7 @@ def test_nullcontrol_solves_each_coupled_system_once(tmp_path, monkeypatch):
     monkeypatch.setattr(leader, "solve_coupled_linear", counted)
     monkeypatch.setattr(harness, "solve_coupled_linear", counted, raising=False)
     raw = default_config_dict("nullcontrol")
-    raw["penalty"]["epsilon_schedule"] = [1.0, 0.3]
+    raw["penalty"].update(epsilon=0.3, epsilon_schedule=[1.0, 0.3])
     cfg = config_from_dict(raw)
     m = run_experiment(cfg, out_root=tmp_path).metrics
     assert len(calls) == m["cg_iters"] + len(raw["penalty"]["epsilon_schedule"]) + 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -157,7 +159,7 @@ def test_shifted_cg_true_residual_of_every_epsilon(monkeypatch, schedule):
     # zeta recurrence or row update leaves the shifted rows off their systems
     raw = default_config_dict("nullcontrol")
     if schedule is not None:
-        raw["penalty"]["epsilon_schedule"] = schedule
+        raw["penalty"].update(epsilon=schedule[-1], epsilon_schedule=schedule)
     cfg = config_from_dict(raw)
     prob = cfg.problem()
     real, controls = leader.solve_coupled_linear, []
@@ -308,6 +310,43 @@ def test_nonlinear_warm_start_from_the_linear_control(monkeypatch):
     assert len(iters) == warm.outer_iterations >= 2
     assert 4 * iters[0] < cold_first
     assert traj_norm(warm.h - cold.h) <= 10 * outer["outer_tol"] * traj_norm(cold.h)
+
+
+def _small_nonlinear_problem():
+    setup = make_setup(nt=8)
+    return make_problem(setup, eddy(setup["grid"], 0.05), None, convection_on=True)
+
+
+def test_nonlinear_start_at_the_fixed_point_stops_at_once():
+    # every outer iterate is tested against the control it started from, the
+    # first too: from the loop's own converged control one outer iteration
+    # moves it by less than outer_tol (an untested first iterate took two)
+    prob, cfg = _small_nonlinear_problem(), PenaltyConfig(epsilon=1e-2)
+    res = solve_null_control_nonlinear(prob, cfg)
+    assert res.outer_iterations >= 2
+    again = solve_null_control_nonlinear(prob, cfg, h_start=res.h)
+    assert again.outer_iterations == 1
+    assert traj_norm(again.h - res.h) <= 1e-6 * traj_norm(res.h)
+
+
+def test_nonlinear_one_outer_iteration_can_succeed():
+    # outer_max 1 stops once the first iterate moves less than outer_tol from
+    # the linear control; an untested first iterate always raised
+    prob, cfg = _small_nonlinear_problem(), PenaltyConfig(epsilon=1e-2)
+    lin = solve_null_control_cg(prob, cfg)
+    res = solve_null_control_nonlinear(prob, cfg, outer_tol=1e-4, outer_max=1, h_start=lin.h)
+    assert res.outer_iterations == 1
+    assert 0 < traj_norm(res.h - lin.h) <= 1e-4 * traj_norm(res.h)
+
+
+def test_cg_does_not_read_convection_on():
+    # the CG reaches only the linear coupled solve and the adjoint pair, so
+    # the nonlinear pipeline runs its linear comparison on the configured options
+    prob, cfg = _small_nonlinear_problem(), PenaltyConfig(epsilon=1e-2)
+    off = dataclasses.replace(prob, opts=dataclasses.replace(prob.opts, convection_on=False))
+    on, lin = solve_null_control_cg(prob, cfg), solve_null_control_cg(off, cfg)
+    assert np.array_equal(on.h.data, lin.h.data) and on.cg_iters == lin.cg_iters
+    assert on.objective_curve == lin.objective_curve
 
 
 def test_nonlinear_small_data_guard():
