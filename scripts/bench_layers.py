@@ -16,7 +16,10 @@ root, on inputs drawn from the same seed for each root:
   ``grid.diffusion_solve``, ``grid.project_div_free``, ``grid.v_coordinates``
   and ``grid.v_velocities`` on one level, and of a 32-step convective
   ``stokes.solve_forward`` (a projected random start and random forcing,
-  small enough that the advective CFL number stays under 1 at 128);
+  small enough that the advective CFL number stays under 1 at 128); the
+  ``diffusion_solve`` layer times the plain oracle, which builds its sine
+  products on every call, and so cannot be compared with the readings of
+  ``BENCH_11.json`` and earlier, taken when it read tables cached per grid;
 * at nx = 16/32/64/96/128, of one in-place ``grid.v_step`` (nt = 32) on
   random coordinates, copied into place before each call (the copy
   included, so that repeated steps do not decay into subnormal numbers),

@@ -35,12 +35,10 @@ from .grid import (
     Region,
     Trajectory,
     VelocityField,
-    closed_noise,
     inner,
     inner_levels,
     laplacian,
     norm,
-    project_div_free,
     trapezoid_weights,
 )
 from .stokes import Coupling, SolverOptions, solve_backward_adjoint
@@ -377,27 +375,20 @@ def observability_ratio(
     params: CarlemanParams,
     coupling: Coupling,
     omega: Region,
-    n_samples: int,
-    rng: np.random.Generator | None = None,
+    samples: list,
     opts: SolverOptions = SolverOptions(),
-    samples=None,
 ) -> ObservabilityReport:
     """Empirical constant of the weighted observability inequality.
 
-    For random terminal data the adjoint pair is solved with zero sources and
-    the quotient (weighted global norms + |phi(0)|^2) / (omega-local weighted
-    observation of phi) is recorded; the maximum over samples estimates the
-    observability constant.
+    For each terminal field of ``samples``, normalized, the adjoint pair is
+    solved with zero sources and the quotient (weighted global norms +
+    |phi(0)|^2) / (omega-local weighted observation of phi) is recorded, 0
+    for a zero field; the maximum estimates the observability constant.
     """
-    if rng is None:
-        rng = np.random.default_rng(101)
     g = coupling.grid
     wq = trapezoid_weights(g.nt) * g.dt
     lhs_phi_w, lhs_theta_w, rhs_w = _observability_weights(params, g, omega)
 
-    if samples is None:
-        samples = [project_div_free(VelocityField.from_packed(g, row))
-                   for row in closed_noise(g, rng, n_samples)]
     ratios = []
     flagged = 0
     for phiT in samples:

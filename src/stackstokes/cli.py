@@ -93,8 +93,11 @@ def _cmd_report(args) -> int:
 
 def _cmd_init(args) -> int:
     cfg = default_config_dict(args.experiment)
-    with open(args.path, "w") as fh:
-        json.dump(cfg, fh, indent=2)
+    try:
+        with open(args.path, "w") as fh:
+            json.dump(cfg, fh, indent=2)
+    except OSError as e:
+        raise ConfigurationError(f"config file {args.path} cannot be written: {e.strerror}") from e
     print(f"wrote template config for '{args.experiment}' to {args.path}")
     return EXIT_OK
 

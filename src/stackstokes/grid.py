@@ -18,12 +18,13 @@ normal-boundary faces; with zero boundary faces this is the plain flat
 metric, while integrals of non-vanishing fields (quadrature checks) come out
 exact for constants.
 
-The implicit diffusion solve is applied in the separable eigenbasis of the
-no-slip Laplacian, as products with cached orthonormal DST-I / DST-II
-matrices (the fast diagonalization method of Lynch, Rice & Thomas, Numer.
-Math. 6, 1964).  Both bases, and the basis of V below, take their
-multipliers from one spectrum, the eigenvalues of the 5-point second
-difference (:func:`_spectrum`).  A product costs O(n^3) per solve against
+The implicit diffusion solve S (:func:`diffusion_solve`), the plain
+reference that the V step below is tested against, runs in the separable
+eigenbasis of the no-slip Laplacian: four products with orthonormal DST-I /
+DST-II matrices per call (the fast diagonalization method of Lynch, Rice &
+Thomas, Numer. Math. 6, 1964).  Both bases, and the basis of V below, take
+their multipliers from one spectrum, the eigenvalues of the 5-point second
+difference (:func:`_spectrum`).  A product costs O(n^3) against
 O(n^2 log n) for an FFT, but up to about 128 x 128 cells, the largest grid
 any config, test or benchmark steps on, the per-call overhead of the FFT
 routines outweighs that; on larger grids FFTs would be faster.
@@ -57,8 +58,7 @@ checkerboard matrices, zero where the two mode indices sum to an even number
 1986); on large grids each product runs as two half-size products on the
 parity classes of the modes, at about half the flops.  A grid keeps only
 the tables its step reads, built from slices of the cached sine matrices
-(:func:`_v_step_tables`); the tables of :func:`diffusion_solve`, the
-reference the step is tested against, are built only when it is called.
+(:func:`_v_step_tables`); the diffusion solve keeps none.
 A face mask d becomes the V operator Q^T diag(d) Q (:func:`v_mask`) in the
 same factored form, restricted to the box of faces where d differs from its
 most common value, so that the coupled sweeps apply their masks without
@@ -177,12 +177,6 @@ class GridSpec:
         """The step of :func:`v_step` on this grid, its tables bound."""
         form, *tables = _v_step_tables(self)
         return form(*tables)
-
-    @cached_property
-    def _diffusion(self) -> dict:
-        """Tables of :func:`diffusion_solve` by time step, filled on its first call
-        at each; the step builds its own tables and leaves this empty."""
-        return {}
 
     # coordinates of the three samplings
     def cell_centers(self):
@@ -609,16 +603,6 @@ def _dst2_matrix(n: int) -> np.ndarray:
     return m
 
 
-def _diagonalized(f: np.ndarray, bx, bx_t, by, by_t, m: np.ndarray) -> np.ndarray:
-    """B_x^T ((B_x f B_y^T) * m) B_y: a separable operator applied in its eigenbasis.
-
-    The transposes come precomputed and contiguous: ``ndarray.dot`` then
-    skips the dispatch that ``@`` pays per call, half the cost of a product
-    at 16x16.
-    """
-    return bx_t.dot(bx.dot(f).dot(by_t) * m).dot(by)
-
-
 def _and_transpose(b: np.ndarray):
     return b, np.ascontiguousarray(b.T)
 
@@ -641,36 +625,22 @@ def _multipliers(grid: GridSpec, dt: float, modes=slice(None)):
             1.0 / (1.0 + dt * (lx[modes, None] + ly[None, :-1])))
 
 
-def _diffusion_tables(grid: GridSpec, dt: float):
-    """Sine matrices and multipliers 1/(1 + dt*lambda) for both components.
-
-    u: DST-I in x (interior faces), DST-II in y (odd ghost closure); v: the
-    same with the axes swapped.  Each entry is the argument tail of
-    :func:`_diagonalized`.
-    """
-    nx, ny = grid.nx, grid.ny
-    m_u, m_v = _multipliers(grid, dt)
-    return (
-        (*_and_transpose(_dst1_matrix(nx - 1)), *_and_transpose(_dst2_matrix(ny)), m_u),
-        (*_and_transpose(_dst2_matrix(nx)), *_and_transpose(_dst1_matrix(ny - 1)), m_v),
-    )
-
-
 def diffusion_solve(rhs: VelocityField, dt: float) -> VelocityField:
     """Solve (I - dt*Laplacian) out = rhs componentwise (exact transform solve).
 
     Only interior unknowns are solved; boundary faces of the result are zero
     and boundary-face values of ``rhs`` are ignored, matching the no-slip
-    closure of :func:`laplacian`.  Its tables are built once per grid and
-    time step.
+    closure of :func:`laplacian`.  Each component is B_x^T ((B_x f B_y^T) m) B_y
+    in its sine bases: u takes DST-I (S) across its interior faces and DST-II
+    (T, the odd ghost closure) along them, v the same with the axes swapped.
     """
     g = rhs.grid
-    tables = g._diffusion.get(dt)
-    if tables is None:
-        tables = g._diffusion[dt] = _diffusion_tables(g, dt)
+    sx, sy, tx, ty = (_dst1_matrix(g.nx - 1), _dst1_matrix(g.ny - 1),
+                      _dst2_matrix(g.nx), _dst2_matrix(g.ny))
+    m_u, m_v = _multipliers(g, dt)
     out = VelocityField.zeros(g)
-    out.u[1:-1, :] = _diagonalized(rhs.u[1:-1, :], *tables[0])
-    out.v[:, 1:-1] = _diagonalized(rhs.v[:, 1:-1], *tables[1])
+    out.u[1:-1, :] = sx.T @ ((sx @ rhs.u[1:-1, :] @ ty.T) * m_u) @ ty
+    out.v[:, 1:-1] = tx.T @ ((tx @ rhs.v[:, 1:-1] @ sy.T) * m_v) @ sy
     return out
 
 

@@ -138,6 +138,13 @@ class ExperimentConfig:
 
     # ---------------- deterministic data synthesis ----------------
 
+    def _div_free_samples(self, stream: str, n: int, amp: float = 1.0) -> list:
+        """n projected noise fields from the named stream; the projection ignores
+        the normal faces that closed_noise zeroes."""
+        g = self.grid
+        return [project_div_free(VelocityField.from_packed(g, row))
+                for row in closed_noise(g, rng_stream(self.seed, stream), n, amp)]
+
     def initial_state(self) -> VelocityField:
         g = self.grid
         d = self.data
@@ -150,8 +157,7 @@ class ExperimentConfig:
             psi = amp * np.sin(np.pi * xn[:, None] / g.Lx) * np.sin(np.pi * yn[None, :] / g.Ly)
             y0 = stream_function_velocity(g, psi)
         else:  # "random", the last kind data.y0_kind takes
-            noise = closed_noise(g, rng_stream(self.seed, "y0"), 1, amp)
-            y0 = project_div_free(VelocityField.from_packed(g, noise[0]))
+            y0, = self._div_free_samples("y0", 1, amp)
         if "y0_v_norm" in d:
             cur = h1_norm(y0)
             if cur == 0.0:
@@ -540,8 +546,7 @@ def _exp_nullcontrol_nonlinear(cfg: ExperimentConfig, out: _Artifacts) -> dict:
 
 def _exp_carleman(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     p = cfg.carleman
-    g = cfg.grid
-    T = g.T
+    T = cfg.grid.T
     opts = cfg.options
     metrics = {
         "alpha_ratio_large_lam": alpha_ratio(50.0),
@@ -576,10 +581,7 @@ def _exp_carleman(cfg: ExperimentConfig, out: _Artifacts) -> dict:
         all(dom[i + 1][1] <= dom[i][1] for i in range(len(dom) - 1))
     )
     # local/global Laplacian bound stability under t-grid doubling
-    # the projection ignores the normal faces that closed_noise zeroes
-    noise = closed_noise(g, rng_stream(cfg.seed, "laplacian-samples"),
-                         opts["n_laplacian_samples"])
-    us = [project_div_free(VelocityField.from_packed(g, row)) for row in noise]
+    us = cfg._div_free_samples("laplacian-samples", opts["n_laplacian_samples"])
     s5 = dataclasses.replace(p, s=opts["laplacian_s"])
     b1, b2 = check_laplacian_weight_bound(s5, T, 0.0, 0.0, us, cfg.omega, n_times=(128, 256))
     metrics["laplacian_bound_max"] = b1.max_ratio
@@ -590,10 +592,10 @@ def _exp_carleman(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     # observability constant stability under sample doubling
     coup = cfg.problem().coupling
     n_obs = opts["n_observability_samples"]
-    rep1 = observability_ratio(p, coup, cfg.omega, n_obs,
-                               rng=rng_stream(cfg.seed, "observability-a"), opts=cfg.solver)
-    rep2 = observability_ratio(p, coup, cfg.omega, 2 * n_obs,
-                               rng=rng_stream(cfg.seed, "observability-b"), opts=cfg.solver)
+    rep1 = observability_ratio(p, coup, cfg.omega,
+                               cfg._div_free_samples("observability-a", n_obs), cfg.solver)
+    rep2 = observability_ratio(p, coup, cfg.omega,
+                               cfg._div_free_samples("observability-b", 2 * n_obs), cfg.solver)
     out.csv("observability_samples.csv", ["sample", "ratio"],
             list(enumerate(rep1.ratios + rep2.ratios)))
     metrics["observability_max"] = rep1.max_ratio
@@ -748,7 +750,10 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> RunRecord:
         out_root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
     h = cfg.config_hash()
     outdir = Path(out_root) / f"{cfg.experiment}-{h[:12]}"
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigurationError(f"run directory {outdir} cannot be made: {e.strerror}") from e
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     incomplete = True
     metrics: dict = {}

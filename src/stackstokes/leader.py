@@ -81,6 +81,9 @@ class PenaltyConfig:
             raise ConfigurationError("epsilon schedule entries must be positive")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ConfigurationError("epsilon schedule must be strictly decreasing")
+        if sched and sched[-1] != self.epsilon:  # the CG solves at the schedule's last
+            raise ConfigurationError(f"penalty epsilon {self.epsilon!r} must be the last "
+                                     f"entry of the epsilon schedule {sched!r}")
         object.__setattr__(self, "epsilon_schedule", sched)
 
 

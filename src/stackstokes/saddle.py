@@ -235,11 +235,8 @@ def saddle_from_coupled(prob: SaddleProblem, h: Trajectory | None) -> SaddleResu
     )
 
 
-def _estimate_tracking_lipschitz(prob: SaddleProblem,
-                                 rng: np.random.Generator | None = None) -> float:
+def _estimate_tracking_lipschitz(prob: SaddleProblem, rng: np.random.Generator) -> float:
     """Largest eigenvalue of the v-tracking Hessian by five power iterations."""
-    if rng is None:
-        rng = np.random.default_rng(2024)
     g = prob.grid
     d = Trajectory(g, closed_noise(g, rng, g.nt + 1, first=1)).mul_mask(prob._chi_mask)
     lam = 0.0
@@ -261,7 +258,8 @@ def saddle_ascent_descent(
     prob: SaddleProblem,
     h: Trajectory | None,
     max_iter: int = 2000,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> SaddleResult:
     """Alternating gradient descent in v and ascent in psi.
 
@@ -278,7 +276,7 @@ def saddle_ascent_descent(
     tol = 1e-9 * scale
     # factor 2: the masked power iteration can underestimate the tracking
     # norm seen by the preconditioned direction
-    step_v = 1.0 / (p.ell**2 + 2.0 * _estimate_tracking_lipschitz(prob, rng=rng))
+    step_v = 1.0 / (p.ell**2 + 2.0 * _estimate_tracking_lipschitz(prob, rng))
     step_psi = 1.0 / p.gamma**2
 
     psi = Trajectory.zeros(g)
@@ -329,7 +327,8 @@ def verify_saddle(
     h: Trajectory | None,
     n_probes: int = 100,
     tol_scale: float = 1e-8,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> SaddleProbeReport:
     """Probe the saddle inequalities with gradient-aligned and random probes.
 
@@ -340,8 +339,6 @@ def verify_saddle(
     gradient-aligned probe at a converged saddle), whose margin is exactly 0
     and would hide those of the random probes; they are 0.0 if no probe moves.
     """
-    if rng is None:
-        rng = np.random.default_rng(11)
     g = prob.grid
     J0 = robust_cost(prob, h, result.psi_bar, result.v_bar)
     tol = tol_scale * max(1.0, abs(J0), prob.data_scale(h) ** 2)
@@ -403,7 +400,8 @@ def estimate_gamma_threshold(
     h: Trajectory | None,
     gamma_grid,
     max_iter: int = 400,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> GammaThresholdResult:
     """Bracket the convergence threshold gamma0 by bisection over a gamma grid.
 

@@ -278,30 +278,19 @@ def test_v_step_factors_are_checkerboards(nx, ny, Lx, Ly):
 def test_v_step_tables_are_built_once_per_grid(monkeypatch):
     # the step reads its tables as an attribute of the grid, built by its
     # first v_work or step, not per step and not through a cache keyed by
-    # grid value;
-    # it builds them from the sine matrices, so stepping a fresh grid leaves
-    # the diffusion tables unbuilt, and diffusion_solve then builds them
-    # once; the second grid lies above the cut and keeps only the parity
-    # blocks of the factors, not the whole W_y and W_x
-    built, diffusion = [], []
+    # grid value; the second grid lies above the cut and keeps only the
+    # parity blocks of the factors, not the whole W_y and W_x
+    built = []
     tables = grid_module._v_step_tables
     monkeypatch.setattr(grid_module, "_v_step_tables",
                         lambda grid: built.append((grid, tables(grid))) or built[-1][1])
-    diffusion_tables = grid_module._diffusion_tables
-    monkeypatch.setattr(grid_module, "_diffusion_tables",
-                        lambda grid, dt: diffusion.append(dt) or diffusion_tables(grid, dt))
     for nx, ny, step in ((12, 10, grid_module._full_step), (100, 96, grid_module._split_step)):
         built.clear()
-        diffusion.clear()
         g = GridSpec(nx=nx, ny=ny, Lx=1.1, Ly=0.9, nt=8, T=0.45)
         c, work = np.ones((g.nx - 1, g.ny - 1)), v_work(g)
         for _ in range(3):
             v_step(c, g, c, work)
         assert [grid for grid, _ in built] == [g]
-        assert diffusion == [] and not g._diffusion
-        for _ in range(2):
-            diffusion_solve(VelocityField.zeros(g), g.dt)
-        assert diffusion == [g.dt] and list(g._diffusion) == [g.dt]
         assert GridSpec(nx=nx, ny=ny, Lx=1.1, Ly=0.9, nt=8, T=0.45)._v_step is not g._v_step
         form, *kept = built[0][1]
         assert form is step
@@ -311,10 +300,13 @@ def test_v_step_tables_are_built_once_per_grid(monkeypatch):
 
 
 def _step_tables_through_the_diffusion_tables(g):
-    """The step's tables as they were built from the whole factors, through the
-    cached tables of diffusion_solve, and then sliced: the reference of the
-    tables that the step builds from slices of the sine matrices."""
-    (sx, _, _, ty_t, m_u), (tx, _, sy, _, m_v) = grid_module._diffusion_tables(g, g.dt)
+    """The step's tables as they were built from the whole factors of the
+    diffusion solve's sine matrices and multipliers, and then sliced: the
+    reference of the tables that the step builds from slices of them."""
+    sx, sy = grid_module._dst1_matrix(g.nx - 1), grid_module._dst1_matrix(g.ny - 1)
+    tx = grid_module._dst2_matrix(g.nx)
+    ty_t = np.ascontiguousarray(grid_module._dst2_matrix(g.ny).T)
+    m_u, m_v = grid_module._multipliers(g, g.dt)
     ey, fx = grid_module._differences(g)
     wy, wx = sy @ ey @ ty_t, tx @ fx @ sx
     s = g._v[2].reshape(g.nx - 1, g.ny - 1)
@@ -330,7 +322,7 @@ def _step_tables_through_the_diffusion_tables(g):
 @pytest.mark.parametrize("nx, ny, Lx, Ly", STEP_GRIDS + [(16, 20, 1.7, 1.0), (64, 68, 1.7, 1.0)])
 def test_v_step_tables_match_the_diffusion_tables(nx, ny, Lx, Ly):
     # below the cut the step's tables keep the bits of the whole factors
-    # built through diffusion_solve's tables; above it each parity block is a
+    # built from diffusion_solve's sine matrices; above it each parity block is a
     # product of slices, which moves it by rounding only
     g = GridSpec(nx=nx, ny=ny, Lx=Lx, Ly=Ly, nt=8, T=0.3)
     form, *got = grid_module._v_step_tables(g)

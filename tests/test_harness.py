@@ -270,6 +270,30 @@ def test_cli_init_writes_template(tmp_path):
     assert cfg.experiment == "gamma0-scan"
 
 
+def test_cli_init_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    # a path under a regular file cannot be written: exit 2 naming the path,
+    # not a traceback
+    from stackstokes.cli import main
+
+    (tmp_path / "file").write_text("")
+    path = tmp_path / "file" / "x.json"
+    assert main(["init", "saddle", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and str(path) in err, err
+
+
+def test_cli_run_to_an_unwritable_out_exits_2(tmp_path, capsys):
+    from stackstokes.cli import main
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(default_config_dict("convergence")))
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "runs"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and str(out) in err, err
+
+
 def test_output_root_env(tmp_path, monkeypatch):
     monkeypatch.setenv("STACKSTOKES_OUT", str(tmp_path / "envroot"))
     raw = default_config_dict("convergence")
@@ -437,7 +461,7 @@ def test_option_copies_keep_relax(monkeypatch):
 
     monkeypatch.setattr(saddle, "tracking_adjoint", lambda p, y: capture(p.opts))
     with pytest.raises(Seen, match="False"):
-        saddle._estimate_tracking_lipschitz(prob)
+        saddle._estimate_tracking_lipschitz(prob, np.random.default_rng(0))
 
     raw = default_config_dict("nullcontrol-nonlinear")
     raw["solver"]["relax"] = 0.5

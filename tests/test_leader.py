@@ -27,12 +27,23 @@ from conftest import control_traj, eddy, make_problem, make_setup
 def test_penalty_config_validation():
     with pytest.raises(ConfigurationError):
         PenaltyConfig(epsilon=0.0)
-    with pytest.raises(ConfigurationError):
-        PenaltyConfig(epsilon_schedule=(1e-2, 1e-2))
-    with pytest.raises(ConfigurationError):
-        PenaltyConfig(epsilon_schedule=(1e-3, 1e-2))
-    cfg = PenaltyConfig(epsilon_schedule=(1e-2, 1e-3))
+    with pytest.raises(ConfigurationError, match="strictly decreasing"):
+        PenaltyConfig(epsilon=1e-2, epsilon_schedule=(1e-2, 1e-2))
+    with pytest.raises(ConfigurationError, match="strictly decreasing"):
+        PenaltyConfig(epsilon=1e-2, epsilon_schedule=(1e-3, 1e-2))
+    cfg = PenaltyConfig(epsilon=1e-3, epsilon_schedule=(1e-2, 1e-3))
     assert cfg.epsilon_schedule == (1e-2, 1e-3)
+
+
+def test_penalty_config_refuses_an_epsilon_off_the_schedule():
+    # the CG solves and reports the schedule's last epsilon, and
+    # penalized_gradient reads epsilon: the two must be one number
+    with pytest.raises(ConfigurationError, match=r"0\.0001.*1e-05"):
+        PenaltyConfig(epsilon_schedule=(1e-2, 1e-3, 1e-4, 1e-5))
+    with pytest.raises(ConfigurationError, match="last entry"):
+        PenaltyConfig(epsilon=1e-2, epsilon_schedule=(1e-2, 1e-3))
+    assert PenaltyConfig(epsilon=1e-5, epsilon_schedule=(1e-2, 1e-5)).epsilon == 1e-5
+    assert PenaltyConfig(epsilon=1e-2).epsilon_schedule == ()
 
 
 def test_terminal_zero_data():
@@ -184,7 +195,7 @@ def test_cg_inner_solves_stop_at_the_inexact_tolerance(monkeypatch):
     # min(cg_tol |b| / |r_k|, 1e-5) above picard_tol; the free response, b
     # and the exact re-solves of every epsilon stop at picard_tol
     prob = _slow_problem()
-    cfg = PenaltyConfig(epsilon_schedule=(1e-1, 1e-2), cg_tol=1e-8)
+    cfg = PenaltyConfig(epsilon=1e-2, epsilon_schedule=(1e-1, 1e-2), cg_tol=1e-8)
     solves = []
     for name in ("solve_coupled_linear", "solve_backward_adjoint"):
         def spy(*args, tol=0.0, _real=getattr(leader, name), **kwargs):
@@ -216,7 +227,8 @@ def test_shifted_cg_seed_row_is_the_one_epsilon_solve():
     # the schedule's last h is the one-epsilon solve bit for bit
     prob = _slow_problem()
     one = solve_null_control_cg(prob, PenaltyConfig(epsilon=1e-3))
-    sched = solve_null_control_cg(prob, PenaltyConfig(epsilon_schedule=(1.0, 0.1, 1e-3)))
+    sched = solve_null_control_cg(prob, PenaltyConfig(epsilon=1e-3,
+                                                      epsilon_schedule=(1.0, 0.1, 1e-3)))
     assert np.array_equal(sched.h.data, one.h.data)
     assert sched.cg_iters == one.cg_iters == sched.history[-1].cg_iters
     assert sched.objective_curve == one.objective_curve
@@ -227,7 +239,7 @@ def test_shifted_cg_huge_shift_stays_finite():
     # the 1e300 row converges at the first step, where its zeta is about
     # 1e-300; it stops there, before zeta underflows and its ratio is 0/0
     prob = _slow_problem()
-    res = solve_null_control_cg(prob, PenaltyConfig(epsilon_schedule=(1e300, 1e-2)))
+    res = solve_null_control_cg(prob, PenaltyConfig(epsilon=1e-2, epsilon_schedule=(1e300, 1e-2)))
     huge, seed = res.history
     for row in res.history:
         assert all(np.isfinite([row.terminal_norm, row.control_norm, row.objective])), row
@@ -264,7 +276,7 @@ def test_cg_warm_start_refuses_a_schedule():
     # the shifted residuals are collinear only from h = 0
     prob = _slow_problem()
     with pytest.raises(ConfigurationError, match="warm start"):
-        solve_null_control_cg(prob, PenaltyConfig(epsilon_schedule=(1e-1, 1e-2)),
+        solve_null_control_cg(prob, PenaltyConfig(epsilon=1e-2, epsilon_schedule=(1e-1, 1e-2)),
                               h_start=Trajectory.zeros(prob.grid))
 
 

@@ -2,8 +2,9 @@
 every function the package defines has a caller in the program, every
 dataclass field is read, every solver and penalty option is live, only
 grid splits the packed face layout, only the Picard loop reads its
-iteration controls, the package needs neither scipy nor numpy.linalg, and it
-imports itself only relatively, so that a checkout loads under another name,
+iteration controls, the package needs neither scipy nor numpy.linalg, only
+harness.rng_stream builds a random generator, and the package imports itself
+only relatively, so that a checkout loads under another name,
 and the layer yardstick rotates the order of the checkouts it compares."""
 
 import ast
@@ -173,7 +174,6 @@ TEST_PARAMETERS = {
     "main.argv": "the CLI tests run main on their own argument lists",
     "check_weight_domination.t_grid": "test_overflow_contract_large_s_lam and "
                                       "test_array_pole_errors probe chosen times",
-    "observability_ratio.samples": "test_observability_zero_sample_convention",
     "verify_saddle.tol_scale": "test_verify_saddle_negative_control and criterion 04",
     "_mms_fields.amp": "the convective manufactured-solution test runs at amplitude 1",
 }
@@ -395,3 +395,61 @@ def test_numpy_only_guard_sees_linalg_callers(line):
 def test_numpy_only_guard_passes_plain_numpy():
     assert not _numpy_only_offenders("import numpy as np\nlx @ ly / np.dot(lx, lx)\n"
                                      "np.polyval(c, x)\nnp.fft.rfft(a)\n")
+
+
+# the numpy.random names that build a generator, read by harness.rng_stream alone
+GENERATOR_BUILDERS = {"Generator", "Philox", "SeedSequence"}
+
+
+def _hidden_seed_offenders(source, name="<source>"):
+    """``file:line name`` of each import of numpy.random and each numpy.random name
+    the source reads, except the Generator type outside a call (an annotation)
+    and the generator builders inside ``harness.rng_stream``."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    out = []
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "random"
+              and getattr(node.value.value, "id", None) in ("np", "numpy")):
+            if (node.attr == "Generator" and id(node) not in called
+                    or node.attr in GENERATOR_BUILDERS
+                    and (name, *scope) == ("harness", "rng_stream")):
+                continue
+            names = [f"numpy.random.{node.attr}"]
+        else:
+            continue
+        out += [f"{name}:{node.lineno} {n}" for n in names if n.startswith("numpy.random")]
+    return out
+
+
+def test_generators_are_built_only_by_rng_stream():
+    # every random draw of a run comes from a named stream of its seed: no
+    # function falls back to a seed of its own or draws from numpy's global
+    # generator
+    offenders = [o for path in sorted(SRC.glob("*.py"))
+                 for o in _hidden_seed_offenders(path.read_text(), path.stem)]
+    assert not offenders, f"random generators built outside harness.rng_stream at {offenders}"
+
+
+@pytest.mark.parametrize("line", [
+    "np.random.default_rng(0)", "rng = rng or numpy.random.default_rng()", "np.random.seed(1)",
+    "np.random.RandomState(2)", "np.random.standard_normal(3)", "x = np.random.rand(4)",
+    "np.random.Generator(np.random.PCG64(5))", "from numpy.random import default_rng",
+    "from numpy import random", "import numpy.random",
+    "def rng_stream(seed):\n    return np.random.default_rng(seed)",
+])
+def test_seed_guard_sees_hidden_generators(line):
+    assert _hidden_seed_offenders(line, "harness")
+
+
+def test_seed_guard_passes_annotations_and_rng_stream():
+    stream = "def rng_stream(seed):\n    return np.random.Generator(np.random.Philox(seed))\n"
+    assert not _hidden_seed_offenders(stream, "harness")
+    assert len(_hidden_seed_offenders(stream, "saddle")) == 2
+    assert not _hidden_seed_offenders("def f(rng: np.random.Generator) -> np.random.Generator:\n"
+                                      "    return rng.standard_normal(3)\n")
