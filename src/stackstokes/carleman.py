@@ -207,12 +207,24 @@ def _eta(grid: GridSpec, x, y) -> np.ndarray:
 # appendix inequality checks
 # ---------------------------------------------------------------------------
 
+def _guarded_times(T: float, n: int) -> np.ndarray:
+    """n evenly spaced times inside (0, T), kept T / (2 n) clear of the poles."""
+    guard = T / (2 * n)
+    return np.linspace(guard, T - guard, n)
+
+
 @dataclass
 class DominationReport:
     max_log_ratio: float
     max_ratio: float
     t_values: np.ndarray
     log_ratios: np.ndarray
+
+
+@dataclass
+class RatioReport:
+    max_ratio: float
+    ratios: list
 
 
 def check_weight_domination(
@@ -236,11 +248,7 @@ def check_weight_domination(
             f"(1+eps)*F(lam) = {(1.0 + epsilon) * F:.6f} <= 1: the domination "
             "inequality fails for these parameters"
         )
-    if t_grid is None:
-        nt = 256
-        guard = T / (2 * nt)
-        t_grid = np.linspace(guard, T - guard, nt)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _guarded_times(T, 256) if t_grid is None else np.asarray(t_grid, dtype=float)
     M = _ETA_MAX
     xi_hat_log = log_weight_eval(params, WeightFamily.XI, T, t_grid, M)
     expo = _signed_exponent(params, T, t_grid, [(WeightFamily.ALPHA, 0.0, 1.0),
@@ -249,12 +257,6 @@ def check_weight_domination(
             - _log_power(M1, xi_hat_log))
     max_log = float(np.max(logs))
     return DominationReport(max_log, _exp709(max_log), t_grid, logs)
-
-
-@dataclass
-class LaplacianBoundReport:
-    max_ratio: float
-    ratios: list
 
 
 def check_laplacian_weight_bound(
@@ -277,7 +279,7 @@ def check_laplacian_weight_bound(
                                            |Lap u|^2
 
     on a guard-banded time grid of each size in ``n_times``, and returns one
-    :class:`LaplacianBoundReport` per size.  The fields do not depend on
+    :class:`RatioReport` per size.  The fields do not depend on
     time, so the Laplacian pairings are computed once for all the grids.
     Requires the appendix regime a0 >= 2, a0 < m0 <= a0 + 2.
     """
@@ -293,8 +295,7 @@ def check_laplacian_weight_bound(
         pairings.append((inner(lap, lap, mask), inner(lap, lap)))
 
     def report(n_time):
-        guard = T / (2 * n_time)
-        t_grid = np.linspace(guard, T - guard, n_time)
+        t_grid = _guarded_times(T, n_time)
         dt = float(t_grid[1] - t_grid[0])
         xi_hat_log = log_weight_eval(params, WeightFamily.XI, T, t_grid, M)
 
@@ -318,7 +319,7 @@ def check_laplacian_weight_bound(
                 - (-math.log(params.s) + rhs_t + math.log(total))
             )
             ratios.append(_exp709(log_ratio))
-        return LaplacianBoundReport(max(ratios), ratios)
+        return RatioReport(max(ratios), ratios)
 
     return [report(n) for n in n_times]
 
@@ -326,12 +327,6 @@ def check_laplacian_weight_bound(
 # ---------------------------------------------------------------------------
 # observability diagnostics
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ObservabilityReport:
-    max_ratio: float
-    ratios: list
-
 
 def _observability_weights(params: CarlemanParams, g: GridSpec, omega: Region):
     """The weights of the observability quotient on the levels of g.
@@ -377,7 +372,7 @@ def observability_ratio(
     omega: Region,
     samples: list,
     opts: SolverOptions = SolverOptions(),
-) -> ObservabilityReport:
+) -> RatioReport:
     """Empirical constant of the weighted observability inequality.
 
     For each terminal field of ``samples``, normalized, the adjoint pair is
@@ -410,7 +405,7 @@ def observability_ratio(
                 ratios.append(0.0)
             continue
         ratios.append(lhs / rhs)
-    report = ObservabilityReport(max(ratios) if ratios else 0.0, ratios)
+    report = RatioReport(max(ratios) if ratios else 0.0, ratios)
     if flagged:
         raise NumericalError(
             f"observability red flag: {flagged} samples had vanishing "

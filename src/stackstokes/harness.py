@@ -51,6 +51,7 @@ from .carleman import (
     _ETA_MAX,
     CarlemanParams,
     WeightFamily,
+    _guarded_times,
     alpha_ratio,
     check_laplacian_weight_bound,
     check_weight_domination,
@@ -318,11 +319,21 @@ _BUILDS = {"grid": GridSpec, "robust": RobustParams, "carleman": CarlemanParams,
            "penalty": PenaltyConfig, "solver": SolverOptions, "data": dict, "options": dict}
 
 
+def _built(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a ConfigurationError of it naming ``where`` in the config."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigurationError as e:
+        raise type(e)(f"config {where}: {e}") from e
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build the experiment config from the fields of ``_FIELDS``; a missing field,
     an unknown one (a misspelling would leave its field at the default), or one of
     the wrong JSON type or outside its range raises ConfigurationError naming its
-    path.  A null entry counts as absent, so its default applies."""
+    path, a value its section's dataclass refuses names the section, and a region
+    box that is degenerate or leaves the domain names its path.  A null entry
+    counts as absent, so its default applies."""
     raw = _typed(raw, "(top level)", dict)
     given = {s: {} if raw.get(s) is None else _typed(raw[s], s, dict) for s in _SECTIONS if s}
     given[""] = raw
@@ -375,8 +386,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigurationError("config field 'options.domination_epsilon' must exceed e^-lam for "
                                  f"every lam of 'options.domination_lams', got {eps!r} at lam = "
                                  f"{low[0]!r}, where the domination inequality fails")
-    built = {s: build(**fields[s]) for s, build in _BUILDS.items()}
-    r = {k: Region(*box) for k, box in fields["regions"].items()}
+    built = {s: _built(f"section '{s}'", build, **fields[s]) for s, build in _BUILDS.items()}
+    g = built["grid"]
+    r = {k: _built(f"field 'regions.{k}'", Region, *box) for k, box in fields["regions"].items()}
+    for k, box in r.items():
+        if not Region(0.0, g.Lx, 0.0, g.Ly).contains(box):
+            raise GeometryError(f"config field 'regions.{k}' must lie inside the domain "
+                                f"[0, {g.Lx}] x [0, {g.Ly}], got {fields['regions'][k]!r}")
     return ExperimentConfig(**fields[""], **built, omega=r["omega"], follower_set=r["O"],
                             obs_set=r["Od"], inner_set=r["omega0"], raw=raw)
 
@@ -553,9 +569,7 @@ def _exp_carleman(cfg: ExperimentConfig, out: _Artifacts) -> dict:
         "alpha_ratio_small_lam": alpha_ratio(1e-6),
     }
     # weight table for inspection
-    nrow = 64
-    guard = T / (2 * nrow)
-    ts = np.linspace(guard, T - guard, nrow)
+    ts = _guarded_times(T, 64)
 
     def log_w(family, eta=0.0):
         return log_weight_eval(p, family, T, ts, eta)

@@ -108,7 +108,7 @@ class SaddleProblem:
         self._chi_mask = self.follower_cutoff.face_mask(self.grid)
         self._obs_mask = self.obs_region.face_mask(self.grid)
         self._omega_mask = self.omega.face_indicator(self.grid)
-        self._coupling = Coupling.build(
+        self.coupling = Coupling.build(
             self.grid,
             self.follower_cutoff,
             self.obs_region,
@@ -116,10 +116,6 @@ class SaddleProblem:
             self.params.gamma,
             self.params.mu,
         )
-
-    @property
-    def coupling(self) -> Coupling:
-        return self._coupling
 
     def forcing(self, h, psi, v) -> ForcingAssembly:
         return ForcingAssembly(

@@ -92,15 +92,18 @@ __all__ = [
 ]
 
 
+# a level above this times max(|y0|, 1) has blown up; no run comes near it
+_BLOWUP_NORM = 1e6
+
+
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs shared by the time integrators and Picard loops."""
+    """The ``solver`` config section: the knobs of the time integrators and Picard loops."""
 
     convection_on: bool = False
     picard_tol: float = 1e-11
     picard_max: int = 200
     relax: float = 1.0
-    blowup_norm: float = 1e6
     small_data_delta: float | None = None
 
     def __post_init__(self):
@@ -167,28 +170,23 @@ def _diff_T(t, h, axis, out):
 
 
 def _diff_closed(a, h, axis):
-    """Central difference along ``axis`` at every point, with even ghost reflection:
-    a one-sided closure at the two ends, so constant fields have exactly zero
-    advective derivative."""
+    """:func:`_diff` at every point, of ``a`` with its end rows along ``axis``
+    reflected evenly into ghosts: a one-sided closure at the two ends, so
+    constant fields have exactly zero advective derivative."""
     s = a.swapaxes(0, axis)
-    p = np.empty((s.shape[0] + 2,) + s.shape[1:])
-    p[1:-1] = s
-    p[0] = s[0]
-    p[-1] = s[-1]
-    return ((p[2:] - p[:-2]) / (2.0 * h)).swapaxes(0, axis)
+    return _diff(np.concatenate((s[:1], s, s[-1:])), h, 0).swapaxes(0, axis)
 
 
 def _diff_closed_T(t, h, axis, out):
     """Add the transpose of :func:`_diff_closed` applied to ``t`` into ``out``:
-    the ghost rows fold back onto the end rows they reflect."""
-    s = (t / (2.0 * h)).swapaxes(0, axis)
-    pad = np.zeros((s.shape[0] + 2,) + s.shape[1:])
-    pad[2:] += s
-    pad[:-2] -= s
-    back = pad[1:-1].copy()
-    back[0] += pad[0]
-    back[-1] += pad[-1]
-    out += back.swapaxes(0, axis)
+    :func:`_diff_T` into the ghosted stack, whose ghost rows fold back onto the
+    end rows they reflect."""
+    s = t.swapaxes(0, axis)
+    p = np.zeros((s.shape[0] + 2,) + s.shape[1:])
+    _diff_T(s, h, 0, p)
+    p[1] += p[0]
+    p[-2] += p[-1]
+    out += p[1:-1].swapaxes(0, axis)
 
 
 def _corner_avg(a):
@@ -362,7 +360,7 @@ def solve_forward(
 
     The dt-scaled forcing stack receives the states; level 0 stores y0 with
     zero normal faces, projected if it is not divergence free.  A level above
-    ``blowup_norm`` * max(|y0|, 1), or not finite, raises BlowupError naming
+    ``_BLOWUP_NORM`` * max(|y0|, 1), or not finite, raises BlowupError naming
     the first such step once the horizon is marched.
     """
     g = y0.grid
@@ -376,7 +374,7 @@ def solve_forward(
     march = _marched(g, 1, _convect if opts.convection_on else None)
     _apply(_on_faces(g, march, data), data)
     data[0] = start.data
-    _blowup(np.abs(data[1:]).max(axis=1), opts.blowup_norm * max(start.max_abs(), 1.0), 1)
+    _blowup(np.abs(data[1:]).max(axis=1), _BLOWUP_NORM * max(start.max_abs(), 1.0), 1)
     return Trajectory(g, data)
 
 
@@ -404,7 +402,7 @@ def solve_forward_terminal(y0: VelocityField, force: VelocityField, profile,
         raise ConfigurationError(f"forcing profile has shape {scale.shape} on the "
                                  f"{g.nt + 1} time levels")
     start = _closed_div_free(y0)
-    limit = opts.blowup_norm * max(start.max_abs(), 1.0)
+    limit = _BLOWUP_NORM * max(start.max_abs(), 1.0)
     # the march carries the scaled coordinates of _v_steps from level to level
     s = g._v[2]
     e = v_coordinates(start.data, g) * s
@@ -788,7 +786,7 @@ def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1
     else:
         cycle = _coupled_cycle(coupling, _marched(g, 1), _marched(g, 0))
     y, z, sweeps, residual = _picard(
-        g, cycle, (fwd, bwd), opts.blowup_norm, opts,
+        g, cycle, (fwd, bwd), _BLOWUP_NORM, opts,
         "nonlinear coupled solve" if convective else "coupled linear solve",
         "reduce the data size or the horizon (small-data regime required)" if convective
         else "the forward-backward sweep contracts only for large enough gamma and ell", tol)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import runpy
@@ -433,8 +432,8 @@ def test_manifest_write_is_atomic(tmp_path, monkeypatch):
 def test_option_copies_keep_relax(monkeypatch):
     # the nonlinear coupled solve and the nonlinear pipeline's linear run
     # hand the configured options on unchanged, and every place that derives
-    # solver options from configured ones keeps relax and blowup_norm and
-    # changes only convection_on
+    # solver options from configured ones keeps relax and changes only
+    # convection_on
     from stackstokes import harness, leader, saddle, stokes
 
     from conftest import eddy, make_problem, make_setup
@@ -443,13 +442,12 @@ def test_option_copies_keep_relax(monkeypatch):
         pass
 
     def capture(opts):
-        assert opts.relax == 0.5 and opts.blowup_norm == 1e5
+        assert opts.relax == 0.5
         raise Seen(opts.convection_on)
 
     setup = make_setup(nt=8)
     g = setup["grid"]
-    prob = make_problem(setup, eddy(g, 1e-3), None, relax=0.5, blowup_norm=1e5,
-                        convection_on=True)
+    prob = make_problem(setup, eddy(g, 1e-3), None, relax=0.5, convection_on=True)
 
     monkeypatch.setattr(stokes, "_picard", lambda *a, **k: capture(a[4]))
     with pytest.raises(Seen, match="True"):
@@ -466,7 +464,6 @@ def test_option_copies_keep_relax(monkeypatch):
     raw = default_config_dict("nullcontrol-nonlinear")
     raw["solver"]["relax"] = 0.5
     cfg = config_from_dict(raw)
-    monkeypatch.setattr(cfg, "solver", dataclasses.replace(cfg.solver, blowup_norm=1e5))
     monkeypatch.setattr(harness, "solve_null_control_nonlinear", lambda *a, **k: None)
     monkeypatch.setattr(harness, "solve_null_control_cg", lambda p, c: capture(p.opts))
     with pytest.raises(Seen, match="True"):
@@ -516,7 +513,7 @@ def test_option_copies_keep_relax(monkeypatch):
     ("carleman", "lamda", 2.0, "carleman.lamda"),
     ("penalty", "eps", 1e-4, "penalty.eps"),
     ("solver", "picard_tool", 1e-11, "solver.picard_tool"),
-    ("solver", "blowup_norm", 1e5, "solver.blowup_norm"),  # an option, not a config field
+    ("solver", "blowup_norm", 1e5, "solver.blowup_norm"),  # a module constant, not a config field
     ("data", "yd_amp", 0.05, "data.yd_amp"),
     ("options", "n_probe", 10, "options.n_probe"),
     ("data", "y0_kind", "edy", "data.y0_kind"),
@@ -571,6 +568,22 @@ def test_option_copies_keep_relax(monkeypatch):
     # a run solves at and reports the schedule's last epsilon: a schedule
     # that ends away from penalty.epsilon (1e-4 here) left that field unread
     ("penalty", "epsilon_schedule", [1e-3], "penalty.epsilon"),
+    # a box outside the 6 x 6 domain has no face: its channel was switched off
+    ("regions", "O", [7.0, 8.0, 7.0, 8.0], "regions.O"),
+    # a value that its section's dataclass or Region refuses names the section
+    # or the region
+    ("grid", "nx", 4, "grid"),
+    ("grid", "T", -1.0, "grid"),
+    ("grid", "Lx", -1.0, "grid"),
+    ("penalty", "cg_max", 0, "penalty"),
+    ("penalty", "epsilon", -1.0, "penalty"),
+    ("solver", "relax", 2.0, "solver"),
+    ("solver", "picard_max", 0, "solver"),
+    ("solver", "picard_tol", -1e-3, "solver"),
+    ("robust", "mu", -1.0, "robust"),
+    ("carleman", "lam", -1.0, "carleman"),
+    ("carleman", "a0", 1.0, "carleman"),
+    ("regions", "omega", [0.75, 0.35, 0.35, 0.75], "regions.omega"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
     from stackstokes.cli import main
@@ -581,6 +594,20 @@ def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field
     path.write_text(json.dumps(raw))
     assert main(["validate", str(path)]) == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_a_schedule_out_of_order_names_its_section(tmp_path, capsys):
+    # the template of the table above refuses a schedule of two entries
+    # before PenaltyConfig reads its order, so this case runs on nullcontrol's
+    from stackstokes.cli import main
+
+    raw = default_config_dict("nullcontrol")
+    raw["penalty"]["epsilon_schedule"] = [1e-4, 1e-3, 1e-5]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 2
+    assert "config section 'penalty': epsilon schedule must be strictly decreasing" in (
+        capsys.readouterr().err)
 
 
 def _number_slots(obj, field=""):

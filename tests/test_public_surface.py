@@ -1,11 +1,12 @@
 """Every exported name and every function the benchmark traces resolves,
 every function the package defines has a caller in the program, every
-dataclass field is read, every solver and penalty option is live, only
-grid splits the packed face layout, only the Picard loop reads its
-iteration controls, the package needs neither scipy nor numpy.linalg, only
-harness.rng_stream builds a random generator, and the package imports itself
-only relatively, so that a checkout loads under another name,
-and the layer yardstick rotates the order of the checkouts it compares."""
+dataclass field is read, every solver and penalty option is live and a
+config field, only grid splits the packed face layout, only the Picard loop
+reads its iteration controls, the package needs neither scipy nor
+numpy.linalg, only harness.rng_stream builds a random generator, and the
+package imports itself only relatively, so that a checkout loads under
+another name, and the layer yardstick rotates the order of the checkouts it
+compares."""
 
 import ast
 import dataclasses
@@ -269,17 +270,35 @@ def _names_used():
     return read, passed
 
 
-@pytest.mark.parametrize("cls", [SolverOptions, PenaltyConfig], ids=lambda c: c.__name__)
-def test_options_are_live(cls):
+def _outside_config(cls, section):
+    """The fields of ``cls`` that are no ``_FIELDS`` path of its config section."""
+    from stackstokes.harness import _FIELDS
+
+    return sorted(f.name for f in dataclasses.fields(cls) if f"{section}.{f.name}" not in _FIELDS)
+
+
+@pytest.mark.parametrize("cls, section", [(SolverOptions, "solver"), (PenaltyConfig, "penalty")],
+                         ids=["SolverOptions", "PenaltyConfig"])
+def test_options_are_live(cls, section):
     # every option is read by the program, and every on/off option is set by
     # name somewhere in it (a config or a caller): a switch that only a test
-    # turns on guards code that no run reaches
+    # turns on guards code that no run reaches; and every option is a field of
+    # its config section, so that a run can set it
     read, passed = _names_used()
     fields = dataclasses.fields(cls)
     unread = sorted(f.name for f in fields if f.name not in read)
     assert not unread, f"{cls.__name__} fields never read in stackstokes: {unread}"
     never_on = sorted(f.name for f in fields if f.type == "bool" and f.name not in passed)
     assert not never_on, f"{cls.__name__} switches nothing in stackstokes sets: {never_on}"
+    outside = _outside_config(cls, section)
+    assert not outside, f"{cls.__name__} fields that no '{section}' config field sets: {outside}"
+
+
+def test_config_guard_sees_a_planted_option():
+    planted = dataclasses.make_dataclass("Planted", [("blowup_norm", float, 1e6)],
+                                         bases=(SolverOptions,), frozen=True)
+    assert _outside_config(planted, "solver") == ["blowup_norm"]
+    assert _outside_config(SolverOptions, "penalty")
 
 
 def test_face_layout_stays_in_grid():

@@ -224,11 +224,12 @@ def test_forward_cfl_guard():
         solve_forward(y0, None, SolverOptions(convection_on=True))
 
 
-def test_forward_blowup_guard(rng):
+def test_forward_blowup_guard(rng, monkeypatch):
     g = GridSpec(nx=16, ny=16, nt=8, T=1.0)
     big = ForcingAssembly(g, disturbance=control_traj(g, rng, amp=500.0))
+    monkeypatch.setattr(stokes_module, "_BLOWUP_NORM", 0.5)
     with pytest.raises(BlowupError):
-        solve_forward(VelocityField.zeros(g), big, SolverOptions(blowup_norm=0.5))
+        solve_forward(VelocityField.zeros(g), big)
 
 
 def test_forcing_assembly_masks(rng):
@@ -342,12 +343,13 @@ def _blowup_of_both(g, force, profile, opts):
 
 
 @pytest.mark.parametrize("nx", [16, 24, 64], ids=["v-16x16", "v-24x24", "v-64x64"])
-def test_terminal_solve_blows_up_at_the_same_step(nx):
+def test_terminal_solve_blows_up_at_the_same_step(nx, monkeypatch):
     # |y| first passes 0.31 at level 4: inside solve_forward's one block, and
     # in the fourth one-level block of the terminal solve
     g = GridSpec(nx=nx, ny=nx, nt=16, T=0.25)
     _, force, profile = _mms_problem(g)
-    errors = _blowup_of_both(g, force, profile, SolverOptions(blowup_norm=0.31))
+    monkeypatch.setattr(stokes_module, "_BLOWUP_NORM", 0.31)
+    errors = _blowup_of_both(g, force, profile, SolverOptions())
     assert errors[0][:2] == errors[1][:2] and errors[0][1] == 4
     assert errors[1][2] == pytest.approx(errors[0][2], rel=1e-13)
 
@@ -367,7 +369,7 @@ def test_terminal_solve_fails_on_nan_forcing_at_the_same_step(nx):
     assert np.isnan(errors[0][2]) and np.isnan(errors[1][2])
 
 
-def test_blowup_limit_bounds_the_peak_not_the_norm():
+def test_blowup_limit_bounds_the_peak_not_the_norm(monkeypatch):
     # the V marches bound max |y| by |y|_2 = |c|_2 and map a level back only
     # when that bound reaches the limit: a limit between the largest peak and
     # the largest 2-norm of the levels raises nothing
@@ -376,12 +378,12 @@ def test_blowup_limit_bounds_the_peak_not_the_norm():
     zero = VelocityField.zeros(g)
     states = _trajectory_solve(zero, force, profile).data
     limit = 1.01 * np.abs(states).max()
-    assert limit < 1.0  # so that the limit is blowup_norm itself (y0 = 0)
+    assert limit < 1.0  # so that the limit is _BLOWUP_NORM itself (y0 = 0)
     assert np.sqrt((states**2).sum(axis=1)).max() > 10.0 * limit
-    opts = SolverOptions(blowup_norm=limit)
-    y = _trajectory_solve(zero, force, profile, opts)
+    monkeypatch.setattr(stokes_module, "_BLOWUP_NORM", limit)
+    y = _trajectory_solve(zero, force, profile)
     assert np.array_equal(y.data, states)
-    last = solve_forward_terminal(zero, force, profile, opts)
+    last = solve_forward_terminal(zero, force, profile)
     assert _rel_max(last, y[g.nt]) <= 1e-13
 
 
