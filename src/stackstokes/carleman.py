@@ -147,12 +147,6 @@ def log_weight_eval(params: CarlemanParams, family: WeightFamily, T: float, t,
     return out if out.ndim else float(out)
 
 
-def _log_power(power: float, log_base):
-    """power * log_base, the log of base^power; a zero power is the factor 1, also
-    where the base is 0 or infinite (its log infinite), where 0 * inf would be NaN."""
-    return 0.0 if power == 0 else power * log_base
-
-
 def alpha_ratio(lam: float) -> float:
     """Spatial min/max ratio of the singular weight: alpha_hat / alpha_star.
 
@@ -227,43 +221,46 @@ class RatioReport:
     ratios: list
 
 
+def _require_domination(lam: float, eps: float) -> None:
+    """The precondition (1+eps) * alpha_ratio(lam) > 1 of check_weight_domination:
+    otherwise the exponent wins on the wrong side and the inequality provably fails."""
+    F = alpha_ratio(lam)
+    if (1.0 + eps) * F <= 1.0:
+        raise ConfigurationError(f"(1+eps)*F(lam) = {(1.0 + eps) * F:.6f} <= 1 at eps = "
+                                 f"{eps!r}, lam = {lam!r}: the domination inequality fails")
+
+
 def check_weight_domination(
     params: CarlemanParams,
     T: float,
-    M1: float,
-    M2: float,
     epsilon: float,
     t_grid=None,
 ) -> DominationReport:
-    """Empirical check of  e^{s a*} <= C s^M1 lam^M2 (xi_hat)^M1 e^{s(1+eps) a_hat}.
+    """Empirical check of  e^{s a*} <= C e^{s(1+eps) a_hat}.
 
     Evaluates the log of the left/right ratio over the guard-banded time
     grid; a finite, lam-stable maximum certifies the inequality numerically.
-    Requires (1+eps) * alpha_ratio(lam) > 1, otherwise the exponent wins on
-    the wrong side and the inequality provably fails.
+    Refuses the parameters that :func:`_require_domination` refuses, and
+    raises PoleError if a time of ``t_grid`` is at or beyond a pole.
     """
-    F = alpha_ratio(params.lam)
-    if (1.0 + epsilon) * F <= 1.0:
-        raise ConfigurationError(
-            f"(1+eps)*F(lam) = {(1.0 + epsilon) * F:.6f} <= 1: the domination "
-            "inequality fails for these parameters"
-        )
+    _require_domination(params.lam, epsilon)
     t_grid = _guarded_times(T, 256) if t_grid is None else np.asarray(t_grid, dtype=float)
-    M = _ETA_MAX
-    xi_hat_log = log_weight_eval(params, WeightFamily.XI, T, t_grid, M)
-    expo = _signed_exponent(params, T, t_grid, [(WeightFamily.ALPHA, 0.0, 1.0),
-                                                (WeightFamily.ALPHA, M, -(1.0 + epsilon))])
-    logs = (expo - M1 * math.log(params.s) - M2 * math.log(params.lam)
-            - _log_power(M1, xi_hat_log))
+    A = WeightFamily.ALPHA
+    log_weight_eval(params, A, T, t_grid)  # refuses a pole
+    logs = _signed_exponent(params, T, t_grid, [(A, 0.0, 1.0), (A, _ETA_MAX, -(1.0 + epsilon))])
     max_log = float(np.max(logs))
     return DominationReport(max_log, _exp709(max_log), t_grid, logs)
+
+
+def _require_appendix_regime(params: CarlemanParams) -> None:
+    """check_laplacian_weight_bound's regime a0 >= 2; CarlemanParams holds a0 < m0 < a0 + 2."""
+    if params.a0 < 2.0:
+        raise ConfigurationError(f"appendix regime needs a0 >= 2, got a0={params.a0}")
 
 
 def check_laplacian_weight_bound(
     params: CarlemanParams,
     T: float,
-    M1t: float,
-    M2t: float,
     u_samples,
     omega: Region,
     n_times=(128,),
@@ -272,22 +269,16 @@ def check_laplacian_weight_bound(
 
     Computes, for each sampled divergence-free field u, the quotient
 
-        s^M1 lam^M2 * int_{omega x (0,T)} e^{-4 s a_hat - 2 a0 s a*}
-                                           (xi_hat)^M1 |Lap u|^2
+          int_{omega x (0,T)} e^{-4 s a_hat - 2 a0 s a*} |Lap u|^2
         ---------------------------------------------------------------
-        s^{-1}      * int_{Q x (0,T)}     e^{-2 m0 s a*} (xi_hat)^{-1}
-                                           |Lap u|^2
+        s^{-1} int_{Q x (0,T)} e^{-2 m0 s a*} (xi_hat)^{-1} |Lap u|^2
 
     on a guard-banded time grid of each size in ``n_times``, and returns one
     :class:`RatioReport` per size.  The fields do not depend on
     time, so the Laplacian pairings are computed once for all the grids.
-    Requires the appendix regime a0 >= 2, a0 < m0 <= a0 + 2.
     """
+    _require_appendix_regime(params)
     a0, m0, M = params.a0, params.m0, _ETA_MAX
-    if not (a0 >= 2.0 and a0 < m0 <= a0 + 2.0):
-        raise ConfigurationError(
-            f"appendix regime needs a0 >= 2 and a0 < m0 <= a0+2, got a0={a0}, m0={m0}"
-        )
     mask = omega.face_mask(u_samples[0].grid)
     pairings = []
     for u in u_samples:
@@ -299,25 +290,20 @@ def check_laplacian_weight_bound(
         dt = float(t_grid[1] - t_grid[0])
         xi_hat_log = log_weight_eval(params, WeightFamily.XI, T, t_grid, M)
 
-        def log_time_integral(terms, power):
-            vals = _signed_exponent(params, T, t_grid, terms) + _log_power(power, xi_hat_log)
+        def log_time_integral(vals):
             return _log_quadrature(vals, np.ones(n_time), dt)
 
-        lhs_t = log_time_integral(
-            [(WeightFamily.ALPHA, M, -4.0), (WeightFamily.ALPHA, 0.0, -2.0 * a0)], M1t)
-        rhs_t = log_time_integral([(WeightFamily.ALPHA, 0.0, -2.0 * m0)], -1.0)
+        A = WeightFamily.ALPHA
+        lhs_t = log_time_integral(_signed_exponent(params, T, t_grid,
+                                                   [(A, M, -4.0), (A, 0.0, -2.0 * a0)]))
+        rhs_t = log_time_integral(_signed_exponent(params, T, t_grid, [(A, 0.0, -2.0 * m0)])
+                                  - xi_hat_log)
         ratios = []
         for local, total in pairings:
             if total == 0.0 or local == 0.0:
                 ratios.append(0.0)
                 continue
-            log_ratio = (
-                M1t * math.log(params.s)
-                + M2t * math.log(params.lam)
-                + lhs_t
-                + math.log(local)
-                - (-math.log(params.s) + rhs_t + math.log(total))
-            )
+            log_ratio = lhs_t + math.log(local) - (-math.log(params.s) + rhs_t + math.log(total))
             ratios.append(_exp709(log_ratio))
         return RatioReport(max(ratios), ratios)
 

@@ -14,6 +14,7 @@ from .errors import ConfigurationError, NumericalError
 from .harness import (
     EXPERIMENTS,
     OUTPUT_ROOT_ENV,
+    _writing,
     default_config_dict,
     parse_config,
     read_json,
@@ -93,11 +94,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_init(args) -> int:
     cfg = default_config_dict(args.experiment)
-    try:
-        with open(args.path, "w") as fh:
-            json.dump(cfg, fh, indent=2)
-    except OSError as e:
-        raise ConfigurationError(f"config file {args.path} cannot be written: {e.strerror}") from e
+    with _writing(args.path), open(args.path, "w") as fh:
+        json.dump(cfg, fh, indent=2)
     print(f"wrote template config for '{args.experiment}' to {args.path}")
     return EXIT_OK
 

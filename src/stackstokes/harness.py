@@ -8,6 +8,7 @@ generators keyed by (seed, stream name).
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import datetime
@@ -52,6 +53,8 @@ from .carleman import (
     CarlemanParams,
     WeightFamily,
     _guarded_times,
+    _require_appendix_regime,
+    _require_domination,
     alpha_ratio,
     check_laplacian_weight_bound,
     check_weight_domination,
@@ -59,7 +62,7 @@ from .carleman import (
     observability_ratio,
     weighted_norm_components,
 )
-from .stokes import SolverOptions, solve_forward_terminal
+from .stokes import SolverOptions, _require_small_data, solve_forward_terminal
 
 __all__ = [
     "ExperimentConfig",
@@ -333,7 +336,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     the wrong JSON type or outside its range raises ConfigurationError naming its
     path, a value its section's dataclass refuses names the section, and a region
     box that is degenerate or leaves the domain names its path.  A null entry
-    counts as absent, so its default applies."""
+    counts as absent, so its default applies.  The run's own refusals are made
+    by the functions the run calls, on the start that it builds."""
     raw = _typed(raw, "(top level)", dict)
     given = {s: {} if raw.get(s) is None else _typed(raw[s], s, dict) for s in _SECTIONS if s}
     given[""] = raw
@@ -357,10 +361,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigurationError("config field 'solver.convection_on' must be false for the "
                                  "convergence experiment: its manufactured forcing is Stokes-only")
     schedule = fields["penalty"].get("epsilon_schedule", [])
-    last = fields["penalty"].get("epsilon", PenaltyConfig.epsilon)
-    if schedule and schedule[-1] != last:  # the run solves at the schedule's last epsilon
-        raise ConfigurationError(f"config field 'penalty.epsilon' must be the last entry of "
-                                 f"'penalty.epsilon_schedule', got {last!r} and {schedule!r}")
     if experiment == "nullcontrol-nonlinear" and len(schedule) >= 2:
         raise ConfigurationError("config field 'penalty.epsilon_schedule' must hold at most one "
                                  "epsilon for the nullcontrol-nonlinear experiment: its outer "
@@ -380,12 +380,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigurationError("config field 'options.sizes' must keep the finest level's nt = "
                                  "options.base_nt * (sizes[-1] / sizes[0])^2 " + _STEPS
                                  + f", got {opts['sizes']!r}, nt = {finest}")
-    eps = opts["domination_epsilon"]
-    low = [lam for lam in opts["domination_lams"] if (1.0 + eps) * alpha_ratio(lam) <= 1.0]
-    if low and experiment == "carleman-check":  # check_weight_domination's precondition
-        raise ConfigurationError("config field 'options.domination_epsilon' must exceed e^-lam for "
-                                 f"every lam of 'options.domination_lams', got {eps!r} at lam = "
-                                 f"{low[0]!r}, where the domination inequality fails")
     built = {s: _built(f"section '{s}'", build, **fields[s]) for s, build in _BUILDS.items()}
     g = built["grid"]
     r = {k: _built(f"field 'regions.{k}'", Region, *box) for k, box in fields["regions"].items()}
@@ -393,8 +387,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if not Region(0.0, g.Lx, 0.0, g.Ly).contains(box):
             raise GeometryError(f"config field 'regions.{k}' must lie inside the domain "
                                 f"[0, {g.Lx}] x [0, {g.Ly}], got {fields['regions'][k]!r}")
-    return ExperimentConfig(**fields[""], **built, omega=r["omega"], follower_set=r["O"],
-                            obs_set=r["Od"], inner_set=r["omega0"], raw=raw)
+    cfg = ExperimentConfig(**fields[""], **built, omega=r["omega"], follower_set=r["O"],
+                           obs_set=r["Od"], inner_set=r["omega0"], raw=raw)
+    if experiment == "carleman-check":
+        for lam in opts["domination_lams"]:
+            _built("fields 'options.domination_epsilon' and 'options.domination_lams'",
+                   _require_domination, lam, opts["domination_epsilon"])
+        _built("field 'carleman.a0'", _require_appendix_regime, cfg.carleman)
+    if experiment != "convergence":  # every other run builds the start
+        y0 = _built("field 'data.y0_v_norm'", cfg.initial_state)
+    # the runs that solve the nonlinear coupled system from the start
+    if experiment == "nullcontrol-nonlinear" or cfg.solver.convection_on and experiment == "saddle":
+        _built("field 'solver.small_data_delta'", _require_small_data, y0, cfg.solver)
+    return cfg
 
 
 def read_json(path, kind: str):
@@ -441,7 +446,7 @@ class _Artifacts(list):
 
     def csv(self, name: str, header, rows) -> None:
         path = self.outdir / name
-        with open(path, "w", newline="") as fh:
+        with _writing(path), open(path, "w", newline="") as fh:
             fh.write(f"# config_hash={self.config_hash}\n")
             fh.write(",".join(header) + "\n")
             for row in rows:
@@ -451,7 +456,17 @@ class _Artifacts(list):
         self.append(str(path))
 
     def trajectory(self, name: str, traj: Trajectory) -> None:
-        self.append(str(fieldio.write_trajectory(self.outdir / "fields", name, traj)))
+        with _writing(self.outdir / "fields" / f"{name}.sgf"):
+            self.append(str(fieldio.write_trajectory(self.outdir / "fields", name, traj)))
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """An OSError of the block, a ConfigurationError naming the output ``path``."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigurationError(f"output path {path} cannot be written: {e.strerror or e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +599,7 @@ def _exp_carleman(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     eps = opts["domination_epsilon"]
     dom = []
     for lam in opts["domination_lams"]:
-        rep = check_weight_domination(dataclasses.replace(p, lam=lam), T, 0.0, 0.0, eps)
+        rep = check_weight_domination(dataclasses.replace(p, lam=lam), T, eps)
         dom.append((lam, rep.max_log_ratio))
         if lam == p.lam:
             out.csv("domination_curve.csv", ["t", "log_ratio"],
@@ -597,7 +612,7 @@ def _exp_carleman(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     # local/global Laplacian bound stability under t-grid doubling
     us = cfg._div_free_samples("laplacian-samples", opts["n_laplacian_samples"])
     s5 = dataclasses.replace(p, s=opts["laplacian_s"])
-    b1, b2 = check_laplacian_weight_bound(s5, T, 0.0, 0.0, us, cfg.omega, n_times=(128, 256))
+    b1, b2 = check_laplacian_weight_bound(s5, T, us, cfg.omega, n_times=(128, 256))
     metrics["laplacian_bound_max"] = b1.max_ratio
     metrics["laplacian_bound_max_fine"] = b2.max_ratio
     metrics["laplacian_bound_stability"] = (
@@ -764,10 +779,8 @@ def run_experiment(cfg: ExperimentConfig, out_root=None) -> RunRecord:
         out_root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
     h = cfg.config_hash()
     outdir = Path(out_root) / f"{cfg.experiment}-{h[:12]}"
-    try:
+    with _writing(outdir):
         outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ConfigurationError(f"run directory {outdir} cannot be made: {e.strerror}") from e
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     incomplete = True
     metrics: dict = {}
@@ -807,9 +820,10 @@ def _write_json_atomic(path: Path, obj) -> None:
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True, default=repr)
-        os.replace(tmp, path)
+        with _writing(path):
+            with open(tmp, "w") as fh:
+                json.dump(obj, fh, indent=2, sort_keys=True, default=repr)
+            os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

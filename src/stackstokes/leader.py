@@ -24,7 +24,6 @@ control can start the first.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -138,11 +137,6 @@ def _terminal_dual_lift(prob: SaddleProblem, w: VelocityField, tol=0.0) -> Traje
     return control_gradient(adj.phi, prob._omega_mask)
 
 
-def _homogeneous_problem(prob: SaddleProblem) -> SaddleProblem:
-    """The same geometry with zero data: carrier of the linear part of h -> y(T)."""
-    return dataclasses.replace(prob, y0=VelocityField.zeros(prob.grid), yd=None)
-
-
 def solve_null_control_cg(
     prob: SaddleProblem,
     cfg: PenaltyConfig,
@@ -166,7 +160,7 @@ def solve_null_control_cg(
     if h_start is not None and len(epsilons) > 1:
         raise ConfigurationError("a warm start takes one epsilon, not a schedule: the "
                                  "shifted residuals are collinear only from h = 0")
-    seed, hom = epsilons[-1], _homogeneous_problem(prob)
+    seed, hom = epsilons[-1], prob.zero_data
     free_T = control_to_terminal(prob, None, f1, f2)
     r = _terminal_dual_lift(hom, free_T * -1.0)  # b, then the seed's residual in place
     tol = cfg.cg_tol * traj_norm(r)

@@ -19,6 +19,7 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -126,6 +127,12 @@ class SaddleProblem:
             omega=self.omega if h is not None else None,
             chi=self.follower_cutoff if v is not None else None,
         )
+
+    @cached_property
+    def zero_data(self) -> "SaddleProblem":
+        """The geometry alone: y0 = 0, no target, convection off; it carries the linear maps."""
+        return dataclasses.replace(self, y0=VelocityField.zeros(self.grid), yd=None,
+                                   opts=dataclasses.replace(self.opts, convection_on=False))
 
     def state(self, h, psi, v) -> Trajectory:
         return solve_forward(self.y0, self.forcing(h, psi, v), self.opts)
@@ -235,9 +242,7 @@ def _estimate_tracking_lipschitz(prob: SaddleProblem, rng: np.random.Generator) 
     """Largest eigenvalue of the v-tracking Hessian by five power iterations."""
     g = prob.grid
     d = Trajectory(g, closed_noise(g, rng, g.nt + 1, first=1)).mul_mask(prob._chi_mask)
-    lam = 0.0
-    base = dataclasses.replace(prob, y0=VelocityField.zeros(g), yd=None,
-                               opts=dataclasses.replace(prob.opts, convection_on=False))
+    lam, base = 0.0, prob.zero_data
     for _ in range(5):
         nd = traj_norm(d)
         if nd == 0:

@@ -603,9 +603,8 @@ class Coupling:
         gamma: float,
         mu: float,
     ) -> "Coupling":
-        ginv = 0.0 if math.isinf(gamma) else gamma**-2
-        linv = 0.0 if math.isinf(ell) else ell**-2
-        k = VelocityField.from_packed(grid, ginv - linv * chi.face_mask(grid).data)
+        # an infinite weight drops its channel: inf**-2 is 0.0
+        k = VelocityField.from_packed(grid, gamma**-2 - ell**-2 * chi.face_mask(grid).data)
         return cls(grid, k, obs_region.face_mask(grid), mu)
 
     # the masks as V operators, built on first use
@@ -815,6 +814,13 @@ def frozen_sources(y: Trajectory, z: Trajectory):
     return f1, f2
 
 
+def _require_small_data(y0: VelocityField, opts: SolverOptions) -> None:
+    """solve_coupled_nonlinear's small-data hypothesis |y0|_H1 <= small_data_delta, if set."""
+    if opts.small_data_delta is not None and h1_norm(y0) > opts.small_data_delta:
+        raise ConfigurationError(f"initial state exceeds the configured small-data bound "
+                                 f"{opts.small_data_delta:.3e} required by the nonlinear solver")
+
+
 def solve_coupled_nonlinear(
     h: Trajectory | None,
     y0: VelocityField,
@@ -832,11 +838,7 @@ def solve_coupled_nonlinear(
     of the nonlinear system.  A non-finite iterate raises BlowupError;
     ``picard_max`` sweeps without convergence raise ConvergenceError.
     """
-    if opts.small_data_delta is not None and h1_norm(y0) > opts.small_data_delta:
-        raise ConfigurationError(
-            f"initial state exceeds the configured small-data bound "
-            f"{opts.small_data_delta:.3e} required by the nonlinear solver"
-        )
+    _require_small_data(y0, opts)
     return _solve_coupled(h, y0, yd, coupling, opts, omega, None, None, True)
 
 

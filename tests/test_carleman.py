@@ -148,8 +148,7 @@ def test_overflow_contract_large_s_lam():
         p = CarlemanParams(lam=lam, s=s)
         lw = log_weight_eval(p, WeightFamily.ALPHA, 1.0, 0.3, eta_value=0.4)
         assert math.isfinite(lw)
-        rep = check_weight_domination(p, 1.0, M1=1.0, M2=1.0, epsilon=10.0,
-                                      t_grid=np.linspace(0.1, 0.9, 17))
+        rep = check_weight_domination(p, 1.0, epsilon=10.0, t_grid=np.linspace(0.1, 0.9, 17))
         assert not math.isnan(rep.max_log_ratio)
 
 
@@ -163,22 +162,20 @@ def test_alpha_ratio_limits_and_value():
 
 def test_domination_large_epsilon_ratio_below_one():
     p = CarlemanParams(lam=1.0, s=10.0)
-    rep = check_weight_domination(p, 24.0, M1=0.0, M2=0.0, epsilon=10.0)
+    rep = check_weight_domination(p, 24.0, epsilon=10.0)
     assert math.isfinite(rep.max_log_ratio) and rep.max_ratio < 1.0
 
 
 def test_domination_precondition_violation():
     # (1+eps) * F(lam) <= 1 for small eps and lam
     with pytest.raises(ConfigurationError):
-        check_weight_domination(CarlemanParams(lam=1e-4, s=1.0), 1.0,
-                                M1=0.0, M2=0.0, epsilon=0.5)
+        check_weight_domination(CarlemanParams(lam=1e-4, s=1.0), 1.0, epsilon=0.5)
 
 
 def test_domination_monotone_in_lam():
     vals = []
     for lam in (1.0, 2.0, 4.0):
-        rep = check_weight_domination(CarlemanParams(lam=lam, s=3.0), 24.0,
-                                      M1=0.0, M2=0.0, epsilon=1.0)
+        rep = check_weight_domination(CarlemanParams(lam=lam, s=3.0), 24.0, epsilon=1.0)
         vals.append(rep.max_log_ratio)
     assert vals[0] >= vals[1] >= vals[2]
 
@@ -189,12 +186,12 @@ def test_laplacian_bound_trivial_cases(rng):
     p = CarlemanParams(lam=2.0, s=5.0)
     omega = Region(0.35 * L, 0.75 * L, 0.35 * L, 0.75 * L)
     zero = VelocityField.zeros(g)
-    [rep] = check_laplacian_weight_bound(p, g.T, 0.0, 0.0, [zero], omega)
+    [rep] = check_laplacian_weight_bound(p, g.T, [zero], omega)
     assert rep.max_ratio == 0.0
     # field supported away from omega (2-cell margin so its Laplacian is too)
     corner = VelocityField.zeros(g)
     corner.u[1:3, 1:3] = 1.0
-    [rep] = check_laplacian_weight_bound(p, g.T, 0.0, 0.0, [corner], omega)
+    [rep] = check_laplacian_weight_bound(p, g.T, [corner], omega)
     assert rep.max_ratio == 0.0
 
 
@@ -202,9 +199,7 @@ def test_laplacian_bound_hypothesis_guard():
     p = CarlemanParams(lam=2.0, s=5.0, a0=1.5, m0=2.75)  # valid chain, a0 < 2
     g = GridSpec(nx=16, ny=16, nt=16, T=24.0)
     with pytest.raises(ConfigurationError):
-        check_laplacian_weight_bound(p, g.T, 0.0, 0.0,
-                                     [VelocityField.zeros(g)],
-                                     Region(0.3, 0.7, 0.3, 0.7))
+        check_laplacian_weight_bound(p, g.T, [VelocityField.zeros(g)], Region(0.3, 0.7, 0.3, 0.7))
 
 
 def test_laplacian_bound_tgrid_stability(rng):
@@ -213,7 +208,7 @@ def test_laplacian_bound_tgrid_stability(rng):
     p = CarlemanParams(lam=2.0, s=5.0)
     omega = Region(0.35 * L, 0.75 * L, 0.35 * L, 0.75 * L)
     us = [project_div_free(closed_noise(g, rng)) for _ in range(10)]
-    r1, r2 = check_laplacian_weight_bound(p, g.T, 0.0, 0.0, us, omega, n_times=(96, 192))
+    r1, r2 = check_laplacian_weight_bound(p, g.T, us, omega, n_times=(96, 192))
     assert 0.8 <= r2.max_ratio / r1.max_ratio <= 1.2
 
 
@@ -315,8 +310,7 @@ def test_array_pole_errors():
     with pytest.raises(PoleError):
         log_weight_eval(p, WeightFamily.BETA, 1.0, np.array([-0.1, 0.5]))
     with pytest.raises(PoleError):
-        check_weight_domination(p, 1.0, M1=0.0, M2=0.0, epsilon=10.0,
-                                t_grid=np.array([0.5, 1.0]))
+        check_weight_domination(p, 1.0, epsilon=10.0, t_grid=np.array([0.5, 1.0]))
     # the flat-start family is finite at t = 0 in an array too
     assert np.isfinite(log_weight_eval(p, WeightFamily.BETA, 1.0,
                                        np.array([0.0, 0.5]))).all()

@@ -423,7 +423,7 @@ def test_manifest_write_is_atomic(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(harness.json, "dump", broken_dump)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(ConfigurationError, match="manifest.json cannot be written: disk full"):
         run_experiment(cfg, out_root=tmp_path)
     assert (run_dir / "manifest.json").read_text() == before
     assert sorted(p.name for p in run_dir.iterdir() if "manifest" in p.name) == ["manifest.json"]
@@ -566,8 +566,9 @@ def test_option_copies_keep_relax(monkeypatch):
     ("options", "sizes", [16, 2048], "options.sizes"),
     (None, "options", {"sizes": [8, 16], "base_nt": 65536}, "options.sizes"),
     # a run solves at and reports the schedule's last epsilon: a schedule
-    # that ends away from penalty.epsilon (1e-4 here) left that field unread
-    ("penalty", "epsilon_schedule", [1e-3], "penalty.epsilon"),
+    # that ends away from penalty.epsilon (1e-4 here) left that field unread;
+    # PenaltyConfig refuses it, so the refusal names its section
+    ("penalty", "epsilon_schedule", [1e-3], "penalty"),
     # a box outside the 6 x 6 domain has no face: its channel was switched off
     ("regions", "O", [7.0, 8.0, 7.0, 8.0], "regions.O"),
     # a value that its section's dataclass or Region refuses names the section
@@ -700,9 +701,80 @@ def test_validate_refuses_a_domination_epsilon_the_run_refuses(tmp_path, capsys)
         config_from_dict(raw)
 
 
-# The one accepted case of the float walk that its run refuses: the H1 norm of
-# a start of amplitude 1e-300 underflows to 0, so data.y0_v_norm cannot rescale it
-_RUN_REFUSES = {("nullcontrol-nonlinear", "data.y0_amplitude", 1e-300)}
+@pytest.mark.parametrize("experiment, changes, field, text", [
+    # check_laplacian_weight_bound's appendix regime; CarlemanParams takes
+    # a0 = 1.5, m0 = 2.8, and the run refused it after writing three tables
+    ("carleman-check", {"carleman": {"a0": 1.5, "m0": 2.8}}, "carleman.a0",
+     "appendix regime needs a0 >= 2"),
+    # solve_coupled_nonlinear's small-data bound, below the start's H1 norm 1e-3;
+    # the run refused it after its linear CG
+    ("nullcontrol-nonlinear", {"solver": {"small_data_delta": 1e-6}},
+     "solver.small_data_delta", "small-data bound"),
+    # the saddle run solves the nonlinear coupled system when convection is on;
+    # its start's H1 norm is 2.69
+    ("saddle", {"solver": {"convection_on": True, "small_data_delta": 1.0}},
+     "solver.small_data_delta", "small-data bound"),
+    # a start of amplitude 1e-300 has an H1 norm of 0, so it cannot be rescaled
+    ("nullcontrol-nonlinear", {"data": {"y0_amplitude": 1e-300}}, "data.y0_v_norm",
+     "cannot rescale a zero initial state"),
+], ids=["appendix-regime", "small-data", "saddle-small-data", "zero-start"])
+def test_validate_refuses_what_run_refuses(tmp_path, capsys, experiment, changes, field, text):
+    # validate calls the precondition that the run calls, so both refuse the
+    # config with the same text, and the run before it writes anything
+    from stackstokes.cli import main
+
+    raw = default_config_dict(experiment)
+    for section, entries in changes.items():
+        raw[section].update(entries)
+    path, out = tmp_path / "cfg.json", tmp_path / "runs"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}': " in err and text in err, err
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+def test_the_small_data_bound_is_checked_where_the_run_applies_it():
+    from stackstokes.grid import h1_norm
+
+    raw = default_config_dict("saddle")
+    bound = h1_norm(config_from_dict(raw).initial_state())
+    raw["solver"].update(convection_on=True, small_data_delta=bound)
+    config_from_dict(raw)  # a bound at the start's norm holds
+    raw["solver"]["small_data_delta"] = bound * (1 - 1e-12)
+    with pytest.raises(ConfigurationError, match="'solver.small_data_delta'"):
+        config_from_dict(raw)
+    # a saddle run without convection and a nullcontrol run solve only the
+    # linear system, so they never apply the bound
+    raw["solver"]["convection_on"] = False
+    config_from_dict(raw)
+    raw["experiment"], raw["solver"]["convection_on"] = "nullcontrol", True
+    config_from_dict(raw)
+
+
+@pytest.mark.parametrize("name", ["convergence.csv", "manifest.json"])
+def test_run_names_an_output_file_it_cannot_write(tmp_path, capsys, name):
+    # a directory where the run writes a file ended in an IsADirectoryError
+    # traceback with exit 1
+    from stackstokes.cli import main
+
+    raw = default_config_dict("convergence")
+    raw["options"]["sizes"] = [16, 32]
+    path, out = tmp_path / "cfg.json", tmp_path / "runs"
+    path.write_text(json.dumps(raw))
+    run_dir = out / f"convergence-{config_from_dict(raw).config_hash()[:12]}"
+    (run_dir / name).mkdir(parents=True)
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and f"{run_dir / name} cannot be written" in err
+    assert not list(run_dir.glob(".*"))  # no temporary manifest is left behind
+
+
+# The accepted cases of the float walk that their run refuses: none, since
+# validate calls each precondition that a run checks
+_RUN_REFUSES = set()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,8 +1,9 @@
 """Every exported name and every function the benchmark traces resolves,
 every function the package defines has a caller in the program, every
-dataclass field is read, every solver and penalty option is live and a
-config field, only grid splits the packed face layout, only the Picard loop
-reads its iteration controls, the package needs neither scipy nor
+parameter is passed, and passed other than as one literal, every dataclass
+field is read, every solver and penalty option is live and a config field,
+only grid splits the packed face layout, only the Picard loop reads its
+iteration controls, the package needs neither scipy nor
 numpy.linalg, only harness.rng_stream builds a random generator, and the
 package imports itself only relatively, so that a checkout loads under
 another name, and the layer yardstick rotates the order of the checkouts it
@@ -179,50 +180,106 @@ TEST_PARAMETERS = {
     "_mms_fields.amp": "the convective manufactured-solution test runs at amplitude 1",
 }
 
+# Required parameters that every run passes as the same literal, kept because
+# tests pass other values
+TEST_CONSTANTS = {
+    f"solve_backward_adjoint.{name}": "the benchmark calls it positionally with None, and the "
+                                      "transposition tests pass sources and a link"
+    for name in ("g1", "g2", "link")
+}
 
-def _defaulted_parameters(fn):
-    """{name: positional index or None (keyword-only)} of fn's parameters with a
-    default; the index does not count a leading self or cls."""
+
+def _parameters(fn):
+    """{name: (positional index or None for keyword-only, whether it has a default)}
+    of fn's parameters; the index does not count a leading self or cls."""
     a = fn.args
     positional = [x.arg for x in a.posonlyargs + a.args]
     offset = 1 if positional[:1] in (["self"], ["cls"]) else 0
-    out = {name: i - offset
-           for i, name in enumerate(positional) if i >= len(positional) - len(a.defaults)}
-    out.update((x.arg, None) for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+    first_default = len(positional) - len(a.defaults)
+    out = {name: (i - offset, i >= first_default)
+           for i, name in enumerate(positional) if i >= offset}
+    out.update((x.arg, (None, d is not None)) for x, d in zip(a.kwonlyargs, a.kw_defaults))
     return out
 
 
-def test_every_parameter_is_passed():
-    # a parameter that no caller in the program sets only ever takes its
-    # default: the branch behind it is surface no run exercises
-    defaulted = {}
-    for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+def _parameter_gaps(defining, calling):
+    """The parameters ("function.parameter") of the functions in the sources
+    ``defining`` that the calls in the sources ``calling`` leave fixed: those
+    with a default that no call passes, and the required ones that every call
+    passes as the same literal.  A call is matched to a function by name."""
+    params = {}
+    for text in defining:
+        for node in ast.walk(ast.parse(text)):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not (node.name.startswith("__") and node.name.endswith("__"))):
-                for param, index in _defaulted_parameters(node).items():
-                    defaulted.setdefault(f"{node.name}.{param}", (node.name, param, index))
-    assert defaulted
-    passed = set()
-    for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]:
-        if path == SRC / "__init__.py":
-            continue
-        for call in ast.walk(ast.parse(path.read_text())):
+                for param, (index, default) in _parameters(node).items():
+                    params.setdefault(f"{node.name}.{param}", (node.name, param, index, default))
+    calls = {}  # name: (the arguments by position and keyword, unpacked) of each call
+    for text in calling:
+        for call in ast.walk(ast.parse(text)):
             if not isinstance(call, ast.Call):
                 continue
             f = call.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if (any(isinstance(x, ast.Starred) for x in call.args)
-                    or any(k.arg is None for k in call.keywords)):
-                passed.add((name, "*"))
-            passed.update((name, i) for i in range(len(call.args)))
-            passed.update((name, k.arg) for k in call.keywords)
-    unpassed = {q for q, (name, param, index) in defaulted.items()
-                if not {(name, "*"), (name, param), (name, index)} & passed}
-    missing = sorted(unpassed - TEST_PARAMETERS.keys())
-    assert not missing, f"parameters that no call in the program passes: {missing}"
-    stale = sorted(TEST_PARAMETERS.keys() - unpassed)
-    assert not stale, f"TEST_PARAMETERS entries that are gone or passed by the program: {stale}"
+            unpacked = (any(isinstance(x, ast.Starred) for x in call.args)
+                        or any(k.arg is None for k in call.keywords))
+            args = {**dict(enumerate(call.args)), **{k.arg: k.value for k in call.keywords}}
+            calls.setdefault(name, []).append((args, unpacked))
+
+    def literal(node):
+        """The node's source form if it is a literal, else None."""
+        try:
+            ast.literal_eval(node)
+        except ValueError:
+            return None
+        return ast.dump(node)
+
+    unpassed, constant = set(), set()
+    for q, (name, param, index, default) in params.items():
+        # what each call passes: a node, None, or "*" (an unpacked call may pass any)
+        given = ["*" if unpacked else args.get(param, args.get(index))
+                 for args, unpacked in calls.get(name, [])]
+        if default and all(node is None for node in given):
+            unpassed.add(q)
+        values = {literal(node) if isinstance(node, ast.AST) else None for node in given}
+        if not default and given and len(values) == 1 and None not in values:
+            constant.add(q)
+    return unpassed, constant
+
+
+def test_every_parameter_is_passed():
+    # a parameter that no caller in the program sets only ever takes its
+    # default, and one that every caller sets to the same literal only ever
+    # takes that value: the branches behind either are surface no run
+    # exercises.  The program is the package (its re-exports aside) and the
+    # benchmark's scripts.
+    program = [path.read_text() for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]
+               if path != SRC / "__init__.py"]
+    unpassed, constant = _parameter_gaps([path.read_text() for path in SRC.glob("*.py")],
+                                         program)
+    for found, allowed, what in ((unpassed, TEST_PARAMETERS, "passes"),
+                                 (constant, TEST_CONSTANTS, "passes other than one literal")):
+        missing = sorted(found - allowed.keys())
+        assert not missing, f"parameters that no call in the program {what}: {missing}"
+        stale = sorted(allowed.keys() - found)
+        assert not stale, f"allow-list entries that are gone or varied by the program: {stale}"
+
+
+def test_parameter_guard_sees_planted_parameters():
+    # a planted function whose default no call passes, and whose required
+    # parameter every call passes as the same literal
+    planted = """
+def planted(a, b, c=1, *, d=2):
+    return a + b + c + d
+
+planted(0.0, x, d=3)
+planted(0.0, y)
+planted(a=0.0, b=z)
+"""
+    assert _parameter_gaps([planted], [planted]) == ({"planted.c"}, {"planted.a"})
+    # a second literal, a non-literal or an unpacked call varies it
+    for call in ("planted(1.0, w)", "planted(w, w)", "planted(*w)"):
+        assert _parameter_gaps([planted], [planted + call])[1] == set(), call
 
 
 def _attributes_read(path):
