@@ -33,10 +33,18 @@ root, on inputs drawn from the same seed for each root:
   application of the observation mask's V operator ``grid.v_mask`` to a
   random (nt + 1)-level stack, copied into place before each call (the copy
   included; the operator acts in place);
-* at nx = 16/32/64, of one ``leader.penalized_gradient`` (a random control)
-  on the geometry of the root's ``configs/nullcontrol.json``: one coupled
-  solve and one adjoint pair, the work of one iteration of
-  ``leader.solve_null_control_cg``.
+* at nx = 16/32/64, on the zero-data problem of the root's
+  ``configs/nullcontrol.json`` geometry, of the two solves of one iteration
+  of ``leader.solve_null_control_cg``: ``leader.control_to_terminal`` of a
+  random control, then ``stokes.solve_backward_adjoint`` from that y(T) and
+  ``stokes.control_gradient`` of its phi, both solves at the sweep count k
+  and relax that the CG takes for that problem (the private
+  ``leader._free_response`` reads them from the exact free response).  A
+  root whose solves take a tolerance in place of a sweep count, from before
+  the fixed-k CG, runs them at its ``leader._INNER_TOL_CAP``.  That is a
+  stand-in, not its CG iteration: its CG ran the first iterations'
+  solves at the tighter tolerance cg_tol |b| / |r_k| and reached the cap
+  only once the residual had fallen below 1e-3 |b|.
 
 A layer that some root lacks is not timed.  Each layer and size is timed in
 ``PAIRS`` paired batches: a batch calls the layer of every root in turn, in
@@ -131,12 +139,24 @@ def layers(pkg, root: Path, n: int) -> dict:
     prob = cfg.problem()
     h_cg = grid.Trajectory(prob.grid, grid.closed_noise(prob.grid, rng, raw["grid"]["nt"] + 1,
                                                         0.1, first=1))
+    if hasattr(leader, "_free_response"):
+        hom, k = leader._free_response(prob, None, None)[1:]
+        inner = {"sweeps": k}
+    else:
+        hom, inner = prob.zero_data, {"tol": leader._INNER_TOL_CAP}
+    omega_mask = prob.omega.face_indicator(prob.grid)
+
+    def cg_iteration():
+        y_T = leader.control_to_terminal(hom, h_cg, **inner)
+        adj = stokes.solve_backward_adjoint(y_T, None, None, None, hom.coupling, hom.opts,
+                                            **inner)
+        return stokes.control_gradient(adj.phi, omega_mask)
     timed.update({
         "adjoint_coupling": lambda: stokes.adjoint_coupling(start, field),
         "coupled_linear_solve": lambda: stokes.solve_coupled_linear(h, start, None, coupling,
                                                                     omega=omega),
         "adjoint_pair": lambda: stokes.solve_backward_adjoint(start, None, None, None, coupling),
-        "cg_iteration": lambda: leader.penalized_gradient(prob, h_cg, cfg.penalty),
+        "cg_iteration": cg_iteration,
     })
     if hasattr(grid, "v_mask"):
         mask_op = grid.v_mask(coupling.obs_mask.data, g)
@@ -227,9 +247,12 @@ def main(argv=None) -> None:
                    f"adjoint_coupling on one level, and one solve_coupled_linear and one "
                    f"coupled solve_backward_adjoint, nt = {MARCH_STEPS}, per call; "
                    f"mask_operator: the observation mask's V operator on a "
-                   f"{MARCH_STEPS + 1}-level stack, its copy included; cg_iteration: one "
-                   f"leader.penalized_gradient on the nullcontrol geometry; a layer some "
-                   f"root lacks is not timed; "
+                   f"{MARCH_STEPS + 1}-level stack, its copy included; cg_iteration: the "
+                   f"coupled solve and adjoint pair of one leader CG iteration on the "
+                   f"nullcontrol geometry, at the CG's fixed sweep count (for a root from "
+                   f"before it, a stand-in at the tolerance cap of its inexact rule, which "
+                   f"its CG reached only in its later iterations); a layer some root lacks "
+                   f"is not timed; "
                    f"configs: median wall seconds of {ROUNDS} paired rounds; "
                    f"{won}: per layer and size, and per config, [batches or rounds in "
                    f"which the root took less time than the first root, batches or rounds]"),

@@ -167,6 +167,8 @@ class ExperimentConfig:
             if cur == 0.0:
                 raise ConfigurationError("cannot rescale a zero initial state")
             y0 = y0 * (d["y0_v_norm"] / cur)
+            if not math.isfinite(cur + h1_norm(y0)):  # y0 / inf was the zero field
+                raise ConfigurationError(f"cannot rescale an initial state of H1 norm {cur:.3e}")
         return y0
 
     def target_trajectory(self) -> Trajectory | None:

@@ -13,19 +13,20 @@ The nonlinear (small-data) variant is a fixed-point loop from a warm start:
 it freezes the quadratic terms at the current control, playing the role of
 the extra sources f1, f2 of the linear theory, and tests every iterate.
 
-The two solves of CG iteration k are inexact: their Picard loops stop at
-eta_k = min(cg_tol |b| / |r_k|, 1e-5), or picard_tol if looser, as the error
-a product may carry grows while the residual falls (van den Eshof & Sleijpen,
-SIAM J. Matrix Anal. Appl. 26, 2004; Simoncini & Szyld, SIAM J. Sci. Comput.
-25, 2003).  Every other solve runs to picard_tol.  The nonlinear variant's
-outer iterations invert the linear system's L^T L + eps, so the linear
-control can start the first.
+The two solves of every CG iteration run a fixed number k of Picard sweeps,
+chosen from the contraction of the exact free response and run at the relax
+it ended at: a k-sweep solve and a k-sweep adjoint pair are exact transposes,
+so the CG runs on one SPD operator L_k^T L_k + eps.  The exact re-solve at its
+h checks L_k h against L h; while they differ by more than cg_tol |y_free(T)|,
+or that solve's own last change, the CG runs again at 2k.  Every other solve
+runs to picard_tol.  The nonlinear variant's outer iterations invert the
+linear system's L^T L + eps, so the linear control can start the first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,8 +58,7 @@ __all__ = [
     "solve_null_control_nonlinear",
 ]
 
-# the loosest relative Picard tolerance of a solve inside a CG iteration
-_INNER_TOL_CAP = 1e-5
+_SWEEP_ERROR = 1e-5  # the error rho^k that the k-sweep solves of a CG iteration may leave
 
 
 @dataclass(frozen=True)
@@ -110,19 +110,16 @@ class EpsilonRow:
     objective: float
 
 
-def _coupled(prob: SaddleProblem, h, f1, f2, tol=0.0):
-    return solve_coupled_linear(
-        h, prob.y0, prob.yd, prob.coupling, prob.opts, omega=prob.omega,
-        f1=f1, f2=f2, tol=tol,
-    )
+def _coupled(prob: SaddleProblem, h, f1, f2, sweeps=None):
+    return solve_coupled_linear(h, prob.y0, prob.yd, prob.coupling, prob.opts,
+                                omega=prob.omega, f1=f1, f2=f2, sweeps=sweeps)
 
 
-def control_to_terminal(prob: SaddleProblem, h, f1=None, f2=None,
-                        tol: float = 0.0) -> VelocityField:
-    """Final-time state of the coupled linear system (affine in h); ``tol`` is the
-    inexact stop of :func:`~stackstokes.stokes.solve_coupled_linear`."""
+def control_to_terminal(prob: SaddleProblem, h, f1=None, f2=None, sweeps=None) -> VelocityField:
+    """Final-time state of the coupled linear system (affine in h); ``sweeps`` fixes
+    the sweep count of :func:`~stackstokes.stokes.solve_coupled_linear`."""
     # a copy, so that keeping y(T) does not keep the whole trajectory alive
-    return _coupled(prob, h, f1, f2, tol).y[prob.grid.nt].copy()
+    return _coupled(prob, h, f1, f2, sweeps).y[prob.grid.nt].copy()
 
 
 def penalized_gradient(prob: SaddleProblem, h: Trajectory, cfg: PenaltyConfig) -> Trajectory:
@@ -131,10 +128,22 @@ def penalized_gradient(prob: SaddleProblem, h: Trajectory, cfg: PenaltyConfig) -
     return h.mul_mask(prob._omega_mask) + _terminal_dual_lift(prob, yT * (1.0 / cfg.epsilon))
 
 
-def _terminal_dual_lift(prob: SaddleProblem, w: VelocityField, tol=0.0) -> Trajectory:
+def _terminal_dual_lift(prob: SaddleProblem, w: VelocityField, sweeps=None) -> Trajectory:
     """Transposition lift: the omega-restricted dual of the terminal map."""
-    adj = solve_backward_adjoint(w, None, None, None, prob.coupling, prob.opts, tol=tol)
+    adj = solve_backward_adjoint(w, None, None, None, prob.coupling, prob.opts, sweeps=sweeps)
     return control_gradient(adj.phi, prob._omega_mask)
+
+
+def _free_response(prob: SaddleProblem, f1, f2) -> tuple:
+    """y(T) of the exact solve at h = 0, and the zero-data problem at the relax that solve
+    ended at and the sweep count k that the CG's solves run on: the smallest k >= 2 with
+    rho^k <= _SWEEP_ERROR, rho = residual^(1/(sweeps - 1)), and no more than its sweeps."""
+    free, hom = _coupled(prob, None, f1, f2), prob.zero_data
+    rho = free.residual ** (1 / max(free.iterations - 1, 1))  # 0 for zero data
+    k = min(math.ceil(math.log(_SWEEP_ERROR) / math.log(rho)), free.iterations) if rho else 2
+    if free.relax != hom.opts.relax:
+        hom = replace(hom, opts=replace(hom.opts, relax=free.relax))
+    return free.y[prob.grid.nt].copy(), hom, max(2, k)
 
 
 def solve_null_control_cg(
@@ -161,72 +170,76 @@ def solve_null_control_cg(
         raise ConfigurationError("a warm start takes one epsilon, not a schedule: the "
                                  "shifted residuals are collinear only from h = 0")
     seed, hom = epsilons[-1], prob.zero_data
-    free_T = control_to_terminal(prob, None, f1, f2)
-    r = _terminal_dual_lift(hom, free_T * -1.0)  # b, then the seed's residual in place
-    tol = cfg.cg_tol * traj_norm(r)
-    H = np.zeros((len(epsilons), *r.data.shape))  # one h per epsilon, the seed last
-    h, lam_h = Trajectory(g, H[-1]), VelocityField.zeros(g)  # lam_h = L h of the seed
+    free_T, fixed, sweeps = _free_response(prob, f1, f2)
+    b = _terminal_dual_lift(hom, free_T * -1.0)  # b, or with h_start the residual there
+    tol = cfg.cg_tol * traj_norm(b)
+    h_0, lam_0 = Trajectory.zeros(g), VelocityField.zeros(g)  # lam_0 = L h_0
     if h_start is not None:
-        h.data[...] = h_start.mul_mask(prob._omega_mask).data
-        lam_h = control_to_terminal(hom, h)
-        r.data -= _terminal_dual_lift(hom, lam_h).data + seed * h.data
-    P = np.repeat(r.data[None], len(epsilons), axis=0)  # the search directions
-    p = Trajectory(g, P[-1])
-    zeta, zeta_old, iters = [1.0] * len(H), [1.0] * len(H), [None] * len(H)
-    alpha_old, beta_old, it = 1.0, 0.0, 0
-    step = np.empty_like(r.data)
-    rz = inner_space_time(r, r)
-    curve = []
-    while True:
-        yT = free_T + lam_h
-        curve.append(0.5 * inner_space_time(h, h) + 0.5 / seed * inner(yT, yT))
-        for i, z in enumerate(zeta):
-            if iters[i] is None and abs(z) * math.sqrt(rz) <= tol:
-                iters[i] = it  # a converged row stops: its zeta keeps shrinking
-        if iters[-1] is not None or it == cfg.cg_max:
+        h_0 = h_start.mul_mask(prob._omega_mask)
+        lam_0 = control_to_terminal(hom, h_0)
+        b.data -= _terminal_dual_lift(hom, lam_0).data + seed * h_0.data
+    while True:  # CG on L_k^T L_k + eps, k = sweeps, until L_k h is L h to its tolerance
+        H = np.zeros((len(epsilons), *b.data.shape))  # one h per epsilon, the seed last
+        H[-1] = h_0.data
+        h, r, lam_h = Trajectory(g, H[-1]), b.copy(), lam_0.copy()  # r and lam_h = L_k h
+        P = np.repeat(r.data[None], len(epsilons), axis=0)  # the search directions
+        p = Trajectory(g, P[-1])
+        zeta, zeta_old, iters = [1.0] * len(H), [1.0] * len(H), [None] * len(H)
+        alpha_old, beta_old, it = 1.0, 0.0, 0
+        step = np.empty_like(r.data)
+        rz = inner_space_time(r, r)
+        curve = []
+        while True:
+            yT = free_T + lam_h
+            curve.append(0.5 * inner_space_time(h, h) + 0.5 / seed * inner(yT, yT))
+            for i, z in enumerate(zeta):
+                if iters[i] is None and abs(z) * math.sqrt(rz) <= tol:
+                    iters[i] = it  # a converged row stops: its zeta keeps shrinking
+            if iters[-1] is not None or it == cfg.cg_max:
+                break
+            it += 1
+            lam_p = control_to_terminal(fixed, p, sweeps=sweeps)
+            # A p built in the lift's own stack: one trajectory fewer per iteration
+            Ap = _terminal_dual_lift(fixed, lam_p, sweeps)
+            np.multiply(p.data, seed, out=step)
+            Ap.data += step
+            pAp = inner_space_time(p, Ap)
+            if not math.isfinite(pAp) or pAp <= 0:
+                raise NumericalError(f"CG stagnated: curvature {pAp:.3e} at iteration {it}",
+                                     residual=math.sqrt(rz))
+            alpha = rz / pAp
+            lam_h.data += lam_p.data * alpha
+            np.multiply(Ap.data, alpha, out=step)
+            r.data -= step
+            rz, rz_old = inner_space_time(r, r), rz
+            beta = rz / rz_old
+            # every live row in place through one work stack; at s = 0 the factors
+            # are exactly 1, so the seed's row makes plain CG's own updates
+            for i, eps in enumerate(epsilons):
+                if iters[i] is not None:
+                    continue
+                z, zo = zeta[i], zeta_old[i]
+                zeta_old[i] = z
+                zeta[i] = z * zo * alpha_old / (alpha * beta_old * (zo - z)
+                                                + zo * alpha_old * (1.0 + alpha * (eps - seed)))
+                ratio = zeta[i] / z
+                np.multiply(P[i], alpha * ratio, out=step)
+                H[i] += step
+                P[i] *= beta * ratio * ratio
+                np.multiply(r.data, zeta[i], out=step)
+                P[i] += step
+            alpha_old, beta_old = alpha, beta
+        if iters[-1] is None:
+            raise ConvergenceError(f"CG did not converge within {cfg.cg_max} iterations "
+                                   f"(residual {math.sqrt(rz):.3e})",
+                                   residual=math.sqrt(rz), iterations=cfg.cg_max)
+        # exact re-solves: each objective |h|^2/2 + |y(T)|^2/(2 eps) holds on its fields
+        terminals = [control_to_terminal(prob, Trajectory(g, row), f1, f2) for row in H[:-1]]
+        sol = _coupled(prob, h, f1, f2)
+        miss = norm(sol.y[g.nt] - free_T - lam_h)  # of L_k h against L h, to the exact's own
+        if miss <= max(cfg.cg_tol, sol.residual) * norm(free_T):
             break
-        it += 1
-        # inexact inner solves: tol / |r| = cg_tol |b| / |r_k|, at most _INNER_TOL_CAP
-        eta = min(tol / math.sqrt(rz), _INNER_TOL_CAP)
-        lam_p = control_to_terminal(hom, p, tol=eta)
-        # A p built in the lift's own stack: one trajectory fewer per iteration
-        Ap = _terminal_dual_lift(hom, lam_p, eta)
-        np.multiply(p.data, seed, out=step)
-        Ap.data += step
-        pAp = inner_space_time(p, Ap)
-        if not math.isfinite(pAp) or pAp <= 0:
-            raise NumericalError(f"CG stagnated: curvature {pAp:.3e} at iteration {it}",
-                                 residual=math.sqrt(rz))
-        alpha = rz / pAp
-        lam_h.data += lam_p.data * alpha
-        np.multiply(Ap.data, alpha, out=step)
-        r.data -= step
-        rz, rz_old = inner_space_time(r, r), rz
-        beta = rz / rz_old
-        # every live row in place through one work stack; at s = 0 the factors
-        # are exactly 1, so the seed's row makes plain CG's own updates
-        for i, eps in enumerate(epsilons):
-            if iters[i] is not None:
-                continue
-            z, zo = zeta[i], zeta_old[i]
-            zeta_old[i] = z
-            zeta[i] = z * zo * alpha_old / (alpha * beta_old * (zo - z)
-                                            + zo * alpha_old * (1.0 + alpha * (eps - seed)))
-            ratio = zeta[i] / z
-            np.multiply(P[i], alpha * ratio, out=step)
-            H[i] += step
-            P[i] *= beta * ratio * ratio
-            np.multiply(r.data, zeta[i], out=step)
-            P[i] += step
-        alpha_old, beta_old = alpha, beta
-    if iters[-1] is None:
-        raise ConvergenceError(f"CG did not converge within {cfg.cg_max} iterations "
-                               f"(residual {math.sqrt(rz):.3e})",
-                               residual=math.sqrt(rz), iterations=cfg.cg_max)
-    # exact re-solves, so that each stored objective = |h|^2/2 + |y(T)|^2/(2 eps)
-    # holds on the reported fields; the seed's solution is kept
-    terminals = [control_to_terminal(prob, Trajectory(g, row), f1, f2) for row in H[:-1]]
-    sol = _coupled(prob, h, f1, f2)
+        sweeps *= 2  # past picard_max, the first product raises ConvergenceError
     history = []
     for eps, row, yT, k in zip(epsilons, H, [*terminals, sol.y[g.nt]], iters):
         term, ctrl = norm(yT), traj_norm(Trajectory(g, row))

@@ -619,12 +619,13 @@ class Coupling:
 
 @dataclass
 class CoupledSolution:
-    """A converged coupled pair; ``iterations`` counts its forward-backward sweeps."""
+    """A coupled pair; its ``iterations`` forward-backward sweeps ended at ``relax``."""
 
     y: Trajectory
     z: Trajectory
     iterations: int
     residual: float
+    relax: float
 
 
 def _coupled_cycle(coupling: Coupling, up: tuple, down: tuple):
@@ -676,50 +677,52 @@ def _v_norm(g: GridSpec, c: np.ndarray) -> float:
 
 
 def _picard(g: GridSpec, cycle, sources, limit: float, opts: SolverOptions,
-            what: str, hint: str, tol: float = 0.0):
+            sweeps: int | None, what: str, hint: str):
     """Relaxed Picard loop  it <- it + relax (new - it)  over a cycle of V-coordinate
     stacks, from it = 0, with the space-time norms taken in V.
 
     ``new`` is the second sweep of the first sweep of ``it``, ``sources[k]``
     added before the march of sweep k.  ``relax`` halves (down to 1/16)
     whenever the relative change stops falling.  The loop stops once that
-    change is at most ``picard_tol``, or the looser ``tol`` of an inexact
-    solve.  A non-finite iterate raises BlowupError; an iterate larger than
-    ``limit``, or ``picard_max`` sweeps, end the loop with ConvergenceError.
-    Returns new (the first sweep of the converged it), it, the sweep count
-    and the last relative change.
+    change is at most ``picard_tol``; an iterate larger than ``limit``, or
+    ``picard_max`` sweeps, end it with ConvergenceError.  Given ``sweeps``, it
+    runs exactly that many at ``relax``, a fixed linear map of the sources,
+    and takes the change once, after the last; more than ``picard_max`` raise
+    ConvergenceError before the first.  A non-finite iterate raises
+    BlowupError.  Returns new (the first sweep of the last it), it, the sweep
+    count, the last relative change and the relax of the last sweep.
     """
-    tol = max(opts.picard_tol, tol)
+    if sweeps and sweeps > opts.picard_max:
+        raise ConvergenceError(f"{what} asked for {sweeps} sweeps, more than picard_max "
+                               f"{opts.picard_max}; {hint}", iterations=0)
     it = np.zeros((g.nt + 1, (g.nx - 1) * (g.ny - 1)))
     new = np.empty_like(it)
-    relax = opts.relax
-    prev_res = math.inf
-    for k in range(1, opts.picard_max + 1):
+    relax, prev_res = opts.relax, math.inf
+    for k in range(1, (sweeps or opts.picard_max) + 1):
         _sweep(cycle[0], sources[0], it, new)
         _sweep(cycle[1], sources[1], new, new)
         np.subtract(new, it, out=new)
         if relax < 1.0:
             new *= relax
         it += new
+        if sweeps and k < sweeps:
+            continue
         size, change = _v_norm(g, it), _v_norm(g, new)
         residual = change / max(size, 1e-300)
         if not (math.isfinite(size) and math.isfinite(change)):
             raise BlowupError(f"{what} produced a non-finite iterate at sweep {k}",
                               residual=residual, iterations=k)
-        if residual <= tol:
+        if sweeps or residual <= opts.picard_tol:
             _sweep(cycle[0], sources[0], it, new)
-            return new, it, k, residual
+            return new, it, k, residual, relax
         if residual >= prev_res and relax > 0.0625:
             relax *= 0.5
         if size > limit:
             break
         prev_res = residual
-    raise ConvergenceError(
-        f"{what} did not reach tolerance ({residual:.3e} > {tol:.1e}) "
-        f"after {k} sweeps; {hint}",
-        residual=residual,
-        iterations=k,
-    )
+    raise ConvergenceError(f"{what} did not reach tolerance ({residual:.3e} > "
+                           f"{opts.picard_tol:.1e}) after {k} sweeps; {hint}",
+                           residual=residual, iterations=k)
 
 
 def solve_coupled_linear(
@@ -731,7 +734,7 @@ def solve_coupled_linear(
     omega: Region | None = None,
     f1: Trajectory | None = None,
     f2: Trajectory | None = None,
-    tol: float = 0.0,
+    sweeps: int | None = None,
 ) -> CoupledSolution:
     """Forward-backward Picard solve of the linear coupled optimality system.
 
@@ -741,9 +744,9 @@ def solve_coupled_linear(
     The converged pair is the exact first-order system of the discrete
     minimax cost, which is what the gradient-consistency tests require.
     The forward data is a :class:`ForcingAssembly`, so ``h`` needs ``omega``.
-    A ``tol`` above ``opts.picard_tol`` stops the sweeps there: an inexact solve.
+    Given ``sweeps``, exactly that many run: a fixed linear map of the data.
     """
-    return _solve_coupled(h, y0, yd, coupling, opts, omega, f1, f2, False, tol)
+    return _solve_coupled(h, y0, yd, coupling, opts, omega, f1, f2, False, sweeps)
 
 
 def _coords(g: GridSpec, x: np.ndarray | None) -> np.ndarray | None:
@@ -752,7 +755,7 @@ def _coords(g: GridSpec, x: np.ndarray | None) -> np.ndarray | None:
 
 
 def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1, f2,
-                   convective: bool, tol: float = 0.0) -> CoupledSolution:
+                   convective: bool, sweeps: int | None = None) -> CoupledSolution:
     """The Picard sweeps of both coupled solves; ``convective`` adds convection to
     the forward march and its transpose around the sweep's y to the backward one.
 
@@ -784,15 +787,15 @@ def _solve_coupled(h, y0, yd, coupling: Coupling, opts: SolverOptions, omega, f1
         cycle = _coupled_cycle(coupling, _marched(g, 1, convect), _marched(g, 0, *_linked(link)))
     else:
         cycle = _coupled_cycle(coupling, _marched(g, 1), _marched(g, 0))
-    y, z, sweeps, residual = _picard(
-        g, cycle, (fwd, bwd), _BLOWUP_NORM, opts,
+    y, z, ran, residual, relax = _picard(
+        g, cycle, (fwd, bwd), _BLOWUP_NORM, opts, sweeps,
         "nonlinear coupled solve" if convective else "coupled linear solve",
         "reduce the data size or the horizon (small-data regime required)" if convective
-        else "the forward-backward sweep contracts only for large enough gamma and ell", tol)
+        else "the forward-backward sweep contracts only for large enough gamma and ell")
     to_faces = _faces(g)[0]
     y = to_faces(y)
     y[0] = start
-    return CoupledSolution(Trajectory(g, y), Trajectory(g, to_faces(z)), sweeps, residual)
+    return CoupledSolution(Trajectory(g, y), Trajectory(g, to_faces(z)), ran, residual, relax)
 
 
 def frozen_sources(y: Trajectory, z: Trajectory):
@@ -869,7 +872,7 @@ def solve_backward_adjoint(
     link: Trajectory | None,
     coupling: Coupling,
     opts: SolverOptions = SolverOptions(),
-    tol: float = 0.0,
+    sweeps: int | None = None,
 ) -> AdjointPair:
     """Coupled adjoint pair: phi backward from phi(T), theta forward from 0.
 
@@ -883,20 +886,20 @@ def solve_backward_adjoint(
     The pair is linear in phi(T), so its Picard loop has no blow-up bound.
     phi(T) and the sources are mapped to V coordinates once, and phi and
     theta back once, theta on first read; phi(0), which need not lie in V, is
-    assembled on the faces.  ``tol`` is the inexact stop of
-    :func:`solve_coupled_linear`.
+    assembled on the faces.  ``sweeps`` fixes the sweep count as in
+    :func:`solve_coupled_linear`: the k-sweep pair transposes its k-sweep solve.
     """
     g = phiT.grid
     terms = _linked(link)
     up = _marched(g, 1, *terms, end=v_coordinates(phiT.data, g))
     phi_src = _coords(g, _packed_data(g, (g1, _slots(g))))
-    phi, theta, sweeps, residual = _picard(
+    phi, theta, ran, residual, *_ = _picard(
         g, _transposed(_coupled_cycle(coupling, up, _marched(g, 0))),
-        (phi_src, _coords(g, _packed_data(g, (g2, _slots(g))))), math.inf, opts,
-        "adjoint pair", "gamma or ell too small or mu too large", tol)
+        (phi_src, _coords(g, _packed_data(g, (g2, _slots(g))))), math.inf, opts, sweeps,
+        "adjoint pair", "gamma or ell too small or mu too large")
     phi = Trajectory(g, _faces(g)[0](phi))
     # the transposed start, which need not lie in V, assembled on the faces
     phi[0] = phi[1]
     if link is not None:
         phi.data[0] -= g.dt * terms[1](0, phi[1]).data
-    return AdjointPair(phi, theta, sweeps, residual)
+    return AdjointPair(phi, theta, ran, residual)

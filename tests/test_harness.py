@@ -585,6 +585,9 @@ def test_option_copies_keep_relax(monkeypatch):
     ("carleman", "lam", -1.0, "carleman"),
     ("carleman", "a0", 1.0, "carleman"),
     ("regions", "omega", [0.75, 0.35, 0.35, 0.75], "regions.omega"),
+    # a start whose H1 norm overflows to inf was rescaled by y0_v_norm / inf
+    # into the zero field, and the run steered that
+    ("data", "y0_amplitude", 1e300, "data.y0_v_norm"),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, section, key, value, field):
     from stackstokes.cli import main
@@ -783,8 +786,10 @@ def test_float_walk_ends_refused_finite_or_typed(tmp_path, capsys):
     # included, at 0, -1, 1e300 and 1e-300 through validate, on the 8x8,
     # nt = 8 copy that the accepted cases run on.  One accepted case per field
     # runs, its experiment and value taken in turn, so that every experiment
-    # runs; each run ends in exit 0 with finite metrics or in exit 3.
+    # runs; each run ends in exit 0 with finite metrics or in exit 3.  An
+    # accepted start that data.y0_v_norm rescales has that H1 norm.
     from stackstokes.cli import main
+    from stackstokes.grid import h1_norm
     from stackstokes.harness import _FIELDS, _finite
 
     values = (0.0, -1.0, 1e300, 1e-300)
@@ -811,6 +816,10 @@ def test_float_walk_ends_refused_finite_or_typed(tmp_path, capsys):
                 assert code in (0, 2), (experiment, field, value)
                 if code == 0:
                     accepted.setdefault(field, {}).setdefault((experiment, value), text)
+                    if "y0_v_norm" in raw["data"]:
+                        want = raw["data"]["y0_v_norm"]
+                        got = h1_norm(config_from_dict(raw).initial_state())
+                        assert got == pytest.approx(want, rel=1e-12), (experiment, field, value)
             obj[key] = good
             walked.add(field)
     assert walked == floats

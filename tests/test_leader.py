@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -190,36 +191,157 @@ def test_shifted_cg_true_residual_of_every_epsilon(monkeypatch, schedule):
         assert _relative_residual(prob, h, row.epsilon) <= 10 * cfg.penalty.cg_tol, row
 
 
-def test_cg_inner_solves_stop_at_the_inexact_tolerance(monkeypatch):
-    # the coupled solve and adjoint pair of CG iteration k stop at eta_k =
-    # min(cg_tol |b| / |r_k|, 1e-5) above picard_tol; the free response, b
-    # and the exact re-solves of every epsilon stop at picard_tol
-    prob = _slow_problem()
-    cfg = PenaltyConfig(epsilon=1e-2, epsilon_schedule=(1e-1, 1e-2), cg_tol=1e-8)
+def _spy_sweeps(monkeypatch):
+    """(sweeps passed, sweeps run, residual) of every coupled solve and adjoint pair
+    that the leader makes, in call order."""
     solves = []
     for name in ("solve_coupled_linear", "solve_backward_adjoint"):
-        def spy(*args, tol=0.0, _real=getattr(leader, name), **kwargs):
-            sol = _real(*args, tol=tol, **kwargs)
-            solves.append((tol, sol.residual))
+        def spy(*args, sweeps=None, _real=getattr(leader, name), **kwargs):
+            sol = _real(*args, sweeps=sweeps, **kwargs)
+            solves.append((sweeps, sol.iterations, sol.residual))
             return sol
         monkeypatch.setattr(leader, name, spy)
+    return solves
+
+
+def test_cg_inner_solves_run_a_fixed_sweep_count(monkeypatch):
+    # the coupled solve and adjoint pair of every CG iteration run exactly k
+    # sweeps, k chosen once from the free response's contraction (about 1e-3
+    # a sweep here, so k = 2); the free response, b and the exact re-solves
+    # of every epsilon stop at picard_tol
+    prob = _slow_problem()
+    cfg = PenaltyConfig(epsilon=1e-2, epsilon_schedule=(1e-1, 1e-2), cg_tol=1e-8)
+    solves = _spy_sweeps(monkeypatch)
     res = solve_null_control_cg(prob, cfg)
     monkeypatch.undo()
-    picard_tol = prob.opts.picard_tol
     n = 2 * res.cg_iters
     exact, inner = solves[:2] + solves[2 + n:], solves[2:2 + n]
     assert len(exact) == 2 + len(cfg.epsilon_schedule) and res.cg_iters > 5
-    for tol, residual in exact:
-        assert tol == 0.0 and residual <= picard_tol
-    # the first iteration's r is b, so its eta is cg_tol; r falls to below
-    # 1e-3 |b|, where eta reaches its cap
-    assert all(r <= cfg.cg_tol for _, r in inner[:2])
-    assert all(picard_tol < r <= 1e-5 for _, r in inner)
-    etas = [tol for tol, _ in inner]
-    assert etas[::2] == etas[1::2]  # one eta for both solves of an iteration
-    assert etas[0] == pytest.approx(cfg.cg_tol, rel=1e-12) and etas[-1] == 1e-5
-    for tol, residual in inner:
-        assert cfg.cg_tol * (1 - 1e-12) <= tol <= 1e-5 and residual <= tol
+    for sweeps, ran, residual in exact:
+        assert sweeps is None and ran > 2 and residual <= prob.opts.picard_tol
+    # both solves of every iteration; the last change of a 2-sweep solve,
+    # 5e-5 to 1.1e-3 here, stays far above picard_tol
+    assert {(sweeps, ran) for sweeps, ran, _ in inner} == {(2, 2)}
+    assert all(1e3 * prob.opts.picard_tol < residual < 1e-2 for _, _, residual in inner)
+
+
+def _nullcontrol_on(template, **robust):
+    """A one-epsilon nullcontrol run on the geometry of ``template`` from an eddy start."""
+    raw = default_config_dict(template)
+    raw["experiment"], raw["options"] = "nullcontrol", {}
+    raw["robust"].update(robust)
+    raw["data"].update(y0_kind="eddy", y0_amplitude=0.05)
+    raw["penalty"].update(epsilon=1e-2, epsilon_schedule=[])
+    return config_from_dict(raw)
+
+
+def test_cg_sweep_count_follows_the_contraction(monkeypatch):
+    # the long-horizon carleman-check geometry contracts by about 0.07 a
+    # sweep, so k = 2 would leave an error near 5e-3 in every product: the
+    # rule takes k >= 4.  On the CG's h that k-sweep map still misses the
+    # exact y(T) by about 5e-8 |y_free(T)|, above cg_tol, so the CG runs
+    # again at 2k, and the seed's true residual holds its gate
+    cfg = _nullcontrol_on("carleman-check")
+    prob = cfg.problem()
+    solves = _spy_sweeps(monkeypatch)
+    res = solve_null_control_cg(prob, cfg.penalty)
+    monkeypatch.undo()
+    _, ran, residual = solves[0]
+    rho = residual ** (1.0 / (ran - 1))
+    assert 0.03 < rho < 0.2, rho
+    fixed = [sweeps for sweeps, _, _ in solves if sweeps is not None]
+    k = fixed[0]
+    assert k >= 4 and rho**k <= 1e-5 < rho ** (k - 1)
+    assert fixed == sorted(fixed) and set(fixed) == {k, 2 * k}
+    assert fixed.count(2 * k) == 2 * res.cg_iters
+    assert all(sweeps is None or ran == sweeps for sweeps, ran, _ in solves)
+    assert _relative_residual(prob, res.h, cfg.penalty.epsilon) <= 10 * cfg.penalty.cg_tol
+
+
+def test_cg_sweep_count_is_at_most_the_free_responses():
+    # with picard_tol 1e-3 the free response on the carleman-check geometry
+    # stops after 4 sweeps, short of the 5 that rho^k <= 1e-5 asks: the CG's
+    # solves then run those 4, never tighter than the exact solves
+    prob = _nullcontrol_on("carleman-check").problem()
+    prob = dataclasses.replace(prob, opts=dataclasses.replace(prob.opts, picard_tol=1e-3))
+    free = leader._coupled(prob, None, None, None)
+    rho = free.residual ** (1.0 / (free.iterations - 1))
+    assert free.iterations < math.log(1e-5) / math.log(rho)
+    assert leader._free_response(prob, None, None)[2] == free.iterations == 4
+
+
+def test_cg_products_run_at_the_relax_the_free_response_ended_at(monkeypatch):
+    # at ell = 5e-3 on the gamma0-scan geometry the coupled sweep contracts
+    # only once relax halves to 1/2.  The k-sweep products run at 1/2 too;
+    # at relax 1 they do not contract, and the CG would converge to the
+    # control of that operator (true residual 0.17)
+    cfg = _nullcontrol_on("gamma0-scan", ell=5e-3)
+    prob = cfg.problem()
+    assert prob.opts.relax == 1.0
+    free = leader._coupled(prob, None, None, None)
+    assert free.relax == 0.5 and free.residual <= prob.opts.picard_tol
+    runs, real = [], leader.control_to_terminal
+
+    def spy(p, h, *args, sweeps=None, **kwargs):
+        if sweeps is not None:
+            runs.append((sweeps, p.opts.relax))
+        return real(p, h, *args, sweeps=sweeps, **kwargs)
+
+    monkeypatch.setattr(leader, "control_to_terminal", spy)
+    res = solve_null_control_cg(prob, cfg.penalty)
+    monkeypatch.undo()
+    assert runs and {relax for _, relax in runs} == {0.5}
+    assert _relative_residual(prob, res.h, cfg.penalty.epsilon) <= 10 * cfg.penalty.cg_tol
+
+
+def test_cg_sweep_doubling_stops_at_picard_max(monkeypatch):
+    # a k-sweep map that keeps missing the exact y(T) on the CG's h doubles k;
+    # the first product past picard_max raises ConvergenceError
+    from stackstokes.errors import ConvergenceError
+
+    prob = _slow_problem()
+    prob = dataclasses.replace(prob, opts=dataclasses.replace(prob.opts, picard_max=8))
+    real, runs = leader.control_to_terminal, []
+
+    def off(p, h, *args, sweeps=None, **kwargs):
+        if sweeps is not None:
+            runs.append(sweeps)
+            return real(p, h, *args, sweeps=sweeps, **kwargs) * 1.01
+        return real(p, h, *args, sweeps=sweeps, **kwargs)
+
+    monkeypatch.setattr(leader, "control_to_terminal", off)
+    with pytest.raises(ConvergenceError, match="asked for 16 sweeps, more than picard_max 8"):
+        solve_null_control_cg(prob, PenaltyConfig(epsilon=1e-2))
+    assert runs == sorted(runs) and set(runs) == {2, 4, 8, 16} and runs.count(16) == 1
+
+
+def test_cg_zero_free_response_takes_the_floor():
+    # a free response done at its first sweep with residual 0 (zero data)
+    # has no contraction to read: its k is the floor 2
+    setup = make_setup(nt=16)
+    prob = make_problem(setup, VelocityField.zeros(setup["grid"]), None)
+    free = leader._coupled(prob, None, None, None)
+    assert (free.iterations, free.residual) == (1, 0.0)
+    assert leader._free_response(prob, None, None)[2] == 2
+
+
+def test_cg_non_finite_product_raises_blowup(monkeypatch):
+    # a fixed-k solve takes no norm per sweep; its one norm after the last
+    # sweep raises BlowupError on a non-finite iterate, before the CG reads
+    # a curvature from it
+    from stackstokes.errors import BlowupError
+
+    prob = _slow_problem()
+    real = leader.control_to_terminal
+
+    def poisoned(p, h, *args, sweeps=None, **kwargs):
+        if sweeps is not None:
+            h = h * np.nan
+        return real(p, h, *args, sweeps=sweeps, **kwargs)
+
+    monkeypatch.setattr(leader, "control_to_terminal", poisoned)
+    with pytest.raises(BlowupError, match="at sweep 2"):
+        solve_null_control_cg(prob, PenaltyConfig(epsilon=1e-2))
 
 
 def test_shifted_cg_seed_row_is_the_one_epsilon_solve():
@@ -302,7 +424,9 @@ def test_nonlinear_warm_start_from_the_linear_control(monkeypatch):
     # control starts the first CG, which then takes a fraction of a cold
     # start's iterations; both runs stop on the change of their own outer
     # iterates, and their controls agree within ten outer tolerances
-    # (7.6e-7 relative measured on the shipped config, outer_tol 1e-6)
+    # (7.1e-7 relative measured on the shipped config, outer_tol 1e-6).  On
+    # the CG's fixed-sweep operator the warm start takes 2 CG iterations and
+    # stops at outer iteration 1
     cfg = config_from_dict(default_config_dict("nullcontrol-nonlinear"))
     prob = cfg.problem()
     outer = {"outer_tol": cfg.options["outer_tol"], "outer_max": cfg.options["outer_max"]}
@@ -319,7 +443,7 @@ def test_nonlinear_warm_start_from_the_linear_control(monkeypatch):
     cold_first = iters[0]
     iters.clear()
     warm = solve_null_control_nonlinear(prob, cfg.penalty, **outer, h_start=lin.h)
-    assert len(iters) == warm.outer_iterations >= 2
+    assert len(iters) == warm.outer_iterations >= 1
     assert 4 * iters[0] < cold_first
     assert traj_norm(warm.h - cold.h) <= 10 * outer["outer_tol"] * traj_norm(cold.h)
 

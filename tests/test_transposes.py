@@ -7,6 +7,8 @@ weights the test writes out itself, so a transpose that weighs an end level
 wrongly cannot agree with a forward map that weighs it the same way.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,25 @@ def test_composed_maps_are_transposed_exactly(rng, nx, ny, Lx, Ly):
         lhs, rhs = float(np.vdot(swept, y)), float(np.vdot(theta, rotated))
         assert _close(lhs, rhs, np.linalg.norm(swept) * np.linalg.norm(y)
                       + np.linalg.norm(theta) * np.linalg.norm(rotated))
+
+
+@pytest.mark.parametrize("nx, ny, Lx, Ly", GRIDS)
+def test_fixed_sweep_terminal_map_is_transposed_by_its_lift(rng, nx, ny, Lx, Ly):
+    # the coupled solve and the adjoint pair stopped after the same k sweeps,
+    # relaxed or not, are transposes: <Lambda_k h, w> = <h, Lambda_k* w>, so
+    # the leader's CG runs on one fixed symmetric operator
+    prob = _problem(nx, ny, Lx, Ly)
+    g = prob.grid
+    for relax in (1.0, 0.5):
+        fixed = dataclasses.replace(prob, opts=dataclasses.replace(prob.opts, relax=relax))
+        for k in (1, 2, 3):
+            h, w = control_traj(g, rng), closed_noise(g, rng)
+            yT = leader.control_to_terminal(fixed, h, sweeps=k)
+            lift = leader._terminal_dual_lift(fixed, w, k)
+            lhs, rhs = float(yT.data @ w.data), _trapezoid(g, h, lift)
+            scale = (np.linalg.norm(yT.data) * np.linalg.norm(w.data)
+                     + np.sqrt(_trapezoid(g, h, h) * _trapezoid(g, lift, lift)))
+            assert abs(lhs - rhs) <= 1e-14 * scale, (relax, k, lhs, rhs)
 
 
 @pytest.mark.parametrize("nx, ny, Lx, Ly", GRIDS)
